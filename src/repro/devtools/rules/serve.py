@@ -5,9 +5,9 @@ handlers only ever observe shard state at a batch boundary, through
 the snapshot surface — :class:`~repro.serve.snapshot.SnapshotHub`,
 :meth:`~repro.serve.sharding.ShardSet.incident_rows` and friends. The
 live pipeline objects (``Pipeline``, ``WindowedStemmer``,
-``TampAnnotator``, ``IncidentManager``) are held behind
-``live_``-prefixed attributes in the sharding layer precisely so the
-boundary is mechanically checkable: any ``x.live_something`` access
+``TampAnnotator``, ``IncidentManager``) are held behind the
+``live_``-prefixed attributes of each shard's ``MonitorCore`` precisely
+so the boundary is mechanically checkable: any ``x.live_something`` access
 outside the sanctioned modules is a handler reaching into state that
 mutates mid-request — a torn read today, a race the moment serving
 and feeding ever run on different threads.

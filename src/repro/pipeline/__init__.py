@@ -19,8 +19,9 @@ long-running pipeline:
   fingerprints.
 * :mod:`repro.pipeline.metrics` — counters/gauges/histograms with a
   JSON snapshot and a plain-text scrape endpoint.
-* :mod:`repro.pipeline.monitor` — the loop tying it together, exposed
-  on the CLI as ``repro monitor``.
+* :mod:`repro.pipeline.monitor` — :class:`MonitorCore`, the one
+  pump/drain/checkpoint body tying it together, and ``run_monitor``,
+  the loop over it behind ``repro monitor``.
 """
 
 from repro.pipeline.checkpoint import (
@@ -31,6 +32,7 @@ from repro.pipeline.checkpoint import (
 from repro.pipeline.metrics import MetricsRegistry, MetricsServer
 from repro.pipeline.monitor import (
     MonitorConfig,
+    MonitorCore,
     MonitorResult,
     run_monitor,
 )
@@ -67,6 +69,7 @@ __all__ = [
     "MetricsRegistry",
     "MetricsServer",
     "MonitorConfig",
+    "MonitorCore",
     "MonitorResult",
     "Pacer",
     "Pipeline",

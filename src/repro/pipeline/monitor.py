@@ -1,10 +1,14 @@
 """The monitor loop: source → pipeline → incident log, forever.
 
-:func:`run_monitor` wires a :class:`~repro.pipeline.sources.Source`
-into the two-stage analysis pipeline (windowed Stemming, TAMP
-annotation), persists every emitted window report to the checkpoint
-store's incident log, folds reports into an incident tracker, keeps
-the metrics registry current, and checkpoints at quiescent points.
+:class:`MonitorCore` is the one implementation of that loop's body. It
+wires a :class:`~repro.pipeline.sources.Source` into the two-stage
+analysis pipeline (windowed Stemming, TAMP annotation), persists every
+emitted window report to the checkpoint store's incident log, grows
+the managed incidents from the reports, and checkpoints at quiescent
+points. Two drivers own the *loop*: :func:`run_monitor` below (pacing,
+metrics, crash injection, ``max_events``) and the serve layer's
+:class:`~repro.serve.sharding.ShardSet`, which pumps one core per
+shard between HTTP requests.
 
 Determinism boundary — what resume restores bit-identically:
 everything that reaches the incident log (window fingerprints, ranked
@@ -13,11 +17,8 @@ and the managed incident lifecycle (the
 :class:`~repro.incidents.manager.IncidentManager` snapshot rides in
 every checkpoint, and the sqlite store is re-synced from it on resume
 so a crash/resume run ends with byte-identical incident ids, states
-and timestamps). What it deliberately does not restore: the legacy
-incident *tracker* (its lifecycle state is an operator-facing live
-view, rebuilt from the reports that replay after resume) and the
-metrics registry (a resumed process is a new process; its counters
-say so).
+and timestamps). What it deliberately does not restore: the metrics
+registry (a resumed process is a new process; its counters say so).
 
 Crash semantics, used by the chaos tests: a
 :class:`~repro.testkit.crash.CrashPlan` fires *after* a batch is
@@ -35,6 +36,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from repro.incidents.exporter import IncidentExporter
+from repro.incidents.lifecycle import IncidentRecord
 from repro.incidents.manager import IncidentManager, IncidentPolicy
 from repro.incidents.store import INCIDENT_DB, IncidentStore
 from repro.mrt.ingest import IngestReport
@@ -44,7 +46,7 @@ from repro.pipeline.checkpoint import (
     CheckpointStore,
 )
 from repro.pipeline.metrics import MetricsRegistry
-from repro.pipeline.runtime import Pipeline, iter_batches
+from repro.pipeline.runtime import Batch, Pipeline, iter_batches
 from repro.pipeline.sources import Pacer, Source
 from repro.pipeline.windows import (
     TampAnnotator,
@@ -52,9 +54,10 @@ from repro.pipeline.windows import (
     WindowReport,
     WindowState,
 )
-from repro.stemming.detector import DetectorReport
-from repro.stemming.tracker import IncidentTracker
 from repro.testkit.crash import CrashPlan
+
+#: Called with each window report once it is in the incident log.
+ReportHook = Optional[Callable[[WindowReport], None]]
 
 
 @dataclass(frozen=True)
@@ -113,6 +116,179 @@ class MonitorConfig:
         }
 
 
+class MonitorCore:
+    """One monitor pipeline and its durable state, driven from outside.
+
+    Collaborators are attributes. The ones that mutate on every pump
+    carry a ``live_`` prefix, which is what lets lint rule SRV001 keep
+    serve handlers off them. A driver calls :meth:`pump`, :meth:`drain`
+    and :meth:`checkpoint_if_due` per batch (:meth:`feed` is the three
+    in a row), :meth:`finish` at end of stream and :meth:`close` on the
+    way out. Collaborator methods are looked up at each call, never
+    cached: instrumentation rebinds them per instance and may swap
+    ``live_manager`` for a stand-in.
+
+    Construction leaves the directory consistent with the position the
+    core starts from. A resume restores the latest checkpoint; a fresh
+    start (or a resume that finds no checkpoint) starts at zero. Either
+    way the incident log is cut back to ``reports_emitted`` lines and
+    the sqlite store re-synced, so what a dead or earlier run wrote
+    past that position is gone before the replay re-emits it.
+    """
+
+    def __init__(
+        self,
+        source: Source,
+        config: MonitorConfig,
+        *,
+        checkpoint_dir: Optional[str | Path] = None,
+        resume: bool = False,
+    ) -> None:
+        self.source = source
+        self.config = config
+        self.store: Optional[CheckpointStore] = None
+        self.incident_store: Optional[IncidentStore] = None
+        if resume and checkpoint_dir is None:
+            raise CheckpointError("resume requires a checkpoint directory")
+        state: Optional[CheckpointState] = None
+        if checkpoint_dir is not None:
+            self.store = CheckpointStore(
+                checkpoint_dir, keep=config.keep_checkpoints
+            )
+            state = self.store.latest() if resume else None
+            if state is not None:
+                state.matches(source.describe(), config.describe())
+            self.incident_store = IncidentStore(
+                self.store.directory / INCIDENT_DB
+            )
+        self.live_window = WindowedStemmer(
+            config.window,
+            config.slide,
+            min_strength=config.min_strength,
+            max_components=config.max_components,
+            workers=config.workers,
+        )
+        self.live_tamp = TampAnnotator()
+        self.live_pipeline = Pipeline(
+            [self.live_window, self.live_tamp],
+            max_queue=config.max_queue,
+            policy=config.policy,
+        )
+        self.live_manager = IncidentManager(
+            policy=config.incident_policy()
+        )
+        #: Stream offset reached (== total events ever processed).
+        self.offset = 0
+        self.reports_emitted = 0
+        #: Events pumped and checkpoints written by *this* core.
+        self.events_done = 0
+        self.checkpoints_written = 0
+        self.latest_window_end = 0.0
+        self.finished = False
+        if state is not None:
+            self._restore(state)
+        if self.store is not None and self.incident_store is not None:
+            self.store.truncate_reports(self.reports_emitted)
+            self.incident_store.sync(
+                self.live_manager, self.reports_emitted
+            )
+        self._last_checkpoint_window = self.live_window.window_index
+
+    def _restore(self, state: CheckpointState) -> None:
+        self.live_window.restore_state(WindowState.from_dict(state.window))
+        self.live_tamp.restore_state(state.tamp)
+        self.live_pipeline.restore_stats(state.stats)
+        self.offset = state.offset
+        self.reports_emitted = state.reports_emitted
+        if state.incidents is not None:
+            self.live_manager.import_state(state.incidents)
+        if state.ingest is not None and self.source.ingest_report is None:
+            self.source.ingest_report = IngestReport.from_dict(state.ingest)
+
+    def pump(self, batch: Batch) -> None:
+        """Push *batch* through the stages; outputs wait for a drain."""
+        self.live_pipeline.feed(batch)
+        self.offset = batch.end_offset
+        self.events_done += len(batch)
+
+    def drain(self, on_report: ReportHook = None) -> list[IncidentRecord]:
+        """Persist the reports the last pump closed.
+
+        Each report grows the incidents, lands in the incident log and
+        is then handed to *on_report*. Returns the incident records
+        that changed — the transition feed's input.
+        """
+        changed: list[IncidentRecord] = []
+        for item in self.live_pipeline.take():
+            assert isinstance(item, WindowReport)
+            self.reports_emitted += 1
+            self.latest_window_end = item.end
+            changed.extend(self.live_manager.ingest(item))
+            if self.store is not None:
+                self.store.append_report(item.to_dict())
+            if on_report is not None:
+                on_report(item)
+        return changed
+
+    def checkpoint_if_due(self) -> bool:
+        """Checkpoint once ``checkpoint_every`` windows have closed."""
+        closed = self.live_window.window_index - self._last_checkpoint_window
+        if self.store is None or closed < self.config.checkpoint_every:
+            return False
+        self.checkpoint()
+        return True
+
+    def checkpoint(self) -> None:
+        """Save the state, then bring the sqlite store level with it."""
+        assert self.store is not None and self.incident_store is not None
+        ingest = self.source.ingest_report
+        self.store.save(
+            CheckpointState(
+                source=self.source.describe(),
+                config=self.config.describe(),
+                offset=self.offset,
+                reports_emitted=self.reports_emitted,
+                window=self.live_window.export_state().to_dict(),
+                tamp=self.live_tamp.export_state(),
+                stats=self.live_pipeline.stats(),
+                ingest=None if ingest is None else ingest.to_dict(),
+                incidents=self.live_manager.export_state(),
+            )
+        )
+        self.incident_store.sync(self.live_manager, self.reports_emitted)
+        self.checkpoints_written += 1
+        self._last_checkpoint_window = self.live_window.window_index
+
+    def feed(self, batch: Batch) -> list[IncidentRecord]:
+        """Pump, drain and checkpoint if due; returns changed records."""
+        self.pump(batch)
+        changed = self.drain()
+        self.checkpoint_if_due()
+        return changed
+
+    def finish(self, on_report: ReportHook = None) -> list[IncidentRecord]:
+        """End of stream: flush, resolve what is live, checkpoint.
+
+        Never called on a hard stop — a killed run leaves incidents
+        live so the resume keeps growing them identically.
+        """
+        if self.finished:
+            return []
+        self.live_pipeline.flush()
+        changed = self.drain(on_report)
+        for record in self.live_manager.finalize():
+            if record not in changed:
+                changed.append(record)
+        if self.store is not None:
+            self.checkpoint()
+        self.finished = True
+        return changed
+
+    def close(self) -> None:
+        if self.incident_store is not None:
+            self.incident_store.close()
+
+
 @dataclass
 class MonitorResult:
     """What one :func:`run_monitor` call accomplished."""
@@ -128,7 +304,6 @@ class MonitorResult:
     checkpoints_written: int
     #: "end" (source exhausted, flushed) or "max_events" (hard stop).
     stopped: str
-    tracker: IncidentTracker = field(default_factory=IncidentTracker)
     #: The managed incident lifecycle built (or resumed) by this run.
     incidents: IncidentManager = field(default_factory=IncidentManager)
 
@@ -144,75 +319,15 @@ def run_monitor(
     checkpoint_dir: Optional[str | Path] = None,
     resume: bool = False,
     registry: Optional[MetricsRegistry] = None,
-    on_report: Optional[Callable[[WindowReport], None]] = None,
+    on_report: ReportHook = None,
     crash_plan: Optional[CrashPlan] = None,
 ) -> MonitorResult:
     """Run the monitor until the source ends (or a stop/crash fires)."""
     registry = registry if registry is not None else MetricsRegistry()
-    store: Optional[CheckpointStore] = None
-    incident_store: Optional[IncidentStore] = None
-    if checkpoint_dir is not None:
-        store = CheckpointStore(
-            checkpoint_dir, keep=config.keep_checkpoints
-        )
-        incident_store = IncidentStore(store.directory / INCIDENT_DB)
-
-    window_stage = WindowedStemmer(
-        config.window,
-        config.slide,
-        min_strength=config.min_strength,
-        max_components=config.max_components,
-        workers=config.workers,
+    core = MonitorCore(
+        source, config, checkpoint_dir=checkpoint_dir, resume=resume
     )
-    tamp_stage = TampAnnotator()
-    pipeline = Pipeline(
-        [window_stage, tamp_stage],
-        max_queue=config.max_queue,
-        policy=config.policy,
-    )
-    tracker = IncidentTracker(resolve_after=config.resolve_after)
-    manager = IncidentManager(policy=config.incident_policy())
-    registry.register_collector(IncidentExporter(manager))
-
-    start_offset = 0
-    reports_emitted = 0
-    if resume:
-        if store is None:
-            raise CheckpointError(
-                "resume requires a checkpoint directory"
-            )
-        state = store.latest()
-        if state is None:
-            # Crashed before the first checkpoint: nothing to restore,
-            # so replay from the top — but wipe any incident-log lines
-            # the dead run wrote, or the replay would duplicate them.
-            store.truncate_reports(0)
-            if incident_store is not None:
-                incident_store.sync(manager, 0)
-        else:
-            state.matches(source.describe(), config.describe())
-            window_stage.restore_state(
-                WindowState.from_dict(state.window)
-            )
-            tamp_stage.restore_state(state.tamp)
-            pipeline.restore_stats(state.stats)
-            start_offset = state.offset
-            reports_emitted = state.reports_emitted
-            store.truncate_reports(reports_emitted)
-            if state.incidents is not None:
-                manager.import_state(state.incidents)
-            if incident_store is not None:
-                # Reconcile: a dead run may have synced rows past this
-                # checkpoint; resetting to the snapshot mirrors the
-                # report-log truncation above.
-                incident_store.sync(manager, reports_emitted)
-            if (
-                state.ingest is not None
-                and source.ingest_report is None
-            ):
-                source.ingest_report = IngestReport.from_dict(
-                    state.ingest
-                )
+    registry.register_collector(IncidentExporter(core.live_manager))
 
     # -- metric handles -------------------------------------------------
     events_total = registry.counter(
@@ -263,137 +378,87 @@ def run_monitor(
             f"repro_pipeline_queue_depth_{name}",
             f"queued items at the {name} stage",
         )
-        for name in pipeline.depths()
+        for name in core.live_pipeline.depths()
     }
 
     pacer = Pacer(config.pace)
     clock = time.monotonic
     run_start = clock()
-    last_checkpoint_clock = run_start
-    checkpoints_written = 0
+    last_checkpoint_clock = pumped_at = run_start
     prior_dropped = 0
-    events_done = 0
-    offset = start_offset
     run_reports: list[WindowReport] = []
     stopped = "end"
 
-    def handle_outputs(elapsed: float) -> None:
-        nonlocal reports_emitted
-        for item in pipeline.take():
-            assert isinstance(item, WindowReport)
-            run_reports.append(item)
-            reports_emitted += 1
-            windows_total.inc()
-            incidents_total.inc(len(item.result.components))
-            lag_histogram.observe(elapsed)
-            tracker.observe(
-                DetectorReport(
-                    at=item.end,
-                    by_window={config.window: item.result},
-                )
-            )
-            manager.ingest(item)
-            if store is not None:
-                store.append_report(item.to_dict())
-            if on_report is not None:
-                on_report(item)
+    def handle_report(item: WindowReport) -> None:
+        run_reports.append(item)
+        windows_total.inc()
+        incidents_total.inc(len(item.result.components))
+        lag_histogram.observe(clock() - pumped_at)
+        if on_report is not None:
+            on_report(item)
 
-    def write_checkpoint() -> None:
-        nonlocal checkpoints_written, last_checkpoint_clock
-        assert store is not None
-        ingest = source.ingest_report
-        store.save(
-            CheckpointState(
-                source=source.describe(),
-                config=config.describe(),
-                offset=offset,
-                reports_emitted=reports_emitted,
-                window=window_stage.export_state().to_dict(),
-                tamp=tamp_stage.export_state(),
-                stats=pipeline.stats(),
-                ingest=None if ingest is None else ingest.to_dict(),
-                incidents=manager.export_state(),
-            )
-        )
-        if incident_store is not None:
-            incident_store.sync(manager, reports_emitted)
-        checkpoints_written += 1
+    def note_checkpoint() -> None:
+        nonlocal last_checkpoint_clock
         checkpoints_total.inc()
         last_checkpoint_clock = clock()
 
     def refresh_gauges() -> None:
         elapsed_run = max(clock() - run_start, 1e-9)
-        events_per_second.set(events_done / elapsed_run)
+        events_per_second.set(core.events_done / elapsed_run)
         checkpoint_age.set(clock() - last_checkpoint_clock)
-        buffer_gauge.set(window_stage.buffered)
-        routes_gauge.set(tamp_stage.tamp.route_count())
-        strength_gauge.set(window_stage.top_strength())
-        for name, depth in pipeline.depths().items():
+        buffer_gauge.set(core.live_window.buffered)
+        routes_gauge.set(core.live_tamp.tamp.route_count())
+        strength_gauge.set(core.live_window.top_strength())
+        for name, depth in core.live_pipeline.depths().items():
             queue_gauges[name].set(depth)
 
-    last_checkpoint_window = window_stage.window_index
     batches = iter_batches(
-        source.events(start_offset),
+        source.events(core.offset),
         batch_size=config.batch_size,
-        start_offset=start_offset,
+        start_offset=core.offset,
     )
     try:
         for batch in batches:
             pacer.wait_for(batch.events[-1].timestamp)
             pumped_at = clock()
-            pipeline.feed(batch)
-            elapsed = clock() - pumped_at
-            offset = batch.end_offset
-            events_done += len(batch)
+            core.pump(batch)
             events_total.inc(len(batch))
             batches_total.inc()
             if crash_plan is not None:
                 # After the pump, before persisting outputs or
                 # checkpointing: the least convenient legal instant.
-                crash_plan.fire(events_done)
-            handle_outputs(elapsed)
+                crash_plan.fire(core.events_done)
+            core.drain(handle_report)
             dropped_now = sum(
-                s["dropped"] for s in pipeline.stats().values()
+                s["dropped"] for s in core.live_pipeline.stats().values()
             )
             if dropped_now > prior_dropped:
                 dropped_total.inc(dropped_now - prior_dropped)
                 prior_dropped = dropped_now
-            if (
-                store is not None
-                and window_stage.window_index - last_checkpoint_window
-                >= config.checkpoint_every
-            ):
-                write_checkpoint()
-                last_checkpoint_window = window_stage.window_index
+            if core.checkpoint_if_due():
+                note_checkpoint()
             refresh_gauges()
             if (
                 config.max_events is not None
-                and events_done >= config.max_events
+                and core.events_done >= config.max_events
             ):
                 stopped = "max_events"
                 break
         else:
-            flush_at = clock()
-            pipeline.flush()
-            handle_outputs(clock() - flush_at)
-            # End of stream: every live incident is over by definition.
-            # Never done on a hard stop — a killed run leaves incidents
-            # live so the resume keeps growing them identically.
-            manager.finalize()
-            if store is not None:
-                write_checkpoint()
+            pumped_at = clock()
+            core.finish(handle_report)
+            if core.store is not None:
+                note_checkpoint()
             refresh_gauges()
     finally:
-        if incident_store is not None:
-            incident_store.close()
+        core.close()
 
     return MonitorResult(
         reports=run_reports,
-        events=events_done,
-        offset=offset,
-        stats=pipeline.stats(),
-        checkpoints_written=checkpoints_written,
+        events=core.events_done,
+        offset=core.offset,
+        stats=core.live_pipeline.stats(),
+        checkpoints_written=core.checkpoints_written,
         stopped=stopped,
-        tracker=tracker,
-        incidents=manager,
+        incidents=core.live_manager,
     )

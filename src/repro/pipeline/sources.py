@@ -272,7 +272,7 @@ class ShardView(Source):
         skipped = 0
         shard, shards = self.shard, self.shards
         for event in self.parent.events():
-            if event.peer % shards != shard:
+            if shard_for_peer(event.peer, shards) != shard:
                 continue
             if skipped < start_offset:
                 skipped += 1

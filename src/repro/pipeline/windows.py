@@ -45,7 +45,7 @@ class WindowReport:
     ``fingerprint`` is :func:`fingerprint_events` over the window's
     events — the bit-identity witness the resume test compares.
     ``result`` carries the full :class:`StemmingResult` for in-process
-    consumers (the monitor's incident tracker); :meth:`to_dict` is the
+    consumers (the monitor's incident manager); :meth:`to_dict` is the
     persisted form.
     """
 

@@ -12,41 +12,34 @@ refcounts equal an unsharded run's and the merged picture renders
 byte-identical to it.
 
 This module is the **sanctioned side of the SRV001 boundary**: every
-piece of live pipeline state is held under a ``live_``-prefixed
-attribute, and only this module (and the snapshot layer) may touch
-those. HTTP handlers read through :class:`ShardSet`'s snapshot
+piece of live pipeline state sits under a ``live_``-prefixed attribute
+of the shard's :class:`~repro.pipeline.monitor.MonitorCore`, and
+inside ``repro.serve`` only this module (and the snapshot layer) may
+touch those. HTTP handlers read through :class:`ShardSet`'s snapshot
 accessors — ``version()``, ``merged_graph()``, ``incident_rows()``,
 ``status()`` — which are safe at any await point because shard
 pipelines only advance inside explicit ``feed()`` calls on the same
 event loop.
 
-Checkpoints are byte-compatible with ``repro monitor``'s: a shard
-writes the same :class:`~repro.pipeline.checkpoint.CheckpointState`
-(source = its :class:`~repro.pipeline.sources.ShardView` description)
-into ``<root>/shard-<k>/``, so a shard killed hard — even one run by
+Checkpoints are ``repro monitor``'s: a shard *is* the core that
+``run_monitor`` drives (source = its
+:class:`~repro.pipeline.sources.ShardView` description), writing into
+``<root>/shard-<k>/``, so a shard killed hard — even one run by
 ``run_monitor`` in another process, as the chaos test does — resumes
 here bit-identically, and vice versa.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from pathlib import Path
 from typing import Optional
 
 from repro.collector.events import BGPEvent
 from repro.incidents.feed import TransitionWatcher, load_incident_rows
-from repro.incidents.manager import IncidentManager
-from repro.incidents.store import INCIDENT_DB, IncidentStore
-from repro.pipeline.checkpoint import CheckpointState, CheckpointStore
-from repro.pipeline.monitor import MonitorConfig
-from repro.pipeline.runtime import Batch, Pipeline
-from repro.pipeline.sources import ShardView, Source
-from repro.pipeline.windows import (
-    TampAnnotator,
-    WindowedStemmer,
-    WindowReport,
-    WindowState,
-)
+from repro.pipeline.monitor import MonitorConfig, MonitorCore
+from repro.pipeline.runtime import Batch, iter_batches
+from repro.pipeline.sources import ShardView, Source, shard_for_peer
 from repro.tamp.graph import TampGraph
 
 #: A shard's cache-relevant position: (window index, pulse count at
@@ -59,162 +52,13 @@ def shard_dir(root: Path | str, shard: int) -> Path:
     return Path(root) / f"shard-{shard}"
 
 
-class PipelineShard:
-    """One shard's monitor pipeline, pumped batch-by-batch.
+class PipelineShard(MonitorCore):
+    """One shard's monitor core plus the read accessors serving needs.
 
-    A restructured :func:`~repro.pipeline.monitor.run_monitor`: same
-    stages, same checkpoint format, but instead of owning the loop it
-    exposes :meth:`feed` so the serve driver can interleave event
-    processing with request handling on one asyncio loop.
+    The serve driver pumps it batch-by-batch (:meth:`MonitorCore.feed`)
+    so event processing interleaves with request handling on one
+    asyncio loop; the accessors are safe between feeds.
     """
-
-    def __init__(
-        self,
-        source: Source,
-        config: MonitorConfig,
-        *,
-        shard: int = 0,
-        checkpoint_dir: Optional[Path | str] = None,
-        resume: bool = False,
-    ) -> None:
-        self.shard = shard
-        self.source = source
-        self.config = config
-        self.store: Optional[CheckpointStore] = None
-        self.incident_store: Optional[IncidentStore] = None
-        if checkpoint_dir is not None:
-            self.store = CheckpointStore(
-                checkpoint_dir, keep=config.keep_checkpoints
-            )
-            self.incident_store = IncidentStore(
-                self.store.directory / INCIDENT_DB
-            )
-        self.live_window = WindowedStemmer(
-            config.window,
-            config.slide,
-            min_strength=config.min_strength,
-            max_components=config.max_components,
-            workers=config.workers,
-        )
-        self.live_tamp = TampAnnotator()
-        self.live_pipeline = Pipeline(
-            [self.live_window, self.live_tamp],
-            max_queue=config.max_queue,
-            policy=config.policy,
-        )
-        self.live_manager = IncidentManager(
-            policy=config.incident_policy()
-        )
-        self.offset = 0
-        self.reports_emitted = 0
-        self.events_done = 0
-        self.latest_window_end = 0.0
-        self.finished = False
-
-        if resume:
-            self._restore()
-        elif self.store is not None:
-            # Fresh run over a dirty directory: wipe any report-log
-            # rows a previous run left, or replay would duplicate.
-            self.store.truncate_reports(0)
-            if self.incident_store is not None:
-                self.incident_store.sync(self.live_manager, 0)
-        self._last_checkpoint_window = self.live_window.window_index
-
-    def _restore(self) -> None:
-        assert self.store is not None
-        state = self.store.latest()
-        if state is None:
-            self.store.truncate_reports(0)
-            if self.incident_store is not None:
-                self.incident_store.sync(self.live_manager, 0)
-            return
-        state.matches(self.source.describe(), self.config.describe())
-        self.live_window.restore_state(WindowState.from_dict(state.window))
-        self.live_tamp.restore_state(state.tamp)
-        self.live_pipeline.restore_stats(state.stats)
-        self.offset = state.offset
-        self.reports_emitted = state.reports_emitted
-        self.store.truncate_reports(self.reports_emitted)
-        if state.incidents is not None:
-            self.live_manager.import_state(state.incidents)
-        if self.incident_store is not None:
-            self.incident_store.sync(
-                self.live_manager, self.reports_emitted
-            )
-
-    # -- Feeding -------------------------------------------------------
-
-    def feed(self, events: list[BGPEvent]) -> list:
-        """Pump a batch of this shard's events; return changed records.
-
-        The return value is what :meth:`IncidentManager.ingest`
-        reported changed across any window reports the batch closed —
-        the transition feed's input.
-        """
-        if not events:
-            return []
-        batch = Batch(
-            tuple(events), self.offset, self.offset + len(events)
-        )
-        self.live_pipeline.feed(batch)
-        self.offset += len(events)
-        self.events_done += len(events)
-        changed = self._drain()
-        if (
-            self.store is not None
-            and self.live_window.window_index
-            - self._last_checkpoint_window
-            >= self.config.checkpoint_every
-        ):
-            self.checkpoint()
-            self._last_checkpoint_window = self.live_window.window_index
-        return changed
-
-    def _drain(self) -> list:
-        changed: list = []
-        for item in self.live_pipeline.take():
-            assert isinstance(item, WindowReport)
-            self.reports_emitted += 1
-            self.latest_window_end = item.end
-            changed.extend(self.live_manager.ingest(item))
-            if self.store is not None:
-                self.store.append_report(item.to_dict())
-        return changed
-
-    def finish(self) -> list:
-        """End of stream: flush, finalize incidents, checkpoint."""
-        if self.finished:
-            return []
-        self.live_pipeline.flush()
-        changed = self._drain()
-        final = self.live_manager.finalize()
-        for record in final:
-            if record not in changed:
-                changed.append(record)
-        if self.store is not None:
-            self.checkpoint()
-        self.finished = True
-        return changed
-
-    def checkpoint(self) -> None:
-        assert self.store is not None
-        ingest = self.source.ingest_report
-        self.store.save(
-            CheckpointState(
-                source=self.source.describe(),
-                config=self.config.describe(),
-                offset=self.offset,
-                reports_emitted=self.reports_emitted,
-                window=self.live_window.export_state().to_dict(),
-                tamp=self.live_tamp.export_state(),
-                stats=self.live_pipeline.stats(),
-                ingest=None if ingest is None else ingest.to_dict(),
-                incidents=self.live_manager.export_state(),
-            )
-        )
-
-    # -- Snapshot accessors (safe between feeds) -----------------------
 
     def version(self) -> ShardVersion:
         return (
@@ -231,11 +75,6 @@ class PipelineShard:
             record.to_dict()
             for record in self.live_manager.all_incidents()
         ]
-
-    def close(self) -> None:
-        if self.incident_store is not None:
-            self.incident_store.close()
-            self.incident_store = None
 
 
 class ShardSet:
@@ -276,20 +115,10 @@ class ShardSet:
             else ShardView(parent, k, shards)
             for k in range(shards)
         ]
-        self._shards: list[Optional[PipelineShard]] = []
-        for k in range(shards):
-            if k in start_dead:
-                self._shards.append(None)
-                continue
-            self._shards.append(
-                PipelineShard(
-                    self._sources[k],
-                    config,
-                    shard=k,
-                    checkpoint_dir=self._dir(k),
-                    resume=resume,
-                )
-            )
+        self._shards: list[Optional[PipelineShard]] = [
+            None if k in start_dead else self._open(k, resume)
+            for k in range(shards)
+        ]
         self._buffers: list[list[BGPEvent]] = [
             [] for _ in range(shards)
         ]
@@ -303,16 +132,27 @@ class ShardSet:
             return None
         return shard_dir(self.checkpoint_root, shard)
 
+    def _open(self, k: int, resume: bool) -> PipelineShard:
+        return PipelineShard(
+            self._sources[k],
+            self.config,
+            checkpoint_dir=self._dir(k),
+            resume=resume,
+        )
+
     # -- Feeding -------------------------------------------------------
 
     def offer(self, event: BGPEvent) -> list[dict[str, object]]:
         """Route one event; returns transition feed entries, if any."""
-        k = event.peer % self.n if self.n > 1 else 0
+        k = shard_for_peer(event.peer, self.n)
         self._offered[k] += 1
         self.events_offered += 1
-        if self._shards[k] is None:
+        shard = self._shards[k]
+        if shard is None:
             return []  # dead shard: replayed from its source on resume
         buffer = self._buffers[k]
+        if self._offered[k] <= shard.offset + len(buffer):
+            return []  # restored from a checkpoint that covers it
         buffer.append(event)
         if len(buffer) >= self.config.batch_size:
             return self._flush_shard(k)
@@ -323,7 +163,10 @@ class ShardSet:
         shard = self._shards[k]
         if shard is None or not events:
             return []
-        return self.watcher.observe(shard.feed(events), shard=k)
+        batch = Batch(
+            tuple(events), shard.offset, shard.offset + len(events)
+        )
+        return self.watcher.observe(shard.feed(batch), shard=k)
 
     def flush(self) -> list[dict[str, object]]:
         """Feed every partial buffer through its shard."""
@@ -365,39 +208,22 @@ class ShardSet:
         set's current stream position. The checkpoint may have been
         written by this process (before :meth:`kill`) or by an
         external ``run_monitor`` over the same
-        :class:`~repro.pipeline.sources.ShardView` — the formats are
-        identical.
+        :class:`~repro.pipeline.sources.ShardView` — both drive the
+        same :class:`~repro.pipeline.monitor.MonitorCore`.
         """
         if self._shards[k] is not None:
             raise ValueError(f"shard {k} is alive")
-        shard = PipelineShard(
-            self._sources[k],
-            self.config,
-            shard=k,
-            checkpoint_dir=self._dir(k),
-            resume=True,
-        )
+        shard = self._open(k, resume=True)
         entries: list[dict[str, object]] = []
-        target = self._offered[k]
-        pending: list[BGPEvent] = []
-        replayed = shard.offset
-        if replayed < target:
-            for event in self._sources[k].events(shard.offset):
-                pending.append(event)
-                replayed += 1
-                if len(pending) >= self.config.batch_size:
-                    entries.extend(
-                        self.watcher.observe(
-                            shard.feed(pending), shard=k
-                        )
-                    )
-                    pending = []
-                if replayed >= target:
-                    break
-            if pending:
-                entries.extend(
-                    self.watcher.observe(shard.feed(pending), shard=k)
-                )
+        behind = self._offered[k] - shard.offset
+        for batch in iter_batches(
+            islice(self._sources[k].events(shard.offset), max(behind, 0)),
+            batch_size=self.config.batch_size,
+            start_offset=shard.offset,
+        ):
+            entries.extend(
+                self.watcher.observe(shard.feed(batch), shard=k)
+            )
         self._shards[k] = shard
         return entries
 

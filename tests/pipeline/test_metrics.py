@@ -2,6 +2,7 @@
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -156,4 +157,9 @@ class TestServer:
             # never more than max_threads at once.
             assert results == [200] * 8
             gate = server._httpd._thread_gate
+            # A handler thread returns its slot after its client has
+            # the whole response: give the last ones a moment.
+            deadline = time.monotonic() + 10
+            while gate._value < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
             assert gate._value == 2  # every slot returned

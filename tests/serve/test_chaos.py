@@ -19,6 +19,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from repro.pipeline import CheckpointStore
 from repro.serve import ServeApp, ShardSet, SnapshotHub, TransitionFeed
 from repro.serve.sharding import shard_dir
 from tests.pipeline.conftest import small_source
@@ -71,6 +72,32 @@ def uninterrupted_picture() -> bytes:
 
 
 class TestShardDeathAndResume:
+    def test_killed_shard_serves_its_last_checkpoint(self, tmp_path):
+        # Regression: the shard's own checkpoint cycle must sync the
+        # sqlite store, or the dead-shard fallback has nothing to read
+        # (the external-monitor test below never saw this, because
+        # run_monitor's cycle always did).
+        shard_set = ShardSet(
+            small_source(),
+            serve_config(),
+            shards=2,
+            checkpoint_root=tmp_path,
+        )
+        events = list(small_source().events())
+        for event in events[: len(events) * 3 // 4]:
+            shard_set.offer(event)
+        store = CheckpointStore(shard_dir(tmp_path, 1))
+        assert len(store.checkpoints()) >= 3  # several cycles deep
+        shard_set.kill(1)
+
+        expected = store.latest().incidents["incidents"]
+        assert expected
+        rows = [
+            row for row in shard_set.incident_rows() if row["shard"] == 1
+        ]
+        assert rows == [dict(row, shard=1) for row in expected]
+        shard_set.close()
+
     def test_kill_serve_degraded_resume_converge(self, tmp_path):
         expected = uninterrupted_picture()
 
