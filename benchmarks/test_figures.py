@@ -19,7 +19,7 @@ from repro.analysis.case_studies import (
 )
 from repro.collector.rates import bin_events
 from repro.net.prefix import parse_address
-from repro.simulator.scenarios import customer_flap, med_oscillation
+from repro.scenarios.paper import customer_flap, med_oscillation
 from repro.simulator.synthetic import (
     background_churn_events,
     oscillation_events,

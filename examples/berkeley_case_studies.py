@@ -32,8 +32,8 @@ from repro.analysis.case_studies import (
 from repro.config.compiler import compile_config
 from repro.config.parser import parse_config
 from repro.integrate.policy import correlate_policies
+from repro.scenarios import paper as scenarios
 from repro.simulator.workloads import COMM_CENIC_LAAP
-from repro.simulator import scenarios
 
 OUT_DIR = Path(__file__).resolve().parent / "output"
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.net.prefix import parse_address
-from repro.simulator import scenarios
+from repro.scenarios import paper as scenarios
 from repro.simulator.workloads import (
     AS_CALREN,
     AS_KDDI,

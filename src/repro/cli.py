@@ -528,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    from repro.simulator import scenarios
+    from repro.scenarios import paper as scenarios
     from repro.simulator.workloads import BerkeleySite
 
     if args.scenario in ("route-leak", "backdoor", "session-reset"):
@@ -695,11 +695,7 @@ def _monitor_source(args: argparse.Namespace):
 def cmd_monitor(args: argparse.Namespace) -> int:
     import json
 
-    from repro.pipeline import (
-        MetricsRegistry,
-        MetricsServer,
-        run_monitor,
-    )
+    from repro.pipeline import MetricsRegistry, run_monitor
     from repro.pipeline.windows import WindowReport
 
     source = _monitor_source(args)
@@ -707,7 +703,14 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     registry = MetricsRegistry()
     server = None
     if args.metrics_port is not None:
-        server = MetricsServer(registry, port=args.metrics_port)
+        from functools import partial
+
+        from repro.serve import HttpServer, serve_metrics
+
+        server = HttpServer()
+        for path in ("/metrics", "/metrics.json"):
+            server.route(path, partial(serve_metrics, registry))
+        server.start_in_thread(port=args.metrics_port)
         print(
             f"metrics on http://127.0.0.1:{server.port}/metrics",
             file=sys.stderr,
@@ -740,7 +743,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         )
     finally:
         if server is not None:
-            server.close()
+            server.stop_thread()
     report = source.ingest_report
     if report is not None and report.suspicious:
         print(report.summary(), file=sys.stderr)

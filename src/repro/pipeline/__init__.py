@@ -18,7 +18,7 @@ long-running pipeline:
   JSONL incident log; resume is bit-identical, verified by window
   fingerprints.
 * :mod:`repro.pipeline.metrics` — counters/gauges/histograms with a
-  JSON snapshot and a plain-text scrape endpoint.
+  JSON snapshot and a plain-text exposition.
 * :mod:`repro.pipeline.monitor` — :class:`MonitorCore`, the one
   pump/drain/checkpoint body tying it together, and ``run_monitor``,
   the loop over it behind ``repro monitor``.
@@ -29,7 +29,7 @@ from repro.pipeline.checkpoint import (
     CheckpointState,
     CheckpointStore,
 )
-from repro.pipeline.metrics import MetricsRegistry, MetricsServer
+from repro.pipeline.metrics import MetricsRegistry
 from repro.pipeline.monitor import (
     MonitorConfig,
     MonitorCore,
@@ -67,7 +67,6 @@ __all__ = [
     "FileSource",
     "FunctionStage",
     "MetricsRegistry",
-    "MetricsServer",
     "MonitorConfig",
     "MonitorCore",
     "MonitorResult",

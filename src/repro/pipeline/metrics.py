@@ -9,9 +9,14 @@ core — counters, gauges and fixed-bucket histograms collected in a
 * :meth:`MetricsRegistry.snapshot` — a JSON-serializable dict, written
   to disk by ``repro monitor --metrics-out`` (the CI artifact);
 * :meth:`MetricsRegistry.render_text` — a Prometheus-style plain-text
-  exposition, served by :class:`MetricsServer` on
-  ``repro monitor --metrics-port`` (``/metrics`` for text,
-  ``/metrics.json`` for the snapshot).
+  exposition.
+
+Serving either over HTTP is the serve layer's job
+(:func:`repro.serve.app.serve_metrics`: ``/metrics`` for the text,
+``/metrics.json`` for the snapshot, behind both ``repro serve`` and
+``repro monitor --metrics-port``). This package does not import it;
+the registry's lock is what makes a scrape from the server's thread
+safe beside a monitor loop that is still creating metrics.
 
 The registry is deliberately *not* process-global (no module-level
 mutable state — the PIPE001 rule polices exactly that pattern in
@@ -22,9 +27,7 @@ slate.
 
 from __future__ import annotations
 
-import json
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Sequence
 
 #: Default histogram buckets (seconds): tuned for window-lag style
@@ -271,101 +274,3 @@ def _format_number(value: float) -> str:
         return str(int(value))
     return repr(value)
 
-
-class _BoundedThreadingHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer with a hard cap on handler threads.
-
-    The stock server spawns one unbounded daemon thread per
-    connection — a scrape storm (or the serve layer proxying a burst)
-    could pile up thousands. A semaphore taken *before* accept-side
-    dispatch and released when the handler thread finishes bounds the
-    live handler count; excess connections queue in the listen backlog
-    instead of as threads.
-    """
-
-    max_threads = 8
-
-    def process_request(self, request, client_address) -> None:
-        gate = getattr(self, "_thread_gate", None)
-        if gate is None:
-            gate = self._thread_gate = threading.BoundedSemaphore(
-                self.max_threads
-            )
-        gate.acquire()
-        try:
-            super().process_request(request, client_address)
-        except BaseException:
-            gate.release()
-            raise
-
-    def process_request_thread(self, request, client_address) -> None:
-        try:
-            super().process_request_thread(request, client_address)
-        finally:
-            self._thread_gate.release()
-
-
-class MetricsServer:
-    """Serves a registry over HTTP on a background thread.
-
-    ``/metrics`` returns the plain-text exposition, ``/metrics.json``
-    the JSON snapshot. Port 0 binds an ephemeral port (tests); the
-    bound port is on :attr:`port`. The server thread is a daemon and
-    :meth:`close` is idempotent, so a monitor killed mid-run never
-    hangs on it. At most *max_threads* requests are handled
-    concurrently; the rest wait in the accept queue.
-    """
-
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        port: int = 0,
-        *,
-        max_threads: int = 8,
-    ) -> None:
-        server = self  # close over the outer object, not the handler
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self) -> None:  # noqa: N802 (stdlib API name)
-                if self.path in ("/metrics", "/"):
-                    body = server.registry.render_text().encode("utf-8")
-                    content_type = "text/plain; charset=utf-8"
-                elif self.path == "/metrics.json":
-                    body = json.dumps(
-                        server.registry.snapshot(), sort_keys=True
-                    ).encode("utf-8")
-                    content_type = "application/json"
-                else:
-                    self.send_error(404)
-                    return
-                self.send_response(200)
-                self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args: object) -> None:
-                pass  # scrapes must not spam the monitor's stdout
-
-        self.registry = registry
-        self._httpd = _BoundedThreadingHTTPServer(
-            ("127.0.0.1", port), Handler
-        )
-        self._httpd.max_threads = max(1, int(max_threads))
-        self.port = int(self._httpd.server_address[1])
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="repro-metrics",
-            daemon=True,
-        )
-        self._thread.start()
-
-    def close(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
-
-    def __enter__(self) -> "MetricsServer":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

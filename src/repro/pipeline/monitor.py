@@ -132,8 +132,9 @@ class MonitorCore:
     core starts from. A resume restores the latest checkpoint; a fresh
     start (or a resume that finds no checkpoint) starts at zero. Either
     way the incident log is cut back to ``reports_emitted`` lines and
-    the sqlite store re-synced, so what a dead or earlier run wrote
-    past that position is gone before the replay re-emits it.
+    the sqlite store re-synced, and a start at zero also removes the
+    checkpoints it finds, so what a dead or earlier run wrote past that
+    position is gone before the replay re-emits it.
     """
 
     def __init__(
@@ -187,6 +188,12 @@ class MonitorCore:
         self.finished = False
         if state is not None:
             self._restore(state)
+        elif self.store is not None:
+            # Starting at zero: an earlier run's checkpoints sort after
+            # ours until we pass their offsets, so pruning would unlink
+            # each new one and a resume would restore the old run.
+            for path in self.store.checkpoints():
+                path.unlink()
         if self.store is not None and self.incident_store is not None:
             self.store.truncate_reports(self.reports_emitted)
             self.incident_store.sync(
@@ -367,7 +374,7 @@ def run_monitor(
     )
     strength_gauge = registry.gauge(
         "repro_pipeline_top_strength",
-        "strongest live correlation in the window buffer",
+        "strength of the last closed window's strongest component",
     )
     lag_histogram = registry.histogram(
         "repro_pipeline_window_lag_seconds",
@@ -393,6 +400,8 @@ def run_monitor(
         run_reports.append(item)
         windows_total.inc()
         incidents_total.inc(len(item.result.components))
+        strongest = item.result.strongest
+        strength_gauge.set(0 if strongest is None else strongest.strength)
         lag_histogram.observe(clock() - pumped_at)
         if on_report is not None:
             on_report(item)
@@ -408,7 +417,6 @@ def run_monitor(
         checkpoint_age.set(clock() - last_checkpoint_clock)
         buffer_gauge.set(core.live_window.buffered)
         routes_gauge.set(core.live_tamp.tamp.route_count())
-        strength_gauge.set(core.live_window.top_strength())
         for name, depth in core.live_pipeline.depths().items():
             queue_gauges[name].set(depth)
 

@@ -7,9 +7,9 @@ each boundary runs the full Stemming decomposition over the window's
 events — through ``repro.perf`` workers when configured — emitting a
 :class:`WindowReport` with the window's fingerprint and ranked stems.
 Memory stays bounded: events older than the window are evicted from
-the buffer *and subtracted from the stage's live subsequence counter*,
-relying on the counter's remove-equals-never-added guarantee (covered
-by the eviction-equivalence regression tests).
+the buffer. The buffer, the next boundary and the window index are the
+stage's whole state — exactly what :class:`WindowState` checkpoints —
+because every decomposition counts its window's events afresh.
 
 Ordering contract: the stage re-emits each event batch downstream
 *before* the report that closes at or after it, so a downstream
@@ -24,7 +24,6 @@ measurement) live in the source and monitor layers.
 
 from __future__ import annotations
 
-from collections import Counter as TallyCounter
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -32,7 +31,6 @@ from typing import Iterable, Optional
 from repro.collector.events import BGPEvent
 from repro.collector.stream import fingerprint_events
 from repro.pipeline.runtime import Batch, Stage
-from repro.stemming.counter import SubsequenceCounter
 from repro.stemming.encode import format_stem
 from repro.stemming.stemmer import Stemmer, StemmingResult
 from repro.tamp.incremental import IncrementalTamp
@@ -145,7 +143,6 @@ class WindowedStemmer(Stage):
             max_components=max_components,
             workers=workers,
         )
-        self.counter = SubsequenceCounter()
         self._buffer: deque[BGPEvent] = deque()
         self._boundary: Optional[float] = None
         self._window_index = 0
@@ -176,7 +173,6 @@ class WindowedStemmer(Stage):
                 # ladder on the event that ends the gap.
                 self._boundary = event.timestamp + self.window
             self._buffer.append(event)
-            self.counter.add_sequence(event.sequence)
             pending.append(event)
         self._emit_pending(out, pending, pending_offset)
         return out
@@ -204,10 +200,9 @@ class WindowedStemmer(Stage):
             )
         self._boundary = state.boundary
         self._window_index = state.window_index
-        for line in state.buffer:
-            event = BGPEvent.from_json(line)
-            self._buffer.append(event)
-            self.counter.add_sequence(event.sequence)
+        self._buffer.extend(
+            BGPEvent.from_json(line) for line in state.buffer
+        )
 
     # -- Introspection (read by the monitor for gauges) -----------------
 
@@ -218,11 +213,6 @@ class WindowedStemmer(Stage):
     @property
     def window_index(self) -> int:
         return self._window_index
-
-    def top_strength(self) -> int:
-        """Strongest live correlation in the buffered events."""
-        top = self.counter.top()
-        return top[1] if top else 0
 
     # -- Internals ------------------------------------------------------
 
@@ -265,7 +255,6 @@ class WindowedStemmer(Stage):
             self._window_index += 1
         if partial:
             self._buffer.clear()
-            self.counter = SubsequenceCounter()
             return
         self._boundary += self.slide
         self._evict()
@@ -277,11 +266,8 @@ class WindowedStemmer(Stage):
     def _evict(self) -> None:
         assert self._boundary is not None
         horizon = self._boundary - self.window
-        removals: TallyCounter = TallyCounter()
         while self._buffer and self._buffer[0].timestamp < horizon:
-            removals[self._buffer.popleft().sequence] += 1
-        if removals:
-            self.counter.subtract_sequences(removals.items())
+            self._buffer.popleft()
 
 
 class TampAnnotator(Stage):

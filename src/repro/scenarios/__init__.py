@@ -6,10 +6,6 @@ related work (:mod:`repro.scenarios.catalog`), a registry that names
 and seeds them (:mod:`repro.scenarios.registry`), and the
 precision/recall scorer that turns labeled streams into the repo's
 detection-quality regression gate (:mod:`repro.scenarios.score`).
-
-The old ``repro.simulator.scenarios`` path remains a re-export shim, so
-``from repro import scenarios; scenarios.route_leak(site)`` works
-unchanged whether ``scenarios`` resolves to the shim or this package.
 """
 
 from repro.scenarios.catalog import (
@@ -21,7 +17,6 @@ from repro.scenarios.catalog import (
 )
 from repro.scenarios.labels import (
     DetailValue,
-    Incident,
     IncidentClass,
     LabeledIncident,
     ScenarioDetails,
@@ -58,7 +53,6 @@ from repro.scenarios.score import (
 
 __all__ = [
     "DetailValue",
-    "Incident",
     "IncidentClass",
     "IncidentScore",
     "LabeledIncident",

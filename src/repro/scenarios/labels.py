@@ -15,9 +15,7 @@ Recall is measured against all of them (DESIGN.md §12).
 :class:`ScenarioDetails` replaces the old untyped ``details: dict``: an
 immutable mapping with a constrained value vocabulary, so scenario
 facts serialize cleanly into the labels artifact and cannot be edited
-after construction. The legacy :func:`Incident` constructor keeps the
-pre-library call shape working (single optional ``true_stem``, plain
-``dict`` details).
+after construction.
 """
 
 from __future__ import annotations
@@ -216,54 +214,3 @@ class LabeledIncident:
     def labels_json(self) -> str:
         return json.dumps(self.labels_dict(), sort_keys=True, indent=1)
 
-
-def Incident(
-    name: str,
-    stream: EventStream,
-    true_stem: Optional[StemEdge],
-    affected_prefixes: Optional[set[Prefix]] = None,
-    details: Optional[Mapping[str, DetailValue]] = None,
-    *,
-    incident_class: Optional[IncidentClass] = None,
-    seed: Optional[int] = None,
-) -> LabeledIncident:
-    """Legacy constructor shape → :class:`LabeledIncident`.
-
-    The pre-library :class:`Incident` dataclass took a single optional
-    ``true_stem`` and a mutable ``details`` dict; scenario code and
-    tests written against it keep working through this factory. The
-    active window defaults to the stream's own span.
-    """
-    start = stream.start_time
-    end = stream.end_time
-    window = TimeWindow(
-        0.0 if start is None else start, 0.0 if end is None else end
-    )
-    return LabeledIncident(
-        name=name,
-        incident_class=(
-            incident_class
-            if incident_class is not None
-            else _LEGACY_CLASSES.get(name, IncidentClass.MISCONFIGURATION)
-        ),
-        stream=stream,
-        true_stems=() if true_stem is None else (true_stem,),
-        affected_prefixes=frozenset(affected_prefixes or ()),
-        window=window,
-        details=ScenarioDetails.from_mapping(details or {}),
-        seed=seed,
-    )
-
-
-#: Incident classes for the paper's pre-library scenario names, so the
-#: legacy constructor labels them correctly without callers changing.
-_LEGACY_CLASSES = {
-    "route-leak": IncidentClass.ROUTE_LEAK,
-    "backdoor-routes": IncidentClass.MISCONFIGURATION,
-    "session-reset": IncidentClass.SESSION_RESET,
-    "community-mistag": IncidentClass.MISCONFIGURATION,
-    "customer-flap": IncidentClass.FLAP,
-    "full-table-hijack": IncidentClass.ORIGIN_HIJACK,
-    "max-prefix-leak": IncidentClass.ROUTE_LEAK,
-    "med-oscillation": IncidentClass.OSCILLATION,
-}

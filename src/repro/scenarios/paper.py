@@ -10,9 +10,6 @@ Where the paper's incident is a *policy interaction* (the Figure 7 route
 leak meeting Berkeley's community filter), the behaviour here emerges
 from the compiled route-maps on the simulated routers — nothing below
 the CalREN feed is scripted.
-
-This module is the promoted home of ``repro.simulator.scenarios``; that
-path remains as a re-export shim.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ N sharded monitor pipelines:
   feed-and-serve loop behind the CLI.
 """
 
-from repro.serve.app import ServeApp, ServeCollector
+from repro.serve.app import ServeApp, ServeCollector, serve_metrics
 from repro.serve.driver import ServeResult, run_serve
 from repro.serve.events import TransitionFeed, format_sse
 from repro.serve.http import (
@@ -50,5 +50,6 @@ __all__ = [
     "TransitionFeed",
     "format_sse",
     "run_serve",
+    "serve_metrics",
     "shard_dir",
 ]

@@ -56,6 +56,26 @@ _ROUTES = (
 )
 
 
+async def serve_metrics(
+    registry: MetricsRegistry, request: Request
+) -> Response:
+    """Answer ``/metrics`` (text) or ``/metrics.json`` (snapshot).
+
+    The one metrics handler: ``repro serve`` routes to it through
+    :class:`ServeApp`, ``repro monitor --metrics-port`` mounts it on a
+    bare :class:`HttpServer`.
+    """
+    if request.path == "/metrics.json":
+        return Response(
+            200,
+            json.dumps(registry.snapshot(), sort_keys=True),
+            "application/json",
+        )
+    return Response(
+        200, registry.render_text(), "text/plain; charset=utf-8"
+    )
+
+
 class ServeCollector:
     """Serve-level live values for the shared metrics exposition."""
 
@@ -125,12 +145,10 @@ class ServeApp:
             "/incidents/", self._timed("incident", self.incident)
         )
         self.server.route("/events", self._timed("events", self.events))
-        self.server.route(
-            "/metrics", self._timed("metrics", self.metrics_text)
-        )
-        self.server.route(
-            "/metrics.json", self._timed("metrics", self.metrics_json)
-        )
+        for path in ("/metrics", "/metrics.json"):
+            self.server.route(
+                path, self._timed("metrics", self.metrics_text)
+            )
         self.server.route(
             "/healthz", self._timed("healthz", self.healthz)
         )
@@ -224,18 +242,8 @@ class ServeApp:
         return StreamingResponse(head, pump)
 
     async def metrics_text(self, request: Request) -> HandlerResult:
-        return Response(
-            200,
-            self.registry.render_text(),
-            "text/plain; charset=utf-8",
-        )
-
-    async def metrics_json(self, request: Request) -> HandlerResult:
-        return Response(
-            200,
-            json.dumps(self.registry.snapshot(), sort_keys=True),
-            "application/json",
-        )
+        """Both metrics paths, JSON included: :func:`serve_metrics`."""
+        return await serve_metrics(self.registry, request)
 
     async def healthz(self, request: Request) -> HandlerResult:
         return Response(200, b"ok")

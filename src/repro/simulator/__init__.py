@@ -6,8 +6,7 @@ delay, observed by a passive :class:`repro.collector.RouteExplorer`. Two
 workload builders reproduce the paper's vantage points — U.C. Berkeley
 (four BGP edge routers behind CalREN) and "ISP-Anon" (a Tier-1 with a
 route-reflector core). The case-study anomaly injectors live in
-:mod:`repro.scenarios` (the labeled scenario library);
-:mod:`repro.simulator.scenarios` remains as a back-compat shim.
+:mod:`repro.scenarios` (the labeled scenario library).
 """
 
 from repro.simulator.engine import Engine

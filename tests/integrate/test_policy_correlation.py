@@ -10,7 +10,7 @@ import pytest
 from repro.config.compiler import compile_config
 from repro.config.parser import parse_config
 from repro.integrate.policy import correlate_policies
-from repro.simulator.scenarios import route_leak
+from repro.scenarios.paper import route_leak
 from repro.simulator.workloads import BerkeleySite
 from repro.net.attributes import Community
 from repro.stemming.stemmer import Stemmer

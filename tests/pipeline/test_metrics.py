@@ -1,10 +1,12 @@
 """Tests for the monitor's metrics core and its HTTP surface."""
 
 import json
+import socket
 import threading
 import time
 import urllib.error
 import urllib.request
+from functools import partial
 
 import pytest
 
@@ -13,8 +15,8 @@ from repro.pipeline.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    MetricsServer,
 )
+from repro.serve import HttpServer, serve_metrics
 
 
 class TestCounter:
@@ -113,53 +115,106 @@ class TestRegistry:
         assert "repro_x_total 2" in text
 
 
+def mounted(registry):
+    """The ``repro monitor --metrics-port`` mount: the serve layer's
+    server and metrics handler, running on the server's own thread."""
+    server = HttpServer()
+    for path in ("/metrics", "/metrics.json"):
+        server.route(path, partial(serve_metrics, registry))
+    server.start_in_thread()
+    return server
+
+
+def server_threads():
+    return [
+        thread
+        for thread in threading.enumerate()
+        if thread.name == "repro-http"
+    ]
+
+
+def read_response(sock_file):
+    """One ``Content-Length`` response off a keep-alive socket."""
+    status = int(sock_file.readline().split()[1])
+    length = 0
+    for line in iter(sock_file.readline, b"\r\n"):
+        name, _, value = line.partition(b":")
+        if name.lower() == b"content-length":
+            length = int(value)
+    return status, sock_file.read(length)
+
+
 class TestServer:
     def test_serves_text_and_json_on_an_ephemeral_port(self):
         registry = MetricsRegistry()
-        registry.counter("repro_pipeline_events_total").inc(7)
-        with MetricsServer(registry, port=0) as server:
+        events = registry.counter("repro_pipeline_events_total")
+        events.inc(7)
+        server = mounted(registry)
+        try:
             base = f"http://127.0.0.1:{server.port}"
             with urllib.request.urlopen(f"{base}/metrics") as resp:
-                text = resp.read().decode()
-            assert "repro_pipeline_events_total 7" in text
+                assert resp.read().decode() == registry.render_text()
             with urllib.request.urlopen(f"{base}/metrics.json") as resp:
-                data = json.loads(resp.read().decode())
-            assert data["repro_pipeline_events_total"] == 7
-            with pytest.raises(urllib.error.HTTPError):
-                urllib.request.urlopen(f"{base}/nope")
+                assert resp.read().decode() == json.dumps(
+                    registry.snapshot(), sort_keys=True
+                )
+            # Incremented on this thread, scraped from the server's.
+            events.inc(5)
+            with urllib.request.urlopen(f"{base}/metrics") as resp:
+                assert "repro_pipeline_events_total 12" in (
+                    resp.read().decode()
+                )
+        finally:
+            server.stop_thread()
 
-    def test_close_is_idempotent(self):
-        server = MetricsServer(MetricsRegistry(), port=0)
-        server.close()
-        server.close()
+    def test_unknown_paths_and_methods_are_refused(self):
+        server = mounted(MetricsRegistry())
+        try:
+            base = f"http://127.0.0.1:{server.port}"
+            for path, data, code in (
+                ("/nope", None, 404),
+                ("/", None, 404),
+                ("/metrics", b"", 405),  # a body makes it a POST
+            ):
+                with pytest.raises(urllib.error.HTTPError) as refused:
+                    urllib.request.urlopen(base + path, data=data)
+                with refused.value as response:
+                    assert response.code == code
+        finally:
+            server.stop_thread()
 
-    def test_thread_cap_bounds_concurrency_but_serves_everyone(self):
+    def test_pipelined_scrapes_share_one_keep_alive_socket(self):
         registry = MetricsRegistry()
         registry.counter("repro_x_total").inc(3)
-        with MetricsServer(registry, port=0, max_threads=2) as server:
-            assert server._httpd.max_threads == 2
-            url = f"http://127.0.0.1:{server.port}/metrics"
-            results: list[int] = []
+        server = mounted(registry)
+        try:
+            with socket.create_connection(
+                ("127.0.0.1", server.port), timeout=10
+            ) as sock:
+                sock.sendall(b"GET /metrics HTTP/1.1\r\n\r\n" * 2)
+                with sock.makefile("rb") as responses:
+                    answers = [read_response(responses) for _ in "12"]
+            body = registry.render_text().encode()
+            assert answers == [(200, body), (200, body)]
+        finally:
+            server.stop_thread()
 
-            def fetch() -> None:
-                with urllib.request.urlopen(url) as resp:
-                    resp.read()
-                    results.append(resp.status)
-
-            threads = [
-                threading.Thread(target=fetch) for _ in range(8)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-            # Far more requests than threads: all are answered, just
-            # never more than max_threads at once.
-            assert results == [200] * 8
-            gate = server._httpd._thread_gate
-            # A handler thread returns its slot after its client has
-            # the whole response: give the last ones a moment.
+    def test_close_is_idempotent(self):
+        server = mounted(MetricsRegistry())
+        # An idle keep-alive client must not be able to hold the stop.
+        with socket.create_connection(("127.0.0.1", server.port)):
+            server.stop_thread()
+            server.stop_thread()
+            # The stop waits only so long; a loaded host may need more.
             deadline = time.monotonic() + 10
-            while gate._value < 2 and time.monotonic() < deadline:
+            while server_threads() and time.monotonic() < deadline:
                 time.sleep(0.01)
-            assert gate._value == 2  # every slot returned
+            assert server_threads() == []
+
+    def test_a_taken_port_fails_in_the_callers_thread(self):
+        server = mounted(MetricsRegistry())
+        try:
+            with pytest.raises(OSError):
+                HttpServer().start_in_thread(port=server.port)
+        finally:
+            server.stop_thread()

@@ -15,6 +15,7 @@ from repro.pipeline import (
     CheckpointStore,
     MetricsRegistry,
     MonitorConfig,
+    SyntheticSource,
     run_monitor,
 )
 from repro.testkit import CrashPlan, InjectedCrash
@@ -216,6 +217,36 @@ class TestIncidentResumeAcceptance:
         ]
         assert applied == store.latest().reports_emitted
 
+    def test_stopped_run_over_a_used_directory_resumes_itself(
+        self, tmp_path
+    ):
+        # Regression: the earlier run's checkpoints sit at higher
+        # offsets, so pruning unlinked every checkpoint the second run
+        # wrote and --resume restored the earlier run's end state.
+        def source():
+            return SyntheticSource(3000, 1800.0, seed=5)
+
+        config = MonitorConfig(window=120.0, slide=60.0)
+        clean, used = tmp_path / "clean", tmp_path / "used"
+        run_monitor(source(), config, checkpoint_dir=clean)
+        run_monitor(source(), config, checkpoint_dir=used)
+        stopped = run_monitor(
+            source(),
+            dataclasses.replace(config, max_events=1024),
+            checkpoint_dir=used,
+        )
+        store = CheckpointStore(used)
+        assert stopped.checkpoints_written > 0
+        assert store.latest().offset == stopped.offset == 1024
+        resumed = run_monitor(
+            source(), config, checkpoint_dir=used, resume=True
+        )
+        assert resumed.events == 3000 - 1024
+        assert (
+            store.incident_log.read_bytes()
+            == CheckpointStore(clean).incident_log.read_bytes()
+        )
+
     def test_double_crash_reconciles_the_store(
         self, sliding_config, tmp_path
     ):
@@ -309,6 +340,24 @@ class TestInstrumentation:
         assert lag["count"] == len(result.reports)
         assert lag["p99"] >= 0.0
         assert snapshot["repro_pipeline_events_per_second"] > 0
+
+    @pytest.mark.parametrize("min_strength", [2, 10**6])
+    def test_top_strength_is_the_last_windows_strongest_component(
+        self, sliding_config, min_strength
+    ):
+        # At a strength no window reaches, the last window has no
+        # component and the gauge reads 0.
+        registry = MetricsRegistry()
+        result = run_monitor(
+            small_source(),
+            dataclasses.replace(sliding_config, min_strength=min_strength),
+            registry=registry,
+        )
+        components = result.reports[-1].result.components
+        assert bool(components) == (min_strength == 2)
+        assert registry.snapshot()["repro_pipeline_top_strength"] == max(
+            (c.strength for c in components), default=0
+        )
 
     def test_on_report_callback_sees_every_window(self, sliding_config):
         seen = []

@@ -208,6 +208,46 @@ class TestCheckpointing:
             r.to_dict() for r in baseline
         ]
 
+    @pytest.mark.parametrize("split", [0, 7, 64, 70, 71, 95])
+    def test_reports_equal_batch_decompose_across_a_restore(self, split):
+        # Sliding windows (every event sits in two) that evict at each
+        # close, then a quiet gap that empties the buffer and re-anchors
+        # the ladder on event 70. The buffer is all the stage keeps, so
+        # wherever it is stopped, exported and restored into a fresh
+        # stage, each report is batch Stemming over that window's events.
+        early = ramp(40) + spike("100 200 300", 30, start_prefix=100)
+        early.sort(key=lambda e: e.timestamp)
+        events = early + ramp(30, start=5000.0)
+        stage = WindowedStemmer(100.0, 50.0)
+        out = []
+        for batch in iter_batches(events[:split], batch_size=16):
+            out.extend(stage.process(batch))
+        state = stage.export_state().to_dict()
+        stage = WindowedStemmer(100.0, 50.0)
+        stage.restore_state(WindowState.from_dict(state))
+        for batch in iter_batches(
+            events[split:], batch_size=16, start_offset=split
+        ):
+            out.extend(stage.process(batch))
+        out.extend(stage.flush())
+        reports = [item for item in out if isinstance(item, WindowReport)]
+        assert 5000.0 in [r.start for r in reports]
+        assert max(r.event_count for r in reports) < len(early)
+        assert all(r.result.components for r in reports)
+        for index, report in enumerate(reports):
+            inside = [
+                e for e in events
+                if report.start <= e.timestamp < report.end
+            ]
+            assert report.to_dict() == WindowReport(
+                index=index,
+                start=report.start,
+                end=report.end,
+                event_count=len(inside),
+                fingerprint=fingerprint_events(inside),
+                result=Stemmer().decompose(inside),
+            ).to_dict()
+
     def test_restore_refuses_a_used_stage(self):
         stage = WindowedStemmer(100.0)
         stage.process(Batch(tuple(ramp(5)), 0, 5))

@@ -1,4 +1,4 @@
-"""Unit tests for the v2 label schema and the legacy compat shims."""
+"""Unit tests for the v2 label schema."""
 
 import dataclasses
 import json
@@ -7,7 +7,6 @@ import pytest
 
 from repro.net.prefix import Prefix
 from repro.scenarios.labels import (
-    Incident,
     IncidentClass,
     LabeledIncident,
     ScenarioDetails,
@@ -133,41 +132,3 @@ class TestLabeledIncident:
         assert labels["details"] == {"bursts": 4}
         round_tripped = json.loads(self.build().labels_json())
         assert round_tripped["fingerprint"] == labels["fingerprint"]
-
-
-class TestLegacyIncidentFactory:
-    def test_returns_labeled_incident(self):
-        stream = stream_fixture()
-        incident = Incident(
-            "route-leak",
-            stream,
-            (11423, 209),
-            {Prefix.parse("128.32.0.0/16")},
-            {"cycles": 2},
-        )
-        assert isinstance(incident, LabeledIncident)
-        assert incident.true_stems == ((11423, 209),)
-        assert incident.incident_class is IncidentClass.ROUTE_LEAK
-        assert incident.details["cycles"] == 2
-        assert incident.window == TimeWindow(10.0, 15.0)
-
-    def test_none_true_stem_gives_empty_tuple(self):
-        incident = Incident("community-mistag", stream_fixture(), None)
-        assert incident.true_stems == ()
-        assert incident.incident_class is IncidentClass.MISCONFIGURATION
-
-    def test_unknown_name_defaults_to_misconfiguration(self):
-        incident = Incident("never-heard-of-it", stream_fixture(), (1, 2))
-        assert incident.incident_class is IncidentClass.MISCONFIGURATION
-
-    def test_explicit_class_wins(self):
-        incident = Incident(
-            "custom", stream_fixture(), (1, 2),
-            incident_class=IncidentClass.OSCILLATION,
-        )
-        assert incident.incident_class is IncidentClass.OSCILLATION
-
-    def test_importable_from_legacy_module(self):
-        from repro.simulator.scenarios import Incident as LegacyIncident
-
-        assert LegacyIncident is Incident

@@ -64,6 +64,16 @@ def shard_set_driver(config, root, *, resume=False, stop=None):
     shard_set.close()
 
 
+def stop_over_a_used_directory(config, root, *, stop):
+    """An earlier run to the end, then a fresh start stopped early.
+
+    The earlier run's checkpoints sit at higher offsets than any the
+    second run writes; the resume must still be of the second run.
+    """
+    monitor_driver(config, root)
+    shard_set_driver(config, root, stop=stop)
+
+
 def left_behind(root):
     """Everything durable a driver wrote for its one shard."""
     directory = shard_dir(root, 0)
@@ -99,6 +109,11 @@ class TestDriverEquivalence:
             ),
             pytest.param(
                 shard_set_driver, monitor_driver, id="shards-then-monitor"
+            ),
+            pytest.param(
+                stop_over_a_used_directory,
+                monitor_driver,
+                id="used-directory-then-monitor",
             ),
         ],
     )

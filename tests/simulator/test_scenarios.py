@@ -4,7 +4,7 @@ import pytest
 
 from repro.collector.events import EventKind
 from repro.net.prefix import Prefix, parse_address
-from repro.simulator.scenarios import (
+from repro.scenarios.paper import (
     backdoor_routes,
     build_med_oscillation_lab,
     community_mistag,

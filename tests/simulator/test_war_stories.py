@@ -10,7 +10,7 @@ reproducible with this substrate, and both are detectable with Stemming.
 import pytest
 
 from repro.net.prefix import parse_address
-from repro.simulator.scenarios import full_table_hijack, max_prefix_leak
+from repro.scenarios.paper import full_table_hijack, max_prefix_leak
 from repro.simulator.workloads import BerkeleySite, IspAnonSite
 from repro.stemming.stemmer import Stemmer
 

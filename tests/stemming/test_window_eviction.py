@@ -1,10 +1,11 @@
 """Window-eviction regressions: counter subtraction and tracker bounds.
 
-The streaming monitor keeps one live :class:`SubsequenceCounter` per
-window stage and *subtracts* evicted events instead of recounting the
-buffer. That is only sound if remove-then-readd is indistinguishable
-from never having removed — these tests pin that equivalence against a
-freshly built counter, across the counter's lazy materialization paths.
+The stemmer *subtracts* each extracted component's events from its
+:class:`SubsequenceCounter` instead of recounting the remainder, as
+would any caller sliding a window over a live counter. That is only
+sound if remove-then-readd is indistinguishable from never having
+removed — these tests pin that equivalence against a freshly built
+counter, across the counter's lazy materialization paths.
 """
 
 import random

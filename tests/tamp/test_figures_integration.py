@@ -9,7 +9,7 @@ import pytest
 
 from repro.bgp.rib import Route
 from repro.net.prefix import parse_address
-from repro.simulator.scenarios import (
+from repro.scenarios.paper import (
     backdoor_routes,
     med_oscillation,
     route_leak,
