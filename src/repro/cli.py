@@ -31,13 +31,9 @@ Two developer subcommands guard the codebase itself:
 
 * ``repro lint [paths]`` — the determinism & parallel-safety static
   analyzer (:mod:`repro.devtools`). Exit 0 means clean, 1 means
-  findings, 2 means a usage error (bad path, unknown rule).
-  Incremental by default (``.repro-lint-cache/``; ``--no-cache`` /
-  ``--cache-dir`` to steer), ``--changed`` lints only files differing
-  from git HEAD, ``--fix`` applies the mechanical fixes findings
-  carry, ``--fix-suppress RULE`` inserts justification-stub
-  suppression comments, and ``--format sarif`` emits SARIF 2.1.0 for
-  code-scanning UIs.
+  findings, 2 means a usage error (bad path, unknown or empty rule
+  selection, unwritable ``--output``). Every run analyzes every file
+  it is given; ``--format json`` is the CI artifact.
 * ``repro faults IN -o OUT --fault NAME[:k=v,...] --seed N`` — corrupt
   an MRT archive with the :mod:`repro.testkit` fault injectors
   (``--list-faults`` for the catalog, ``--make-corpus DIR`` to
@@ -484,9 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to analyze (default: src)",
     )
     lint.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="report format (default text; json is the CI artifact,"
-             " sarif feeds code-scanning UIs)",
+        "--format", choices=("text", "json"), default="text",
+        help="report format (default text; json is the CI artifact)",
     )
     lint.add_argument(
         "--rules", default=None,
@@ -499,29 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalog and exit",
-    )
-    lint.add_argument(
-        "--changed", action="store_true",
-        help="lint only files that differ from git HEAD (falls back to"
-             " a full lint outside a git repository)",
-    )
-    lint.add_argument(
-        "--fix", action="store_true",
-        help="apply the mechanical fixes findings carry (MUT001,"
-             " DET002), atomically, then re-lint",
-    )
-    lint.add_argument(
-        "--fix-suppress", default=None, metavar="RULE",
-        help="insert a justification-stub '# repro: allow[RULE]'"
-             " comment above each finding of RULE instead of fixing",
-    )
-    lint.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the incremental lint cache for this run",
-    )
-    lint.add_argument(
-        "--cache-dir", type=Path, default=None,
-        help="incremental-cache directory (default .repro-lint-cache)",
     )
     lint.set_defaults(handler=cmd_lint)
     return parser
@@ -1068,12 +1040,8 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
 
 def cmd_lint(args: argparse.Namespace) -> int:
     from repro.devtools import (
-        LintCache,
-        analyze_project,
-        changed_paths,
-        fix_paths,
+        analyze_paths,
         render_json,
-        render_sarif,
         render_text,
         rule_catalog,
     )
@@ -1082,62 +1050,25 @@ def cmd_lint(args: argparse.Namespace) -> int:
         for rule in rule_catalog():
             print(f"{rule.id:<9} {rule.summary}")
         return 0
-    if args.fix and args.fix_suppress is not None:
-        print(
-            "error: --fix and --fix-suppress are mutually exclusive",
-            file=sys.stderr,
-        )
-        return 2
     rules = None
     if args.rules is not None:
         rules = {part.strip() for part in args.rules.split(",") if part.strip()}
-
-    paths = list(args.paths)
-    if args.changed:
-        changed = changed_paths(paths)
-        if changed is None:
-            print(
-                "lint: not a git repository; running a full lint",
-                file=sys.stderr,
-            )
-        elif not changed:
-            print("clean: no changed Python files")
-            return 0
-        else:
-            paths = changed
-
     try:
-        if args.fix or args.fix_suppress is not None:
-            fix_report = fix_paths(
-                paths, rules=rules, suppress_rule=args.fix_suppress
-            )
-            print(fix_report.summary(), file=sys.stderr)
-            findings = fix_report.remaining
-            cache_stats = None
-        else:
-            cache = None
-            if not args.no_cache:
-                cache_dir = args.cache_dir or Path(".repro-lint-cache")
-                cache = LintCache(cache_dir)
-            project_report = analyze_project(paths, rules=rules, cache=cache)
-            findings = project_report.findings
-            cache_stats = project_report.cache_stats
+        findings = analyze_paths(list(args.paths), rules)
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    renderers = {
-        "json": render_json,
-        "sarif": render_sarif,
-        "text": render_text,
-    }
+    renderers = {"json": render_json, "text": render_text}
     report = renderers[args.format](findings)
     if args.output is not None:
-        args.output.write_text(report + "\n")
+        try:
+            args.output.write_text(report + "\n")
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return 2
         print(f"wrote {args.output} ({len(findings)} finding(s))")
     else:
         print(report)
-    if cache_stats is not None:
-        print(cache_stats, file=sys.stderr)
     return 1 if findings else 0
 
 

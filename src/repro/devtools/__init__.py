@@ -13,27 +13,23 @@ with a stdlib-``ast`` analyzer:
   class per invariant family, registered by decorator; per-module
   checkers see one file, project checkers see the whole program;
 * a project layer (:mod:`repro.devtools.project`) — every file parsed
-  once into a :class:`ModuleInfo`, an import graph and cross-module
-  symbol index over them, so interprocedural rules (INT003, POOL003,
-  PIPE002 in :mod:`repro.devtools.rules.taint`) can resolve calls
-  across files without type inference;
-* an incremental cache (:mod:`repro.devtools.cache`) — content hashes
-  plus import-graph invalidation under ``.repro-lint-cache/``; a warm
-  run re-analyzes only changed files and their transitive dependents;
-* autofix (:mod:`repro.devtools.fixes`) — span-based edits attached to
-  findings (MUT001, DET002), applied atomically by ``repro lint
-  --fix`` and verified by a re-lint; ``--fix-suppress RULE`` inserts
-  justification-stub suppression comments instead;
+  once into a :class:`ModuleInfo` and a cross-module symbol index over
+  them, so interprocedural rules (INT003, POOL003, PIPE002 in
+  :mod:`repro.devtools.rules.taint`) can resolve calls across files
+  without type inference;
+* one analysis path (:mod:`repro.devtools.engine`) — discover files,
+  parse each once, run the per-module and whole-program checkers,
+  apply suppressions, sort; every run analyzes everything it is given,
+  and nothing is cached, scoped or rewritten;
 * per-line suppression via ``# repro: allow[RULE]`` comments
   (:mod:`repro.devtools.suppress`), so a justified exception is an
   explicit, reviewable artifact rather than a disabled rule;
-* text, JSON and SARIF reporters (:mod:`repro.devtools.reporters`) —
-  the JSON form is the CI artifact, the SARIF form feeds code-scanning
-  UIs;
+* text and JSON reporters (:mod:`repro.devtools.reporters`) — the JSON
+  form is the CI artifact;
 * the rule catalog under :mod:`repro.devtools.rules` (DET001–DET003,
   POOL001–POOL003, MUT001, CACHE001, TK001, PIPE001–PIPE002,
-  INT001–INT003 — see ``repro lint --list-rules`` or the DESIGN.md
-  rule catalog for one paragraph per rule).
+  INT001–INT003, INC001, SRV001 — see ``repro lint --list-rules`` or
+  the DESIGN.md rule catalog for one paragraph per rule).
 
 Three consumers: the ``repro lint`` CLI subcommand (exit-code gate),
 the tier-1 self-lint test (``tests/devtools/test_self_lint.py``) which
@@ -43,43 +39,27 @@ tests asserting each rule's findings and suppressions.
 
 from __future__ import annotations
 
-from repro.devtools.cache import LintCache
 from repro.devtools.engine import (
-    ProjectReport,
-    analyze_file,
     analyze_paths,
-    analyze_project,
     analyze_source,
-    changed_paths,
     iter_python_files,
 )
-from repro.devtools.findings import Edit, Finding, Rule
-from repro.devtools.fixes import FixReport, apply_edits, fix_paths
+from repro.devtools.findings import Finding, Rule
 from repro.devtools.project import ProjectContext, build_project
 from repro.devtools.registry import all_checkers, all_project_checkers, rule_catalog
-from repro.devtools.reporters import render_json, render_sarif, render_text
+from repro.devtools.reporters import render_json, render_text
 
 __all__ = [
-    "Edit",
     "Finding",
-    "FixReport",
-    "LintCache",
     "ProjectContext",
-    "ProjectReport",
     "Rule",
     "all_checkers",
     "all_project_checkers",
-    "analyze_file",
     "analyze_paths",
-    "analyze_project",
     "analyze_source",
-    "apply_edits",
     "build_project",
-    "changed_paths",
-    "fix_paths",
     "iter_python_files",
     "render_json",
-    "render_sarif",
     "render_text",
     "rule_catalog",
 ]

@@ -7,36 +7,18 @@ that fails to parse becomes a ``SYNTAX`` finding instead of an
 exception (so ``repro lint`` gates on it like any other violation),
 and suppressions are applied here so no checker can forget them.
 
-Since the project layer landed the engine also owns the two scaling
-properties:
-
-* **one parse, shared derivations** — every file is parsed once into a
-  :class:`~repro.devtools.project.ModuleInfo`; the import map, parent
-  map and suppression table are computed there exactly once and shared
-  by every checker (rules used to re-derive all three per checker);
-* **incremental analysis** — with a :class:`~repro.devtools.cache
-  .LintCache`, files whose content, transitive-import signature and
-  rule-set signature all match the previous run are served from the
-  cache; only changed files and their transitive dependents re-run
-  checkers. Whole-program checkers still see the full
-  :class:`ProjectContext` (unchanged files parse lazily, and only if a
-  fresh file's analysis actually reaches them).
+Every file is parsed once into a
+:class:`~repro.devtools.project.ModuleInfo`; the import map, parent map
+and suppression table are computed there exactly once and shared by
+every checker. Every run analyzes every file it is given — there is no
+cache and no scoping, so there is no second path to keep sound.
 """
 
 from __future__ import annotations
 
-import ast
-import subprocess
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from repro.devtools.cache import (
-    LintCache,
-    deps_signature,
-    file_sha,
-    ruleset_signature,
-)
 from repro.devtools.findings import Finding
 from repro.devtools.project import (
     ModuleInfo,
@@ -93,31 +75,6 @@ def module_name_for(path: Path) -> str:
     elif parts:
         parts = parts[-1:]
     return ".".join(parts) if parts else "<unknown>"
-
-
-@dataclass
-class ProjectReport:
-    """Everything one analysis run produced, for the CLI and tests."""
-
-    findings: list[Finding]
-    #: Every file the run covered, sorted (cache hits included).
-    files: list[str] = field(default_factory=list)
-    #: Files whose checkers actually ran this time (cache misses, or
-    #: everything when no cache is in play).
-    analyzed: list[str] = field(default_factory=list)
-    cache_hits: int = 0
-    cache_misses: int = 0
-
-    @property
-    def cache_stats(self) -> Optional[str]:
-        total = self.cache_hits + self.cache_misses
-        if total == 0:
-            return None
-        rate = self.cache_hits / total
-        return (
-            f"lint cache: {self.cache_hits} hit(s),"
-            f" {self.cache_misses} miss(es) ({rate:.0%} hit rate)"
-        )
 
 
 def _syntax_finding(info: ModuleInfo) -> Finding:
@@ -180,107 +137,49 @@ def _filter(
     return kept
 
 
-def analyze_project(
-    paths: Sequence[Path],
-    *,
-    rules: Optional[set[str]] = None,
-    cache: Optional[LintCache] = None,
-) -> ProjectReport:
-    """Analyze files and directories as one project.
+def _analyze(
+    project: ProjectContext, rules: Optional[set[str]]
+) -> list[Finding]:
+    """Checkers → suppressions → sorted findings, for any project.
 
-    An unknown rule id in *rules* is a :class:`ValueError`: a typo in
-    ``--rules DET01`` must not report a falsely clean tree.
+    An unknown id (``--rules DET01``) or an empty selection
+    (``--rules "$UNSET"``) is a :class:`ValueError`: either would
+    filter every finding away and report a falsely clean tree.
     """
     if rules is not None:
+        if not rules:
+            raise ValueError("empty rule selection")
         unknown = rules - rule_ids() - {SYNTAX_RULE}
         if unknown:
             raise ValueError(
                 f"unknown rule id(s): {', '.join(sorted(unknown))}"
             )
-    files = iter_python_files(paths)
-    raw: dict[Path, bytes] = {p: p.read_bytes() for p in files}
-    shas = {p: file_sha(raw[p]) for p in files}
-    sources = {
-        p: raw[p].decode("utf-8", errors="replace") for p in files
-    }
-    preset: dict[Path, tuple[str, ...]] = {}
-    if cache is not None:
-        for p in files:
-            stored = cache.imports_for(str(p), shas[p])
-            if stored is not None:
-                preset[p] = stored
-    project = build_project(
-        [(p, module_name_for(p)) for p in files],
-        sources=sources,
-        preset_imports=preset,
-    )
-
-    ruleset_sig = ruleset_signature(rules) if cache is not None else ""
-    deps_sigs: dict[str, str] = {}
-    if cache is not None:
-        sha_by_module = {
-            info.module: shas[Path(info.path)] for info in project.infos
-        }
-        for info in project.infos:
-            pairs = [(info.module, sha_by_module[info.module])]
-            for dep in project.dependencies_of(info.module):
-                pairs.append((dep, sha_by_module[dep]))
-            deps_sigs[info.path] = deps_signature(pairs)
-
-    report = ProjectReport(findings=[], files=[str(p) for p in files])
-    cached_findings: dict[str, list[Finding]] = {}
-    fresh: list[ModuleInfo] = []
+    project_by_path = _project_findings(project)
+    findings: list[Finding] = []
     for info in project.infos:
-        if cache is not None:
-            hit = cache.lookup(
-                info.path,
-                shas[Path(info.path)],
-                deps_sigs[info.path],
-                ruleset_sig,
+        findings.extend(
+            _filter(
+                info,
+                _module_findings(project, info)
+                + project_by_path.get(info.path, []),
+                rules,
             )
-            if hit is not None:
-                cached_findings[info.path] = hit
-                continue
-        fresh.append(info)
-
-    fresh_paths = {info.path for info in fresh}
-    project_by_path: dict[str, list[Finding]] = {}
-    if fresh:
-        project_by_path = _project_findings(project)
-
-    for info in project.infos:
-        if info.path in cached_findings:
-            report.findings.extend(cached_findings[info.path])
-            continue
-        findings = _filter(
-            info,
-            _module_findings(project, info)
-            + project_by_path.get(info.path, []),
-            rules,
         )
-        findings.sort()
-        report.findings.extend(findings)
-        report.analyzed.append(info.path)
-        if cache is not None:
-            cache.store(
-                info.path,
-                shas[Path(info.path)],
-                deps_sigs[info.path],
-                ruleset_sig,
-                info.imported_module_names,
-                findings,
-            )
+    return sorted(findings)
 
-    if cache is not None:
-        cache.prune([str(p) for p in files])
-        cache.save()
-        report.cache_hits = cache.hits
-        report.cache_misses = cache.misses
-    else:
-        report.analyzed = list(report.files)
 
-    report.findings.sort()
-    return report
+def analyze_paths(
+    paths: Sequence[Path], rules: Optional[set[str]] = None
+) -> list[Finding]:
+    """Analyze files and directories as one project; sorted findings.
+
+    The one file entry point: ``repro lint`` and the tier-1 self-lint
+    both call it, and every call analyzes every file it is given.
+    """
+    files = iter_python_files(paths)
+    return _analyze(
+        build_project([(p, module_name_for(p)) for p in files]), rules
+    )
 
 
 def analyze_source(
@@ -298,74 +197,6 @@ def analyze_source(
     """
     if module is None:
         module = module_name_for(Path(path))
-    info = ModuleInfo(path, module, source)
-    project = ProjectContext([info])
-    findings = _module_findings(project, info)
-    for _, path_findings in sorted(_project_findings(project).items()):
-        findings.extend(path_findings)
-    return sorted(_filter(info, findings, rules))
-
-
-def analyze_file(
-    path: Path, *, rules: Optional[set[str]] = None
-) -> list[Finding]:
-    return analyze_source(
-        path.read_text(encoding="utf-8"), path=str(path), rules=rules
+    return _analyze(
+        ProjectContext([ModuleInfo(path, module, source)]), rules
     )
-
-
-def analyze_paths(
-    paths: Sequence[Path], *, rules: Optional[set[str]] = None
-) -> list[Finding]:
-    """Analyze files and directories; the self-lint entry point.
-
-    The uncached form of :func:`analyze_project`, kept as the stable
-    programmatic API (the tier-1 self-lint test and older callers).
-    """
-    return analyze_project(paths, rules=rules).findings
-
-
-def changed_paths(
-    paths: Sequence[Path],
-) -> Optional[list[Path]]:
-    """Python files under *paths* that differ from git HEAD.
-
-    Returns ``None`` when git is unavailable or the working directory
-    is not a repository — callers fall back to a full lint. Untracked
-    files count as changed; deletions are skipped (nothing to lint).
-    """
-    try:
-        proc = subprocess.run(
-            ["git", "status", "--porcelain", "--untracked-files=all", "--"]
-            + [str(p) for p in paths],
-            capture_output=True,
-            text=True,
-            timeout=30,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    if proc.returncode != 0:
-        return None
-    changed: set[Path] = set()
-    for line in proc.stdout.splitlines():
-        if len(line) < 4:
-            continue
-        name = line[3:]
-        # Renames are reported as "old -> new"; lint the new path.
-        if " -> " in name:
-            name = name.split(" -> ", 1)[1]
-        if name.startswith('"') and name.endswith('"'):
-            name = name[1:-1]
-        path = Path(name)
-        if path.suffix == ".py" and path.is_file():
-            changed.add(path)
-    return sorted(changed)
-
-
-def parse_ok(source: str) -> bool:
-    """True when *source* parses — the autofix verification helper."""
-    try:
-        ast.parse(source)
-    except SyntaxError:
-        return False
-    return True

@@ -1,22 +1,15 @@
-"""The analyzer's data model: rules, findings, and fix edits.
+"""The analyzer's data model: rules and findings.
 
 A :class:`Finding` is one violation at one source location. The field
 order doubles as the sort order (path, then line, then column, then
 rule), which is what makes reports — and therefore the CI artifact
 diff — stable across runs and worker counts; an analyzer that enforces
 determinism had better produce deterministic output itself.
-
-A finding may carry a *fix*: a tuple of span-based :class:`Edit`\\ s
-that mechanically repair the violation (MUT001 rewrites the default,
-DET002 wraps the expression in ``sorted()``). Fixes are excluded from
-the sort key — two findings that differ only in their suggested edit
-are the same finding — and are applied by :mod:`repro.devtools.fixes`,
-never by the reporting path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, order=True)
@@ -28,29 +21,6 @@ class Rule:
 
 
 @dataclass(frozen=True, order=True)
-class Edit:
-    """One span replacement in one file (1-based lines, 0-based cols).
-
-    The span is half-open in the usual editor sense: characters from
-    ``(start_line, start_col)`` up to but not including
-    ``(end_line, end_col)`` are replaced by ``replacement``. A
-    zero-width span (start == end) is a pure insertion.
-    """
-
-    start_line: int
-    start_col: int
-    end_line: int
-    end_col: int
-    replacement: str
-
-    def is_insertion(self) -> bool:
-        return (self.start_line, self.start_col) == (
-            self.end_line,
-            self.end_col,
-        )
-
-
-@dataclass(frozen=True, order=True)
 class Finding:
     """One rule violation at one source location (1-based line)."""
 
@@ -59,15 +29,7 @@ class Finding:
     col: int
     rule: str
     message: str
-    #: Mechanical repair, when the rule can offer one. Compare-excluded:
-    #: the fix is advice attached to the finding, not part of its
-    #: identity (and must not perturb report order).
-    fix: tuple[Edit, ...] = field(default=(), compare=False)
 
     def render(self) -> str:
         """``path:line:col: RULE message`` — the text-reporter line."""
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
-
-    @property
-    def fixable(self) -> bool:
-        return bool(self.fix)

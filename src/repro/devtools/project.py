@@ -11,19 +11,12 @@ need:
   import map, parent map, and the module-level function index, each
   computed lazily and exactly once (rules used to re-derive the import
   map and re-tokenize for suppressions per checker per file);
-* :class:`ProjectContext` — the set of modules plus the **import
-  graph** (project-internal edges only, with transitive dependency /
-  dependent closures: the cache layer's invalidation domain) and a
-  **symbol index** that resolves a call expression to the
-  :class:`FunctionInfo` it names — through import aliases, one-hop
-  re-exports, and ``self.method`` within a class — without type
-  inference. Unresolvable calls resolve to ``None`` and rules treat
-  them as opaque, which is the safe direction for every current rule.
-
-A module whose imports are already known from a previous run can be
-built with ``preset_imports`` so the import graph (and therefore cache
-signatures) can be computed without parsing the file at all — the
-warm-path property the incremental cache depends on.
+* :class:`ProjectContext` — the set of modules plus a **symbol index**
+  that resolves a call expression to the :class:`FunctionInfo` it
+  names — through import aliases, one-hop re-exports, and
+  ``self.method`` within a class — without type inference.
+  Unresolvable calls resolve to ``None`` and rules treat them as
+  opaque, which is the safe direction for every current rule.
 """
 
 from __future__ import annotations
@@ -84,18 +77,10 @@ class FunctionInfo:
 class ModuleInfo:
     """One analyzed file, with every shared derivation computed once."""
 
-    def __init__(
-        self,
-        path: str,
-        module: str,
-        source: str,
-        *,
-        preset_imports: Optional[tuple[str, ...]] = None,
-    ) -> None:
+    def __init__(self, path: str, module: str, source: str) -> None:
         self.path = path
         self.module = module
         self.source = source
-        self.preset_imports = preset_imports
 
     @cached_property
     def _parsed(self) -> tuple[Optional[ast.Module], Optional[SyntaxError]]:
@@ -129,46 +114,6 @@ class ModuleInfo:
         return parent_map(tree) if tree is not None else {}
 
     @cached_property
-    def imported_module_names(self) -> tuple[str, ...]:
-        """Every dotted module name this file's imports *could* name.
-
-        ``from repro.tamp import graph`` contributes both ``repro.tamp``
-        and ``repro.tamp.graph`` — whether ``graph`` is a submodule or a
-        symbol is unknowable statically, and the project context keeps
-        only the names that exist as analyzed modules anyway.
-        """
-        if self.preset_imports is not None:
-            return self.preset_imports
-        tree = self.tree
-        if tree is None:
-            return ()
-        names: set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    names.add(alias.name)
-            elif isinstance(node, ast.ImportFrom):
-                base = node.module or ""
-                if node.level:
-                    base = self._resolve_relative(node.level, base)
-                if not base:
-                    continue
-                names.add(base)
-                for alias in node.names:
-                    if alias.name != "*":
-                        names.add(f"{base}.{alias.name}")
-        return tuple(sorted(names))
-
-    def _resolve_relative(self, level: int, tail: str) -> str:
-        """``from ..x import y`` anchored at this module's package."""
-        parts = self.module.split(".")
-        # Package __init__ modules count as their own package.
-        anchor = parts[: len(parts) - level]
-        if not anchor:
-            return tail
-        return ".".join(anchor + ([tail] if tail else []))
-
-    @cached_property
     def functions(self) -> dict[str, FunctionInfo]:
         """Module-level functions and class methods, by qualname."""
         index: dict[str, FunctionInfo] = {}
@@ -193,46 +138,18 @@ class ModuleInfo:
 
 
 class ProjectContext:
-    """Every analyzed module plus the graphs the project rules walk."""
+    """Every analyzed module plus the symbol index over them."""
 
     def __init__(self, modules: Sequence[ModuleInfo]) -> None:
         #: Path-ordered (the engine's deterministic file order).
         self.infos: tuple[ModuleInfo, ...] = tuple(modules)
-        self.by_path: dict[str, ModuleInfo] = {
-            info.path: info for info in self.infos
-        }
         self.by_module: dict[str, ModuleInfo] = {}
         for info in self.infos:
             # First wins on (pathological) duplicate module names so the
             # mapping is independent of anything but sorted path order.
             self.by_module.setdefault(info.module, info)
-        self._deps_closure: dict[str, frozenset[str]] = {}
-        self._dependents_closure: dict[str, frozenset[str]] = {}
 
-    # -- import graph ---------------------------------------------------
-
-    @cached_property
-    def import_graph(self) -> dict[str, frozenset[str]]:
-        """module → project modules it imports (direct edges only)."""
-        graph: dict[str, frozenset[str]] = {}
-        for info in self.infos:
-            deps: set[str] = set()
-            for name in info.imported_module_names:
-                target = self._project_module(name)
-                if target is not None and target != info.module:
-                    deps.add(target)
-            graph[info.module] = frozenset(deps)
-        return graph
-
-    @cached_property
-    def reverse_import_graph(self) -> dict[str, frozenset[str]]:
-        reverse: dict[str, set[str]] = {
-            info.module: set() for info in self.infos
-        }
-        for module, deps in self.import_graph.items():
-            for dep in deps:
-                reverse.setdefault(dep, set()).add(module)
-        return {module: frozenset(deps) for module, deps in reverse.items()}
+    # -- symbol index ---------------------------------------------------
 
     def _project_module(self, dotted: str) -> Optional[str]:
         """Longest analyzed-module prefix of *dotted*, if any.
@@ -245,44 +162,6 @@ class ProjectContext:
             if candidate in self.by_module:
                 return candidate
         return None
-
-    def _closure(
-        self,
-        module: str,
-        graph: dict[str, frozenset[str]],
-        memo: dict[str, frozenset[str]],
-    ) -> frozenset[str]:
-        cached = memo.get(module)
-        if cached is not None:
-            return cached
-        seen: set[str] = set()
-        frontier = [module]
-        while frontier:
-            current = frontier.pop()
-            for nxt in graph.get(current, frozenset()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        result = frozenset(seen - {module})
-        memo[module] = result
-        return result
-
-    def dependencies_of(self, module: str) -> frozenset[str]:
-        """Transitive project imports of *module* (excluding itself).
-
-        The domain a module's analysis result may depend on: return
-        summaries and helper bodies resolve only through imports.
-        """
-        return self._closure(module, self.import_graph, self._deps_closure)
-
-    def dependents_of(self, module: str) -> frozenset[str]:
-        """Transitive importers of *module* — the invalidation fan-out:
-        when *module* changes, exactly these must re-analyze."""
-        return self._closure(
-            module, self.reverse_import_graph, self._dependents_closure
-        )
-
-    # -- symbol index ---------------------------------------------------
 
     def resolve_function(
         self,
@@ -345,28 +224,19 @@ class ProjectContext:
                 yield info, info.functions[qualname]
 
 
-def build_project(
-    files: Sequence[tuple[Path, str]],
-    *,
-    sources: Optional[dict[Path, str]] = None,
-    preset_imports: Optional[dict[Path, tuple[str, ...]]] = None,
-) -> ProjectContext:
+def build_project(files: Sequence[tuple[Path, str]]) -> ProjectContext:
     """Build a :class:`ProjectContext` for ``(path, module_name)`` pairs.
 
-    *sources* overrides file reads (in-memory analysis, tests);
-    *preset_imports* supplies import lists recovered from a cache so
-    unchanged files need not be parsed to place them in the graph.
+    Undecodable bytes become U+FFFD rather than an exception: the file
+    then fails to parse (a ``SYNTAX`` finding) or lints as written.
     """
-    infos: list[ModuleInfo] = []
-    for path, module in files:
-        if sources is not None and path in sources:
-            source = sources[path]
-        else:
-            source = path.read_text(encoding="utf-8")
-        preset = None
-        if preset_imports is not None:
-            preset = preset_imports.get(path)
-        infos.append(
-            ModuleInfo(str(path), module, source, preset_imports=preset)
-        )
-    return ProjectContext(infos)
+    return ProjectContext(
+        [
+            ModuleInfo(
+                str(path),
+                module,
+                path.read_bytes().decode("utf-8", errors="replace"),
+            )
+            for path, module in files
+        ]
+    )

@@ -27,7 +27,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from repro.devtools.findings import Edit, Finding, Rule
+from repro.devtools.findings import Finding, Rule
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.devtools.astutil import ImportMap
@@ -91,13 +91,7 @@ class Checker:
         raise NotImplementedError
 
     def finding(
-        self,
-        ctx: ModuleContext,
-        node: ast.AST,
-        rule: str,
-        message: str,
-        *,
-        fix: tuple[Edit, ...] = (),
+        self, ctx: ModuleContext, node: ast.AST, rule: str, message: str
     ) -> Finding:
         """A finding at *node*'s location (the common constructor)."""
         return Finding(
@@ -106,7 +100,6 @@ class Checker:
             col=int(getattr(node, "col_offset", 0)),
             rule=rule,
             message=message,
-            fix=fix,
         )
 
 

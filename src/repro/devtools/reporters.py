@@ -1,16 +1,9 @@
-"""Finding reporters: human text, machine JSON, and SARIF.
+"""Finding reporters: human text and machine JSON.
 
 The JSON form is the CI artifact (uploaded per run); ``sort_keys`` plus
 the engine's sorted findings make it byte-stable, so two CI runs over
 the same tree produce identical artifacts — diffable evidence that a
-change did or did not move the lint needle. Fix edits are deliberately
-*not* serialized — they are advice for ``--fix``, not part of the
-finding's identity — but ``fixable`` says whether one exists.
-
-The SARIF form (``--format sarif``) targets code-scanning UIs: one run,
-one driver (``repro-lint``), the full rule catalog as ``rules`` so a
-viewer can show the summary for ids with zero results too. Columns are
-converted to SARIF's 1-based convention at the boundary.
+change did or did not move the lint needle.
 """
 
 from __future__ import annotations
@@ -19,14 +12,9 @@ import json
 from typing import Sequence
 
 from repro.devtools.findings import Finding
-from repro.devtools.registry import rule_catalog
 
 #: Bumped when the JSON shape changes, so artifact consumers can gate.
-JSON_VERSION = 2
-
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
-_TOOL_NAME = "repro-lint"
+JSON_VERSION = 3
 
 
 def render_text(findings: Sequence[Finding]) -> str:
@@ -50,50 +38,9 @@ def render_json(findings: Sequence[Finding]) -> str:
                 "col": finding.col,
                 "rule": finding.rule,
                 "message": finding.message,
-                "fixable": finding.fixable,
             }
             for finding in findings
         ],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 
-
-def render_sarif(findings: Sequence[Finding]) -> str:
-    """A single-run SARIF 2.1.0 log of *findings*."""
-    results = [
-        {
-            "ruleId": finding.rule,
-            "level": "error",
-            "message": {"text": finding.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": finding.path.replace("\\", "/"),
-                        },
-                        "region": {
-                            "startLine": finding.line,
-                            "startColumn": finding.col + 1,
-                        },
-                    }
-                }
-            ],
-        }
-        for finding in findings
-    ]
-    driver = {
-        "name": _TOOL_NAME,
-        "rules": [
-            {
-                "id": rule.id,
-                "shortDescription": {"text": rule.summary},
-            }
-            for rule in rule_catalog()
-        ],
-    }
-    payload = {
-        "$schema": SARIF_SCHEMA,
-        "version": SARIF_VERSION,
-        "runs": [{"tool": {"driver": driver}, "results": results}],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)

@@ -12,7 +12,7 @@ import ast
 from typing import Iterator, Optional
 
 from repro.devtools.astutil import ImportMap
-from repro.devtools.findings import Edit, Finding, Rule
+from repro.devtools.findings import Finding, Rule
 from repro.devtools.registry import Checker, ModuleContext, register
 
 #: Packages holding the paper's algorithms: anything nondeterministic
@@ -169,32 +169,7 @@ class UnorderedIteration(Checker):
                     f"iteration order of this unordered value reaches {sink};"
                     " wrap it in sorted(...) or consume it"
                     " order-insensitively",
-                    fix=self._sorted_fix(node),
                 )
-
-    @staticmethod
-    def _sorted_fix(node: ast.AST) -> tuple[Edit, ...]:
-        """Wrap the unordered expression in ``sorted(...)`` in place."""
-        end_line = getattr(node, "end_lineno", None)
-        end_col = getattr(node, "end_col_offset", None)
-        if end_line is None or end_col is None:
-            return ()
-        return (
-            Edit(
-                start_line=node.lineno,
-                start_col=node.col_offset,
-                end_line=node.lineno,
-                end_col=node.col_offset,
-                replacement="sorted(",
-            ),
-            Edit(
-                start_line=end_line,
-                start_col=end_col,
-                end_line=end_line,
-                end_col=end_col,
-                replacement=")",
-            ),
-        )
 
     @staticmethod
     def _is_unordered(node: ast.AST) -> bool:

@@ -45,9 +45,6 @@ HOT_FUNCTIONS = frozenset(
         "from_routes",
         "add_route_group",
         "merge_tree",
-        "merge_router",
-        "merge_entries",
-        "merge_groups",
         "merge_view",
         "merge_id_view",
         "merge_view_shards",

@@ -5,20 +5,6 @@ state leaks across calls — and across test runs in the same process —
 which is both a plain bug and a determinism hazard (the Nth call's
 result depends on the N−1 before it). Flagged everywhere in
 ``src/repro``, not just algorithm modules.
-
-MUT001 findings carry a mechanical fix (``repro lint --fix``): the
-default becomes ``None`` and a reconstruction guard is inserted at the
-top of the body, after the docstring::
-
-    def f(acc=[]):          def f(acc=None):
-        acc.append(1)   →       if acc is None:
-                                    acc = []
-                                acc.append(1)
-
-The fix is only offered where it is provably safe to splice: a named
-``def`` whose body starts on its own line with at least one
-non-docstring statement. Lambdas and one-liner defs are flagged
-without a fix.
 """
 
 from __future__ import annotations
@@ -27,7 +13,7 @@ import ast
 from typing import Iterator, Optional, Union
 
 from repro.devtools.astutil import ImportMap
-from repro.devtools.findings import Edit, Finding, Rule
+from repro.devtools.findings import Finding, Rule
 from repro.devtools.registry import Checker, ModuleContext, register
 
 _MUTABLE_LITERALS = (
@@ -62,8 +48,7 @@ def default_bindings(
     """``(parameter name, default expression)`` pairs, in source order.
 
     Positional defaults right-align against the positional parameters;
-    keyword-only defaults align one-to-one. The name is what the fix
-    needs to emit the ``if name is None`` guard.
+    keyword-only defaults align one-to-one.
     """
     args = node.args
     positional = args.posonlyargs + args.args
@@ -76,57 +61,6 @@ def default_bindings(
         if default is not None:
             pairs.append((arg.arg, default))
     return pairs
-
-
-def mutable_default_fix(
-    node: _AnyFunction, param: Optional[str], default: ast.expr, source: str
-) -> tuple[Edit, ...]:
-    """The None-plus-guard rewrite, or ``()`` when splicing is unsafe."""
-    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        return ()
-    if param is None or not node.body:
-        return ()
-    original = ast.get_source_segment(source, default)
-    if original is None or "\n" in original:
-        return ()
-    body = node.body
-    # Skip past a docstring; the guard must still precede real code.
-    first = body[0]
-    has_docstring = (
-        isinstance(first, ast.Expr)
-        and isinstance(first.value, ast.Constant)
-        and isinstance(first.value.value, str)
-    )
-    anchor = body[1] if has_docstring and len(body) > 1 else first
-    if has_docstring and len(body) == 1:
-        return ()  # docstring-only body: nothing uses the default
-    lines = source.splitlines()
-    if anchor.lineno > len(lines):
-        return ()
-    prefix = lines[anchor.lineno - 1][: anchor.col_offset]
-    if prefix.strip():
-        return ()  # one-liner def — no line of its own to splice into
-    indent = " " * anchor.col_offset
-    guard = (
-        f"{indent}if {param} is None:\n"
-        f"{indent}    {param} = {original}\n"
-    )
-    return (
-        Edit(
-            start_line=default.lineno,
-            start_col=default.col_offset,
-            end_line=default.end_lineno or default.lineno,
-            end_col=default.end_col_offset or default.col_offset,
-            replacement="None",
-        ),
-        Edit(
-            start_line=anchor.lineno,
-            start_col=0,
-            end_line=anchor.lineno,
-            end_col=0,
-            replacement=guard,
-        ),
-    )
 
 
 @register
@@ -143,7 +77,7 @@ class MutableDefaults(Checker):
             ):
                 continue
             name = getattr(node, "name", "<lambda>")
-            for param, default in default_bindings(node):
+            for _, default in default_bindings(node):
                 kind = self._mutable_kind(default, imports)
                 if kind is not None:
                     yield self.finding(
@@ -153,9 +87,6 @@ class MutableDefaults(Checker):
                         f"default {kind} of {name}() is created once at"
                         " import and shared across calls; default to None"
                         " and construct inside the function",
-                        fix=mutable_default_fix(
-                            node, param, default, ctx.source
-                        ),
                     )
 
     @staticmethod

@@ -16,9 +16,8 @@ Three invariants the per-file rules structurally cannot see:
   over the project call graph, so a leak spanning helper functions —
   or modules — is flagged at the call site where the token value
   actually escapes. Findings deliberately anchor where taint *enters*
-  a callee, never inside the callee on behalf of a caller: a file's
-  findings therefore depend only on its transitive imports, which is
-  what makes the lint cache's dependents-only invalidation sound.
+  a callee, never inside the callee on behalf of a caller: a finding
+  sits in the file whose edit fixes it.
 
 * **POOL003 — shard escape, one call level deep.** POOL002 flags a
   shard function writing module globals directly; POOL003 applies the

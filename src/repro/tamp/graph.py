@@ -246,86 +246,6 @@ class TampGraph:
             _count_elements(store, root_union)
             self._has_site_edge = True
 
-    def merge_router(
-        self,
-        router_name: str,
-        routes: Iterable,
-        include_prefix_leaves: bool = True,
-        chain_cache: Optional[dict] = None,
-    ) -> None:
-        """Fold one router's routes directly into the refcount stores.
-
-        The single-router batch path (:meth:`merge_view` over a
-        one-router view): equivalent to building the router's
-        :class:`TampTree` against this graph's table and merging it,
-        without materializing the intermediate columns. The
-        equivalence rests on RIB uniqueness — a route table holds at
-        most one route per (router, prefix), so every (edge, prefix)
-        pair occurs at most once per router and per-group increments
-        equal per-tree set merges. Callers passing a table with
-        duplicate prefixes per router would double-count; every route
-        source in this project (RIBs, replayed event tables) satisfies
-        the invariant.
-
-        *chain_cache* memoizes interned chains per attribute bundle
-        (see :func:`repro.tamp.tree.chain_ids`); pass one shared dict
-        across the routers of a build.
-        """
-        by_attrs: dict = {}
-        for route in routes:
-            by_attrs.setdefault(route.attributes, []).append(route.prefix)
-        self.merge_view(
-            [(router_name, by_attrs.items())],
-            include_prefix_leaves,
-            chain_cache,
-        )
-
-    def merge_entries(
-        self,
-        router_name: str,
-        entries: Iterable,
-        include_prefix_leaves: bool = True,
-        chain_cache: Optional[dict] = None,
-    ) -> None:
-        """:meth:`merge_router` over raw (prefix, attributes) pairs.
-
-        The whole-table batch path: :meth:`AdjRibIn.entries
-        <repro.bgp.rib.AdjRibIn.entries>` yields native dict items, so
-        a full-view build never constructs the per-route
-        :class:`~repro.bgp.rib.Route` wrappers (seconds of pure
-        allocation at ISP scale). Same RIB-uniqueness precondition as
-        :meth:`merge_router`.
-        """
-        by_attrs: dict = {}
-        for prefix, attributes in entries:
-            by_attrs.setdefault(attributes, []).append(prefix)
-        self.merge_view(
-            [(router_name, by_attrs.items())],
-            include_prefix_leaves,
-            chain_cache,
-        )
-
-    def merge_groups(
-        self,
-        router_name: str,
-        groups,
-        include_prefix_leaves: bool = True,
-        chain_cache: Optional[dict] = None,
-    ) -> None:
-        """:meth:`merge_router` over pre-grouped attribute buckets.
-
-        *groups* yields (attribute bundle, iterable of the prefixes
-        announced with it) pairs — exactly the index
-        :meth:`AdjRibIn.grouped_entries
-        <repro.bgp.rib.AdjRibIn.grouped_entries>` maintains at announce
-        time, so a whole-view build skips the per-route grouping pass
-        entirely. Same RIB-uniqueness precondition as
-        :meth:`merge_router` — each prefix at most once per bundle.
-        """
-        self.merge_view(
-            [(router_name, groups)], include_prefix_leaves, chain_cache
-        )
-
     def merge_view(
         self,
         router_groups: Iterable,
@@ -338,8 +258,21 @@ class TampGraph:
         groups is a mapping — or an iterable of pairs — from attribute
         bundle to the prefixes announced with it (the shape
         :meth:`AdjRibIn.grouped_entries
-        <repro.bgp.rib.AdjRibIn.grouped_entries>` maintains). Same
-        RIB-uniqueness precondition as :meth:`merge_router`.
+        <repro.bgp.rib.AdjRibIn.grouped_entries>` maintains).
+
+        Equivalent to building each router's :class:`TampTree` against
+        this graph's table and merging it, without materializing the
+        intermediate columns. The equivalence rests on RIB uniqueness —
+        a route table holds at most one route per (router, prefix), so
+        every (edge, prefix) pair occurs at most once per router and
+        per-group increments equal per-tree set merges. Callers passing
+        a table with duplicate prefixes per router would double-count;
+        every route source in this project (RIBs, replayed event
+        tables) satisfies the invariant.
+
+        *chain_cache* memoizes interned chains per attribute bundle
+        (see :func:`repro.tamp.tree.chain_ids`); pass one shared dict
+        across the routers of a build.
 
         A thin encoding shim over :meth:`merge_id_view`: prefixes are
         packed to value-derived ids (:func:`repro.interning.pack_prefix`
@@ -379,7 +312,7 @@ class TampGraph:
         millions of prefixes it already holds encoded. The collections
         are only iterated (never mutated, never kept past the call), so
         live dict views are fine. Same RIB-uniqueness precondition as
-        :meth:`merge_router`.
+        :meth:`merge_view`.
 
         The pass is bucketed by *distinct chain*, not by group: real
         views share attribute bundles massively across routers (~9k

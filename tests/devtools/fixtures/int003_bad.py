@@ -1,18 +1,18 @@
 """INT003 violations: token-level values reaching hot functions."""
 
-from repro.tamp.graph import merge_entries
+from repro.tamp.graph import merge_view
 
 from repro.stemming.counter import add_ids
 
 
 def direct_leak(table, store):
     tok = table.token(7)
-    merge_entries(store, tok)  # INT003: tok is token-level
+    merge_view(store, tok)  # INT003: tok is token-level
 
 
 def chained_leak(table, store):
     pair = _decode(table)
-    merge_entries(store, pair)  # INT003: taint through a return
+    merge_view(store, pair)  # INT003: taint through a return
 
 
 def _decode(table):

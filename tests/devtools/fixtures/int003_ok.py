@@ -1,13 +1,13 @@
 """INT003-clean: ids stay ids on the hot path; tokens stay cold."""
 
-from repro.tamp.graph import merge_entries
+from repro.tamp.graph import merge_view
 
 from repro.stemming.counter import add_ids
 
 
 def hot_on_ids(store, ids):
     # Parameters are id-level unless something decodes them.
-    merge_entries(store, ids)
+    merge_view(store, ids)
 
 
 def decode_after_the_hot_call(table, store, ids):

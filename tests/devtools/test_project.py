@@ -1,16 +1,15 @@
-"""Project-layer tests: import graph, symbol index, cross-module rules.
+"""Project-layer tests: symbol index, cross-module rules.
 
 The multi-file cases build little ``repro.*`` trees on disk (the
 ``repro`` anchor is what :func:`module_name_for` keys on) and run the
-real engine over them, so the import graph, the re-export resolver and
-the whole-program rules are exercised exactly as ``repro lint`` runs
-them.
+real engine over them, so the re-export resolver and the whole-program
+rules are exercised exactly as ``repro lint`` runs them.
 """
 
 import ast
 from pathlib import Path
 
-from repro.devtools.engine import analyze_project, module_name_for
+from repro.devtools.engine import analyze_paths, module_name_for
 from repro.devtools.project import ProjectContext, build_project
 
 
@@ -27,59 +26,6 @@ def make_tree(root: Path, files: dict[str, str]) -> list[Path]:
 def project_for(root: Path, files: dict[str, str]) -> ProjectContext:
     paths = make_tree(root, files)
     return build_project([(p, module_name_for(p)) for p in paths])
-
-
-class TestImportGraph:
-    def test_direct_edges_and_symbol_imports(self, tmp_path):
-        project = project_for(
-            tmp_path,
-            {
-                "repro/a.py": "from repro.b import helper\n",
-                "repro/b.py": "import repro.c\n\ndef helper():\n    return 1\n",
-                "repro/c.py": "X = 1\n",
-            },
-        )
-        graph = project.import_graph
-        assert graph["repro.a"] == frozenset({"repro.b"})
-        assert graph["repro.b"] == frozenset({"repro.c"})
-        assert graph["repro.c"] == frozenset()
-
-    def test_transitive_closures(self, tmp_path):
-        project = project_for(
-            tmp_path,
-            {
-                "repro/a.py": "import repro.b\n",
-                "repro/b.py": "import repro.c\n",
-                "repro/c.py": "X = 1\n",
-                "repro/lone.py": "Y = 2\n",
-            },
-        )
-        assert project.dependencies_of("repro.a") == frozenset(
-            {"repro.b", "repro.c"}
-        )
-        assert project.dependents_of("repro.c") == frozenset(
-            {"repro.a", "repro.b"}
-        )
-        assert project.dependencies_of("repro.lone") == frozenset()
-        assert project.dependents_of("repro.lone") == frozenset()
-
-    def test_relative_imports_resolve_against_the_package(self, tmp_path):
-        project = project_for(
-            tmp_path,
-            {
-                "repro/pkg/__init__.py": "",
-                "repro/pkg/a.py": "from . import b\nfrom .b import f\n",
-                "repro/pkg/b.py": "def f():\n    return 1\n",
-            },
-        )
-        assert "repro.pkg.b" in project.import_graph["repro.pkg.a"]
-
-    def test_imports_outside_the_project_are_ignored(self, tmp_path):
-        project = project_for(
-            tmp_path,
-            {"repro/a.py": "import json\nfrom os.path import join\n"},
-        )
-        assert project.import_graph["repro.a"] == frozenset()
 
 
 class TestSymbolIndex:
@@ -169,18 +115,18 @@ class TestCrossModuleTaint:
                 ),
                 "repro/flow.py": (
                     "from repro.decode import decode_route\n"
-                    "from repro.tamp.graph import merge_entries\n"
+                    "from repro.tamp.graph import merge_view\n"
                     "def leak(table, store):\n"
                     "    value = decode_route(table, 3)\n"
-                    "    merge_entries(store, value)\n"
+                    "    merge_view(store, value)\n"
                 ),
             },
         )
-        report = analyze_project(paths)
-        int003 = [f for f in report.findings if f.rule == "INT003"]
+        findings = analyze_paths(paths)
+        int003 = [f for f in findings if f.rule == "INT003"]
         assert len(int003) == 1
         assert int003[0].path.endswith("flow.py")
-        assert "merge_entries" in int003[0].message
+        assert "merge_view" in int003[0].message
 
     def test_pool003_sees_a_cross_module_helper_write(self, tmp_path):
         paths = make_tree(
@@ -203,8 +149,8 @@ class TestCrossModuleTaint:
                 ),
             },
         )
-        report = analyze_project(paths)
-        pool003 = [f for f in report.findings if f.rule == "POOL003"]
+        findings = analyze_paths(paths)
+        pool003 = [f for f in findings if f.rule == "POOL003"]
         assert len(pool003) == 1
         assert pool003[0].path.endswith("work.py")
         assert "repro.state" in pool003[0].message
@@ -219,14 +165,13 @@ class TestCrossModuleTaint:
                 ),
                 "repro/flow.py": (
                     "from repro.ids import normalize\n"
-                    "from repro.tamp.graph import merge_entries\n"
+                    "from repro.tamp.graph import merge_view\n"
                     "def hot(store, ids):\n"
-                    "    merge_entries(store, normalize(ids))\n"
+                    "    merge_view(store, normalize(ids))\n"
                 ),
             },
         )
-        report = analyze_project(paths)
-        assert report.findings == []
+        assert analyze_paths(paths) == []
 
 
 class TestAnalyzeProjectBasics:
@@ -238,9 +183,6 @@ class TestAnalyzeProjectBasics:
                 "repro/a.py": "def g(y={}):\n    return y\n",
             },
         )
-        report = analyze_project(paths)
-        assert report.findings == sorted(report.findings)
-        assert [Path(p).name for p in report.files] == ["a.py", "b.py"]
-        # Uncached: everything counts as analyzed, no cache traffic.
-        assert report.analyzed == report.files
-        assert report.cache_stats is None
+        findings = analyze_paths(paths)
+        assert findings == sorted(findings)
+        assert [Path(f.path).name for f in findings] == ["a.py", "b.py"]

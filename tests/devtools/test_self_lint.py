@@ -35,3 +35,30 @@ def test_self_lint_covers_the_whole_package():
     for expected in ("stemming", "tamp", "collector", "net", "perf",
                      "devtools", "rules"):
         assert expected in packages
+
+
+def test_every_suppression_in_the_source_tree_is_live(monkeypatch):
+    # An ``allow[...]`` that outlives its finding hides the next
+    # violation on that line: each one must name a registered rule and
+    # silence at least one finding the checkers still produce.
+    from repro.devtools import iter_python_files
+    from repro.devtools.registry import rule_ids
+    from repro.devtools.suppress import Suppressions
+
+    allowed = {
+        (str(path), line, rule)
+        for path in iter_python_files([SRC_REPRO])
+        for line, rules in Suppressions.scan(
+            path.read_text(encoding="utf-8")
+        )._by_line.items()
+        for rule in rules
+    }
+    assert allowed, "the scan found no suppression at all"
+    registered = rule_ids()
+    unknown = {entry for entry in allowed if entry[2] not in registered}
+    assert not unknown, sorted(unknown)
+
+    monkeypatch.setattr(Suppressions, "is_allowed", lambda *_: False)
+    raw = {(f.path, f.line, f.rule) for f in analyze_paths([SRC_REPRO])}
+    stale = allowed - raw
+    assert not stale, sorted(stale)

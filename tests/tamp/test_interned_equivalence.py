@@ -62,6 +62,14 @@ def route_groups(profile_name, seed=2002):
     ]
 
 
+def merge_one_router(graph, name, routes):
+    """One router's routes through ``merge_view``, grouped by bundle."""
+    by_attrs = {}
+    for route in routes:
+        by_attrs.setdefault(route.attributes, []).append(route.prefix)
+    graph.merge_view([(name, by_attrs)])
+
+
 def decoded(graph):
     return {edge: set(prefixes) for edge, prefixes in graph.edges()}
 
@@ -108,11 +116,11 @@ class TestInternedMatchesReference:
         )
 
     def test_merge_tree_matches_fused_path(self):
-        """merge_router (fused) == from_routes + merge_tree (columnar)."""
+        """merge_view (fused) == from_routes + merge_tree (columnar)."""
         groups = route_groups("berkeley")
         fused = TampGraph("site")
         for name, routes in groups:
-            fused.merge_router(name, routes)
+            merge_one_router(fused, name, routes)
         columnar = TampGraph("site")
         for name, routes in groups:
             columnar.merge_tree(
@@ -197,10 +205,10 @@ class TestTotalPrefixesCache:
         groups = route_groups("berkeley")
         graph = TampGraph("site")
         name, routes = groups[0]
-        graph.merge_router(name, routes)
+        merge_one_router(graph, name, routes)
         before = graph.total_prefixes()  # prime the cache
         for name, routes in groups[1:]:
-            graph.merge_router(name, routes)
+            merge_one_router(graph, name, routes)
         fresh = build_picture(groups, "site")
         assert graph.total_prefixes() == fresh.total_prefixes()
         assert graph.total_prefixes() >= before
