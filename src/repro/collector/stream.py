@@ -215,11 +215,23 @@ def fingerprint_events(events: Iterable[BGPEvent]) -> str:
 
     The digest a stream of exactly these events would report from
     :meth:`EventStream.fingerprint` — provided *events* is already in
-    timestamp order. The pipeline uses this to fingerprint individual
-    windows without materializing each as a stream.
+    timestamp order. Defined through :func:`fingerprint_lines`, the
+    one place the digest is computed.
+    """
+    return fingerprint_lines(event.to_json() for event in events)
+
+
+def fingerprint_lines(lines: Iterable[str]) -> str:
+    """SHA-256 over *lines*, each followed by a newline.
+
+    *lines* are :meth:`BGPEvent.to_json` encodings. A caller that
+    already holds them — the pipeline's window stage encodes each event
+    once at admission — fingerprints without re-encoding, and gets the
+    digest :func:`fingerprint_events` reports for the same events.
     """
     digest = hashlib.sha256()
-    for event in events:
-        digest.update(event.to_json().encode("utf-8"))
-        digest.update(b"\n")
+    update = digest.update
+    for line in lines:
+        update(line.encode("utf-8"))
+        update(b"\n")
     return digest.hexdigest()

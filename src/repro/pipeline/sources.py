@@ -73,17 +73,26 @@ class StreamSource(Source):
         self._stream = stream
         self._label = label
         self.ingest_report = getattr(stream, "ingest_report", None)
+        #: (length, fingerprint) as of the last :meth:`describe`.
+        self._fingerprint: Optional[tuple[int, str]] = None
 
     def events(self, start_offset: int = 0) -> Iterator[BGPEvent]:
         for index in range(start_offset, len(self._stream)):
             yield self._stream[index]
 
     def describe(self) -> dict[str, object]:
+        # Every checkpoint describes its source; hashing the stream
+        # costs one encode per event, so do it once. A stream can only
+        # grow (``EventStream`` has no removal), so an unchanged length
+        # means unchanged events.
+        count = len(self._stream)
+        if self._fingerprint is None or self._fingerprint[0] != count:
+            self._fingerprint = (count, self._stream.fingerprint())
         return {
             "type": "stream",
             "label": self._label,
-            "events": len(self._stream),
-            "fingerprint": self._stream.fingerprint(),
+            "events": count,
+            "fingerprint": self._fingerprint[1],
         }
 
 

@@ -7,9 +7,12 @@ each boundary runs the full Stemming decomposition over the window's
 events — through ``repro.perf`` workers when configured — emitting a
 :class:`WindowReport` with the window's fingerprint and ranked stems.
 Memory stays bounded: events older than the window are evicted from
-the buffer. The buffer, the next boundary and the window index are the
-stage's whole state — exactly what :class:`WindowState` checkpoints —
-because every decomposition counts its window's events afresh.
+the buffer. The buffer — each event beside its JSON line, encoded once
+at admission and held until eviction — the next boundary and the window
+index are the stage's whole state, exactly what :class:`WindowState`
+checkpoints, because every decomposition counts its window's events
+afresh. However many overlapping windows an event sits in, closes and
+checkpoints hash and write its held line; nothing re-encodes it.
 
 Ordering contract: the stage re-emits each event batch downstream
 *before* the report that closes at or after it, so a downstream
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from repro.collector.events import BGPEvent
-from repro.collector.stream import fingerprint_events
+from repro.collector.stream import fingerprint_lines
 from repro.pipeline.runtime import Batch, Stage
 from repro.stemming.encode import format_stem
 from repro.stemming.stemmer import Stemmer, StemmingResult
@@ -40,8 +43,10 @@ from repro.tamp.incremental import IncrementalTamp
 class WindowReport:
     """Ranked incidents for one closed window.
 
-    ``fingerprint`` is :func:`fingerprint_events` over the window's
-    events — the bit-identity witness the resume test compares.
+    ``fingerprint`` is what :func:`~repro.collector.stream
+    .fingerprint_events` reports for the window's events (computed from
+    the lines the stage holds, never by re-encoding) — the bit-identity
+    witness the resume test compares.
     ``result`` carries the full :class:`StemmingResult` for in-process
     consumers (the monitor's incident manager); :meth:`to_dict` is the
     persisted form.
@@ -144,6 +149,10 @@ class WindowedStemmer(Stage):
             workers=workers,
         )
         self._buffer: deque[BGPEvent] = deque()
+        #: ``to_json()`` of each buffered event, in lock-step with
+        #: ``_buffer``: appended at admission, popped at eviction,
+        #: cleared by the partial flush.
+        self._lines: deque[str] = deque()
         self._boundary: Optional[float] = None
         self._window_index = 0
 
@@ -173,6 +182,7 @@ class WindowedStemmer(Stage):
                 # ladder on the event that ends the gap.
                 self._boundary = event.timestamp + self.window
             self._buffer.append(event)
+            self._lines.append(event.to_json())
             pending.append(event)
         self._emit_pending(out, pending, pending_offset)
         return out
@@ -190,7 +200,7 @@ class WindowedStemmer(Stage):
         return WindowState(
             boundary=self._boundary,
             window_index=self._window_index,
-            buffer=[event.to_json() for event in self._buffer],
+            buffer=list(self._lines),
         )
 
     def restore_state(self, state: WindowState) -> None:
@@ -203,6 +213,9 @@ class WindowedStemmer(Stage):
         self._buffer.extend(
             BGPEvent.from_json(line) for line in state.buffer
         )
+        # Re-derived, not copied from the checkpoint: a fingerprint is
+        # always a function of the events the stemmer decomposes.
+        self._lines.extend(event.to_json() for event in self._buffer)
 
     # -- Introspection (read by the monitor for gauges) -----------------
 
@@ -248,13 +261,14 @@ class WindowedStemmer(Stage):
                     start=self._boundary - self.window,
                     end=self._boundary,
                     event_count=len(window_events),
-                    fingerprint=fingerprint_events(window_events),
+                    fingerprint=fingerprint_lines(self._lines),
                     result=result,
                 )
             )
             self._window_index += 1
         if partial:
             self._buffer.clear()
+            self._lines.clear()
             return
         self._boundary += self.slide
         self._evict()
@@ -268,6 +282,7 @@ class WindowedStemmer(Stage):
         horizon = self._boundary - self.window
         while self._buffer and self._buffer[0].timestamp < horizon:
             self._buffer.popleft()
+            self._lines.popleft()
 
 
 class TampAnnotator(Stage):

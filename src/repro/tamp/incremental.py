@@ -73,6 +73,15 @@ class IncrementalTamp:
         #: Bounded by the distinct routes seen, i.e. the same order as
         #: the route table itself.
         self._edge_ids: dict[int, dict] = {}
+        #: (peer, prefix) -> ((peer, str(prefix)), JSON line): each
+        #: route's checkpoint sort key and encoding, filled lazily by
+        #: :meth:`export_route_events` and dropped when the route is
+        #: replaced or withdrawn, so a checkpoint re-encodes only the
+        #: routes that changed since the last one. At most one entry
+        #: per route in the table.
+        self._route_lines: dict[
+            tuple[int, Prefix], tuple[tuple[int, str], str]
+        ] = {}
 
     # ------------------------------------------------------------------
     # Loading and applying
@@ -82,7 +91,7 @@ class IncrementalTamp:
         """Install a snapshot (e.g. ``rex.all_routes()``) as the baseline."""
         for route in routes:
             self._install(route.peer, route.prefix, route.attributes)
-        self.consume_changes()  # the baseline is not "change"
+        self.consume_id_changes()  # the baseline is not "change"
 
     def apply(self, event: BGPEvent) -> None:
         """Apply one collector event."""
@@ -159,15 +168,19 @@ class IncrementalTamp:
         are encoded as zero-timestamp announce events — the one
         round-trippable wire format the project already has — sorted by
         (peer, prefix) so identical tables always serialize identically.
+        Only routes installed or replaced since the previous export are
+        encoded; the rest reuse their held line.
         """
-        lines: list[str] = []
-        for (peer, prefix), attrs in sorted(
-            self._routes.items(),
-            key=lambda item: (item[0][0], str(item[0][1])),
-        ):
-            event = BGPEvent(0.0, EventKind.ANNOUNCE, peer, prefix, attrs)
-            lines.append(event.to_json())
-        return lines
+        entries = self._route_lines
+        for key, attrs in self._routes.items():
+            if key not in entries:
+                peer, prefix = key
+                event = BGPEvent(
+                    0.0, EventKind.ANNOUNCE, peer, prefix, attrs
+                )
+                entries[key] = ((peer, str(prefix)), event.to_json())
+        # Sort keys are unique per route, so the lines never compare.
+        return [line for _, line in sorted(entries.values())]
 
     def import_route_events(self, lines: Iterable[str]) -> None:
         """Rebuild the route table from :meth:`export_route_events`.
@@ -183,7 +196,7 @@ class IncrementalTamp:
         for line in lines:
             event = BGPEvent.from_json(line)
             self._install(event.peer, event.prefix, event.attributes)
-        self.consume_changes()  # restored baseline is not "change"
+        self.consume_id_changes()  # restored baseline is not "change"
 
     def export_pulses(self) -> dict[str, list]:
         """Serialize the unconsumed pulse counts.
@@ -268,6 +281,7 @@ class IncrementalTamp:
             return
         if old is not None:
             self._remove_contribution(peer, prefix, old)
+            self._route_lines.pop(key, None)
         self._routes[key] = attrs
         pid = self.graph.symbols.intern_prefix(prefix)
         add_prefix = self.graph.add_prefix_ids
@@ -281,6 +295,7 @@ class IncrementalTamp:
         old = self._routes.pop((peer, prefix), None)
         if old is None:
             return
+        self._route_lines.pop((peer, prefix), None)
         self._remove_contribution(peer, prefix, old)
 
     def _remove_contribution(

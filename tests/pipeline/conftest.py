@@ -8,12 +8,27 @@ on scale, and the sustained-throughput story lives in
 
 import pytest
 
+from repro.collector.events import BGPEvent
 from repro.pipeline import MonitorConfig, SyntheticSource
 
 
 def small_source() -> SyntheticSource:
     """A fresh deterministic feed; call again for an identical one."""
     return SyntheticSource(1600, 600.0, seed=7, n_routes=400)
+
+
+def count_encodes(monkeypatch) -> list[BGPEvent]:
+    """Wrap ``BGPEvent.to_json``; the returned list grows by the event
+    encoded at each call, for tests that pin how often encoding runs."""
+    encoded: list[BGPEvent] = []
+    to_json = BGPEvent.to_json
+
+    def counting(event: BGPEvent) -> str:
+        encoded.append(event)
+        return to_json(event)
+
+    monkeypatch.setattr(BGPEvent, "to_json", counting)
+    return encoded
 
 
 @pytest.fixture

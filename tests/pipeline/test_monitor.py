@@ -18,8 +18,10 @@ from repro.pipeline import (
     SyntheticSource,
     run_monitor,
 )
+from repro.pipeline.monitor import MonitorCore
+from repro.pipeline.runtime import iter_batches
 from repro.testkit import CrashPlan, InjectedCrash
-from tests.pipeline.conftest import small_source
+from tests.pipeline.conftest import count_encodes, small_source
 
 
 def crash_and_resume(config, checkpoint_dir, after_events):
@@ -57,6 +59,60 @@ class TestUninterrupted:
         assert store.read_reports() == result.report_dicts
         assert result.checkpoints_written >= 1
         assert store.latest().offset == 1600
+
+
+class TestEncodeOnce:
+    """An event is serialised when it is admitted and never again."""
+
+    def test_overlapping_windows_encode_each_event_once(
+        self, monkeypatch
+    ):
+        source = small_source()
+        events = list(source.events())
+        encoded = count_encodes(monkeypatch)
+        result = run_monitor(
+            source,
+            MonitorConfig(window=300.0, slide=30.0, batch_size=64),
+        )
+        assert len(result.reports) > 10
+        assert sum(r.event_count for r in result.reports) > 5 * len(events)
+        assert len(encoded) == len(events)
+        assert all(a is b for a, b in zip(encoded, events))
+
+    def test_a_checkpoint_encodes_only_the_routes_that_changed(
+        self, monkeypatch, sliding_config, tmp_path
+    ):
+        source = small_source()
+        events = list(source.events())
+        encoded = count_encodes(monkeypatch)
+        core = MonitorCore(source, sliding_config, checkpoint_dir=tmp_path)
+        table: dict = {}
+        changed: set = set()
+        expected = 0
+        for batch in iter_batches(events, batch_size=64):
+            for event in batch.events:
+                key = (event.peer, event.prefix)
+                if event.is_withdrawal:
+                    table.pop(key, None)
+                    changed.discard(key)
+                elif table.get(key) != event.attributes:
+                    table[key] = event.attributes
+                    changed.add(key)
+            written = core.checkpoints_written
+            core.feed(batch)
+            if core.checkpoints_written > written:
+                expected += len(changed)
+                changed.clear()
+        core.finish()
+        core.close()
+        expected += len(changed)
+        assert core.checkpoints_written > 5
+        admitted = {id(event) for event in events}
+        routes = [e for e in encoded if id(e) not in admitted]
+        assert len(encoded) - len(routes) == len(events)
+        assert len(routes) == expected
+        # Far fewer than re-encoding the table at each checkpoint.
+        assert expected < core.checkpoints_written * len(table) / 2
 
 
 class TestResumeAcceptance:

@@ -1,10 +1,15 @@
 """Tests for monitor event sources and replay pacing."""
 
+import hashlib
 import json
 
 import pytest
 
-from repro.collector.stream import EventStream, fingerprint_events
+from repro.collector.stream import (
+    EventStream,
+    fingerprint_events,
+    fingerprint_lines,
+)
 from repro.pipeline.sources import (
     FileSource,
     Pacer,
@@ -17,6 +22,7 @@ from repro.mrt.records import (
     TYPE_BGP4MP,
 )
 from repro.testkit.corpus import build_clean_records
+from tests.pipeline.conftest import count_encodes
 from tests.stemming.test_stemmer import spike
 
 
@@ -33,6 +39,36 @@ class TestStreamSource:
         assert description["type"] == "stream"
         assert description["label"] == "t"
         assert description["fingerprint"] == stream.fingerprint()
+
+    def test_describe_hashes_the_stream_once(self, monkeypatch):
+        events = spike("100 200", 6)
+        source = StreamSource(EventStream(events))
+        encodes = count_encodes(monkeypatch)
+        descriptions = [source.describe() for _ in range(5)]
+        assert len(encodes) == len(events)
+        assert all(d == descriptions[0] for d in descriptions)
+
+    def test_describe_follows_an_appended_stream(self):
+        stream = EventStream(spike("100 200", 6))
+        source = StreamSource(stream)
+        before = source.describe()
+        stream.append(spike("100 200", 1, start_prefix=50)[0])
+        after = source.describe()
+        assert after["events"] == 7
+        assert after["fingerprint"] == stream.fingerprint()
+        assert after["fingerprint"] != before["fingerprint"]
+
+
+class TestFingerprintLines:
+    @pytest.mark.parametrize("count", [0, 1, 6])
+    def test_equals_fingerprint_events(self, count):
+        events = spike("100 200", count)
+        assert fingerprint_lines(
+            [event.to_json() for event in events]
+        ) == fingerprint_events(events)
+
+    def test_empty_input_is_the_empty_digest(self):
+        assert fingerprint_lines([]) == hashlib.sha256().hexdigest()
 
 
 class TestFileSource:

@@ -34,6 +34,15 @@ def ramp(count, spacing=10.0, start=0.0):
     ]
 
 
+def evictions_then_a_gap():
+    """Sliding-window input that evicts at each close, then goes quiet
+    long enough to empty the buffer and re-anchor the ladder on event
+    70. Returns (events, number of events before the gap)."""
+    early = ramp(40) + spike("100 200 300", 30, start_prefix=100)
+    early.sort(key=lambda e: e.timestamp)
+    return early + ramp(30, start=5000.0), len(early)
+
+
 def announces(count):
     """Announcements (not withdrawals) — these mutate the TAMP graph."""
     from repro.collector.events import EventKind
@@ -215,9 +224,7 @@ class TestCheckpointing:
         # the ladder on event 70. The buffer is all the stage keeps, so
         # wherever it is stopped, exported and restored into a fresh
         # stage, each report is batch Stemming over that window's events.
-        early = ramp(40) + spike("100 200 300", 30, start_prefix=100)
-        early.sort(key=lambda e: e.timestamp)
-        events = early + ramp(30, start=5000.0)
+        events, before_gap = evictions_then_a_gap()
         stage = WindowedStemmer(100.0, 50.0)
         out = []
         for batch in iter_batches(events[:split], batch_size=16):
@@ -232,7 +239,7 @@ class TestCheckpointing:
         out.extend(stage.flush())
         reports = [item for item in out if isinstance(item, WindowReport)]
         assert 5000.0 in [r.start for r in reports]
-        assert max(r.event_count for r in reports) < len(early)
+        assert max(r.event_count for r in reports) < before_gap
         assert all(r.result.components for r in reports)
         for index, report in enumerate(reports):
             inside = [
@@ -247,6 +254,36 @@ class TestCheckpointing:
                 fingerprint=fingerprint_events(inside),
                 result=Stemmer().decompose(inside),
             ).to_dict()
+
+    def test_exported_buffer_is_the_current_windows_lines(self):
+        # Whatever the stage went through — evictions, the gap, a
+        # restore — the lines it holds are exactly the encodings of the
+        # events still inside the window.
+        events, before_gap = evictions_then_a_gap()
+
+        def check(stage, fed):
+            state = stage.export_state()
+            horizon = state.boundary - stage.window
+            inside = [e for e in fed if e.timestamp >= horizon]
+            assert state.buffer == [e.to_json() for e in inside]
+            assert stage.buffered == len(state.buffer)
+            return state
+
+        stage = WindowedStemmer(100.0, 50.0)
+        sizes = set()
+        for batch in iter_batches(events, batch_size=7):
+            stage.process(batch)
+            state = check(stage, events[:batch.end_offset])
+            sizes.add(len(state.buffer))
+            restored = WindowedStemmer(100.0, 50.0)
+            restored.restore_state(
+                WindowState.from_dict(state.to_dict())
+            )
+            check(restored, events[:batch.end_offset])
+        assert min(sizes) < 7 < max(sizes) < before_gap
+        stage.flush()
+        assert stage.export_state().buffer == []
+        assert stage.buffered == 0
 
     def test_restore_refuses_a_used_stage(self):
         stage = WindowedStemmer(100.0)

@@ -1,5 +1,8 @@
 """Unit tests for incremental TAMP maintenance."""
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.bgp.rib import Route
 from repro.collector.events import BGPEvent, EventKind
 from repro.net.aspath import ASPath
@@ -111,3 +114,54 @@ class TestBaseline:
         tamp.apply(announce(PEER_A, P, "11423 209"))
         assert tamp.current_attributes(PEER_A, P) == attrs("11423 209")
         assert tamp.current_attributes(PEER_B, P) is None
+
+
+GRID_PEERS = [PEER_A, PEER_B]
+GRID_PREFIXES = [Prefix(0x0A000000 + i * 256, 24) for i in range(4)]
+
+route_ops = st.one_of(
+    st.tuples(
+        st.just("announce"),
+        st.sampled_from(GRID_PEERS),
+        st.sampled_from(GRID_PREFIXES),
+        # Two paths: a repeat is a same-attributes re-announce as often
+        # as it is a replacement.
+        st.sampled_from(["1 2", "1 3 4"]),
+    ),
+    st.tuples(
+        st.just("withdraw"),
+        st.sampled_from(GRID_PEERS),
+        st.sampled_from(GRID_PREFIXES),
+    ),
+    st.tuples(st.just("export")),
+)
+
+
+class TestRouteExport:
+    """However the table got here, an export is the table's encoding."""
+
+    @given(st.lists(route_ops, max_size=40))
+    def test_export_equals_a_fresh_maintainers(self, ops):
+        tamp = IncrementalTamp("site")
+        current: dict = {}
+        for op in [*ops, ("export",)]:
+            if op[0] == "announce":
+                _, peer, prefix, path = op
+                tamp.apply(announce(peer, prefix, path))
+                current[peer, prefix] = attrs(path)
+            elif op[0] == "withdraw":
+                _, peer, prefix = op
+                tamp.apply(withdraw(peer, prefix, "1 2"))
+                current.pop((peer, prefix), None)
+            else:
+                lines = tamp.export_route_events()
+                fresh = IncrementalTamp("site")
+                fresh.load_routes(
+                    Route(prefix, route_attrs, peer)
+                    for (peer, prefix), route_attrs in current.items()
+                )
+                assert lines == fresh.export_route_events()
+                restored = IncrementalTamp("site")
+                restored.import_route_events(lines)
+                assert restored.export_route_events() == lines
+                assert restored.consume_changes() == ({}, {})
