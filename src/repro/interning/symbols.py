@@ -81,9 +81,12 @@ def unpack_prefix(pid: int) -> Prefix:
 class SymbolTable:
     """Bidirectional token ↔ dense-int mapping plus prefix-id codecs.
 
-    Per-build state: construct one per picture build (or one per worker
-    shard) and let it die with the graphs that reference it. Never store
-    one at module level.
+    Owned state: construct one per picture build (or per worker shard)
+    and let it die with the graphs that reference it, or one per
+    long-lived owner that bounds it — the window stage's
+    :class:`~repro.stemming.stemmer.StemIndex` is dropped and reloaded
+    from the live events when its table has doubled, since a table only
+    grows. Never store one at module level.
 
     Prefix ids are value-derived (:func:`pack_prefix`), so the prefix
     side holds no assignment state — only a decode memo that keeps

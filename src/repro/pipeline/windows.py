@@ -10,9 +10,11 @@ Memory stays bounded: events older than the window are evicted from
 the buffer. The buffer — each event beside its JSON line, encoded once
 at admission and held until eviction — the next boundary and the window
 index are the stage's whole state, exactly what :class:`WindowState`
-checkpoints, because every decomposition counts its window's events
-afresh. However many overlapping windows an event sits in, closes and
-checkpoints hash and write its held line; nothing re-encodes it.
+checkpoints. However many overlapping windows an event sits in, it is
+encoded once and counted once: closes and checkpoints hash and write
+its held line, and a close adds only the events admitted since the last
+one to a sliding :class:`StemIndex` (an eviction subtracts what it
+pops) — derived from the buffer, rebuilt from it whenever it is absent.
 
 Ordering contract: the stage re-emits each event batch downstream
 *before* the report that closes at or after it, so a downstream
@@ -29,13 +31,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Optional
 
 from repro.collector.events import BGPEvent
 from repro.collector.stream import fingerprint_lines
 from repro.pipeline.runtime import Batch, Stage
 from repro.stemming.encode import format_stem
-from repro.stemming.stemmer import Stemmer, StemmingResult
+from repro.stemming.stemmer import StemIndex, Stemmer, StemmingResult
 from repro.tamp.incremental import IncrementalTamp
 
 
@@ -155,6 +158,11 @@ class WindowedStemmer(Stage):
         self._lines: deque[str] = deque()
         self._boundary: Optional[float] = None
         self._window_index = 0
+        #: The sliding first level — the buffer as of the last close,
+        #: grouped and counted. Derived, never checkpointed: ``None``
+        #: (new, restored, drained) makes the next close load the buffer.
+        self._index: Optional[StemIndex] = None
+        self._interned_at_load = 0
 
     # -- Stage interface ------------------------------------------------
 
@@ -252,23 +260,32 @@ class WindowedStemmer(Stage):
         self, out: list[object], partial: bool = False
     ) -> None:
         assert self._boundary is not None
-        window_events = list(self._buffer)
-        if window_events:
-            result = self.stemmer.decompose(window_events)
+        if self._buffer:
+            # Count only what was admitted since the previous close.
+            index = self._index
+            held = index.counter.event_count if index is not None else 0
+            admitted = list(
+                islice(reversed(self._buffer), len(self._buffer) - held)
+            )
+            admitted.reverse()
+            self._index = self.stemmer.load(admitted, index)
+            if index is None:
+                self._interned_at_load = self._index.interned
             out.append(
                 WindowReport(
                     index=self._window_index,
                     start=self._boundary - self.window,
                     end=self._boundary,
-                    event_count=len(window_events),
+                    event_count=len(self._buffer),
                     fingerprint=fingerprint_lines(self._lines),
-                    result=result,
+                    result=self.stemmer.extract(self._index),
                 )
             )
             self._window_index += 1
         if partial:
             self._buffer.clear()
             self._lines.clear()
+            self._index = None
             return
         self._boundary += self.slide
         self._evict()
@@ -280,9 +297,21 @@ class WindowedStemmer(Stage):
     def _evict(self) -> None:
         assert self._boundary is not None
         horizon = self._boundary - self.window
+        evicted: list[BGPEvent] = []
         while self._buffer and self._buffer[0].timestamp < horizon:
-            self._buffer.popleft()
+            evicted.append(self._buffer.popleft())
             self._lines.popleft()
+        index = self._index
+        if (
+            index is not None
+            and self._buffer
+            and index.interned <= 2 * self._interned_at_load
+        ):
+            index.remove(evicted)
+        else:
+            # Drained, or its symbol table has doubled since it was
+            # loaded (ever-new prefixes): the next close reloads it.
+            self._index = None
 
 
 class TampAnnotator(Stage):

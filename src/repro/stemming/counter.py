@@ -359,6 +359,14 @@ class SubsequenceCounter:
                 expanded[subsequence] = after
             self._move_bucket(buckets, subsequence, before, after)
 
+    def fork(self) -> "SubsequenceCounter":
+        """A scratch twin for one extraction: same symbols, C-level
+        copies of the sequence and pair tables, no index built yet."""
+        twin = SubsequenceCounter(self.max_length, self.workers, self.symbols)
+        twin._sequence_counts = self._sequence_counts.copy()
+        twin._pair_counts = self._pair_counts.copy()
+        return twin
+
     @property
     def event_count(self) -> int:
         return sum(self._sequence_counts.values())
@@ -552,14 +560,16 @@ class SubsequenceCounter:
         run of consecutive winning pairs in every sequence containing
         it, so enumerating run windows (deduplicated per sequence, so an
         event counts once) and summing sequence multiplicities yields
-        the candidates' true counts. Windows that fall short of the
+        the candidates' true counts (a sequence holding no winning
+        pair's first id skips the walk). Windows that fall short of the
         maximum are filtered by the caller; winning pairs themselves
         always appear, so the finalist pool is never empty.
         """
         candidates: Counter[IdSequence] = Counter()
+        firsts = {pair >> PAIR_SHIFT for pair in winning}
         for ids, multiplicity in self._sequence_counts.items():
             n = len(ids)
-            if n < 2:
+            if n < 2 or firsts.isdisjoint(ids):
                 continue
             windows: Optional[set[IdSequence]] = None
             run_start = -1

@@ -10,12 +10,11 @@ incidents" hidden in the million events.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator, Optional
 
 from repro.collector.events import BGPEvent, Token
 from repro.collector.stream import EventStream
-from repro.interning import SymbolTable
 from repro.net.prefix import Prefix
 from repro.perf import gc_paused
 from repro.stemming.counter import IdSequence, SubsequenceCounter
@@ -107,34 +106,40 @@ class Stemmer:
     #: the ``REPRO_WORKERS`` environment variable; see ``repro.perf``).
     workers: Optional[int] = None
 
+    def load(
+        self, events: Iterable[BGPEvent], index: Optional["StemIndex"] = None
+    ) -> "StemIndex":
+        """Group and count *events* into *index* (default: a new one):
+        a batch caller's whole stream, or one slide's admissions."""
+        if index is None:
+            index = StemIndex(self.max_subsequence_length, self.workers)
+        index.add(events)
+        return index
+
     def decompose(self, events: Iterable[BGPEvent]) -> StemmingResult:
-        """Decompose *events* into ranked correlated components.
+        """Ranked correlated components of *events*: :meth:`load`
+        everything, then :meth:`extract`."""
+        return self.extract(self.load(events))
+
+    def extract(self, index: "StemIndex") -> StemmingResult:
+        """Ranked components of the events *index* holds; the index is
+        left as it was, so its owner can keep sliding it.
 
         Two deduplication tricks keep a million-event decomposition fast:
-        the counter is built once and component extraction *subtracts*
-        sequences instead of recounting the residual, and every
-        per-component scan (which prefixes match s′, which events belong
-        to the component) runs over *unique sequences*, of which real
-        streams have orders of magnitude fewer than events.
-
-        The whole decomposition runs interned (DESIGN.md §10): events
-        encode once into the counter's id space
-        (:func:`_group_by_ids` — the sequence head is memoized per
-        (peer, attributes), so a flapping route's thousandth event is
-        two dict probes, not a re-render), the unique-sequence index is
-        keyed by id tuples, and matching/removal compare ints. Tokens
+        the counts are loaded once and component extraction *subtracts*
+        sequences (from C-level copies of the index's tables) instead of
+        recounting the residual, and every per-component scan (which
+        prefixes match s′, which events belong to the component) runs
+        over *unique sequences*, of which real streams have orders of
+        magnitude fewer than events. All of it runs interned
+        (DESIGN.md §10): matching and removal compare ints, and tokens
         reappear only inside the :class:`Component` results.
         """
-        counter = SubsequenceCounter(
-            self.max_subsequence_length, workers=self.workers
-        )
         with gc_paused():
-            by_ids, total = _group_by_ids(events, counter.symbols)
-            counter.add_id_counts(
-                (ids, len(bucket)) for ids, bucket in by_ids.items()
-            )
+            counter = index.counter.fork()
+            by_ids = index.by_ids.copy()
             components: list[Component] = []
-            remaining = total
+            total = remaining = counter.event_count
             while by_ids and len(components) < self.max_components:
                 extracted = self._component_from_top(
                     counter, by_ids, len(components) + 1
@@ -152,7 +157,8 @@ class Stemmer:
                     component_events.extend(bucket)
                     remaining -= len(bucket)
                 components.append(component_of(component_events))
-                counter.subtract_id_sequences(removals)
+                if len(components) < self.max_components:
+                    counter.subtract_id_sequences(removals)
         return StemmingResult(
             components=tuple(components),
             residual_events=remaining,
@@ -163,25 +169,7 @@ class Stemmer:
         self, events: Iterable[BGPEvent]
     ) -> Optional[Component]:
         """Just the top component (cheaper than a full decomposition)."""
-        counter = SubsequenceCounter(
-            self.max_subsequence_length, workers=self.workers
-        )
-        by_ids, _ = _group_by_ids(events, counter.symbols)
-        counter.add_id_counts(
-            (ids, len(bucket)) for ids, bucket in by_ids.items()
-        )
-        extracted = self._component_from_top(counter, by_ids, rank=1)
-        if extracted is None:
-            return None
-        component_of, affected_ids = extracted
-        return component_of(
-            [
-                event
-                for ids, bucket in by_ids.items()
-                if ids[-1] in affected_ids
-                for event in bucket
-            ]
-        )
+        return replace(self, max_components=1).decompose(events).strongest
 
     def _component_from_top(
         self,
@@ -192,7 +180,7 @@ class Stemmer:
         """The next component (minus its events) plus the affected
         prefix *token ids*.
 
-        The id set drives removal matching in :meth:`decompose` (int
+        The id set drives removal matching in :meth:`extract` (int
         membership instead of Prefix hashing), and the caller collects
         the component's events while popping matched sequences — one
         scan where separate collect-then-remove passes would take two.
@@ -210,11 +198,12 @@ class Stemmer:
         token = counter.symbols.token
         subsequence = tuple(token(tid) for tid in top_ids)
         stem = (subsequence[-2], subsequence[-1])
+        # C-level tuple membership rejects most sequences before any
+        # Python adjacency walk.
+        first = top_ids[0]
         if len(top_ids) == 2:
-            # The usual winner is a bare pair (see _pair_top): C-level
-            # tuple membership rejects most sequences before any Python
-            # adjacency walk.
-            first, second = top_ids
+            # The usual winner is a bare pair (see _pair_top).
+            second = top_ids[1]
             affected_ids = {
                 ids[-1]
                 for ids in by_ids
@@ -224,7 +213,9 @@ class Stemmer:
             }
         else:
             affected_ids = {
-                ids[-1] for ids in by_ids if _contains(ids, top_ids)
+                ids[-1]
+                for ids in by_ids
+                if first in ids and _contains(ids, top_ids)
             }
         prefixes = frozenset(
             token(tid)[1]  # the prefix token's value
@@ -244,74 +235,117 @@ class Stemmer:
         return component_of, affected_ids
 
 
-def _group_by_ids(
-    events: Iterable[BGPEvent], symbols: SymbolTable
-) -> tuple[dict[IdSequence, list[BGPEvent]], int]:
-    """Interned unique-sequence index: id sequence -> events, plus total.
+class StemIndex:
+    """The loaded first level: a unique-sequence index (id sequence ->
+    events, in admission order) and its subsequence counts, kept current
+    under :meth:`add` and :meth:`remove`.
 
     An event's prefix is its last token, so events sharing a sequence
     share a prefix, and per-sequence grouping loses nothing. The
     sequence *head* (peer, nexthop, collapsed AS path) is a pure
     function of (peer, attributes), so its rendered-and-interned id
-    tuple is memoized on that pair: the inner loop costs two dict
-    probes and one small tuple build per event, never a re-render.
-    Distinct attribute bundles that render to one sequence (MED or
-    communities differ, say) produce the same id tuple and fold into
-    one group automatically.
+    tuple is memoized on that pair: grouping costs a few small-key dict
+    probes and an append per event, never a re-render. Bundles that
+    render to one head (MED or communities differ, say) share its memo
+    entry, so their events land in one bucket in arrival order.
+
+    Batch Stemming loads one and drops it. The window stage keeps one
+    across closes — each event grouped and counted once, however many
+    windows it sits in — and, since the table and memos only grow
+    (:attr:`interned`), rebuilds it when they have doubled.
     """
-    intern = symbols.intern_token
-    #: peer -> attributes -> (head id tuple, pfx id -> event bucket).
-    #: Nested so the per-event work is three small-key probes and an
-    #: append — no tuple allocation, no re-render; the full id tuple is
-    #: built once per group in the fold below.
-    peer_memo: dict[int, dict] = {}
-    pfx_ids: dict = {}
-    for event in events:
-        attributes = event.attributes
-        attrs_memo = peer_memo.get(event.peer)
-        if attrs_memo is None:
-            attrs_memo = peer_memo[event.peer] = {}
-        entry = attrs_memo.get(attributes)
-        if entry is None:
-            head = (
-                intern(("peer", event.peer)),
-                intern(("nh", attributes.nexthop)),
-                *(
-                    intern(token)
-                    for token in attributes.as_path.collapsed_tokens()
-                ),
-            )
-            entry = attrs_memo[attributes] = (head, {})
-        prefix = event.prefix
-        pfx_id = pfx_ids.get(prefix)
-        if pfx_id is None:
-            pfx_id = pfx_ids[prefix] = intern(("pfx", prefix))
-        groups = entry[1]
-        bucket = groups.get(pfx_id)
-        if bucket is None:
-            groups[pfx_id] = [event]
-        else:
-            bucket.append(event)
-    by_ids: dict[IdSequence, list[BGPEvent]] = {}
-    total = 0
-    # Distinct attribute bundles can render to one head (MED or
-    # communities differ, say), within or across peers sharing an
-    # address token; the fold merges their buckets.
-    # repro: allow[DET002] the memo is built by one sequential pass
-    # over the event stream, so insertion order is event order — no
-    # worker-count variation can reach it.
-    for attrs_memo in peer_memo.values():
-        # repro: allow[DET002] same single-pass memo ordering.
-        for head, groups in attrs_memo.values():
-            for pfx_id, bucket in groups.items():
-                total += len(bucket)
-                ids = head + (pfx_id,)
-                existing = by_ids.get(ids)
-                if existing is None:
-                    by_ids[ids] = bucket
+
+    __slots__ = (
+        "symbols", "counter", "by_ids", "_peers", "_heads", "_pfx_ids"
+    )
+
+    def __init__(
+        self, max_length: Optional[int] = None, workers: Optional[int] = None
+    ) -> None:
+        self.counter = SubsequenceCounter(max_length, workers=workers)
+        self.symbols = self.counter.symbols
+        self.by_ids: dict[IdSequence, list[BGPEvent]] = {}
+        #: peer -> attributes -> (head, the head's scratch).
+        self._peers: dict[int, dict] = {}
+        #: head -> scratch (pfx id -> events), shared by every bundle
+        #: rendering to that head; filled and emptied inside one
+        #: :meth:`_group_by_ids`.
+        self._heads: dict[IdSequence, dict[int, list[BGPEvent]]] = {}
+        self._pfx_ids: dict[Prefix, int] = {}
+
+    @property
+    def interned(self) -> int:
+        """Tokens plus memoized bundles: :meth:`remove` frees neither."""
+        return self.symbols.token_count + sum(map(len, self._peers.values()))
+
+    def add(self, events: Iterable[BGPEvent]) -> None:
+        """Index and count *events*, which arrive after all held ones."""
+        counts: list[tuple[IdSequence, int]] = []
+        with gc_paused():
+            for ids, batch in self._group_by_ids(events):
+                bucket = self.by_ids.get(ids)
+                if bucket is None:
+                    self.by_ids[ids] = batch
                 else:
-                    existing.extend(bucket)
-    return by_ids, total
+                    bucket.extend(batch)
+                counts.append((ids, len(batch)))
+            self.counter.add_id_counts(counts)
+
+    def remove(self, events: Iterable[BGPEvent]) -> None:
+        """Drop *events*: the oldest held ones, as an eviction pops."""
+        removals: list[tuple[IdSequence, int]] = []
+        with gc_paused():
+            for ids, batch in self._group_by_ids(events):
+                bucket = self.by_ids[ids]
+                if len(bucket) == len(batch):
+                    del self.by_ids[ids]
+                else:
+                    del bucket[: len(batch)]
+                removals.append((ids, len(batch)))
+            self.counter.subtract_id_sequences(removals)
+
+    def _group_by_ids(
+        self, events: Iterable[BGPEvent]
+    ) -> Iterator[tuple[IdSequence, list[BGPEvent]]]:
+        """*events* grouped by interned id sequence, each group in
+        arrival order — the one place an event is interned."""
+        intern = self.symbols.intern_token
+        peers, heads, pfx_ids = self._peers, self._heads, self._pfx_ids
+        touched: list[tuple[IdSequence, dict]] = []
+        for event in events:
+            attributes = event.attributes
+            bundles = peers.get(event.peer)
+            if bundles is None:
+                bundles = peers[event.peer] = {}
+            entry = bundles.get(attributes)
+            if entry is None:
+                head = (
+                    intern(("peer", event.peer)),
+                    intern(("nh", attributes.nexthop)),
+                    *(
+                        intern(token)
+                        for token in attributes.as_path.collapsed_tokens()
+                    ),
+                )
+                entry = bundles[attributes] = (
+                    head, heads.setdefault(head, {})
+                )
+            prefix = event.prefix
+            pfx_id = pfx_ids.get(prefix)
+            if pfx_id is None:
+                pfx_id = pfx_ids[prefix] = intern(("pfx", prefix))
+            scratch = entry[1]
+            batch = scratch.get(pfx_id)
+            if batch is None:
+                if not scratch:
+                    touched.append(entry)
+                scratch[pfx_id] = [event]
+            else:
+                batch.append(event)
+        for head, scratch in touched:
+            for pfx_id, batch in scratch.items():
+                yield head + (pfx_id,), batch
+            scratch.clear()
 
 
 def _adjacent(sequence: tuple, first: object, second: object) -> bool:

@@ -7,6 +7,7 @@ uninterrupted run over the same archive.
 """
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.pipeline import (
 )
 from repro.pipeline.monitor import MonitorCore
 from repro.pipeline.runtime import iter_batches
+from repro.stemming.stemmer import StemIndex
 from repro.testkit import CrashPlan, InjectedCrash
 from tests.pipeline.conftest import count_encodes, small_source
 
@@ -113,6 +115,37 @@ class TestEncodeOnce:
         assert len(routes) == expected
         # Far fewer than re-encoding the table at each checkpoint.
         assert expected < core.checkpoints_written * len(table) / 2
+
+
+class TestCountOnce:
+    """An event is grouped and interned when it is admitted and when it
+    is evicted — never once per window it sits in."""
+
+    def test_overlapping_windows_group_each_event_at_most_twice(
+        self, monkeypatch
+    ):
+        source = small_source()
+        events = list(source.events())
+        grouped: Counter = Counter()
+        group = StemIndex._group_by_ids
+
+        def counting(index, batch):
+            batch = list(batch)
+            grouped.update(map(id, batch))
+            return group(index, batch)
+
+        monkeypatch.setattr(StemIndex, "_group_by_ids", counting)
+        result = run_monitor(
+            source,
+            MonitorConfig(window=300.0, slide=30.0, batch_size=64),
+        )
+        assert sum(r.event_count for r in result.reports) > 5 * len(events)
+        assert set(grouped) == {id(event) for event in events}
+        # (This stream never doubles the index's table, so no rebuild
+        # regroups the buffer.)
+        assert max(grouped.values()) == 2
+        # Events still buffered at the end were never evicted.
+        assert sum(grouped.values()) < 2 * len(events)
 
 
 class TestResumeAcceptance:

@@ -1,7 +1,10 @@
 """Tests for the windowed Stemming stage and the TAMP annotator."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.collector.events import EventKind
 from repro.collector.stream import fingerprint_events
 from repro.pipeline.runtime import Batch, Pipeline, iter_batches
 from repro.pipeline.windows import (
@@ -43,10 +46,21 @@ def evictions_then_a_gap():
     return early + ramp(30, start=5000.0), len(early)
 
 
+def batch_report(events, report):
+    """What *report* must equal: batch Stemming over its window."""
+    inside = [e for e in events if report.start <= e.timestamp < report.end]
+    return WindowReport(
+        index=report.index,
+        start=report.start,
+        end=report.end,
+        event_count=len(inside),
+        fingerprint=fingerprint_events(inside),
+        result=Stemmer().decompose(inside),
+    )
+
+
 def announces(count):
     """Announcements (not withdrawals) — these mutate the TAMP graph."""
-    from repro.collector.events import EventKind
-
     return [
         mk_event(
             float(i), "1.1.1.1", "2.2.2.2",
@@ -241,19 +255,9 @@ class TestCheckpointing:
         assert 5000.0 in [r.start for r in reports]
         assert max(r.event_count for r in reports) < before_gap
         assert all(r.result.components for r in reports)
-        for index, report in enumerate(reports):
-            inside = [
-                e for e in events
-                if report.start <= e.timestamp < report.end
-            ]
-            assert report.to_dict() == WindowReport(
-                index=index,
-                start=report.start,
-                end=report.end,
-                event_count=len(inside),
-                fingerprint=fingerprint_events(inside),
-                result=Stemmer().decompose(inside),
-            ).to_dict()
+        assert [r.index for r in reports] == list(range(len(reports)))
+        for report in reports:
+            assert report.to_dict() == batch_report(events, report).to_dict()
 
     def test_exported_buffer_is_the_current_windows_lines(self):
         # Whatever the stage went through — evictions, the gap, a
@@ -290,6 +294,126 @@ class TestCheckpointing:
         stage.process(Batch(tuple(ramp(5)), 0, 5))
         with pytest.raises(ValueError, match="used window stage"):
             stage.restore_state(WindowState(None, 0, []))
+
+
+def bundle_event(t, path, prefix, med=None, peer=1):
+    """A withdrawal whose bundle differs by *med* alone: one id
+    sequence, distinct attribute objects."""
+    return mk_event(
+        t, f"1.1.1.{peer}", "2.2.2.2", path, f"10.0.{prefix}.0/24", med=med
+    )
+
+
+#: (window, slide): tumbling, 2x, 10x, and 100/30 — a ratio where the
+#: admission and eviction ladders never coincide.
+GEOMETRIES = [(100.0, 100.0), (100.0, 50.0), (100.0, 10.0), (100.0, 30.0)]
+
+#: Mostly small steps, simultaneous arrivals, and now and then a quiet
+#: gap longer than any window (the buffer drains and re-anchors).
+arrivals = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.0, 1.0, 3.0, 7.0, 20.0, 45.0, 400.0]),
+        st.sampled_from(["100 200 300", "100 200 400", "100 500", "600"]),
+        st.integers(0, 5),  # prefix
+        st.sampled_from([None, 5]),  # med
+        st.integers(1, 2),  # peer
+    ),
+    min_size=1,
+    max_size=80,
+)
+
+
+class TestSlidingFirstLevel:
+    """The index the stage slides across closes is derived state: every
+    report is batch Stemming over its window's events, whatever the
+    geometry, batching, gaps and restore point."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(GEOMETRIES),
+        arrivals,
+        st.integers(1, 40),
+        st.data(),
+    )
+    def test_reports_equal_batch_decompose(
+        self, geometry, steps, batch_size, data
+    ):
+        events, now = [], 0.0
+        for step, path, prefix, med, peer in steps:
+            now += step
+            events.append(bundle_event(now, path, prefix, med, peer))
+        restore_at = data.draw(st.integers(0, len(events)))
+        stage = WindowedStemmer(*geometry)
+        out = []
+        for batch in iter_batches(events, batch_size=batch_size):
+            if batch.start_offset <= restore_at < batch.end_offset:
+                # Stop mid-batch, as a kill would: what the checkpoint
+                # holds is all the resumed stage starts from.
+                cut = restore_at - batch.start_offset
+                out.extend(stage.process(Batch(
+                    batch.events[:cut], batch.start_offset, restore_at
+                )))
+                state = stage.export_state().to_dict()
+                stage = WindowedStemmer(*geometry)
+                stage.restore_state(WindowState.from_dict(state))
+                batch = Batch(batch.events[cut:], restore_at, batch.end_offset)
+            out.extend(stage.process(batch))
+            # The checkpointable state is a function of the stream
+            # alone, not of what the sliding index went through.
+            state = stage.export_state()
+            fed = events[:batch.end_offset]
+            horizon = state.boundary - stage.window
+            assert state.buffer == [
+                e.to_json() for e in fed if e.timestamp >= horizon
+            ]
+            assert state.window_index == sum(
+                isinstance(item, WindowReport) for item in out
+            )
+        out.extend(stage.flush())
+        reports = [item for item in out if isinstance(item, WindowReport)]
+        assert [r.index for r in reports] == list(range(len(reports)))
+        for report in reports:
+            assert report.to_dict() == batch_report(events, report).to_dict()
+
+    def test_simultaneous_events_keep_arrival_order_across_an_eviction(self):
+        # Two bundles, one id sequence. The bucket they share must stay
+        # in arrival order: an eviction removes its oldest events, and
+        # EventStream's stable sort keeps simultaneous events as given.
+        a10, b60, a60, a115, a165 = events = [
+            bundle_event(10.0, "100 200", 0),
+            bundle_event(60.0, "100 200", 0, med=5),
+            bundle_event(60.0, "100 200", 0),
+            bundle_event(115.0, "100 200", 0),
+            bundle_event(165.0, "100 200", 0),
+        ]
+        assert a10.sequence == b60.sequence
+        assert a10.attributes != b60.attributes
+        first, second, last = run_stage(WindowedStemmer(100.0, 50.0), events)
+        assert list(first.result.strongest.events) == [a10, b60, a60]
+        assert (second.start, second.event_count) == (60.0, 3)
+        assert list(second.result.strongest.events) == [b60, a60, a115]
+        assert list(last.result.strongest.events) == [a115, a165]
+
+    def test_ever_new_prefixes_keep_the_symbol_table_bounded(self):
+        # 10x overlap over a stream that never repeats a prefix: the
+        # index is rebuilt from the buffer whenever its table doubles,
+        # so it stays within a constant factor of the live window.
+        stage = WindowedStemmer(100.0, 10.0)
+        events = [
+            mk_event(
+                float(i), "1.1.1.1", "2.2.2.2", "100 200 300",
+                f"10.{i >> 16}.{(i >> 8) & 0xFF}.{i & 0xFF}/32",
+            )
+            for i in range(3000)
+        ]
+        worst = 0
+        for batch in iter_batches(events, batch_size=25):
+            stage.process(batch)
+            if stage._index is not None:
+                worst = max(worst, stage._index.symbols.token_count)
+        live = Stemmer().load(events[-100:]).symbols.token_count
+        assert live > 100  # one prefix token per buffered event
+        assert worst <= 3 * live
 
 
 class TestTampAnnotator:

@@ -7,14 +7,18 @@ from repro.net.prefix import Prefix, parse_address
 from repro.stemming.stemmer import Stemmer, _contains
 
 
-def mk_event(t, peer, nexthop, path, prefix, kind=EventKind.WITHDRAW):
+def mk_event(
+    t, peer, nexthop, path, prefix, kind=EventKind.WITHDRAW, med=None
+):
     return BGPEvent(
         timestamp=t,
         kind=kind,
         peer=parse_address(peer),
         prefix=Prefix.parse(prefix),
         attributes=PathAttributes(
-            nexthop=parse_address(nexthop), as_path=ASPath.parse(path)
+            nexthop=parse_address(nexthop),
+            as_path=ASPath.parse(path),
+            med=med,
         ),
     )
 
@@ -127,6 +131,22 @@ class TestDecomposition:
         top = result.components[0]
         assert top.prefixes == frozenset({Prefix.parse("4.5.0.0/16")})
         assert top.strength == 200
+
+    def test_bundles_sharing_a_sequence_keep_arrival_order(self):
+        # MED differs, the rendered sequence does not: one bucket, and
+        # simultaneous events come out as they arrived.
+        def arrival(t, med=None):
+            return mk_event(
+                t, "1.1.1.1", "2.2.2.2", "100 200", "10.0.0.0/24", med=med
+            )
+
+        events = [arrival(1.0), arrival(2.0, med=5), arrival(2.0)]
+        assert events[0].sequence == events[1].sequence
+        assert events[0].attributes != events[1].attributes
+        component = Stemmer().decompose(events).strongest
+        assert [id(e) for e in component.events] == [id(e) for e in events]
+        top = Stemmer().strongest_component(events)
+        assert [id(e) for e in top.events] == [id(e) for e in events]
 
     def test_rank_numbers_sequential(self):
         events = spike("100 200 300", 20) + spike(
