@@ -8,11 +8,13 @@ N sharded monitor pipelines:
   an unsharded run (the SRV001-sanctioned live-state layer).
 * :mod:`repro.serve.snapshot` — render-once/serve-many picture cache
   keyed on pulse-counter versions, with single-flight rendering and
-  precomputed wire responses.
+  precomputed wire responses; the incident list beside it, built once
+  per incident change.
 * :mod:`repro.serve.events` — the SSE transition feed with
   ``Last-Event-ID`` replay.
 * :mod:`repro.serve.http` — the dependency-free asyncio HTTP/1.1
-  server the ≥10k req/s benchmark drives.
+  server the ≥10k req/s benchmark drives: one send per pipelined
+  batch, capped pending replies.
 * :mod:`repro.serve.app` — the route table; every handler reads
   through the snapshot surface only.
 * :mod:`repro.serve.driver` — :func:`run_serve`, the cooperative
@@ -31,12 +33,17 @@ from repro.serve.http import (
     StreamingResponse,
 )
 from repro.serve.sharding import PipelineShard, ShardSet, shard_dir
-from repro.serve.snapshot import PictureSnapshot, SnapshotHub
+from repro.serve.snapshot import (
+    IncidentSnapshot,
+    PictureSnapshot,
+    SnapshotHub,
+)
 
 __all__ = [
     "Handler",
     "HandlerResult",
     "HttpServer",
+    "IncidentSnapshot",
     "PictureSnapshot",
     "PipelineShard",
     "Request",

@@ -2,8 +2,10 @@
 
 ==================  ==================================================
 ``/picture.svg``    Cached TAMP picture; strong ETag, 304 on match.
-``/incidents``      Merged shard-tagged incident rows (``?status=``).
-``/incidents/<id>`` One incident (``?shard=`` to disambiguate).
+``/incidents``      Cached merged shard-tagged incident rows
+                    (``?status=``); strong ETag, 304 on match.
+``/incidents/<id>`` One incident off the cached rows' index
+                    (``?shard=`` to disambiguate).
 ``/events``         SSE transition feed (``Last-Event-ID`` replay).
 ``/metrics``        Prometheus-style text exposition (same registry
 ``/metrics.json``   the pipeline writes — one port, one registry).
@@ -12,17 +14,17 @@
 ==================  ==================================================
 
 Every handler reads exclusively through the snapshot surface —
-:class:`~repro.serve.snapshot.SnapshotHub`,
-:meth:`~repro.serve.sharding.ShardSet.incident_rows` and friends, the
+:class:`~repro.serve.snapshot.SnapshotHub` (picture and incidents),
+:meth:`~repro.serve.sharding.ShardSet.status` and friends, the
 :class:`~repro.serve.events.TransitionFeed` ring — never the live
 pipeline objects (rule SRV001: ``live_``-prefixed state is for the
 sharding/snapshot layer only).
 
 Per-route request counters and latency histograms live on the shared
 :class:`~repro.pipeline.metrics.MetricsRegistry`; serve-level live
-values (render count, feed position, shard liveness) ride the same
-exposition through a registered collector, so one ``/metrics`` scrape
-covers pipeline and serving health.
+values (render and incident-build counts, feed position, shard
+liveness) ride the same exposition through a registered collector, so
+one ``/metrics`` scrape covers pipeline and serving health.
 """
 
 from __future__ import annotations
@@ -86,6 +88,9 @@ class ServeCollector:
         app = self._app
         return {
             "repro_serve_picture_renders_total": app.hub.renders,
+            "repro_serve_incident_builds_total": (
+                app.hub.incident_builds
+            ),
             "repro_serve_sse_events_total": app.feed.published,
             "repro_serve_shards_alive": sum(app.shards.alive()),
             "repro_serve_events_offered_total": (
@@ -177,16 +182,9 @@ class ServeApp:
         return snapshot.response_200
 
     async def incidents(self, request: Request) -> HandlerResult:
-        params = request.query_params()
-        rows = self.shards.incident_rows()
-        status = params.get("status")
-        if status:
-            rows = [row for row in rows if row["status"] == status]
-        return Response(
-            200,
-            json.dumps({"incidents": rows}, sort_keys=True),
-            "application/json",
-        )
+        status = request.query_params().get("status", "")
+        listing = self.hub.incidents().listing(status)
+        return listing.answer(request.header("if-none-match"))
 
     async def incident(self, request: Request) -> HandlerResult:
         tail = request.path.rsplit("/", 1)[-1]
@@ -201,12 +199,10 @@ class ServeApp:
                 shard = int(params["shard"])
             except ValueError:
                 return Response(404, b"bad shard")
-        row = self.shards.incident_row(incident_id, shard=shard)
-        if row is None:
+        body = self.hub.incidents().row_json(incident_id, shard)
+        if body is None:
             return Response(404, b"no such incident")
-        return Response(
-            200, json.dumps(row, sort_keys=True), "application/json"
-        )
+        return Response(200, body, "application/json")
 
     async def events(self, request: Request) -> HandlerResult:
         raw = request.header("last-event-id")
@@ -250,10 +246,13 @@ class ServeApp:
 
     async def status(self, request: Request) -> HandlerResult:
         snapshot = self.hub.current()
+        incidents = self.hub.current_incidents()
         body = {
             "version": [list(part) for part in self.shards.version()],
             "etag": None if snapshot is None else snapshot.etag,
             "renders": self.hub.renders,
+            "incident_etag": None if incidents is None else incidents.etag,
+            "incident_builds": self.hub.incident_builds,
             "sse_last_id": self.feed.last_id,
             **self.shards.status(),
         }

@@ -4,27 +4,36 @@ Dependency-free by project rule, and deliberately small: the serve
 layer's traffic is thousands of identical GETs against a handful of
 routes, so the server optimizes exactly that — keep-alive by
 default, pipelining-friendly (every request already buffered is
-answered before the next drain), and handlers may return *wire-ready
-bytes* (a whole precomputed response, see
-:class:`~repro.serve.snapshot.PictureSnapshot`) which are written
-without any per-request header assembly. The benchmark drives this
-path past 10k requests/s on one core.
+answered before the next send and drain: a pipelined batch costs one
+of each), and handlers may return *wire-ready bytes* (a whole
+precomputed response, see :class:`~repro.serve.snapshot.WireBody`)
+which are written without any per-request header assembly. The repo
+benchmark's ``serve_reads`` mix (``bench/serve.py``: client and server
+sharing one core) runs past 20k requests/s.
 
 Not a general web server: no request bodies, no chunked decoding, no
-TLS, 1 MiB header cap. Anything malformed gets a 400 and the
-connection closed.
+TLS, 64 KiB header cap. Anything malformed gets a 400, a handler that
+raises a 500, and either way the connection is closed — after the
+replies already owed on it.
 """
 
 from __future__ import annotations
 
 import asyncio
+import logging
 import threading
 from concurrent.futures import Future
 from typing import Awaitable, Callable, Optional, Union
 
-_MAX_HEADER = 1 << 20
+#: Longest request head accepted, the stream reader's ``limit``.
+_MAX_HEADER = 1 << 16
+#: Reply bytes a connection collects before it must send and drain:
+#: a client that pipelines and never reads meets back-pressure here.
+_MAX_PENDING = 1 << 20
 #: Seconds :meth:`HttpServer.stop_thread` waits for its thread.
 _STOP_WAIT = 2.0
+
+_log = logging.getLogger(__name__)
 
 _REASONS = {
     200: "OK",
@@ -169,7 +178,7 @@ class HttpServer:
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> int:
         self._server = await asyncio.start_server(
-            self._accept, host, port
+            self._accept, host, port, limit=_MAX_HEADER
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self.port
@@ -256,11 +265,50 @@ class HttpServer:
                 return prefix_handler
         return None
 
+    async def _answer(
+        self, head: bytes
+    ) -> tuple[Union[bytes, StreamingResponse], bool]:
+        """The reply to one request head, and whether it is the last."""
+        request = _parse(head.decode("latin-1"))
+        if request is None:
+            return Response(400, b"malformed request").encode(), True
+        close_after = request.header("connection").lower() == "close"
+        if request.method not in ("GET", "HEAD"):
+            return (
+                Response(405, b"method not allowed").encode(),
+                close_after,
+            )
+        handler = self._resolve(request.path)
+        result: HandlerResult
+        if handler is None:
+            result = Response(404, b"not found")
+        else:
+            try:
+                result = await handler(request)
+            except Exception:
+                _log.exception("handler for %s failed", request.path)
+                result = Response(500, b"internal server error")
+                close_after = True
+        if isinstance(result, Response):
+            result = result.encode()
+        if request.method == "HEAD":
+            # The header block alone, Content-Length kept; a stream is
+            # not started.
+            if isinstance(result, StreamingResponse):
+                result = result.head
+                close_after = True
+            return result[: result.index(b"\r\n\r\n") + 4], close_after
+        return result, close_after
+
     async def _serve_connection(
         self,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
+        # Replies not yet written, in request order; every way out of
+        # the loop writes them before anything else.
+        pending: list[bytes] = []
+        size = 0
         try:
             while True:
                 try:
@@ -271,44 +319,33 @@ class HttpServer:
                 ):
                     break
                 except asyncio.LimitOverrunError:
-                    writer.write(Response(400, b"header too large").encode())
-                    break
-                if len(head) > _MAX_HEADER:
-                    writer.write(Response(400, b"header too large").encode())
-                    break
-                request = _parse(head.decode("latin-1"))
-                if request is None:
-                    writer.write(Response(400, b"malformed request").encode())
-                    break
-                close_after = (
-                    request.header("connection").lower() == "close"
-                )
-                if request.method not in ("GET", "HEAD"):
-                    writer.write(
-                        Response(405, b"method not allowed").encode()
+                    pending.append(
+                        Response(400, b"header too large").encode()
                     )
-                else:
-                    handler = self._resolve(request.path)
-                    if handler is None:
-                        writer.write(Response(404, b"not found").encode())
-                    else:
-                        result = await handler(request)
-                        if isinstance(result, bytes):
-                            writer.write(result)
-                        elif isinstance(result, StreamingResponse):
-                            writer.write(result.head)
-                            await writer.drain()
-                            await result.pump(writer)
-                            break
-                        else:
-                            writer.write(result.encode())
-                # Answer everything already buffered (pipelining)
-                # before paying for a drain.
-                if reader._buffer:  # type: ignore[attr-defined]
-                    continue
-                await writer.drain()
+                    break
+                reply, close_after = await self._answer(head)
+                if isinstance(reply, StreamingResponse):
+                    pending.append(reply.head)
+                    writer.write(b"".join(pending))
+                    pending.clear()
+                    await writer.drain()
+                    await reply.pump(writer)
+                    break
+                pending.append(reply)
+                size += len(reply)
                 if close_after:
                     break
+                # Answer every request already buffered whole
+                # (pipelining) before paying for a send and a drain.
+                unread = reader._buffer  # type: ignore[attr-defined]
+                if size < _MAX_PENDING and unread.find(b"\r\n\r\n") >= 0:
+                    continue
+                writer.write(b"".join(pending))
+                pending.clear()
+                size = 0
+                await writer.drain()
+            if pending:
+                writer.write(b"".join(pending))
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:

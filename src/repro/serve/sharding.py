@@ -16,10 +16,10 @@ piece of live pipeline state sits under a ``live_``-prefixed attribute
 of the shard's :class:`~repro.pipeline.monitor.MonitorCore`, and
 inside ``repro.serve`` only this module (and the snapshot layer) may
 touch those. HTTP handlers read through :class:`ShardSet`'s snapshot
-accessors — ``version()``, ``merged_graph()``, ``incident_rows()``,
-``status()`` — which are safe at any await point because shard
-pipelines only advance inside explicit ``feed()`` calls on the same
-event loop.
+accessors — ``version()``, ``merged_graph()``, ``incident_version()``,
+``incident_rows()``, ``status()`` — which are safe at any await point
+because shard pipelines only advance inside explicit ``feed()`` calls
+on the same event loop.
 
 Checkpoints are ``repro monitor``'s: a shard *is* the core that
 ``run_monitor`` drives (source = its
@@ -37,6 +37,7 @@ from typing import Optional
 
 from repro.collector.events import BGPEvent
 from repro.incidents.feed import TransitionWatcher, load_incident_rows
+from repro.incidents.lifecycle import IncidentRecord
 from repro.pipeline.monitor import MonitorConfig, MonitorCore
 from repro.pipeline.runtime import Batch, iter_batches
 from repro.pipeline.sources import ShardView, Source, shard_for_peer
@@ -126,6 +127,13 @@ class ShardSet:
         #: shard is dead — the resume catch-up target.
         self._offered = [0] * shards
         self.events_offered = 0
+        #: Kills per slot: what tells one death's rows from the next.
+        self._deaths = [0] * shards
+        #: A dead slot's last-checkpoint incidents, read from sqlite
+        #: once per death (``None``: not read since the slot last died).
+        self._dead_records: list[Optional[list[IncidentRecord]]] = [
+            None
+        ] * shards
 
     def _dir(self, shard: int) -> Optional[Path]:
         if self.checkpoint_root is None:
@@ -200,6 +208,8 @@ class ShardSet:
         shard.close()
         self._shards[k] = None
         self._buffers[k] = []
+        self._deaths[k] += 1
+        self._dead_records[k] = None
 
     def resume(self, k: int) -> list[dict[str, object]]:
         """Restore shard *k* from its checkpoint and catch it up.
@@ -265,41 +275,55 @@ class ShardSet:
             default=0.0,
         )
 
+    def incident_version(self) -> tuple:
+        """The incident rows' cache key: moves exactly when they can.
+
+        A live shard's rows change when it drains a report or
+        finalizes, so it contributes ``(k, reports_emitted, finished)``
+        — not :meth:`version`: resolving what is live at ``finish()``
+        moves no window index (only a partial window left to close
+        does). A dead slot contributes its death count, so the rows of
+        one death are never served for the next.
+        """
+        return tuple(
+            ("dead", k, self._deaths[k])
+            if shard is None
+            else (k, shard.reports_emitted, shard.finished)
+            for k, shard in enumerate(self._shards)
+        )
+
+    def _dead_incidents(self, k: int) -> list[IncidentRecord]:
+        records = self._dead_records[k]
+        if records is None:
+            directory = self._dir(k)
+            records = (
+                [] if directory is None else load_incident_rows(directory)
+            )
+            self._dead_records[k] = records
+        return records
+
     def incident_rows(self) -> list[dict[str, object]]:
         """Merged incident rows, shard-tagged, dead shards included.
 
         Live shards read from their managers; dead shards fall back to
         the sqlite store their last checkpoint cycle synced — the
-        degraded-serve path.
+        degraded-serve path. The one place rows are merged: requests
+        read the :class:`~repro.serve.snapshot.IncidentSnapshot` built
+        from this list once per :meth:`incident_version`.
         """
         rows: list[dict[str, object]] = []
         for k, shard in enumerate(self._shards):
             if shard is not None:
                 shard_rows = shard.incident_rows()
             else:
-                directory = self._dir(k)
-                if directory is None:
-                    continue
                 shard_rows = [
-                    record.to_dict()
-                    for record in load_incident_rows(directory)
+                    record.to_dict() for record in self._dead_incidents(k)
                 ]
             for row in shard_rows:
                 row["shard"] = k
                 rows.append(row)
         rows.sort(key=lambda row: (row["shard"], row["id"]))
         return rows
-
-    def incident_row(
-        self, incident_id: int, *, shard: Optional[int] = None
-    ) -> Optional[dict[str, object]]:
-        for row in self.incident_rows():
-            if row["id"] != incident_id:
-                continue
-            if shard is not None and row["shard"] != shard:
-                continue
-            return row
-        return None
 
     def status(self) -> dict[str, object]:
         return {

@@ -1,10 +1,11 @@
-"""Render-once / serve-many: the picture cache behind ``/picture.svg``.
+"""Render-once / serve-many: the caches behind ``/picture.svg`` and
+``/incidents``.
 
-The cache key is :meth:`ShardSet.version` — the vector of per-shard
-(window index, boundary pulse count) plus liveness. Pulse counters
-only move when the TAMP graph's edge membership changes, and the
-boundary value only moves when a window advances, so a snapshot keyed
-on the vector is valid for *every* request until the next window
+The picture's cache key is :meth:`ShardSet.version` — the vector of
+per-shard (window index, boundary pulse count) plus liveness. Pulse
+counters only move when the TAMP graph's edge membership changes, and
+the boundary value only moves when a window advances, so a snapshot
+keyed on the vector is valid for *every* request until the next window
 boundary (or a shard death/resume): the renderer runs at most once
 per window advance, everything else is a dict compare.
 
@@ -24,22 +25,63 @@ Wire bytes for the 200 and 304 responses are precomputed per
 snapshot; the serve hot path writes them without re-rendering
 headers. This module is sanctioned by SRV001 alongside the sharding
 layer — everything above it reads snapshots only.
+
+The incident list gets the same discipline under its own key,
+:meth:`ShardSet.incident_version`: rows move when a shard drains a
+report, finalizes, dies or resumes. The picture's key does not say so
+— finalizing moves no window index, and every death of a slot is the
+same ``("dead", k)`` — and would serve them stale.
+:class:`IncidentSnapshot` is the one place rows are encoded; its build
+is synchronous (no await between reading the key and storing the
+result), so it needs no lock.
 """
 
 from __future__ import annotations
 
 import asyncio
 import hashlib
+import json
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.incidents.lifecycle import IncidentStatus
 from repro.serve.sharding import ShardSet
 from repro.tamp.prune import DEFAULT_THRESHOLD, prune_flat
 from repro.tamp.render import render_svg
 
 
-def _etag(body: bytes) -> str:
-    return '"' + hashlib.sha256(body).hexdigest()[:32] + '"'
+@dataclass(frozen=True)
+class WireBody:
+    """One body with its strong ETag and wire-ready 200 / 304 bytes."""
+
+    etag: str
+    response_200: bytes
+    response_304: bytes
+
+    @classmethod
+    def build(cls, body: bytes, content_type: str) -> "WireBody":
+        etag = '"' + hashlib.sha256(body).hexdigest()[:32] + '"'
+        head = (
+            "HTTP/1.1 200 OK\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            f"ETag: {etag}\r\n"
+            "Cache-Control: no-cache\r\n"
+            "\r\n"
+        ).encode("latin-1")
+        not_modified = (
+            "HTTP/1.1 304 Not Modified\r\n"
+            f"ETag: {etag}\r\n"
+            "Cache-Control: no-cache\r\n"
+            "\r\n"
+        ).encode("latin-1")
+        return cls(etag, head + body, not_modified)
+
+    def answer(self, if_none_match: str) -> bytes:
+        """The 304 when the client's validator matches, else the 200."""
+        if if_none_match == self.etag:
+            return self.response_304
+        return self.response_200
 
 
 @dataclass(frozen=True)
@@ -56,33 +98,75 @@ class PictureSnapshot:
     @classmethod
     def build(cls, version: tuple, svg: str) -> "PictureSnapshot":
         body = svg.encode("utf-8")
-        etag = _etag(body)
-        head = (
-            "HTTP/1.1 200 OK\r\n"
-            "Content-Type: image/svg+xml\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"ETag: {etag}\r\n"
-            "Cache-Control: no-cache\r\n"
-            "\r\n"
-        ).encode("latin-1")
-        not_modified = (
-            "HTTP/1.1 304 Not Modified\r\n"
-            f"ETag: {etag}\r\n"
-            "Cache-Control: no-cache\r\n"
-            "\r\n"
-        ).encode("latin-1")
+        wire = WireBody.build(body, "image/svg+xml")
         return cls(
             version=version,
-            etag=etag,
+            etag=wire.etag,
             svg=svg,
             body=body,
-            response_200=head + body,
-            response_304=not_modified,
+            response_200=wire.response_200,
+            response_304=wire.response_304,
         )
 
 
+def _listing(rows: list[dict[str, object]]) -> WireBody:
+    body = json.dumps({"incidents": rows}, sort_keys=True)
+    return WireBody.build(body.encode("utf-8"), "application/json")
+
+
+_STATUSES = frozenset(status.value for status in IncidentStatus)
+#: What ``?status=`` anything that is not a status gets: never cached
+#: per snapshot, so garbage values cannot grow one.
+_NO_INCIDENTS = _listing([])
+
+
+class IncidentSnapshot:
+    """The merged incident rows at one ``incident_version()``.
+
+    Holds the rows, a ``(shard, id)`` index over them, and the encoded
+    listings: the unfiltered one built with the snapshot, one per
+    :class:`~repro.incidents.lifecycle.IncidentStatus` value built on
+    first request.
+    """
+
+    def __init__(self, key: tuple, rows: list[dict[str, object]]) -> None:
+        self.key = key
+        self.rows = rows
+        self._index: dict[tuple[object, object], dict[str, object]] = {}
+        for row in rows:
+            self._index[row["shard"], row["id"]] = row
+            # Rows are in (shard, id) order: without ?shard= an id
+            # means the lowest shard that has it.
+            self._index.setdefault((None, row["id"]), row)
+        #: Encoded listings by ``?status=`` value; ``""`` is unfiltered.
+        self.listings = {"": _listing(rows)}
+
+    @property
+    def etag(self) -> str:
+        return self.listings[""].etag
+
+    def listing(self, status: str = "") -> WireBody:
+        """The row list, filtered to *status* unless it is empty."""
+        listing = self.listings.get(status)
+        if listing is None:
+            if status not in _STATUSES:
+                return _NO_INCIDENTS
+            listing = self.listings[status] = _listing(
+                [row for row in self.rows if row["status"] == status]
+            )
+        return listing
+
+    def row_json(
+        self, incident_id: int, shard: Optional[int] = None
+    ) -> Optional[str]:
+        """One incident's JSON body, or ``None`` if there is none."""
+        row = self._index.get((shard, incident_id))
+        return None if row is None else json.dumps(row, sort_keys=True)
+
+
 class SnapshotHub:
-    """Version-keyed picture cache with single-flight rendering."""
+    """Version-keyed picture cache with single-flight rendering, and
+    the incident snapshot beside it."""
 
     def __init__(
         self,
@@ -95,12 +179,32 @@ class SnapshotHub:
         self.threshold = threshold
         self.title = title
         self.renders = 0
+        self.incident_builds = 0
         self._current: Optional[PictureSnapshot] = None
+        self._incidents: Optional[IncidentSnapshot] = None
         self._lock = asyncio.Lock()
 
     def current(self) -> Optional[PictureSnapshot]:
         """The cached snapshot, fresh or not (no render)."""
         return self._current
+
+    def current_incidents(self) -> Optional[IncidentSnapshot]:
+        """The cached incident snapshot, fresh or not (no build)."""
+        return self._incidents
+
+    def incidents(self) -> IncidentSnapshot:
+        """The incident rows for the set's current incident version.
+
+        Cache hit: one small tuple built and compared. Miss: one
+        merge, one index, one encode, on the request that found it.
+        """
+        key = self.shards.incident_version()
+        current = self._incidents
+        if current is None or current.key != key:
+            current = IncidentSnapshot(key, self.shards.incident_rows())
+            self._incidents = current
+            self.incident_builds += 1
+        return current
 
     async def snapshot(self) -> PictureSnapshot:
         """The picture for the shard set's current version.

@@ -9,9 +9,15 @@ plugin in this environment, so each test wraps its coroutine body in
 """
 
 import asyncio
+import dataclasses
+import functools
 from typing import Optional
 
+from repro.collector.events import BGPEvent
+from repro.collector.stream import EventStream
 from repro.pipeline.monitor import MonitorConfig
+from repro.pipeline.sources import StreamSource
+from tests.pipeline.conftest import small_source
 
 
 def serve_config(**overrides) -> MonitorConfig:
@@ -21,6 +27,39 @@ def serve_config(**overrides) -> MonitorConfig:
     )
     params.update(overrides)
     return MonitorConfig(**params)
+
+
+@functools.cache
+def even_odd_events() -> tuple[BGPEvent, ...]:
+    """``small_source()``'s events with both peer parities present.
+
+    Synthetic peer addresses all end in ``.1``, so two shards put
+    every one of them on shard 1; dropping the low byte spreads them.
+    """
+    return tuple(
+        dataclasses.replace(event, peer=event.peer >> 8)
+        for event in small_source().events()
+    )
+
+
+def even_odd_source() -> StreamSource:
+    """A fresh source over :func:`even_odd_events`."""
+    return StreamSource(EventStream(even_odd_events()), "even-odd")
+
+
+async def read_reply(
+    reader: asyncio.StreamReader, head_only: bool = False
+) -> bytes:
+    """One reply's raw bytes; *head_only* for the answer to a HEAD."""
+    head = await reader.readuntil(b"\r\n\r\n")
+    length = 0
+    for line in head.split(b"\r\n"):
+        name, _, value = line.partition(b":")
+        if name.lower() == b"content-length":
+            length = int(value)
+    if head_only:
+        return head
+    return head + await reader.readexactly(length)
 
 
 async def http_get(

@@ -80,8 +80,10 @@ class TestJsonRoutes:
         async def main():
             port = await app.start()
 
-            status, _, body = await http_get(port, "/incidents")
+            status, headers, body = await http_get(port, "/incidents")
             assert status == 200
+            assert headers["content-type"] == "application/json"
+            incident_etag = headers["etag"]
             rows = json.loads(body)["incidents"]
             assert rows
             statuses = {row["status"] for row in rows}
@@ -111,6 +113,9 @@ class TestJsonRoutes:
             text = body.decode()
             assert "repro_serve_requests_total_picture 1" in text
             assert "repro_serve_picture_renders_total 1" in text
+            # Every /incidents and /incidents/<id> above: one build.
+            assert "repro_serve_incident_builds_total 1" in text
+            assert "repro_serve_requests_total_incidents 2" in text
             assert "repro_serve_shards_alive 2" in text
             status, _, body = await http_get(port, "/metrics.json")
             data = json.loads(body)
@@ -120,6 +125,8 @@ class TestJsonRoutes:
             info = json.loads(body)
             assert info["alive"] == [True, True]
             assert info["renders"] == 1
+            assert info["incident_builds"] == 1
+            assert info["incident_etag"] == incident_etag
             assert info["events_offered"] == 1600
             assert len(info["version"]) == 2
 

@@ -1,5 +1,7 @@
 """Fan-in correctness: N shards merge to the unsharded picture."""
 
+import json
+
 from repro.pipeline.sources import ShardView, shard_for_peer
 from repro.serve import ShardSet, SnapshotHub
 from tests.pipeline.conftest import small_source
@@ -71,9 +73,8 @@ class TestIncidentRows:
         keys = [(row["shard"], row["id"]) for row in rows]
         assert keys == sorted(keys)
         first = rows[0]
-        fetched = shard_set.incident_row(
-            first["id"], shard=first["shard"]
-        )
-        assert fetched == first
-        assert shard_set.incident_row(10**9) is None
+        snapshot = SnapshotHub(shard_set).incidents()
+        fetched = snapshot.row_json(first["id"], first["shard"])
+        assert json.loads(fetched) == first
+        assert snapshot.row_json(10**9) is None
         shard_set.close()
