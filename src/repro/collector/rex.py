@@ -17,6 +17,7 @@ from repro.bgp.rib import AdjRibIn, Route
 from repro.collector.events import BGPEvent, EventKind
 from repro.collector.stream import EventStream
 from repro.igp.topology import IGPTopology
+from repro.net.attributes import PathAttributes
 from repro.net.message import BGPUpdate
 from repro.net.prefix import Prefix
 
@@ -57,7 +58,8 @@ class RouteExplorer:
 
     def peer_with(self, peer: int) -> None:
         """Establish a passive IBGP peering with *peer*."""
-        self._ribs.setdefault(peer, AdjRibIn(peer))
+        if peer not in self._ribs:
+            self._ribs[peer] = AdjRibIn(peer)
 
     def peers(self) -> list[int]:
         return list(self._ribs)
@@ -76,45 +78,49 @@ class RouteExplorer:
         self, peer: int, update: BGPUpdate, now: float
     ) -> list[BGPEvent]:
         """Ingest one UPDATE from *peer*; return the events it produced."""
-        self.peer_with(peer)
-        rib = self._ribs[peer]
+        return self.observe_routes(
+            peer,
+            [withdrawal.prefix for withdrawal in update.withdrawals],
+            [(a.prefix, a.attributes) for a in update.announcements],
+            now,
+        )
+
+    def observe_routes(
+        self,
+        peer: int,
+        withdrawn: Iterable[Prefix],
+        announced: Iterable[tuple[Prefix, PathAttributes]],
+        now: float,
+    ) -> list[BGPEvent]:
+        """:meth:`observe` on bare values.
+
+        What an UPDATE carries, without the message wrappers: the MRT
+        loader holds exactly these after decoding a record and would
+        otherwise build a :class:`BGPUpdate` only for this method to
+        take it apart again.
+        """
+        rib = self._ribs.get(peer)
+        if rib is None:
+            rib = self._ribs[peer] = AdjRibIn(peer)
         produced: list[BGPEvent] = []
-        for withdrawal in update.withdrawals:
-            old_attrs = rib.withdraw(withdrawal.prefix)
+        for prefix in withdrawn:
+            old_attrs = rib.withdraw(prefix)
             if old_attrs is None:
                 # A withdrawal for a route the peer never announced: real
                 # collectors see these after their own session resets.
                 self._dropped_withdrawals += 1
                 continue
             produced.append(
-                BGPEvent(
-                    timestamp=now,
-                    kind=EventKind.WITHDRAW,
-                    peer=peer,
-                    prefix=withdrawal.prefix,
-                    attributes=old_attrs,
-                )
+                BGPEvent(now, EventKind.WITHDRAW, peer, prefix, old_attrs)
             )
-        for announcement in update.announcements:
-            displaced = rib.announce(announcement.prefix, announcement.attributes)
+        for prefix, attributes in announced:
+            displaced = rib.announce(prefix, attributes)
             if displaced is not None and self.emit_implicit_withdrawals:
                 produced.append(
-                    BGPEvent(
-                        timestamp=now,
-                        kind=EventKind.WITHDRAW,
-                        peer=peer,
-                        prefix=announcement.prefix,
-                        attributes=displaced,
-                    )
+                    BGPEvent(now, EventKind.WITHDRAW, peer, prefix, displaced)
                 )
             produced.append(
-                BGPEvent(
-                    timestamp=now,
-                    kind=EventKind.ANNOUNCE,
-                    peer=peer,
-                    prefix=announcement.prefix,
-                    attributes=announcement.attributes,
-                )
+                BGPEvent(now, EventKind.ANNOUNCE, peer, prefix, attributes)
             )
         self.events.extend(produced)
         return produced

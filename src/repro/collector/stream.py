@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
@@ -210,6 +211,12 @@ class EventStream:
         return self._keys
 
 
+#: Lines :func:`fingerprint_lines` joins and encodes per digest update:
+#: one call per line was most of a window's hashing time, and one call
+#: per window would build a multi-megabyte string for a long one.
+_FINGERPRINT_CHUNK = 1024
+
+
 def fingerprint_events(events: Iterable[BGPEvent]) -> str:
     """SHA-256 over *events* in the order given, one JSON line each.
 
@@ -230,8 +237,8 @@ def fingerprint_lines(lines: Iterable[str]) -> str:
     digest :func:`fingerprint_events` reports for the same events.
     """
     digest = hashlib.sha256()
-    update = digest.update
-    for line in lines:
-        update(line.encode("utf-8"))
-        update(b"\n")
+    remaining = iter(lines)
+    while chunk := list(islice(remaining, _FINGERPRINT_CHUNK)):
+        chunk.append("")  # the last line's newline
+        digest.update("\n".join(chunk).encode("utf-8"))
     return digest.hexdigest()

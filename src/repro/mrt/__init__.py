@@ -17,6 +17,7 @@ other tools, and every reader is round-trip tested against them.
 
 from repro.mrt.bgp_codec import (
     BGPCodecError,
+    UpdateDecoder,
     decode_update,
     encode_update,
 )
@@ -38,12 +39,14 @@ from repro.mrt.loader import (
     dump_updates,
     load_rib,
     load_updates,
+    observe_update,
 )
 
 __all__ = [
     "BGPCodecError",
     "encode_update",
     "decode_update",
+    "UpdateDecoder",
     "MRTError",
     "MRTRecord",
     "read_records",
@@ -54,6 +57,7 @@ __all__ = [
     "IngestWarning",
     "read_quarantine",
     "load_updates",
+    "observe_update",
     "load_rib",
     "dump_updates",
     "dump_rib",

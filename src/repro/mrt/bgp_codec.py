@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence
 
 from repro.net.aspath import ASPath, ASPathError
 from repro.net.attributes import Community, Origin, PathAttributes
@@ -323,48 +324,175 @@ def encode_update(update: BGPUpdate) -> bytes:
     return MARKER + struct.pack("!HB", total, MSG_TYPE_UPDATE) + body
 
 
-def decode_update(data: bytes) -> DecodedUpdate:
-    """Decode one wire UPDATE (header + body)."""
+_LENGTH_TYPE = struct.Struct("!HB")
+_BLOCK_LENGTH = struct.Struct("!H")
+
+
+def _split_update(data: bytes) -> tuple[bytes, bytes, bytes]:
+    """Validate one wire UPDATE's header and lengths; returns its
+    (withdrawn routes, path attributes, NLRI) blocks."""
     if len(data) < 19:
         raise BGPCodecError("message shorter than the BGP header")
-    if data[:16] != MARKER:
+    if not data.startswith(MARKER):
         raise BGPCodecError("bad marker")
-    length, msg_type = struct.unpack_from("!HB", data, 16)
+    length, msg_type = _LENGTH_TYPE.unpack_from(data, 16)
     if msg_type != MSG_TYPE_UPDATE:
         raise BGPCodecError(f"not an UPDATE (type {msg_type})")
     if length != len(data):
         raise BGPCodecError(
             f"header length {length} does not match data ({len(data)})"
         )
-    body = data[19:]
-    if len(body) < 2:
+    if length < 21:
         raise BGPCodecError("truncated withdrawn-routes length")
-    withdrawn_len = struct.unpack_from("!H", body, 0)[0]
-    offset = 2
-    withdrawn_block = body[offset : offset + withdrawn_len]
+    withdrawn_len = _BLOCK_LENGTH.unpack_from(data, 19)[0]
+    offset = 21
+    withdrawn_block = data[offset : offset + withdrawn_len]
     if len(withdrawn_block) != withdrawn_len:
         raise BGPCodecError("truncated withdrawn routes")
     offset += withdrawn_len
-    if len(body) < offset + 2:
+    if length < offset + 2:
         raise BGPCodecError("truncated attributes length")
-    attrs_len = struct.unpack_from("!H", body, offset)[0]
+    attrs_len = _BLOCK_LENGTH.unpack_from(data, offset)[0]
     offset += 2
-    attrs_block = body[offset : offset + attrs_len]
+    attrs_block = data[offset : offset + attrs_len]
     if len(attrs_block) != attrs_len:
         raise BGPCodecError("truncated attributes")
-    offset += attrs_len
-    nlri_block = body[offset:]
-    withdrawals = tuple(
-        Withdrawal(p) for p in _decode_prefix_block(withdrawn_block)
-    )
-    attrs, skipped = (
-        decode_attributes(attrs_block) if attrs_block else (None, [])
-    )
-    nlri = _decode_prefix_block(nlri_block)
+    return withdrawn_block, attrs_block, data[offset + attrs_len :]
+
+
+#: One UPDATE as bare values: (withdrawn prefixes, attributes, announced
+#: prefixes, skipped attribute codes). Attributes are ``None`` only when
+#: nothing is announced.
+UpdateParts = tuple[
+    list[Prefix], Optional[PathAttributes], list[Prefix], Sequence[int]
+]
+
+
+def _decode_update_parts(
+    data: bytes,
+    decode_block: Callable[[bytes], list[Prefix]],
+    decode_attrs: Callable[
+        [bytes], tuple[Optional[PathAttributes], Sequence[int]]
+    ],
+) -> UpdateParts:
+    """Decode one wire UPDATE to :data:`UpdateParts`.
+
+    The order of decoding — and so which error a doubly malformed
+    message raises — is fixed here for :func:`decode_update` and
+    :class:`UpdateDecoder` alike; they differ only in the block decoders
+    they pass.
+    """
+    withdrawn_block, attrs_block, nlri_block = _split_update(data)
+    withdrawn = decode_block(withdrawn_block)
+    attrs: Optional[PathAttributes] = None
+    skipped: Sequence[int] = ()
+    if attrs_block:
+        attrs, skipped = decode_attrs(attrs_block)
+    nlri = decode_block(nlri_block)
     if nlri and attrs is None:
         raise BGPCodecError("NLRI without mandatory attributes")
-    announcements = tuple(Announcement(p, attrs) for p in nlri)
+    return withdrawn, attrs, nlri, skipped
+
+
+def decode_update(data: bytes) -> DecodedUpdate:
+    """Decode one wire UPDATE (header + body)."""
+    withdrawn, attrs, nlri, skipped = _decode_update_parts(
+        data, _decode_prefix_block, decode_attributes
+    )
+    announcements: tuple[Announcement, ...] = ()
+    if attrs is not None:
+        announcements = tuple(Announcement(p, attrs) for p in nlri)
     return DecodedUpdate(
-        update=BGPUpdate(withdrawals=withdrawals, announcements=announcements),
+        update=BGPUpdate(
+            withdrawals=tuple(Withdrawal(p) for p in withdrawn),
+            announcements=announcements,
+        ),
         skipped_attributes=tuple(skipped),
     )
+
+
+# ----------------------------------------------------------------------
+# Per-load interning
+# ----------------------------------------------------------------------
+
+#: Entries each of an :class:`UpdateDecoder`'s two tables may hold. Past
+#: it a new wire string is decoded as ever and not kept, so a load's
+#: table memory is bounded however varied the archive.
+INTERN_CAP = 1 << 16
+
+
+class UpdateDecoder:
+    """:func:`decode_update` behind one load's intern tables.
+
+    A feed repeats itself: a burst is a few attribute bundles across
+    thousands of prefixes, and a flapping prefix is one NLRI entry over
+    and over. The decoder keeps, for the load that owns it, each
+    distinct path-attribute block's decoded ``(PathAttributes, skipped
+    codes)`` and each distinct NLRI entry's :class:`Prefix`, keyed by
+    their wire bytes; a repeat is a dict probe and hands back the *same*
+    immutable objects, so everything downstream that hashes, compares
+    or prints them does so once per distinct value.
+
+    A miss runs :func:`decode_attributes` / :func:`decode_prefix` — the
+    only parsers of those wire forms — with every check they have. A
+    block that fails to decode raises and is never stored: each
+    occurrence is decoded, raised and counted again, exactly as without
+    the tables. Construct one per load (never at module level): a second
+    load in the same process then decodes, counts and reports like the
+    first.
+    """
+
+    __slots__ = ("_attributes", "_prefixes", "attribute_blocks")
+
+    def __init__(self) -> None:
+        self._attributes: dict[
+            bytes, tuple[Optional[PathAttributes], tuple[int, ...]]
+        ] = {}
+        self._prefixes: dict[bytes, Prefix] = {}
+        #: Attribute blocks asked for (hits, misses and failures).
+        self.attribute_blocks = 0
+
+    @property
+    def attribute_blocks_distinct(self) -> int:
+        """Attribute blocks held — with :attr:`attribute_blocks`, the
+        share of decodes the table saved."""
+        return len(self._attributes)
+
+    def attributes(
+        self, block: bytes
+    ) -> tuple[Optional[PathAttributes], tuple[int, ...]]:
+        """Tabled :func:`decode_attributes`."""
+        self.attribute_blocks += 1
+        entry = self._attributes.get(block)
+        if entry is None:
+            attrs, skipped = decode_attributes(block)
+            entry = (attrs, tuple(skipped))
+            if len(self._attributes) < INTERN_CAP:
+                self._attributes[block] = entry
+        return entry
+
+    def prefixes(self, block: bytes) -> list[Prefix]:
+        """Tabled decode of a withdrawn-routes / NLRI block."""
+        table = self._prefixes
+        found: list[Prefix] = []
+        offset = 0
+        size = len(block)
+        while offset < size:
+            # The entry's wire bytes, if it is well formed. A stored key
+            # is exactly that long for its length byte, so a truncated
+            # or over-long entry can only miss — and decode_prefix then
+            # raises for it.
+            end = offset + 1 + ((block[offset] + 7) >> 3)
+            prefix = table.get(block[offset:end])
+            if prefix is None:
+                prefix, end = decode_prefix(block, offset)
+                if len(table) < INTERN_CAP:
+                    table[block[offset:end]] = prefix
+            found.append(prefix)
+            offset = end
+        return found
+
+    def decode(self, data: bytes) -> UpdateParts:
+        """One wire UPDATE as :data:`UpdateParts` — what
+        :func:`decode_update` wraps in message objects."""
+        return _decode_update_parts(data, self.prefixes, self.attributes)

@@ -30,9 +30,8 @@ from repro.collector.events import BGPEvent
 from repro.collector.rex import RouteExplorer
 from repro.collector.stream import EventStream
 from repro.mrt.bgp_codec import (
-    decode_attributes,
+    UpdateDecoder,
     decode_prefix,
-    decode_update,
     encode_attributes,
     encode_prefix,
     encode_update,
@@ -55,15 +54,17 @@ from repro.mrt.records import (
     MRTRecord,
     PeerEntry,
     RibEntry,
-    decode_bgp4mp,
     decode_peer_index,
     decode_rib_ipv4,
     encode_bgp4mp,
     encode_peer_index,
     encode_rib_ipv4,
-    read_records,
+    is_bgp4mp_update,
+    read_frames,
+    split_bgp4mp,
     write_records,
 )
+from repro.net.attributes import PathAttributes
 from repro.net.message import BGPUpdate
 from repro.net.prefix import Prefix
 
@@ -85,22 +86,22 @@ def _resolve_policy(
     return policy
 
 
-def _guarded_records(
+def _guarded_frames(
     source: str | Path | BinaryIO,
     report: IngestReport,
     policy: IngestPolicy,
-) -> Iterator[MRTRecord]:
-    """Iterate records, capturing a truncated-archive framing error.
+) -> Iterator[tuple[float, int, int, bytes]]:
+    """Iterate record frames, capturing a truncated-archive framing error.
 
     After a framing error nothing later in the file is readable (MRT
     has no resync marker), so the iterator stops — but the report says
     why, instead of the archive just "ending early". Strict mode
     re-raises as before.
     """
-    iterator = read_records(source)
+    iterator = read_frames(source)
     while True:
         try:
-            record = next(iterator)
+            frame = next(iterator)
         except StopIteration:
             return
         except MRTError as exc:
@@ -110,8 +111,8 @@ def _guarded_records(
             report.note_error(exc)
             return
         report.records_read += 1
-        report.observe_timestamp(record.timestamp, policy.gap_threshold)
-        yield record
+        report.observe_timestamp(frame[0], policy.gap_threshold)
+        yield frame
 
 
 def _enforce_budget(report: IngestReport, policy: IngestPolicy) -> None:
@@ -169,35 +170,63 @@ def load_updates(
     policy = _resolve_policy(strict, policy)
     report = IngestReport(source=_describe_source(source), kind="updates")
     dropped_before = rex.dropped_withdrawals
+    decoder = UpdateDecoder()
     with QuarantineWriter(policy.quarantine) as quarantine:
-        for record in _guarded_records(source, report, policy):
-            if not record.is_bgp4mp_update:
+        for frame in _guarded_frames(source, report, policy):
+            timestamp, rec_type, subtype, payload = frame
+            if not is_bgp4mp_update(rec_type, subtype):
                 report.records_ignored += 1
                 continue
             try:
-                envelope = decode_bgp4mp(record.payload)
-                decoded = decode_update(envelope.bgp_message)
+                produced, unknown = observe_update(
+                    rex, decoder, payload, timestamp
+                )
             except (MRTError, ValueError) as exc:
                 if policy.strict:
                     raise
                 report.records_skipped += 1
                 report.note_error(exc)
-                quarantine.write(record, exc)
+                quarantine.write(MRTRecord(*frame), exc)
                 report.records_quarantined = quarantine.count
                 _enforce_budget(report, policy)
                 continue
             report.records_decoded += 1
-            report.unknown_attributes += len(decoded.skipped_attributes)
-            produced = rex.observe(
-                envelope.peer_address, decoded.update, record.timestamp
-            )
-            report.events_produced += len(produced)
+            report.unknown_attributes += unknown
+            report.events_produced += produced
     report.dropped_withdrawals = rex.dropped_withdrawals - dropped_before
+    report.attribute_blocks = decoder.attribute_blocks
+    report.attribute_blocks_distinct = decoder.attribute_blocks_distinct
     _finish(report, policy)
     rex.record_ingest(report)
     events = rex.events
     events.ingest_report = report
     return events
+
+
+def observe_update(
+    rex: RouteExplorer,
+    decoder: UpdateDecoder,
+    payload: bytes,
+    timestamp: float,
+) -> tuple[int, int]:
+    """Replay one BGP4MP update record's *payload* through *rex*.
+
+    The one record → events path, shared by :func:`load_updates` and a
+    quarantine replay: envelope, then the UPDATE through *decoder*'s
+    intern tables, then the collector. Returns (events produced,
+    unmodeled attributes skipped); raises :class:`MRTError` /
+    ``ValueError`` on malformed bytes, before the collector sees
+    anything of the record.
+    """
+    _, _, _, peer_address, _, message = split_bgp4mp(payload)
+    withdrawn, attrs, nlri, skipped = decoder.decode(message)
+    announced: list[tuple[Prefix, PathAttributes]] = []
+    if attrs is not None:  # else nothing is announced: decode() checks
+        announced = [(prefix, attrs) for prefix in nlri]
+    produced = rex.observe_routes(
+        peer_address, withdrawn, announced, timestamp
+    )
+    return len(produced), len(skipped)
 
 
 def dump_updates(
@@ -254,8 +283,10 @@ def load_rib(
     policy = _resolve_policy(strict, policy)
     report = IngestReport(source=_describe_source(source), kind="rib")
     peers: list[PeerEntry] = []
+    decoder = UpdateDecoder()
     with QuarantineWriter(policy.quarantine) as quarantine:
-        for record in _guarded_records(source, report, policy):
+        for frame in _guarded_frames(source, report, policy):
+            record = MRTRecord(*frame)
             if record.is_peer_index:
                 try:
                     _, peers = decode_peer_index(record.payload)
@@ -301,7 +332,7 @@ def load_rib(
                     )
                     continue
                 try:
-                    attrs, skipped_codes = decode_attributes(
+                    attrs, skipped_codes = decoder.attributes(
                         entry.attributes
                     )
                 except (MRTError, ValueError) as exc:
@@ -320,6 +351,8 @@ def load_rib(
                 peer = peers[entry.peer_index]
                 rex.peer_with(peer.address)
                 rex.rib(peer.address).announce(prefix, attrs)
+    report.attribute_blocks = decoder.attribute_blocks
+    report.attribute_blocks_distinct = decoder.attribute_blocks_distinct
     _finish(report, policy)
     rex.record_ingest(report)
     return rex

@@ -45,10 +45,7 @@ class MRTRecord:
 
     @property
     def is_bgp4mp_update(self) -> bool:
-        return (
-            self.type in (TYPE_BGP4MP, TYPE_BGP4MP_ET)
-            and self.subtype == SUBTYPE_BGP4MP_MESSAGE_AS4
-        )
+        return is_bgp4mp_update(self.type, self.subtype)
 
     @property
     def is_rib_entry(self) -> bool:
@@ -63,6 +60,13 @@ class MRTRecord:
             self.type == TYPE_TABLE_DUMP_V2
             and self.subtype == SUBTYPE_PEER_INDEX_TABLE
         )
+
+
+def is_bgp4mp_update(rec_type: int, subtype: int) -> bool:
+    """True for the record kind an updates file is made of."""
+    return subtype == SUBTYPE_BGP4MP_MESSAGE_AS4 and (
+        rec_type == TYPE_BGP4MP_ET or rec_type == TYPE_BGP4MP
+    )
 
 
 def write_records(
@@ -98,41 +102,83 @@ def write_records(
     return count
 
 
-def read_records(source: str | Path | BinaryIO) -> Iterator[MRTRecord]:
-    """Yield records from a file path or binary stream."""
+#: Bytes asked of the source per read: records are parsed out of a
+#: buffer, not with three ``read`` calls each.
+_READ_CHUNK = 1 << 20
+
+_HEADER = struct.Struct("!IHHI")
+_MICROSECONDS = struct.Struct("!I")
+
+
+def _refill(handle: BinaryIO, buffer: bytes, pos: int, need: int) -> bytes:
+    """``buffer[pos:]`` topped up from *handle* to at least *need* bytes.
+
+    Shorter only when the input ends first.
+    """
+    parts = [buffer[pos:]]
+    have = len(parts[0])
+    while have < need:
+        chunk = handle.read(max(_READ_CHUNK, need - have))
+        if not chunk:
+            break
+        parts.append(chunk)
+        have += len(chunk)
+    return b"".join(parts)
+
+
+def read_frames(
+    source: str | Path | BinaryIO,
+) -> Iterator[tuple[float, int, int, bytes]]:
+    """Yield ``(timestamp, type, subtype, payload)`` per framed record.
+
+    The one MRT framing parser: :func:`read_records` wraps each frame in
+    an :class:`MRTRecord`; a loader that only dispatches on the type and
+    hands the payload on reads the frames as they are. A stream *source*
+    is read ahead of the record being yielded.
+    """
     own = isinstance(source, (str, Path))
     handle: BinaryIO = open(source, "rb") if own else source  # type: ignore[arg-type]
+    buffer = b""
+    pos = 0
     try:
         while True:
-            header = handle.read(12)
-            if not header:
-                return
-            if len(header) < 12:
-                raise MRTError("truncated MRT common header")
-            timestamp, rec_type, subtype, length = struct.unpack(
-                "!IHHI", header
+            if len(buffer) - pos < 12:
+                buffer, pos = _refill(handle, buffer, pos, 12), 0
+                if not buffer:
+                    return
+                if len(buffer) < 12:
+                    raise MRTError("truncated MRT common header")
+            timestamp, rec_type, subtype, length = _HEADER.unpack_from(
+                buffer, pos
             )
+            pos += 12
             extra_time = 0.0
             if rec_type == TYPE_BGP4MP_ET:
-                micro_raw = handle.read(4)
-                if len(micro_raw) < 4:
-                    raise MRTError("truncated extended timestamp")
-                extra_time = struct.unpack("!I", micro_raw)[0] / 1e6
+                if len(buffer) - pos < 4:
+                    buffer, pos = _refill(handle, buffer, pos, 4), 0
+                    if len(buffer) < 4:
+                        raise MRTError("truncated extended timestamp")
+                extra_time = _MICROSECONDS.unpack_from(buffer, pos)[0] / 1e6
+                pos += 4
                 length -= 4
             if length < 0:
                 raise MRTError("negative payload length")
-            payload = handle.read(length)
-            if len(payload) < length:
-                raise MRTError("truncated MRT payload")
-            yield MRTRecord(
-                timestamp=timestamp + extra_time,
-                type=rec_type,
-                subtype=subtype,
-                payload=payload,
-            )
+            if len(buffer) - pos < length:
+                buffer, pos = _refill(handle, buffer, pos, length), 0
+                if len(buffer) < length:
+                    raise MRTError("truncated MRT payload")
+            payload = buffer[pos : pos + length]
+            pos += length
+            yield timestamp + extra_time, rec_type, subtype, payload
     finally:
         if own:
             handle.close()
+
+
+def read_records(source: str | Path | BinaryIO) -> Iterator[MRTRecord]:
+    """Yield records from a file path or binary stream."""
+    for frame in read_frames(source):
+        yield MRTRecord(*frame)
 
 
 # ----------------------------------------------------------------------
@@ -167,22 +213,31 @@ def encode_bgp4mp(message: Bgp4mpMessage) -> bytes:
     )
 
 
-def decode_bgp4mp(payload: bytes) -> Bgp4mpMessage:
+_BGP4MP_AS4_IPV4 = struct.Struct("!IIHHII")
+
+
+def split_bgp4mp(payload: bytes) -> tuple[int, int, int, int, int, bytes]:
+    """The fields of a BGP4MP_MESSAGE_AS4 payload, in
+    :class:`Bgp4mpMessage` order (the one parser of the envelope)."""
     if len(payload) < 20:
         raise MRTError("truncated BGP4MP_MESSAGE_AS4 payload")
-    peer_as, local_as, ifindex, afi = struct.unpack_from("!IIHH", payload, 0)
+    peer_as, local_as, ifindex, afi, peer_address, local_address = (
+        _BGP4MP_AS4_IPV4.unpack_from(payload)
+    )
     if afi != AFI_IPV4:
         raise MRTError(f"unsupported AFI {afi} (IPv4 only)")
-    peer_address = int.from_bytes(payload[12:16], "big")
-    local_address = int.from_bytes(payload[16:20], "big")
-    return Bgp4mpMessage(
-        peer_as=peer_as,
-        local_as=local_as,
-        interface_index=ifindex,
-        peer_address=peer_address,
-        local_address=local_address,
-        bgp_message=payload[20:],
+    return (
+        peer_as,
+        local_as,
+        ifindex,
+        peer_address,
+        local_address,
+        payload[20:],
     )
+
+
+def decode_bgp4mp(payload: bytes) -> Bgp4mpMessage:
+    return Bgp4mpMessage(*split_bgp4mp(payload))
 
 
 # ----------------------------------------------------------------------

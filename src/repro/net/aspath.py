@@ -41,7 +41,7 @@ class ASPath:
     (11423, 11423, 209, 701)
     """
 
-    __slots__ = ("sequence", "as_set", "_hash", "_collapsed")
+    __slots__ = ("sequence", "as_set", "_hash", "_collapsed", "_text")
 
     def __init__(
         self,
@@ -54,6 +54,7 @@ class ASPath:
         object.__setattr__(self, "as_set", aset)
         object.__setattr__(self, "_hash", hash((seq, aset)))
         object.__setattr__(self, "_collapsed", None)
+        object.__setattr__(self, "_text", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ASPath is immutable")
@@ -154,10 +155,18 @@ class ASPath:
         return self.sequence[: len(other.sequence)] == other.sequence
 
     def __str__(self) -> str:
-        parts = [str(asn) for asn in self.sequence]
-        if self.as_set:
-            parts.append("{" + ",".join(str(a) for a in sorted(self.as_set)) + "}")
-        return " ".join(parts)
+        # Joined once per instance, like :meth:`collapsed_tokens`: every
+        # event on a shared path prints the same text.
+        text = self._text
+        if text is None:
+            parts = [str(asn) for asn in self.sequence]
+            if self.as_set:
+                parts.append(
+                    "{" + ",".join(str(a) for a in sorted(self.as_set)) + "}"
+                )
+            text = " ".join(parts)
+            object.__setattr__(self, "_text", text)
+        return text
 
     def __repr__(self) -> str:
         return f"ASPath({str(self)!r})"

@@ -186,6 +186,10 @@ class PathAttributes:
         return self.replace(communities=self.communities - {community})
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            # The common case wherever bundles are interned (MRT
+            # decode, the collector's RIBs, cached parses).
+            return True
         if not isinstance(other, PathAttributes):
             return NotImplemented
         return (

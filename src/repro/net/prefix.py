@@ -43,7 +43,12 @@ def _parse_ipv4(text: str) -> int:
 
 
 def _format_ipv4(value: int) -> str:
-    return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
+    return "%d.%d.%d.%d" % (
+        value >> 24,
+        (value >> 16) & 0xFF,
+        (value >> 8) & 0xFF,
+        value & 0xFF,
+    )
 
 
 class Prefix:
@@ -59,7 +64,7 @@ class Prefix:
     True
     """
 
-    __slots__ = ("network", "length", "_hash")
+    __slots__ = ("network", "length", "_hash", "_text")
 
     def __init__(self, network: int, length: int) -> None:
         if not 0 <= length <= 32:
@@ -74,6 +79,7 @@ class Prefix:
         object.__setattr__(self, "network", network)
         object.__setattr__(self, "length", length)
         object.__setattr__(self, "_hash", hash((network, length)))
+        object.__setattr__(self, "_text", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Prefix is immutable")
@@ -159,7 +165,14 @@ class Prefix:
         return (self.network, self.length)
 
     def __str__(self) -> str:
-        return f"{_format_ipv4(self.network)}/{self.length}"
+        # Formatted once per instance: every event and checkpointed
+        # route of a prefix prints it, and decoders hand out one
+        # instance per distinct prefix.
+        text = self._text
+        if text is None:
+            text = f"{_format_ipv4(self.network)}/{self.length}"
+            object.__setattr__(self, "_text", text)
+        return text
 
     def __repr__(self) -> str:
         return f"Prefix({str(self)!r})"
@@ -233,8 +246,13 @@ def cidr_cover(start: int, end: int) -> list[Prefix]:
     return prefixes
 
 
+@lru_cache(maxsize=1 << 12)
 def format_address(value: int) -> str:
-    """Format a 32-bit integer address as dotted-quad text."""
+    """Format a 32-bit integer address as dotted-quad text.
+
+    Cached: a feed has a handful of peers and nexthops, printed once
+    per event (a raise is not cached).
+    """
     if not 0 <= value <= _MAX_IPV4:
         raise PrefixError(f"address {value:#x} out of range")
     return _format_ipv4(value)

@@ -5,8 +5,9 @@ never stopped*: the source identity, the monitor configuration, the
 stream offset of the last fully-processed event, the window stage's
 buffered events and boundary, the TAMP route table, per-stage
 accounting, and the source's ingest report. Checkpoints are plain JSON
-(one file per checkpoint, atomic tmp-then-rename writes) so an
-operator can inspect them with ``jq``; alongside them the store keeps
+(one file per checkpoint, written as a single line — ``jq .`` or
+``python -m json.tool`` lays one out for reading — with atomic
+tmp-then-rename writes); alongside them the store keeps
 ``incidents.jsonl`` — one line per emitted window report, the
 monitor's durable output.
 
@@ -71,7 +72,9 @@ class CheckpointState:
             "ingest": self.ingest,
             "incidents": self.incidents,
         }
-        return json.dumps(payload, sort_keys=True, indent=1)
+        # No ``indent``: asking for one selects the pure-Python
+        # encoder, and a checkpoint is hundreds of kilobytes.
+        return json.dumps(payload, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "CheckpointState":

@@ -27,10 +27,10 @@ from typing import Callable, Iterator, Optional
 from repro.collector.events import BGPEvent
 from repro.collector.rex import RouteExplorer
 from repro.collector.stream import EventStream
-from repro.mrt.bgp_codec import decode_update
+from repro.mrt.bgp_codec import UpdateDecoder
 from repro.mrt.ingest import IngestPolicy, IngestReport, read_quarantine
-from repro.mrt.loader import load_updates
-from repro.mrt.records import MRTError, decode_bgp4mp
+from repro.mrt.loader import load_updates, observe_update
+from repro.mrt.records import MRTError
 from repro.simulator.synthetic import (
     BERKELEY_PROFILE,
     ISP_ANON_PROFILE,
@@ -207,10 +207,12 @@ class QuarantineSource(Source):
 
     Records land in quarantine because they failed to decode; after a
     codec fix (or with a laxer policy) they may now parse. Each
-    record is re-decoded and replayed through a fresh collector so
-    withdrawal augmentation applies; records that still fail are
-    counted and skipped, never raised — a replay source must not die
-    on the exact bytes that were already deemed suspect once.
+    record goes down the path an ingest takes
+    (:func:`repro.mrt.loader.observe_update`: one decoder with its
+    intern tables for the replay, a fresh collector so withdrawal
+    augmentation applies); records that still fail are counted and
+    skipped, never raised — a replay source must not die on the exact
+    bytes that were already deemed suspect once.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -222,18 +224,15 @@ class QuarantineSource(Source):
     def _load(self) -> EventStream:
         if self._stream is None:
             rex = RouteExplorer("quarantine")
+            decoder = UpdateDecoder()
             for record in read_quarantine(self.path):
                 try:
-                    envelope = decode_bgp4mp(record.payload)
-                    decoded = decode_update(envelope.bgp_message)
+                    observe_update(
+                        rex, decoder, record.payload, record.timestamp
+                    )
                 except (MRTError, ValueError):
                     self.failed_records += 1
                     continue
-                rex.observe(
-                    envelope.peer_address,
-                    decoded.update,
-                    record.timestamp,
-                )
                 self.replayed_records += 1
             self._stream = rex.events
         return self._stream

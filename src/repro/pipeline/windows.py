@@ -344,11 +344,11 @@ class TampAnnotator(Stage):
             self.tamp.apply_all(item.events)
             return None
         if isinstance(item, WindowReport):
-            adds, removes = self.tamp.consume_changes()
+            adds, removes = self.tamp.consume_id_changes()
             self._boundary_pulse = self.tamp.pulse_total
             item.tamp = {
                 "routes": self.tamp.route_count(),
-                "nodes": len(self.tamp.graph.nodes()),
+                "nodes": self.tamp.graph.node_count(),
                 "edges": self.tamp.graph.edge_count(),
                 "prefixes": self.tamp.graph.total_prefixes(),
                 "pulse_adds": sum(adds.values()),

@@ -914,6 +914,33 @@ class TampGraph:
             found.add(self.site_root)
         return found
 
+    def node_count(self) -> int:
+        """``len(self.nodes())``, counted on ids.
+
+        A live monitor asks once per window report; decoding every node
+        to a token just to count them costs more than the rest of the
+        annotation together.
+        """
+        children, parents = self._adj()
+        ids = set(children)
+        ids.update(parents)
+        ids.update(self._fringe)
+        count = len(ids)
+        token_id = self._symbols.token_id
+        if self._fringe:
+            # A fringe leaf is a node of its own unless its token is
+            # also an endpoint of an interior edge.
+            leaves: set[int] = set()
+            for store in self._fringe.values():
+                leaves.update(store)
+            prefix = self._symbols.prefix
+            for pid in leaves:
+                if token_id(("pfx", prefix(pid))) not in ids:
+                    count += 1
+        if self.site_root is not None and token_id(self.site_root) not in ids:
+            count += 1
+        return count
+
     def roots(self) -> list[Token]:
         """Nodes with no parents: the site root, or the router roots."""
         site_root = self.site_root
@@ -944,11 +971,11 @@ class TampGraph:
         membership does.
         """
         if self._total is None:
+            # One C-level union per store family: a live monitor asks
+            # again after every window's worth of changes.
             seen: set[int] = set()
-            for store in self._edges.values():
-                seen.update(store)
-            for store in self._fringe.values():
-                seen.update(store)
+            seen.update(*self._edges.values())
+            seen.update(*self._fringe.values())
             self._total = len(seen)
         return self._total
 

@@ -30,6 +30,35 @@ class TestState:
         restored = CheckpointState.from_json(state.to_json())
         assert restored == state
 
+    def test_to_json_is_the_payload_on_one_line(self):
+        state = state_at(128, reports=3)
+        state.ingest = {"source": "a.mrt", "attribute_blocks": 7}
+        state.incidents = {"incidents": [], "next_id": 1}
+        text = state.to_json()
+        assert "\n" not in text
+        assert json.loads(text) == {
+            "version": CHECKPOINT_VERSION,
+            "source": state.source,
+            "config": state.config,
+            "offset": 128,
+            "reports_emitted": 3,
+            "window": state.window,
+            "tamp": state.tamp,
+            "stats": state.stats,
+            "ingest": state.ingest,
+            "incidents": state.incidents,
+        }
+
+    def test_reads_the_indented_layout_it_used_to_write(self):
+        """v2 files written with ``indent=1`` (before the compact
+        layout) and compact ones are the same checkpoint."""
+        state = state_at(128, reports=3)
+        compact = state.to_json()
+        indented = json.dumps(json.loads(compact), sort_keys=True, indent=1)
+        assert indented != compact and "\n" in indented
+        assert CheckpointState.from_json(indented) == state
+        assert CheckpointState.from_json(compact) == state
+
     def test_version_mismatch_refused(self):
         payload = json.loads(state_at(1).to_json())
         payload["version"] = CHECKPOINT_VERSION + 1

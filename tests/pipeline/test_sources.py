@@ -4,12 +4,19 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.collector import stream as stream_module
+from repro.collector.rex import RouteExplorer
 from repro.collector.stream import (
     EventStream,
     fingerprint_events,
     fingerprint_lines,
 )
+from repro.mrt.bgp_codec import decode_update
+from repro.mrt.ingest import IngestPolicy, QuarantineWriter, read_quarantine
+from repro.mrt.loader import load_updates
 from repro.pipeline.sources import (
     FileSource,
     Pacer,
@@ -20,8 +27,11 @@ from repro.pipeline.sources import (
 from repro.mrt.records import (
     SUBTYPE_BGP4MP_MESSAGE_AS4,
     TYPE_BGP4MP,
+    MRTError,
+    decode_bgp4mp,
+    read_records,
 )
-from repro.testkit.corpus import build_clean_records
+from repro.testkit.corpus import build_clean_records, generate_corpus
 from tests.pipeline.conftest import count_encodes
 from tests.stemming.test_stemmer import spike
 
@@ -69,6 +79,31 @@ class TestFingerprintLines:
 
     def test_empty_input_is_the_empty_digest(self):
         assert fingerprint_lines([]) == hashlib.sha256().hexdigest()
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_chunk_edges_equal_the_per_line_digest(self, offset):
+        count = stream_module._FINGERPRINT_CHUNK + offset
+        lines = [f"line {index}" for index in range(count)]
+        assert fingerprint_lines(iter(lines)) == per_line_digest(lines)
+
+    @given(st.lists(st.text(), max_size=12))
+    def test_any_text_equals_the_per_line_digest(self, lines):
+        # Across a chunk edge too: a chunk of three splits most lists.
+        original = stream_module._FINGERPRINT_CHUNK
+        stream_module._FINGERPRINT_CHUNK = 3
+        try:
+            assert fingerprint_lines(lines) == per_line_digest(lines)
+        finally:
+            stream_module._FINGERPRINT_CHUNK = original
+
+
+def per_line_digest(lines) -> str:
+    """``fingerprint_lines`` as first written: two updates per line."""
+    digest = hashlib.sha256()
+    for line in lines:
+        digest.update(line.encode("utf-8"))
+        digest.update(b"\n")
+    return digest.hexdigest()
 
 
 class TestFileSource:
@@ -131,6 +166,47 @@ class TestQuarantineSource:
         assert source.replayed_records == 6
         assert source.failed_records == 1
         assert source.describe()["type"] == "quarantine"
+
+    @pytest.mark.filterwarnings("ignore::repro.mrt.ingest.IngestWarning")
+    def test_corpus_member_replays_as_the_per_record_path_did(
+        self, tmp_path
+    ):
+        """``corrupt-payloads``, quarantined and replayed: the events and
+        counts of one untabled ``decode_bgp4mp`` / ``decode_update`` /
+        ``rex.observe`` per record — what ``_load`` was before it shared
+        the ingest's decoder."""
+        member = generate_corpus(tmp_path / "corpus")["corrupt-payloads"]
+        rejected = tmp_path / "rejected.jsonl"
+        report = load_updates(
+            member, policy=IngestPolicy(quarantine=rejected)
+        ).ingest_report
+        assert report.records_quarantined > 0
+        # The ingest's own rejects (all of which fail again), and the
+        # whole member — good records, repeats and bad ones interleaved.
+        whole = tmp_path / "whole.jsonl"
+        with QuarantineWriter(whole) as writer:
+            for record in read_records(member):
+                writer.write(record, MRTError("suspect"))
+        for path in (rejected, whole):
+            rex = RouteExplorer("quarantine")
+            replayed = failed = 0
+            for record in read_quarantine(path):
+                try:
+                    envelope = decode_bgp4mp(record.payload)
+                    decoded = decode_update(envelope.bgp_message)
+                except (MRTError, ValueError):
+                    failed += 1
+                    continue
+                rex.observe(
+                    envelope.peer_address, decoded.update, record.timestamp
+                )
+                replayed += 1
+            source = QuarantineSource(path)
+            assert list(source.events()) == list(rex.events)
+            assert source.replayed_records == replayed
+            assert source.failed_records == failed
+        assert failed == report.records_quarantined
+        assert replayed > 0
 
 
 class FakeClock:

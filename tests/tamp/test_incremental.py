@@ -8,7 +8,9 @@ from repro.collector.events import BGPEvent, EventKind
 from repro.net.aspath import ASPath
 from repro.net.attributes import PathAttributes
 from repro.net.prefix import Prefix, parse_address
+from repro.tamp.graph import TampGraph
 from repro.tamp.incremental import IncrementalTamp
+from repro.tamp.tree import TampTree
 
 PEER_A = parse_address("128.32.1.3")
 PEER_B = parse_address("128.32.1.200")
@@ -165,3 +167,155 @@ class TestRouteExport:
                 restored.import_route_events(lines)
                 assert restored.export_route_events() == lines
                 assert restored.consume_changes() == ({}, {})
+
+    @staticmethod
+    def assert_export_is_the_tables_encoding(tamp, current):
+        """Warm export == cold-restore export == sorted fresh encode."""
+        lines = tamp.export_route_events()
+        assert lines == [
+            BGPEvent(
+                0.0, EventKind.ANNOUNCE, peer, prefix, route_attrs
+            ).to_json()
+            for (peer, prefix), route_attrs in sorted(
+                current.items(),
+                key=lambda item: (item[0][0], str(item[0][1])),
+            )
+        ]
+        cold = IncrementalTamp("site")
+        cold.import_route_events(lines)
+        assert cold.export_route_events() == lines
+        assert tamp.export_route_events() == lines  # nothing dirty
+
+    def test_reinstall_with_other_attributes_after_a_withdraw(self):
+        tamp = IncrementalTamp("site")
+        a, b, c = GRID_PREFIXES[:3]
+        for prefix in (c, a, b):
+            tamp.apply(announce(PEER_B, prefix, "1 2"))
+        current = {(PEER_B, p): attrs("1 2") for p in (a, b, c)}
+        self.assert_export_is_the_tables_encoding(tamp, current)
+        tamp.apply(withdraw(PEER_B, b, "1 2"))
+        tamp.apply(announce(PEER_B, b, "1 3 4"))
+        current[PEER_B, b] = attrs("1 3 4")
+        self.assert_export_is_the_tables_encoding(tamp, current)
+
+    def test_replace_then_restore_between_two_exports(self):
+        tamp = IncrementalTamp("site")
+        tamp.apply(announce(PEER_A, P, "1 2"))
+        tamp.apply(announce(PEER_B, P, "1 2"))
+        current = {(PEER_A, P): attrs("1 2"), (PEER_B, P): attrs("1 2")}
+        self.assert_export_is_the_tables_encoding(tamp, current)
+        before = tamp.export_route_events()
+        tamp.apply(announce(PEER_A, P, "1 3 4"))
+        tamp.apply(announce(PEER_A, P, "1 2"))
+        self.assert_export_is_the_tables_encoding(tamp, current)
+        assert tamp.export_route_events() == before
+
+    def test_withdraw_of_a_never_exported_route(self):
+        tamp = IncrementalTamp("site")
+        tamp.apply(announce(PEER_A, P, "1 2"))
+        self.assert_export_is_the_tables_encoding(
+            tamp, {(PEER_A, P): attrs("1 2")}
+        )
+        # Installed and gone again between two exports ...
+        other = GRID_PREFIXES[0]
+        tamp.apply(announce(PEER_A, other, "1 2"))
+        tamp.apply(withdraw(PEER_A, other, "1 2"))
+        # ... and withdrawn without ever having been installed.
+        tamp.apply(withdraw(PEER_B, other, "1 2"))
+        self.assert_export_is_the_tables_encoding(
+            tamp, {(PEER_A, P): attrs("1 2")}
+        )
+        tamp.apply(withdraw(PEER_A, P, "1 2"))
+        self.assert_export_is_the_tables_encoding(tamp, {})
+
+    def test_peers_sort_numerically_whatever_their_width(self):
+        """The one-string sort key orders peers as the ints they are."""
+        tamp = IncrementalTamp("site")
+        peers = [parse_address(text) for text in (
+            "9.0.0.1", "10.0.0.1", "100.0.0.1", "0.0.0.9", "255.255.255.255"
+        )]
+        current = {}
+        for peer in peers:
+            for prefix in GRID_PREFIXES[:2]:
+                tamp.apply(announce(peer, prefix, "1 2"))
+                current[peer, prefix] = attrs("1 2")
+        self.assert_export_is_the_tables_encoding(tamp, current)
+
+
+def apply_route_op(tamp: IncrementalTamp, op: tuple) -> bool:
+    """Apply one of ``route_ops``; False for the ``export`` marker."""
+    if op[0] == "announce":
+        tamp.apply(announce(op[1], op[2], op[3]))
+    elif op[0] == "withdraw":
+        tamp.apply(withdraw(op[1], op[2], "1 2"))
+    return op[0] != "export"
+
+
+class TestPulseExport:
+    @given(st.lists(route_ops, max_size=30))
+    def test_equals_the_repr_sorted_form(self, ops):
+        """Rows as first written: decode every edge, sort by its repr."""
+        tamp = IncrementalTamp("site")
+        for op in ops:
+            if not apply_route_op(tamp, op):
+                assert tamp.export_pulses() == repr_sorted(tamp)
+        exported = tamp.export_pulses()
+        assert exported == repr_sorted(tamp)
+        restored = IncrementalTamp("site")
+        restored.import_pulses(exported)
+        assert restored.export_pulses() == exported
+
+
+def repr_sorted(tamp: IncrementalTamp) -> dict:
+    decode = tamp.graph.decode_pair
+
+    def encode(pulses):
+        decoded = [(decode(eid), count) for eid, count in pulses.items()]
+        return [
+            [list(edge[0]), list(edge[1]), count]
+            for edge, count in sorted(
+                decoded, key=lambda item: repr(item[0])
+            )
+        ]
+
+    return {"adds": encode(tamp._adds), "removes": encode(tamp._removes)}
+
+
+class TestIdLevelCounts:
+    """What ``TampAnnotator`` reports per window, counted on ids."""
+
+    @given(
+        st.lists(route_ops, max_size=40),
+        st.booleans(),
+        st.sampled_from(["site", None]),
+    )
+    def test_counts_equal_the_decoded_sets(self, ops, leaves, site):
+        tamp = IncrementalTamp(site, include_prefix_leaves=leaves)
+        graph = tamp.graph
+        for op in [*ops, ("export",)]:
+            apply_route_op(tamp, op)
+            assert graph.node_count() == len(graph.nodes())
+            assert graph.total_prefixes() == len(graph.all_prefixes())
+
+    @given(st.lists(route_ops, max_size=25), st.booleans())
+    def test_batch_merged_graphs_count_their_leaf_fringe(self, ops, site):
+        """A merged graph keeps prefix leaves in the fringe, not as
+        edges; a leaf is one node however many tails reach it."""
+        trees = {peer: TampTree(str(peer)) for peer in GRID_PEERS}
+        held: dict = {}
+        for op in ops:
+            if op[0] == "announce":
+                _, peer, prefix, path = op
+                if (peer, prefix) in held:
+                    trees[peer].remove_route(prefix, held[peer, prefix])
+                held[peer, prefix] = attrs(path)
+                trees[peer].add_route(prefix, held[peer, prefix])
+        graph = TampGraph.merge(
+            trees.values(), site_name="site" if site else None
+        )
+        assert graph.node_count() == len(graph.nodes())
+        assert graph.total_prefixes() == len(graph.all_prefixes())
+        # Mixed: the same leaves again as ordinary interned edges.
+        for (peer, prefix), route_attrs in held.items():
+            graph.add_prefix(("as", 99), ("pfx", prefix), prefix)
+            assert graph.node_count() == len(graph.nodes())
