@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 from itertools import islice
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
@@ -200,7 +201,7 @@ class EventStream:
 
     def _ensure_sorted(self) -> None:
         if not self._sorted:
-            self._events.sort(key=lambda e: e.timestamp)
+            self._events.sort(key=attrgetter("timestamp"))
             self._sorted = True
             self._keys = None
 

@@ -67,7 +67,8 @@ ID_HOT_FUNCTIONS = frozenset(
         "add_id_counts",
         "subtract_id_sequences",
         "_shift_pairs",
-        "_rebuild_pairs",
+        "count_pairs",
+        "distinct_pairs",
         "_expand_shard",
         # repro.stemming.stemmer — interned grouping
         "_group_by_ids",

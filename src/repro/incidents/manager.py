@@ -32,6 +32,7 @@ rebuilds the same incidents (the crash/resume bit-identity contract).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.incidents.lifecycle import (
@@ -99,7 +100,7 @@ def classify_component(component: Component) -> str:
     total = len(component.events)
     if total == 0:
         return "correlation"
-    withdrawals = sum(1 for e in component.events if e.is_withdrawal)
+    withdrawals = sum(map(attrgetter("is_withdrawal"), component.events))
     prefixes = max(1, len(component.prefixes))
     if withdrawals * 5 >= total * 4:
         return "mass-withdrawal"

@@ -369,6 +369,11 @@ def run_monitor(
         "repro_pipeline_buffer_events",
         "events buffered in the current window",
     )
+    index_gauge = registry.gauge(
+        "repro_pipeline_index_sequences",
+        "unique sequences in the window stage's sliding index"
+        " (0 while it has none: restored, drained, about to reload)",
+    )
     routes_gauge = registry.gauge(
         "repro_pipeline_tamp_routes", "routes in the live TAMP table"
     )
@@ -416,6 +421,7 @@ def run_monitor(
         events_per_second.set(core.events_done / elapsed_run)
         checkpoint_age.set(clock() - last_checkpoint_clock)
         buffer_gauge.set(core.live_window.buffered)
+        index_gauge.set(core.live_window.index_sequences)
         routes_gauge.set(core.live_tamp.tamp.route_count())
         for name, depth in core.live_pipeline.depths().items():
             queue_gauges[name].set(depth)

@@ -12,9 +12,11 @@ at admission and held until eviction — the next boundary and the window
 index are the stage's whole state, exactly what :class:`WindowState`
 checkpoints. However many overlapping windows an event sits in, it is
 encoded once and counted once: closes and checkpoints hash and write
-its held line, and a close adds only the events admitted since the last
-one to a sliding :class:`StemIndex` (an eviction subtracts what it
-pops) — derived from the buffer, rebuilt from it whenever it is absent.
+its held line, and a sliding :class:`StemIndex` — derived from the
+buffer, rebuilt from it whenever it is absent — is brought level with
+the buffer at admission (add the new tail, subtract what the last close
+evicted), so that a close adds only its own batch's events from before
+the boundary and then extracts.
 
 Ordering contract: the stage re-emits each event batch downstream
 *before* the report that closes at or after it, so a downstream
@@ -158,11 +160,19 @@ class WindowedStemmer(Stage):
         self._lines: deque[str] = deque()
         self._boundary: Optional[float] = None
         self._window_index = 0
-        #: The sliding first level — the buffer as of the last close,
-        #: grouped and counted. Derived, never checkpointed: ``None``
-        #: (new, restored, drained) makes the next close load the buffer.
+        #: The sliding first level — the buffer as of the last
+        #: :meth:`_sync_index`, grouped and counted. Derived, never
+        #: checkpointed: ``None`` (new, restored, drained) makes the
+        #: next sync load the buffer.
         self._index: Optional[StemIndex] = None
-        self._interned_at_load = 0
+        #: ``_index.interned`` at the first close after it was loaded,
+        #: when it held one window and nothing an eviction leaves
+        #: behind; 0 until then.
+        self._interned_at_close = 0
+        #: Events a close evicted from the buffer that the index still
+        #: holds: removing them waits for the next admission call, off
+        #: the path between a window's last event and its report.
+        self._parked: list[BGPEvent] = []
 
     # -- Stage interface ------------------------------------------------
 
@@ -174,6 +184,8 @@ class WindowedStemmer(Stage):
         out: list[object] = []
         pending: list[BGPEvent] = []
         pending_offset = item.start_offset
+        closed_before = self._window_index
+        self._sync_index()
         for event in item.events:
             if self._boundary is None:
                 self._boundary = event.timestamp + self.window
@@ -193,6 +205,10 @@ class WindowedStemmer(Stage):
             self._lines.append(event.to_json())
             pending.append(event)
         self._emit_pending(out, pending, pending_offset)
+        if self._window_index == closed_before:
+            # No report is waiting on this call: take the batch into
+            # the index now, so the close that comes has less to add.
+            self._sync_index()
         return out
 
     def flush(self) -> Optional[Iterable[object]]:
@@ -235,6 +251,11 @@ class WindowedStemmer(Stage):
     def window_index(self) -> int:
         return self._window_index
 
+    @property
+    def index_sequences(self) -> int:
+        """Unique sequences the sliding index holds (0 with none)."""
+        return 0 if self._index is None else len(self._index.by_ids)
+
     # -- Internals ------------------------------------------------------
 
     def _emit_pending(
@@ -261,16 +282,10 @@ class WindowedStemmer(Stage):
     ) -> None:
         assert self._boundary is not None
         if self._buffer:
-            # Count only what was admitted since the previous close.
-            index = self._index
-            held = index.counter.event_count if index is not None else 0
-            admitted = list(
-                islice(reversed(self._buffer), len(self._buffer) - held)
-            )
-            admitted.reverse()
-            self._index = self.stemmer.load(admitted, index)
-            if index is None:
-                self._interned_at_load = self._index.interned
+            index = self._sync_index()
+            assert index is not None
+            if not self._interned_at_close:
+                self._interned_at_close = index.interned
             out.append(
                 WindowReport(
                     index=self._window_index,
@@ -278,14 +293,14 @@ class WindowedStemmer(Stage):
                     end=self._boundary,
                     event_count=len(self._buffer),
                     fingerprint=fingerprint_lines(self._lines),
-                    result=self.stemmer.extract(self._index),
+                    result=self.stemmer.extract(index),
                 )
             )
             self._window_index += 1
         if partial:
             self._buffer.clear()
             self._lines.clear()
-            self._index = None
+            self._drop_index()
             return
         self._boundary += self.slide
         self._evict()
@@ -305,13 +320,41 @@ class WindowedStemmer(Stage):
         if (
             index is not None
             and self._buffer
-            and index.interned <= 2 * self._interned_at_load
+            and index.interned <= 2 * self._interned_at_close
         ):
-            index.remove(evicted)
+            # The index gives them up at the next admission call, not
+            # between this window's last event and its report.
+            self._parked += evicted
         else:
-            # Drained, or its symbol table has doubled since it was
-            # loaded (ever-new prefixes): the next close reloads it.
-            self._index = None
+            # Drained, or its symbol table has doubled since it held
+            # one window (ever-new prefixes): the next sync reloads it.
+            self._drop_index()
+
+    def _drop_index(self) -> None:
+        self._index = None
+        self._interned_at_close = 0
+        self._parked = []
+
+    def _sync_index(self) -> Optional[StemIndex]:
+        """Bring the sliding index level with the buffer: remove the
+        parked evictions, add the buffer tail it has not seen; with no
+        index, load the buffer into a new one.
+        """
+        buffer = self._buffer
+        index = self._index
+        if index is None:
+            if buffer:
+                index = self._index = self.stemmer.load(buffer)
+            return index
+        if self._parked:
+            index.remove(self._parked)
+            self._parked = []
+        unseen = len(buffer) - index.counter.event_count
+        if unseen:
+            tail = list(islice(reversed(buffer), unseen))
+            tail.reverse()
+            index.add(tail)
+        return index
 
 
 class TampAnnotator(Stage):

@@ -29,9 +29,10 @@ boundary: :meth:`SubsequenceCounter.top` and
 :meth:`SubsequenceCounter.counts` decode on the way out, and the
 decoded results are exactly what the object-level counter produces.
 Bulk callers (the stemmer) skip the boundary entirely via the id-level
-API (:meth:`~SubsequenceCounter.add_ids`,
-:meth:`~SubsequenceCounter.top_ids`,
-:meth:`~SubsequenceCounter.subtract_id_sequences`).
+API (:meth:`~SubsequenceCounter.add_id_counts`,
+:meth:`~SubsequenceCounter.subtract_id_sequences`,
+:attr:`~SubsequenceCounter.pair_counts`,
+:meth:`~SubsequenceCounter.rank_top`).
 
 A subtlety the stemmer relies on: subsequence count is monotone
 non-increasing under extension, so the maximum count over length ≥ 2 is
@@ -41,11 +42,13 @@ common context (the paper's Figure 4 walk-through).
 
 That monotonicity is also the counter's main performance lever. The
 production counter keeps an *adjacent-pair* count table — O(L) per
-sequence instead of the O(L²) full expansion — bucketed by count, which
-answers "what is the maximum count" directly. Any subsequence tying the
+sequence instead of the O(L²) full expansion — whose maximum is the
+maximum count. Any subsequence tying the
 maximum must consist entirely of maximum-count pairs, so the finalists
 longer than two tokens hide inside runs of consecutive winning pairs;
-:meth:`SubsequenceCounter.top` enumerates exactly those runs and counts
+:meth:`SubsequenceCounter.rank_top` — the one tie rule, behind
+:meth:`~SubsequenceCounter.top` and the stemmer's extraction alike —
+enumerates exactly those runs and counts
 their windows, which settles (count, length, tiebreak) ranking without
 materializing the millions-of-entries expansion. The full expansion is
 still available through :meth:`SubsequenceCounter.counts` — built
@@ -61,7 +64,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import partial
-from typing import Iterable, Optional
+from typing import Callable, Collection, Iterable, Optional
 
 from repro.collector.events import BGPEvent, Token
 from repro.interning import SymbolTable
@@ -71,6 +74,9 @@ Sequence_ = tuple[Token, ...]
 Pair = tuple[Token, Token]
 #: An interned sequence: dense token ids in sequence order.
 IdSequence = tuple[int, ...]
+
+#: Id sequence -> its distinct packed adjacent pairs.
+PairsOf = Callable[[IdSequence], Collection[int]]
 
 #: The first token id of a packed adjacent-pair key occupies the bits
 #: above the second. 32 bits per side matches the edge-id packing of
@@ -83,6 +89,40 @@ PAIR_MASK = (1 << PAIR_SHIFT) - 1
 #: multiplicity the O(distinct) per-pair arithmetic add wins over the
 #: O(events) stream repeat.
 _STREAM_REPEAT_LIMIT = 8
+
+
+def distinct_pairs(ids: IdSequence) -> set[int]:
+    """The packed adjacent pairs of *ids*, each once."""
+    return {(a << PAIR_SHIFT) | b for a, b in zip(ids, ids[1:])}
+
+
+def count_pairs(
+    items: Iterable[tuple[IdSequence, int]],
+    into: Counter[int],
+    pairs_of: PairsOf = distinct_pairs,
+) -> Counter[int]:
+    """Add to *into*, per packed pair, the events of *items* — (id
+    sequence, multiplicity) — that contain it; returns *into*.
+
+    One C-level ``Counter.update`` over a packed-pair stream that
+    repeats each sequence's distinct pairs once per counted event,
+    which is exactly the defining sum. *pairs_of* lets a caller that
+    keeps each sequence's distinct pairs hand them over.
+    """
+    stream: list[int] = []
+    extend = stream.extend
+    for ids, multiplicity in items:
+        pairs = pairs_of(ids)
+        if multiplicity <= _STREAM_REPEAT_LIMIT:
+            for _ in range(multiplicity):
+                extend(pairs)
+        else:
+            # Heavily duplicated sequences (big flaps) add per pair in
+            # O(distinct), not O(events).
+            for pair in pairs:
+                into[pair] += multiplicity
+    into.update(stream)
+    return into
 
 
 class SubsequenceCounter:
@@ -117,13 +157,11 @@ class SubsequenceCounter:
         #: sequence thousands of times).
         self._expansions: dict[IdSequence, tuple[IdSequence, ...]] = {}
         #: packed adjacent pair -> number of events containing it.
-        #: Maintained on every add/subtract (O(L) per sequence); with
-        #: the pair buckets below it answers top() without the full
-        #: expansion.
+        #: Maintained on every add/subtract (O(L) per sequence); it
+        #: answers top() without the full expansion.
         self._pair_counts: Counter[int] = Counter()
-        #: count -> set of packed pairs at that count; lazily built by
-        #: top() and maintained incrementally thereafter.
-        self._pair_buckets: Optional[dict[int, set[int]]] = None
+        #: Events counted: the running sum of ``_sequence_counts``.
+        self._events = 0
 
     # ------------------------------------------------------------------
     # Token-level API (the decode boundary)
@@ -228,6 +266,7 @@ class SubsequenceCounter:
                 f"multiplicity must be >= 1, got {multiplicity}"
             )
         self._sequence_counts[ids] += multiplicity
+        self._events += multiplicity
         self._shift_pairs(ids, multiplicity)
         if self._expanded is not None:
             # Keep the expansion current instead of invalidating it: a
@@ -235,47 +274,40 @@ class SubsequenceCounter:
             self._apply_delta(self._expansion(ids), multiplicity)
 
     def add_id_counts(
-        self, items: Iterable[tuple[IdSequence, int]]
+        self,
+        items: Iterable[tuple[IdSequence, int]],
+        pairs_of: PairsOf = distinct_pairs,
     ) -> None:
         """Bulk :meth:`add_ids` over a whole unique-sequence table.
 
-        On a virgin counter (no expansion, no bucket index — the
-        stemmer's initial load) the adjacent-pair table takes one
-        C-level ``Counter.update`` over a packed-pair stream instead of
-        a Python dict transaction per sequence; with indexes live it
-        falls back to the incremental per-sequence path.
+        Without an expansion to maintain (the stemmer's loads and
+        slides) the adjacent-pair table takes one C-level
+        ``Counter.update`` over a packed-pair stream instead of a
+        Python dict transaction per sequence. A caller that keeps each
+        sequence's distinct pairs hands them over as *pairs_of*.
         """
-        if self._expanded is not None or self._pair_buckets is not None:
+        if self._expanded is not None:
             for ids, multiplicity in items:
                 self.add_ids(ids, multiplicity)
             return
+        items = list(items)
         sequence_counts = self._sequence_counts
-        pair_counts = self._pair_counts
-        stream: list[int] = []
-        extend = stream.extend
         for ids, multiplicity in items:
             if multiplicity < 1:
                 raise ValueError(
                     f"multiplicity must be >= 1, got {multiplicity}"
                 )
             sequence_counts[ids] += multiplicity
-            if len(ids) < 2:
-                continue
-            pairs = {(a << PAIR_SHIFT) | b for a, b in zip(ids, ids[1:])}
-            if multiplicity <= _STREAM_REPEAT_LIMIT:
-                for _ in range(multiplicity):
-                    extend(pairs)
-            else:
-                # Heavily duplicated sequences (big flaps) add per pair
-                # in O(distinct), not O(events).
-                for pair in pairs:
-                    pair_counts[pair] += multiplicity
-        pair_counts.update(stream)
+            self._events += multiplicity
+        count_pairs(items, self._pair_counts, pairs_of)
 
     def subtract_id_sequences(
-        self, removals: Iterable[tuple[IdSequence, int]]
+        self,
+        removals: Iterable[tuple[IdSequence, int]],
+        pairs_of: PairsOf = distinct_pairs,
     ) -> None:
-        """:meth:`subtract_sequences` over already-interned sequences."""
+        """:meth:`subtract_sequences` over already-interned sequences
+        (*pairs_of* as in :meth:`add_id_counts`)."""
         removals = list(removals)
         for ids, multiplicity in removals:
             current = self._sequence_counts.get(ids, 0)
@@ -288,40 +320,25 @@ class SubsequenceCounter:
                 del self._sequence_counts[ids]
             else:
                 self._sequence_counts[ids] = current - multiplicity
+            self._events -= multiplicity
         # When the removals outnumber the survivors (typical for the
         # first extracted component, which often explains most of a
         # spike), rebuilding from the survivors is cheaper than walking
         # the majority's pairs and subsequences.
         majority = len(removals) > len(self._sequence_counts)
         if majority:
-            self._rebuild_pairs()
-        elif self._pair_buckets is None:
-            # No bucket index yet: batch the whole removal into one
-            # C-counted delta and one short sweep over distinct pairs.
-            pair_counts = self._pair_counts
-            delta: Counter[int] = Counter()
-            stream: list[int] = []
-            extend = stream.extend
-            for ids, multiplicity in removals:
-                if len(ids) < 2:
-                    continue
-                pairs = {
-                    (a << PAIR_SHIFT) | b for a, b in zip(ids, ids[1:])
-                }
-                if multiplicity <= _STREAM_REPEAT_LIMIT:
-                    for _ in range(multiplicity):
-                        extend(pairs)
-                else:
-                    for pair in pairs:
-                        delta[pair] += multiplicity
-            delta.update(stream)
-            pair_counts.subtract(delta)
-            for pair in delta:
-                if pair_counts[pair] <= 0:
-                    del pair_counts[pair]
+            self._pair_counts = count_pairs(
+                self._sequence_counts.items(), Counter()
+            )
         else:
-            for ids, multiplicity in removals:
-                self._shift_pairs(ids, -multiplicity)
+            # One C-counted delta for the whole removal and one short
+            # sweep over its distinct pairs.
+            pair_counts = self._pair_counts
+            pair_delta = count_pairs(removals, Counter(), pairs_of)
+            pair_counts.subtract(pair_delta)
+            for pair in pair_delta:
+                if pair_counts[pair] <= 0:
+                    pair_counts.pop(pair)  # C-level, unlike Counter's del
         if self._expanded is None:
             return
         if majority:
@@ -359,21 +376,19 @@ class SubsequenceCounter:
                 expanded[subsequence] = after
             self._move_bucket(buckets, subsequence, before, after)
 
-    def fork(self) -> "SubsequenceCounter":
-        """A scratch twin for one extraction: same symbols, C-level
-        copies of the sequence and pair tables, no index built yet."""
-        twin = SubsequenceCounter(self.max_length, self.workers, self.symbols)
-        twin._sequence_counts = self._sequence_counts.copy()
-        twin._pair_counts = self._pair_counts.copy()
-        return twin
-
     @property
     def event_count(self) -> int:
-        return sum(self._sequence_counts.values())
+        return self._events
 
     @property
     def unique_sequence_count(self) -> int:
         return len(self._sequence_counts)
+
+    @property
+    def pair_counts(self) -> Counter[int]:
+        """Packed adjacent pair -> events containing it: the live
+        table, so an extraction copies it before subtracting."""
+        return self._pair_counts
 
     def id_counts(self) -> Counter[IdSequence]:
         """The live expansion, keyed by interned id sequences."""
@@ -387,14 +402,13 @@ class SubsequenceCounter:
         With the expansion materialized (someone called
         :meth:`counts`), this reads the full count-bucket index.
         Otherwise it answers from the adjacent-pair table alone: by
-        count monotonicity the maximum count is attained by a pair, and
-        any longer subsequence tying it must consist entirely of
-        maximum-count pairs, so the only candidates are the windows of
-        consecutive-winning-pair runs, which
-        :meth:`_candidate_windows` counts exactly. Either way the
-        stemmer gets its per-component top() without rescanning
-        millions of expanded entries — and the pair path without ever
-        building them.
+        count monotonicity the maximum count is attained by a pair, so
+        the pairs at the table's maximum are the winners and
+        :meth:`rank_top` — the tie rule :meth:`Stemmer.extract
+        <repro.stemming.stemmer.Stemmer.extract>` applies per
+        component — picks among them and the longer subsequences they
+        chain into. Computed per call: this is the public oracle, not
+        the extraction's loop.
         """
         if self._expanded is not None:
             if not self._expanded:
@@ -405,7 +419,59 @@ class SubsequenceCounter:
             best_length = max(map(len, bucket))
             finalists = [s for s in bucket if len(s) == best_length]
             return min(finalists, key=self._tiebreak_ids), best_count
-        return self._pair_top()
+        if self.max_length is not None and self.max_length < 2:
+            return None
+        pair_counts = self._pair_counts
+        if not pair_counts:
+            return None
+        best_count = max(pair_counts.values())
+        winning = {
+            pair for pair, count in pair_counts.items() if count == best_count
+        }
+        sequence_counts = self._sequence_counts
+        top = self.rank_top(
+            winning,
+            best_count,
+            lambda: sequence_counts,
+            sequence_counts.__getitem__,
+        )
+        return top, best_count
+
+    def rank_top(
+        self,
+        winning: Collection[int],
+        best_count: int,
+        holders: Callable[[], Iterable[IdSequence]],
+        count_of: Callable[[IdSequence], int],
+    ) -> IdSequence:
+        """The strongest subsequence, given the packed pairs *winning*
+        at the maximum count *best_count*.
+
+        Ranking prefers longer on count ties, and a longer subsequence
+        reaches the maximum only if every one of its adjacent pairs
+        does. When a single winning pair of two distinct tokens tops the
+        table, no longer chain can exist and the pair wins outright
+        (one top per extracted component is common). Otherwise the
+        finalists hide inside runs of consecutive winning pairs:
+        *holders()* names the counted sequences to walk — at least
+        every one containing a winning pair — and *count_of* their
+        multiplicities; those few windows are counted exactly and
+        ranked (count, length, decoded rendering).
+        """
+        if len(winning) == 1:
+            (pair,) = winning
+            first, second = pair >> PAIR_SHIFT, pair & PAIR_MASK
+            if first != second:
+                return (first, second)
+        candidates = self._candidate_windows(winning, holders(), count_of)
+        finalists_pool = [
+            window
+            for window, count in candidates.items()
+            if count == best_count
+        ]
+        best_length = max(map(len, finalists_pool))
+        finalists = [w for w in finalists_pool if len(w) == best_length]
+        return min(finalists, key=self._tiebreak_ids)
 
     # ------------------------------------------------------------------
     # Internals
@@ -455,119 +521,36 @@ class SubsequenceCounter:
 
     def _shift_pairs(self, ids: IdSequence, delta: int) -> None:
         """Shift the sequence's distinct adjacent pairs by *delta* events."""
-        if len(ids) < 2:
-            return
         pair_counts = self._pair_counts
-        buckets = self._pair_buckets
         get = pair_counts.get
-        if buckets is None:
-            # Hot path: the bulk add/subtract phases run before top()
-            # ever builds the bucket index.
-            for pair in {
-                (a << PAIR_SHIFT) | b for a, b in zip(ids, ids[1:])
-            }:
-                before = get(pair, 0)
-                if before > -delta:
-                    pair_counts[pair] = before + delta
-                else:
-                    del pair_counts[pair]
-            return
-        move = self._move_bucket
-        for pair in {(a << PAIR_SHIFT) | b for a, b in zip(ids, ids[1:])}:
+        for pair in distinct_pairs(ids):
             before = get(pair, 0)
-            after = before + delta
-            if after > 0:
-                pair_counts[pair] = after
+            if before > -delta:
+                pair_counts[pair] = before + delta
             else:
                 del pair_counts[pair]
-                after = 0
-            move(buckets, pair, before, after)
 
-    def _rebuild_pairs(self) -> None:
-        """Recount adjacent pairs from the surviving sequences.
-
-        One C-level ``Counter.update`` over a packed-pair stream; the
-        stream repeats each sequence's distinct pairs once per counted
-        event, which is exactly the defining sum.
-        """
-        pair_counts: Counter[int] = Counter()
-        stream: list[int] = []
-        extend = stream.extend
-        for ids, multiplicity in self._sequence_counts.items():
-            if len(ids) < 2:
-                continue
-            pairs = {(a << PAIR_SHIFT) | b for a, b in zip(ids, ids[1:])}
-            if multiplicity <= _STREAM_REPEAT_LIMIT:
-                for _ in range(multiplicity):
-                    extend(pairs)
-            else:
-                for pair in pairs:
-                    pair_counts[pair] += multiplicity
-        pair_counts.update(stream)
-        self._pair_counts = pair_counts
-        self._pair_buckets = None
-
-    def _ensure_pair_buckets(self) -> dict[int, set[int]]:
-        if self._pair_buckets is None:
-            buckets: dict[int, set[int]] = {}
-            for pair, count in self._pair_counts.items():
-                bucket = buckets.get(count)
-                if bucket is None:
-                    bucket = buckets[count] = set()
-                bucket.add(pair)
-            self._pair_buckets = buckets
-        return self._pair_buckets
-
-    def _pair_top(self) -> Optional[tuple[IdSequence, int]]:
-        """top_ids() from the pair table, without the full expansion.
-
-        Monotonicity gives the winning *count* directly: it is the
-        maximum pair count. The winning *subsequence* needs more care —
-        ranking prefers longer on count ties, and a longer subsequence
-        reaches the maximum only if every one of its adjacent pairs
-        does. When a single winning pair of two distinct tokens tops the
-        bucket index, no longer chain can exist and the pair wins
-        outright (the common case: one top per extracted component).
-        Otherwise the finalists hide inside runs of consecutive winning
-        pairs; count those few windows exactly and rank.
-        """
-        if self.max_length is not None and self.max_length < 2:
-            return None
-        buckets = self._ensure_pair_buckets()
-        if not buckets:
-            return None
-        best_count = max(buckets)
-        winning = buckets[best_count]
-        if len(winning) == 1:
-            (pair,) = winning
-            first, second = pair >> PAIR_SHIFT, pair & PAIR_MASK
-            if first != second:
-                return (first, second), best_count
-        candidates = self._candidate_windows(winning)
-        finalists_pool = [
-            window
-            for window, count in candidates.items()
-            if count == best_count
-        ]
-        best_length = max(map(len, finalists_pool))
-        finalists = [w for w in finalists_pool if len(w) == best_length]
-        return min(finalists, key=self._tiebreak_ids), best_count
-
-    def _candidate_windows(self, winning: set[int]) -> Counter[IdSequence]:
+    def _candidate_windows(
+        self,
+        winning: Collection[int],
+        holders: Iterable[IdSequence],
+        count_of: Callable[[IdSequence], int],
+    ) -> Counter[IdSequence]:
         """Exact counts for every window made solely of winning pairs.
 
         Any subsequence tying the maximum count lies inside a maximal
         run of consecutive winning pairs in every sequence containing
         it, so enumerating run windows (deduplicated per sequence, so an
-        event counts once) and summing sequence multiplicities yields
-        the candidates' true counts (a sequence holding no winning
-        pair's first id skips the walk). Windows that fall short of the
-        maximum are filtered by the caller; winning pairs themselves
-        always appear, so the finalist pool is never empty.
+        event counts once) over *holders* and summing their
+        multiplicities yields the candidates' true counts (a sequence
+        holding no winning pair's first id skips the walk). Windows
+        that fall short of the maximum are filtered by the caller;
+        winning pairs themselves always appear, so the finalist pool is
+        never empty.
         """
         candidates: Counter[IdSequence] = Counter()
         firsts = {pair >> PAIR_SHIFT for pair in winning}
-        for ids, multiplicity in self._sequence_counts.items():
+        for ids in holders:
             n = len(ids)
             if n < 2 or firsts.isdisjoint(ids):
                 continue
@@ -584,6 +567,7 @@ class SubsequenceCounter:
             if run_start >= 0:
                 windows = self._run_windows(ids, run_start, n, windows)
             if windows:
+                multiplicity = count_of(ids)
                 for window in windows:
                     candidates[window] += multiplicity
         return candidates

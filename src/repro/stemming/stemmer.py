@@ -10,15 +10,26 @@ incidents" hidden in the million events.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Optional
+from typing import Collection, Iterable, Iterator, Optional
 
 from repro.collector.events import BGPEvent, Token
 from repro.collector.stream import EventStream
 from repro.net.prefix import Prefix
 from repro.perf import gc_paused
-from repro.stemming.counter import IdSequence, SubsequenceCounter
+from repro.stemming.counter import (
+    PAIR_SHIFT,
+    IdSequence,
+    PairsOf,
+    SubsequenceCounter,
+    count_pairs,
+    distinct_pairs,
+)
 from repro.stemming.encode import format_stem, stem_values
+
+#: An extraction's working set: the sequences not yet in a component.
+Alive = dict[IdSequence, list[BGPEvent]]
 
 
 @dataclass(frozen=True)
@@ -106,13 +117,10 @@ class Stemmer:
     #: the ``REPRO_WORKERS`` environment variable; see ``repro.perf``).
     workers: Optional[int] = None
 
-    def load(
-        self, events: Iterable[BGPEvent], index: Optional["StemIndex"] = None
-    ) -> "StemIndex":
-        """Group and count *events* into *index* (default: a new one):
-        a batch caller's whole stream, or one slide's admissions."""
-        if index is None:
-            index = StemIndex(self.max_subsequence_length, self.workers)
+    def load(self, events: Iterable[BGPEvent]) -> "StemIndex":
+        """Group and count *events* into a new index: a batch caller's
+        whole stream, or the buffer of a window stage that has none."""
+        index = StemIndex(self.max_subsequence_length, self.workers)
         index.add(events)
         return index
 
@@ -125,40 +133,97 @@ class Stemmer:
         """Ranked components of the events *index* holds; the index is
         left as it was, so its owner can keep sliding it.
 
-        Two deduplication tricks keep a million-event decomposition fast:
-        the counts are loaded once and component extraction *subtracts*
-        sequences (from C-level copies of the index's tables) instead of
-        recounting the residual, and every per-component scan (which
-        prefixes match s′, which events belong to the component) runs
-        over *unique sequences*, of which real streams have orders of
-        magnitude fewer than events. All of it runs interned
-        (DESIGN.md §10): matching and removal compare ints, and tokens
-        reappear only inside the :class:`Component` results.
+        One loop over one working set — C-level copies of the index's
+        unique-sequence table (the sequences still alive) and pair
+        counts, plus a count -> pairs map built once — so extracting a
+        component *subtracts* its sequences instead of recounting the
+        residual, and everything runs over *unique sequences*, of which
+        real streams have orders of magnitude fewer than events. Per
+        component it asks the index three questions — who holds a tied
+        pair, who holds the top, who ends in an affected prefix — which
+        a slid index answers from its posting lists and a one-shot
+        index by scanning the alive sequences (:class:`StemIndex`);
+        either way the work after that follows what the component
+        touches. All of it runs interned (DESIGN.md §10): matching and
+        removal compare ints, and tokens reappear only inside the
+        :class:`Component` results.
         """
+        counter = index.counter
+        total = remaining = counter.event_count
+        components: list[Component] = []
+        max_length = self.max_subsequence_length
+        if max_length is not None and max_length < 2:
+            return StemmingResult((), remaining, total)
+        token = index.symbols.token
         with gc_paused():
-            counter = index.counter.fork()
-            by_ids = index.by_ids.copy()
-            components: list[Component] = []
-            total = remaining = counter.event_count
-            while by_ids and len(components) < self.max_components:
-                extracted = self._component_from_top(
-                    counter, by_ids, len(components) + 1
-                )
-                if extracted is None:
+            alive = index.by_ids.copy()
+            # A plain dict: Counter's ``del`` is a Python-level method.
+            pair_counts = dict(counter.pair_counts)
+            by_count = _pairs_by_count(pair_counts)
+
+            def multiplicity(ids: IdSequence) -> int:
+                return len(alive[ids])
+
+            while by_count and len(components) < self.max_components:
+                strength = max(by_count)
+                if strength < self.min_strength:
                     break
-                component_of, affected_ids = extracted
-                # One pass pops the component's sequences, collecting
-                # its events and the counter removals together.
+                winning = by_count[strength]
+                top_ids = counter.rank_top(
+                    winning,
+                    strength,
+                    lambda: index.holding_any(winning, alive),
+                    multiplicity,
+                )
+                subsequence = tuple(token(tid) for tid in top_ids)
+                affected_ids = {
+                    ids[-1] for ids in index.holding(top_ids, alive)
+                }
+                # Pop the component's sequences in index order, so
+                # simultaneous events come out as a scan would give them.
                 removals: list[tuple[IdSequence, int]] = []
-                component_events: list[BGPEvent] = []
-                for ids in [s for s in by_ids if s[-1] in affected_ids]:
-                    bucket = by_ids.pop(ids)
+                events: list[BGPEvent] = []
+                for ids in index.ending_in(affected_ids, alive):
+                    bucket = alive.pop(ids)
                     removals.append((ids, len(bucket)))
-                    component_events.extend(bucket)
-                    remaining -= len(bucket)
-                components.append(component_of(component_events))
-                if len(components) < self.max_components:
-                    counter.subtract_id_sequences(removals)
+                    events.extend(bucket)
+                remaining -= len(events)
+                components.append(
+                    Component(
+                        rank=len(components) + 1,
+                        subsequence=subsequence,
+                        strength=strength,
+                        stem=(subsequence[-2], subsequence[-1]),
+                        prefixes=frozenset(
+                            token(tid)[1]  # the prefix token's value
+                            for tid in affected_ids
+                        ),
+                        events=EventStream(events),
+                    )
+                )
+                if len(components) == self.max_components:
+                    break
+                if len(removals) > len(alive):
+                    # The component explained most of what was left
+                    # (typical for the first one of a spike): recounting
+                    # the survivors is cheaper than walking its pairs.
+                    pair_counts = dict(
+                        count_pairs(
+                            (
+                                (ids, len(bucket))
+                                for ids, bucket in alive.items()
+                            ),
+                            Counter(),
+                            index.pairs_of,
+                        )
+                    )
+                    by_count = _pairs_by_count(pair_counts)
+                else:
+                    _subtract_pairs(
+                        pair_counts,
+                        by_count,
+                        count_pairs(removals, Counter(), index.pairs_of),
+                    )
         return StemmingResult(
             components=tuple(components),
             residual_events=remaining,
@@ -170,69 +235,6 @@ class Stemmer:
     ) -> Optional[Component]:
         """Just the top component (cheaper than a full decomposition)."""
         return replace(self, max_components=1).decompose(events).strongest
-
-    def _component_from_top(
-        self,
-        counter: SubsequenceCounter,
-        by_ids: dict[IdSequence, list[BGPEvent]],
-        rank: int,
-    ) -> Optional[tuple]:
-        """The next component (minus its events) plus the affected
-        prefix *token ids*.
-
-        The id set drives removal matching in :meth:`extract` (int
-        membership instead of Prefix hashing), and the caller collects
-        the component's events while popping matched sequences — one
-        scan where separate collect-then-remove passes would take two.
-        Returns ``(build, affected_ids)`` where ``build(events)``
-        finishes the :class:`Component`; its decoded tokens and
-        prefixes are identical to what the object-level pipeline
-        produced.
-        """
-        top = counter.top_ids()
-        if top is None:
-            return None
-        top_ids, strength = top
-        if strength < self.min_strength:
-            return None
-        token = counter.symbols.token
-        subsequence = tuple(token(tid) for tid in top_ids)
-        stem = (subsequence[-2], subsequence[-1])
-        # C-level tuple membership rejects most sequences before any
-        # Python adjacency walk.
-        first = top_ids[0]
-        if len(top_ids) == 2:
-            # The usual winner is a bare pair (see _pair_top).
-            second = top_ids[1]
-            affected_ids = {
-                ids[-1]
-                for ids in by_ids
-                if first in ids
-                and second in ids
-                and _adjacent(ids, first, second)
-            }
-        else:
-            affected_ids = {
-                ids[-1]
-                for ids in by_ids
-                if first in ids and _contains(ids, top_ids)
-            }
-        prefixes = frozenset(
-            token(tid)[1]  # the prefix token's value
-            for tid in affected_ids
-        )
-
-        def component_of(events: Iterable[BGPEvent]) -> Component:
-            return Component(
-                rank=rank,
-                subsequence=subsequence,
-                strength=strength,
-                stem=stem,
-                prefixes=prefixes,
-                events=EventStream(events),
-            )
-
-        return component_of, affected_ids
 
 
 class StemIndex:
@@ -253,10 +255,21 @@ class StemIndex:
     across closes — each event grouped and counted once, however many
     windows it sits in — and, since the table and memos only grow
     (:attr:`interned`), rebuilds it when they have doubled.
+
+    A kept index also keeps :class:`_Postings` over its unique
+    sequences, built (one pass over ``by_ids``) the first time an index
+    that already holds events is slid and maintained from then on: an
+    entry appears when a sequence first does and goes when its last
+    event leaves. :meth:`Stemmer.extract` asks every index the same
+    questions (:meth:`holding_any`, :meth:`holding`, :meth:`ending_in`,
+    :attr:`pairs_of`); with postings they are lookups, without — a
+    batch load, extracted once — the scans that load would not repay
+    postings for.
     """
 
     __slots__ = (
-        "symbols", "counter", "by_ids", "_peers", "_heads", "_pfx_ids"
+        "symbols", "counter", "by_ids", "_peers", "_heads", "_pfx_ids",
+        "_postings",
     )
 
     def __init__(
@@ -272,6 +285,7 @@ class StemIndex:
         #: :meth:`_group_by_ids`.
         self._heads: dict[IdSequence, dict[int, list[BGPEvent]]] = {}
         self._pfx_ids: dict[Prefix, int] = {}
+        self._postings: Optional[_Postings] = None
 
     @property
     def interned(self) -> int:
@@ -282,27 +296,107 @@ class StemIndex:
         """Index and count *events*, which arrive after all held ones."""
         counts: list[tuple[IdSequence, int]] = []
         with gc_paused():
+            postings = self._slid_postings()
             for ids, batch in self._group_by_ids(events):
                 bucket = self.by_ids.get(ids)
                 if bucket is None:
                     self.by_ids[ids] = batch
+                    if postings is not None:
+                        postings.post(ids)
                 else:
                     bucket.extend(batch)
                 counts.append((ids, len(batch)))
-            self.counter.add_id_counts(counts)
+            self.counter.add_id_counts(counts, self.pairs_of)
 
     def remove(self, events: Iterable[BGPEvent]) -> None:
         """Drop *events*: the oldest held ones, as an eviction pops."""
         removals: list[tuple[IdSequence, int]] = []
+        gone: list[IdSequence] = []
         with gc_paused():
+            postings = self._slid_postings()
             for ids, batch in self._group_by_ids(events):
                 bucket = self.by_ids[ids]
                 if len(bucket) == len(batch):
                     del self.by_ids[ids]
+                    gone.append(ids)
                 else:
                     del bucket[: len(batch)]
                 removals.append((ids, len(batch)))
-            self.counter.subtract_id_sequences(removals)
+            self.counter.subtract_id_sequences(removals, self.pairs_of)
+            if postings is not None:
+                for ids in gone:
+                    postings.unpost(ids)
+
+    # -- What an extraction asks (lookups if slid, scans if not) --------
+
+    def holding_any(
+        self, pairs: Collection[int], alive: Alive
+    ) -> Iterable[IdSequence]:
+        """The *alive* sequences to search for runs of *pairs*: at
+        least every one containing any of them."""
+        postings = self._postings
+        if postings is None:
+            return alive
+        return alive.keys() & set().union(
+            *map(postings.by_pair.__getitem__, pairs)
+        )
+
+    def holding(
+        self, subsequence: IdSequence, alive: Alive
+    ) -> Iterable[IdSequence]:
+        """The *alive* sequences containing *subsequence* (length ≥ 2)."""
+        first, second = subsequence[:2]
+        postings = self._postings
+        if postings is None:
+            # C-level tuple membership rejects most sequences before
+            # any Python adjacency walk.
+            if len(subsequence) == 2:
+                return [
+                    ids
+                    for ids in alive
+                    if first in ids
+                    and second in ids
+                    and _adjacent(ids, first, second)
+                ]
+            return [
+                ids
+                for ids in alive
+                if first in ids and _contains(ids, subsequence)
+            ]
+        holders = alive.keys() & postings.by_pair[
+            (first << PAIR_SHIFT) | second
+        ]
+        if len(subsequence) == 2:
+            return holders
+        return {ids for ids in holders if _contains(ids, subsequence)}
+
+    def ending_in(
+        self, prefix_ids: Collection[int], alive: Alive
+    ) -> list[IdSequence]:
+        """The *alive* sequences whose prefix is one of *prefix_ids*,
+        in index (``by_ids``) order."""
+        postings = self._postings
+        if postings is None:
+            return [ids for ids in alive if ids[-1] in prefix_ids]
+        found = alive.keys() & set().union(
+            *map(postings.by_prefix.__getitem__, prefix_ids)
+        )
+        return sorted(found, key=postings.order.__getitem__)
+
+    @property
+    def pairs_of(self) -> PairsOf:
+        """Id sequence -> its distinct packed pairs (kept, or computed)."""
+        postings = self._postings
+        if postings is None:
+            return distinct_pairs
+        return postings.pairs.__getitem__
+
+    def _slid_postings(self) -> Optional["_Postings"]:
+        """The postings, built now if this index holds events and has
+        none: it is being slid, so it is a kept one."""
+        if self._postings is None and self.by_ids:
+            self._postings = _Postings(self.by_ids)
+        return self._postings
 
     def _group_by_ids(
         self, events: Iterable[BGPEvent]
@@ -346,6 +440,107 @@ class StemIndex:
             for pfx_id, batch in scratch.items():
                 yield head + (pfx_id,), batch
             scratch.clear()
+
+
+class _Postings:
+    """Posting lists over a kept :class:`StemIndex`'s unique sequences:
+    what lets a component's extraction touch only the sequences it
+    involves.
+
+    ``by_pair``: packed pair -> the sequences containing it;
+    ``by_prefix``: prefix id -> the sequences ending in it; ``pairs``:
+    sequence -> its distinct packed pairs, computed once; ``order``:
+    sequence -> a serial that grows with its position in ``by_ids``, so
+    a set of sequences can be put back in index order. No posting is
+    ever left empty.
+    """
+
+    __slots__ = ("by_pair", "by_prefix", "pairs", "order", "_serial")
+
+    def __init__(self, sequences: Iterable[IdSequence]) -> None:
+        self.by_pair: dict[int, set[IdSequence]] = {}
+        self.by_prefix: dict[int, set[IdSequence]] = {}
+        self.pairs: dict[IdSequence, set[int]] = {}
+        self.order: dict[IdSequence, int] = {}
+        self._serial = 0
+        for ids in sequences:
+            self.post(ids)
+
+    def post(self, ids: IdSequence) -> None:
+        """*ids* has just been appended to ``by_ids``."""
+        self.order[ids] = self._serial
+        self._serial += 1
+        pairs = self.pairs[ids] = distinct_pairs(ids)
+        by_pair = self.by_pair
+        for pair in pairs:
+            posting = by_pair.get(pair)
+            if posting is None:
+                by_pair[pair] = {ids}
+            else:
+                posting.add(ids)
+        posting = self.by_prefix.get(ids[-1])
+        if posting is None:
+            self.by_prefix[ids[-1]] = {ids}
+        else:
+            posting.add(ids)
+
+    def unpost(self, ids: IdSequence) -> None:
+        """*ids* has just left ``by_ids``."""
+        del self.order[ids]
+        by_pair = self.by_pair
+        for pair in self.pairs.pop(ids):
+            posting = by_pair[pair]
+            if len(posting) == 1:
+                del by_pair[pair]
+            else:
+                posting.remove(ids)
+        posting = self.by_prefix[ids[-1]]
+        if len(posting) == 1:
+            del self.by_prefix[ids[-1]]
+        else:
+            posting.remove(ids)
+
+
+def _pairs_by_count(pair_counts: dict[int, int]) -> dict[int, set[int]]:
+    """Count -> the packed pairs at that count."""
+    by_count: dict[int, set[int]] = {}
+    for pair, count in pair_counts.items():
+        bucket = by_count.get(count)
+        if bucket is None:
+            by_count[count] = {pair}
+        else:
+            bucket.add(pair)
+    return by_count
+
+
+def _subtract_pairs(
+    pair_counts: dict[int, int],
+    by_count: dict[int, set[int]],
+    delta: Counter[int],
+) -> None:
+    """Take a component's summed pair *delta* off the working counts:
+    each distinct pair moves bucket once."""
+    for pair, removed in delta.items():
+        before = pair_counts.get(pair, 0)
+        after = before - removed
+        if after < 0:
+            raise ValueError(
+                f"cannot subtract {removed} of a pair counted {before} times"
+            )
+        bucket = by_count[before]
+        if len(bucket) == 1:
+            del by_count[before]
+        else:
+            bucket.remove(pair)
+        if after == 0:
+            del pair_counts[pair]
+            continue
+        pair_counts[pair] = after
+        bucket = by_count.get(after)
+        if bucket is None:
+            by_count[after] = {pair}
+        else:
+            bucket.add(pair)
 
 
 def _adjacent(sequence: tuple, first: object, second: object) -> bool:

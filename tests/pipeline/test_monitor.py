@@ -448,6 +448,22 @@ class TestInstrumentation:
             (c.strength for c in components), default=0
         )
 
+    def test_index_sequences_follows_the_sliding_index(self, sliding_config):
+        # Stopped mid-stream the stage still holds its index; a run
+        # that ends flushes the last window and drops it.
+        registry = MetricsRegistry()
+        run_monitor(
+            small_source(),
+            dataclasses.replace(sliding_config, max_events=800),
+            registry=registry,
+        )
+        snapshot = registry.snapshot()
+        held = snapshot["repro_pipeline_index_sequences"]
+        assert 0 < held <= snapshot["repro_pipeline_buffer_events"]
+        registry = MetricsRegistry()
+        run_monitor(small_source(), sliding_config, registry=registry)
+        assert registry.snapshot()["repro_pipeline_index_sequences"] == 0
+
     def test_on_report_callback_sees_every_window(self, sliding_config):
         seen = []
         result = run_monitor(

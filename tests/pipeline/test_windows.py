@@ -1,5 +1,7 @@
 """Tests for the windowed Stemming stage and the TAMP annotator."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -304,9 +306,13 @@ def bundle_event(t, path, prefix, med=None, peer=1):
     )
 
 
-#: (window, slide): tumbling, 2x, 10x, and 100/30 — a ratio where the
-#: admission and eviction ladders never coincide.
-GEOMETRIES = [(100.0, 100.0), (100.0, 50.0), (100.0, 10.0), (100.0, 30.0)]
+#: (window, slide): tumbling, 2x, 10x, 100/30 — a ratio where the
+#: admission and eviction ladders never coincide — and 60/15, short
+#: enough that one batch closes several windows.
+GEOMETRIES = [
+    (100.0, 100.0), (100.0, 50.0), (100.0, 10.0), (100.0, 30.0),
+    (60.0, 15.0),
+]
 
 #: Mostly small steps, simultaneous arrivals, and now and then a quiet
 #: gap longer than any window (the buffer drains and re-anchors).
@@ -357,7 +363,13 @@ class TestSlidingFirstLevel:
                 stage = WindowedStemmer(*geometry)
                 stage.restore_state(WindowState.from_dict(state))
                 batch = Batch(batch.events[cut:], restore_at, batch.end_offset)
+            before = stage.window_index
             out.extend(stage.process(batch))
+            if stage.window_index == before and stage.buffered:
+                # Nothing closed: the batch is already in the index,
+                # and nothing it should have given up is.
+                assert stage._parked == []
+                assert stage._index.counter.event_count == stage.buffered
             # The checkpointable state is a function of the stream
             # alone, not of what the sliding index went through.
             state = stage.export_state()
@@ -372,6 +384,138 @@ class TestSlidingFirstLevel:
         out.extend(stage.flush())
         reports = [item for item in out if isinstance(item, WindowReport)]
         assert [r.index for r in reports] == list(range(len(reports)))
+        for report in reports:
+            assert report.to_dict() == batch_report(events, report).to_dict()
+
+    def test_one_batch_closes_two_and_three_windows(self):
+        # 60/15 at batch 256, the geometry the paced monitor runs: a
+        # batch spans 35-40 s, so every call closes two or three
+        # windows and each of them parks evictions the next one's sync
+        # has to remove before it extracts.
+        paths = ["100 200 300", "100 200 400", "100 500", "600 700"]
+        events = [
+            bundle_event(i * 0.15, paths[i % 4], i % 37, peer=1 + i % 3)
+            for i in range(6 * 256)
+        ]
+        stage = WindowedStemmer(60.0, 15.0)
+        reports, closes = [], []
+        for batch in iter_batches(events, batch_size=256):
+            out = stage.process(batch)
+            closed = [item for item in out if isinstance(item, WindowReport)]
+            closes.append(len(closed))
+            reports.extend(closed)
+        assert closes[0] == 0 and set(closes[1:]) == {2, 3}
+        reports.extend(stage.flush())
+        assert len(reports) == sum(closes) + 1
+        for report in reports:
+            assert report.to_dict() == batch_report(events, report).to_dict()
+
+    def test_a_close_on_a_batchs_first_and_on_its_last_event(self):
+        # Batches of four. Event 4 (first of its batch) is the first at
+        # or past the boundary at t=100; event 11 (last of its batch)
+        # is the first past the one at t=150.
+        times = [0, 20, 40, 60, 100, 105, 110, 115, 120, 125, 130, 150, 160]
+        events = [
+            bundle_event(float(t), "100 200 300", i % 3)
+            for i, t in enumerate(times)
+        ]
+        stage = WindowedStemmer(100.0, 50.0)
+        closed_by = {}
+        reports = []
+        for batch in iter_batches(events, batch_size=4):
+            for item in stage.process(batch):
+                if isinstance(item, WindowReport):
+                    closed_by[item.index] = batch.start_offset
+                    reports.append(item)
+            # A closing call leaves its evictions and the events past
+            # the boundary for the next call; any other is level.
+            held = stage._index.counter.event_count
+            assert held - len(stage._parked) <= stage.buffered
+            if batch.start_offset not in closed_by.values():
+                assert (held, stage._parked) == (stage.buffered, [])
+        assert closed_by == {0: 4, 1: 8}
+        reports.extend(stage.flush())
+        for report in reports:
+            assert report.to_dict() == batch_report(events, report).to_dict()
+
+    @pytest.mark.parametrize("gap_in_the_parking_batch", [True, False])
+    def test_a_quiet_gap_drains_the_buffer_behind_parked_evictions(
+        self, gap_in_the_parking_batch
+    ):
+        # The close at t=100 evicts t<50 and parks them; the next event
+        # is so late that the closes it forces evict everything else.
+        early = [
+            bundle_event(float(t), "100 200", t % 4) for t in range(0, 110, 5)
+        ]
+        late = [
+            bundle_event(5000.0 + t, "100 200", t % 4)
+            for t in range(0, 30, 5)
+        ]
+        events = early + late
+        stage = WindowedStemmer(100.0, 50.0)
+        first = len(early) + 1 if gap_in_the_parking_batch else len(early)
+        out = list(stage.process(Batch(tuple(events[:first]), 0, first)))
+        if not gap_in_the_parking_batch:
+            # Still holding what the close evicted, not yet holding
+            # the two events past its boundary.
+            assert stage._parked == early[:10]
+            assert stage._index.counter.event_count == len(early) - 2
+        out.extend(
+            stage.process(Batch(tuple(events[first:]), first, len(events)))
+        )
+        # Drained and re-anchored on the late event; the index is gone
+        # until a call that closes nothing loads the new buffer.
+        assert stage.export_state().boundary == 5100.0
+        assert stage.buffered == len(late)
+        assert stage._parked == []
+        if gap_in_the_parking_batch:
+            assert stage._index.counter.event_count == len(late)
+        else:
+            assert stage._index is None
+        out.extend(stage.flush())
+        reports = [item for item in out if isinstance(item, WindowReport)]
+        assert [r.start for r in reports] == [0.0, 50.0, 100.0, 5000.0]
+        for report in reports:
+            assert report.to_dict() == batch_report(events, report).to_dict()
+
+    def test_a_restore_between_a_close_and_the_next_batch(self):
+        # The exported state is the same bytes whether or not the
+        # evictions are still parked, and a stage restored from it —
+        # which has no index and nothing parked — reports as the
+        # uninterrupted one does.
+        events = ramp(60, spacing=5.0) + spike(
+            "100 200 300", 40, start_prefix=100
+        )
+        events.sort(key=lambda e: e.timestamp)
+        stage = WindowedStemmer(100.0, 50.0)
+        batches = list(iter_batches(events, batch_size=16))
+        out = []
+        cut = None
+        for i, batch in enumerate(batches):
+            out.extend(stage.process(batch))
+            if stage._parked:
+                cut = i + 1
+                break
+        assert cut is not None and cut < len(batches)
+        parked = json.dumps(stage.export_state().to_dict())
+        stage._sync_index()
+        assert stage._parked == []
+        assert json.dumps(stage.export_state().to_dict()) == parked
+        resumed = WindowedStemmer(100.0, 50.0)
+        resumed.restore_state(WindowState.from_dict(json.loads(parked)))
+        assert resumed._index is None
+        resumed_out = list(out)
+        for batch in batches[cut:]:
+            out.extend(stage.process(batch))
+            resumed_out.extend(resumed.process(batch))
+            assert resumed.export_state() == stage.export_state()
+        out.extend(stage.flush())
+        resumed_out.extend(resumed.flush())
+        reports = [item for item in out if isinstance(item, WindowReport)]
+        assert len(reports) > 3
+        assert [r.to_dict() for r in reports] == [
+            r.to_dict() for r in resumed_out if isinstance(r, WindowReport)
+        ]
         for report in reports:
             assert report.to_dict() == batch_report(events, report).to_dict()
 

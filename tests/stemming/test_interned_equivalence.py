@@ -10,6 +10,7 @@ materialization, and partial ``subtract_sequences`` — and asserts the
 decoded ``counts()`` and ``top()`` ranking never diverge.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -185,3 +186,59 @@ class TestDecodeBoundary:
             for ids, count in counter.id_counts().items()
         }
         assert decoded == counter.counts()
+
+
+#: One step of an event-count script: a single add, a bulk add, or a
+#: subtraction that may ask for more than was counted.
+count_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), raw_sequences, st.integers(1, 12)),
+        st.tuples(
+            st.just("bulk"),
+            st.lists(
+                st.tuples(raw_sequences, st.integers(1, 12)), max_size=5
+            ),
+        ),
+        st.tuples(st.just("subtract"), raw_sequences, st.integers(1, 20)),
+    ),
+    max_size=25,
+)
+
+
+class TestEventCount:
+    @given(count_steps, st.booleans())
+    @settings(max_examples=80)
+    def test_running_total_equals_the_sum_of_sequence_counts(
+        self, steps, materialize
+    ):
+        """``event_count`` is kept, not summed per call: after every
+        step it is what summing the table would give, and a refused
+        over-subtraction moves neither."""
+        counter = SubsequenceCounter()
+        if materialize:
+            counter.counts()
+        for step in steps:
+            if step[0] == "add":
+                counter.add_ids(
+                    counter.intern_sequence(toks(step[1])), step[2]
+                )
+            elif step[0] == "bulk":
+                counter.add_id_counts(
+                    [
+                        (counter.intern_sequence(toks(raw)), mult)
+                        for raw, mult in step[1]
+                    ]
+                )
+            else:
+                ids = counter.intern_sequence(toks(step[1]))
+                before = counter.event_count
+                if step[2] > counter._sequence_counts.get(ids, 0):
+                    with pytest.raises(ValueError):
+                        counter.subtract_id_sequences([(ids, step[2])])
+                    assert counter.event_count == before
+                else:
+                    counter.subtract_id_sequences([(ids, step[2])])
+                    assert counter.event_count == before - step[2]
+            assert counter.event_count == sum(
+                counter._sequence_counts.values()
+            )
