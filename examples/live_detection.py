@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
-"""Real-time detection with multi-timescale windows.
+"""Detection at several timescales at once.
 
 The operational scenario behind Figure 8: a collector ingests a live
 event stream containing (a) background churn, (b) a big session-reset
 spike, and (c) a low-grade persistent oscillation whose event rate sits
-in the grass. A rate-threshold detector sees only the spike; the
-windowed Stemming detector surfaces both — the oscillation through its
-long window, exactly the Section III-B temporal-independence argument.
+in the grass. A rate-threshold detector sees only the spike; Stemming
+over trailing windows of ten minutes, four hours and two days surfaces
+both — the oscillation through its long window, exactly the Section
+III-B temporal-independence argument. (``repro monitor`` is the same
+decomposition run continuously over one sliding window.)
 
 Run:
     python examples/live_detection.py
 """
 
-from repro import RouteExplorer, StreamingDetector
+from repro import RouteExplorer, Stemmer, StemmingResult
 from repro.collector.rates import bin_events
 from repro.net.aspath import ASPath
 from repro.simulator.synthetic import (
@@ -27,6 +29,7 @@ from repro.stemming.encode import format_stem
 
 HOUR = 3600.0
 DAY = 24 * HOUR
+WINDOWS = (10 * 60.0, 4 * HOUR, 2 * DAY)
 
 
 def build_stream():
@@ -51,7 +54,7 @@ def build_stream():
     return grass.merged_with(spike).merged_with(oscillation)
 
 
-def main() -> None:
+def main() -> dict[float, StemmingResult]:
     stream = build_stream()
     print(f"stream: {len(stream)} events over {stream.timerange / DAY:.1f} days")
 
@@ -64,14 +67,17 @@ def main() -> None:
     )
     print("  -> the oscillation raises no spike (it IS the grass)")
 
-    # The windowed Stemming detector.
-    detector = StreamingDetector(windows=(10 * 60.0, 4 * HOUR, 2 * DAY))
-    detector.ingest(stream)
-    report = detector.report()
+    # Stemming over each trailing window.
+    stemmer = Stemmer()
+    by_window = {
+        window: stemmer.decompose(
+            stream.between(stream.end_time - window, float("inf"))
+        )
+        for window in WINDOWS
+    }
     print()
-    print("windowed Stemming detector:")
-    for window in sorted(report.by_window):
-        result = report.by_window[window]
+    print("Stemming over trailing windows:")
+    for window, result in by_window.items():
         top = result.strongest
         label = (
             f"{format_stem(top.stem)} ({len(top.prefixes)} prefixes,"
@@ -83,7 +89,16 @@ def main() -> None:
             f"  window {window / HOUR:6.1f} h: {result.total_events:6d}"
             f" events, strongest: {label}"
         )
-    persistent = report.persistent_anomalies()
+    # What dominates the longest window but not the shortest: the
+    # oscillation signature (Section IV-E/F).
+    short_locations = {
+        c.location for c in by_window[min(WINDOWS)].components[:3]
+    }
+    persistent = [
+        c
+        for c in by_window[max(WINDOWS)].components[:3]
+        if c.location not in short_locations
+    ]
     print()
     if persistent:
         print("persistent anomalies (dominate long windows only):")
@@ -91,6 +106,7 @@ def main() -> None:
             print(f"  {component.describe()}")
     else:
         print("no persistent anomalies")
+    return by_window
 
 
 if __name__ == "__main__":

@@ -10,7 +10,9 @@ archives. This example exercises the full loop offline:
 2. export the pre-incident tables as a TABLE_DUMP_V2 RIB snapshot,
 3. load both back as a stranger would — RIB into a collector for the
    TAMP picture, updates into an event stream for Stemming,
-4. diagnose and track the incident across detector reports.
+4. diagnose the updates in one batch, then run the archive through the
+   monitor loop (what ``repro monitor FILE`` does) and read the managed
+   incidents it grows from the window reports.
 
 Run:
     python examples/routeviews_mrt.py
@@ -21,8 +23,13 @@ from pathlib import Path
 from repro import BerkeleySite, diagnose, scenarios
 from repro.mrt.loader import dump_rib, dump_updates, load_rib, load_updates
 from repro.net.prefix import format_address
-from repro.stemming.detector import StreamingDetector
-from repro.stemming.tracker import IncidentTracker
+from repro.pipeline import (
+    FileSource,
+    MonitorConfig,
+    MonitorResult,
+    WindowReport,
+    run_monitor,
+)
 from repro.tamp.graph import TampGraph
 from repro.tamp.prune import prune_flat
 from repro.tamp.render import render_ascii
@@ -31,17 +38,17 @@ from repro.tamp.tree import TampTree
 OUT_DIR = Path(__file__).resolve().parent / "output"
 
 
-def main() -> None:
-    OUT_DIR.mkdir(exist_ok=True)
+def main(out_dir: Path = OUT_DIR) -> MonitorResult:
+    out_dir.mkdir(exist_ok=True)
 
     # --- 1+2: produce the archive files ------------------------------
     print("simulating a route leak and exporting MRT archives...")
     site = BerkeleySite(n_prefixes=600)
-    rib_path = OUT_DIR / "rib.snapshot.mrt"
+    rib_path = out_dir / "rib.snapshot.mrt"
     records = dump_rib(site.rex, rib_path)
     print(f"  RIB snapshot: {records} MRT records -> {rib_path}")
     incident = scenarios.route_leak(site, cycles=1)
-    updates_path = OUT_DIR / "updates.incident.mrt"
+    updates_path = out_dir / "updates.incident.mrt"
     written = dump_updates(incident.stream, updates_path)
     print(f"  updates file: {written} MRT records -> {updates_path}")
 
@@ -68,24 +75,32 @@ def main() -> None:
     print("\npre-incident routing structure (from the RIB file):")
     print(render_ascii(picture))
 
-    # --- 4: diagnose and track ----------------------------------------
+    # --- 4: diagnose, then monitor -----------------------------------
     report = diagnose(stream)
     print(f"\ndiagnosis: {report.headline}")
 
-    detector = StreamingDetector(windows=(120.0, 3600.0))
-    tracker = IncidentTracker(resolve_after=600.0, min_strength=5)
-    # Replay the stream in chunks, as a live deployment would see it.
-    start, end = stream.start_time, stream.end_time
-    step = max(1.0, (end - start) / 4)
-    cursor = start
-    while cursor < end:
-        detector.ingest(stream.between(cursor, cursor + step))
-        changes = tracker.observe(detector.report(at=cursor + step))
-        for change in changes:
-            print(f"  t={cursor + step - start:6.0f}s  {change.describe()}")
-        cursor += step
+    # Replay the archive through sliding windows, as a live deployment
+    # would see it; each closed window's stems grow the incidents.
+    def show(window: WindowReport) -> None:
+        top = window.result.strongest
+        print(
+            f"  window {window.index} ({window.start:.0f}-{window.end:.0f}s,"
+            f" {window.event_count} events):"
+            f" {top.describe() if top else 'nothing'}"
+        )
+
+    print("\nmonitoring the updates archive (window 60s, slide 30s):")
+    result = run_monitor(
+        FileSource(updates_path),
+        MonitorConfig(window=60.0, slide=30.0, min_strength=5),
+        on_report=show,
+    )
     print("\nfinal incident board:")
-    print(tracker.summary())
+    for record in result.incidents.all_incidents():
+        print(record.describe())
+        for first, second in record.related_stems:
+            print(f"    related stem: {first}--{second}")
+    return result
 
 
 if __name__ == "__main__":

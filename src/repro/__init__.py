@@ -8,8 +8,8 @@ they run on:
   threshold/hierarchical pruning, layout, SVG/ASCII rendering, and the
   30-second/25-fps animation with the paper's edge-color semantics).
 * :mod:`repro.stemming` — the Stemming anomaly detector (subsequence
-  correlation, recursive component decomposition, windowed real-time
-  detection, traffic-weighted variant).
+  correlation, recursive component decomposition, traffic-weighted
+  variant); :mod:`repro.pipeline` runs it over sliding windows.
 * :mod:`repro.net`, :mod:`repro.bgp`, :mod:`repro.igp` — BGP-4 and
   link-state substrates: prefixes/tries/AS paths, RIBs, the full decision
   process, policy engine, session FSM, route reflection, SPF.
@@ -51,7 +51,6 @@ from repro.simulator.workloads import (
     build_berkeley,
     build_isp_anon,
 )
-from repro.stemming.detector import StreamingDetector
 from repro.stemming.stemmer import Component, Stemmer, StemmingResult
 from repro.stemming.weighted import TrafficWeightedStemmer
 from repro.tamp.animate import TampAnimation, animate_stream
@@ -78,7 +77,6 @@ __all__ = [
     "RouteExplorer",
     "Stemmer",
     "StemmingResult",
-    "StreamingDetector",
     "TampAnimation",
     "TampGraph",
     "TampTree",

@@ -214,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(required=True)
 
-    # Shared by the compute-heavy subcommands; forwarded to the
-    # repro.perf worker pool (Stemming expansion, SVG edge rendering).
+    # Shared by the subcommands that draw; forwarded to the repro.perf
+    # worker pool (picture build, SVG edge rendering).
     workers_opt = argparse.ArgumentParser(add_help=False)
     workers_opt.add_argument(
         "--workers", type=int, default=None,
@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     demo = sub.add_parser(
-        "demo", parents=[workers_opt, profile_opt],
+        "demo", parents=[profile_opt],
         help="simulate an incident and diagnose it",
     )
     demo.add_argument(
@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo.set_defaults(handler=cmd_demo)
 
     diag = sub.add_parser(
-        "diagnose", parents=[workers_opt, profile_opt, ingest_opt],
+        "diagnose", parents=[profile_opt, ingest_opt],
         help="diagnose a JSONL event stream",
     )
     diag.add_argument("events", type=Path)
@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     animate.set_defaults(handler=cmd_animate)
 
     monitor = sub.add_parser(
-        "monitor", parents=[workers_opt, profile_opt, ingest_opt],
+        "monitor", parents=[profile_opt, ingest_opt],
         help="run the streaming pipeline as a long-lived monitor",
     )
     _add_stream_options(monitor)
@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     monitor.set_defaults(handler=cmd_monitor)
 
     serve = sub.add_parser(
-        "serve", parents=[workers_opt, profile_opt, ingest_opt],
+        "serve", parents=[profile_opt, ingest_opt],
         help="run sharded monitor pipelines behind an HTTP read path:"
              " cached TAMP picture, incident feeds (JSON + SSE), and"
              " metrics on one port",
@@ -430,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     faults.set_defaults(handler=cmd_faults)
 
     scen = sub.add_parser(
-        "scenarios", parents=[workers_opt],
+        "scenarios",
         help="the labeled anomaly catalog: list, generate, score",
     )
     scen.add_argument(
@@ -522,9 +522,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
         incident = scenarios.customer_flap(isp, flap_count=10)
     print(f"incident '{incident.name}': {len(incident.stream)} events")
     print()
-    report = diagnose(
-        incident.stream, stemmer=Stemmer(workers=args.workers)
-    )
+    report = diagnose(incident.stream)
     print(report.to_text())
     if args.save is not None:
         incident.stream.save(args.save)
@@ -561,10 +559,7 @@ def _load_stream(
 def cmd_diagnose(args: argparse.Namespace) -> int:
     stream = _load_stream(args.events, args)
     report = diagnose(
-        stream,
-        stemmer=Stemmer(
-            max_components=args.components, workers=args.workers
-        ),
+        stream, stemmer=Stemmer(max_components=args.components)
     )
     print(report.to_text())
     return 0
@@ -760,7 +755,6 @@ def _monitor_config(args: argparse.Namespace):
         policy=args.queue_policy,
         min_strength=args.min_strength,
         max_components=args.components,
-        workers=args.workers,
         pace=args.pace,
         checkpoint_every=args.checkpoint_every,
         resolve_after=args.resolve_after,
@@ -987,8 +981,7 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
     # score
     names = args.names or None
     card = build_scorecard(
-        names, seed=args.seed,
-        min_strength=args.min_strength, workers=args.workers,
+        names, seed=args.seed, min_strength=args.min_strength
     )
     for name in sorted(card.scores):
         row = card.scores[name]

@@ -66,12 +66,18 @@ ID_HOT_FUNCTIONS = frozenset(
         "add_ids",
         "add_id_counts",
         "subtract_id_sequences",
-        "_shift_pairs",
         "count_pairs",
         "distinct_pairs",
-        "_expand_shard",
-        # repro.stemming.stemmer — interned grouping
+        # repro.stemming.stemmer — interned grouping, the extraction's
+        # working counts and the posting lists it asks
         "_group_by_ids",
+        "_pairs_by_count",
+        "_subtract_pairs",
+        "post",
+        "unpost",
+        "holding_any",
+        "holding",
+        "ending_in",
         # repro.tamp.incremental / animate — id-keyed frame diffing
         "_install",
         "_withdraw",

@@ -1,7 +1,7 @@
 """Shared parallel-execution plumbing for the hot paths.
 
-Both engines that have to survive million-event spikes — Stemming's
-subsequence expansion and the TAMP animation renderer — shard their work
+The TAMP paths that have to survive million-route tables — the picture
+build and the animation's SVG keyframe tracks — shard their work
 across a ``multiprocessing`` pool through this package. It centralizes
 the three decisions every parallel hot path otherwise reinvents badly:
 

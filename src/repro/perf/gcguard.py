@@ -1,6 +1,6 @@
 """Pause the cyclic GC across large batch builds.
 
-A batch picture or expansion build allocates hundreds of thousands of
+A batch picture or Stemming-index build allocates hundreds of thousands of
 long-lived container objects while a multi-gigabyte input (the REX
 tables) is already live. Every generational collection the allocation
 spikes trigger walks that entire heap; at the 1.5M-route Table I(b)

@@ -173,9 +173,9 @@ class CheckpointStore:
         return self.directory / INCIDENT_LOG
 
     def append_report(self, report: dict[str, object]) -> None:
+        # One write per report: a kill tears at most the last line.
         with open(self.incident_log, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(report, sort_keys=True))
-            handle.write("\n")
+            handle.write(json.dumps(report, sort_keys=True) + "\n")
 
     def read_reports(self) -> list[dict[str, object]]:
         if not self.incident_log.exists():
@@ -189,20 +189,26 @@ class CheckpointStore:
         return reports
 
     def truncate_reports(self, count: int) -> int:
-        """Drop incident-log lines past *count*; returns lines dropped.
+        """Cut the incident log to its first *count* lines; returns
+        lines dropped.
 
-        Called on resume: reports emitted after the checkpoint being
-        resumed from will be re-emitted (identically) by the replay, so
-        keeping them would duplicate windows in the log.
+        Called at every start: reports emitted after the checkpoint
+        being resumed from will be re-emitted (identically) by the
+        replay, so keeping them would duplicate windows in the log.
+        The cut is by lines, parsing nothing — what a kill tore off
+        the tail goes with the rest — and a log holding fewer than
+        *count* complete lines raises :class:`CheckpointError`.
         """
-        reports = self.read_reports()
-        if len(reports) <= count:
-            return 0
-        kept = reports[:count]
-        tmp = self.directory / (INCIDENT_LOG + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            for report in kept:
-                handle.write(json.dumps(report, sort_keys=True))
-                handle.write("\n")
-        os.replace(tmp, self.incident_log)
-        return len(reports) - count
+        log = self.incident_log
+        data = log.read_bytes() if log.exists() else b""
+        lines = data.splitlines(keepends=True)
+        complete = data.count(b"\n")
+        if complete < count:
+            raise CheckpointError(
+                f"incident log holds {complete} complete lines,"
+                f" checkpoint expects {count}"
+            )
+        if len(lines) > count:
+            with open(log, "r+b") as handle:
+                handle.truncate(sum(map(len, lines[:count])))
+        return len(lines) - count

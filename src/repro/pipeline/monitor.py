@@ -67,9 +67,9 @@ class MonitorConfig:
     :meth:`describe` returns the subset that determines the *output*
     (window geometry, stemming knobs, batching/backpressure); that
     subset is written into checkpoints and must match on resume.
-    Operational knobs — pacing, worker count, checkpoint cadence,
-    ``max_events`` — may differ between the original run and the
-    resume without affecting bit-identity.
+    Operational knobs — pacing, checkpoint cadence, ``max_events`` —
+    may differ between the original run and the resume without
+    affecting bit-identity.
     """
 
     window: float = 300.0
@@ -79,6 +79,8 @@ class MonitorConfig:
     policy: str = "block"
     min_strength: int = 2
     max_components: int = 16
+    # Accepted and unused: bench/monitor.py, frozen outside benchmark
+    # PRs, reads it. Nothing in the monitor shards.
     workers: Optional[int] = None
     pace: float = 0.0
     checkpoint_every: int = 1
@@ -167,7 +169,6 @@ class MonitorCore:
             config.slide,
             min_strength=config.min_strength,
             max_components=config.max_components,
-            workers=config.workers,
         )
         self.live_tamp = TampAnnotator()
         self.live_pipeline = Pipeline(

@@ -4,8 +4,8 @@
 events into a sliding window of ``window`` seconds advancing by
 ``slide`` seconds (``slide == window`` gives tumbling windows), and at
 each boundary runs the full Stemming decomposition over the window's
-events — through ``repro.perf`` workers when configured — emitting a
-:class:`WindowReport` with the window's fingerprint and ranked stems.
+events, emitting a :class:`WindowReport` with the window's fingerprint
+and ranked stems.
 Memory stays bounded: events older than the window are evicted from
 the buffer. The buffer — each event beside its JSON line, encoded once
 at admission and held until eviction — the next boundary and the window
@@ -136,6 +136,8 @@ class WindowedStemmer(Stage):
         *,
         min_strength: int = 2,
         max_components: int = 16,
+        # Accepted and unused: bench/monitor.py, frozen outside
+        # benchmark PRs, passes it. Nothing in Stemming shards.
         workers: Optional[int] = None,
     ) -> None:
         super().__init__()
@@ -149,9 +151,7 @@ class WindowedStemmer(Stage):
         self.window = window
         self.slide = slide
         self.stemmer = Stemmer(
-            min_strength=min_strength,
-            max_components=max_components,
-            workers=workers,
+            min_strength=min_strength, max_components=max_components
         )
         self._buffer: deque[BGPEvent] = deque()
         #: ``to_json()`` of each buffered event, in lock-step with

@@ -293,7 +293,6 @@ def score_incident(
     top_k: int = 3,
     min_strength: int = 2,
     max_components: int = 16,
-    workers: Optional[int] = None,
     stage: Optional[WindowedStemmer] = None,
 ) -> IncidentScore:
     """Run the windowed detector over one labeled stream and score it.
@@ -312,7 +311,6 @@ def score_incident(
             slide,
             min_strength=min_strength,
             max_components=max_components,
-            workers=workers,
         )
     events = tuple(incident.stream)
     if not events:
@@ -428,7 +426,6 @@ def build_scorecard(
     *,
     min_strength: int = 2,
     max_components: int = 16,
-    workers: Optional[int] = None,
     size_overrides: Optional[dict[str, object]] = None,
 ) -> Scorecard:
     """Generate and score every (or the named) scored scenarios.
@@ -464,7 +461,6 @@ def build_scorecard(
                 top_k=scenario.top_k,
                 min_strength=min_strength,
                 max_components=max_components,
-                workers=workers,
             )
         )
     return card

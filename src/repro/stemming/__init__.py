@@ -19,12 +19,6 @@ from repro.stemming.counter import (
     SubsequenceCounter,
 )
 from repro.stemming.stemmer import Component, Stemmer, StemmingResult
-from repro.stemming.detector import StreamingDetector, DetectorReport
-from repro.stemming.tracker import (
-    IncidentState,
-    IncidentTracker,
-    TrackedIncident,
-)
 from repro.stemming.weighted import TrafficWeightedStemmer
 from repro.stemming.encode import format_stem, format_token
 
@@ -34,11 +28,6 @@ __all__ = [
     "Stemmer",
     "Component",
     "StemmingResult",
-    "StreamingDetector",
-    "DetectorReport",
-    "IncidentTracker",
-    "IncidentState",
-    "TrackedIncident",
     "TrafficWeightedStemmer",
     "format_token",
     "format_stem",

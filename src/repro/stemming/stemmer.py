@@ -113,14 +113,11 @@ class Stemmer:
     min_strength: int = 2
     max_components: int = 16
     max_subsequence_length: Optional[int] = None
-    #: Worker processes for the counter's subsequence expansion (None =
-    #: the ``REPRO_WORKERS`` environment variable; see ``repro.perf``).
-    workers: Optional[int] = None
 
     def load(self, events: Iterable[BGPEvent]) -> "StemIndex":
         """Group and count *events* into a new index: a batch caller's
         whole stream, or the buffer of a window stage that has none."""
-        index = StemIndex(self.max_subsequence_length, self.workers)
+        index = StemIndex(self.max_subsequence_length)
         index.add(events)
         return index
 
@@ -272,10 +269,8 @@ class StemIndex:
         "_postings",
     )
 
-    def __init__(
-        self, max_length: Optional[int] = None, workers: Optional[int] = None
-    ) -> None:
-        self.counter = SubsequenceCounter(max_length, workers=workers)
+    def __init__(self, max_length: Optional[int] = None) -> None:
+        self.counter = SubsequenceCounter(max_length)
         self.symbols = self.counter.symbols
         self.by_ids: dict[IdSequence, list[BGPEvent]] = {}
         #: peer -> attributes -> (head, the head's scratch).

@@ -62,3 +62,30 @@ def test_every_suppression_in_the_source_tree_is_live(monkeypatch):
     raw = {(f.path, f.line, f.rule) for f in analyze_paths([SRC_REPRO])}
     stale = allowed - raw
     assert not stale, sorted(stale)
+
+
+def test_every_named_hot_function_exists():
+    # INT001/INT002 watch functions by name: a rename (or a deletion)
+    # would leave the list guarding nothing, silently.
+    import ast
+
+    from repro.devtools import iter_python_files
+    from repro.devtools.rules import interning
+
+    def defined_in(packages):
+        return {
+            node.name
+            for package in packages
+            for path in iter_python_files(
+                [SRC_REPRO.joinpath(*package.split(".")[1:])]
+            )
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+
+    for names, packages in (
+        (interning.HOT_FUNCTIONS, interning._PACKAGES),
+        (interning.ID_HOT_FUNCTIONS, interning._ID_PACKAGES),
+    ):
+        missing = names - defined_in(packages)
+        assert not missing, sorted(missing)

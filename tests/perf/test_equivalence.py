@@ -1,32 +1,12 @@
-"""Sharded execution must be observationally identical to serial.
+"""The pair-table ``top()`` must be observationally identical to a
+full scan of the subsequence counts, before and after subtraction."""
 
-The parallel hot paths (counter expansion, stemming) are written so the
-serial path runs the exact same shard code; these tests pin that down —
-including on single-CPU machines, where ``REPRO_FORCE_WORKERS`` lifts
-the affinity cap so the real pool gets exercised.
-"""
-
-import random
-
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.perf import ENV_FORCE_WORKERS, effective_workers, fork_available
 from repro.stemming.counter import SubsequenceCounter, _scan_top
-from repro.stemming.stemmer import Stemmer
-from tests.collector.test_stream import event
 
 TOKENS = [("as", value) for value in range(1, 7)]
-
-
-def _random_sequences(seed, count, max_len=6):
-    rng = random.Random(seed)
-    seen = set()
-    while len(seen) < count:
-        length = rng.randint(1, max_len)
-        seen.add(tuple(rng.choice(TOKENS) for _ in range(length)))
-    return sorted(seen, key=str)
 
 
 sequence_lists = st.lists(
@@ -40,16 +20,14 @@ sequence_lists = st.lists(
 
 
 class TestPairTopAgainstFullScan:
-    """top() answered from the pair table == top() from the expansion."""
+    """top() answered from the pair table == top() scanned from counts()."""
 
     @settings(max_examples=150, deadline=None)
-    @given(sequence_lists, st.booleans())
-    def test_top_matches_scan(self, additions, materialize):
+    @given(sequence_lists)
+    def test_top_matches_scan(self, additions):
         counter = SubsequenceCounter()
         for sequence, multiplicity in additions:
             counter.add_sequence(sequence, multiplicity)
-        if materialize:
-            counter.counts()  # switch top() onto the expansion path
         assert counter.top() == _scan_top(counter.counts().copy())
 
     @settings(max_examples=150, deadline=None)
@@ -73,70 +51,3 @@ class TestPairTopAgainstFullScan:
         if removals:
             counter.subtract_sequences(removals)
         assert counter.top() == _scan_top(counter.counts().copy())
-
-
-class TestShardedCounter:
-    @pytest.mark.skipif(
-        not fork_available(), reason="no fork on this platform"
-    )
-    def test_sharded_expansion_matches_serial(self, monkeypatch):
-        # Enough unique sequences to clear the serial-fallback floor.
-        sequences = _random_sequences(seed=7, count=4200)
-        monkeypatch.setenv(ENV_FORCE_WORKERS, "1")
-        assert effective_workers(2, units=len(sequences)) == 2
-
-        serial = SubsequenceCounter(workers=1)
-        sharded = SubsequenceCounter(workers=2)
-        for index, sequence in enumerate(sequences):
-            multiplicity = 1 + index % 3
-            serial.add_sequence(sequence, multiplicity)
-            sharded.add_sequence(sequence, multiplicity)
-        assert sharded.counts() == serial.counts()
-        assert sharded.top() == serial.top()
-
-
-def _mixed_stream():
-    """A stream with a dominant correlated group plus background noise."""
-    events = []
-    t = 0.0
-    for round_ in range(40):
-        for prefix_index in range(5):
-            events.append(
-                event(
-                    t,
-                    prefix=f"10.{prefix_index}.0.0/16",
-                    peer="1.1.1.1",
-                    path="100 200 300",
-                )
-            )
-            t += 0.1
-        events.append(
-            event(
-                t,
-                prefix=f"172.16.{round_ % 8}.0/24",
-                peer="2.2.2.2" if round_ % 2 else "3.3.3.3",
-                path="400 500" if round_ % 3 else "600 700 800",
-            )
-        )
-        t += 0.1
-    return events
-
-
-class TestStemmerWorkersEquivalence:
-    @pytest.mark.skipif(
-        not fork_available(), reason="no fork on this platform"
-    )
-    def test_decomposition_identical_1_vs_4_workers(self, monkeypatch):
-        monkeypatch.setenv(ENV_FORCE_WORKERS, "1")
-        events = _mixed_stream()
-        serial = Stemmer(workers=1).decompose(events)
-        parallel = Stemmer(workers=4).decompose(events)
-        assert len(serial.components) == len(parallel.components)
-        for ours, theirs in zip(serial.components, parallel.components):
-            assert ours.rank == theirs.rank
-            assert ours.subsequence == theirs.subsequence
-            assert ours.strength == theirs.strength
-            assert ours.stem == theirs.stem
-            assert ours.prefixes == theirs.prefixes
-            assert list(ours.events) == list(theirs.events)
-        assert serial.residual_events == parallel.residual_events

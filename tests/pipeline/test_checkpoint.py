@@ -133,3 +133,16 @@ class TestIncidentLog:
         assert store.truncate_reports(2) == 3
         assert [r["index"] for r in store.read_reports()] == [0, 1]
         assert store.truncate_reports(2) == 0  # already short enough
+
+    def test_truncate_cuts_by_lines_without_parsing(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        store.incident_log.write_text('not json\n{"index": 1}\n{"ind')
+        assert store.truncate_reports(1) == 2  # a line and a torn tail
+        assert store.incident_log.read_text() == "not json\n"
+
+    def test_truncate_refuses_a_log_shorter_than_count(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        store.incident_log.write_text('{"index": 0}\n{"ind')
+        with pytest.raises(CheckpointError, match="1 complete lines"):
+            store.truncate_reports(2)
+        assert store.truncate_reports(1) == 1

@@ -195,6 +195,36 @@ class TestResumeAcceptance:
         log = CheckpointStore(tmp_path).read_reports()
         assert log == baseline.report_dicts
 
+    def test_torn_log_tail_is_cut_not_parsed(
+        self, sliding_config, tmp_path
+    ):
+        # A kill inside append_report leaves half a line behind; it is
+        # past the checkpoint's reports_emitted, so the resume drops it
+        # like any other report the replay will re-emit.
+        whole = tmp_path / "whole"
+        torn = tmp_path / "torn"
+        baseline = run_monitor(
+            small_source(), sliding_config, checkpoint_dir=whole
+        )
+        run_monitor(
+            small_source(),
+            dataclasses.replace(sliding_config, max_events=640),
+            checkpoint_dir=torn,
+        )
+        log = CheckpointStore(torn).incident_log
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write('{"end": 12, "compon')
+        resumed = run_monitor(
+            small_source(), sliding_config, checkpoint_dir=torn,
+            resume=True,
+        )
+        assert log.read_bytes() == (
+            CheckpointStore(whole).incident_log.read_bytes()
+        )
+        kept = len(baseline.reports) - len(resumed.reports)
+        assert kept > 0
+        assert resumed.report_dicts == baseline.report_dicts[kept:]
+
     def test_operational_knobs_do_not_affect_bit_identity(
         self, sliding_config, tmp_path
     ):
@@ -381,6 +411,23 @@ class TestResumeRefusals:
     def test_resume_needs_a_checkpoint_dir(self, sliding_config):
         with pytest.raises(CheckpointError, match="checkpoint directory"):
             run_monitor(small_source(), sliding_config, resume=True)
+
+    def test_log_shorter_than_the_checkpoint_refused(
+        self, sliding_config, tmp_path
+    ):
+        run_monitor(
+            small_source(),
+            dataclasses.replace(sliding_config, max_events=640),
+            checkpoint_dir=tmp_path,
+        )
+        store = CheckpointStore(tmp_path)
+        assert store.latest().reports_emitted > 0
+        store.incident_log.write_text('{"end": 12, "compon')
+        with pytest.raises(CheckpointError, match="incident log holds 0"):
+            run_monitor(
+                small_source(), sliding_config, checkpoint_dir=tmp_path,
+                resume=True,
+            )
 
     def test_config_mismatch_refused(self, sliding_config, tmp_path):
         with pytest.raises(InjectedCrash):

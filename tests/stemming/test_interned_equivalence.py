@@ -1,14 +1,16 @@
 """Property suite pinning the interned counter to the naive reference.
 
 The columnar :class:`~repro.stemming.counter.SubsequenceCounter` (packed
-pair keys, id-keyed buckets, bulk pair streaming — DESIGN.md §10) must
+pair keys, bulk pair streaming — DESIGN.md §10) must
 be observationally identical to :class:`NaiveSubsequenceCounter`, which
 recounts every contiguous subsequence from scratch. Hypothesis drives
 both through the same scripts — bulk adds with multiplicities above and
-below the streaming repeat limit, optional mid-script expansion
-materialization, and partial ``subtract_sequences`` — and asserts the
+below the streaming repeat limit, an optional mid-script read of the
+oracles, and partial ``subtract_sequences`` — and asserts the
 decoded ``counts()`` and ``top()`` ranking never diverge.
 """
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.stemming.counter import (
     _STREAM_REPEAT_LIMIT,
+    PAIR_SHIFT,
     NaiveSubsequenceCounter,
     SubsequenceCounter,
 )
@@ -130,8 +133,8 @@ class TestSubtraction:
         for raw, mult in adds:
             fast.add_sequence(toks(raw), mult)
         if materialize:
-            # Force the lazy full expansion first so the incremental
-            # (buckets-maintained) subtract branch runs too.
+            # counts() is computed per call: reading it first must
+            # leave nothing for the subtraction to fall out of step with.
             fast.counts()
         fast.subtract_sequences(
             [(toks(raw), k) for raw, k in subtractions]
@@ -150,7 +153,7 @@ class TestSubtraction:
         for raw, mult in adds:
             fast.add_sequence(toks(raw), mult)
         if materialize:
-            fast.top()  # warm the pair-majority path instead
+            fast.top()  # likewise the pair-table oracle
         fast.subtract_id_sequences(
             [(fast.intern_sequence(toks(raw)), k) for raw, k in subtractions]
         )
@@ -242,3 +245,48 @@ class TestEventCount:
             assert counter.event_count == sum(
                 counter._sequence_counts.values()
             )
+
+
+#: Interleaved bulk steps: True adds its items, False subtracts them
+#: (clamped to what is held, so whole sequences leave too).
+bulk_steps = st.lists(
+    st.tuples(
+        st.booleans(),
+        st.lists(
+            st.tuples(
+                raw_sequences, st.integers(1, 2 * _STREAM_REPEAT_LIMIT)
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    ),
+    max_size=12,
+)
+
+
+class TestPairTable:
+    @given(bulk_steps)
+    @settings(max_examples=80)
+    def test_pair_counts_are_the_length_two_slice_of_id_counts(self, steps):
+        """The pair table is maintained and ``id_counts()`` is computed
+        from the sequence table: after every ``add_id_counts`` /
+        ``subtract_id_sequences`` — delta or majority recount — the one
+        is the other's pairs."""
+        counter = SubsequenceCounter()
+        held: Counter = Counter()
+        for adding, items in steps:
+            batch: Counter = Counter()
+            for raw, mult in items:
+                batch[counter.intern_sequence(toks(raw))] += mult
+            if adding:
+                counter.add_id_counts(batch.items())
+                held += batch
+            else:
+                batch &= held
+                counter.subtract_id_sequences(batch.items())
+                held -= batch
+            assert counter.pair_counts == {
+                (ids[0] << PAIR_SHIFT) | ids[1]: count
+                for ids, count in counter.id_counts().items()
+                if len(ids) == 2
+            }

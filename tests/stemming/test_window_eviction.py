@@ -1,11 +1,11 @@
-"""Window-eviction regressions: counter subtraction and tracker bounds.
+"""Window-eviction regressions: counter subtraction.
 
 The stemmer *subtracts* each extracted component's events from its
 :class:`SubsequenceCounter` instead of recounting the remainder, as
 would any caller sliding a window over a live counter. That is only
 sound if remove-then-readd is indistinguishable from never having
 removed — these tests pin that equivalence against a freshly built
-counter, across the counter's lazy materialization paths.
+counter, whether or not its oracles were read in between.
 """
 
 import random
@@ -13,8 +13,6 @@ import random
 import pytest
 
 from repro.stemming.counter import SubsequenceCounter
-from repro.stemming.detector import StreamingDetector
-from repro.stemming.tracker import IncidentState, IncidentTracker
 from tests.stemming.test_stemmer import spike
 
 
@@ -61,8 +59,8 @@ class TestRemoveThenReaddEquivalence:
         assert_equivalent(live, counter_of(first, second, third))
 
     def test_equivalence_survives_materialized_state(self):
-        # top()/counts() build lazy internal indexes; subtraction after
-        # materialization must keep them coherent.
+        # top()/counts() are computed per call and must leave nothing
+        # behind that a later subtraction could fall out of step with.
         first, second, third = window_events()
         live = counter_of(first, second, third)
         assert live.top() is not None
@@ -105,70 +103,3 @@ class TestRemoveThenReaddEquivalence:
         assert live.event_count == 0
         assert live.top() is None
         assert live.counts() == counter_of().counts()
-
-
-def tracker_with_resolved(order, max_resolved=None):
-    """A tracker holding RESOLVED incidents, inserted in *order*."""
-    tracker = IncidentTracker(resolve_after=50.0,
-                              max_resolved=max_resolved)
-    paths = {
-        "a": "100 200 300",
-        "b": "100 400 500",
-        "c": "100 600 700",
-    }
-    at = {"a": 10.0, "b": 20.0, "c": 30.0}
-    for key in order:
-        detector = StreamingDetector(windows=(40.0,))
-        detector.ingest(
-            spike(paths[key], 20, start_prefix=ord(key) * 40)
-        )
-        tracker.observe(detector.report(at=at[key]))
-    # Much later: everything resolves in one sweep.
-    tracker.observe(StreamingDetector(windows=(40.0,)).report(at=500.0))
-    return tracker
-
-
-class TestTrackerEviction:
-    def test_unbounded_tracker_keeps_every_resolved_incident(self):
-        tracker = tracker_with_resolved("abc")
-        assert len(tracker.all_incidents()) == 3
-        assert tracker.evict_resolved() == []
-
-    def test_evicts_oldest_resolved_first(self):
-        tracker = tracker_with_resolved("abc")
-        evicted = tracker.evict_resolved(max_resolved=1)
-        # a (last_seen 10) and b (20) go; c (30) survives.
-        assert [i.last_seen for i in evicted] == [10.0, 20.0]
-        assert len(tracker.all_incidents()) == 1
-
-    def test_eviction_is_insertion_order_independent(self):
-        for order in ("abc", "cba", "bac"):
-            tracker = tracker_with_resolved(order, max_resolved=1)
-            survivors = [
-                i.location for i in tracker.all_incidents()
-            ]
-            assert survivors == [(600, 700)], order
-
-    def test_observe_applies_the_cap_automatically(self):
-        tracker = tracker_with_resolved("abc", max_resolved=2)
-        resolved = [
-            i for i in tracker.all_incidents()
-            if i.state is IncidentState.RESOLVED
-        ]
-        assert len(resolved) == 2
-
-    def test_evicted_location_relapses_as_new(self):
-        from tests.stemming.test_stemmer import mk_event
-
-        tracker = tracker_with_resolved("abc", max_resolved=0)
-        assert tracker.all_incidents() == []
-        detector = StreamingDetector(windows=(40.0,))
-        detector.ingest([
-            mk_event(
-                580.0 + i, "1.1.1.1", "2.2.2.2",
-                f"100 200 300 {60900 + i}", f"10.30.{i}.0/24",
-            )
-            for i in range(20)
-        ])
-        changed = tracker.observe(detector.report(at=600.0))
-        assert [i.state for i in changed] == [IncidentState.NEW]
