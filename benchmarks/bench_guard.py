@@ -8,8 +8,9 @@ against ``bench_results/baselines/<same name>`` and fails when any
 row's ``measured_seconds`` regressed by more than the tolerance.
 
 Matching is by row identity — every entry key except the measurements
-themselves (``row``, ``workers`` and ``*_seconds`` other than the
-paper's published number). When a file holds several runs of the same
+themselves (``row``, ``*_seconds`` other than the paper's published
+number, and the ``workers`` tag that rows recorded before the fork
+pool was deleted still carry). When a file holds several runs of the same
 row, the last one wins: appended files read oldest-first, so the last
 entry is the freshest run.
 

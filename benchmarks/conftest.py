@@ -25,7 +25,6 @@ from typing import Optional
 import pytest
 
 from repro.collector.rex import RouteExplorer
-from repro.perf import resolve_workers
 from repro.simulator.synthetic import (
     BERKELEY_PROFILE,
     ISP_ANON_PROFILE,
@@ -46,7 +45,7 @@ def record_row(table: str, row: str, data: Optional[dict] = None) -> None:
     """Append one result row to bench_results/<table>.txt (and echo it).
 
     When *data* is given, the row is also appended — as a machine-readable
-    entry tagged with the run's scale and resolved worker count — to
+    entry tagged with the run's scale — to
     ``bench_results/BENCH_<table>.json``, the artifact CI uploads so runs
     can be compared without parsing the text rows.
     """
@@ -55,11 +54,7 @@ def record_row(table: str, row: str, data: Optional[dict] = None) -> None:
     with open(path, "a", encoding="utf-8") as handle:
         handle.write(row + "\n")
     if data is not None:
-        entry = {
-            "scale": SCALE,
-            "workers": resolve_workers(None),
-            "row": row,
-        }
+        entry = {"scale": SCALE, "row": row}
         entry.update(data)
         json_path = RESULTS_DIR / f"BENCH_{table}.json"
         try:

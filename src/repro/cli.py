@@ -29,7 +29,7 @@ The operator subcommands cover the workflows the paper describes:
 
 Two developer subcommands guard the codebase itself:
 
-* ``repro lint [paths]`` — the determinism & parallel-safety static
+* ``repro lint [paths]`` — the determinism & hot-path static
   analyzer (:mod:`repro.devtools`). Exit 0 means clean, 1 means
   findings, 2 means a usage error (bad path, unknown or empty rule
   selection, unwritable ``--output``). Every run analyzes every file
@@ -54,7 +54,6 @@ from pathlib import Path
 from repro.analysis.report import diagnose
 from repro.collector.rates import bin_events
 from repro.collector.stream import EventStream
-from repro.perf import resolve_workers
 from repro.stemming.stemmer import Stemmer
 from repro.tamp.prune import prune_flat
 from repro.tamp.render import render_ascii, render_svg
@@ -67,10 +66,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "workers"):
-            # Validate --workers / REPRO_WORKERS up front; the hot paths
-            # resolve lazily and may never run on small inputs.
-            resolve_workers(args.workers)
         if getattr(args, "profile", None) is not None:
             return _run_profiled(args)
         return args.handler(args)
@@ -214,16 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(required=True)
 
-    # Shared by the subcommands that draw; forwarded to the repro.perf
-    # worker pool (picture build, SVG edge rendering).
-    workers_opt = argparse.ArgumentParser(add_help=False)
-    workers_opt.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes for parallel stages (default: the"
-             " REPRO_WORKERS environment variable, else serial; capped"
-             " at usable CPUs)",
-    )
-
     # Shared by the subcommands worth profiling (the TAMP/Stemming
     # compute paths); handled centrally in main().
     profile_opt = argparse.ArgumentParser(add_help=False)
@@ -279,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     diag.set_defaults(handler=cmd_diagnose)
 
     render = sub.add_parser(
-        "render", parents=[workers_opt, profile_opt, ingest_opt],
+        "render", parents=[profile_opt, ingest_opt],
         help="TAMP picture of a stream",
     )
     render.add_argument("events", type=Path)
@@ -298,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     rate.set_defaults(handler=cmd_rate)
 
     animate = sub.add_parser(
-        "animate", parents=[workers_opt, profile_opt, ingest_opt],
+        "animate", parents=[profile_opt, ingest_opt],
         help="SMIL-animated SVG of a stream (plays in a browser)",
     )
     animate.add_argument("events", type=Path)
@@ -473,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="determinism & parallel-safety static analysis",
+        help="determinism & hot-path static analysis",
     )
     lint.add_argument(
         "paths", type=Path, nargs="*", default=[Path("src")],
@@ -571,12 +556,8 @@ def cmd_render(args: argparse.Namespace) -> int:
     stream = _load_stream(args.events, args)
     # Batch path: replay the stream into a route table and build the
     # final picture directly — same graph as incremental maintenance
-    # (a point-in-time render skips the intermediate mutations), and
-    # it shards across --workers on big snapshots.
-    graph = prune_flat(
-        picture_from_events(stream, "stream", workers=args.workers),
-        args.threshold,
-    )
+    # (a point-in-time render skips the intermediate mutations).
+    graph = prune_flat(picture_from_events(stream, "stream"), args.threshold)
     if args.output is None:
         print(render_ascii(graph))
     else:
@@ -615,9 +596,7 @@ def cmd_animate(args: argparse.Namespace) -> int:
         stream, play_duration=args.duration, fps=args.fps
     )
     args.output.write_text(
-        render_svg_animation(
-            animation, title=str(args.events.name), workers=args.workers
-        )
+        render_svg_animation(animation, title=str(args.events.name))
     )
     changed = len(animation.frames_with_changes())
     print(

@@ -1,20 +1,20 @@
-"""Determinism & parallel-safety static analysis (``repro lint``).
+"""Determinism & hot-path static analysis (``repro lint``).
 
-PR 1 made the repo's core correctness claim *results are bit-for-bit
-identical regardless of worker count*. Nothing in the runtime enforces
-that claim: a single unsorted ``set`` iteration feeding the SVG
-renderer, a closure handed to the fork pool, or a ``TampGraph`` mutator
-that forgets to invalidate the ``total_prefixes()`` cache would
-silently skew the Table I numbers while every unit test of the touched
-module still passes. This package proves those invariants at lint time
-with a stdlib-``ast`` analyzer:
+The repo's core correctness claim is *results are bit-for-bit
+identical regardless of shard count, resume point or run*. Nothing in
+the runtime enforces that claim: a single unsorted ``set`` iteration
+feeding the SVG renderer, a stage parking state in a module global, or
+a ``TampGraph`` mutator that forgets to invalidate the
+``total_prefixes()`` cache would silently skew the Table I numbers
+while every unit test of the touched module still passes. This package
+proves those invariants at lint time with a stdlib-``ast`` analyzer:
 
 * a checker framework (:mod:`repro.devtools.registry`) — one checker
   class per invariant family, registered by decorator; per-module
   checkers see one file, project checkers see the whole program;
 * a project layer (:mod:`repro.devtools.project`) — every file parsed
   once into a :class:`ModuleInfo` and a cross-module symbol index over
-  them, so interprocedural rules (INT003, POOL003, PIPE002 in
+  them, so interprocedural rules (INT003, PIPE002 in
   :mod:`repro.devtools.rules.taint`) can resolve calls across files
   without type inference;
 * one analysis path (:mod:`repro.devtools.engine`) — discover files,
@@ -27,8 +27,8 @@ with a stdlib-``ast`` analyzer:
 * text and JSON reporters (:mod:`repro.devtools.reporters`) — the JSON
   form is the CI artifact;
 * the rule catalog under :mod:`repro.devtools.rules` (DET001–DET003,
-  POOL001–POOL003, MUT001, CACHE001, TK001, PIPE001–PIPE002,
-  INT001–INT003, INC001, SRV001 — see ``repro lint --list-rules`` or
+  MUT001, CACHE001, TK001, PIPE001–PIPE002, INT001–INT003, INC001,
+  SRV001 — see ``repro lint --list-rules`` or
   the DESIGN.md rule catalog for one paragraph per rule).
 
 Three consumers: the ``repro lint`` CLI subcommand (exit-code gate),

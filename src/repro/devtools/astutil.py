@@ -32,19 +32,6 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     return ".".join(reversed(parts))
 
 
-def root_name(node: ast.AST) -> Optional[str]:
-    """The leftmost Name of an attribute/subscript chain, if any.
-
-    ``self._edges[edge].pop`` → ``self``; used by rules that care about
-    *what object* a mutation lands on rather than the full path.
-    """
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        node = node.value
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
 class ImportMap:
     """What each module-local name refers to, per the import statements.
 
@@ -95,9 +82,7 @@ def enclosing_function_map(
 ) -> "dict[ast.AST, ast.FunctionDef | ast.AsyncFunctionDef]":
     """Every node → its nearest enclosing function definition.
 
-    Rules use it to scope local-name resolution (POOL001's
-    single-assignment chasing) and to find the function a dispatch or
-    stage-factory call sits in (POOL003/PIPE002).
+    PIPE002 uses it to find the function a stage-factory call sits in.
     """
     enclosing: dict[ast.AST, ast.FunctionDef | ast.AsyncFunctionDef] = {}
 
@@ -124,53 +109,3 @@ def parent_map(tree: ast.Module) -> dict[ast.AST, ast.AST]:
         for child in ast.iter_child_nodes(parent):
             parents[child] = parent
     return parents
-
-
-def module_level_names(tree: ast.Module) -> set[str]:
-    """Names bound at module scope: defs, classes, imports, assignments.
-
-    The picklability baseline for POOL001 — anything a forked worker
-    can re-resolve by qualified name — and the global-write target set
-    for POOL002.
-    """
-    names: set[str] = set()
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                names.add(alias.asname or alias.name.split(".")[0])
-        elif isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                if alias.name != "*":
-                    names.add(alias.asname or alias.name)
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                names.update(_target_names(target))
-        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-            names.update(_target_names(node.target))
-    return names
-
-
-def module_level_assignments(tree: ast.Module) -> set[str]:
-    """Names *assigned* at module scope (constants, tables, caches)."""
-    names: set[str] = set()
-    for node in tree.body:
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                names.update(_target_names(target))
-        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-            names.update(_target_names(node.target))
-    return names
-
-
-def _target_names(target: ast.AST) -> set[str]:
-    """Plain names bound by an assignment target (tuples unpacked)."""
-    if isinstance(target, ast.Name):
-        return {target.id}
-    if isinstance(target, (ast.Tuple, ast.List)):
-        found: set[str] = set()
-        for element in target.elts:
-            found.update(_target_names(element))
-        return found
-    return set()

@@ -3,7 +3,7 @@
 A :class:`Finding` is one violation at one source location. The field
 order doubles as the sort order (path, then line, then column, then
 rule), which is what makes reports — and therefore the CI artifact
-diff — stable across runs and worker counts; an analyzer that enforces
+diff — stable across runs; an analyzer that enforces
 determinism had better produce deterministic output itself.
 """
 

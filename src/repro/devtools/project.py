@@ -3,9 +3,9 @@
 PR 2's engine handed every checker one module at a time, which makes
 any invariant that spans a module boundary invisible (a decoded token
 returned by a helper in ``repro.interning`` leaking into a stemming hot
-loop, a pool shard mutating state it imported). This module parses the
-analyzed tree **once** and derives everything the cross-module rules
-need:
+loop, a stage helper touching state another module owns). This module
+parses the analyzed tree **once** and derives everything the
+cross-module rules need:
 
 * :class:`ModuleInfo` — one analyzed file: source, AST, suppressions,
   import map, parent map, and the module-level function index, each

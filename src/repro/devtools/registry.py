@@ -104,7 +104,7 @@ class Checker:
 
 
 class ProjectChecker:
-    """Base class for whole-program rules (INT003, POOL003, PIPE002)."""
+    """Base class for whole-program rules (INT003, PIPE002)."""
 
     rules: tuple[Rule, ...] = ()
 

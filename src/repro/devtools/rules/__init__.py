@@ -6,9 +6,6 @@ Rule families map to the invariants the repo actually depends on:
   and wall-clock reads in algorithm modules), DET002 (unordered
   iteration feeding ordered output), DET003 (``id()``-based keys or
   ordering);
-* :mod:`repro.devtools.rules.pool` — POOL001 (fork-pool callables must
-  be module-level), POOL002 (shard functions must not write module
-  globals);
 * :mod:`repro.devtools.rules.mutation` — MUT001 (mutable default
   arguments);
 * :mod:`repro.devtools.rules.cache` — CACHE001 (``TampGraph`` mutators
@@ -29,8 +26,7 @@ Rule families map to the invariants the repo actually depends on:
 * :mod:`repro.devtools.rules.taint` — the whole-program rules: INT003
   (interprocedural id-taint: SymbolTable-decoded values must not flow
   into registered hot functions, across any number of calls or
-  modules), POOL003 (shard functions reaching module-global writes
-  through a helper), PIPE002 (pipeline stages reaching module-global
+  modules), PIPE002 (pipeline stages reaching module-global
   or closure-captured mutable state through a call).
 """
 
@@ -43,7 +39,6 @@ from repro.devtools.rules import (
     interning,
     mutation,
     pipeline,
-    pool,
     serve,
     taint,
     testkit,
@@ -56,7 +51,6 @@ __all__ = [
     "interning",
     "mutation",
     "pipeline",
-    "pool",
     "serve",
     "taint",
     "testkit",

@@ -1,7 +1,7 @@
 """DET001–DET003: the output-determinism rules.
 
-The repro's results are compared bit-for-bit across worker counts and
-runs (Table I equivalence tests), so every source of run-to-run
+The repro's results are compared bit-for-bit across shard counts and
+runs (the serve and resume identity tests), so every source of run-to-run
 variation in an algorithm module is a reproduction bug waiting for a
 code path to reach it.
 """
@@ -94,7 +94,7 @@ _UNORDERED_FACTORIES = frozenset({"set", "frozenset"})
 #: Method names returning unordered (or insertion-order-dependent)
 #: collections in this codebase. ``values`` covers dict/Counter views:
 #: insertion order is real order, but it varies with shard merge order
-#: under different worker counts — exactly the variation PR 1's
+#: under different shard counts — exactly the variation the
 #: bit-for-bit claim forbids. The rest are the TampGraph set-returning
 #: accessors.
 _UNORDERED_METHODS = frozenset(
@@ -258,7 +258,7 @@ class UnorderedIteration(Checker):
 class IdentityOrdering(Checker):
     """DET003: ``id()`` used anywhere in analyzed code.
 
-    Object addresses differ between runs and between forked workers;
+    Object addresses differ between runs and between processes;
     any key, sort, or dedup built on ``id()`` is nondeterministic by
     construction. The rule flags every call — the rare legitimate use
     (within-pass object identity) should prefer an explicit marker
@@ -278,7 +278,7 @@ class IdentityOrdering(Checker):
                     node,
                     "DET003",
                     "id() is address-dependent and varies across runs and"
-                    " forked workers; key or order by stable identity",
+                    " processes; key or order by stable identity",
                 )
             for keyword in node.keywords:
                 # sorted(xs, key=id) passes the builtin by reference —
@@ -293,5 +293,5 @@ class IdentityOrdering(Checker):
                         keyword.value,
                         "DET003",
                         "ordering by id() sorts by object address, which"
-                        " varies across runs and forked workers",
+                        " varies across runs and processes",
                     )

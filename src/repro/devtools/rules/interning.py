@@ -47,10 +47,8 @@ HOT_FUNCTIONS = frozenset(
         "merge_tree",
         "merge_view",
         "merge_id_view",
-        "merge_view_shards",
         "_merge_ids",
         "_bulk_add",
-        "_build_rex_view_shard",
     }
 )
 

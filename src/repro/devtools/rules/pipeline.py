@@ -6,13 +6,11 @@ resume: everything it knows must live on the instance (restored via
 ``export_state``/``restore_state``) or flow through ``process()``.
 State parked in a module-level container silently survives the
 rebuild — the resumed stage sees data from before the "crash" and the
-bit-identical-resume contract quietly breaks. The same reference also
-poisons the ``repro.perf`` story (POOL002's fork-divergence applies
-the moment a stage's hot path is sharded).
+bit-identical-resume contract quietly breaks.
 
-The rule mirrors POOL002 structurally: find stage definitions (classes
-with a ``Stage``/``FunctionStage`` base, plus module-level functions
-dispatched through ``FunctionStage(...)``), then flag any ``global``
+The rule finds stage definitions (classes with a
+``Stage``/``FunctionStage`` base, plus module-level functions
+dispatched through ``FunctionStage(...)``), then flags any ``global``
 declaration and any reference to a module-global bound to a mutable
 container (literal list/dict/set, comprehension, or a call to a known
 container factory). A read is as bad as a write here — the reference

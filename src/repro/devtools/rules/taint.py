@@ -1,6 +1,6 @@
-"""INT003 / POOL003 / PIPE002: the whole-program rules.
+"""INT003 / PIPE002: the whole-program rules.
 
-Three invariants the per-file rules structurally cannot see:
+Two invariants the per-file rules structurally cannot see:
 
 * **INT003 — interprocedural id-taint.** A value decoded out of a
   :class:`~repro.interning.symbols.SymbolTable` (``.token()``,
@@ -19,12 +19,6 @@ Three invariants the per-file rules structurally cannot see:
   a callee, never inside the callee on behalf of a caller: a finding
   sits in the file whose edit fixes it.
 
-* **POOL003 — shard escape, one call level deep.** POOL002 flags a
-  shard function writing module globals directly; POOL003 applies the
-  same contract to every helper the shard calls (resolved through the
-  project symbol index, same module or not): a write one frame down
-  diverges under fork exactly as badly.
-
 * **PIPE002 — stage escape.** PIPE001 flags a stage referencing its
   own module's mutable globals; PIPE002 chases one level of calls into
   helpers (any module) that touch *their* module-global mutables, and
@@ -32,7 +26,7 @@ Three invariants the per-file rules structurally cannot see:
   local of the enclosing function — state a checkpoint rebuild cannot
   restore, however it is reached.
 
-All three run as :class:`~repro.devtools.registry.ProjectChecker`\\ s:
+Both run as :class:`~repro.devtools.registry.ProjectChecker`\\ s:
 they see the whole :class:`~repro.devtools.project.ProjectContext`
 once and emit findings wherever the evidence sits.
 """
@@ -43,10 +37,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
-from repro.devtools.astutil import (
-    enclosing_function_map,
-    module_level_assignments,
-)
+from repro.devtools.astutil import enclosing_function_map
 from repro.devtools.findings import Finding, Rule
 from repro.devtools.project import (
     FunctionInfo,
@@ -65,10 +56,6 @@ from repro.devtools.rules.pipeline import (
     mutable_module_globals,
     stage_definitions,
     stage_kind,
-)
-from repro.devtools.rules.pool import (
-    dispatched_shard_functions,
-    global_write_sites,
 )
 
 _AnyFunc = Union[ast.FunctionDef, ast.AsyncFunctionDef]
@@ -530,75 +517,6 @@ class IdTaint(ProjectChecker):
                 continue
             seen.add(key)
             yield self.finding_at(info, node, "INT003", message)
-
-
-@register_project
-class ShardEscape(ProjectChecker):
-    """POOL003: shard helpers writing module globals, one level deep."""
-
-    rules = (
-        Rule(
-            "POOL003",
-            "shard function calls a helper that writes module globals",
-        ),
-    )
-
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        for info in project.infos:
-            tree = info.tree
-            if tree is None:
-                continue
-            shards = dispatched_shard_functions(tree, info.imports)
-            for shard_name in sorted(shards):
-                shard_fn = info.functions.get(shard_name)
-                if shard_fn is None:
-                    continue
-                yield from self._check_shard(project, info, shard_fn)
-
-    def _check_shard(
-        self,
-        project: ProjectContext,
-        info: ModuleInfo,
-        shard_fn: FunctionInfo,
-    ) -> Iterator[Finding]:
-        reported: set[tuple[str, str]] = set()
-        for node in ast.walk(shard_fn.node):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = project.resolve_function(info, node.func, shard_fn)
-            if callee is None or (
-                callee.module == shard_fn.module
-                and callee.qualname == shard_fn.qualname
-            ):
-                continue
-            owner = project.by_module.get(callee.module)
-            if owner is None or owner.tree is None:
-                continue
-            key = (callee.module, callee.qualname)
-            if key in reported:
-                continue
-            owner_globals = module_level_assignments(owner.tree)
-            sites = list(
-                global_write_sites(callee.node, owner_globals)
-            )
-            if not sites:
-                continue
-            reported.add(key)
-            _, what = sites[0]
-            where = (
-                ""
-                if callee.module == info.module
-                else f" in {callee.module}"
-            )
-            yield self.finding_at(
-                info,
-                node,
-                "POOL003",
-                f"shard function {shard_fn.qualname}() calls"
-                f" {callee.qualname}(){where}, which {what}; the write"
-                " happens in the worker's forked copy and is lost at"
-                " join, diverging from the serial path",
-            )
 
 
 @register_project

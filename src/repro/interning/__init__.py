@@ -18,9 +18,9 @@ and decoding happens on pruned (small) graphs, never per-route.
 
 Symbol tables are **per build** — created by a builder, carried by the
 graphs it produces, and garbage-collected with them. There is no
-module-global table (rules PIPE001/POOL002 stay clean by construction),
-so parallel shards each grow their own table and the parent merges them
-by offset remap at join time (:meth:`SymbolTable.remap_tokens`).
+module-global table (rule PIPE001 stays clean by construction), so the
+serve layer's monitor shards each grow their own table and the fan-in
+merges them by offset remap (:meth:`SymbolTable.remap_tokens`).
 """
 
 from repro.interning.idset import IdSet, MaskIdSet

@@ -13,9 +13,9 @@ prefix ids replace the per-edge ``set[Prefix]`` object churn. A prefix
 that also appears as a leaf *node* additionally has a token id for its
 ``("pfx", prefix)`` token, memoized by :meth:`pfx_token_id`.
 
-Prefix ids being pure functions of the prefix is what makes the
-parallel build cheap: every worker shard computes *identical* prefix
-ids with no shared state, so joining shards never remaps a refcount
+Prefix ids being pure functions of the prefix is what makes the serve
+fan-in cheap: every monitor shard computes *identical* prefix ids with
+no shared state, so joining shard graphs never remaps a refcount
 store's keys — only the (few thousand) token ids need translation. It
 also makes encoding two attribute loads and two shifts instead of a
 dict probe through a Python-level ``Prefix.__hash__``, which at 1.5M
@@ -81,8 +81,8 @@ def unpack_prefix(pid: int) -> Prefix:
 class SymbolTable:
     """Bidirectional token ↔ dense-int mapping plus prefix-id codecs.
 
-    Owned state: construct one per picture build (or per worker shard)
-    and let it die with the graphs that reference it, or one per
+    Owned state: construct one per picture build (or per monitor
+    shard) and let it die with the graphs that reference it, or one per
     long-lived owner that bounds it — the window stage's
     :class:`~repro.stemming.stemmer.StemIndex` is dropped and reloaded
     from the live events when its table has doubled, since a table only
@@ -182,7 +182,7 @@ class SymbolTable:
         return len(self._tokens)
 
     # ------------------------------------------------------------------
-    # Merging (parallel shard join)
+    # Merging (shard join)
     # ------------------------------------------------------------------
 
     def remap_tokens(self, other: "SymbolTable") -> list[int]:
@@ -190,7 +190,7 @@ class SymbolTable:
 
         The list is indexed by *other*'s token ids. Interning in
         *other*'s id order keeps first-appearance ordering across a
-        shard join identical to a serial build over the same trees.
+        shard join identical to an unsharded build over the same trees.
         Prefix ids need no counterpart: they are value-derived, so every
         table already agrees on them.
         """

@@ -61,8 +61,7 @@ class ASPath:
 
     def __reduce__(self):
         # Slot pickling would call the blocked __setattr__ on load;
-        # rebuild through __init__ so paths cross the repro.perf
-        # worker-pool boundary.
+        # rebuild through __init__ (copy goes through here).
         return (self.__class__, (self.sequence, self.as_set))
 
     def collapsed_tokens(self) -> tuple[tuple[str, int], ...]:

@@ -142,8 +142,7 @@ class PathAttributes:
 
     def __reduce__(self) -> tuple:
         # Slot pickling would call the blocked __setattr__ on load;
-        # rebuild through __init__ instead (routes cross process
-        # boundaries when picture builds shard across workers).
+        # rebuild through __init__ instead (copy goes through here).
         return (
             PathAttributes,
             (

@@ -86,8 +86,7 @@ class Prefix:
 
     def __reduce__(self):
         # Default slot pickling would call the blocked __setattr__ on
-        # load; reconstructing through __init__ keeps prefixes portable
-        # across the repro.perf worker-pool boundary.
+        # load; reconstruct through __init__ (copy goes through here).
         return (self.__class__, (self.network, self.length))
 
     @classmethod

@@ -11,9 +11,7 @@ reference cycles at all (interned int keys, tuples, flat dicts).
 the caller's setting on the way out — including on error — so cycles
 created elsewhere are still reclaimed by the next normal collection.
 Nesting is safe: inner guards see collection already disabled and
-leave it that way. When a fork pool starts inside the guard, workers
-inherit the paused collector, which is exactly right: shard builders
-have the same allocation profile as the serial build.
+leave it that way.
 """
 
 from __future__ import annotations

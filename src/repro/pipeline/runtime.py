@@ -7,9 +7,9 @@ stage and :meth:`Pipeline.pump` drains stages *downstream-first* until
 quiescent. That ordering means an item admitted into the pipeline is
 fully processed before the next one is admitted, so a run's output is
 a pure function of its input order — the property the checkpoint layer
-leans on for bit-identical resume. Concurrency lives *inside* stages
-(the windowed stemmer shards counter work through ``repro.perf``), not
-between them.
+leans on for bit-identical resume. There is no concurrency inside or
+between stages; the serve layer scales out by running one such pipeline
+per monitor shard.
 
 Backpressure is explicit rather than implicit: every queue has a
 capacity, and when a stage's input queue is full the pipeline either

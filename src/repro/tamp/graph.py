@@ -172,8 +172,7 @@ class TampGraph:
 
         A tree sharing this graph's symbol table merges without any
         translation; a foreign tree's ids are remapped through a table
-        merge first (the parallel shard-join path — see
-        :mod:`repro.tamp.picture`).
+        merge first.
         """
         if tree.symbols is self._symbols:
             self._merge_ids(tree, None)
@@ -417,96 +416,6 @@ class TampGraph:
         if seen is not None:
             self._total = len(seen)
 
-    def merge_view_shards(
-        self, shards: Iterable, include_prefix_leaves: bool = True
-    ) -> None:
-        """Join per-worker view fragments into the refcount stores.
-
-        Each shard contributes ``(symbols, edge_stores, chain_lists)``
-        as produced by a worker running the per-router half of
-        :meth:`merge_id_view` over its slice of the routers (see
-        :func:`repro.tamp.picture._build_rex_view_shard`):
-
-        * *edge_stores* — the root and site-link refcount stores, keyed
-          by shard-local packed edge ids. Shards partition the routers
-          and every one of these edges is per-router, so the remapped
-          stores are disjoint across shards and install wholesale — no
-          counting, no copying.
-        * *chain_lists* — attribute bundle → flat prefix-id list. The
-          interior/fringe flush is genuinely cross-shard (chains are
-          shared across routers), so it runs here, over the
-          concatenated lists, exactly as the serial flush would.
-
-        Only token ids cross an id-space boundary: prefix ids are
-        value-derived (:func:`repro.interning.pack_prefix`), so every
-        shard already encoded prefixes identically and the stores and
-        lists merge without translation.
-
-        Join into a *fresh* graph (the batch builders do): the
-        wholesale store install relies on the shards of one build being
-        the only contributors of those per-router edges — joining over
-        a graph that already holds one of the routers would replace its
-        stores instead of merging them.
-        """
-        self._invalidate_cache()
-        self._adj_dirty = True
-        symbols = self._symbols
-        edges = self._edges
-        fringe = self._fringe
-        concat = _iter_chain.from_iterable
-        seen: Optional[set] = None
-        if not edges and not fringe:
-            seen = set()
-        merged: dict = {}
-        for shard_symbols, shard_edges, chain_lists in shards:
-            token_map = symbols.remap_tokens(shard_symbols)
-            if shard_edges:
-                # Disjoint-by-construction: every shard edge is
-                # (router → head) or (site → router) and routers are
-                # partitioned, so zip-update never collides.
-                edges.update(
-                    zip(
-                        (
-                            (token_map[eid >> EDGE_SHIFT] << EDGE_SHIFT)
-                            | token_map[eid & EDGE_MASK]
-                            for eid in shard_edges
-                        ),
-                        shard_edges.values(),
-                    )
-                )
-            for attributes, flat in chain_lists.items():
-                lists = merged.get(attributes)
-                if lists is None:
-                    merged[attributes] = [flat]
-                else:
-                    lists.append(flat)
-        if self.site_root is not None and edges:
-            # Workers wire one site link per router with routes; any
-            # surviving edge implies at least one such router.
-            self._symbols.intern_token(self.site_root)
-            self._has_site_edge = True
-        chain_cache: dict = {}
-        placeholder: Token = ("router", "")
-        for attributes, lists in merged.items():
-            head, interior, tail = chain_ids(
-                symbols, chain_cache, placeholder, None, attributes
-            )
-            members = lists[0] if len(lists) == 1 else list(concat(lists))
-            if seen is not None:
-                seen.update(members)
-            for eid in interior:
-                store = edges.get(eid)
-                if store is None:
-                    edges[eid] = store = {}
-                _count_elements(store, members)
-            if include_prefix_leaves:
-                store = fringe.get(tail)
-                if store is None:
-                    fringe[tail] = store = {}
-                _count_elements(store, members)
-        if seen is not None:
-            self._total = len(seen)
-
     def merge_graph(self, other: "TampGraph") -> None:
         """Fold *other*'s refcount stores into this graph.
 
@@ -517,11 +426,10 @@ class TampGraph:
         :meth:`~repro.interning.SymbolTable.remap_tokens`; prefix ids
         are value-derived and install untranslated.
 
-        Refcounts *sum* (unlike :meth:`merge_view_shards`'s wholesale
-        install): shards partition routes by peer, so a single-shard
-        run's per-(edge, prefix) refcount equals the sum of the shard
-        counts — which is what makes the merged picture bit-identical
-        to an unsharded one.
+        Refcounts *sum*: shards partition routes by peer, so a
+        single-shard run's per-(edge, prefix) refcount equals the sum of
+        the shard counts — which is what makes the merged picture
+        bit-identical to an unsharded one.
         """
         self._invalidate_cache()
         self._adj_dirty = True

@@ -1,37 +1,25 @@
-"""Batch TAMP picture builds: routes → trees → merged graph, sharded.
+"""Batch TAMP picture builds: routes → one merged graph.
 
 This is the orchestration layer over the interned builder (DESIGN.md
-§10): group routes per router, build each router's
-:class:`~repro.tamp.tree.TampTree` as interned columns, and fold the
-trees into one :class:`~repro.tamp.graph.TampGraph`.
-
-Serially, every tree is built against the *graph's* symbol table, so
-merging is pure id-level counting with no translation. With workers,
-router groups shard across the :mod:`repro.perf` fork pool; each shard
-grows its own per-shard table (no shared mutable state — POOL002) and
-the parent joins shards by offset remap: the shard's tokens/prefixes
-are interned into the parent table in shard order, yielding old→new id
-maps the merge translates through. Because shards partition the
-routers and remapping preserves first-appearance order, the decoded
-result — edges, weights, prune survivors, rendered picture — is
-identical to the serial build (asserted by
-``tests/tamp/test_interned_equivalence.py``).
+§10): group each router's routes by attribute bundle and fold the whole
+view into one :class:`~repro.tamp.graph.TampGraph` in a single
+:meth:`~repro.tamp.graph.TampGraph.merge_id_view` pass. Every chain is
+interned against the *graph's* symbol table, so the fold is pure
+id-level counting with no translation; the decoded result is asserted
+equal to the object-level builder in :mod:`repro.tamp.reference` by
+``tests/tamp/test_interned_equivalence.py``.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from itertools import chain as chain_concat
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.bgp.rib import Route
 from repro.collector.events import BGPEvent
-from repro.interning import EDGE_SHIFT, SymbolTable
 from repro.net.attributes import PathAttributes
 from repro.net.prefix import Prefix, format_address
-from repro.perf import effective_workers, gc_paused, map_shards, partition
-from repro.tamp.graph import TampGraph, _count_elements
-from repro.tamp.tree import ChainCache, TampTree, chain_ids
+from repro.perf import gc_paused
+from repro.tamp.graph import TampGraph
 
 #: One router's slice of the view: (router name, its routes).
 RouteGroup = tuple[str, Sequence[Route]]
@@ -41,34 +29,18 @@ def build_picture(
     route_groups: Sequence[RouteGroup],
     site_name: Optional[str] = None,
     include_prefix_leaves: bool = True,
-    workers: Optional[int] = None,
 ) -> TampGraph:
     """Merge per-router route groups into one (unpruned) TAMP graph."""
-    total_routes = sum(len(routes) for _, routes in route_groups)
-    count = effective_workers(workers, total_routes)
-    count = min(count, len(route_groups)) or 1
-    if count <= 1:
-        graph = TampGraph(site_name)
-        # One merge_view call over the whole view: the chain buckets
-        # span routers (attribute bundles are shared massively), so the
-        # interior stores take a handful of long C counting calls
-        # instead of one probe per (router, group, edge).
-        with gc_paused():
-            graph.merge_view(
-                (
-                    (name, _group_by_attrs(routes))
-                    for name, routes in route_groups
-                ),
-                include_prefix_leaves,
-            )
-        return graph
-    build = partial(_build_shard, include_prefix_leaves)
+    graph = TampGraph(site_name)
+    # One merge_view call over the whole view: the chain buckets span
+    # routers (attribute bundles are shared massively), so the interior
+    # stores take a handful of long C counting calls instead of one
+    # probe per (router, group, edge).
     with gc_paused():
-        shard_results = map_shards(
-            build, partition(route_groups, count), count
+        graph.merge_view(
+            ((name, _group_by_attrs(routes)) for name, routes in route_groups),
+            include_prefix_leaves,
         )
-        graph = TampGraph(site_name)
-        _join_shard_trees(graph, shard_results)
     return graph
 
 
@@ -88,212 +60,37 @@ def _group_entries(pairs: Iterable[tuple[Prefix, PathAttributes]]):
     return by_attrs.items()
 
 
-def _join_shard_trees(
-    graph: TampGraph, shard_results: Iterable[list[TampTree]]
-) -> None:
-    """Fold per-shard trees into *graph* via symbol-table offset remap.
-
-    Only token ids need translation — prefix ids are value-derived
-    (:func:`repro.interning.pack_prefix`), so every shard already
-    computed the same ids and the refcount stores merge key-for-key.
-    """
-    table: Optional[SymbolTable] = None
-    token_map: list[int] = []
-    for trees in shard_results:
-        for tree in trees:
-            if tree.symbols is not table:
-                # One remap per shard table (all trees of a shard share
-                # one), computed lazily so an empty shard costs nothing.
-                table = tree.symbols
-                token_map = graph.symbols.remap_tokens(table)
-            graph._merge_ids(tree, token_map)
-
-
-def _build_shard(
-    include_prefix_leaves: bool, shard: Sequence[RouteGroup]
-) -> list[TampTree]:
-    """Build one shard's trees against a fresh per-shard symbol table.
-
-    Module-level (POOL001) and stateless (POOL002): everything the
-    worker needs arrives in the shard, everything it produces returns
-    in the trees — which share one table, so the parent remaps once
-    per shard, not once per tree.
-    """
-    symbols = SymbolTable()
-    chain_cache: ChainCache = {}
-    return [
-        TampTree.from_routes(
-            name,
-            routes,
-            include_prefix_leaves,
-            symbols=symbols,
-            chain_cache=chain_cache,
-        )
-        for name, routes in shard
-    ]
-
-
-#: Fork-inherited build source for the REX sharded path: (rex,
-#: peer_namer, site_name), set by the parent immediately before the
-#: pool forks and cleared after. Children receive only peer id lists
-#: and read the table through this by copy-on-write — the 1.5M routes
-#: are never pickled into the pool, which is what kept the sharded
-#: picture slower than the serial one. Read-only by contract: workers
-#: must never mutate it (POOL002's actual hazard).
-_FORK_SOURCE = None
-
-
-def _sharded_rex_picture(
-    rex,
-    peers: Sequence[int],
-    site_name: Optional[str],
-    include_prefix_leaves: bool,
-    count: int,
-    peer_namer: Callable[[int], str],
-) -> TampGraph:
-    """Shard a REX picture by peer over a copy-on-write fork pool.
-
-    Workers run the per-router half of the view merge — prefix-id
-    columns off the RIB group index, root and site-link stores, chain
-    buckets — and the parent installs their stores wholesale and runs
-    the one genuinely cross-router phase, the chain flush
-    (:meth:`~repro.tamp.graph.TampGraph.merge_view_shards`). What a
-    worker returns is a compact id-level fragment (~a few MB per
-    million routes), not a graph: serialization is what made the old
-    per-peer-tree sharding slower than the serial build.
-    """
-    global _FORK_SOURCE
-    _FORK_SOURCE = (rex, peer_namer, site_name)
-    # The guard spans the fork: workers inherit the paused collector,
-    # so shard builds dodge the same heap-walk stalls as the parent.
-    with gc_paused():
-        try:
-            shard_results = map_shards(
-                _build_rex_view_shard, partition(list(peers), count), count
-            )
-        finally:
-            _FORK_SOURCE = None
-        graph = TampGraph(site_name)
-        graph.merge_view_shards(shard_results, include_prefix_leaves)
-    return graph
-
-
-def _build_rex_view_shard(peer_shard: Sequence[int]):
-    """One worker's view fragment: (symbols, edge stores, chain lists).
-
-    Module-level (POOL001); the only inputs crossing the pool boundary
-    are peer ids, everything heavy arrives via :data:`_FORK_SOURCE` in
-    the forked address space. The serial fallback inside
-    :func:`~repro.perf.map_shards` runs this in-process, where the
-    source global is equally visible.
-
-    Mirrors the per-router loop of
-    :meth:`~repro.tamp.graph.TampGraph.merge_id_view` against a fresh
-    shard-local symbol table: root-edge and site-link stores are built
-    here (they are per-router, so the parent can adopt them verbatim
-    after a token remap), while interior/fringe counting — cross-router
-    by nature — is deferred to the parent's flush. Chain buckets come
-    back flattened per attribute bundle: plain int lists, the cheapest
-    thing to pickle out of the pool.
-    """
-    source = _FORK_SOURCE
-    assert source is not None, "_build_rex_view_shard outside a sharded build"
-    rex, peer_namer, site_name = source
-    symbols = SymbolTable()
-    chain_cache: ChainCache = {}
-    edges: dict[int, dict[int, int]] = {}
-    by_chain: dict = {}
-    bucket_get = by_chain.get
-    concat = chain_concat.from_iterable
-    site_id = None
-    if site_name is not None:
-        site_id = symbols.intern_token(("root", site_name))
-    for peer in peer_shard:
-        root = ("router", peer_namer(peer))
-        root_id = symbols.intern_token(root)
-        root_base = root_id << EDGE_SHIFT
-        router_lists: list = []
-        for attributes, pids in rex.rib(peer).grouped_pid_entries():
-            bucket = bucket_get(attributes)
-            if bucket is None:
-                head = chain_ids(
-                    symbols, chain_cache, root, None, attributes
-                )[0]
-                by_chain[attributes] = bucket = [head, pids]
-            else:
-                head = bucket[0]
-                bucket.append(pids)
-            eid = root_base | head
-            store = edges.get(eid)
-            if store is None:
-                edges[eid] = dict.fromkeys(pids, 1)
-            else:
-                _count_elements(store, pids)
-            if site_id is not None:
-                router_lists.append(pids)
-        if site_id is not None and router_lists:
-            members = (
-                router_lists[0]
-                if len(router_lists) == 1
-                else list(concat(router_lists))
-            )
-            edges[(site_id << EDGE_SHIFT) | root_id] = dict.fromkeys(
-                members, 1
-            )
-    # Flattened to plain lists: dict value views neither pickle nor
-    # outlive a worker.
-    chain_lists = {
-        attributes: (
-            list(bucket[1]) if len(bucket) == 2 else list(concat(bucket[1:]))
-        )
-        for attributes, bucket in by_chain.items()
-    }
-    return symbols, edges, chain_lists
-
-
 def picture_from_rex(
     rex,
     site_name: Optional[str] = None,
     include_prefix_leaves: bool = True,
-    workers: Optional[int] = None,
     peer_namer: Callable[[int], str] = format_address,
 ) -> TampGraph:
     """The classic batch picture: one tree per REX peer, merged.
 
-    Serially this streams each peer's attribute-grouped id columns
+    Streams each peer's attribute-grouped id columns
     (:meth:`~repro.bgp.rib.AdjRibIn.grouped_pid_entries`, maintained
     per UPDATE) through
     :meth:`~repro.tamp.graph.TampGraph.merge_id_view` — no
     :class:`~repro.bgp.rib.Route` wrappers, no per-picture re-grouping
-    or re-encoding pass over millions of routes. With workers the
-    peers shard across a fork pool that reads the REX by copy-on-write
-    (see :func:`_build_rex_view_shard`) — nothing heavy is serialized
-    into the children; only compact id-level fragments come back.
+    or re-encoding pass over millions of routes.
     """
-    peers = rex.peers()
-    count = effective_workers(workers, rex.route_count())
-    count = min(count, len(peers)) or 1
-    if count <= 1:
-        graph = TampGraph(site_name)
-        with gc_paused():
-            graph.merge_id_view(
-                (
-                    (peer_namer(peer), rex.rib(peer).grouped_pid_entries())
-                    for peer in peers
-                ),
-                include_prefix_leaves,
-            )
-        return graph
-    return _sharded_rex_picture(
-        rex, peers, site_name, include_prefix_leaves, count, peer_namer
-    )
+    graph = TampGraph(site_name)
+    with gc_paused():
+        graph.merge_id_view(
+            (
+                (peer_namer(peer), rex.rib(peer).grouped_pid_entries())
+                for peer in rex.peers()
+            ),
+            include_prefix_leaves,
+        )
+    return graph
 
 
 def picture_from_events(
     events: Iterable[BGPEvent],
     site_name: Optional[str] = None,
     include_prefix_leaves: bool = False,
-    workers: Optional[int] = None,
     peer_namer: Callable[[int], str] = format_address,
 ) -> TampGraph:
     """The picture after replaying *events* over an empty route table.
@@ -315,24 +112,13 @@ def picture_from_events(
     by_peer: dict[int, list[tuple[Prefix, PathAttributes]]] = {}
     for (peer, prefix), attrs in table.items():
         by_peer.setdefault(peer, []).append((prefix, attrs))
-    count = effective_workers(workers, len(table))
-    count = min(count, len(by_peer)) or 1
-    if count <= 1:
-        graph = TampGraph(site_name)
-        with gc_paused():
-            graph.merge_view(
-                (
-                    (peer_namer(peer), _group_entries(pairs))
-                    for peer, pairs in by_peer.items()
-                ),
-                include_prefix_leaves,
-            )
-        return graph
-    groups: list[RouteGroup] = [
-        (
-            peer_namer(peer),
-            [Route(prefix, attrs, peer) for prefix, attrs in pairs],
+    graph = TampGraph(site_name)
+    with gc_paused():
+        graph.merge_view(
+            (
+                (peer_namer(peer), _group_entries(pairs))
+                for peer, pairs in by_peer.items()
+            ),
+            include_prefix_leaves,
         )
-        for peer, pairs in by_peer.items()
-    ]
-    return build_picture(groups, site_name, include_prefix_leaves, workers)
+    return graph

@@ -12,12 +12,9 @@ animation of a quiet graph stays small); static structure is drawn once.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Optional
 from xml.sax.saxutils import escape
 
 from repro.net.prefix import Prefix
-from repro.perf import effective_workers, map_shards, partition
 from repro.tamp.animate import EdgeState, TampAnimation
 from repro.tamp.graph import TampGraph
 from repro.tamp.layout import layout_graph
@@ -38,14 +35,8 @@ def render_svg_animation(
     animation: TampAnimation,
     title: str = "",
     max_thickness: float = 12.0,
-    workers: Optional[int] = None,
 ) -> str:
-    """Render *animation* as one SMIL-animated SVG document string.
-
-    *workers* parallelizes the per-edge keyframe rendering across a
-    :mod:`repro.perf` pool (None = the ``REPRO_WORKERS`` environment
-    variable); small graphs render serially either way.
-    """
+    """Render *animation* as one SMIL-animated SVG document string."""
     display, seen_edges = _display_graph(animation)
     layout = layout_graph(display)
     margin = 120.0
@@ -92,25 +83,11 @@ def render_svg_animation(
                 initial,
             )
         )
-    workers = effective_workers(workers, units=len(edge_jobs))
-    if workers <= 1:
-        parts.extend(
-            _render_edge_shard(
-                edge_jobs, frame_count, total, max_thickness, duration
-            )
+    parts.extend(
+        _render_edge_shard(
+            edge_jobs, frame_count, total, max_thickness, duration
         )
-    else:
-        shard_render = partial(
-            _render_edge_shard,
-            frame_count=frame_count,
-            total=total,
-            max_thickness=max_thickness,
-            duration=duration,
-        )
-        for rendered in map_shards(
-            shard_render, partition(edge_jobs, workers), workers
-        ):
-            parts.extend(rendered)
+    )
     for node in layout.positions:
         x, y = position(node)
         label = escape(node_label(node))
@@ -187,11 +164,7 @@ def _edge_tracks(animation: TampAnimation):
 
 
 def _render_edge_shard(shard, frame_count, total, max_thickness, duration):
-    """Render a shard of edge jobs to SVG fragments.
-
-    Module-level with plain-tuple jobs so shards can cross the
-    repro.perf worker-pool boundary.
-    """
+    """Render a run of edge jobs (plain tuples) to SVG fragments."""
     parts: list[str] = []
     for (x1, y1), (x2, y2), state_track, count_track, initial in shard:
         color_keys, width_keys = _keyframes(

@@ -53,6 +53,10 @@ class TestCompare:
         base = entry(75_000, 1.0)
         fresh = entry(75_000, 1.0, workers=4)
         assert row_identity(base) == row_identity(fresh)
+        # Fresh rows carry no worker tag; the committed baselines (all
+        # tagged ``workers: 1``) must still match them.
+        untagged = {k: v for k, v in base.items() if k != "workers"}
+        assert row_identity(base) == row_identity(untagged)
         # Different row parameters never match each other.
         assert row_identity(base) != row_identity(entry(7_500, 1.0))
 

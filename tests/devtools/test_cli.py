@@ -23,7 +23,7 @@ class TestExitCodes:
         # DET001, TK001, INT001, INT002 and SRV001 are package-scoped
         # and can't fire on a bare fixture path, so the CLI gate is
         # asserted for every other rule's bad fixture (the project
-        # rules INT003, POOL003 and PIPE002 fire anywhere).
+        # rules INT003 and PIPE002 fire anywhere).
         for fixture in sorted(FIXTURES.glob("*_bad.py")):
             if fixture.name.startswith(
                 ("det001", "tk001", "int001", "int002", "srv001")
@@ -110,18 +110,19 @@ class TestRuleSelection:
     def test_rules_filter_narrows_findings(self, capsys):
         code = main(
             ["lint", str(FIXTURES / "mut001_bad.py"),
-             "--rules", "DET002,POOL001"]
+             "--rules", "DET002,CACHE001"]
         )
         assert code == 0  # file has only MUT001 violations
 
     def test_list_rules_prints_catalog(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("DET001", "DET002", "DET003", "POOL001",
-                        "POOL002", "POOL003", "MUT001", "CACHE001",
-                        "INT001", "INT002", "INT003", "PIPE001",
-                        "PIPE002", "TK001"):
+        for rule_id in ("DET001", "DET002", "DET003", "MUT001",
+                        "CACHE001", "INT001", "INT002", "INT003",
+                        "PIPE001", "PIPE002", "TK001", "INC001",
+                        "SRV001"):
             assert rule_id in out
+        assert len(out.splitlines()) == 13
 
 
 class TestDirectoryLint:

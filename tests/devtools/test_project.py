@@ -128,33 +128,6 @@ class TestCrossModuleTaint:
         assert int003[0].path.endswith("flow.py")
         assert "merge_view" in int003[0].message
 
-    def test_pool003_sees_a_cross_module_helper_write(self, tmp_path):
-        paths = make_tree(
-            tmp_path,
-            {
-                "repro/state.py": (
-                    "_CACHE = {}\n"
-                    "def remember(k):\n"
-                    "    _CACHE[k] = True\n"
-                ),
-                "repro/work.py": (
-                    "from repro.perf.pool import map_shards\n"
-                    "from repro.state import remember\n"
-                    "def shard(items):\n"
-                    "    for i in items:\n"
-                    "        remember(i)\n"
-                    "    return items\n"
-                    "def run(groups):\n"
-                    "    return map_shards(shard, groups)\n"
-                ),
-            },
-        )
-        findings = analyze_paths(paths)
-        pool003 = [f for f in findings if f.rule == "POOL003"]
-        assert len(pool003) == 1
-        assert pool003[0].path.endswith("work.py")
-        assert "repro.state" in pool003[0].message
-
     def test_clean_cross_module_flow_stays_clean(self, tmp_path):
         paths = make_tree(
             tmp_path,

@@ -99,34 +99,6 @@ class TestDet003:
         assert analyze_fixture("det003_suppressed.py") == []
 
 
-class TestPool001:
-    def test_bad_flags_lambda_closure_and_partial_of_lambda(self):
-        findings = analyze_fixture("pool001_bad.py")
-        assert rule_ids(findings) == ["POOL001"] * 3
-        messages = " ".join(f.message for f in findings)
-        assert "lambda" in messages
-        assert "'scale' is not bound at module level" in messages
-
-    def test_ok_is_clean(self):
-        assert analyze_fixture("pool001_ok.py") == []
-
-    def test_suppressions(self):
-        assert analyze_fixture("pool001_suppressed.py") == []
-
-
-class TestPool002:
-    def test_bad_flags_global_writes(self):
-        findings = analyze_fixture("pool002_bad.py")
-        assert rule_ids(findings) == ["POOL002"] * 3
-        messages = " ".join(f.message for f in findings)
-        assert "global _SEEN" in messages
-        assert "'_CACHE'" in messages
-        assert "'_TOTALS'" in messages
-
-    def test_suppressions(self):
-        assert analyze_fixture("pool002_suppressed.py") == []
-
-
 class TestPipe001:
     def test_bad_flags_global_decl_and_mutable_refs(self):
         findings = analyze_fixture("pipe001_bad.py")
@@ -383,24 +355,6 @@ class TestInt003:
         source = (FIXTURES / "int003_bad.py").read_text().splitlines()
         for finding in findings:
             assert "(" in source[finding.line - 1]  # a call, not a def
-
-
-class TestPool003:
-    def test_bad_flags_helper_writes_one_level_down(self):
-        findings = analyze_fixture("pool003_bad.py", module="fixture")
-        assert rule_ids(findings) == ["POOL003"] * 2
-        messages = " ".join(f.message for f in findings)
-        assert "_memoize()" in messages
-        assert "_tally()" in messages
-        assert "lost at join" in messages
-
-    def test_ok_is_clean(self):
-        assert analyze_fixture("pool003_ok.py", module="fixture") == []
-
-    def test_suppressions(self):
-        assert (
-            analyze_fixture("pool003_suppressed.py", module="fixture") == []
-        )
 
 
 class TestSrv001:

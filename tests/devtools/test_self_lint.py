@@ -2,10 +2,11 @@
 
 This is the enforcement half of the PR 1 determinism claim: any commit
 that introduces an unseeded entropy source, an unordered iteration
-feeding ordered output, a fork-pool closure, a mutable default, or a
-hookless ``TampGraph`` mutator fails the suite here — with the same
-findings ``repro lint src`` would print — unless it carries a justified
-``# repro: allow[...]`` comment that a reviewer can see and veto.
+feeding ordered output, a stage reading a module global, a mutable
+default, or a hookless ``TampGraph`` mutator fails the suite here —
+with the same findings ``repro lint src`` would print — unless it
+carries a justified ``# repro: allow[...]`` comment that a reviewer can
+see and veto.
 """
 
 from pathlib import Path

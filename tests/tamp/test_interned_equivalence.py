@@ -1,20 +1,19 @@
 """The interned TAMP pipeline must reproduce the original builder.
 
 The rewrite (DESIGN.md §10) swapped per-edge ``set[Prefix]`` stores for
-interned id stores, added a fused serial fast path and a sharded
-parallel path — all pure implementation: these tests pin the decoded
-results to the preserved pre-rewrite builder
-(:mod:`repro.tamp.reference`) at every observable level:
+interned id stores and added a fused fast path — all pure
+implementation: these tests pin the decoded results to the preserved
+pre-rewrite builder (:mod:`repro.tamp.reference`) at every observable
+level:
 
 * the edge set and per-edge prefix sets (the weights),
 * the per-edge refcount maps,
 * the flat-prune survivors,
 * the rendered picture, byte for byte,
 
-on both site profiles, serially and sharded across a real fork pool
-(``REPRO_FORCE_WORKERS`` lifts the single-CPU affinity cap). A final
-family checks the batch event path against incremental maintenance,
-and the ``total_prefixes`` cache against mutate-after-read staleness.
+on both site profiles. A final family checks the batch event path
+against incremental maintenance, and the ``total_prefixes`` cache
+against mutate-after-read staleness.
 """
 
 import hashlib
@@ -24,7 +23,6 @@ import pytest
 from repro.collector.events import BGPEvent, EventKind
 from repro.collector.rex import RouteExplorer
 from repro.net.prefix import Prefix, format_address
-from repro.perf import ENV_FORCE_WORKERS, fork_available
 from repro.simulator.synthetic import (
     BERKELEY_PROFILE,
     ISP_ANON_PROFILE,
@@ -94,25 +92,6 @@ class TestInternedMatchesReference:
         assert decoded(pruned) == decoded(ref_pruned)
         assert svg_digest(pruned, profile_name) == svg_digest(
             ref_pruned, profile_name
-        )
-
-    @pytest.mark.parametrize("profile_name", sorted(PROFILES))
-    def test_sharded_build_identical(self, profile_name, monkeypatch):
-        if not fork_available():
-            pytest.skip("fork start method unavailable")
-        monkeypatch.setenv(ENV_FORCE_WORKERS, "1")
-        groups = route_groups(profile_name)
-        serial = build_picture(groups, "site")
-        sharded = build_picture(groups, "site", workers=4)
-        assert decoded(sharded) == decoded(serial)
-        assert dict(sharded.raw_edges()) == dict(serial.raw_edges())
-        pruned_serial = prune_flat(serial)
-        pruned_sharded = prune_flat(sharded)
-        assert decoded(pruned_sharded) == decoded(pruned_serial)
-        # Byte-identical pictures: serial vs sharded must be
-        # indistinguishable all the way to the rendered artifact.
-        assert svg_digest(pruned_sharded, profile_name) == svg_digest(
-            pruned_serial, profile_name
         )
 
     def test_merge_tree_matches_fused_path(self):

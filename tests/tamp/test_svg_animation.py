@@ -72,27 +72,3 @@ class TestSvgAnimation:
             assert times == sorted(times)
             assert len(set(times)) == len(times)
 
-
-class TestWorkers:
-    def test_worker_count_does_not_change_output(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FORCE_WORKERS", "1")
-        animation = leak_animation()
-        assert render_svg_animation(animation, workers=4) == (
-            render_svg_animation(animation, workers=1)
-        )
-
-    def test_shards_render_independently(self):
-        """Concatenated shard renders == one-shot render (the property
-        the parallel path relies on)."""
-        from repro.perf import partition
-        from repro.tamp.svg_animation import _render_edge_shard
-
-        jobs = [
-            ((10.0 * i, 20.0), (10.0 * i, 90.0), (), (), i + 1)
-            for i in range(7)
-        ]
-        whole = _render_edge_shard(jobs, 8, 10, 12.0, 5.0)
-        sharded = []
-        for shard in partition(jobs, 3):
-            sharded.extend(_render_edge_shard(shard, 8, 10, 12.0, 5.0))
-        assert sharded == whole

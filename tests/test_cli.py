@@ -63,6 +63,36 @@ class TestRender:
         assert "<svg" in out_svg.read_text()
 
 
+class TestNoWorkerKnob:
+    """One way to draw: no flag or environment variable picks a path."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["render", "{events}", "--workers", "2"],
+            ["animate", "{events}", "-o", "{out}", "--workers", "2"],
+        ],
+        ids=["render", "animate"],
+    )
+    def test_workers_flag_is_a_usage_error(
+        self, argv, stream_file, tmp_path, capsys
+    ):
+        out = tmp_path / "out.svg"
+        argv = [a.format(events=stream_file, out=out) for a in argv]
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_workers_environment_is_not_read(
+        self, stream_file, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_WORKERS", "abc")
+        assert main(["render", str(stream_file)]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestProfile:
     def test_render_profile_writes_stats_and_summary(
         self, tmp_path, capsys
