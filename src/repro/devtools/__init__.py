@@ -10,26 +10,24 @@ while every unit test of the touched module still passes. This package
 proves those invariants at lint time with a stdlib-``ast`` analyzer:
 
 * a checker framework (:mod:`repro.devtools.registry`) — one checker
-  class per invariant family, registered by decorator; per-module
-  checkers see one file, project checkers see the whole program;
-* a project layer (:mod:`repro.devtools.project`) — every file parsed
-  once into a :class:`ModuleInfo` and a cross-module symbol index over
-  them, so interprocedural rules (INT003, PIPE002 in
-  :mod:`repro.devtools.rules.taint`) can resolve calls across files
-  without type inference;
+  class per invariant family, registered by decorator; every checker
+  sees one module at a time;
+* a parse-once record (:mod:`repro.devtools.project`) — every file
+  parsed once into a :class:`ModuleInfo` whose import map, parent map
+  and suppressions all checkers share;
 * one analysis path (:mod:`repro.devtools.engine`) — discover files,
-  parse each once, run the per-module and whole-program checkers,
-  apply suppressions, sort; every run analyzes everything it is given,
-  and nothing is cached, scoped or rewritten;
+  parse each once, run the checkers, apply suppressions, sort; every
+  run analyzes everything it is given, and nothing is cached, scoped
+  or rewritten;
 * per-line suppression via ``# repro: allow[RULE]`` comments
   (:mod:`repro.devtools.suppress`), so a justified exception is an
   explicit, reviewable artifact rather than a disabled rule;
 * text and JSON reporters (:mod:`repro.devtools.reporters`) — the JSON
   form is the CI artifact;
 * the rule catalog under :mod:`repro.devtools.rules` (DET001–DET003,
-  MUT001, CACHE001, TK001, PIPE001–PIPE002, INT001–INT003, INC001,
-  SRV001 — see ``repro lint --list-rules`` or
-  the DESIGN.md rule catalog for one paragraph per rule).
+  MUT001, CACHE001, PIPE001, INT001–INT002, INC001, SRV001 — see
+  ``repro lint --list-rules`` or the DESIGN.md rule catalog for one
+  paragraph per rule).
 
 Three consumers: the ``repro lint`` CLI subcommand (exit-code gate),
 the tier-1 self-lint test (``tests/devtools/test_self_lint.py``) which
@@ -45,19 +43,15 @@ from repro.devtools.engine import (
     iter_python_files,
 )
 from repro.devtools.findings import Finding, Rule
-from repro.devtools.project import ProjectContext, build_project
-from repro.devtools.registry import all_checkers, all_project_checkers, rule_catalog
+from repro.devtools.registry import all_checkers, rule_catalog
 from repro.devtools.reporters import render_json, render_text
 
 __all__ = [
     "Finding",
-    "ProjectContext",
     "Rule",
     "all_checkers",
-    "all_project_checkers",
     "analyze_paths",
     "analyze_source",
-    "build_project",
     "iter_python_files",
     "render_json",
     "render_text",

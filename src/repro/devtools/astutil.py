@@ -77,31 +77,6 @@ class ImportMap:
         return f"{target}.{rest}" if rest else target
 
 
-def enclosing_function_map(
-    tree: ast.Module,
-) -> "dict[ast.AST, ast.FunctionDef | ast.AsyncFunctionDef]":
-    """Every node → its nearest enclosing function definition.
-
-    PIPE002 uses it to find the function a stage-factory call sits in.
-    """
-    enclosing: dict[ast.AST, ast.FunctionDef | ast.AsyncFunctionDef] = {}
-
-    def fill(
-        node: ast.AST,
-        current: "ast.FunctionDef | ast.AsyncFunctionDef | None",
-    ) -> None:
-        for child in ast.iter_child_nodes(node):
-            if current is not None:
-                enclosing[child] = current
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                fill(child, child)
-            else:
-                fill(child, current)
-
-    fill(tree, None)
-    return enclosing
-
-
 def parent_map(tree: ast.Module) -> dict[ast.AST, ast.AST]:
     """Child → parent for every node; lets rules inspect a node's sink."""
     parents: dict[ast.AST, ast.AST] = {}

@@ -1,4 +1,4 @@
-"""Analysis driver: find files, build the project, run checkers.
+"""Analysis driver: find files, parse each once, run checkers.
 
 The engine is deliberately dumb: checkers do the thinking, the engine
 guarantees the operational properties — file discovery and finding
@@ -20,17 +20,8 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from repro.devtools.findings import Finding
-from repro.devtools.project import (
-    ModuleInfo,
-    ProjectContext,
-    build_project,
-)
-from repro.devtools.registry import (
-    ModuleContext,
-    all_checkers,
-    all_project_checkers,
-    rule_ids,
-)
+from repro.devtools.project import ModuleInfo
+from repro.devtools.registry import ModuleContext, all_checkers, rule_ids
 
 #: The rule id reported for unparseable files (not suppressible — a
 #: syntax error swallows any comment that would have allowed it).
@@ -89,9 +80,7 @@ def _syntax_finding(info: ModuleInfo) -> Finding:
     )
 
 
-def _module_findings(
-    project: ProjectContext, info: ModuleInfo
-) -> list[Finding]:
+def _module_findings(info: ModuleInfo) -> list[Finding]:
     """Run every per-module checker over one parsed module."""
     tree = info.tree
     if tree is None:
@@ -102,21 +91,11 @@ def _module_findings(
         source=info.source,
         tree=tree,
         info=info,
-        project=project,
     )
     findings: list[Finding] = []
     for checker in all_checkers():
         findings.extend(checker.check(ctx))
     return findings
-
-
-def _project_findings(project: ProjectContext) -> dict[str, list[Finding]]:
-    """Run every whole-program checker once; findings grouped by path."""
-    by_path: dict[str, list[Finding]] = {}
-    for checker in all_project_checkers():
-        for finding in checker.check_project(project):
-            by_path.setdefault(finding.path, []).append(finding)
-    return by_path
 
 
 def _filter(
@@ -138,9 +117,9 @@ def _filter(
 
 
 def _analyze(
-    project: ProjectContext, rules: Optional[set[str]]
+    infos: Sequence[ModuleInfo], rules: Optional[set[str]]
 ) -> list[Finding]:
-    """Checkers → suppressions → sorted findings, for any project.
+    """Checkers → suppressions → sorted findings, for any file set.
 
     An unknown id (``--rules DET01``) or an empty selection
     (``--rules "$UNSET"``) is a :class:`ValueError`: either would
@@ -154,31 +133,32 @@ def _analyze(
             raise ValueError(
                 f"unknown rule id(s): {', '.join(sorted(unknown))}"
             )
-    project_by_path = _project_findings(project)
     findings: list[Finding] = []
-    for info in project.infos:
-        findings.extend(
-            _filter(
-                info,
-                _module_findings(project, info)
-                + project_by_path.get(info.path, []),
-                rules,
-            )
-        )
+    for info in infos:
+        findings.extend(_filter(info, _module_findings(info), rules))
     return sorted(findings)
 
 
 def analyze_paths(
     paths: Sequence[Path], rules: Optional[set[str]] = None
 ) -> list[Finding]:
-    """Analyze files and directories as one project; sorted findings.
+    """Analyze files and directories; sorted findings.
 
     The one file entry point: ``repro lint`` and the tier-1 self-lint
     both call it, and every call analyzes every file it is given.
+    Undecodable bytes become U+FFFD rather than an exception: the file
+    then fails to parse (a ``SYNTAX`` finding) or lints as written.
     """
-    files = iter_python_files(paths)
     return _analyze(
-        build_project([(p, module_name_for(p)) for p in files]), rules
+        [
+            ModuleInfo(
+                str(path),
+                module_name_for(path),
+                path.read_bytes().decode("utf-8", errors="replace"),
+            )
+            for path in iter_python_files(paths)
+        ],
+        rules,
     )
 
 
@@ -189,14 +169,7 @@ def analyze_source(
     module: Optional[str] = None,
     rules: Optional[set[str]] = None,
 ) -> list[Finding]:
-    """Run every checker over one source string (a one-module project).
-
-    Whole-program rules run too — scoped to whatever is resolvable
-    inside the single module — so the fixture corpus can pin their
-    local behavior without building multi-file projects.
-    """
+    """Run every checker over one source string."""
     if module is None:
         module = module_name_for(Path(path))
-    return _analyze(
-        ProjectContext([ModuleInfo(path, module, source)]), rules
-    )
+    return _analyze([ModuleInfo(path, module, source)], rules)

@@ -8,30 +8,23 @@ is sorted by class name and the catalog by rule id, keeping analyzer
 output order independent of import order — the analyzer holds itself
 to the determinism bar it enforces.
 
-Two checker kinds since the project layer landed:
-
-* :class:`Checker` — per-module: sees one :class:`ModuleContext` at a
-  time. The context now also carries the shared derivations the
-  project layer computed once (import map, parent map, suppressions)
-  plus a handle to the whole :class:`ProjectContext`, so no rule
-  re-tokenizes or re-walks what the engine already has.
-* :class:`ProjectChecker` — whole-program: sees the
-  :class:`ProjectContext` once per analysis and may emit findings in
-  any file. The engine routes each finding through the owning file's
-  suppressions, same as module findings.
+Every :class:`Checker` sees one :class:`ModuleContext` at a time. The
+context carries the shared derivations the engine computed once per
+file (import map, parent map, suppressions), so no rule re-tokenizes or
+re-walks what the engine already has.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator
 
 from repro.devtools.findings import Finding, Rule
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.devtools.astutil import ImportMap
-    from repro.devtools.project import ModuleInfo, ProjectContext
+    from repro.devtools.project import ModuleInfo
     from repro.devtools.suppress import Suppressions
 
 
@@ -42,10 +35,8 @@ class ModuleContext:
     *module* is the dotted import name (``repro.tamp.render``) — rules
     scoped to algorithm packages match on it, and tests can analyze a
     fixture *as if* it lived anywhere in the tree by passing a
-    synthetic module name. *info* is the project-layer record the
-    shared derivations live on; *project* is the whole-program context
-    (always present — a single-module analysis gets a single-module
-    project).
+    synthetic module name. *info* is the parse-once record the shared
+    derivations live on.
     """
 
     path: str
@@ -53,7 +44,6 @@ class ModuleContext:
     source: str
     tree: ast.Module
     info: "ModuleInfo" = field(repr=False)
-    project: "ProjectContext" = field(repr=False)
 
     def in_package(self, packages: tuple[str, ...]) -> bool:
         """True when the module sits in (or is) one of *packages*.
@@ -103,45 +93,12 @@ class Checker:
         )
 
 
-class ProjectChecker:
-    """Base class for whole-program rules (INT003, PIPE002)."""
-
-    rules: tuple[Rule, ...] = ()
-
-    def check_project(
-        self, project: "ProjectContext"
-    ) -> Iterator[Finding]:
-        raise NotImplementedError
-
-    def finding_at(
-        self,
-        info: "ModuleInfo",
-        node: ast.AST,
-        rule: str,
-        message: str,
-    ) -> Finding:
-        return Finding(
-            path=info.path,
-            line=int(getattr(node, "lineno", 1)),
-            col=int(getattr(node, "col_offset", 0)),
-            rule=rule,
-            message=message,
-        )
-
-
 _CHECKERS: list[type[Checker]] = []
-_PROJECT_CHECKERS: list[type[ProjectChecker]] = []
 
 
 def register(cls: type[Checker]) -> type[Checker]:
     """Class decorator adding a per-module checker to the registry."""
     _CHECKERS.append(cls)
-    return cls
-
-
-def register_project(cls: type[ProjectChecker]) -> type[ProjectChecker]:
-    """Class decorator adding a whole-program checker to the registry."""
-    _PROJECT_CHECKERS.append(cls)
     return cls
 
 
@@ -157,22 +114,11 @@ def all_checkers() -> list[Checker]:
     return [cls() for cls in sorted(_CHECKERS, key=lambda c: c.__name__)]
 
 
-def all_project_checkers() -> list[ProjectChecker]:
-    """Fresh instances of every project checker, in stable order."""
-    _load_rules()
-    return [
-        cls()
-        for cls in sorted(_PROJECT_CHECKERS, key=lambda c: c.__name__)
-    ]
-
-
 def rule_catalog() -> list[Rule]:
     """Every rule of every registered checker, sorted by id."""
     rules: set[Rule] = set()
     for checker in all_checkers():
         rules.update(checker.rules)
-    for project_checker in all_project_checkers():
-        rules.update(project_checker.rules)
     return sorted(rules)
 
 

@@ -10,8 +10,6 @@ Rule families map to the invariants the repo actually depends on:
   arguments);
 * :mod:`repro.devtools.rules.cache` — CACHE001 (``TampGraph`` mutators
   must invalidate the prefix-count cache);
-* :mod:`repro.devtools.rules.testkit` — TK001 (fault injectors must
-  derive all entropy from an explicit ``seed`` argument);
 * :mod:`repro.devtools.rules.pipeline` — PIPE001 (pipeline stages
   must not reference module-global mutable state);
 * :mod:`repro.devtools.rules.incidents` — INC001 (incident status
@@ -22,12 +20,7 @@ Rule families map to the invariants the repo actually depends on:
   ``live_``-prefixed pipeline state the sharding layer owns);
 * :mod:`repro.devtools.rules.interning` — INT001 (TAMP hot paths must
   keep edge stores on packed int ids, not object sets/token tuples),
-  INT002 (no decode calls inside id-space hot functions);
-* :mod:`repro.devtools.rules.taint` — the whole-program rules: INT003
-  (interprocedural id-taint: SymbolTable-decoded values must not flow
-  into registered hot functions, across any number of calls or
-  modules), PIPE002 (pipeline stages reaching module-global
-  or closure-captured mutable state through a call).
+  INT002 (no decode calls inside id-space hot functions).
 """
 
 from __future__ import annotations
@@ -40,8 +33,6 @@ from repro.devtools.rules import (
     mutation,
     pipeline,
     serve,
-    taint,
-    testkit,
 )
 
 __all__ = [
@@ -52,6 +43,4 @@ __all__ = [
     "mutation",
     "pipeline",
     "serve",
-    "taint",
-    "testkit",
 ]

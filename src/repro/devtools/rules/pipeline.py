@@ -15,11 +15,6 @@ declaration and any reference to a module-global bound to a mutable
 container (literal list/dict/set, comprehension, or a call to a known
 container factory). A read is as bad as a write here — the reference
 itself is the hidden channel.
-
-Stage discovery and mutable-global detection are module-level
-functions shared with the whole-program escape rule (PIPE002 in
-:mod:`repro.devtools.rules.taint`), which chases the same hazard one
-call level deeper and across modules.
 """
 
 from __future__ import annotations

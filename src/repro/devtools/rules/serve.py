@@ -1,6 +1,6 @@
 """SRV001: serve handlers read snapshots, never live pipeline state.
 
-The serve layer's consistency contract (DESIGN.md §14) is that HTTP
+The serve layer's consistency contract (DESIGN.md §13) is that HTTP
 handlers only ever observe shard state at a batch boundary, through
 the snapshot surface — :class:`~repro.serve.snapshot.SnapshotHub`,
 :meth:`~repro.serve.sharding.ShardSet.incident_rows` and friends. The

@@ -7,7 +7,7 @@ exposition can never drift from the store. All ages are measured in
 *stream time* (the manager's ``last_time``), keeping the exporter on
 the same determinism footing as everything else the monitor persists.
 
-Metric names (DESIGN.md §13):
+Metric names (DESIGN.md §12):
 
 * ``repro_incidents_total{status=...}`` — live counts per lifecycle
   state (gauge; resolved incidents fall out when compacted);

@@ -8,7 +8,7 @@ orchestrator models (SNIPPETS.md §2): for each ranked component, first
 look for an existing incident to merge into, only then create, then
 enrich (severity, class, prefixes, persistence).
 
-Merge rules (DESIGN.md §13):
+Merge rules (DESIGN.md §12):
 
 * **same stem edge** — a component whose problem location matches a
   live incident's stem (or one of its merged related stems) updates

@@ -10,7 +10,7 @@ ground truth that a test can mutate is not ground truth.
 ``true_stems`` holds *every* ground-truth problem edge, as bare value
 pairs matching :attr:`repro.stemming.stemmer.Component.location`. Most
 incidents have exactly one; a route leak has one per leaked adjacency.
-Recall is measured against all of them (DESIGN.md §12).
+Recall is measured against all of them (DESIGN.md §11).
 
 :class:`ScenarioDetails` replaces the old untyped ``details: dict``: an
 immutable mapping with a constrained value vocabulary, so scenario

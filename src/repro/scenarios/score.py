@@ -2,7 +2,7 @@
 
 The scorer runs :class:`repro.pipeline.windows.WindowedStemmer` over a
 :class:`LabeledIncident`'s stream and matches each window's ranked stem
-locations against the incident's ground-truth edges (DESIGN.md §12):
+locations against the incident's ground-truth edges (DESIGN.md §11):
 
 * a ranked stem *matches* when its bare location pair equals one of
   ``incident.true_stems`` (the same values

@@ -1,6 +1,6 @@
 """The multi-tenant read path: serve the picture, don't rebuild it.
 
-``repro serve`` (DESIGN.md §14) layers an asyncio HTTP service over
+``repro serve`` (DESIGN.md §13) layers an asyncio HTTP service over
 N sharded monitor pipelines:
 
 * :mod:`repro.serve.sharding` — per-peer shard pipelines and the

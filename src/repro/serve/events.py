@@ -1,6 +1,6 @@
 """The server-sent-events feed of incident transitions.
 
-SSE contract (DESIGN.md §14): ``GET /events`` streams
+SSE contract (DESIGN.md §13): ``GET /events`` streams
 ``text/event-stream`` where every incident state-machine transition
 becomes one event::
 

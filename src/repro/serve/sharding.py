@@ -1,6 +1,6 @@
 """Shard runner and fan-in: N monitor pipelines behind one picture.
 
-Horizontal scaling for the serve layer (DESIGN.md §14): the event
+Horizontal scaling for the serve layer (DESIGN.md §13): the event
 stream partitions by peer (:func:`repro.pipeline.sources
 .shard_for_peer`), each shard runs the same two-stage analysis
 pipeline the monitor does — windowed Stemming, TAMP annotation, the

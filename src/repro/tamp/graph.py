@@ -419,7 +419,7 @@ class TampGraph:
     def merge_graph(self, other: "TampGraph") -> None:
         """Fold *other*'s refcount stores into this graph.
 
-        The serve layer's fan-in join (DESIGN.md §14): each monitor
+        The serve layer's fan-in join (DESIGN.md §13): each monitor
         shard maintains a live :class:`TampGraph` over its slice of the
         peers, and the snapshot layer sums them into one picture. Token
         ids cross the id-space boundary via

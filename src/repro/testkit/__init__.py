@@ -14,9 +14,9 @@ conditions deterministically:
   corpus: one clean archive plus one deterministic variant per fault
   class, regenerable bit-for-bit from a pinned seed.
 
-Everything here takes an explicit ``seed`` — the ``repro lint`` rule
-TK001 enforces that no entropy enters the testkit any other way, so the
-chaos suite's failures always replay.
+Everything here takes an explicit ``seed`` and derives all entropy
+from it, so the chaos suite's failures always replay; the replay tests
+in ``tests/testkit`` pin that per registered fault.
 """
 
 from repro.testkit.faults import (

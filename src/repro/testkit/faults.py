@@ -16,7 +16,9 @@ Three levels, matching where real feeds break:
 
 Every injector takes an explicit ``seed`` and derives all entropy from
 ``random.Random(seed)`` — same seed, same corruption, bit for bit
-(``repro lint`` rule TK001 enforces this). Injectors compose through
+(the replay tests run every registered fault twice per seed, and a
+completeness test requires every seeded public function to be
+registered or be a plan helper). Injectors compose through
 *plans*: ``[("flip-attrs", {"rate": 0.3}), ("drop-records", {})]``
 applied via :func:`apply_plan_to_bytes` /
 :func:`apply_plan_to_stream`, each step seeded from the master seed.

@@ -20,13 +20,12 @@ class TestExitCodes:
         assert "4 finding(s)" in out
 
     def test_every_known_bad_fixture_gates(self):
-        # DET001, TK001, INT001, INT002 and SRV001 are package-scoped
-        # and can't fire on a bare fixture path, so the CLI gate is
-        # asserted for every other rule's bad fixture (the project
-        # rules INT003 and PIPE002 fire anywhere).
+        # DET001, INT001, INT002 and SRV001 are package-scoped and
+        # can't fire on a bare fixture path, so the CLI gate is
+        # asserted for every other rule's bad fixture.
         for fixture in sorted(FIXTURES.glob("*_bad.py")):
             if fixture.name.startswith(
-                ("det001", "tk001", "int001", "int002", "srv001")
+                ("det001", "int001", "int002", "srv001")
             ):
                 continue
             assert main(["lint", str(fixture)]) == 1, fixture.name
@@ -58,6 +57,12 @@ class TestExitCodes:
             )
             assert code == 2, repr(selection)
             assert complaint in capsys.readouterr().err
+
+    def test_removed_rule_ids_are_unknown(self, capsys):
+        src = Path(__file__).resolve().parents[2] / "src"
+        for rule_id in ("INT003", "PIPE002", "TK001"):
+            assert main(["lint", str(src), "--rules", rule_id]) == 2
+            assert "unknown rule id" in capsys.readouterr().err
 
     def test_syntax_error_gates(self, tmp_path):
         path = tmp_path / "broken.py"
@@ -116,13 +121,11 @@ class TestRuleSelection:
 
     def test_list_rules_prints_catalog(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule_id in ("DET001", "DET002", "DET003", "MUT001",
-                        "CACHE001", "INT001", "INT002", "INT003",
-                        "PIPE001", "PIPE002", "TK001", "INC001",
-                        "SRV001"):
-            assert rule_id in out
-        assert len(out.splitlines()) == 13
+        listed = [line.split()[0]
+                  for line in capsys.readouterr().out.splitlines()]
+        assert listed == ["CACHE001", "DET001", "DET002", "DET003",
+                          "INC001", "INT001", "INT002", "MUT001",
+                          "PIPE001", "SRV001"]
 
 
 class TestDirectoryLint:

@@ -9,15 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools import analyze_source
+from repro.devtools import analyze_paths, analyze_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 #: Module name placing a fixture inside an algorithm package (DET001).
 ALGO_MODULE = "repro.stemming.fixture"
-
-#: Module name placing a fixture inside the testkit package (TK001).
-TESTKIT_MODULE = "repro.testkit.fixture"
 
 #: Module name placing a fixture inside the TAMP package (INT001).
 TAMP_MODULE = "repro.tamp.fixture"
@@ -33,8 +30,6 @@ def analyze_fixture(name: str, module: str = ALGO_MODULE):
 
 def fixture_module(name: str) -> str:
     """The module name under which a fixture's rule actually fires."""
-    if name.startswith("tk001"):
-        return TESTKIT_MODULE
     if name.startswith("det001"):
         return ALGO_MODULE
     if name.startswith("int001"):
@@ -204,43 +199,6 @@ class TestCache001:
         assert analyze_fixture("cache001_suppressed.py") == []
 
 
-class TestTk001:
-    def test_bad_flags_every_entropy_leak(self):
-        findings = analyze_fixture("tk001_bad.py", module=TESTKIT_MODULE)
-        assert rule_ids(findings) == ["TK001"] * 4
-        messages = " ".join(f.message for f in findings)
-        assert "OS entropy" in messages
-        assert "module-level generator" in messages
-        assert "'shuffle_records'" in messages
-        assert "unseeded global" in messages
-
-    def test_ok_is_clean(self):
-        assert analyze_fixture("tk001_ok.py", module=TESTKIT_MODULE) == []
-
-    def test_suppressions(self):
-        findings = analyze_fixture(
-            "tk001_suppressed.py", module=TESTKIT_MODULE
-        )
-        assert findings == []
-
-    def test_rule_is_scoped_to_the_testkit_package(self):
-        findings = analyze_fixture(
-            "tk001_bad.py", module="repro.simulator.fixture"
-        )
-        assert findings == []
-
-    def test_the_real_testkit_is_clean(self):
-        import repro.testkit.corpus
-        import repro.testkit.faults
-
-        for mod in (repro.testkit.faults, repro.testkit.corpus):
-            source = Path(mod.__file__).read_text()
-            findings = analyze_source(
-                source, path=mod.__file__, module=mod.__name__
-            )
-            assert findings == [], mod.__name__
-
-
 class TestInt001:
     def test_bad_flags_every_hot_path_regression(self):
         findings = analyze_fixture("int001_bad.py", module=TAMP_MODULE)
@@ -330,33 +288,6 @@ class TestInt002:
             assert int_findings == [], mod.__name__
 
 
-class TestInt003:
-    def test_bad_flags_direct_chained_and_indirect_leaks(self):
-        findings = analyze_fixture("int003_bad.py", module="fixture")
-        assert rule_ids(findings) == ["INT003"] * 3
-        messages = " ".join(f.message for f in findings)
-        assert "merge_view" in messages
-        assert "add_ids" in messages
-        # The indirect case names the intermediate callee and the hot
-        # target its parameter reaches.
-        assert "_push()" in messages
-
-    def test_ok_is_clean(self):
-        assert analyze_fixture("int003_ok.py", module="fixture") == []
-
-    def test_suppressions(self):
-        assert analyze_fixture("int003_suppressed.py", module="fixture") == []
-
-    def test_findings_anchor_at_the_call_site(self):
-        # Cache-soundness invariant: INT003 anchors where the tainted
-        # value enters the callee, never inside the callee on behalf of
-        # a caller — a file's findings depend only on its imports.
-        findings = analyze_fixture("int003_bad.py", module="fixture")
-        source = (FIXTURES / "int003_bad.py").read_text().splitlines()
-        for finding in findings:
-            assert "(" in source[finding.line - 1]  # a call, not a def
-
-
 class TestSrv001:
     def test_bad_flags_every_live_state_read(self):
         findings = analyze_fixture("srv001_bad.py", module=SERVE_MODULE)
@@ -407,24 +338,6 @@ class TestSrv001:
             assert findings == [], mod.__name__
 
 
-class TestPipe002:
-    def test_bad_flags_helper_touch_and_closure_capture(self):
-        findings = analyze_fixture("pipe002_bad.py", module="fixture")
-        assert rule_ids(findings) == ["PIPE002"] * 2
-        messages = " ".join(f.message for f in findings)
-        assert "_note()" in messages
-        assert "'_SEEN'" in messages
-        assert "closure over mutable 'buf'" in messages
-
-    def test_ok_is_clean(self):
-        assert analyze_fixture("pipe002_ok.py", module="fixture") == []
-
-    def test_suppressions(self):
-        assert (
-            analyze_fixture("pipe002_suppressed.py", module="fixture") == []
-        )
-
-
 class TestEngineBehavior:
     def test_syntax_error_becomes_a_finding(self):
         findings = analyze_source("def broken(:\n", path="broken.py")
@@ -458,3 +371,14 @@ class TestEngineBehavior:
     )
     def test_every_suppressed_fixture_is_clean(self, name):
         assert analyze_fixture(name, module=fixture_module(name)) == []
+
+
+class TestAnalyzePaths:
+    def test_findings_are_sorted_and_files_recorded(self, tmp_path):
+        package = tmp_path / "repro"
+        package.mkdir()
+        (package / "b.py").write_text("def f(x=[]):\n    return x\n")
+        (package / "a.py").write_text("def g(y={}):\n    return y\n")
+        findings = analyze_paths([package])
+        assert findings == sorted(findings)
+        assert [Path(f.path).name for f in findings] == ["a.py", "b.py"]

@@ -17,10 +17,10 @@ class TestInline:
 
     def test_multiple_rules_one_comment(self):
         sup = Suppressions.scan(
-            "y = f()  # repro: allow[DET001, PIPE002]\n"
+            "y = f()  # repro: allow[DET001, PIPE001]\n"
         )
         assert sup.is_allowed("DET001", 1)
-        assert sup.is_allowed("PIPE002", 1)
+        assert sup.is_allowed("PIPE001", 1)
 
     def test_star_allows_everything(self):
         sup = Suppressions.scan("y = f()  # repro: allow[*]\n")

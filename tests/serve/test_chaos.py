@@ -1,6 +1,6 @@
 """Kill one shard mid-serve, keep serving, resume, converge.
 
-The harshest recovery path the serve layer promises (DESIGN.md §14):
+The harshest recovery path the serve layer promises (DESIGN.md §13):
 shard 1's pipeline is run by an *external* ``run_monitor`` process
 over the same :class:`~repro.pipeline.sources.ShardView`, killed with
 ``os._exit`` mid-run so only its checkpoint directory survives. The

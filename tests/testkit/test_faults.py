@@ -1,11 +1,13 @@
 """Unit tests for the seeded fault injectors and plan machinery."""
 
+import inspect
 import io
 
 import pytest
 
 from repro.collector.stream import EventStream
 from repro.mrt.records import read_records, write_records
+from repro.testkit import faults
 from repro.testkit.corpus import build_clean_records
 from repro.testkit.faults import (
     FAULTS,
@@ -75,6 +77,24 @@ def materialize(value):
 
 
 class TestRegistryDeterminism:
+    def test_every_seeded_function_is_registered(self):
+        # The replay tests below only see registered faults: a seeded
+        # injector left out of FAULTS would never be replayed. The plan
+        # helpers are pinned by their own determinism tests.
+        plan_helpers = {apply_plan_to_bytes, apply_plan_to_stream,
+                        corrupt_file}
+        registered = {fault.func for fault in FAULTS.values()}
+        seeded = {
+            fn
+            for name, fn in inspect.getmembers(faults, inspect.isfunction)
+            if not name.startswith("_")
+            and fn.__module__ == faults.__name__
+            and "seed" in inspect.signature(fn).parameters
+        }
+        assert registered | plan_helpers <= seeded
+        stray = seeded - registered - plan_helpers
+        assert not stray, sorted(fn.__name__ for fn in stray)
+
     @pytest.mark.parametrize("name", sorted(FAULTS))
     def test_same_seed_same_corruption(self, name):
         fault = FAULTS[name]
