@@ -11,16 +11,18 @@ from __future__ import annotations
 import bisect
 import hashlib
 from itertools import islice
-from operator import attrgetter
+from operator import attrgetter, countOf
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
-from repro.collector.events import BGPEvent
+from repro.collector.events import BGPEvent, EventKind
 from repro.net.attributes import Community
 from repro.net.prefix import Prefix
 
 if TYPE_CHECKING:
     from repro.mrt.ingest import IngestReport
+
+_kind_of = attrgetter("kind")
 
 
 class EventStream:
@@ -158,10 +160,12 @@ class EventStream:
         return {e.attributes.nexthop for e in self._events}
 
     def announce_count(self) -> int:
-        return sum(1 for e in self._events if not e.is_withdrawal)
+        return len(self._events) - self.withdraw_count()
 
     def withdraw_count(self) -> int:
-        return sum(1 for e in self._events if e.is_withdrawal)
+        """Withdrawals held, counted in C: triage asks this of every
+        extracted component."""
+        return countOf(map(_kind_of, self._events), EventKind.WITHDRAW)
 
     def fingerprint(self) -> str:
         """SHA-256 over the sorted events' canonical JSON encoding.

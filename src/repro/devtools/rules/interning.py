@@ -69,7 +69,7 @@ ID_HOT_FUNCTIONS = frozenset(
         # repro.stemming.stemmer — interned grouping, the extraction's
         # working counts and the posting lists it asks
         "_group_by_ids",
-        "_pairs_by_count",
+        "_working_counts",
         "_subtract_pairs",
         "post",
         "unpost",

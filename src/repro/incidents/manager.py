@@ -32,7 +32,6 @@ rebuilds the same incidents (the crash/resume bit-identity contract).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.incidents.lifecycle import (
@@ -100,7 +99,7 @@ def classify_component(component: Component) -> str:
     total = len(component.events)
     if total == 0:
         return "correlation"
-    withdrawals = sum(map(attrgetter("is_withdrawal"), component.events))
+    withdrawals = component.events.withdraw_count()
     prefixes = max(1, len(component.prefixes))
     if withdrawals * 5 >= total * 4:
         return "mass-withdrawal"
@@ -176,6 +175,7 @@ class IncidentManager:
         self, component: Component, report: WindowReport, now: float
     ) -> IncidentRecord:
         key = stem_key(component.location)
+        incident_class = classify_component(component)
         incident_id = self._by_stem.get(key)
         if incident_id is not None:
             record = self._incidents[incident_id]
@@ -187,28 +187,30 @@ class IncidentManager:
                         now,
                         f"recurred on {key[0]}--{key[1]}",
                     )
-                    return self._enrich(record, component, report, now)
+                    return self._enrich(record, component, incident_class, now)
                 self._unlink(record)
             else:
-                return self._enrich(record, component, report, now)
+                return self._enrich(record, component, incident_class, now)
         merged = self._merge_by_prefixes(component, now)
         if merged is not None:
             if key not in merged.related_stems and key != merged.stem:
                 merged.related_stems = merged.related_stems + (key,)
             self._by_stem[key] = merged.incident_id
-            return self._enrich(merged, component, report, now)
+            return self._enrich(merged, component, incident_class, now)
         record = open_incident(
             self._next_id,
             key,
             now,
-            incident_class=classify_component(component),
+            incident_class=incident_class,
             detected_window=report.index,
             stem_label=format_stem(component.stem),
         )
         self._next_id += 1
         self._incidents[record.incident_id] = record
         self._by_stem[key] = record.incident_id
-        return self._enrich(record, component, report, now, created=True)
+        return self._enrich(
+            record, component, incident_class, now, created=True
+        )
 
     def _merge_by_prefixes(
         self, component: Component, now: float
@@ -238,7 +240,7 @@ class IncidentManager:
         self,
         record: IncidentRecord,
         component: Component,
-        report: WindowReport,
+        incident_class: str,
         now: float,
         *,
         created: bool = False,
@@ -257,7 +259,7 @@ class IncidentManager:
         record.prefixes = record.prefixes | frozenset(
             str(p) for p in component.prefixes
         )
-        record.incident_class = classify_component(component)
+        record.incident_class = incident_class
         record.severity = severity_score(
             record.best_rank, len(record.prefixes), record.windows_observed
         )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Collection, Iterable, Iterator, Optional
+from typing import Collection, Iterable, Iterator, Mapping, Optional
 
 from repro.collector.events import BGPEvent, Token
 from repro.collector.stream import EventStream
@@ -135,7 +135,11 @@ class Stemmer:
         counts, plus a count -> pairs map built once — so extracting a
         component *subtracts* its sequences instead of recounting the
         residual, and everything runs over *unique sequences*, of which
-        real streams have orders of magnitude fewer than events. Per
+        real streams have orders of magnitude fewer than events. The
+        working counts hold only pairs at or above the floor
+        ``max(1, min_strength)``: counts only fall during one
+        extraction, so a pair below it can never become the top, and
+        most pairs of a window (a subsequence seen once) never enter. Per
         component it asks the index three questions — who holds a tied
         pair, who holds the top, who ends in an affected prefix — which
         a slid index answers from its posting lists and a one-shot
@@ -152,19 +156,18 @@ class Stemmer:
         if max_length is not None and max_length < 2:
             return StemmingResult((), remaining, total)
         token = index.symbols.token
+        floor = max(1, self.min_strength)
         with gc_paused():
             alive = index.by_ids.copy()
-            # A plain dict: Counter's ``del`` is a Python-level method.
-            pair_counts = dict(counter.pair_counts)
-            by_count = _pairs_by_count(pair_counts)
+            pair_counts, by_count = _working_counts(
+                counter.pair_counts, floor
+            )
 
             def multiplicity(ids: IdSequence) -> int:
                 return len(alive[ids])
 
             while by_count and len(components) < self.max_components:
                 strength = max(by_count)
-                if strength < self.min_strength:
-                    break
                 winning = by_count[strength]
                 top_ids = counter.rank_top(
                     winning,
@@ -204,7 +207,7 @@ class Stemmer:
                     # The component explained most of what was left
                     # (typical for the first one of a spike): recounting
                     # the survivors is cheaper than walking its pairs.
-                    pair_counts = dict(
+                    pair_counts, by_count = _working_counts(
                         count_pairs(
                             (
                                 (ids, len(bucket))
@@ -212,14 +215,15 @@ class Stemmer:
                             ),
                             Counter(),
                             index.pairs_of,
-                        )
+                        ),
+                        floor,
                     )
-                    by_count = _pairs_by_count(pair_counts)
                 else:
                     _subtract_pairs(
                         pair_counts,
                         by_count,
                         count_pairs(removals, Counter(), index.pairs_of),
+                        floor,
                     )
         return StemmingResult(
             components=tuple(components),
@@ -496,27 +500,38 @@ class _Postings:
             posting.remove(ids)
 
 
-def _pairs_by_count(pair_counts: dict[int, int]) -> dict[int, set[int]]:
-    """Count -> the packed pairs at that count."""
+def _working_counts(
+    counts: Mapping[int, int], floor: int
+) -> tuple[dict[int, int], dict[int, set[int]]]:
+    """An extraction's working counts: the pairs of *counts* at or
+    above *floor*, as pair -> count and count -> the pairs at it."""
+    # A plain dict: Counter's ``del`` is a Python-level method.
+    working: dict[int, int] = {}
     by_count: dict[int, set[int]] = {}
-    for pair, count in pair_counts.items():
+    for pair, count in counts.items():
+        if count < floor:
+            continue
+        working[pair] = count
         bucket = by_count.get(count)
         if bucket is None:
             by_count[count] = {pair}
         else:
             bucket.add(pair)
-    return by_count
+    return working, by_count
 
 
 def _subtract_pairs(
     pair_counts: dict[int, int],
     by_count: dict[int, set[int]],
     delta: Counter[int],
+    floor: int,
 ) -> None:
     """Take a component's summed pair *delta* off the working counts:
-    each distinct pair moves bucket once."""
-    for pair, removed in delta.items():
-        before = pair_counts.get(pair, 0)
+    each tracked pair moves bucket once, and leaves them once it falls
+    below *floor*."""
+    for pair in delta.keys() & pair_counts.keys():
+        before = pair_counts[pair]
+        removed = delta[pair]
         after = before - removed
         if after < 0:
             raise ValueError(
@@ -527,7 +542,7 @@ def _subtract_pairs(
             del by_count[before]
         else:
             bucket.remove(pair)
-        if after == 0:
+        if after < floor:
             del pair_counts[pair]
             continue
         pair_counts[pair] = after

@@ -1,12 +1,15 @@
 """Unit tests for BGP events and their serializations."""
 
+import json
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.collector.events import BGPEvent, EventKind
 from repro.net.aspath import ASPath
 from repro.net.attributes import Community, Origin, PathAttributes
-from repro.net.prefix import Prefix, parse_address
+from repro.net.prefix import Prefix, format_address, parse_address
 
 
 def event(
@@ -120,3 +123,113 @@ class TestJsonRoundTrip:
             ),
         )
         assert BGPEvent.from_json(e.to_json()) == e
+
+
+_reference_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def reference_json(e: BGPEvent) -> str:
+    """The record -> ``json`` encoding :meth:`BGPEvent.to_json` writes
+    by hand: the reference it must equal byte for byte."""
+    attrs = e.attributes
+    record: dict = {
+        "t": e.timestamp,
+        "k": e.kind.value,
+        "peer": format_address(e.peer),
+        "pfx": str(e.prefix),
+        "nh": format_address(attrs.nexthop),
+        "path": str(attrs.as_path),
+    }
+    if attrs.local_pref != 100:
+        record["lp"] = attrs.local_pref
+    if attrs.med is not None:
+        record["med"] = attrs.med
+    if attrs.communities:
+        record["comm"] = sorted(str(c) for c in attrs.communities)
+    if attrs.origin is not Origin.IGP:
+        record["origin"] = int(attrs.origin)
+    return _reference_encode(record)
+
+
+asns = st.integers(1, 0xFFFFFFFF)
+
+prefixes = st.builds(
+    lambda network, length: Prefix(
+        network & ((0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF), length
+    ),
+    st.integers(0, 0xFFFFFFFF),
+    st.integers(0, 32),
+)
+
+timestamps = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([0.0, -0.0, 1e22, 5e-324, 1e16, 0.1, 1234.5, 0, -1]),
+)
+
+events = st.builds(
+    lambda t, kind, peer, prefix, nexthop, sequence, as_set, lp, med,
+    comm, origin: BGPEvent(
+        timestamp=t,
+        kind=kind,
+        peer=peer,
+        prefix=prefix,
+        attributes=PathAttributes(
+            nexthop=nexthop,
+            as_path=ASPath(sequence, as_set),
+            origin=origin,
+            local_pref=lp,
+            med=med,
+            communities=[Community(a, v) for a, v in comm],
+        ),
+    ),
+    timestamps,
+    st.sampled_from(EventKind),
+    st.integers(0, 0xFFFFFFFF),
+    prefixes,
+    st.integers(0, 0xFFFFFFFF),
+    st.lists(asns, max_size=6),
+    st.sets(asns, max_size=3),
+    st.one_of(st.just(100), st.integers(0, 0xFFFFFFFF)),
+    st.one_of(st.none(), st.integers(0, 0xFFFFFFFF)),
+    st.sets(
+        st.tuples(st.integers(0, 0xFFFF), st.integers(0, 0xFFFF)), max_size=4
+    ),
+    st.sampled_from(Origin),
+)
+
+
+class TestJsonBytes:
+    @given(events)
+    def test_equals_the_record_encoding(self, e):
+        assert e.to_json() == reference_json(e)
+
+    @pytest.mark.parametrize(
+        "t, text",
+        [
+            (float("nan"), "NaN"),
+            (float("inf"), "Infinity"),
+            (float("-inf"), "-Infinity"),
+            (True, "true"),
+        ],
+    )
+    def test_what_repr_would_misspell_takes_the_encoder(self, t, text):
+        e = event(t=t)
+        assert e.to_json() == reference_json(e)
+        assert e.to_json().startswith(f'{{"t":{text},"k":"W",')
+
+    def test_every_optional_field_in_order(self):
+        e = event(
+            kind=EventKind.ANNOUNCE,
+            t=-0.0,
+            path="11423 209 {7018,13606}",
+            local_pref=80,
+            med=0,
+            communities=[Community(2, 1), Community(1, 70)],
+            origin=Origin.EGP,
+        )
+        assert e.to_json() == (
+            '{"t":-0.0,"k":"A","peer":"128.32.1.3","pfx":"192.96.10.0/24",'
+            '"nh":"128.32.0.70","path":"11423 209 {7018,13606}","lp":80,'
+            '"med":0,"comm":["1:70","2:1"],"origin":1}'
+        )

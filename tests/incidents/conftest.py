@@ -9,15 +9,19 @@ token namespace so ``format_stem`` renders them (``AS65001--AS65002``).
 
 from dataclasses import dataclass
 
+from repro.collector.events import EventKind
+from repro.collector.stream import EventStream
 from repro.pipeline.windows import WindowReport
 from repro.stemming.stemmer import Component, StemmingResult
 
 
 @dataclass(frozen=True)
 class FakeEvent:
-    """Just enough event surface for ``classify_component``."""
+    """Just enough event surface for an :class:`EventStream` and
+    ``classify_component``: the field production reads, ``kind``."""
 
-    is_withdrawal: bool
+    kind: EventKind
+    timestamp: float = 0.0
 
 
 def make_component(
@@ -30,8 +34,8 @@ def make_component(
     withdrawals: int = 0,
     announcements: int = 8,
 ) -> Component:
-    events = [FakeEvent(True)] * withdrawals + [
-        FakeEvent(False)
+    events = [FakeEvent(EventKind.WITHDRAW)] * withdrawals + [
+        FakeEvent(EventKind.ANNOUNCE)
     ] * announcements
     stem = (("as", left), ("as", right))
     return Component(
@@ -40,7 +44,7 @@ def make_component(
         strength=strength,
         stem=stem,
         prefixes=frozenset(prefixes),
-        events=events,  # type: ignore[arg-type]
+        events=EventStream(events),  # type: ignore[arg-type]
     )
 
 

@@ -8,7 +8,7 @@ reference gives that recounts the residual stream from scratch with
 """
 
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -209,6 +209,18 @@ class TestTieResolution:
         with pytest.raises(ValueError, match="cannot subtract"):
             Stemmer(min_strength=1).extract(index)
 
+    def test_a_tracked_pair_is_refused_above_the_floor_too(self):
+        events = flap(0.0, "100 200", 1, 3) + flap(10.0, "100 300", 2, 3)
+        index = slid(Stemmer(), events)
+        # The first sequence's pairs drop to 2 — still at the floor, so
+        # tracked — while extracting the second takes 3 off the two
+        # pairs they share.
+        ids = next(iter(index.by_ids))
+        for pair in index.pairs_of(ids):
+            index.counter.pair_counts[pair] = 2
+        with pytest.raises(ValueError, match="cannot subtract 3 of a pair"):
+            Stemmer(min_strength=2).extract(index)
+
 
 # -- generated add/remove sequences -------------------------------------
 
@@ -225,6 +237,77 @@ event_specs = st.lists(
     min_size=1,
     max_size=12,
 )
+
+#: One event of :data:`event_specs`, widened: more peers, prefixes and
+#: shared path tails, so components share pairs with what survives them.
+floor_spec = st.tuples(
+    st.integers(1, 6),
+    st.sampled_from(
+        [
+            "100 200 300", "100 200 400", "100 500", "600", "1 2 1 2",
+            "700 800", "900 800", "100 800",
+        ]
+    ),
+    st.integers(0, 11),
+    st.sampled_from([None, 5]),
+)
+
+
+def events_of(specs):
+    return [
+        mk_event(
+            float(t), f"1.1.1.{peer}", "2.2.2.2", path,
+            f"10.0.{prefix}.0/24", med=med,
+        )
+        for t, (peer, path, prefix, med) in enumerate(specs)
+    ]
+
+
+class TestTheFloor:
+    """Extraction tracks only pairs at or above ``max(1, min_strength)``;
+    whatever the floor, it must find what a recount finds."""
+
+    @pytest.mark.parametrize("min_strength", [0, 1, 2, 3])
+    @settings(max_examples=60, deadline=None)
+    @given(specs=st.lists(floor_spec, min_size=1, max_size=60))
+    def test_slid_and_batch_equal_the_recounting_reference(
+        self, min_strength, specs
+    ):
+        self.assert_equals_the_reference(events_of(specs), min_strength)
+
+    def test_a_pair_that_falls_to_the_floor_can_still_win(self):
+        # The first component takes prefix 1, and with it the one event
+        # whose (700, 800) it shares with prefix 4's two: that pair falls
+        # from 3 to exactly the floor, and prefix 4's whole sequence is
+        # the second component. The singletons keep the survivors more
+        # numerous than the removals, so the fall is a subtraction.
+        events = (
+            flap(0.0, "100 200", 1, 5)
+            + flap(10.0, "700 800", 1, 1, peer="1.1.1.9")
+            + flap(20.0, "700 800", 4, 2, peer="1.1.1.8")
+            + [
+                mk_event(
+                    30.0 + i, f"1.1.2.{i}", f"2.2.3.{i}", f"{10 + i}",
+                    f"10.1.{i}.0/24",
+                )
+                for i in range(3)
+            ]
+        )
+        found = self.assert_equals_the_reference(events, 2)
+        assert [(len(sub), strength) for sub, strength, *_ in found] == [
+            (5, 5),
+            (5, 2),
+        ]
+
+    @staticmethod
+    def assert_equals_the_reference(events, min_strength):
+        stemmer = Stemmer(min_strength=min_strength)
+        expected = reference_components(events, stemmer)
+        assert as_reference(stemmer.decompose(events)) == expected
+        found, residual = as_reference(stemmer.extract(slid(stemmer, events)))
+        assert residual == expected[1]
+        assert multiset(found) == multiset(expected[0])
+        return expected[0]
 
 
 class SlidingIndex(RuleBasedStateMachine):
