@@ -159,14 +159,6 @@ def _add_stream_options(parser: argparse.ArgumentParser) -> None:
         help="resume from the latest checkpoint in --checkpoint-dir",
     )
     parser.add_argument(
-        "--max-queue", type=int, default=64,
-        help="bounded queue capacity per pipeline stage (default 64)",
-    )
-    parser.add_argument(
-        "--queue-policy", choices=("block", "drop"), default="block",
-        help="backpressure policy when a queue fills (default block)",
-    )
-    parser.add_argument(
         "--batch-size", type=int, default=256,
         help="events per pipeline batch (default 256)",
     )
@@ -730,8 +722,6 @@ def _monitor_config(args: argparse.Namespace):
         window=args.window,
         slide=args.slide,
         batch_size=args.batch_size,
-        max_queue=args.max_queue,
-        policy=args.queue_policy,
         min_strength=args.min_strength,
         max_components=args.components,
         pace=args.pace,

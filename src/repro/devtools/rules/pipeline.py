@@ -8,39 +8,27 @@ State parked in a module-level container silently survives the
 rebuild — the resumed stage sees data from before the "crash" and the
 bit-identical-resume contract quietly breaks.
 
-The rule finds stage definitions (classes with a
-``Stage``/``FunctionStage`` base, plus module-level functions
-dispatched through ``FunctionStage(...)``), then flags any ``global``
-declaration and any reference to a module-global bound to a mutable
-container (literal list/dict/set, comprehension, or a call to a known
-container factory). A read is as bad as a write here — the reference
-itself is the hidden channel.
+The rule finds stage classes (module-level classes with a ``Stage``
+base), then flags any ``global`` declaration and any reference to a
+module-global bound to a mutable container (literal list/dict/set,
+comprehension, or a call to a known container factory). A read is as
+bad as a write here — the reference itself is the hidden channel.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Union
+from typing import Iterator
 
 from repro.devtools.astutil import ImportMap
 from repro.devtools.findings import Finding, Rule
 from repro.devtools.registry import Checker, ModuleContext, register
-
-#: Fully-qualified names that construct a function-backed stage.
-STAGE_FACTORIES = frozenset(
-    {
-        "repro.pipeline.FunctionStage",
-        "repro.pipeline.runtime.FunctionStage",
-    }
-)
 
 #: Base classes that make a ClassDef a pipeline stage.
 STAGE_BASES = frozenset(
     {
         "repro.pipeline.Stage",
         "repro.pipeline.runtime.Stage",
-        "repro.pipeline.FunctionStage",
-        "repro.pipeline.runtime.FunctionStage",
     }
 )
 
@@ -70,9 +58,6 @@ _MUTABLE_LITERALS = (
     ast.SetComp,
     ast.DictComp,
 )
-
-StageDef = Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef]
-
 
 def is_mutable_value(node: ast.AST, imports: ImportMap) -> bool:
     """True when *node* statically evaluates to a mutable container."""
@@ -106,41 +91,14 @@ def mutable_module_globals(
 
 def stage_definitions(
     tree: ast.Module, imports: ImportMap
-) -> list[StageDef]:
-    """Stage classes and module-level ``FunctionStage`` callables."""
-    module_defs = {
-        node.name: node
+) -> list[ast.ClassDef]:
+    """Module-level classes with a ``Stage`` base."""
+    return [
+        node
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-    stages: list[StageDef] = []
-    seen: set[str] = set()
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef) and any(
-            imports.resolve(base) in STAGE_BASES for base in node.bases
-        ):
-            stages.append(node)
-            seen.add(node.name)
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Call)
-            and imports.resolve(node.func) in STAGE_FACTORIES
-            and node.args
-            and isinstance(node.args[0], ast.Name)
-        ):
-            name = node.args[0].id
-            if name in module_defs and name not in seen:
-                seen.add(name)
-                stages.append(module_defs[name])
-    return stages
-
-
-def stage_kind(stage: StageDef) -> str:
-    return (
-        "stage class"
-        if isinstance(stage, ast.ClassDef)
-        else "stage function"
-    )
+        if isinstance(node, ast.ClassDef)
+        and any(imports.resolve(base) in STAGE_BASES for base in node.bases)
+    ]
 
 
 @register
@@ -164,10 +122,9 @@ class PipelineStagePurity(Checker):
     def _check_stage(
         self,
         ctx: ModuleContext,
-        stage: StageDef,
+        stage: ast.ClassDef,
         mutable_globals: set[str],
     ) -> Iterator[Finding]:
-        kind = stage_kind(stage)
         flagged: set[str] = set()
         for node in ast.walk(stage):
             if isinstance(node, ast.Global):
@@ -175,7 +132,7 @@ class PipelineStagePurity(Checker):
                     ctx,
                     node,
                     "PIPE001",
-                    f"{kind} {stage.name} declares"
+                    f"stage class {stage.name} declares"
                     f" global {', '.join(node.names)}; stage state must"
                     " live on the instance so checkpoint/resume can"
                     " rebuild it",
@@ -191,7 +148,7 @@ class PipelineStagePurity(Checker):
                     ctx,
                     node,
                     "PIPE001",
-                    f"{kind} {stage.name} references module-global"
+                    f"stage class {stage.name} references module-global"
                     f" mutable '{node.id}'; that state survives a"
                     " checkpoint rebuild and breaks bit-identical"
                     " resume",

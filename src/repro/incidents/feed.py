@@ -19,7 +19,7 @@ its last checkpoint.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.incidents.lifecycle import IncidentRecord
 from repro.incidents.store import INCIDENT_DB, IncidentStore
@@ -72,23 +72,8 @@ class TransitionWatcher:
             self._seen[key] = len(transitions)
         return events
 
-    def forget_shard(self, shard: int) -> None:
-        """Drop a shard's counters (after its store was rebuilt).
 
-        A resumed shard replays its manager from a checkpoint, so its
-        records arrive with their full audit trails again; forgetting
-        first would re-emit history. Call this only when the shard's
-        incident ids restart from scratch.
-        """
-        for key in [k for k in self._seen if k[0] == shard]:
-            del self._seen[key]
-
-
-def load_incident_rows(
-    directory: Path | str,
-    *,
-    status: Optional[str] = None,
-) -> list[IncidentRecord]:
+def load_incident_rows(directory: Path | str) -> list[IncidentRecord]:
     """Read a checkpoint directory's incident store, if it exists.
 
     The degraded-serve path: a killed shard's incidents stay visible
@@ -99,7 +84,4 @@ def load_incident_rows(
     if not db.exists():
         return []
     with IncidentStore(db) as store:
-        rows = store.rows()
-    if status is not None:
-        rows = [row for row in rows if row.status.value == status]
-    return rows
+        return store.rows()

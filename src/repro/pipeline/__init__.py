@@ -9,9 +9,8 @@ long-running pipeline:
   replay (MRT or JSONL, optionally paced against the wall clock),
   simulator-driven synthetic feeds, quarantine replay, in-memory
   streams.
-* :mod:`repro.pipeline.runtime` — the staged pipeline: bounded
-  queues, explicit backpressure, per-stage drop accounting, and a
-  deterministic cooperative pump.
+* :mod:`repro.pipeline.runtime` — the stage chain: each item runs
+  depth-first through every stage, with per-stage accounting.
 * :mod:`repro.pipeline.windows` — sliding-window Stemming and
   incremental TAMP annotation with bounded memory.
 * :mod:`repro.pipeline.checkpoint` — periodic JSON snapshots plus the
@@ -38,7 +37,6 @@ from repro.pipeline.monitor import (
 )
 from repro.pipeline.runtime import (
     Batch,
-    FunctionStage,
     Pipeline,
     Stage,
     iter_batches,
@@ -65,7 +63,6 @@ __all__ = [
     "CheckpointState",
     "CheckpointStore",
     "FileSource",
-    "FunctionStage",
     "MetricsRegistry",
     "MonitorConfig",
     "MonitorCore",

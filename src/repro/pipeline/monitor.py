@@ -65,7 +65,7 @@ class MonitorConfig:
     """Everything that shapes a monitor run.
 
     :meth:`describe` returns the subset that determines the *output*
-    (window geometry, stemming knobs, batching/backpressure); that
+    (window geometry, stemming knobs, batching); that
     subset is written into checkpoints and must match on resume.
     Operational knobs — pacing, checkpoint cadence, ``max_events`` —
     may differ between the original run and the resume without
@@ -75,6 +75,9 @@ class MonitorConfig:
     window: float = 300.0
     slide: Optional[float] = None
     batch_size: int = 256
+    # Accepted and unused: bench/monitor.py, frozen outside benchmark
+    # PRs, reads both, and describe() keeps writing them so checkpoint
+    # configs stay the same. The pipeline holds no queue.
     max_queue: int = 64
     policy: str = "block"
     min_strength: int = 2
@@ -171,11 +174,7 @@ class MonitorCore:
             max_components=config.max_components,
         )
         self.live_tamp = TampAnnotator()
-        self.live_pipeline = Pipeline(
-            [self.live_window, self.live_tamp],
-            max_queue=config.max_queue,
-            policy=config.policy,
-        )
+        self.live_pipeline = Pipeline([self.live_window, self.live_tamp])
         self.live_manager = IncidentManager(
             policy=config.incident_policy()
         )
@@ -351,10 +350,6 @@ def run_monitor(
         "repro_pipeline_incidents_total",
         "ranked incident components emitted across all windows",
     )
-    dropped_total = registry.counter(
-        "repro_pipeline_dropped_total",
-        "items rejected by backpressure (drop policy)",
-    )
     checkpoints_total = registry.counter(
         "repro_pipeline_checkpoints_total", "checkpoints written"
     )
@@ -386,19 +381,11 @@ def run_monitor(
         "repro_pipeline_window_lag_seconds",
         "wall-clock delay between a window closing and its report",
     )
-    queue_gauges = {
-        name: registry.gauge(
-            f"repro_pipeline_queue_depth_{name}",
-            f"queued items at the {name} stage",
-        )
-        for name in core.live_pipeline.depths()
-    }
 
     pacer = Pacer(config.pace)
     clock = time.monotonic
     run_start = clock()
     last_checkpoint_clock = pumped_at = run_start
-    prior_dropped = 0
     run_reports: list[WindowReport] = []
     stopped = "end"
 
@@ -424,8 +411,6 @@ def run_monitor(
         buffer_gauge.set(core.live_window.buffered)
         index_gauge.set(core.live_window.index_sequences)
         routes_gauge.set(core.live_tamp.tamp.route_count())
-        for name, depth in core.live_pipeline.depths().items():
-            queue_gauges[name].set(depth)
 
     batches = iter_batches(
         source.events(core.offset),
@@ -444,12 +429,6 @@ def run_monitor(
                 # checkpointing: the least convenient legal instant.
                 crash_plan.fire(core.events_done)
             core.drain(handle_report)
-            dropped_now = sum(
-                s["dropped"] for s in core.live_pipeline.stats().values()
-            )
-            if dropped_now > prior_dropped:
-                dropped_total.inc(dropped_now - prior_dropped)
-                prior_dropped = dropped_now
             if core.checkpoint_if_due():
                 note_checkpoint()
             refresh_gauges()

@@ -1,35 +1,24 @@
-"""Staged pipeline runtime: bounded queues, explicit drop accounting.
+"""Pipeline runtime: a chain of stages, run depth-first.
 
-The monitor is a chain of stages (ingest → window → annotate → sink)
-connected by bounded queues. The runtime is deliberately cooperative
-and single-threaded: :meth:`Pipeline.feed` enqueues into the first
-stage and :meth:`Pipeline.pump` drains stages *downstream-first* until
-quiescent. That ordering means an item admitted into the pipeline is
-fully processed before the next one is admitted, so a run's output is
-a pure function of its input order — the property the checkpoint layer
-leans on for bit-identical resume. There is no concurrency inside or
-between stages; the serve layer scales out by running one such pipeline
-per monitor shard.
+The monitor is a chain of stages (window → annotate). The runtime is
+single-threaded: :meth:`Pipeline.feed` hands an item to the first
+stage, and every item a stage returns goes straight on to the next.
+An item is fully processed before the next one is admitted, so a
+run's output is a pure function of its input order — the property
+the checkpoint layer leans on for bit-identical resume. There is no
+concurrency inside or between stages; the serve layer scales out by
+running one such pipeline per monitor shard.
 
-Backpressure is explicit rather than implicit: every queue has a
-capacity, and when a stage's input queue is full the pipeline either
-refuses new work (``policy="block"``, the default — the source must
-retry, which in a paced replay simply means the replay falls behind)
-or drops the newest item and charges it to that stage's drop counter
-(``policy="drop"``). Nothing is ever silently lost: every admitted,
-emitted, and dropped item is visible in :meth:`Pipeline.stats`.
+Nothing waits in a queue and nothing is dropped. A paced replay that
+cannot keep up simply runs late, which shows as window lag.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.collector.events import BGPEvent
-
-#: Backpressure policies for a full input queue.
-POLICIES = ("block", "drop")
 
 
 @dataclass(frozen=True)
@@ -87,22 +76,6 @@ class Stage:
         return None
 
 
-class FunctionStage(Stage):
-    """Adapts a plain callable (item → iterable | None) to a Stage."""
-
-    def __init__(
-        self,
-        func: Callable[[object], Optional[Iterable[object]]],
-        name: str = "",
-    ) -> None:
-        self.name = name or getattr(func, "__name__", "function")
-        super().__init__()
-        self._func = func
-
-    def process(self, item: object) -> Optional[Iterable[object]]:
-        return self._func(item)
-
-
 @dataclass
 class StageStats:
     """Per-stage accounting, all monotonic within one run."""
@@ -130,167 +103,88 @@ class StageStats:
         )
 
 
-@dataclass
-class _Slot:
-    stage: Stage
-    queue: deque = field(default_factory=deque)
-    stats: StageStats = field(default_factory=StageStats)
-
-
 class Pipeline:
-    """A chain of stages with bounded inter-stage queues.
+    """A chain of stages, run depth-first.
 
-    ``max_queue`` bounds each stage's input queue. The bound applies
-    to *admission*: a stage emitting several items downstream may
-    transiently overshoot the next queue's bound (dropping
-    mid-pipeline items would violate the no-silent-loss contract);
-    the overshoot is visible as ``peak_depth`` in the stats.
+    Each item a stage returns goes straight into the next stage's
+    :meth:`Stage.process`; the final stage's items collect in
+    :attr:`outputs`, which the caller (the monitor loop) drains with
+    :meth:`take`. A stage's items are gathered before the first is
+    passed on, so each reaches the stages below in the order emitted.
 
-    Outputs of the final stage are collected into :attr:`outputs`;
-    the caller (the monitor loop) drains them with :meth:`take`.
+    The per-stage :class:`StageStats` are persisted in checkpoints.
+    ``dropped`` is always 0 (the chain never drops) and ``peak_depth``
+    is the most items one call handed to the stage.
     """
 
     def __init__(
         self,
         stages: Sequence[Stage],
         *,
+        # Accepted and unused: bench/monitor.py, frozen outside
+        # benchmark PRs, passes both. The chain holds no queue.
         max_queue: int = 64,
         policy: str = "block",
     ) -> None:
         if not stages:
             raise ValueError("pipeline needs at least one stage")
-        if max_queue < 1:
-            raise ValueError(f"max_queue must be >= 1, got {max_queue}")
-        if policy not in POLICIES:
-            raise ValueError(
-                f"policy must be one of {POLICIES}, got {policy!r}"
-            )
         names = [stage.name for stage in stages]
         if len(set(names)) != len(names):
             raise ValueError(f"stage names must be unique, got {names}")
-        self.max_queue = max_queue
-        self.policy = policy
-        self._slots = [_Slot(stage) for stage in stages]
-        self.outputs: deque = deque()
-
-    @property
-    def stages(self) -> tuple[Stage, ...]:
-        return tuple(slot.stage for slot in self._slots)
-
-    def offer(self, item: object) -> bool:
-        """Try to admit *item* into the first stage's queue.
-
-        Returns ``False`` when the queue is full under the ``block``
-        policy (caller should pump and retry). Under ``drop``, a full
-        queue discards the *new* item, charges the first stage's drop
-        counter, and returns ``True`` — the item is accounted for,
-        just not processed.
-        """
-        slot = self._slots[0]
-        if len(slot.queue) >= self.max_queue:
-            if self.policy == "drop":
-                slot.stats.dropped += 1
-                return True
-            return False
-        self._enqueue(slot, item)
-        return True
+        self.stages = tuple(stages)
+        self._stats = [StageStats() for _ in stages]
+        self.outputs: list[object] = []
 
     def feed(self, item: object) -> None:
-        """Admit *item*, pumping as needed under backpressure."""
-        while not self.offer(item):
-            if not self.pump_once():
-                raise RuntimeError(
-                    "pipeline stalled: queue full but no stage can run"
-                )
-        self.pump()
-
-    def pump_once(self) -> bool:
-        """Process one item from the most-downstream non-empty queue.
-
-        Draining downstream-first keeps total queued work bounded and
-        makes progress deterministic. Returns ``False`` when every
-        queue is empty.
-        """
-        for index in range(len(self._slots) - 1, -1, -1):
-            slot = self._slots[index]
-            if slot.queue:
-                item = slot.queue.popleft()
-                produced = slot.stage.process(item)
-                self._route(index, produced)
-                return True
-        return False
-
-    def pump(self) -> int:
-        """Drain every queue; returns the number of items processed."""
-        processed = 0
-        while self.pump_once():
-            processed += 1
-        return processed
+        """Run *item* through every stage."""
+        self._deliver(0, (item,))
 
     def flush(self) -> None:
-        """Signal end-of-stream: drain, then flush each stage in order.
+        """Signal end-of-stream: flush each stage in order.
 
         Each stage's flush output flows through the stages below it
         before the next stage is flushed, so ordering matches what a
         continued stream would have produced.
         """
-        self.pump()
-        for index, slot in enumerate(self._slots):
-            self._route(index, slot.stage.flush())
-            self.pump()
+        for index, stage in enumerate(self.stages):
+            self._emit(index, stage.flush())
 
     def take(self) -> list[object]:
         """Remove and return all collected final-stage outputs."""
-        items = list(self.outputs)
-        self.outputs.clear()
+        items, self.outputs = self.outputs, []
         return items
-
-    def depth(self, stage_name: str) -> int:
-        for slot in self._slots:
-            if slot.stage.name == stage_name:
-                return len(slot.queue)
-        raise KeyError(stage_name)
-
-    def depths(self) -> dict[str, int]:
-        return {
-            slot.stage.name: len(slot.queue) for slot in self._slots
-        }
 
     def stats(self) -> dict[str, dict[str, int]]:
         return {
-            slot.stage.name: slot.stats.to_dict()
-            for slot in self._slots
+            stage.name: stats.to_dict()
+            for stage, stats in zip(self.stages, self._stats)
         }
 
     def restore_stats(self, stats: dict[str, dict[str, int]]) -> None:
         """Reload per-stage accounting from a checkpoint."""
-        for slot in self._slots:
-            if slot.stage.name in stats:
-                slot.stats = StageStats.from_dict(
-                    stats[slot.stage.name]
-                )
+        for index, stage in enumerate(self.stages):
+            if stage.name in stats:
+                self._stats[index] = StageStats.from_dict(stats[stage.name])
 
-    def _route(
+    def _deliver(self, index: int, items: tuple[object, ...]) -> None:
+        stats = self._stats[index]
+        stats.admitted += len(items)
+        stats.peak_depth = max(stats.peak_depth, len(items))
+        stage = self.stages[index]
+        for item in items:
+            self._emit(index, stage.process(item))
+
+    def _emit(
         self, index: int, produced: Optional[Iterable[object]]
     ) -> None:
         if produced is None:
             return
-        slot = self._slots[index]
-        if index + 1 < len(self._slots):
-            target = self._slots[index + 1]
-            for item in produced:
-                slot.stats.emitted += 1
-                self._enqueue(target, item)
+        items = tuple(produced)
+        self._stats[index].emitted += len(items)
+        if index + 1 < len(self.stages):
+            self._deliver(index + 1, items)
         else:
-            for item in produced:
-                slot.stats.emitted += 1
-                self.outputs.append(item)
-
-    def _enqueue(self, slot: _Slot, item: object) -> None:
-        slot.queue.append(item)
-        slot.stats.admitted += 1
-        if len(slot.queue) > slot.stats.peak_depth:
-            slot.stats.peak_depth = len(slot.queue)
+            self.outputs.extend(items)
 
 
 def iter_batches(

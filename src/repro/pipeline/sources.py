@@ -323,8 +323,11 @@ class Pacer:
         self._anchor_ts: Optional[float] = None
         self._anchor_clock = 0.0
 
-    def wait_for(self, timestamp: float) -> float:
-        """Sleep until *timestamp* is due; returns the delay slept."""
+    def delay(self, timestamp: float) -> float:
+        """Seconds until *timestamp* is due (0 if late); never sleeps.
+
+        The first call anchors the schedule and returns 0.
+        """
         if self.pace <= 0:
             return 0.0
         if self._anchor_ts is None:
@@ -335,11 +338,14 @@ class Pacer:
             self._anchor_clock
             + (timestamp - self._anchor_ts) / self.pace
         )
-        delay = due - self._clock()
+        return max(0.0, due - self._clock())
+
+    def wait_for(self, timestamp: float) -> float:
+        """Sleep until *timestamp* is due; returns the delay slept."""
+        delay = self.delay(timestamp)
         if delay > 0:
             self._sleep(delay)
-            return delay
-        return 0.0
+        return delay
 
     def lag(self, timestamp: float) -> float:
         """Seconds (archive time) the replay is behind schedule."""

@@ -4,9 +4,9 @@ The pipeline is cooperative, not threaded: the feeder coroutine pumps
 shard batches synchronously and yields to the loop between batches,
 so HTTP handlers always observe shard state at a batch boundary —
 the property that makes the snapshot accessors lock-free. Pacing
-(``--pace``) maps event timestamps onto ``asyncio.sleep`` exactly as
-the monitor's :class:`~repro.pipeline.sources.Pacer` maps them onto
-``time.sleep``.
+(``--pace``) uses the monitor's
+:class:`~repro.pipeline.sources.Pacer` on the loop's clock and awaits
+``asyncio.sleep`` for each delay it reports.
 
 After the stream ends the service keeps answering requests for
 ``linger`` seconds (CI smoke and the benchmark depend on this), then
@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 from repro.pipeline.metrics import MetricsRegistry
 from repro.pipeline.monitor import MonitorConfig
-from repro.pipeline.sources import Source
+from repro.pipeline.sources import Pacer, Source
 from repro.serve.app import ServeApp
 from repro.serve.events import TransitionFeed
 from repro.serve.sharding import ShardSet
@@ -72,25 +72,13 @@ async def run_serve(
         on_started(app)
 
     stopped = "end"
-    pace = config.pace
-    anchor_ts: Optional[float] = None
-    anchor_clock = 0.0
-    loop = asyncio.get_running_loop()
+    pacer = Pacer(config.pace, clock=asyncio.get_running_loop().time)
     since_yield = 0
     try:
         for event in source.events():
-            if pace > 0:
-                if anchor_ts is None:
-                    anchor_ts = event.timestamp
-                    anchor_clock = loop.time()
-                else:
-                    due = (
-                        anchor_clock
-                        + (event.timestamp - anchor_ts) / pace
-                    )
-                    delay = due - loop.time()
-                    if delay > 0:
-                        await asyncio.sleep(delay)
+            delay = pacer.delay(event.timestamp)
+            if delay > 0:
+                await asyncio.sleep(delay)
             entries = shard_set.offer(event)
             if entries:
                 feed.publish_all(entries)

@@ -2,7 +2,7 @@
 
 from collections import deque
 
-from repro.pipeline.runtime import FunctionStage, Stage
+from repro.pipeline.runtime import Stage
 
 _SEEN = set()
 _CACHE: dict = {}
@@ -18,9 +18,7 @@ class DedupStage(Stage):
         return (item,)
 
 
-def count_stage(item):
-    _RECENT.append(item)
-    return (item,)
-
-
-stage = FunctionStage(count_stage)
+class CountStage(Stage):
+    def process(self, item):
+        _RECENT.append(item)
+        return (item,)

@@ -1,6 +1,6 @@
 """PIPE001-clean stages: state on the instance, constants read-only."""
 
-from repro.pipeline.runtime import FunctionStage, Stage
+from repro.pipeline.runtime import Stage
 
 _WINDOW = 300.0
 _KINDS = ("announce", "withdraw")
@@ -18,8 +18,9 @@ class CountingStage(Stage):
         return (item,)
 
 
-def tag_stage(item):
-    return ((item, _WINDOW, _KINDS[0]),)
+class TagStage(Stage):
+    def process(self, item):
+        return ((item, _WINDOW, _KINDS[0]),)
 
 
 def plain_helper(items):
@@ -27,6 +28,3 @@ def plain_helper(items):
     cache = {}
     cache.update(enumerate(items))
     return cache
-
-
-stage = FunctionStage(tag_stage)

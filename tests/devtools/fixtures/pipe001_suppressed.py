@@ -1,6 +1,6 @@
 """PIPE001 violations carrying justified suppressions."""
 
-from repro.pipeline.runtime import FunctionStage, Stage
+from repro.pipeline.runtime import Stage
 
 _SEEN = set()
 _CACHE: dict = {}
@@ -16,10 +16,8 @@ class DedupStage(Stage):
         return (item,)
 
 
-def count_stage(item):
-    # repro: allow[PIPE001] fixture: warm-cache only, never read back.
-    _CACHE[item] = _CACHE.get(item, 0) + 1
-    return (item,)
-
-
-stage = FunctionStage(count_stage)
+class CountStage(Stage):
+    def process(self, item):
+        # repro: allow[PIPE001] fixture: warm-cache only, never read back.
+        _CACHE[item] = _CACHE.get(item, 0) + 1
+        return (item,)

@@ -3,8 +3,8 @@
 
 def debug_handler(request, shard):
     # repro: allow[SRV001] debug endpoint gated off in production
-    depths = shard.live_pipeline.depths()
+    stats = shard.live_pipeline.stats()
     return {
-        "depths": depths,
+        "stats": stats,
         "buffered": shard.live_window.buffered,  # repro: allow[SRV001] fixture justification
     }

@@ -103,7 +103,7 @@ class TestPipe001:
         assert "'_SEEN'" in messages
         assert "'_RECENT'" in messages
         assert "stage class DedupStage" in messages
-        assert "stage function count_stage" in messages
+        assert "stage class CountStage" in messages
 
     def test_ok_is_clean(self):
         assert analyze_fixture("pipe001_ok.py") == []

@@ -111,9 +111,15 @@ class TestMetrics:
 
 
 class TestValidation:
-    def test_bad_queue_policy_rejected(self):
-        with pytest.raises(SystemExit):
-            main(SYNTH + ["--queue-policy", "spill"])
+    @pytest.mark.parametrize("option", [
+        ["--max-queue", "4"], ["--queue-policy", "drop"],
+    ], ids=["max-queue", "queue-policy"])
+    @pytest.mark.parametrize("command", ["monitor", "serve"])
+    def test_queue_options_are_usage_errors(self, command, option, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main([command] + SYNTH[1:] + option)
+        assert raised.value.code == 2
+        assert option[0] in capsys.readouterr().err
 
     def test_bad_slide_is_an_error(self, capsys):
         code = main([

@@ -519,17 +519,25 @@ class TestInstrumentation:
         assert seen == result.reports
 
 
-class TestBackpressureAccounting:
-    def test_drop_policy_losses_are_visible(self):
-        config = MonitorConfig(
-            window=120.0, slide=60.0, batch_size=64,
-            max_queue=1, policy="drop",
-        )
-        registry = MetricsRegistry()
+class TestStageStats:
+    def test_checkpoint_stats_of_a_fixed_run(self, tmp_path):
+        # Pinned to the values the queued runtime wrote for this run:
+        # checkpoints keep the same bytes.
+        config = MonitorConfig(window=120.0, slide=60.0, batch_size=64)
         result = run_monitor(
-            small_source(), config, registry=registry
+            SyntheticSource(8000, 3600.0, seed=31),
+            config,
+            checkpoint_dir=tmp_path,
         )
-        dropped = sum(s["dropped"] for s in result.stats.values())
-        assert (
-            registry.snapshot()["repro_pipeline_dropped_total"] == dropped
-        )
+        expected = {
+            "window": {
+                "admitted": 125, "emitted": 244,
+                "dropped": 0, "peak_depth": 1,
+            },
+            "tamp": {
+                "admitted": 244, "emitted": 60,
+                "dropped": 0, "peak_depth": 3,
+            },
+        }
+        assert result.stats == expected
+        assert CheckpointStore(tmp_path).latest().stats == expected

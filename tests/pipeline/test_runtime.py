@@ -1,10 +1,9 @@
-"""Tests for the staged pipeline runtime: queues, backpressure, stats."""
+"""Tests for the pipeline runtime: depth-first order, flush, stats."""
 
 import pytest
 
 from repro.pipeline.runtime import (
     Batch,
-    FunctionStage,
     Pipeline,
     Stage,
     StageStats,
@@ -18,6 +17,35 @@ class Doubler(Stage):
 
     def process(self, item):
         return (item, item)
+
+
+class Splitter(Stage):
+    """Emits two tagged copies of every item, logging each call."""
+
+    def __init__(self, name, log):
+        self.name = name
+        super().__init__()
+        self.log = log
+
+    def process(self, item):
+        self.log.append((self.name, item))
+        return (item + "1", item + "2")
+
+
+class Holdback(Stage):
+    """Passes items on one call late; the last waits for flush."""
+
+    def __init__(self):
+        super().__init__()
+        self.held = []
+
+    def process(self, item):
+        out, self.held = self.held, [item]
+        return out
+
+    def flush(self):
+        out, self.held = self.held, []
+        return out
 
 
 class Collector(Stage):
@@ -68,66 +96,42 @@ class TestConstruction:
         with pytest.raises(ValueError, match="at least one stage"):
             Pipeline([])
 
-    def test_rejects_bad_policy(self):
-        with pytest.raises(ValueError, match="policy"):
-            Pipeline([Doubler()], policy="spill")
-
-    def test_rejects_bad_queue_bound(self):
-        with pytest.raises(ValueError, match="max_queue"):
-            Pipeline([Doubler()], max_queue=0)
-
     def test_rejects_duplicate_stage_names(self):
         with pytest.raises(ValueError, match="unique"):
             Pipeline([Doubler(), Doubler()])
 
-    def test_function_stage_takes_the_callable_name(self):
-        def halve(item):
-            return (item // 2,)
-
-        assert FunctionStage(halve).name == "halve"
-        assert FunctionStage(halve, name="h").name == "h"
-
-
-class TestBackpressure:
-    def test_block_policy_refuses_when_full(self):
-        pipe = Pipeline([Collector()], max_queue=2)
-        assert pipe.offer(1)
-        assert pipe.offer(2)
-        assert not pipe.offer(3)  # full: caller must pump and retry
-        assert pipe.stats()["Collector"]["dropped"] == 0
-
-    def test_drop_policy_discards_the_newest_and_accounts(self):
-        pipe = Pipeline([Collector()], max_queue=2, policy="drop")
-        assert pipe.offer(1)
-        assert pipe.offer(2)
-        assert pipe.offer(3)  # accepted-as-dropped
-        assert pipe.stats()["Collector"]["dropped"] == 1
-        pipe.pump()
-        assert pipe.stages[0].items == [1, 2]
-
-    def test_feed_pumps_through_a_full_queue(self):
-        pipe = Pipeline([FunctionStage(lambda i: (i,), name="id")],
-                        max_queue=1)
-        for i in range(5):
+    def test_queue_keywords_are_accepted_and_unused(self):
+        pipe = Pipeline([Doubler()], max_queue=1, policy="drop")
+        for i in range(3):
             pipe.feed(i)
-        assert pipe.take() == list(range(5))
-        assert pipe.stats()["id"]["dropped"] == 0
+        assert pipe.take() == [0, 0, 1, 1, 2, 2]
 
 
 class TestPumping:
     def test_downstream_first_drains_before_admitting_more(self):
-        pipe = Pipeline([Doubler(), Collector()], max_queue=4)
+        pipe = Pipeline([Doubler(), Collector()])
         pipe.feed("a")
+        assert pipe.stages[1].items == ["a", "a"]
         pipe.feed("b")
-        pipe.pump()
         assert pipe.stages[1].items == ["a", "a", "b", "b"]
-        assert pipe.depths() == {"Doubler": 0, "Collector": 0}
 
-    def test_pump_once_reports_quiescence(self):
-        pipe = Pipeline([Doubler()])
-        assert not pipe.pump_once()
-        pipe.offer(1)
-        assert pipe.pump_once()
+    def test_outputs_run_depth_first(self):
+        log = []
+
+        class Recorder(Stage):
+            def process(self, item):
+                log.append(("end", item))
+                return (item,)
+
+        pipe = Pipeline([Splitter("s1", log), Splitter("s2", log),
+                         Recorder()])
+        pipe.feed("a")
+        assert log == [
+            ("s1", "a"),
+            ("s2", "a1"), ("end", "a11"), ("end", "a12"),
+            ("s2", "a2"), ("end", "a21"), ("end", "a22"),
+        ]
+        assert pipe.take() == ["a11", "a12", "a21", "a22"]
 
     def test_flush_routes_buffered_state_downstream(self):
         pipe = Pipeline([Collector(), Doubler()])
@@ -136,6 +140,15 @@ class TestPumping:
         assert pipe.take() == []  # Collector is hoarding
         pipe.flush()
         assert pipe.take() == [1, 1, 2, 2]
+
+    def test_flush_runs_each_stage_through_the_rest_in_order(self):
+        pipe = Pipeline([Collector(), Holdback(), Doubler()])
+        for i in range(3):
+            pipe.feed(i)
+        assert pipe.take() == []
+        pipe.flush()
+        # The collector's items pass the holdback before it flushes 2.
+        assert pipe.take() == [0, 0, 1, 1, 2, 2]
 
     def test_take_drains_outputs(self):
         pipe = Pipeline([Doubler()])
@@ -146,14 +159,42 @@ class TestPumping:
 
 class TestStats:
     def test_admitted_emitted_and_peak_depth(self):
-        pipe = Pipeline([Doubler(), Collector()], max_queue=8)
+        pipe = Pipeline([Doubler(), Collector()])
         for i in range(3):
             pipe.feed(i)
-        stats = pipe.stats()
-        assert stats["Doubler"]["admitted"] == 3
-        assert stats["Doubler"]["emitted"] == 6
-        assert stats["Collector"]["admitted"] == 6
-        assert stats["Collector"]["peak_depth"] >= 1
+        assert pipe.stats() == {
+            "Doubler": {
+                "admitted": 3, "emitted": 6, "dropped": 0, "peak_depth": 1,
+            },
+            "Collector": {
+                "admitted": 6, "emitted": 0, "dropped": 0, "peak_depth": 2,
+            },
+        }
+
+    def test_fan_out_chain_with_a_flushing_stage(self):
+        log = []
+        pipe = Pipeline([
+            Doubler(), Collector(), Splitter("split", log), Holdback(),
+        ])
+        for item in ("a", "b", "c"):
+            pipe.feed(item)
+        pipe.flush()
+        assert len(pipe.take()) == 12
+        assert pipe.stats() == {
+            "Doubler": {
+                "admitted": 3, "emitted": 6, "dropped": 0, "peak_depth": 1,
+            },
+            "Collector": {
+                "admitted": 6, "emitted": 6, "dropped": 0, "peak_depth": 2,
+            },
+            "split": {
+                "admitted": 6, "emitted": 12, "dropped": 0, "peak_depth": 6,
+            },
+            "Holdback": {
+                "admitted": 12, "emitted": 12, "dropped": 0,
+                "peak_depth": 2,
+            },
+        }
 
     def test_stats_round_trip_through_restore(self):
         pipe = Pipeline([Doubler()])

@@ -254,3 +254,12 @@ class TestPacer:
 
     def test_lag_is_zero_when_unpaced(self):
         assert Pacer(0).lag(10.0) == 0.0
+
+    def test_delay_reports_the_wait_without_sleeping(self):
+        fake = FakeClock()
+        pacer = Pacer(60.0, clock=fake.clock, sleep=fake.sleep)
+        assert pacer.delay(0.0) == 0.0  # anchor
+        assert pacer.delay(120.0) == pytest.approx(2.0)
+        fake.now += 5.0
+        assert pacer.delay(120.0) == 0.0  # late: due 3 s ago
+        assert fake.slept == []
