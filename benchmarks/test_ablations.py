@@ -98,30 +98,29 @@ def test_stemming_subsequence_length_bound(benchmark, spike_stream):
 def test_pruning_strategies(benchmark, berkeley_rex):
     """Ablation 2: flat vs hierarchical pruning — nodes kept and whether
     small-but-critical structure (a backdoor) survives."""
-    from repro.net.prefix import format_address
+    from repro.bgp.rib import Route
     from repro.net.aspath import ASPath
     from repro.net.attributes import PathAttributes
-    from repro.net.prefix import Prefix
-    from repro.tamp.graph import TampGraph
-    from repro.tamp.tree import TampTree
+    from repro.net.prefix import Prefix, format_address
+    from repro.tamp.picture import build_picture
 
-    trees = [
-        TampTree.from_routes(
-            format_address(peer),
-            berkeley_rex.rib(peer).routes(),
-            include_prefix_leaves=False,
-        )
+    backdoor_attrs = PathAttributes(
+        nexthop=0xA9E5009D, as_path=ASPath.parse("7018 55001")
+    )
+    groups = [
+        (format_address(peer), list(berkeley_rex.rib(peer).routes()))
         for peer in berkeley_rex.peers()
     ]
-    backdoor = TampTree("backdoor-router", include_prefix_leaves=False)
-    for i in range(2):
-        backdoor.add_route(
-            Prefix(0xC0A8FE00 + i * 256, 24),
-            PathAttributes(
-                nexthop=0xA9E5009D, as_path=ASPath.parse("7018 55001")
-            ),
+    groups.append(
+        (
+            "backdoor-router",
+            [
+                Route(Prefix(0xC0A8FE00 + i * 256, 24), backdoor_attrs)
+                for i in range(2)
+            ],
         )
-    graph = TampGraph.merge(trees + [backdoor], site_name="Berkeley")
+    )
+    graph = build_picture(groups, "Berkeley", include_prefix_leaves=False)
 
     flat = benchmark.pedantic(
         prune_flat, args=(graph,), rounds=1, iterations=1

@@ -34,7 +34,6 @@ from repro.simulator.workloads import (
     synthetic_prefixes,
 )
 from repro.stemming.stemmer import Stemmer
-from repro.tamp.graph import TampGraph
 from repro.tamp.prune import prune_flat
 from repro.tamp.render import render_svg
 
@@ -50,13 +49,10 @@ def berkeley_site() -> BerkeleySite:
 
 def test_figure1_construction(benchmark):
     """Figure 1: tree construction and union-merge (micro-benchmark)."""
-    from tests.tamp.test_figure1 import build_x, build_y
+    from tests.tamp.test_figure1 import merged
 
-    def construct():
-        return TampGraph.merge([build_x(), build_y()])
-
-    merged = benchmark.pedantic(construct, rounds=50, iterations=10)
-    weight = merged.weight(("nh", parse_address("10.0.0.1")), ("as", 1))
+    graph = benchmark.pedantic(merged, rounds=50, iterations=10)
+    weight = graph.weight(("nh", parse_address("10.0.0.1")), ("as", 1))
     assert weight == 4  # union, not 3+3
     record_row("figures", f"F1 construction: NexthopA-AS1 weight={weight} (paper: 4)")
 

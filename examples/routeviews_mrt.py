@@ -22,7 +22,6 @@ from pathlib import Path
 
 from repro import BerkeleySite, diagnose, scenarios
 from repro.mrt.loader import dump_rib, dump_updates, load_rib, load_updates
-from repro.net.prefix import format_address
 from repro.pipeline import (
     FileSource,
     MonitorConfig,
@@ -30,10 +29,9 @@ from repro.pipeline import (
     WindowReport,
     run_monitor,
 )
-from repro.tamp.graph import TampGraph
+from repro.tamp.picture import picture_from_rex
 from repro.tamp.prune import prune_flat
 from repro.tamp.render import render_ascii
-from repro.tamp.tree import TampTree
 
 OUT_DIR = Path(__file__).resolve().parent / "output"
 
@@ -63,15 +61,9 @@ def main(out_dir: Path = OUT_DIR) -> MonitorResult:
     print(f"  updates: {len(stream)} events over {stream.timerange:.0f}s")
 
     # The TAMP picture of the snapshot.
-    trees = [
-        TampTree.from_routes(
-            format_address(peer),
-            rex.rib(peer).routes(),
-            include_prefix_leaves=False,
-        )
-        for peer in rex.peers()
-    ]
-    picture = prune_flat(TampGraph.merge(trees, site_name="snapshot"))
+    picture = prune_flat(
+        picture_from_rex(rex, "snapshot", include_prefix_leaves=False)
+    )
     print("\npre-incident routing structure (from the RIB file):")
     print(render_ascii(picture))
 

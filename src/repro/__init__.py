@@ -57,7 +57,6 @@ from repro.tamp.animate import TampAnimation, animate_stream
 from repro.tamp.graph import TampGraph
 from repro.tamp.prune import prune_flat, prune_hierarchical
 from repro.tamp.render import render_ascii, render_svg
-from repro.tamp.tree import TampTree
 
 __version__ = "1.0.0"
 
@@ -79,7 +78,6 @@ __all__ = [
     "StemmingResult",
     "TampAnimation",
     "TampGraph",
-    "TampTree",
     "TrafficWeightedStemmer",
     "animate_stream",
     "build_berkeley",

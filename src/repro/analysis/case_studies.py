@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.net.prefix import parse_address
+from repro.net.prefix import format_address, parse_address
 from repro.scenarios import paper as scenarios
 from repro.simulator.workloads import (
     AS_CALREN,
@@ -28,8 +28,8 @@ from repro.simulator.workloads import (
 from repro.stemming.stemmer import Stemmer
 from repro.tamp.animate import EdgeState, animate_stream
 from repro.tamp.graph import TampGraph
+from repro.tamp.picture import build_picture, picture_from_rex
 from repro.tamp.prune import prune_flat, prune_hierarchical
-from repro.tamp.tree import TampTree
 
 
 @dataclass
@@ -48,20 +48,22 @@ class CaseStudyResult:
 
 
 def site_tamp_graph(site: BerkeleySite, route_filter=None) -> TampGraph:
-    """Merge per-peer TAMP trees from the collector's tables."""
-    from repro.net.prefix import format_address
-
-    trees = []
-    for peer in site.rex.peers():
-        routes = list(site.rex.rib(peer).routes())
-        if route_filter is not None:
-            routes = [r for r in routes if route_filter(r)]
-        trees.append(
-            TampTree.from_routes(
-                format_address(peer), routes, include_prefix_leaves=False
-            )
+    """The site's merged TAMP picture from the collector's tables."""
+    if route_filter is None:
+        return picture_from_rex(
+            site.rex, "Berkeley", include_prefix_leaves=False
         )
-    return TampGraph.merge(trees, site_name="Berkeley")
+    return build_picture(
+        [
+            (
+                format_address(peer),
+                [r for r in site.rex.rib(peer).routes() if route_filter(r)],
+            )
+            for peer in site.rex.peers()
+        ],
+        "Berkeley",
+        include_prefix_leaves=False,
+    )
 
 
 def run_load_balance_check(

@@ -3,7 +3,7 @@
 The DESIGN.md §10 rewrite moved the picture build onto dense interned
 ids: edge stores are keyed by packed int edge ids
 (:func:`repro.interning.pack_edge`) and prefix membership lives in
-:class:`~repro.interning.idset.IdSet` columns / id-keyed refcount maps.
+id-keyed refcount maps.
 Reintroducing object-level state in the build/merge hot path — a
 ``set[Prefix]`` column, or a ``(parent, child)`` token tuple used as an
 edge-store key — type-checks, passes every equivalence test, and
@@ -47,7 +47,6 @@ HOT_FUNCTIONS = frozenset(
         "merge_tree",
         "merge_view",
         "merge_id_view",
-        "_merge_ids",
         "_bulk_add",
     }
 )
@@ -140,8 +139,8 @@ class InternedHotPath(Checker):
                         "INT001",
                         f"{func.name}() declares an object prefix set"
                         f" ({annotation}) on the TAMP hot path; prefix"
-                        " membership must use interned IdSet columns /"
-                        " id-keyed refcount maps (DESIGN.md §10)",
+                        " membership must use id-keyed refcount maps"
+                        " (DESIGN.md §10)",
                     )
                 )
                 continue

@@ -12,9 +12,14 @@ dict/set traffic — the cheapest primitives CPython has.
 
 The contract that keeps the rest of the system oblivious is
 **decode at the boundary** (DESIGN.md §10): interned ids never escape
-the builder; every public query on :class:`repro.tamp.TampGraph` and
-:class:`repro.tamp.TampTree` decodes ids back to real tokens/prefixes,
-and decoding happens on pruned (small) graphs, never per-route.
+the builder; every public query on :class:`repro.tamp.TampGraph`
+decodes ids back to real tokens/prefixes, and decoding happens on
+pruned (small) graphs, never per-route.
+
+The graph stores prefix membership as id-keyed refcount maps. The two
+id-set backends (:class:`IdSet`, :class:`MaskIdSet`) have no caller in
+the build any more: they stay for the set-columns-vs-bitmask ablation
+(``benchmarks/test_ablations.py``) and its property tests.
 
 Symbol tables are **per build** — created by a builder, carried by the
 graphs it produces, and garbage-collected with them. There is no

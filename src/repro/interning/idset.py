@@ -1,10 +1,12 @@
 """Sets of dense interned ids.
 
-Two interchangeable backends:
+Two interchangeable backends, compared by the "object sets vs interned
+bitsets" ablation (``benchmarks/test_ablations.py``); the TAMP build
+itself keeps id-keyed refcount maps and uses neither:
 
-* :class:`IdSet` — a thin ``set[int]`` subclass. **This is the default.**
+* :class:`IdSet` — a thin ``set[int]`` subclass, the faster to build.
 * :class:`MaskIdSet` — a Python-int bitmask (bit *i* set ⇔ id *i* is a
-  member), kept for the ablation benchmark.
+  member).
 
 The issue that introduced this layer proposed bitmasks first, with a
 fallback "if bitmasks lose in benchmarks" — and they do, on the build
@@ -26,10 +28,10 @@ from typing import Iterable, Iterator
 
 
 class IdSet(set):
-    """A set of dense non-negative int ids (default backend).
+    """A set of dense non-negative int ids (hash-backed).
 
     Inherits every C-speed ``set`` operation; adds the small protocol
-    the TAMP builder uses (:meth:`count`, bitmask interop).
+    both backends share (:meth:`count`, bitmask interop).
     """
 
     __slots__ = ()

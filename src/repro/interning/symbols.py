@@ -8,8 +8,8 @@ A :class:`SymbolTable` owns two id spaces:
   bits (:func:`pack_prefix`), not assigned from a table.
 
 Prefixes get their own space because they are what edge *weights* count:
-a ``dict[prefix_id, refcount]`` per edge plus :class:`IdSet` unions over
-prefix ids replace the per-edge ``set[Prefix]`` object churn. A prefix
+a ``dict[prefix_id, refcount]`` per edge, and int-set unions over those
+keys, replace the per-edge ``set[Prefix]`` object churn. A prefix
 that also appears as a leaf *node* additionally has a token id for its
 ``("pfx", prefix)`` token, memoized by :meth:`pfx_token_id`.
 

@@ -15,7 +15,7 @@ flapping too fast to animate, with a gray shadow marking each shrunken
 edge's historical maximum.
 """
 
-from repro.tamp.tree import TampTree, route_path_tokens
+from repro.tamp.tree import route_path_tokens
 from repro.tamp.graph import TampGraph
 from repro.tamp.picture import (
     build_picture,
@@ -35,7 +35,6 @@ from repro.tamp.animate import (
 from repro.tamp.svg_animation import render_svg_animation
 
 __all__ = [
-    "TampTree",
     "TampGraph",
     "route_path_tokens",
     "build_picture",

@@ -20,7 +20,7 @@ Implementation notes:
   per-build :class:`SymbolTable`, prefixes are value-derived packed ids
   (:func:`repro.interning.pack_prefix`), an edge key packs two token
   ids into one int, and a refcount map is ``{prefix id: count}``.
-  Merging a tree is then per-edge C-level id counting, and
+  Merging a view is then per-edge C-level id counting, and
   ``total_prefixes()`` is the size of a union of int-key views — no
   token tuple is hashed and no Prefix object is touched on the hot
   path. Every public method still speaks tokens and prefixes: ids are
@@ -35,9 +35,9 @@ from itertools import chain as _iter_chain
 from typing import Iterable, Iterator, Optional
 
 from repro.collector.events import Token
-from repro.interning import EDGE_MASK, EDGE_SHIFT, IdSet, SymbolTable
+from repro.interning import EDGE_MASK, EDGE_SHIFT, SymbolTable
 from repro.net.prefix import Prefix
-from repro.tamp.tree import Edge, TampTree, chain_ids
+from repro.tamp.tree import Edge, chain_ids
 
 try:
     # Counter's C increment loop, usable on a plain dict; the public
@@ -82,8 +82,8 @@ class TampGraph:
         self._children: dict[int, set[int]] = {}
         self._parents: dict[int, set[int]] = {}
         #: The prefix-leaf fringe: tail token id -> {prefix id: refcount}.
-        #: Mirrors :attr:`TampTree._leaves` — the edge into a ``("pfx",
-        #: p)`` node carries exactly ``{p}``, so the widest part of a
+        #: The leaf invariant — the edge into a ``("pfx", p)`` node
+        #: carries exactly ``{p}`` — means the widest part of a
         #: realistic graph collapses to one store per tail instead of one
         #: edge entry (plus adjacency) per (tail, prefix) pair, and a
         #: route group's whole fringe lands in one C counting call. The
@@ -157,94 +157,6 @@ class TampGraph:
     # Merging
     # ------------------------------------------------------------------
 
-    @classmethod
-    def merge(
-        cls, trees: Iterable[TampTree], site_name: Optional[str] = None
-    ) -> "TampGraph":
-        """Merge per-router trees with prefix-set union on shared edges."""
-        graph = cls(site_name)
-        for tree in trees:
-            graph.merge_tree(tree)
-        return graph
-
-    def merge_tree(self, tree: TampTree) -> None:
-        """Merge one router tree (id-level union on shared edges).
-
-        A tree sharing this graph's symbol table merges without any
-        translation; a foreign tree's ids are remapped through a table
-        merge first.
-        """
-        if tree.symbols is self._symbols:
-            self._merge_ids(tree, None)
-        else:
-            self._merge_ids(tree, self._symbols.remap_tokens(tree.symbols))
-
-    def _merge_ids(
-        self, tree: TampTree, token_map: Optional[list[int]]
-    ) -> None:
-        """Fold *tree*'s columns into the refcount stores.
-
-        ``token_map`` translates the tree's token-id space into this
-        graph's (None when the tables are shared). Prefix ids are
-        value-derived, so every table already agrees on them — a
-        foreign tree's columns count straight into the stores with no
-        translation. Interior columns and the leaf fringe increment
-        refcounts through the C counting loop — a column whose edge is
-        new to the graph becomes its whole store in one
-        ``dict.fromkeys`` (columns are sets, so every initial count is
-        1). The site-root link carries the union of the root-adjacent
-        columns, as in the original builder; those columns are read off
-        the tree's root adjacency up front so the per-edge loop stays
-        comparison-free.
-        """
-        self._invalidate_cache()
-        self._adj_dirty = True
-        edges = self._edges
-        root_id = tree._root_id
-        collect_root = self.site_root is not None
-        root_union: IdSet = IdSet()
-        if collect_root:
-            base = tree._root_id << EDGE_SHIFT
-            for child in tree._children.get(tree._root_id, ()):
-                root_union.update(tree._edges[base | child])
-        if token_map is None:
-            for eid, column in tree._edges.items():
-                store = edges.get(eid)
-                if store is None:
-                    edges[eid] = dict.fromkeys(column, 1)
-                else:
-                    _count_elements(store, column)
-        else:
-            root_id = token_map[root_id]
-            for eid, column in tree._edges.items():
-                parent = token_map[eid >> EDGE_SHIFT]
-                child = token_map[eid & EDGE_MASK]
-                eid = (parent << EDGE_SHIFT) | child
-                store = edges.get(eid)
-                if store is None:
-                    edges[eid] = dict.fromkeys(column, 1)
-                else:
-                    _count_elements(store, column)
-        fringe = self._fringe
-        for tail, leaf_members in tree._leaves.items():
-            if token_map is not None:
-                tail = token_map[tail]
-            store = fringe.get(tail)
-            if store is None:
-                fringe[tail] = dict.fromkeys(leaf_members, 1)
-            else:
-                _count_elements(store, leaf_members)
-        if collect_root and root_union:
-            site_root = self.site_root
-            assert site_root is not None
-            site_id = self._symbols.intern_token(site_root)
-            eid = (site_id << EDGE_SHIFT) | root_id
-            store = edges.get(eid)
-            if store is None:
-                edges[eid] = store = {}
-            _count_elements(store, root_union)
-            self._has_site_edge = True
-
     def merge_view(
         self,
         router_groups: Iterable,
@@ -259,15 +171,16 @@ class TampGraph:
         :meth:`AdjRibIn.grouped_entries
         <repro.bgp.rib.AdjRibIn.grouped_entries>` maintains).
 
-        Equivalent to building each router's :class:`TampTree` against
-        this graph's table and merging it, without materializing the
-        intermediate columns. The equivalence rests on RIB uniqueness —
-        a route table holds at most one route per (router, prefix), so
-        every (edge, prefix) pair occurs at most once per router and
-        per-group increments equal per-tree set merges. Callers passing
-        a table with duplicate prefixes per router would double-count;
-        every route source in this project (RIBs, replayed event
-        tables) satisfies the invariant.
+        Equivalent to building each router's tree and merging it by
+        prefix-set union (the object-level oracle,
+        :func:`repro.tamp.reference.reference_picture`), without
+        materializing any per-router tree. The equivalence rests on RIB
+        uniqueness — a route table holds at most one route per (router,
+        prefix), so every (edge, prefix) pair occurs at most once per
+        router and per-group increments equal per-tree set merges.
+        Callers passing a table with duplicate prefixes per router would
+        double-count; every route source in this project (RIBs, replayed
+        event tables) satisfies the invariant.
 
         *chain_cache* memoizes interned chains per attribute bundle
         (see :func:`repro.tamp.tree.chain_ids`); pass one shared dict
@@ -328,8 +241,8 @@ class TampGraph:
         Concatenated chain/root buckets carry cross-group (and the
         chain buckets cross-router) multiplicity, so fresh stores are
         counted up from empty rather than ``dict.fromkeys`` — the
-        refcounts, not just the weights, stay identical to the
-        per-tree merge.
+        refcounts, not just the weights, stay identical to merging
+        per-router trees.
         """
         self._invalidate_cache()
         self._adj_dirty = True
@@ -365,9 +278,7 @@ class TampGraph:
                 if bucket is None:
                     chain = chain_cache.get(attributes)
                     if chain is None:
-                        chain = chain_ids(
-                            symbols, chain_cache, root, None, attributes
-                        )
+                        chain = chain_ids(symbols, chain_cache, attributes)
                     by_chain[attributes] = bucket = [chain, pids]
                 else:
                     chain = bucket[0]
@@ -511,47 +422,12 @@ class TampGraph:
             return True
         return False
 
-    def discard_prefix(
-        self, parent: Token, child: Token, prefix: Prefix
-    ) -> bool:
-        """Remove one route's contribution (refcount −1).
+    def discard_prefix_ids(self, edge_id: int, pid: int) -> bool:
+        """Drop one route's *pid* from an edge (refcount −1).
 
         Returns True when the prefix actually left the edge (its last
         reference dropped) — the signal the animator colors edges by.
         """
-        symbols = self._symbols
-        parent_id = symbols.token_id(parent)
-        child_id = symbols.token_id(child)
-        if parent_id is None:
-            return False
-        pid = symbols.prefix_id(prefix)
-        if child_id is not None:
-            eid = (parent_id << EDGE_SHIFT) | child_id
-            if eid in self._edges:
-                return self.discard_prefix_ids(eid, pid)
-        if child[0] == "pfx" and child[1] == prefix:
-            return self._fringe_discard(parent_id, pid)
-        return False
-
-    def _fringe_discard(self, tail: int, pid: int) -> bool:
-        """Drop one reference to leaf *pid* under *tail* (True = gone)."""
-        store = self._fringe.get(tail)
-        if store is None:
-            return False
-        count = store.get(pid)
-        if count is None:
-            return False
-        if count > 1:
-            store[pid] = count - 1
-            return False
-        del store[pid]
-        if not store:
-            del self._fringe[tail]
-        self._invalidate_cache()
-        return True
-
-    def discard_prefix_ids(self, edge_id: int, pid: int) -> bool:
-        """Id-level :meth:`discard_prefix`."""
         store = self._edges.get(edge_id)
         if store is None:
             return False
@@ -613,25 +489,13 @@ class TampGraph:
             if not parents:
                 del self._parents[child]
 
-    def adopt_edge(
-        self, parent: Token, child: Token, prefixes: dict[Prefix, int]
-    ) -> None:
+    def adopt_edge_ids(self, edge_id: int, store: dict[int, int]) -> None:
         """Install an edge with a copy of an existing refcount map.
 
         The bulk transfer used when deriving one graph from another
-        (pruning builds its survivor graph this way).
-        """
-        intern_prefix = self._symbols.intern_prefix
-        self.adopt_edge_ids(
-            self.intern_pair(parent, child),
-            {intern_prefix(p): count for p, count in prefixes.items()},
-        )
-
-    def adopt_edge_ids(self, edge_id: int, store: dict[int, int]) -> None:
-        """Id-level :meth:`adopt_edge`.
-
-        Only valid between graphs sharing a symbol table (pruning: the
-        survivor graph is constructed with ``symbols=graph.symbols``).
+        (pruning builds its survivor graph this way). Only valid between
+        graphs sharing a symbol table (the survivor graph is constructed
+        with ``symbols=graph.symbols``).
         """
         self._edges[edge_id] = dict(store)
         if not self._adj_dirty:

@@ -352,9 +352,9 @@ class IncrementalTamp:
         self, peer: int, prefix: Prefix, attrs: PathAttributes
     ) -> None:
         pid = self.graph.symbols.prefix_id(prefix)
-        discard_prefix = self.graph.discard_prefix_ids
+        discard = self.graph.discard_prefix_ids
         removes = self._removes
         for eid in self._ids_for(peer, prefix, attrs):
-            if discard_prefix(eid, pid):
+            if discard(eid, pid):
                 removes[eid] = removes.get(eid, 0) + 1
                 self.pulse_total += 1

@@ -92,18 +92,15 @@ def _weight_cutoff(threshold: float, total: int) -> int:
     return cutoff
 
 
-def _survivors(
-    graph: TampGraph, keep: _Keep, use_depths: bool = True
-) -> TampGraph:
+def _survivors(graph: TampGraph, keep: _Keep) -> TampGraph:
     """A new graph with the edges *keep*(parent, parent depth, weight)
     accepts."""
-    depth_of = graph._id_depths().get if use_depths else None
+    depth_of = graph._id_depths().get
     pruned = TampGraph(symbols=graph.symbols)
     pruned.site_root = graph.site_root
     for eid, store in graph._edges.items():
         parent = eid >> EDGE_SHIFT
-        depth = depth_of(parent) if depth_of is not None else None
-        if keep(parent, depth, len(store)):
+        if keep(parent, depth_of(parent), len(store)):
             pruned.adopt_edge_ids(eid, store)
     # The leaf fringe: every leaf edge weighs exactly 1, so one
     # keep(tail, depth, 1) call decides a tail's whole fringe. Survivors
@@ -112,8 +109,7 @@ def _survivors(
     # sweep's token-level edge removal works uniformly on them.
     symbols = graph.symbols
     for tail, fstore in graph.fringe_stores():
-        depth = depth_of(tail) if depth_of is not None else None
-        if not keep(tail, depth, 1):
+        if not keep(tail, depth_of(tail), 1):
             continue
         base = tail << EDGE_SHIFT
         pfx_token_id = symbols.pfx_token_id

@@ -28,7 +28,7 @@ from repro.tamp.tree import Edge, route_path_tokens
 
 
 class ReferenceTampTree:
-    """The pre-interning :class:`repro.tamp.TampTree` (object sets)."""
+    """One router's TAMP tree over object prefix sets (Figure 1(a)/(b))."""
 
     __slots__ = ("root", "include_prefix_leaves", "_edges", "_children")
 

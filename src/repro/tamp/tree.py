@@ -1,33 +1,29 @@
-"""Per-router TAMP trees.
+"""The node chain of a TAMP route, and its interned form.
 
 A router's TAMP tree represents the BGP routes it knows at one moment:
 the root is the router, linked to each BGP nexthop of its routes; each
 nexthop links to the AS it services; ASes link downstream along the AS
-path; leaf ASes link to the prefixes they advertise (Figure 1). Every
-edge remembers the *set* of prefixes carried, so the merge step can take
-unions instead of mis-adding counts.
+path; leaf ASes link to the prefixes they advertise (Figure 1). This
+module holds only the per-route piece of that tree:
+
+* :func:`route_path_tokens` — the token chain one route threads, as the
+  object-level oracle (:mod:`repro.tamp.reference`) and the incremental
+  maintainer (:mod:`repro.tamp.incremental`) walk it;
+* :func:`chain_ids` — the same chain after the root, interned and
+  packed into edge ids, memoized per attribute bundle in a
+  :data:`ChainCache`; the batch build
+  (:meth:`repro.tamp.graph.TampGraph.merge_id_view`) folds whole views
+  through it without ever materializing a per-router tree.
 
 Nodes are the same (namespace, value) tokens Stemming uses — ``("router",
 name)``, ``("nh", address)``, ``("as", asn)``, ``("pfx", prefix)`` — which
 lets a Stemming stem be highlighted directly on a TAMP picture.
-
-Internally the tree is columnar and interned (DESIGN.md §10): tokens and
-prefixes are encoded through a per-build :class:`SymbolTable`, edges are
-packed int keys mapping to :class:`IdSet` columns of prefix ids, and the
-prefix-leaf fringe — by far the widest part of a realistic tree — is a
-single ``tail id → IdSet`` map instead of one edge entry per (tail,
-prefix) pair, exploiting the leaf invariant that the edge into a
-``("pfx", p)`` node carries exactly ``{p}``. Every public query decodes
-back to real tokens/prefixes, so callers never see an id.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
-
-from repro.bgp.rib import Route
 from repro.collector.events import Token
-from repro.interning import EDGE_MASK, EDGE_SHIFT, IdSet, SymbolTable
+from repro.interning import EDGE_SHIFT, SymbolTable
 from repro.net.attributes import PathAttributes
 from repro.net.prefix import Prefix
 
@@ -58,28 +54,23 @@ def route_path_tokens(
 
 
 def chain_ids(
-    symbols: SymbolTable,
-    cache: ChainCache,
-    root: Token,
-    prefix: Optional[Prefix],
-    attributes: PathAttributes,
+    symbols: SymbolTable, cache: ChainCache, attributes: PathAttributes
 ) -> tuple[int, tuple[int, ...], int]:
     """The interned post-root chain for a route, memoized in *cache*.
 
     Returns (id of the first node after the root, the packed edge ids
-    linking the chain after that node, id of the tail node). The root
-    itself is excluded — the cache entry depends only on the attribute
-    bundle, so trees with different roots can share one cache (the root
-    edge packs the caller's root id against the returned head id).
-    *prefix* is never part of the chain (the leaf fringe is stored
-    separately), so group-level callers may pass None.
+    linking the chain after that node, id of the tail node) — the
+    :func:`route_path_tokens` chain minus its root and prefix leaf.
+    Neither is part of the entry, so it depends only on the attribute
+    bundle and one cache serves every router of a build (the root edge
+    packs the caller's root id against the returned head id).
     """
     cached = cache.get(attributes)
     if cached is None:
-        chain = route_path_tokens(
-            root, prefix, attributes, include_prefix_leaf=False
+        ids = [symbols.intern_token(("nh", attributes.nexthop))]
+        ids.extend(
+            map(symbols.intern_token, attributes.as_path.collapsed_tokens())
         )
-        ids = list(map(symbols.intern_token, chain[1:]))
         cached = cache[attributes] = (
             ids[0],
             tuple(
@@ -89,247 +80,3 @@ def chain_ids(
             ids[-1],
         )
     return cached
-
-
-class TampTree:
-    """The virtual tree of one router's routes.
-
-    Structurally this is a general graph container (two routes can share
-    a tail), but built from a single router's routes it forms the paper's
-    tree. It is also the building block :class:`repro.tamp.graph.TampGraph`
-    merges.
-    """
-
-    __slots__ = (
-        "root",
-        "include_prefix_leaves",
-        "_symbols",
-        "_root_id",
-        "_chain_cache",
-        "_edges",
-        "_children",
-        "_leaves",
-    )
-
-    def __init__(
-        self,
-        router_name: str,
-        include_prefix_leaves: bool = True,
-        symbols: Optional[SymbolTable] = None,
-        chain_cache: Optional[ChainCache] = None,
-    ) -> None:
-        self.root: Token = ("router", router_name)
-        self.include_prefix_leaves = include_prefix_leaves
-        #: Per-build table; pass one in to share ids across the trees of
-        #: a shard so the merge step skips the id remap.
-        self._symbols = SymbolTable() if symbols is None else symbols
-        self._root_id = self._symbols.intern_token(self.root)
-        #: attrs bundle -> (head id, interior edge ids, tail id). Real
-        #: views share bundles massively across routers (~7% distinct in
-        #: the ISP-Anon profile), so a cache shared between the trees of
-        #: a build skips the tokenize+intern+pack work for repeat
-        #: bundles. Cached ids are only meaningful for the table that
-        #: produced them: share a cache only between trees sharing a
-        #: symbol table (as :mod:`repro.tamp.picture` does).
-        self._chain_cache: ChainCache = (
-            {} if chain_cache is None else chain_cache
-        )
-        #: Interior edges: packed (parent id, child id) -> prefix-id set.
-        self._edges: dict[int, IdSet] = {}
-        self._children: dict[int, set[int]] = {}
-        #: The prefix-leaf fringe: tail token id -> ids of the prefixes
-        #: hanging off it. Encodes the implicit edge (tail, ("pfx", p))
-        #: with prefix set {p} for each member — the leaf invariant that
-        #: lets a group's whole fringe land in one C-level set update.
-        self._leaves: dict[int, IdSet] = {}
-
-    @property
-    def symbols(self) -> SymbolTable:
-        """The tree's symbol table (shared with derived graphs)."""
-        return self._symbols
-
-    @classmethod
-    def from_routes(
-        cls,
-        router_name: str,
-        routes: Iterable[Route],
-        include_prefix_leaves: bool = True,
-        symbols: Optional[SymbolTable] = None,
-        chain_cache: Optional[ChainCache] = None,
-    ) -> "TampTree":
-        """Build a tree from a route table.
-
-        Routes are grouped by attribute bundle first: real RIBs share
-        bundles massively (BGP's wire format is built around it), and
-        all routes sharing a bundle thread the same node chain, so each
-        edge takes one bulk set update instead of a per-route insert.
-        """
-        tree = cls(router_name, include_prefix_leaves, symbols, chain_cache)
-        by_attrs: dict[PathAttributes, list[Prefix]] = {}
-        for route in routes:
-            by_attrs.setdefault(route.attributes, []).append(route.prefix)
-        for attributes, prefixes in by_attrs.items():
-            tree.add_route_group(prefixes, attributes)
-        return tree
-
-    def add_route_group(
-        self, prefixes: Iterable[Prefix], attributes: PathAttributes
-    ) -> None:
-        """Thread many routes sharing one attribute bundle."""
-        symbols = self._symbols
-        # Value-derived packed ids (pack_prefix inlined): two attribute
-        # loads and two shifts per prefix, no table probe through
-        # Prefix.__hash__.
-        pids = [
-            (p.length << 32) | (p.network >> (32 - p.length))
-            for p in prefixes
-        ]
-        head, interior, tail = chain_ids(
-            symbols, self._chain_cache, self.root, None, attributes
-        )
-        edges = self._edges
-        children = self._children
-        eid = (self._root_id << EDGE_SHIFT) | head
-        column = edges.get(eid)
-        if column is None:
-            edges[eid] = IdSet(pids)
-            children.setdefault(self._root_id, set()).add(head)
-        else:
-            column.update(pids)
-        for eid in interior:
-            column = edges.get(eid)
-            if column is None:
-                edges[eid] = IdSet(pids)
-                children.setdefault(eid >> EDGE_SHIFT, set()).add(
-                    eid & EDGE_MASK
-                )
-            else:
-                column.update(pids)
-        if self.include_prefix_leaves:
-            fringe = self._leaves.get(tail)
-            if fringe is None:
-                self._leaves[tail] = IdSet(pids)
-            else:
-                fringe.update(pids)
-
-    def add_route(self, prefix: Prefix, attributes: PathAttributes) -> None:
-        """Thread one route through the tree, weighting each edge."""
-        self.add_route_group([prefix], attributes)
-
-    def remove_route(self, prefix: Prefix, attributes: PathAttributes) -> None:
-        """Remove one route's contribution (for incremental maintenance)."""
-        symbols = self._symbols
-        pid = symbols.prefix_id(prefix)
-        chain = route_path_tokens(
-            self.root, prefix, attributes, include_prefix_leaf=False
-        )
-        ids: list[Optional[int]] = [self._root_id]
-        ids.extend(symbols.token_id(token) for token in chain[1:])
-        edges = self._edges
-        for parent, child in zip(ids, ids[1:]):
-            if parent is None or child is None:
-                continue
-            eid = (parent << EDGE_SHIFT) | child
-            column = edges.get(eid)
-            if column is None:
-                continue
-            column.discard(pid)
-            if not column:
-                del edges[eid]
-                children = self._children.get(parent)
-                if children is not None:
-                    children.discard(child)
-                    if not children:
-                        del self._children[parent]
-        tail = ids[-1]
-        if self.include_prefix_leaves and tail is not None:
-            fringe = self._leaves.get(tail)
-            if fringe is not None:
-                fringe.discard(pid)
-                if not fringe:
-                    del self._leaves[tail]
-
-    # ------------------------------------------------------------------
-    # Queries (the decode boundary — ids never escape)
-    # ------------------------------------------------------------------
-
-    def edges(self) -> Iterator[tuple[Edge, set[Prefix]]]:
-        symbols = self._symbols
-        token = symbols.token
-        prefix = symbols.prefix
-        for eid, column in self._edges.items():
-            yield (
-                (token(eid >> EDGE_SHIFT), token(eid & EDGE_MASK)),
-                set(map(prefix, column)),
-            )
-        for tail, fringe in self._leaves.items():
-            tail_token = token(tail)
-            for pid in fringe:
-                leaf = prefix(pid)
-                yield (tail_token, ("pfx", leaf)), {leaf}
-
-    def edge_prefixes(self, parent: Token, child: Token) -> set[Prefix]:
-        symbols = self._symbols
-        parent_id = symbols.token_id(parent)
-        if parent_id is None:
-            return set()
-        if child[0] == "pfx":
-            fringe = self._leaves.get(parent_id)
-            if fringe is not None:
-                pid = symbols.prefix_id(child[1])  # type: ignore[arg-type]
-                if pid in fringe:
-                    return {child[1]}  # type: ignore[set-item]
-        child_id = symbols.token_id(child)
-        if child_id is None:
-            return set()
-        column = self._edges.get((parent_id << EDGE_SHIFT) | child_id)
-        if column is None:
-            return set()
-        return set(map(symbols.prefix, column))
-
-    def weight(self, parent: Token, child: Token) -> int:
-        """Unique prefixes carried on the edge — the paper's edge weight."""
-        return len(self.edge_prefixes(parent, child))
-
-    def children(self, node: Token) -> set[Token]:
-        symbols = self._symbols
-        node_id = symbols.token_id(node)
-        if node_id is None:
-            return set()
-        token = symbols.token
-        found = {token(child) for child in self._children.get(node_id, ())}
-        fringe = self._leaves.get(node_id)
-        if fringe is not None:
-            prefix = symbols.prefix
-            found.update(("pfx", prefix(pid)) for pid in fringe)
-        return found
-
-    def nodes(self) -> set[Token]:
-        symbols = self._symbols
-        token = symbols.token
-        ids: set[int] = {self._root_id}
-        for eid in self._edges:
-            ids.add(eid >> EDGE_SHIFT)
-            ids.add(eid & EDGE_MASK)
-        found = set(map(token, ids))
-        prefix = symbols.prefix
-        for fringe in self._leaves.values():
-            found.update(("pfx", prefix(pid)) for pid in fringe)
-        return found
-
-    def total_prefixes(self) -> int:
-        """Distinct prefixes represented anywhere in the tree."""
-        seen: set[int] = set()
-        for column in self._edges.values():
-            seen |= column
-        for fringe in self._leaves.values():
-            seen |= fringe
-        return len(seen)
-
-    def edge_count(self) -> int:
-        return len(self._edges) + sum(
-            len(fringe) for fringe in self._leaves.values()
-        )
-
-    def __len__(self) -> int:
-        return self.edge_count()

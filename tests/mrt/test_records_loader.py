@@ -221,22 +221,14 @@ class TestRibRoundTrip:
 
     def test_tamp_picture_from_mrt(self, tmp_path):
         """The point of the package: a RIB file drives a TAMP picture."""
-        from repro.net.prefix import format_address
-        from repro.tamp.graph import TampGraph
+        from repro.tamp.picture import picture_from_rex
         from repro.tamp.prune import prune_flat
-        from repro.tamp.tree import TampTree
 
         rex = RouteExplorer()
         populate_view(rex, 1000, BERKELEY_PROFILE, routes_per_prefix=1.8)
         path = tmp_path / "rib.mrt"
         dump_rib(rex, path)
         restored = load_rib(path)
-        trees = [
-            TampTree.from_routes(
-                format_address(peer), restored.rib(peer).routes()
-            )
-            for peer in restored.peers()
-        ]
-        graph = prune_flat(TampGraph.merge(trees, site_name="mrt"))
+        graph = prune_flat(picture_from_rex(restored, "mrt"))
         assert graph.total_prefixes() > 0
         assert graph.edge_count() > 0

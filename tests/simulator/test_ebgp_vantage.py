@@ -11,10 +11,8 @@ import pytest
 
 from repro.simulator.workloads import EBGP_VANTAGE_ASES, EbgpVantage
 from repro.stemming.stemmer import Stemmer
-from repro.tamp.graph import TampGraph
+from repro.tamp.picture import picture_from_rex
 from repro.tamp.prune import prune_flat
-from repro.tamp.tree import TampTree
-from repro.net.prefix import format_address
 
 
 @pytest.fixture(scope="module")
@@ -45,15 +43,9 @@ class TestConstruction:
 
 class TestTampOverEbgp:
     def test_merged_picture_spans_ases(self, vantage):
-        trees = [
-            TampTree.from_routes(
-                format_address(peer),
-                vantage.rex.rib(peer).routes(),
-                include_prefix_leaves=False,
-            )
-            for peer in vantage.rex.peers()
-        ]
-        graph = TampGraph.merge(trees, site_name="route-views")
+        graph = picture_from_rex(
+            vantage.rex, "route-views", include_prefix_leaves=False
+        )
         pruned = prune_flat(graph)
         # Every vantage AS carries 100% of prefixes on its first edge.
         for asn in vantage.peer_ases:

@@ -6,38 +6,52 @@ merged graph's NexthopA–AS1 edge must weigh 4 — the size of the *union*
 per-router counts.
 """
 
+from repro.bgp.rib import Route
 from repro.net.aspath import ASPath
 from repro.net.attributes import PathAttributes
 from repro.net.prefix import Prefix, parse_address
 from repro.tamp.graph import TampGraph
-from repro.tamp.tree import TampTree
+from repro.tamp.picture import build_picture
 
 NEXTHOP_A = parse_address("10.0.0.1")
 NEXTHOP_B = parse_address("10.0.0.2")
 
 
-def attrs(nexthop: int, path: str) -> PathAttributes:
-    return PathAttributes(nexthop=nexthop, as_path=ASPath.parse(path))
+def route(prefix: str, nexthop: int, path: str) -> Route:
+    return Route(
+        Prefix.parse(prefix),
+        PathAttributes(nexthop=nexthop, as_path=ASPath.parse(path)),
+    )
 
 
-def build_x() -> TampTree:
-    """Router X: three prefixes via NexthopA/AS1, one via NexthopB/AS2-AS3."""
-    tree = TampTree("X")
-    tree.add_route(Prefix.parse("1.2.1.0/24"), attrs(NEXTHOP_A, "1"))
-    tree.add_route(Prefix.parse("1.2.2.0/24"), attrs(NEXTHOP_A, "1"))
-    tree.add_route(Prefix.parse("1.2.3.0/24"), attrs(NEXTHOP_A, "1"))
-    tree.add_route(Prefix.parse("1.3.1.0/24"), attrs(NEXTHOP_B, "2 3"))
-    return tree
+#: Router X: three prefixes via NexthopA/AS1, one via NexthopB/AS2-AS3.
+X_ROUTES = [
+    route("1.2.1.0/24", NEXTHOP_A, "1"),
+    route("1.2.2.0/24", NEXTHOP_A, "1"),
+    route("1.2.3.0/24", NEXTHOP_A, "1"),
+    route("1.3.1.0/24", NEXTHOP_B, "2 3"),
+]
+
+#: Router Y: overlaps X on two AS1 prefixes, adds 1.2.4.0/24.
+Y_ROUTES = [
+    route("1.2.2.0/24", NEXTHOP_A, "1"),
+    route("1.2.3.0/24", NEXTHOP_A, "1"),
+    route("1.2.4.0/24", NEXTHOP_A, "1"),
+    route("1.3.1.0/24", NEXTHOP_B, "2 3"),
+]
 
 
-def build_y() -> TampTree:
-    """Router Y: overlaps X on two AS1 prefixes, adds 1.2.4.0/24."""
-    tree = TampTree("Y")
-    tree.add_route(Prefix.parse("1.2.2.0/24"), attrs(NEXTHOP_A, "1"))
-    tree.add_route(Prefix.parse("1.2.3.0/24"), attrs(NEXTHOP_A, "1"))
-    tree.add_route(Prefix.parse("1.2.4.0/24"), attrs(NEXTHOP_A, "1"))
-    tree.add_route(Prefix.parse("1.3.1.0/24"), attrs(NEXTHOP_B, "2 3"))
-    return tree
+def build_x() -> TampGraph:
+    """Router X's tree: the picture of its routes alone."""
+    return build_picture([("X", X_ROUTES)])
+
+
+def build_y() -> TampGraph:
+    return build_picture([("Y", Y_ROUTES)])
+
+
+def merged(site_name=None) -> TampGraph:
+    return build_picture([("X", X_ROUTES), ("Y", Y_ROUTES)], site_name)
 
 
 class TestPerRouterTrees:
@@ -60,12 +74,12 @@ class TestPerRouterTrees:
 class TestMergedGraph:
     def test_union_not_sum(self):
         """The Figure 1(c) check: NexthopA-AS1 weighs 4, not 6."""
-        merged = TampGraph.merge([build_x(), build_y()])
-        assert merged.weight(("nh", NEXTHOP_A), ("as", 1)) == 4
+        graph = merged()
+        assert graph.weight(("nh", NEXTHOP_A), ("as", 1)) == 4
 
     def test_union_contents(self):
-        merged = TampGraph.merge([build_x(), build_y()])
-        prefixes = merged.edge_prefixes(("nh", NEXTHOP_A), ("as", 1))
+        graph = merged()
+        prefixes = graph.edge_prefixes(("nh", NEXTHOP_A), ("as", 1))
         assert prefixes == frozenset(
             {
                 Prefix.parse("1.2.1.0/24"),
@@ -76,20 +90,20 @@ class TestMergedGraph:
         )
 
     def test_router_edges_stay_per_router(self):
-        merged = TampGraph.merge([build_x(), build_y()])
-        assert merged.weight(("router", "X"), ("nh", NEXTHOP_A)) == 3
-        assert merged.weight(("router", "Y"), ("nh", NEXTHOP_A)) == 3
+        graph = merged()
+        assert graph.weight(("router", "X"), ("nh", NEXTHOP_A)) == 3
+        assert graph.weight(("router", "Y"), ("nh", NEXTHOP_A)) == 3
 
     def test_shared_tail_edge(self):
-        merged = TampGraph.merge([build_x(), build_y()])
+        graph = merged()
         # Both routers route 1.3.1.0/24 via AS2-AS3: union size 1.
-        assert merged.weight(("as", 2), ("as", 3)) == 1
+        assert graph.weight(("as", 2), ("as", 3)) == 1
 
     def test_site_root(self):
-        merged = TampGraph.merge([build_x(), build_y()], site_name="site")
-        assert merged.weight(("root", "site"), ("router", "X")) == 4
-        assert merged.roots() == [("root", "site")]
+        graph = merged(site_name="site")
+        assert graph.weight(("root", "site"), ("router", "X")) == 4
+        assert graph.roots() == [("root", "site")]
 
     def test_total_prefixes_of_merge(self):
-        merged = TampGraph.merge([build_x(), build_y()])
-        assert merged.total_prefixes() == 5
+        graph = merged()
+        assert graph.total_prefixes() == 5

@@ -7,6 +7,7 @@ rows next to the published ones.
 
 import pytest
 
+from repro.analysis.case_studies import site_tamp_graph
 from repro.bgp.rib import Route
 from repro.net.prefix import parse_address
 from repro.scenarios.paper import (
@@ -25,30 +26,7 @@ from repro.simulator.workloads import (
     BerkeleySite,
 )
 from repro.tamp.animate import EdgeState, animate_stream
-from repro.tamp.graph import TampGraph
 from repro.tamp.prune import prune_flat, prune_hierarchical
-from repro.tamp.tree import TampTree
-
-
-def site_graph(site: BerkeleySite, routes=None) -> TampGraph:
-    """Merge per-peer TAMP trees from REX's current tables."""
-    trees = []
-    for peer in site.rex.peers():
-        rib = site.rex.rib(peer)
-        routes_for_peer = list(rib.routes())
-        if routes is not None:
-            routes_for_peer = [
-                r for r in routes_for_peer if routes(r)
-            ]
-        trees.append(
-            TampTree.from_routes(
-                f"{peer >> 24 & 255}.{peer >> 16 & 255}."
-                f"{peer >> 8 & 255}.{peer & 255}",
-                routes_for_peer,
-                include_prefix_leaves=False,
-            )
-        )
-    return TampGraph.merge(trees, site_name="Berkeley")
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +37,7 @@ def berkeley():
 class TestFigure2Picture:
     def test_calren_carries_everything(self, berkeley):
         """Figure 2: 100% of prefixes come from CalREN."""
-        graph = prune_flat(site_graph(berkeley))
+        graph = prune_flat(site_tamp_graph(berkeley))
         # Sum over edges into AS 11423 (from any nexthop): every prefix.
         carried = set()
         for (parent, child), prefixes in graph.edges():
@@ -69,12 +47,12 @@ class TestFigure2Picture:
 
     def test_qwest_carries_about_80_percent(self, berkeley):
         """Figure 2: ~80% of prefixes via the commodity Internet / QWest."""
-        graph = site_graph(berkeley)
+        graph = site_tamp_graph(berkeley)
         fraction = graph.edge_fraction(("as", AS_CALREN), ("as", AS_QWEST))
         assert fraction == pytest.approx(0.83, abs=0.05)
 
     def test_abilene_carries_about_6_percent(self, berkeley):
-        graph = site_graph(berkeley)
+        graph = site_tamp_graph(berkeley)
         # Abilene hangs off CalREN's research AS 11422.
         fraction = graph.edge_fraction(("as", 11422), ("as", AS_ABILENE))
         assert fraction == pytest.approx(0.06, abs=0.02)
@@ -82,7 +60,7 @@ class TestFigure2Picture:
     def test_load_split_misconfiguration_visible(self, berkeley):
         """Section IV-A: .66 carries 78%, .70 carries 5% — visible as edge
         weights in the picture, invisible in 'show ip bgp'."""
-        graph = site_graph(berkeley)
+        graph = site_tamp_graph(berkeley)
         nh66 = parse_address("128.32.0.66")
         nh70 = parse_address("128.32.0.70")
         total = graph.total_prefixes()
@@ -92,7 +70,7 @@ class TestFigure2Picture:
         assert w70 == pytest.approx(0.05, abs=0.02)
 
     def test_default_prune_keeps_picture_small(self, berkeley):
-        raw = site_graph(berkeley)
+        raw = site_tamp_graph(berkeley)
         pruned = prune_flat(raw)
         assert pruned.edge_count() < raw.edge_count()
         assert pruned.edge_count() <= 40
@@ -102,7 +80,7 @@ class TestFigure5Backdoor:
     def test_backdoor_hidden_flat_exposed_hierarchical(self):
         site = BerkeleySite(n_prefixes=400)
         backdoor_routes(site)
-        graph = site_graph(site)
+        graph = site_tamp_graph(site)
         flat = prune_flat(graph)
         nh_backdoor = parse_address("169.229.0.157")
         assert ("nh", nh_backdoor) not in flat.nodes()
@@ -115,9 +93,11 @@ class TestFigure6CommunitySubset:
     def test_tagged_subset_shows_mistag_split(self, berkeley):
         """TAMP of only the 2152:65297-tagged routes: ~32% Los Nettos,
         ~68% KDDI."""
-        graph = site_graph(
+        graph = site_tamp_graph(
             berkeley,
-            routes=lambda r: COMM_CENIC_LAAP in r.attributes.communities,
+            route_filter=lambda r: (
+                COMM_CENIC_LAAP in r.attributes.communities
+            ),
         )
         total = graph.total_prefixes()
         ln = graph.weight(("as", 2152), ("as", AS_LOS_NETTOS)) / total

@@ -8,9 +8,8 @@ from repro.collector.events import BGPEvent, EventKind
 from repro.net.aspath import ASPath
 from repro.net.attributes import PathAttributes
 from repro.net.prefix import Prefix, parse_address
-from repro.tamp.graph import TampGraph
 from repro.tamp.incremental import IncrementalTamp
-from repro.tamp.tree import TampTree
+from repro.tamp.picture import build_picture
 
 PEER_A = parse_address("128.32.1.3")
 PEER_B = parse_address("128.32.1.200")
@@ -301,17 +300,24 @@ class TestIdLevelCounts:
     def test_batch_merged_graphs_count_their_leaf_fringe(self, ops, site):
         """A merged graph keeps prefix leaves in the fringe, not as
         edges; a leaf is one node however many tails reach it."""
-        trees = {peer: TampTree(str(peer)) for peer in GRID_PEERS}
         held: dict = {}
         for op in ops:
             if op[0] == "announce":
                 _, peer, prefix, path = op
-                if (peer, prefix) in held:
-                    trees[peer].remove_route(prefix, held[peer, prefix])
                 held[peer, prefix] = attrs(path)
-                trees[peer].add_route(prefix, held[peer, prefix])
-        graph = TampGraph.merge(
-            trees.values(), site_name="site" if site else None
+        graph = build_picture(
+            [
+                (
+                    str(peer),
+                    [
+                        Route(prefix, route_attrs)
+                        for (owner, prefix), route_attrs in held.items()
+                        if owner == peer
+                    ],
+                )
+                for peer in GRID_PEERS
+            ],
+            "site" if site else None,
         )
         assert graph.node_count() == len(graph.nodes())
         assert graph.total_prefixes() == len(graph.all_prefixes())

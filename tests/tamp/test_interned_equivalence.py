@@ -19,10 +19,15 @@ against mutate-after-read staleness.
 import hashlib
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.bgp.rib import Route
 from repro.collector.events import BGPEvent, EventKind
 from repro.collector.rex import RouteExplorer
-from repro.net.prefix import Prefix, format_address
+from repro.net.aspath import ASPath
+from repro.net.attributes import PathAttributes
+from repro.net.prefix import Prefix, format_address, parse_address
 from repro.simulator.synthetic import (
     BERKELEY_PROFILE,
     ISP_ANON_PROFILE,
@@ -37,14 +42,31 @@ from repro.tamp.picture import (
 )
 from repro.tamp.prune import prune_flat
 from repro.tamp.render import render_svg
-from repro.tamp.reference import reference_picture, reference_prune_flat
-from repro.tamp.tree import TampTree
+from repro.tamp.reference import (
+    ReferenceTampGraph,
+    ReferenceTampTree,
+    reference_picture,
+    reference_prune_flat,
+)
 
 #: profile, route count, routes-per-prefix (Berkeley has only 4 peers,
 #: so its multi-homing factor must stay below that).
 PROFILES = {
     "berkeley": (BERKELEY_PROFILE, 1_200, 1.8),
     "isp-anon": (ISP_ANON_PROFILE, 6_000, 7.5),
+}
+
+
+#: The small generated views' vocabulary: two nexthops, paths that
+#: share prefixes of each other, a prepended one and an empty one.
+NEXTHOPS = (parse_address("10.0.0.1"), parse_address("10.0.0.2"))
+PATHS = ("1", "1 2", "1 2 3", "2 3", "3 3 4", "")
+SMALL_ATTRS = {
+    (nexthop, path): PathAttributes(
+        nexthop=nexthop, as_path=ASPath.parse(path)
+    )
+    for nexthop in NEXTHOPS
+    for path in PATHS
 }
 
 
@@ -94,19 +116,48 @@ class TestInternedMatchesReference:
             ref_pruned, profile_name
         )
 
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 2), st.integers(0, 5)),
+            st.tuples(st.sampled_from(NEXTHOPS), st.sampled_from(PATHS)),
+            max_size=18,
+        ),
+        st.sampled_from(["site", None]),
+        st.booleans(),
+    )
+    def test_build_picture_matches_reference(self, view, site, leaves):
+        """Generated multi-router views, one route per (router, prefix):
+        the fused build equals the oracle's tree-then-merge build."""
+        groups = [
+            (
+                f"r{router}",
+                [
+                    Route(
+                        Prefix(0x0A000000 + index * 256, 24),
+                        SMALL_ATTRS[key],
+                    )
+                    for (owner, index), key in view.items()
+                    if owner == router
+                ],
+            )
+            for router in range(3)
+        ]
+        reference = reference_picture(groups, site, leaves, threshold=None)
+        interned = build_picture(groups, site, leaves)
+        assert decoded(interned) == decoded(reference)
+        assert dict(interned.raw_edges()) == dict(reference.raw_edges())
+        assert interned.total_prefixes() == reference.total_prefixes()
+
     def test_merge_tree_matches_fused_path(self):
-        """merge_view (fused) == from_routes + merge_tree (columnar)."""
+        """Router-at-a-time merge_view (fused) == the oracle's
+        from_routes + merge_tree."""
         groups = route_groups("berkeley")
         fused = TampGraph("site")
         for name, routes in groups:
             merge_one_router(fused, name, routes)
-        columnar = TampGraph("site")
+        columnar = ReferenceTampGraph("site")
         for name, routes in groups:
-            columnar.merge_tree(
-                TampTree.from_routes(
-                    name, routes, symbols=columnar.symbols
-                )
-            )
+            columnar.merge_tree(ReferenceTampTree.from_routes(name, routes))
         assert decoded(fused) == decoded(columnar)
         assert dict(fused.raw_edges()) == dict(columnar.raw_edges())
 
@@ -173,11 +224,14 @@ class TestTotalPrefixesCache:
         assert graph.total_prefixes() == 2
         graph.add_prefix(b, c, Prefix(0x0B000000, 24))
         assert graph.total_prefixes() == 2
-        graph.discard_prefix(a, b, Prefix(0x0A000000, 24))
+        ab, bc = graph.intern_pair(a, b), graph.intern_pair(b, c)
+        first = graph.symbols.intern_prefix(Prefix(0x0A000000, 24))
+        second = graph.symbols.intern_prefix(Prefix(0x0B000000, 24))
+        graph.discard_prefix_ids(ab, first)
         assert graph.total_prefixes() == 1
-        graph.discard_prefix(b, c, Prefix(0x0B000000, 24))
+        graph.discard_prefix_ids(bc, second)
         assert graph.total_prefixes() == 1
-        graph.discard_prefix(a, b, Prefix(0x0B000000, 24))
+        graph.discard_prefix_ids(ab, second)
         assert graph.total_prefixes() == 0
 
     def test_merge_invalidates_cached_total(self):
@@ -191,18 +245,3 @@ class TestTotalPrefixesCache:
         fresh = build_picture(groups, "site")
         assert graph.total_prefixes() == fresh.total_prefixes()
         assert graph.total_prefixes() >= before
-
-    def test_merge_tree_invalidates_cached_total(self):
-        groups = route_groups("berkeley")
-        graph = TampGraph("site")
-        first = TampTree.from_routes(
-            groups[0][0], groups[0][1], symbols=graph.symbols
-        )
-        graph.merge_tree(first)
-        graph.total_prefixes()  # prime the cache
-        for name, routes in groups[1:]:
-            graph.merge_tree(
-                TampTree.from_routes(name, routes, symbols=graph.symbols)
-            )
-        fresh = build_picture(groups, "site")
-        assert graph.total_prefixes() == fresh.total_prefixes()

@@ -1,29 +1,29 @@
 """Unit tests for layout and rendering."""
 
+from repro.bgp.rib import Route
 from repro.net.aspath import ASPath
 from repro.net.attributes import PathAttributes
 from repro.net.prefix import Prefix, parse_address
 from repro.tamp.graph import TampGraph
 from repro.tamp.layout import edge_geometry, layout_graph
+from repro.tamp.picture import build_picture
 from repro.tamp.render import node_label, render_ascii, render_svg
-from repro.tamp.tree import TampTree
 
 NH = parse_address("128.32.0.66")
 
 
 def small_site(n_big: int = 80, n_small: int = 20) -> TampGraph:
-    tree = TampTree("edge-1-3", include_prefix_leaves=False)
-    for i in range(n_big):
-        tree.add_route(
-            Prefix(0x40000000 + i * 256, 24),
-            PathAttributes(nexthop=NH, as_path=ASPath.parse("11423 209 701")),
-        )
-    for i in range(n_small):
-        tree.add_route(
-            Prefix(0x41000000 + i * 256, 24),
-            PathAttributes(nexthop=NH, as_path=ASPath.parse("11423 2152")),
-        )
-    return TampGraph.merge([tree], site_name="Berkeley")
+    big = PathAttributes(nexthop=NH, as_path=ASPath.parse("11423 209 701"))
+    small = PathAttributes(nexthop=NH, as_path=ASPath.parse("11423 2152"))
+    routes = [
+        Route(Prefix(0x40000000 + i * 256, 24), big) for i in range(n_big)
+    ]
+    routes.extend(
+        Route(Prefix(0x41000000 + i * 256, 24), small) for i in range(n_small)
+    )
+    return build_picture(
+        [("edge-1-3", routes)], "Berkeley", include_prefix_leaves=False
+    )
 
 
 class TestLayout:

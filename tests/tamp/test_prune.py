@@ -2,34 +2,39 @@
 
 import pytest
 
+from repro.bgp.rib import Route
 from repro.net.aspath import ASPath
 from repro.net.attributes import PathAttributes
 from repro.net.prefix import Prefix, parse_address
 from repro.tamp.graph import TampGraph
+from repro.tamp.picture import build_picture
 from repro.tamp.prune import prune_flat, prune_hierarchical
-from repro.tamp.tree import TampTree
 
 NH_BIG = parse_address("10.0.0.1")
 NH_SMALL = parse_address("10.0.0.2")
 
 
+def routes(base: int, count: int, nexthop: int, path: str) -> list[Route]:
+    """*count* /24s from *base*, all over one nexthop and AS path."""
+    attributes = PathAttributes(nexthop=nexthop, as_path=ASPath.parse(path))
+    return [
+        Route(Prefix(base + i * 256, 24), attributes) for i in range(count)
+    ]
+
+
 def bulk_graph(big: int = 95, small: int = 5) -> TampGraph:
     """A site graph with one heavy path and one tiny (backdoor-like) path."""
-    tree = TampTree("edge", include_prefix_leaves=False)
-    for i in range(big):
-        tree.add_route(
-            Prefix(0x0A000000 + i * 256, 24),
-            PathAttributes(nexthop=NH_BIG, as_path=ASPath.parse("100 200")),
-        )
-    backdoor_tree = TampTree("backdoor-router", include_prefix_leaves=False)
-    for i in range(small):
-        backdoor_tree.add_route(
-            Prefix(0x0B000000 + i * 256, 24),
-            PathAttributes(
-                nexthop=NH_SMALL, as_path=ASPath.parse("7018 55001")
+    return build_picture(
+        [
+            ("edge", routes(0x0A000000, big, NH_BIG, "100 200")),
+            (
+                "backdoor-router",
+                routes(0x0B000000, small, NH_SMALL, "7018 55001"),
             ),
-        )
-    return TampGraph.merge([tree, backdoor_tree], site_name="site")
+        ],
+        "site",
+        include_prefix_leaves=False,
+    )
 
 
 class TestFlatPrune:
@@ -104,21 +109,18 @@ class TestHierarchicalPrune:
         assert not hierarchical.has_edge(("as", 7018), ("as", 55001))
 
     def test_growth_prunes_harder_with_depth(self):
-        tree = TampTree("r", include_prefix_leaves=False)
         # A chain: 10% of prefixes going through a long path.
-        for i in range(10):
-            tree.add_route(
-                Prefix(0x0B000000 + i * 256, 24),
-                PathAttributes(
-                    nexthop=NH_SMALL, as_path=ASPath.parse("1 2 3 4 5")
-                ),
-            )
-        for i in range(90):
-            tree.add_route(
-                Prefix(0x0A000000 + i * 256, 24),
-                PathAttributes(nexthop=NH_BIG, as_path=ASPath.parse("9")),
-            )
-        graph = TampGraph.merge([tree], site_name="site")
+        graph = build_picture(
+            [
+                (
+                    "r",
+                    routes(0x0B000000, 10, NH_SMALL, "1 2 3 4 5")
+                    + routes(0x0A000000, 90, NH_BIG, "9"),
+                )
+            ],
+            "site",
+            include_prefix_leaves=False,
+        )
         gentle = prune_hierarchical(
             graph, threshold=0.05, keep_depth=3, growth=1.0
         )

@@ -1,13 +1,16 @@
-"""Unit tests for TAMP trees and graphs beyond the Figure 1 example."""
+"""Unit tests for TAMP route chains and graphs beyond the Figure 1
+example."""
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.bgp.rib import Route
 from repro.net.aspath import ASPath
 from repro.net.attributes import PathAttributes
 from repro.net.prefix import Prefix, parse_address
 from repro.tamp.graph import TampGraph
-from repro.tamp.tree import TampTree, route_path_tokens
+from repro.tamp.picture import build_picture
+from repro.tamp.tree import route_path_tokens
 
 NH = parse_address("10.0.0.1")
 
@@ -17,6 +20,20 @@ def attrs(path: str, nexthop: int = NH) -> PathAttributes:
 
 
 P = Prefix.parse("192.0.2.0/24")
+OTHER = Prefix.parse("198.51.100.0/24")
+
+
+def pid(graph: TampGraph, prefix: Prefix) -> int:
+    return graph.symbols.intern_prefix(prefix)
+
+
+def thread(graph: TampGraph, prefix: Prefix, path: str, add: bool) -> None:
+    """Add or remove one route's chain, as the incremental maintainer
+    does: id-level refcount changes on every edge of the chain."""
+    chain = route_path_tokens(("router", "r"), prefix, attrs(path))
+    mutate = graph.add_prefix_ids if add else graph.discard_prefix_ids
+    for parent, child in zip(chain, chain[1:]):
+        mutate(graph.intern_pair(parent, child), pid(graph, prefix))
 
 
 class TestPathTokens:
@@ -55,25 +72,24 @@ class TestPathTokens:
 
 class TestTreeMaintenance:
     def test_remove_route_reverses_add(self):
-        tree = TampTree("r")
-        tree.add_route(P, attrs("1 2"))
-        tree.remove_route(P, attrs("1 2"))
-        assert tree.edge_count() == 0
-        assert tree.nodes() == {("router", "r")}
+        graph = TampGraph()
+        thread(graph, P, "1 2", add=True)
+        thread(graph, P, "1 2", add=False)
+        assert graph.edge_count() == 0
+        assert graph.total_prefixes() == 0
 
     def test_remove_keeps_shared_edges(self):
-        tree = TampTree("r")
-        other = Prefix.parse("198.51.100.0/24")
-        tree.add_route(P, attrs("1 2"))
-        tree.add_route(other, attrs("1 2"))
-        tree.remove_route(P, attrs("1 2"))
-        assert tree.weight(("as", 1), ("as", 2)) == 1
+        graph = TampGraph()
+        thread(graph, P, "1 2", add=True)
+        thread(graph, OTHER, "1 2", add=True)
+        thread(graph, P, "1 2", add=False)
+        assert graph.weight(("as", 1), ("as", 2)) == 1
 
     def test_children(self):
-        tree = TampTree("r")
-        tree.add_route(P, attrs("1 2"))
-        assert tree.children(("router", "r")) == {("nh", NH)}
-        assert tree.children(("as", 1)) == {("as", 2)}
+        graph = build_picture([("r", [Route(P, attrs("1 2"))])])
+        assert graph.children(("router", "r")) == {("nh", NH)}
+        assert graph.children(("as", 1)) == {("as", 2)}
+        assert graph.children(("as", 2)) == {("pfx", P)}
 
 
 class TestGraphOperations:
@@ -85,25 +101,24 @@ class TestGraphOperations:
 
     def test_discard_respects_refcounts(self):
         graph = TampGraph()
+        eid = graph.intern_pair(("as", 1), ("as", 2))
         graph.add_prefix(("as", 1), ("as", 2), P)
         graph.add_prefix(("as", 1), ("as", 2), P)
-        assert not graph.discard_prefix(("as", 1), ("as", 2), P)
+        assert not graph.discard_prefix_ids(eid, pid(graph, P))
         assert graph.weight(("as", 1), ("as", 2)) == 1
-        assert graph.discard_prefix(("as", 1), ("as", 2), P)
+        assert graph.discard_prefix_ids(eid, pid(graph, P))
         assert not graph.has_edge(("as", 1), ("as", 2))
 
     def test_discard_unknown_is_noop(self):
         graph = TampGraph()
-        assert not graph.discard_prefix(("as", 1), ("as", 2), P)
+        eid = graph.intern_pair(("as", 1), ("as", 2))
+        assert not graph.discard_prefix_ids(eid, pid(graph, P))
         graph.add_prefix(("as", 1), ("as", 2), P)
-        other = Prefix.parse("198.51.100.0/24")
-        assert not graph.discard_prefix(("as", 1), ("as", 2), other)
+        assert not graph.discard_prefix_ids(eid, pid(graph, OTHER))
+        assert graph.weight(("as", 1), ("as", 2)) == 1
 
     def test_depths(self):
-        graph = TampGraph("site")
-        tree = TampTree("r")
-        tree.add_route(P, attrs("1 2"))
-        graph.merge_tree(tree)
+        graph = build_picture([("r", [Route(P, attrs("1 2"))])], "site")
         depths = graph.depths()
         assert depths[("root", "site")] == 0
         assert depths[("router", "r")] == 1
@@ -113,16 +128,17 @@ class TestGraphOperations:
 
     def test_edge_fraction(self):
         graph = TampGraph()
-        other = Prefix.parse("198.51.100.0/24")
         graph.add_prefix(("as", 1), ("as", 2), P)
-        graph.add_prefix(("as", 1), ("as", 3), other)
+        graph.add_prefix(("as", 1), ("as", 3), OTHER)
         assert graph.edge_fraction(("as", 1), ("as", 2)) == 0.5
 
     def test_copy_is_independent(self):
         graph = TampGraph()
         graph.add_prefix(("as", 1), ("as", 2), P)
         duplicate = graph.copy()
-        duplicate.discard_prefix(("as", 1), ("as", 2), P)
+        duplicate.discard_prefix_ids(
+            duplicate.intern_pair(("as", 1), ("as", 2)), pid(duplicate, P)
+        )
         assert graph.has_edge(("as", 1), ("as", 2))
         assert not duplicate.has_edge(("as", 1), ("as", 2))
 
@@ -152,13 +168,16 @@ class TestMergeProperties:
         ),
     )
     def test_merged_weight_is_union_size(self, routes_x, routes_y):
+        """One-router pictures stand in for the per-router trees: every
+        merged edge carries the union of the routers' prefix sets."""
         prefixes = [Prefix(0x0A000000 + i * 256, 24) for i in range(6)]
-        x, y = TampTree("X"), TampTree("Y")
-        for idx, path in routes_x:
-            x.add_route(prefixes[idx], attrs(path))
-        for idx, path in routes_y:
-            y.add_route(prefixes[idx], attrs(path))
-        merged = TampGraph.merge([x, y])
+        x_routes = [Route(prefixes[i], attrs(path)) for i, path in routes_x]
+        y_routes = [Route(prefixes[i], attrs(path)) for i, path in routes_y]
+        x = build_picture([("X", x_routes)])
+        y = build_picture([("Y", y_routes)])
+        merged = build_picture([("X", x_routes), ("Y", y_routes)])
+        expected_edges = set(x.edge_list()) | set(y.edge_list())
+        assert set(merged.edge_list()) == expected_edges
         for (parent, child), merged_prefixes in merged.edges():
             expected = x.edge_prefixes(parent, child) | y.edge_prefixes(
                 parent, child
@@ -168,10 +187,11 @@ class TestMergeProperties:
 
     @given(st.lists(st.sampled_from(["1", "1 2", "1 2 3"]), max_size=15))
     def test_weight_bounded_by_total(self, paths):
-        tree = TampTree("r")
-        for i, path in enumerate(paths):
-            tree.add_route(Prefix(0x0A000000 + i * 256, 24), attrs(path))
-        graph = TampGraph.merge([tree])
+        routes = [
+            Route(Prefix(0x0A000000 + i * 256, 24), attrs(path))
+            for i, path in enumerate(paths)
+        ]
+        graph = build_picture([("r", routes)])
         total = graph.total_prefixes()
         for (parent, child), prefixes in graph.edges():
             assert len(prefixes) <= total
@@ -184,8 +204,7 @@ class TestTotalPrefixCache:
         graph = TampGraph()
         graph.add_prefix(("as", 1), ("as", 2), P)
         assert graph.total_prefixes() == 1
-        other = Prefix.parse("198.51.100.0/24")
-        graph.add_prefix(("as", 1), ("as", 2), other)
+        graph.add_prefix(("as", 1), ("as", 2), OTHER)
         assert graph.total_prefixes() == 2
 
     def test_refcount_bump_keeps_total(self):
@@ -200,37 +219,27 @@ class TestTotalPrefixCache:
         graph.add_prefix(("as", 1), ("as", 2), P)
         graph.add_prefix(("as", 1), ("as", 2), P)
         assert graph.total_prefixes() == 1
-        graph.discard_prefix(("as", 1), ("as", 2), P)
+        eid = graph.intern_pair(("as", 1), ("as", 2))
+        graph.discard_prefix_ids(eid, pid(graph, P))
         assert graph.total_prefixes() == 1  # one reference remains
-        graph.discard_prefix(("as", 1), ("as", 2), P)
+        graph.discard_prefix_ids(eid, pid(graph, P))
         assert graph.total_prefixes() == 0
 
     def test_remove_edge_invalidates(self):
         graph = TampGraph()
-        other = Prefix.parse("198.51.100.0/24")
         graph.add_prefix(("as", 1), ("as", 2), P)
-        graph.add_prefix(("as", 1), ("as", 3), other)
+        graph.add_prefix(("as", 1), ("as", 3), OTHER)
         assert graph.total_prefixes() == 2
         graph.remove_edge(("as", 1), ("as", 3))
         assert graph.total_prefixes() == 1
-
-    def test_merge_tree_invalidates(self):
-        graph = TampGraph("site")
-        first = TampTree("r1")
-        first.add_route(P, attrs("1 2"))
-        graph.merge_tree(first)
-        assert graph.total_prefixes() == 1
-        second = TampTree("r2")
-        second.add_route(Prefix.parse("198.51.100.0/24"), attrs("2 3"))
-        graph.merge_tree(second)
-        assert graph.total_prefixes() == 2
 
     def test_adopt_edge_invalidates(self):
         graph = TampGraph()
         graph.add_prefix(("as", 1), ("as", 2), P)
         assert graph.total_prefixes() == 1
-        other = Prefix.parse("198.51.100.0/24")
-        graph.adopt_edge(("as", 2), ("as", 3), {other: 2})
+        graph.adopt_edge_ids(
+            graph.intern_pair(("as", 2), ("as", 3)), {pid(graph, OTHER): 2}
+        )
         assert graph.total_prefixes() == 2
 
     def test_copy_carries_cache_safely(self):
@@ -238,7 +247,6 @@ class TestTotalPrefixCache:
         graph.add_prefix(("as", 1), ("as", 2), P)
         assert graph.total_prefixes() == 1
         duplicate = graph.copy()
-        other = Prefix.parse("198.51.100.0/24")
-        duplicate.add_prefix(("as", 1), ("as", 2), other)
+        duplicate.add_prefix(("as", 1), ("as", 2), OTHER)
         assert duplicate.total_prefixes() == 2
         assert graph.total_prefixes() == 1
