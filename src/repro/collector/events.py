@@ -43,21 +43,12 @@ def _json_number(value: float) -> str:
     return _encode_value(value)
 
 
-@lru_cache(maxsize=1 << 10)
 def _attributes_json(attrs: PathAttributes) -> str:
     """The attribute fields of :meth:`BGPEvent.to_json` — everything
     after ``"pfx"``, closing brace included.
 
     Every piece is digits, dots, colons, spaces, commas and braces, so
-    the fields are assembled as text: nothing needs escaping. Encoded
-    once per bundle in use: an event is encoded at admission and again
-    per checkpoint it changes a route in, and a burst repeats a few
-    bundles. Over the 20,000 events of the benchmark's 10×-overlap
-    stream (6,281 distinct bundles) 1,024 entries hit 66 % of the
-    time; on a 2-vCPU Xeon VM a miss costs ≈1.2 µs of assembly (≈4.8
-    µs through the encoder) and a hit ≈0.2 µs. The cache holds its
-    keys — about a kilobyte per bundle nothing else refers to any more
-    — so it stays this small.
+    the fields are assembled as text: nothing needs escaping.
     """
     text = (
         f'"nh":"{format_address(attrs.nexthop)}","path":"{attrs.as_path}"'
@@ -74,9 +65,54 @@ def _attributes_json(attrs: PathAttributes) -> str:
     return text + "}"
 
 
+#: :func:`_attributes_json` encoded once per bundle in use: an event is
+#: encoded at admission and again per checkpoint it changes a route in,
+#: and a burst repeats a few bundles. Over the 20,000 events of the
+#: benchmark's 10×-overlap stream (6,281 distinct bundles) 1,024 entries
+#: hit 66 % of the time; on a 2-vCPU Xeon VM a miss costs ≈1.2 µs of
+#: assembly (≈4.8 µs through the encoder) and a hit ≈0.2 µs. The cache
+#: holds its keys — about a kilobyte per bundle nothing else refers to
+#: any more — so it stays this small. Only a bundle whose ``local_pref``
+#: and ``med`` are exact ``int`` (or no MED) may take it: the cache
+#: answers for every *equal* bundle, and ``0``, ``0.0``, ``-0.0`` and
+#: ``False`` are equal numbers that write different text.
+_cached_attributes_json = lru_cache(maxsize=1 << 10)(_attributes_json)
+
+
 class EventKind(enum.Enum):
     ANNOUNCE = "A"
     WITHDRAW = "W"
+
+
+def event_json(
+    timestamp: float,
+    kind: EventKind,
+    peer: int,
+    prefix: Prefix,
+    attributes: PathAttributes,
+) -> str:
+    """The line :meth:`BGPEvent.to_json` writes for these fields: the
+    bytes ``json`` writes with ``separators=(",", ":")`` for the record
+    ``{"t", "k", "peer", "pfx", "nh", "path"}`` plus whichever of
+    ``"lp"``, ``"med"``, ``"comm"``, ``"origin"`` differ from the
+    defaults.
+
+    The one line assembler: a checkpoint writes its route table through
+    it without building a :class:`BGPEvent` per route.
+    """
+    med = attributes.med
+    fields = (
+        _cached_attributes_json(attributes)
+        if type(attributes.local_pref) is int
+        and (med is None or type(med) is int)
+        else _attributes_json(attributes)
+    )
+    # ``_value_`` is the member's plain attribute; ``.value`` goes
+    # through the enum's descriptor, ten times the cost.
+    return (
+        f'{{"t":{_json_number(timestamp)},"k":"{kind._value_}",'
+        f'"peer":"{format_address(peer)}","pfx":"{prefix}",{fields}'
+    )
 
 
 @dataclass(frozen=True)
@@ -164,15 +200,11 @@ class BGPEvent:
     # ------------------------------------------------------------------
 
     def to_json(self) -> str:
-        """One-line JSON record (stable field order for diffs): the
-        bytes ``json`` writes with ``separators=(",", ":")`` for the
-        record ``{"t", "k", "peer", "pfx", "nh", "path"}`` plus whichever
-        of ``"lp"``, ``"med"``, ``"comm"``, ``"origin"`` differ from the
-        defaults."""
-        return (
-            f'{{"t":{_json_number(self.timestamp)},"k":"{self.kind.value}",'
-            f'"peer":"{format_address(self.peer)}","pfx":"{self.prefix}",'
-            f"{_attributes_json(self.attributes)}"
+        """One-line JSON record (stable field order for diffs): see
+        :func:`event_json`."""
+        return event_json(
+            self.timestamp, self.kind, self.peer, self.prefix,
+            self.attributes,
         )
 
     @classmethod

@@ -59,15 +59,18 @@ _ID_PACKAGES = ("repro.stemming", "repro.tamp")
 #: chain re-render inside them is a regression.
 ID_HOT_FUNCTIONS = frozenset(
     {
-        # repro.stemming.counter — packed-pair bulk counting
+        # repro.stemming.counter — packed-pair bulk counting and the
+        # tie walk over winning pairs
         "add_ids",
         "add_id_counts",
         "subtract_id_sequences",
         "count_pairs",
         "distinct_pairs",
+        "rank_top",
+        "_candidate_windows",
         # repro.stemming.stemmer — interned grouping, the extraction's
         # working counts and the posting lists it asks
-        "_group_by_ids",
+        "_admit",
         "_working_counts",
         "_subtract_pairs",
         "post",
@@ -75,11 +78,15 @@ ID_HOT_FUNCTIONS = frozenset(
         "holding_any",
         "holding",
         "ending_in",
-        # repro.tamp.incremental / animate — id-keyed frame diffing
+        # repro.tamp.incremental / graph / animate — one-call route
+        # applies and id-keyed frame diffing
         "_install",
         "_withdraw",
         "_remove_contribution",
         "_ids_for",
+        "_memoize",
+        "add_route_ids",
+        "discard_route_ids",
         "animate_stream",
         # repro.tamp.svg_animation — id-keyed keyframe tracks
         "_edge_tracks",

@@ -169,10 +169,11 @@ class WindowedStemmer(Stage):
         #: when it held one window and nothing an eviction leaves
         #: behind; 0 until then.
         self._interned_at_close = 0
-        #: Events a close evicted from the buffer that the index still
-        #: holds: removing them waits for the next admission call, off
-        #: the path between a window's last event and its report.
-        self._parked: list[BGPEvent] = []
+        #: How many events a close evicted from the buffer that the
+        #: index still holds (its oldest ones): removing them waits for
+        #: the next admission call, off the path between a window's last
+        #: event and its report.
+        self._parked = 0
 
     # -- Stage interface ------------------------------------------------
 
@@ -312,10 +313,11 @@ class WindowedStemmer(Stage):
     def _evict(self) -> None:
         assert self._boundary is not None
         horizon = self._boundary - self.window
-        evicted: list[BGPEvent] = []
+        evicted = 0
         while self._buffer and self._buffer[0].timestamp < horizon:
-            evicted.append(self._buffer.popleft())
+            self._buffer.popleft()
             self._lines.popleft()
+            evicted += 1
         index = self._index
         if (
             index is not None
@@ -333,7 +335,7 @@ class WindowedStemmer(Stage):
     def _drop_index(self) -> None:
         self._index = None
         self._interned_at_close = 0
-        self._parked = []
+        self._parked = 0
 
     def _sync_index(self) -> Optional[StemIndex]:
         """Bring the sliding index level with the buffer: remove the
@@ -348,7 +350,7 @@ class WindowedStemmer(Stage):
             return index
         if self._parked:
             index.remove(self._parked)
-            self._parked = []
+            self._parked = 0
         unseen = len(buffer) - index.counter.event_count
         if unseen:
             tail = list(islice(reversed(buffer), unseen))

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Collection, Iterable, Iterator, Mapping, Optional
+from itertools import islice
+from operator import attrgetter
+from typing import Collection, Iterable, Mapping, Optional
 
 from repro.collector.events import BGPEvent, Token
 from repro.collector.stream import EventStream
@@ -29,7 +31,7 @@ from repro.stemming.counter import (
 from repro.stemming.encode import format_stem, stem_values
 
 #: An extraction's working set: the sequences not yet in a component.
-Alive = dict[IdSequence, list[BGPEvent]]
+Alive = dict[IdSequence, "_Bucket"]
 
 
 @dataclass(frozen=True)
@@ -253,9 +255,15 @@ class StemIndex:
     entry, so their events land in one bucket in arrival order.
 
     Batch Stemming loads one and drops it. The window stage keeps one
-    across closes — each event grouped and counted once, however many
-    windows it sits in — and, since the table and memos only grow
-    (:attr:`interned`), rebuilds it when they have doubled.
+    across closes — each event grouped and counted once, at admission,
+    however many windows it sits in — and, since the table and memos
+    only grow (:attr:`interned`), rebuilds it when they have doubled.
+    Beside the table the index keeps an admission log: for each held
+    event, in arrival order, a reference to its sequence's key in
+    ``by_ids`` (the very tuple, so the log costs one pointer per event).
+    Evictions pop the oldest events, so :meth:`remove` takes a count and
+    reads what to drop off the front of the log instead of grouping the
+    events again.
 
     A kept index also keeps :class:`_Postings` over its unique
     sequences, built (one pass over ``by_ids``) the first time an index
@@ -269,20 +277,23 @@ class StemIndex:
     """
 
     __slots__ = (
-        "symbols", "counter", "by_ids", "_peers", "_heads", "_pfx_ids",
-        "_postings",
+        "symbols", "counter", "by_ids", "_log", "_peers", "_heads",
+        "_pfx_ids", "_postings",
     )
 
     def __init__(self, max_length: Optional[int] = None) -> None:
         self.counter = SubsequenceCounter(max_length)
         self.symbols = self.counter.symbols
-        self.by_ids: dict[IdSequence, list[BGPEvent]] = {}
+        self.by_ids: dict[IdSequence, _Bucket] = {}
+        #: The admission log: each held event's ``by_ids`` key, oldest
+        #: first.
+        self._log: list[IdSequence] = []
         #: peer -> attributes -> (head, the head's scratch).
         self._peers: dict[int, dict] = {}
         #: head -> scratch (pfx id -> events), shared by every bundle
         #: rendering to that head; filled and emptied inside one
-        #: :meth:`_group_by_ids`.
-        self._heads: dict[IdSequence, dict[int, list[BGPEvent]]] = {}
+        #: :meth:`_admit`.
+        self._heads: dict[IdSequence, dict[int, _Bucket]] = {}
         self._pfx_ids: dict[Prefix, int] = {}
         self._postings: Optional[_Postings] = None
 
@@ -293,35 +304,29 @@ class StemIndex:
 
     def add(self, events: Iterable[BGPEvent]) -> None:
         """Index and count *events*, which arrive after all held ones."""
-        counts: list[tuple[IdSequence, int]] = []
         with gc_paused():
-            postings = self._slid_postings()
-            for ids, batch in self._group_by_ids(events):
-                bucket = self.by_ids.get(ids)
-                if bucket is None:
-                    self.by_ids[ids] = batch
-                    if postings is not None:
-                        postings.post(ids)
-                else:
-                    bucket.extend(batch)
-                counts.append((ids, len(batch)))
-            self.counter.add_id_counts(counts, self.pairs_of)
+            self.counter.add_id_counts(self._admit(events), self.pairs_of)
 
-    def remove(self, events: Iterable[BGPEvent]) -> None:
-        """Drop *events*: the oldest held ones, as an eviction pops."""
-        removals: list[tuple[IdSequence, int]] = []
+    def remove(self, count: int) -> None:
+        """Drop the *count* oldest held events, as an eviction pops:
+        the front of the admission log, counted per sequence."""
+        log = self._log
+        removals = Counter(islice(log, count))
+        del log[:count]
+        by_ids = self.by_ids
         gone: list[IdSequence] = []
         with gc_paused():
             postings = self._slid_postings()
-            for ids, batch in self._group_by_ids(events):
-                bucket = self.by_ids[ids]
-                if len(bucket) == len(batch):
-                    del self.by_ids[ids]
+            for ids, removed in removals.items():
+                bucket = by_ids[ids]
+                if len(bucket) == removed:
+                    del by_ids[ids]
                     gone.append(ids)
                 else:
-                    del bucket[: len(batch)]
-                removals.append((ids, len(batch)))
-            self.counter.subtract_id_sequences(removals, self.pairs_of)
+                    del bucket[:removed]
+            self.counter.subtract_id_sequences(
+                removals.items(), self.pairs_of
+            )
             if postings is not None:
                 for ids in gone:
                     postings.unpost(ids)
@@ -397,13 +402,22 @@ class StemIndex:
             self._postings = _Postings(self.by_ids)
         return self._postings
 
-    def _group_by_ids(
+    def _admit(
         self, events: Iterable[BGPEvent]
-    ) -> Iterator[tuple[IdSequence, list[BGPEvent]]]:
-        """*events* grouped by interned id sequence, each group in
-        arrival order — the one place an event is interned."""
+    ) -> list[tuple[IdSequence, int]]:
+        """File *events* into ``by_ids`` and the admission log — the one
+        place an event is grouped and interned. Returns (key, events
+        added) per sequence touched.
+
+        Events are grouped per head, then per prefix, each group in
+        arrival order; a group joins its sequence's bucket, or becomes
+        it. Each group learns the key its bucket is filed under, so the
+        log can name every event by that very tuple.
+        """
         intern = self.symbols.intern_token
         peers, heads, pfx_ids = self._peers, self._heads, self._pfx_ids
+        arrivals: list[_Bucket] = []
+        arrived = arrivals.append
         touched: list[tuple[IdSequence, dict]] = []
         for event in events:
             attributes = event.attributes
@@ -432,13 +446,41 @@ class StemIndex:
             if batch is None:
                 if not scratch:
                     touched.append(entry)
-                scratch[pfx_id] = [event]
+                batch = scratch[pfx_id] = _Bucket((event,))
             else:
                 batch.append(event)
+            arrived(batch)
+        by_ids = self.by_ids
+        postings = self._slid_postings()
+        counts: list[tuple[IdSequence, int]] = []
         for head, scratch in touched:
             for pfx_id, batch in scratch.items():
-                yield head + (pfx_id,), batch
+                ids = head + (pfx_id,)
+                bucket = by_ids.get(ids)
+                if bucket is None:
+                    by_ids[ids] = batch
+                    if postings is not None:
+                        postings.post(ids)
+                else:
+                    ids = bucket.key
+                    bucket.extend(batch)
+                batch.key = ids
+                counts.append((ids, len(batch)))
             scratch.clear()
+        self._log.extend(map(_key_of, arrivals))
+        return counts
+
+
+class _Bucket(list[BGPEvent]):
+    """A ``by_ids`` value — the held events of one sequence, oldest
+    first — that knows the key it is filed under."""
+
+    __slots__ = ("key",)
+
+    key: IdSequence
+
+
+_key_of = attrgetter("key")
 
 
 class _Postings:

@@ -379,8 +379,8 @@ class TampGraph:
         """Intern an edge's tokens; return the packed edge id.
 
         The id-level mutators below take these — the incremental
-        maintainer memoizes one per chain edge so each event apply is
-        pure int traffic (see :mod:`repro.tamp.incremental`).
+        maintainer memoizes a route's edge ids so each event apply is
+        one call of pure int traffic (see :mod:`repro.tamp.incremental`).
         """
         symbols = self._symbols
         return (
@@ -398,50 +398,74 @@ class TampGraph:
         grew), False for a pure refcount bump — the distinction the
         animator colors edges by.
         """
-        return self.add_prefix_ids(
-            self.intern_pair(parent, child),
+        return self.add_route_ids(
+            (self.intern_pair(parent, child),),
             self._symbols.intern_prefix(prefix),
-        )
+            {},
+        ) == 1
 
-    def add_prefix_ids(self, edge_id: int, pid: int) -> bool:
-        """Id-level :meth:`add_prefix` (edge id from :meth:`intern_pair`)."""
-        store = self._edges.get(edge_id)
-        if store is None:
-            self._edges[edge_id] = {pid: 1}
-            if not self._adj_dirty:
-                parent = edge_id >> EDGE_SHIFT
-                child = edge_id & EDGE_MASK
-                self._children.setdefault(parent, set()).add(child)
-                self._parents.setdefault(child, set()).add(parent)
-            self._invalidate_cache()
-            return True
-        count = store.get(pid)
-        store[pid] = (count or 0) + 1
-        if count is None:
-            self._invalidate_cache()
-            return True
-        return False
+    def add_route_ids(
+        self, edge_ids: Iterable[int], pid: int, pulses: dict[int, int]
+    ) -> int:
+        """Thread one route's prefix *pid* over every edge of *edge_ids*
+        (packed ids from :meth:`intern_pair`; refcount +1 each).
 
-    def discard_prefix_ids(self, edge_id: int, pid: int) -> bool:
-        """Drop one route's *pid* from an edge (refcount −1).
-
-        Returns True when the prefix actually left the edge (its last
-        reference dropped) — the signal the animator colors edges by.
+        Each edge the prefix newly appeared on — its weight grew, the
+        distinction the animator colors edges by — counts one pulse into
+        *pulses*; returns how many there were.
         """
-        store = self._edges.get(edge_id)
-        if store is None:
-            return False
-        count = store.get(pid)
-        if count is None:
-            return False
-        if count > 1:
-            store[pid] = count - 1
-            return False
-        del store[pid]
-        self._invalidate_cache()
-        if not store:
-            self.remove_edge_ids(edge_id)
-        return True
+        edges = self._edges
+        grown = 0
+        for eid in edge_ids:
+            store = edges.get(eid)
+            if store is None:
+                edges[eid] = {pid: 1}
+                if not self._adj_dirty:
+                    parent = eid >> EDGE_SHIFT
+                    child = eid & EDGE_MASK
+                    self._children.setdefault(parent, set()).add(child)
+                    self._parents.setdefault(child, set()).add(parent)
+            else:
+                count = store.get(pid)
+                if count is not None:
+                    store[pid] = count + 1
+                    continue
+                store[pid] = 1
+            pulses[eid] = pulses.get(eid, 0) + 1
+            grown += 1
+        if grown:
+            self._invalidate_cache()
+        return grown
+
+    def discard_route_ids(
+        self, edge_ids: Iterable[int], pid: int, pulses: dict[int, int]
+    ) -> int:
+        """Drop one route's prefix *pid* from every edge of *edge_ids*
+        (refcount −1 each; an edge whose last prefix leaves goes too).
+
+        Each edge the prefix actually left — its last reference dropped
+        — counts one pulse into *pulses*; returns how many there were.
+        """
+        edges = self._edges
+        dropped = 0
+        for eid in edge_ids:
+            store = edges.get(eid)
+            if store is None:
+                continue
+            count = store.get(pid)
+            if count is None:
+                continue
+            if count > 1:
+                store[pid] = count - 1
+                continue
+            del store[pid]
+            if not store:
+                self.remove_edge_ids(eid)
+            pulses[eid] = pulses.get(eid, 0) + 1
+            dropped += 1
+        if dropped:
+            self._invalidate_cache()
+        return dropped
 
     def remove_edge(self, parent: Token, child: Token) -> None:
         symbols = self._symbols

@@ -11,10 +11,14 @@ contribution is removed from the graph before the new one is added —
 otherwise edges would accumulate ghost prefixes. The graph's per-edge
 refcounts (see :mod:`repro.tamp.graph`) keep each apply O(path length).
 
-Applies run entirely at id level: the memo caches packed edge ids (not
-token pairs), so a route flap is a handful of int dict operations, and
-the pulse counters the animator consumes are keyed by edge id until
-:meth:`IncrementalTamp.consume_changes` decodes them at the boundary.
+Applies run entirely at id level: the memo caches each route's packed
+edge ids (built with the batch builder's :func:`~repro.tamp.tree.chain_ids`
+behind a per-peer root edge), one call to
+:meth:`~repro.tamp.graph.TampGraph.add_route_ids` or
+:meth:`~repro.tamp.graph.TampGraph.discard_route_ids` applies a whole
+route, and the pulse counters the animator consumes are keyed by edge id
+until :meth:`IncrementalTamp.consume_changes` decodes them at the
+boundary.
 """
 
 from __future__ import annotations
@@ -23,11 +27,12 @@ from bisect import bisect_left
 from typing import Callable, Collection, Iterable, Optional
 
 from repro.bgp.rib import Route
-from repro.collector.events import BGPEvent, EventKind, Token
+from repro.collector.events import BGPEvent, EventKind, Token, event_json
+from repro.interning import EDGE_SHIFT
 from repro.net.attributes import PathAttributes
 from repro.net.prefix import Prefix, format_address
 from repro.tamp.graph import TampGraph
-from repro.tamp.tree import route_path_tokens
+from repro.tamp.tree import ChainCache, chain_ids
 
 #: Names the router node for a peer address in the merged graph.
 PeerNamer = Callable[[int], str]
@@ -73,15 +78,25 @@ class IncrementalTamp:
         #: next changes. Checkpoint restore sets it explicitly so the
         #: counter is bit-identical across crash/resume.
         self.pulse_total = 0
-        #: peer -> chain key -> the packed edge ids the route threads.
+        #: peer -> chain key -> the packed edge ids the route threads,
+        #: in chain order (site link, root edge, interior, prefix leaf).
         #: A flapping route announces and withdraws the same chain
         #: thousands of times; memoizing turns each apply into two dict
         #: lookups. Without prefix leaves (the animation default) the
         #: chain depends only on (peer, attrs), so the inner key is the
         #: attribute bundle alone — its hash is cached on the instance.
-        #: Bounded by the distinct routes seen, i.e. the same order as
-        #: the route table itself.
         self._edge_ids: dict[int, dict] = {}
+        #: The batch builder's chain memo (:func:`chain_ids`), shared by
+        #: every peer, and per peer the edges ahead of the chain: the
+        #: site link (if any) and the root edge's packed high half.
+        self._chains: ChainCache = {}
+        self._roots: dict[int, tuple[tuple[int, ...], int]] = {}
+        #: Entries memoized into ``_edge_ids`` since the memos were last
+        #: cleared. Attribute churn (a MED that changes every update)
+        #: leaves entries no live route uses, so past twice the live
+        #: routes every memo is dropped and refilled on demand
+        #: (:meth:`_memoize`).
+        self._memoized = 0
         #: (peer, prefix) keys installed, replaced or withdrawn since the
         #: last :meth:`export_route_events` — all that export has to
         #: encode and place. ``None`` until the first export (to which
@@ -95,7 +110,7 @@ class IncrementalTamp:
         self._export_lines: list[str] = []
         #: edge id -> (repr of the decoded token pair, the pair): the
         #: sort key and content of that edge's :meth:`export_pulses`
-        #: row, decoded once per edge. Bounded like ``_edge_ids``.
+        #: row, decoded once per edge; cleared with the other memos.
         self._pulse_keys: dict[int, tuple[str, Token, Token]] = {}
 
     # ------------------------------------------------------------------
@@ -110,14 +125,16 @@ class IncrementalTamp:
 
     def apply(self, event: BGPEvent) -> None:
         """Apply one collector event."""
-        if event.is_withdrawal:
-            self._withdraw(event.peer, event.prefix)
-        else:
-            self._install(event.peer, event.prefix, event.attributes)
+        self.apply_all((event,))
 
     def apply_all(self, events: Iterable[BGPEvent]) -> None:
+        """Apply collector events in order."""
+        install, withdraw = self._install, self._withdraw
         for event in events:
-            self.apply(event)
+            if event.kind is EventKind.WITHDRAW:
+                withdraw(event.peer, event.prefix)
+            else:
+                install(event.peer, event.prefix, event.attributes)
 
     # ------------------------------------------------------------------
     # Change tracking (consumed by the animator per frame)
@@ -150,7 +167,7 @@ class IncrementalTamp:
         self._adds, self._removes = {}, {}
         return adds, removes
 
-    def event_edge_ids(self, event: BGPEvent) -> list[int]:
+    def event_edge_ids(self, event: BGPEvent) -> tuple[int, ...]:
         """The packed edge ids *event*'s route threads.
 
         Served from the same (peer, attrs) memo the applies use, so
@@ -198,9 +215,9 @@ class IncrementalTamp:
                 attrs = routes.get(key)
                 line: Optional[str] = None  # withdrawn
                 if attrs is not None:
-                    line = BGPEvent(
+                    line = event_json(
                         0.0, EventKind.ANNOUNCE, peer, prefix, attrs
-                    ).to_json()
+                    )
                 changes.append((_route_sort_key(peer, prefix), line))
             # Sort keys are unique per route, so the lines never compare.
             changes.sort()
@@ -293,30 +310,60 @@ class IncrementalTamp:
     # Internals
     # ------------------------------------------------------------------
 
-    def _chain(self, peer: int, prefix: Prefix, attrs: PathAttributes):
-        root: Token = ("router", self.peer_namer(peer))
-        chain = route_path_tokens(
-            root, prefix, attrs, self.include_prefix_leaves
-        )
-        if self.graph.site_root is not None:
-            return [self.graph.site_root, *chain]
-        return chain
-
     def _ids_for(
         self, peer: int, prefix: Prefix, attrs: PathAttributes
-    ) -> list[int]:
+    ) -> tuple[int, ...]:
+        by_peer = self._edge_ids.get(peer)
+        if by_peer is not None:
+            edge_ids = by_peer.get(
+                (prefix, attrs) if self.include_prefix_leaves else attrs
+            )
+            if edge_ids is not None:
+                return edge_ids
+        return self._memoize(peer, prefix, attrs)
+
+    def _memoize(
+        self, peer: int, prefix: Prefix, attrs: PathAttributes
+    ) -> tuple[int, ...]:
+        """Intern and memoize the edge ids of the route's chain.
+
+        Tokens intern in chain order — site root, router, the
+        :func:`chain_ids` chain, prefix leaf — and the edges follow it.
+        Every memo here is derived from the symbol table, which is never
+        cleared, so a chain memoized again has the same ids: dropping
+        the memos (past twice the live routes) changes no pulse and no
+        exported line.
+        """
+        if self._memoized >= 2 * len(self._routes):
+            self._edge_ids.clear()
+            self._chains.clear()
+            self._roots.clear()
+            self._pulse_keys.clear()
+            self._memoized = 0
+        symbols = self.graph.symbols
+        root = self._roots.get(peer)
+        if root is None:
+            site_root = self.graph.site_root
+            site = None if site_root is None else symbols.intern_token(
+                site_root
+            )
+            router = symbols.intern_token(("router", self.peer_namer(peer)))
+            root = self._roots[peer] = (
+                () if site is None else ((site << EDGE_SHIFT) | router,),
+                router << EDGE_SHIFT,
+            )
+        head, interior, tail = chain_ids(symbols, self._chains, attrs)
+        edge_ids = (*root[0], root[1] | head, *interior)
+        key: object = attrs
+        if self.include_prefix_leaves:
+            leaf = symbols.intern_token(("pfx", prefix))
+            edge_ids += ((tail << EDGE_SHIFT) | leaf,)
+            key = (prefix, attrs)
         by_peer = self._edge_ids.get(peer)
         if by_peer is None:
             by_peer = self._edge_ids[peer] = {}
-        key = (prefix, attrs) if self.include_prefix_leaves else attrs
-        edge_ids = by_peer.get(key)
-        if edge_ids is None:
-            chain = self._chain(peer, prefix, attrs)
-            intern_pair = self.graph.intern_pair
-            edge_ids = by_peer[key] = [
-                intern_pair(parent, child)
-                for parent, child in zip(chain, chain[1:])
-            ]
+        by_peer[key] = edge_ids
+        self._memoized += 1
         return edge_ids
 
     def _install(
@@ -331,13 +378,11 @@ class IncrementalTamp:
         self._routes[key] = attrs
         if self._dirty is not None:
             self._dirty.add(key)
-        pid = self.graph.symbols.intern_prefix(prefix)
-        add_prefix = self.graph.add_prefix_ids
-        adds = self._adds
-        for eid in self._ids_for(peer, prefix, attrs):
-            if add_prefix(eid, pid):
-                adds[eid] = adds.get(eid, 0) + 1
-                self.pulse_total += 1
+        self.pulse_total += self.graph.add_route_ids(
+            self._ids_for(peer, prefix, attrs),
+            self.graph.symbols.intern_prefix(prefix),
+            self._adds,
+        )
 
     def _withdraw(self, peer: int, prefix: Prefix) -> None:
         key = (peer, prefix)
@@ -351,10 +396,8 @@ class IncrementalTamp:
     def _remove_contribution(
         self, peer: int, prefix: Prefix, attrs: PathAttributes
     ) -> None:
-        pid = self.graph.symbols.prefix_id(prefix)
-        discard = self.graph.discard_prefix_ids
-        removes = self._removes
-        for eid in self._ids_for(peer, prefix, attrs):
-            if discard(eid, pid):
-                removes[eid] = removes.get(eid, 0) + 1
-                self.pulse_total += 1
+        self.pulse_total += self.graph.discard_route_ids(
+            self._ids_for(peer, prefix, attrs),
+            self.graph.symbols.prefix_id(prefix),
+            self._removes,
+        )

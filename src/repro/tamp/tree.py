@@ -7,13 +7,14 @@ path; leaf ASes link to the prefixes they advertise (Figure 1). This
 module holds only the per-route piece of that tree:
 
 * :func:`route_path_tokens` — the token chain one route threads, as the
-  object-level oracle (:mod:`repro.tamp.reference`) and the incremental
-  maintainer (:mod:`repro.tamp.incremental`) walk it;
+  object-level oracle (:mod:`repro.tamp.reference`) walks it;
 * :func:`chain_ids` — the same chain after the root, interned and
   packed into edge ids, memoized per attribute bundle in a
   :data:`ChainCache`; the batch build
   (:meth:`repro.tamp.graph.TampGraph.merge_id_view`) folds whole views
-  through it without ever materializing a per-router tree.
+  through it without ever materializing a per-router tree, and the
+  incremental maintainer (:mod:`repro.tamp.incremental`) prefixes it
+  with each peer's root edge to apply one route at a time.
 
 Nodes are the same (namespace, value) tokens Stemming uses — ``("router",
 name)``, ``("nh", address)``, ``("as", asn)``, ``("pfx", prefix)`` — which

@@ -218,6 +218,21 @@ class TestJsonBytes:
         assert e.to_json() == reference_json(e)
         assert e.to_json().startswith(f'{{"t":{text},"k":"W",')
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [(0, 0.0), (0.0, -0.0), (1, True), (7, 7.0)],
+    )
+    def test_equal_bundles_keep_their_own_numbers(self, first, second):
+        # Equal bundles share the per-bundle text cache only when their
+        # numbers are exact ints: these pairs compare equal and hash
+        # alike, but json writes them differently.
+        for field in ("local_pref", "med"):
+            one = event(kind=EventKind.ANNOUNCE, **{field: first})
+            two = event(kind=EventKind.ANNOUNCE, **{field: second})
+            assert one.attributes == two.attributes
+            assert one.to_json() == reference_json(one)
+            assert two.to_json() == reference_json(two)
+
     def test_every_optional_field_in_order(self):
         e = event(
             kind=EventKind.ANNOUNCE,

@@ -11,7 +11,7 @@ def add_ids(pairs, ids):
         pairs[key] = pairs.get(key, 0) + 1
 
 
-def _group_by_ids(events, memo):
+def _admit(events, memo):
     groups = {}
     for event in events:
         ids = memo[event.peer, event.prefix]
@@ -28,3 +28,20 @@ def top_pair_tokens(pairs, symbols):
     if best is None:
         return None
     return symbols.token(best >> PAIR_SHIFT), symbols.token(best & PAIR_MASK)
+
+
+def add_route_ids(edges, edge_ids, pid, pulses):
+    grown = 0
+    for eid in edge_ids:
+        store = edges.setdefault(eid, {})
+        if pid not in store:
+            pulses[eid] = pulses.get(eid, 0) + 1
+            grown += 1
+        store[pid] = store.get(pid, 0) + 1
+    return grown
+
+
+def rank_top(winning, best_count):
+    # Finalists stay packed pairs; the caller decodes the winner.
+    finalists = sorted(winning)
+    return finalists[0] if best_count and finalists else None

@@ -1,7 +1,7 @@
 """INT002 violations carrying justified suppressions."""
 
 
-def _group_by_ids(events, symbols, interner, route_path_tokens):
+def _admit(events, symbols, interner, route_path_tokens):
     groups = {}
     for event in events:
         # repro: allow[INT002] fixture: reference grouper re-renders

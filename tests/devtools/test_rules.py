@@ -240,11 +240,14 @@ class TestInt001:
 class TestInt002:
     def test_bad_flags_decodes_and_retokenization(self):
         findings = analyze_fixture("int002_bad.py", module=ALGO_MODULE)
-        assert rule_ids(findings) == ["INT002"] * 3
+        assert rule_ids(findings) == ["INT002"] * 5
         messages = " ".join(f.message for f in findings)
         assert "route_path_tokens" in messages
         assert ".token()" in messages
         assert ".decode_pair()" in messages
+        # The route-level apply and the tie ranking are watched too.
+        assert "add_route_ids() calls .decode_pair()" in messages
+        assert "rank_top() re-renders" in messages
 
     def test_ok_is_clean(self):
         assert analyze_fixture("int002_ok.py", module=ALGO_MODULE) == []
@@ -270,12 +273,14 @@ class TestInt002:
         import repro.stemming.counter
         import repro.stemming.stemmer
         import repro.tamp.animate
+        import repro.tamp.graph
         import repro.tamp.incremental
         import repro.tamp.svg_animation
 
         for mod in (
             repro.stemming.counter,
             repro.stemming.stemmer,
+            repro.tamp.graph,
             repro.tamp.incremental,
             repro.tamp.animate,
             repro.tamp.svg_animation,

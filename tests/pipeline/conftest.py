@@ -8,6 +8,8 @@ on scale, and the sustained-throughput story lives in
 
 import pytest
 
+import repro.collector.events
+import repro.tamp.incremental
 from repro.collector.events import BGPEvent
 from repro.pipeline import MonitorConfig, SyntheticSource
 
@@ -29,6 +31,21 @@ def count_encodes(monkeypatch) -> list[BGPEvent]:
 
     monkeypatch.setattr(BGPEvent, "to_json", counting)
     return encoded
+
+
+def count_lines(monkeypatch) -> list[tuple]:
+    """Wrap the line assembler ``event_json`` wherever it is called
+    from; the returned list grows by the arguments of each call."""
+    assembled: list[tuple] = []
+    event_json = repro.collector.events.event_json
+
+    def counting(*fields) -> str:
+        assembled.append(fields)
+        return event_json(*fields)
+
+    for module in (repro.collector.events, repro.tamp.incremental):
+        monkeypatch.setattr(module, "event_json", counting)
+    return assembled
 
 
 @pytest.fixture

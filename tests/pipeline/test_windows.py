@@ -368,7 +368,7 @@ class TestSlidingFirstLevel:
             if stage.window_index == before and stage.buffered:
                 # Nothing closed: the batch is already in the index,
                 # and nothing it should have given up is.
-                assert stage._parked == []
+                assert stage._parked == 0
                 assert stage._index.counter.event_count == stage.buffered
             # The checkpointable state is a function of the stream
             # alone, not of what the sliding index went through.
@@ -430,9 +430,9 @@ class TestSlidingFirstLevel:
             # A closing call leaves its evictions and the events past
             # the boundary for the next call; any other is level.
             held = stage._index.counter.event_count
-            assert held - len(stage._parked) <= stage.buffered
+            assert held - stage._parked <= stage.buffered
             if batch.start_offset not in closed_by.values():
-                assert (held, stage._parked) == (stage.buffered, [])
+                assert (held, stage._parked) == (stage.buffered, 0)
         assert closed_by == {0: 4, 1: 8}
         reports.extend(stage.flush())
         for report in reports:
@@ -458,7 +458,7 @@ class TestSlidingFirstLevel:
         if not gap_in_the_parking_batch:
             # Still holding what the close evicted, not yet holding
             # the two events past its boundary.
-            assert stage._parked == early[:10]
+            assert stage._parked == 10
             assert stage._index.counter.event_count == len(early) - 2
         out.extend(
             stage.process(Batch(tuple(events[first:]), first, len(events)))
@@ -467,7 +467,7 @@ class TestSlidingFirstLevel:
         # until a call that closes nothing loads the new buffer.
         assert stage.export_state().boundary == 5100.0
         assert stage.buffered == len(late)
-        assert stage._parked == []
+        assert stage._parked == 0
         if gap_in_the_parking_batch:
             assert stage._index.counter.event_count == len(late)
         else:
@@ -499,7 +499,7 @@ class TestSlidingFirstLevel:
         assert cut is not None and cut < len(batches)
         parked = json.dumps(stage.export_state().to_dict())
         stage._sync_index()
-        assert stage._parked == []
+        assert stage._parked == 0
         assert json.dumps(stage.export_state().to_dict()) == parked
         resumed = WindowedStemmer(100.0, 50.0)
         resumed.restore_state(WindowState.from_dict(json.loads(parked)))

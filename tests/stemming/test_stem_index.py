@@ -7,6 +7,8 @@ reference gives that recounts the residual stream from scratch with
 :class:`NaiveSubsequenceCounter` before every component.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -85,7 +87,7 @@ def slid(stemmer, events):
     half = len(events) // 2
     index = stemmer.load([ballast] + events[:half])
     index.add(events[half:])
-    index.remove([ballast])
+    index.remove(1)
     assert index._postings is not None
     return index
 
@@ -339,14 +341,29 @@ class SlidingIndex(RuleBasedStateMachine):
     @rule(data=st.data())
     def remove_oldest(self, data):
         count = data.draw(st.integers(1, len(self.held)))
-        self.index.remove(self.held[:count])
+        self.index.remove(count)
         del self.held[:count]
 
     @precondition(lambda self: self.held)
     @rule()
     def drain(self):
-        self.index.remove(self.held)
+        self.index.remove(len(self.held))
         self.held.clear()
+
+    @invariant()
+    def the_log_names_each_held_event_by_the_index_key(self):
+        log = self.index._log
+        assert len(log) == len(self.held)
+        own = {id(ids) for ids in self.index.by_ids}
+        assert all(id(ids) in own for ids in log)
+        assert Counter(log) == {
+            ids: len(bucket) for ids, bucket in self.index.by_ids.items()
+        }
+        # Each logged event is where its bucket says, in arrival order.
+        seen = Counter()
+        for ids, event in zip(log, self.held):
+            assert self.index.by_ids[ids][seen[ids]] is event
+            seen[ids] += 1
 
     @invariant()
     def postings_equal_a_rebuild(self):

@@ -227,11 +227,11 @@ class TestTotalPrefixesCache:
         ab, bc = graph.intern_pair(a, b), graph.intern_pair(b, c)
         first = graph.symbols.intern_prefix(Prefix(0x0A000000, 24))
         second = graph.symbols.intern_prefix(Prefix(0x0B000000, 24))
-        graph.discard_prefix_ids(ab, first)
+        graph.discard_route_ids((ab,), first, {})
         assert graph.total_prefixes() == 1
-        graph.discard_prefix_ids(bc, second)
+        graph.discard_route_ids((bc,), second, {})
         assert graph.total_prefixes() == 1
-        graph.discard_prefix_ids(ab, second)
+        graph.discard_route_ids((ab,), second, {})
         assert graph.total_prefixes() == 0
 
     def test_merge_invalidates_cached_total(self):

@@ -29,11 +29,15 @@ def pid(graph: TampGraph, prefix: Prefix) -> int:
 
 def thread(graph: TampGraph, prefix: Prefix, path: str, add: bool) -> None:
     """Add or remove one route's chain, as the incremental maintainer
-    does: id-level refcount changes on every edge of the chain."""
+    does: id-level refcount changes on every edge of the chain, in one
+    call."""
     chain = route_path_tokens(("router", "r"), prefix, attrs(path))
-    mutate = graph.add_prefix_ids if add else graph.discard_prefix_ids
-    for parent, child in zip(chain, chain[1:]):
-        mutate(graph.intern_pair(parent, child), pid(graph, prefix))
+    mutate = graph.add_route_ids if add else graph.discard_route_ids
+    edge_ids = [
+        graph.intern_pair(parent, child)
+        for parent, child in zip(chain, chain[1:])
+    ]
+    mutate(edge_ids, pid(graph, prefix), {})
 
 
 class TestPathTokens:
@@ -104,17 +108,17 @@ class TestGraphOperations:
         eid = graph.intern_pair(("as", 1), ("as", 2))
         graph.add_prefix(("as", 1), ("as", 2), P)
         graph.add_prefix(("as", 1), ("as", 2), P)
-        assert not graph.discard_prefix_ids(eid, pid(graph, P))
+        assert not graph.discard_route_ids((eid,), pid(graph, P), {})
         assert graph.weight(("as", 1), ("as", 2)) == 1
-        assert graph.discard_prefix_ids(eid, pid(graph, P))
+        assert graph.discard_route_ids((eid,), pid(graph, P), {})
         assert not graph.has_edge(("as", 1), ("as", 2))
 
     def test_discard_unknown_is_noop(self):
         graph = TampGraph()
         eid = graph.intern_pair(("as", 1), ("as", 2))
-        assert not graph.discard_prefix_ids(eid, pid(graph, P))
+        assert not graph.discard_route_ids((eid,), pid(graph, P), {})
         graph.add_prefix(("as", 1), ("as", 2), P)
-        assert not graph.discard_prefix_ids(eid, pid(graph, OTHER))
+        assert not graph.discard_route_ids((eid,), pid(graph, OTHER), {})
         assert graph.weight(("as", 1), ("as", 2)) == 1
 
     def test_depths(self):
@@ -136,8 +140,10 @@ class TestGraphOperations:
         graph = TampGraph()
         graph.add_prefix(("as", 1), ("as", 2), P)
         duplicate = graph.copy()
-        duplicate.discard_prefix_ids(
-            duplicate.intern_pair(("as", 1), ("as", 2)), pid(duplicate, P)
+        duplicate.discard_route_ids(
+            (duplicate.intern_pair(("as", 1), ("as", 2)),),
+            pid(duplicate, P),
+            {},
         )
         assert graph.has_edge(("as", 1), ("as", 2))
         assert not duplicate.has_edge(("as", 1), ("as", 2))
@@ -220,9 +226,9 @@ class TestTotalPrefixCache:
         graph.add_prefix(("as", 1), ("as", 2), P)
         assert graph.total_prefixes() == 1
         eid = graph.intern_pair(("as", 1), ("as", 2))
-        graph.discard_prefix_ids(eid, pid(graph, P))
+        graph.discard_route_ids((eid,), pid(graph, P), {})
         assert graph.total_prefixes() == 1  # one reference remains
-        graph.discard_prefix_ids(eid, pid(graph, P))
+        graph.discard_route_ids((eid,), pid(graph, P), {})
         assert graph.total_prefixes() == 0
 
     def test_remove_edge_invalidates(self):
