@@ -348,7 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
         "action",
         choices=("list", "show", "export", "compact"),
         help="list incidents; show one incident's full lifecycle;"
-             " export the store as JSONL; or compact resolved rows",
+             " export the store as JSONL; or compact resolved rows"
+             " (compacting a store a running monitor still syncs is"
+             " undone at its next checkpoint)",
     )
     incidents.add_argument(
         "store", type=Path,

@@ -129,6 +129,14 @@ class IncidentManager:
     #: Latest stream time seen (the exporter's "now").
     last_time: float = 0.0
     reports_ingested: int = 0
+    #: Incident id -> its row as :meth:`export_rows` last built it.
+    _rows: dict[int, dict[str, object]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+    #: Ids whose row :meth:`export_rows` must build (or drop) next
+    #: time: the records ``ingest``/``finalize`` return as changed,
+    #: unlinked ones, and every imported one.
+    _stale: set[int] = field(default_factory=set, compare=False, repr=False)
 
     # -- ingestion ------------------------------------------------------
 
@@ -147,6 +155,7 @@ class IncidentManager:
         changed = [touched[incident_id] for incident_id in sorted(touched)]
         changed.extend(self._age(set(touched), now))
         self._evict_resolved()
+        self._stale.update(record.incident_id for record in changed)
         return changed
 
     def finalize(self, at: Optional[float] = None) -> list[IncidentRecord]:
@@ -167,6 +176,7 @@ class IncidentManager:
                     "end of stream",
                 )
                 changed.append(record)
+        self._stale.update(record.incident_id for record in changed)
         return changed
 
     # -- merge/dedup core -----------------------------------------------
@@ -312,6 +322,7 @@ class IncidentManager:
 
     def _unlink(self, record: IncidentRecord) -> None:
         del self._incidents[record.incident_id]
+        self._stale.add(record.incident_id)
         for key in (record.stem, *record.related_stems):
             if self._by_stem.get(key) == record.incident_id:
                 del self._by_stem[key]
@@ -364,14 +375,36 @@ class IncidentManager:
 
     # -- persistence (checkpoint form) ----------------------------------
 
+    def export_rows(self) -> list[dict[str, object]]:
+        """Every retained incident's ``to_dict()`` row, id order.
+
+        Only the rows of records that changed since the last call are
+        built again; every other row is the same object the last call
+        returned. That identity is what lets the checkpoint encoder and
+        the sqlite store skip unchanged incidents, so a row handed out
+        here must never be mutated (copy it to change it).
+        """
+        rows, incidents = self._rows, self._incidents
+        for incident_id in self._stale:
+            record = incidents.get(incident_id)
+            if record is None:
+                rows.pop(incident_id, None)
+            else:
+                rows[incident_id] = record.to_dict()
+        self._stale.clear()
+        return [rows[incident_id] for incident_id in sorted(incidents)]
+
     def export_state(self) -> dict[str, object]:
-        """JSON-able full state; round-trips via :meth:`import_state`."""
+        """JSON-able full state; round-trips via :meth:`import_state`.
+
+        The ``incidents`` rows are :meth:`export_rows`: read-only.
+        """
         return {
             "next_id": self._next_id,
             "last_time": self.last_time,
             "reports_ingested": self.reports_ingested,
             "policy": self.policy.describe(),
-            "incidents": [r.to_dict() for r in self._records_by_id()],
+            "incidents": self.export_rows(),
         }
 
     def import_state(self, state: dict) -> None:
@@ -385,5 +418,6 @@ class IncidentManager:
         for row in state.get("incidents", ()):
             record = IncidentRecord.from_dict(row)
             self._incidents[record.incident_id] = record
+            self._stale.add(record.incident_id)
             for key in (record.stem, *record.related_stems):
                 self._by_stem[key] = record.incident_id

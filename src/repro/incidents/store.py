@@ -7,15 +7,25 @@ can inspect incidents while the monitor is live.
 
 Consistency model — the store is a *follower* of the checkpoint cycle,
 never an independent source of truth. Every checkpoint write is paired
-with one :meth:`IncidentStore.sync` call that replaces the full
-incident table in a single transaction and stamps ``reports_applied``
-with the checkpoint's ``reports_emitted``. On resume the monitor
-re-syncs the store from the restored manager state, which atomically
-reconciles away any rows a dead run wrote past its last checkpoint —
-the same truncate-and-replay contract the report log already follows.
-A full rewrite per checkpoint sounds heavy but the live incident set
-is small by construction (resolved incidents compact away), and it
-buys exact crash atomicity with zero diffing logic.
+with one :meth:`IncidentStore.sync` call that brings the incident table
+level with the manager in a single transaction and stamps
+``reports_applied`` with the checkpoint's ``reports_emitted``.
+
+A sync writes what changed. The store remembers the rows it last wrote;
+the manager hands out the same row object for an incident that has not
+changed (:meth:`~repro.incidents.manager.IncidentManager.export_rows`),
+so the sync upserts the rows that are new objects and deletes the ids
+that are gone. The monitor keeps every resolved incident, so this is
+what keeps a sync's cost at the window's changes rather than the run's
+history. A sync replaces the whole table instead — the same code with
+nothing remembered — whenever the memory cannot be trusted: a store
+object's first sync (on resume, that atomically reconciles away any
+rows a dead run wrote past its last checkpoint — the same
+truncate-and-replay contract the report log already follows), the sync
+after :meth:`IncidentStore.compact`, and any sync after ``PRAGMA
+data_version`` shows another connection wrote to the file (``repro
+incidents compact`` on a live store: the next checkpoint puts its rows
+back, since the manager still holds them).
 """
 
 from __future__ import annotations
@@ -81,6 +91,12 @@ class IncidentStore:
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.executescript(_SCHEMA)
         self._check_schema()
+        #: Incident id -> the row the last sync left in the table; None
+        #: when the table's contents are not known (see :meth:`sync`).
+        self._written: Optional[dict[object, dict[str, object]]] = None
+        #: ``PRAGMA data_version`` inside the last sync's transaction;
+        #: this connection's own commits never change it.
+        self._version = 0
 
     def _check_schema(self) -> None:
         row = self._conn.execute(
@@ -101,24 +117,48 @@ class IncidentStore:
     # -- write path -----------------------------------------------------
 
     def sync(self, manager: IncidentManager, reports_applied: int) -> None:
-        """Atomically replace the table with *manager*'s current state.
+        """Atomically bring the table level with *manager*'s state.
 
         Paired 1:1 with checkpoint writes; ``reports_applied`` records
         which report-log position this snapshot corresponds to, so a
-        resume can detect (and re-sync away) rows from a dead run.
+        resume can detect (and re-sync away) rows from a dead run. Rows
+        unchanged since the last sync are not written again; when that
+        sync's table cannot be trusted, every row is (module docstring).
         """
-        records = manager.all_incidents()
+        rows = manager.export_rows()
+        current = {row["id"]: row for row in rows}
+        written, self._written = self._written, None  # unknown until commit
         with self._conn:
-            self._conn.execute("DELETE FROM incidents")
+            # The write lock first: no other connection can commit
+            # between this data_version read and the commit below, so
+            # a version equal to the last sync's means nobody else
+            # wrote in between.
+            self._conn.execute("BEGIN IMMEDIATE")
+            version = self._data_version()
+            if written is None or version != self._version:
+                self._conn.execute("DELETE FROM incidents")
+                written = {}
             self._conn.executemany(
-                "INSERT INTO incidents VALUES"
+                "DELETE FROM incidents WHERE id = ?",
+                [(key,) for key in written if key not in current],
+            )
+            self._conn.executemany(
+                "INSERT OR REPLACE INTO incidents VALUES"
                 " (?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?)",
-                [_record_row(r) for r in records],
+                [
+                    _row_values(row)
+                    for row in rows
+                    if written.get(row["id"]) is not row
+                ],
             )
             self._conn.execute(
                 "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
                 ("reports_applied", str(int(reports_applied))),
             )
+        self._written, self._version = current, version
+
+    def _data_version(self) -> int:
+        return self._conn.execute("PRAGMA data_version").fetchone()[0]
 
     def compact(self, *, keep_resolved: int = 0) -> int:
         """Drop all but the newest *keep_resolved* resolved incidents.
@@ -126,7 +166,10 @@ class IncidentStore:
         Returns the number of rows removed. Retention order is
         deterministic: resolved incidents are dropped oldest
         ``(resolved_at, id)`` first. Runs VACUUM so the file shrinks.
+        A store a monitor still syncs gets the rows back at its next
+        checkpoint: the manager keeps every incident it holds.
         """
+        self._written = None
         resolved = self._conn.execute(
             "SELECT id FROM incidents WHERE status = 'resolved'"
             " ORDER BY resolved_at DESC, id DESC"
@@ -195,29 +238,31 @@ class IncidentStore:
         self.close()
 
 
-def _record_row(record: IncidentRecord) -> tuple:
+def _row_values(row: dict) -> tuple:
+    """An :meth:`IncidentRecord.to_dict` row as the table's columns."""
+    stem = row["stem"]
     return (
-        record.incident_id,
-        record.stem[0],
-        record.stem[1],
-        record.stem_label,
-        record.status.value,
-        record.incident_class,
-        record.first_seen,
-        record.last_seen,
-        record.opened_at,
-        record.resolved_at,
-        record.detected_window,
-        record.windows_observed,
-        record.peak_strength,
-        record.best_rank,
-        record.event_count,
-        record.severity,
-        record.severity_band,
-        record.reopen_count,
-        json.dumps(sorted(record.prefixes)),
-        json.dumps([list(edge) for edge in record.related_stems]),
-        json.dumps([t.to_dict() for t in record.transitions]),
+        row["id"],
+        stem[0],
+        stem[1],
+        row["stem_label"],
+        row["status"],
+        row["class"],
+        row["first_seen"],
+        row["last_seen"],
+        row["opened_at"],
+        row["resolved_at"],
+        row["detected_window"],
+        row["windows_observed"],
+        row["peak_strength"],
+        row["best_rank"],
+        row["event_count"],
+        row["severity"],
+        row["severity_band"],
+        row["reopen_count"],
+        json.dumps(row["prefixes"]),
+        json.dumps(row["related_stems"]),
+        json.dumps(row["transitions"]),
     )
 
 

@@ -23,12 +23,14 @@ boundary.
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_left
 from typing import Callable, Collection, Iterable, Optional
 
 from repro.bgp.rib import Route
 from repro.collector.events import BGPEvent, EventKind, Token, event_json
 from repro.interning import EDGE_SHIFT
+from repro.jsontext import EncodedList
 from repro.net.attributes import PathAttributes
 from repro.net.prefix import Prefix, format_address
 from repro.tamp.graph import TampGraph
@@ -104,10 +106,12 @@ class IncrementalTamp:
         #: checkpointed records nothing.
         self._dirty: Optional[set[tuple[int, Prefix]]] = None
         #: The last export: each route's sort key (see
-        #: :func:`_route_sort_key`) and its JSON line, as two lists in
-        #: key order — what the next export merges its changes into.
+        #: :func:`_route_sort_key`), its JSON line and that line's own
+        #: JSON text (what a checkpoint writes for it), as three lists
+        #: in key order — what the next export merges its changes into.
         self._export_keys: list[str] = []
         self._export_lines: list[str] = []
+        self._export_texts: list[str] = []
         #: edge id -> (repr of the decoded token pair, the pair): the
         #: sort key and content of that edge's :meth:`export_pulses`
         #: row, decoded once per edge; cleared with the other memos.
@@ -192,7 +196,7 @@ class IncrementalTamp:
     # Checkpointing (used by repro.pipeline)
     # ------------------------------------------------------------------
 
-    def export_route_events(self) -> list[str]:
+    def export_route_events(self) -> EncodedList:
         """Serialize the route table as announce-event JSON lines.
 
         The graph, refcounts and memo caches are all derivable from the
@@ -203,6 +207,8 @@ class IncrementalTamp:
         identically. Only the routes that changed since the previous
         export are encoded, and one merge pass places them: the runs of
         that export's lines between two changes are copied over whole.
+        The lines come with their JSON texts, encoded in the same pass,
+        so a checkpoint joins them instead of encoding every line.
         """
         routes = self._routes
         dirty: Collection[tuple[int, Prefix]] = (
@@ -221,25 +227,33 @@ class IncrementalTamp:
                 changes.append((_route_sort_key(peer, prefix), line))
             # Sort keys are unique per route, so the lines never compare.
             changes.sort()
-            old_keys, old_lines = self._export_keys, self._export_lines
+            old_keys = self._export_keys
+            old_lines, old_texts = self._export_lines, self._export_texts
             keys: list[str] = []
             lines: list[str] = []
+            texts: list[str] = []
             kept = 0  # old entries before this one are already placed
             for sort_key, line in changes:
                 at = bisect_left(old_keys, sort_key, kept)
                 keys += old_keys[kept:at]
                 lines += old_lines[kept:at]
+                texts += old_texts[kept:at]
                 kept = at
                 if at < len(old_keys) and old_keys[at] == sort_key:
                     kept += 1  # superseded
                 if line is not None:
                     keys.append(sort_key)
                     lines.append(line)
+                    texts.append(json.dumps(line))
             keys += old_keys[kept:]
             lines += old_lines[kept:]
+            texts += old_texts[kept:]
             self._export_keys, self._export_lines = keys, lines
+            self._export_texts = texts
         self._dirty = set()
-        return list(self._export_lines)
+        # The held lists are replaced by the next merge, never changed
+        # in place, so the texts can be handed out as they are.
+        return EncodedList(self._export_lines, self._export_texts)
 
     def import_route_events(self, lines: Iterable[str]) -> None:
         """Rebuild the route table from :meth:`export_route_events`.

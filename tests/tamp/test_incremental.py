@@ -1,5 +1,7 @@
 """Unit tests for incremental TAMP maintenance."""
 
+import json
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -157,6 +159,8 @@ class TestRouteExport:
                 current.pop((peer, prefix), None)
             else:
                 lines = tamp.export_route_events()
+                # The texts a checkpoint joins, kept by the merge pass.
+                assert lines.texts == [json.dumps(line) for line in lines]
                 fresh = IncrementalTamp("site")
                 fresh.load_routes(
                     Route(prefix, route_attrs, peer)
@@ -181,10 +185,12 @@ class TestRouteExport:
                 key=lambda item: (item[0][0], str(item[0][1])),
             )
         ]
+        assert lines.texts == [json.dumps(line) for line in lines]
         cold = IncrementalTamp("site")
         cold.import_route_events(lines)
         assert cold.export_route_events() == lines
-        assert tamp.export_route_events() == lines  # nothing dirty
+        again = tamp.export_route_events()  # nothing dirty
+        assert again == lines and again.texts == lines.texts
 
     def test_reinstall_with_other_attributes_after_a_withdraw(self):
         tamp = IncrementalTamp("site")
