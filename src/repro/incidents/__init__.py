@@ -5,12 +5,13 @@ this package answers the operator's question, "what is *happening*,
 since when, how bad, and is it over?" — an explicit lifecycle state
 machine (:mod:`repro.incidents.lifecycle`), a dedup/merge fold over
 window reports (:mod:`repro.incidents.manager`), a durable sqlite
-mirror (:mod:`repro.incidents.store`) and a Prometheus-style metric
-surface (:mod:`repro.incidents.exporter`). ``repro monitor`` drives it
-per window; ``repro incidents`` reads the store offline.
+mirror (:mod:`repro.incidents.store`) and the transition feed
+(:mod:`repro.incidents.feed`). ``repro monitor`` drives it per window
+and exports its metrics
+(:func:`repro.pipeline.monitor.incident_metrics`); ``repro incidents``
+reads the store offline.
 """
 
-from repro.incidents.exporter import IncidentExporter
 from repro.incidents.feed import TransitionWatcher, load_incident_rows
 from repro.incidents.lifecycle import (
     IncidentRecord,
@@ -31,7 +32,6 @@ from repro.incidents.store import (
 
 __all__ = [
     "INCIDENT_DB",
-    "IncidentExporter",
     "IncidentManager",
     "IncidentPolicy",
     "IncidentRecord",

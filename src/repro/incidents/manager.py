@@ -92,7 +92,7 @@ def classify_component(component: Component) -> str:
     """A coarse triage class from the component's event evidence.
 
     Modeled on the CommunityWatch observation that a class taxonomy
-    drives triage (arXiv:1806.07476): the exporter breaks incident
+    drives triage (arXiv:1806.07476): the incident metrics break
     counts down by this label. Derived deterministically from the event
     mix, so the class survives crash/resume unchanged.
     """
@@ -126,7 +126,7 @@ class IncidentManager:
     #: Stem (or merged related stem) → owning incident id.
     _by_stem: dict[StemKey, int] = field(default_factory=dict)
     _next_id: int = 1
-    #: Latest stream time seen (the exporter's "now").
+    #: Latest stream time seen (the incident metrics' "now").
     last_time: float = 0.0
     reports_ingested: int = 0
     #: Incident id -> its row as :meth:`export_rows` last built it.
@@ -330,10 +330,8 @@ class IncidentManager:
     # -- queries --------------------------------------------------------
 
     def _records_by_id(self) -> list[IncidentRecord]:
-        return [
-            self._incidents[incident_id]
-            for incident_id in sorted(self._incidents)
-        ]
+        incidents = self._incidents.copy()  # C-level: safe beside a writer
+        return [incidents[incident_id] for incident_id in sorted(incidents)]
 
     def all_incidents(self) -> list[IncidentRecord]:
         """Every retained incident, creation (id) order."""
@@ -351,7 +349,9 @@ class IncidentManager:
 
     def counts_by_status(self) -> dict[str, int]:
         counts = {status.value: 0 for status in IncidentStatus}
-        for record in self._incidents.values():
+        # One C-level copy first: a metrics scrape calls this from the
+        # HTTP thread while the monitor thread may add or drop incidents.
+        for record in self._incidents.copy().values():
             counts[record.status.value] += 1
         return counts
 

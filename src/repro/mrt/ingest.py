@@ -55,8 +55,8 @@ class IngestWarning(UserWarning):
 class IngestPolicy:
     """How a loader should treat undecodable input.
 
-    *strict*: raise the decode error immediately (the historical
-    ``strict=True`` flag). *max_error_rate*: tolerate skips up to this
+    *strict*: raise the decode error immediately (the CLI's
+    ``--strict-ingest``). *max_error_rate*: tolerate skips up to this
     fraction of attempted records, then raise :class:`IngestError` —
     the check starts after *min_records* attempts so one bad record at
     the head of a file does not abort it. *warn_threshold*: in default

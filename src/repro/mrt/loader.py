@@ -21,7 +21,6 @@ past the warn threshold — warned about.
 from __future__ import annotations
 
 import warnings
-from dataclasses import replace
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Optional
 
@@ -73,17 +72,6 @@ def _describe_source(source: str | Path | BinaryIO) -> str:
     if isinstance(source, (str, Path)):
         return str(source)
     return getattr(source, "name", None) or "<stream>"
-
-
-def _resolve_policy(
-    strict: bool, policy: Optional[IngestPolicy]
-) -> IngestPolicy:
-    """Merge the legacy *strict* flag with an explicit policy."""
-    if policy is None:
-        return IngestPolicy(strict=strict)
-    if strict and not policy.strict:
-        return replace(policy, strict=True)
-    return policy
 
 
 def _guarded_frames(
@@ -147,7 +135,6 @@ def _finish(report: IngestReport, policy: IngestPolicy) -> None:
 def load_updates(
     source: str | Path | BinaryIO,
     rex: Optional[RouteExplorer] = None,
-    strict: bool = False,
     policy: Optional[IngestPolicy] = None,
 ) -> EventStream:
     """Read a BGP4MP updates file into an event stream.
@@ -162,12 +149,12 @@ def load_updates(
     otherwise skipped with full accounting — and optionally quarantined
     — in the :class:`repro.mrt.ingest.IngestReport` attached to the
     returned stream (``stream.ingest_report``) and recorded on the
-    collector (``rex.ingest_reports``). *strict* remains as shorthand
-    for ``IngestPolicy(strict=True)``.
+    collector (``rex.ingest_reports``).
     """
     if rex is None:
         rex = RouteExplorer("mrt")
-    policy = _resolve_policy(strict, policy)
+    if policy is None:
+        policy = IngestPolicy()
     report = IngestReport(source=_describe_source(source), kind="updates")
     dropped_before = rex.dropped_withdrawals
     decoder = UpdateDecoder()
@@ -268,7 +255,6 @@ def dump_updates(
 def load_rib(
     source: str | Path | BinaryIO,
     rex: Optional[RouteExplorer] = None,
-    strict: bool = False,
     policy: Optional[IngestPolicy] = None,
 ) -> RouteExplorer:
     """Read a TABLE_DUMP_V2 snapshot into a populated collector.
@@ -280,7 +266,8 @@ def load_rib(
     """
     if rex is None:
         rex = RouteExplorer("mrt-rib")
-    policy = _resolve_policy(strict, policy)
+    if policy is None:
+        policy = IngestPolicy()
     report = IngestReport(source=_describe_source(source), kind="rib")
     peers: list[PeerEntry] = []
     decoder = UpdateDecoder()

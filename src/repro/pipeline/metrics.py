@@ -14,9 +14,11 @@ core — counters, gauges and fixed-bucket histograms collected in a
 Serving either over HTTP is the serve layer's job
 (:func:`repro.serve.app.serve_metrics`: ``/metrics`` for the text,
 ``/metrics.json`` for the snapshot, behind both ``repro serve`` and
-``repro monitor --metrics-port``). This package does not import it;
-the registry's lock is what makes a scrape from the server's thread
-safe beside a monitor loop that is still creating metrics.
+``repro monitor --metrics-port``). This package does not import it.
+The registry's lock guards its own table, so a scrape from the
+server's thread is safe beside a monitor loop that is still creating
+metrics; collectors run outside that lock, so a collector that reads
+state another thread mutates must copy before it iterates.
 
 The registry is deliberately *not* process-global (no module-level
 mutable state — the PIPE001 rule polices exactly that pattern in
@@ -28,7 +30,7 @@ slate.
 from __future__ import annotations
 
 import threading
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 #: Default histogram buckets (seconds): tuned for window-lag style
 #: latencies, microseconds through a minute.
@@ -166,7 +168,32 @@ class Histogram:
         return lines
 
 
-Metric = Counter | Gauge | Histogram
+class LabelledGauge:
+    """Gauges keyed by one label: ``name{label="key"} value`` per key."""
+
+    kind = "gauge"
+
+    def __init__(
+        self, name: str, help: str, label: str, values: dict[str, float]
+    ) -> None:
+        self.name = name
+        self.help = help
+        self.label = label
+        self.values = values
+
+    def to_value(self) -> dict[str, float]:
+        return self.values
+
+    def render(self) -> list[str]:
+        return [
+            f'{self.name}{{{self.label}="{key}"}} {_format_number(value)}'
+            for key, value in self.values.items()
+        ]
+
+
+Metric = Counter | Gauge | Histogram | LabelledGauge
+#: Called at every scrape; returns metrics built fresh from owned state.
+Collector = Callable[[], Iterable[Metric]]
 
 
 class MetricsRegistry:
@@ -181,24 +208,18 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[str, Metric] = {}
-        self._collectors: list[object] = []
+        self._collectors: list[Collector] = []
         self._lock = threading.Lock()
 
-    def register_collector(self, collector: object) -> None:
-        """Attach a live collector rendered fresh at every scrape.
+    def register_collector(self, collector: Collector) -> None:
+        """Attach a collector called fresh at every scrape.
 
         A collector computes its metrics from owned state at render
-        time (e.g. the incident exporter derives ages from the current
-        incident set) instead of pushing updates into the registry. It
-        must provide ``render_text() -> str`` and
-        ``to_snapshot() -> dict``; its output is appended to both
-        exposition surfaces.
+        time (e.g. incident ages from the current incident set) instead
+        of pushing updates into the registry. Its metrics follow the
+        registered ones on both exposition surfaces. It runs outside
+        the registry lock, on whichever thread scrapes.
         """
-        for method in ("render_text", "to_snapshot"):
-            if not callable(getattr(collector, method, None)):
-                raise TypeError(
-                    f"collector {collector!r} lacks {method}()"
-                )
         with self._lock:
             self._collectors.append(collector)
 
@@ -214,22 +235,13 @@ class MetricsRegistry:
         help: str = "",
         bounds: Sequence[float] = DEFAULT_BUCKETS,
     ) -> Histogram:
-        with self._lock:
-            metric = self._metrics.get(name)
-            if metric is None:
-                metric = Histogram(name, help, bounds)
-                self._metrics[name] = metric
-            elif not isinstance(metric, Histogram):
-                raise ValueError(
-                    f"metric {name!r} is a {metric.kind}, not a histogram"
-                )
-            return metric
+        return self._get_or_create(Histogram, name, help, bounds)
 
-    def _get_or_create(self, cls: type, name: str, help: str):
+    def _get_or_create(self, cls: type, name: str, help: str, *args):
         with self._lock:
             metric = self._metrics.get(name)
             if metric is None:
-                metric = cls(name, help)
+                metric = cls(name, help, *args)
                 self._metrics[name] = metric
             elif not isinstance(metric, cls):
                 raise ValueError(
@@ -238,33 +250,27 @@ class MetricsRegistry:
                 )
             return metric
 
-    def get(self, name: str) -> Optional[Metric]:
+    def _collect(self) -> list[Metric]:
+        """Registered metrics sorted by name, then each collector's."""
         with self._lock:
-            return self._metrics.get(name)
+            metrics = [self._metrics[name] for name in sorted(self._metrics)]
+            collectors = list(self._collectors)
+        for collector in collectors:
+            metrics.extend(collector())
+        return metrics
 
     def snapshot(self) -> dict[str, object]:
-        """JSON-serializable view of every metric, sorted by name."""
-        with self._lock:
-            metrics = sorted(self._metrics.items())
-            collectors = list(self._collectors)
-        result = {name: metric.to_value() for name, metric in metrics}
-        for collector in collectors:
-            result.update(collector.to_snapshot())
-        return result
+        """JSON-serializable view of every metric, keyed by name."""
+        return {metric.name: metric.to_value() for metric in self._collect()}
 
     def render_text(self) -> str:
         """Prometheus-style plain-text exposition."""
-        with self._lock:
-            metrics = sorted(self._metrics.items())
-            collectors = list(self._collectors)
         lines: list[str] = []
-        for name, metric in metrics:
+        for metric in self._collect():
             if metric.help:
-                lines.append(f"# HELP {name} {metric.help}")
-            lines.append(f"# TYPE {name} {metric.kind}")
+                lines.append(f"# HELP {metric.name} {metric.help}")
+            lines.append(f"# TYPE {metric.name} {metric.kind}")
             lines.extend(metric.render())
-        for collector in collectors:
-            lines.append(collector.render_text().rstrip("\n"))
         return "\n".join(lines) + "\n"
 
 

@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
 
-from repro.incidents.exporter import IncidentExporter
-from repro.incidents.lifecycle import IncidentRecord
+from repro.incidents.lifecycle import IncidentRecord, IncidentStatus
 from repro.incidents.manager import IncidentManager, IncidentPolicy
 from repro.incidents.store import INCIDENT_DB, IncidentStore
 from repro.mrt.ingest import IngestReport
@@ -45,7 +45,14 @@ from repro.pipeline.checkpoint import (
     CheckpointState,
     CheckpointStore,
 )
-from repro.pipeline.metrics import MetricsRegistry
+from repro.pipeline.metrics import (
+    Counter,
+    Gauge,
+    Histogram,
+    LabelledGauge,
+    Metric,
+    MetricsRegistry,
+)
 from repro.pipeline.runtime import Batch, Pipeline, iter_batches
 from repro.pipeline.sources import Pacer, Source
 from repro.pipeline.windows import (
@@ -319,6 +326,84 @@ class MonitorResult:
         return [report.to_dict() for report in self.reports]
 
 
+#: Bucket edges (stream seconds) for the age / time-to-resolve
+#: histograms: one monitor window through a working day.
+AGE_BUCKETS = (
+    30.0, 60.0, 120.0, 300.0, 600.0, 1800.0, 3600.0, 14400.0, 86400.0,
+)
+
+
+def incident_metrics(manager: IncidentManager) -> list[Metric]:
+    """The incident lifecycle metrics, derived fresh from *manager*.
+
+    A registry collector (DESIGN.md §12): it owns no counters, so the
+    exposition cannot drift from the incident table. Ages are measured
+    in stream time (the manager's ``last_time``), never the wall clock.
+    Lifetime reopen/resolve counts are transitions over the retained
+    incidents.
+    """
+    reopened = Counter(
+        "repro_incidents_reopened_total",
+        "Reopen transitions over retained incidents.",
+    )
+    resolved = Counter(
+        "repro_incidents_resolved_total",
+        "Resolve transitions over retained incidents.",
+    )
+    ages = Histogram(
+        "repro_incident_age_seconds",
+        "Age of live incidents in stream seconds.",
+        AGE_BUCKETS,
+    )
+    ttr = Histogram(
+        "repro_incident_time_to_resolve_seconds",
+        "Open-to-resolved duration of retained resolved incidents.",
+        AGE_BUCKETS,
+    )
+    now = manager.last_time
+    for record in manager.all_incidents():
+        for event in record.transitions:
+            if event.to_status == IncidentStatus.RESOLVED.value:
+                resolved.inc()
+            elif event.from_status == IncidentStatus.RESOLVED.value:
+                reopened.inc()
+        if record.resolved:
+            duration = record.time_to_resolve
+            if duration is not None:
+                ttr.observe(duration)
+        else:
+            ages.observe(record.age(now))
+    created = Counter(
+        "repro_incidents_created_total", "Incidents ever opened."
+    )
+    created.inc(manager.created_total)
+    stream_time = Gauge(
+        "repro_incidents_stream_time",
+        "Latest stream timestamp folded into the manager.",
+    )
+    stream_time.set(now)
+    return [
+        LabelledGauge(
+            "repro_incidents_total",
+            "Incidents currently retained, by lifecycle state.",
+            "status",
+            manager.counts_by_status(),
+        ),
+        LabelledGauge(
+            "repro_incidents_by_class",
+            "Incidents currently retained, by triage class.",
+            "class",
+            manager.counts_by_class(),
+        ),
+        created,
+        reopened,
+        resolved,
+        ages,
+        ttr,
+        stream_time,
+    ]
+
+
 def run_monitor(
     source: Source,
     config: MonitorConfig,
@@ -334,7 +419,7 @@ def run_monitor(
     core = MonitorCore(
         source, config, checkpoint_dir=checkpoint_dir, resume=resume
     )
-    registry.register_collector(IncidentExporter(core.live_manager))
+    registry.register_collector(partial(incident_metrics, core.live_manager))
 
     # -- metric handles -------------------------------------------------
     events_total = registry.counter(

@@ -21,7 +21,7 @@ N sharded monitor pipelines:
   feed-and-serve loop behind the CLI.
 """
 
-from repro.serve.app import ServeApp, ServeCollector, serve_metrics
+from repro.serve.app import ServeApp, serve_metrics
 from repro.serve.driver import ServeResult, run_serve
 from repro.serve.events import TransitionFeed, format_sse
 from repro.serve.http import (
@@ -49,7 +49,6 @@ __all__ = [
     "Request",
     "Response",
     "ServeApp",
-    "ServeCollector",
     "ServeResult",
     "ShardSet",
     "SnapshotHub",

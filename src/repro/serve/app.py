@@ -7,8 +7,8 @@
 ``/incidents/<id>`` One incident off the cached rows' index
                     (``?shard=`` to disambiguate).
 ``/events``         SSE transition feed (``Last-Event-ID`` replay).
-``/metrics``        Prometheus-style text exposition (same registry
-``/metrics.json``   the pipeline writes — one port, one registry).
+``/metrics``        Prometheus-style text exposition of the serve
+``/metrics.json``   families (and its JSON snapshot).
 ``/healthz``        Liveness probe.
 ``/status``         Shard/version/cache introspection JSON.
 ==================  ==================================================
@@ -20,11 +20,13 @@ Every handler reads exclusively through the snapshot surface —
 pipeline objects (rule SRV001: ``live_``-prefixed state is for the
 sharding/snapshot layer only).
 
-Per-route request counters and latency histograms live on the shared
+Per-route request counters and latency histograms live on a
 :class:`~repro.pipeline.metrics.MetricsRegistry`; serve-level live
 values (render and incident-build counts, feed position, shard
-liveness) ride the same exposition through a registered collector, so
-one ``/metrics`` scrape covers pipeline and serving health.
+liveness) ride the same exposition through :meth:`ServeApp.gauges`,
+registered as a collector. The shard pipelines keep no registry, so
+no ``repro_pipeline_*`` or ``repro_incidents_*`` family appears here:
+``/status`` and ``/incidents`` carry that view.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import json
 import time
 from typing import Optional
 
-from repro.pipeline.metrics import MetricsRegistry
+from repro.pipeline.metrics import Gauge, MetricsRegistry
 from repro.serve.events import TransitionFeed
 from repro.serve.http import (
     Handler,
@@ -78,37 +80,6 @@ async def serve_metrics(
     )
 
 
-class ServeCollector:
-    """Serve-level live values for the shared metrics exposition."""
-
-    def __init__(self, app: "ServeApp") -> None:
-        self._app = app
-
-    def _values(self) -> dict[str, object]:
-        app = self._app
-        return {
-            "repro_serve_picture_renders_total": app.hub.renders,
-            "repro_serve_incident_builds_total": (
-                app.hub.incident_builds
-            ),
-            "repro_serve_sse_events_total": app.feed.published,
-            "repro_serve_shards_alive": sum(app.shards.alive()),
-            "repro_serve_events_offered_total": (
-                app.shards.events_offered
-            ),
-        }
-
-    def render_text(self) -> str:
-        lines = []
-        for name, value in sorted(self._values().items()):
-            lines.append(f"# TYPE {name} gauge")
-            lines.append(f"{name} {value}")
-        return "\n".join(lines) + "\n"
-
-    def to_snapshot(self) -> dict[str, object]:
-        return self._values()
-
-
 class ServeApp:
     """Wires the snapshot surfaces into an :class:`HttpServer`."""
 
@@ -124,7 +95,7 @@ class ServeApp:
         self.registry = (
             registry if registry is not None else MetricsRegistry()
         )
-        self.registry.register_collector(ServeCollector(self))
+        self.registry.register_collector(self.gauges)
         self._counters = {
             name: self.registry.counter(
                 f"repro_serve_requests_total_{name}",
@@ -158,6 +129,22 @@ class ServeApp:
             "/healthz", self._timed("healthz", self.healthz)
         )
         self.server.route("/status", self._timed("status", self.status))
+
+    def gauges(self) -> list[Gauge]:
+        """Serve-level live values, read fresh at every scrape."""
+        values = {
+            "repro_serve_events_offered_total": self.shards.events_offered,
+            "repro_serve_incident_builds_total": self.hub.incident_builds,
+            "repro_serve_picture_renders_total": self.hub.renders,
+            "repro_serve_shards_alive": sum(self.shards.alive()),
+            "repro_serve_sse_events_total": self.feed.published,
+        }
+        gauges = []
+        for name, value in values.items():
+            gauge = Gauge(name)
+            gauge.set(value)
+            gauges.append(gauge)
+        return gauges
 
     def _timed(self, name: str, handler: Handler) -> Handler:
         counter = self._counters[name]

@@ -1,14 +1,21 @@
-"""Exporter tests: scrape-time derivation and registry integration."""
+"""Incident metrics: scrape-time derivation and registry integration."""
+
+from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
-from repro.incidents import (
-    IncidentExporter,
-    IncidentManager,
-    IncidentPolicy,
-)
+from repro.incidents import IncidentManager, IncidentPolicy, IncidentStatus
 from repro.pipeline import MetricsRegistry
+from repro.pipeline.monitor import incident_metrics
 from tests.incidents.conftest import make_component, make_report
+
+
+def scraped(manager: IncidentManager) -> MetricsRegistry:
+    """A registry exporting *manager* the way ``run_monitor`` does."""
+    registry = MetricsRegistry()
+    registry.register_collector(partial(incident_metrics, manager))
+    return registry
 
 
 def lived_in_manager() -> IncidentManager:
@@ -35,7 +42,7 @@ def lived_in_manager() -> IncidentManager:
 class TestSnapshot:
     def test_counts_come_from_the_live_manager(self):
         manager = lived_in_manager()
-        snapshot = IncidentExporter(manager).to_snapshot()
+        snapshot = scraped(manager).snapshot()
         assert snapshot["repro_incidents_total"] == manager.counts_by_status()
         assert snapshot["repro_incidents_created_total"] == 2
         assert snapshot["repro_incidents_reopened_total"] == 1
@@ -46,7 +53,7 @@ class TestSnapshot:
 
     def test_age_histogram_covers_exactly_the_live_incidents(self):
         manager = lived_in_manager()
-        snapshot = IncidentExporter(manager).to_snapshot()
+        snapshot = scraped(manager).snapshot()
         live = [r for r in manager.all_incidents() if not r.resolved]
         ages = snapshot["repro_incident_age_seconds"]
         assert ages["count"] == len(live) == 2
@@ -58,21 +65,21 @@ class TestSnapshot:
     def test_ttr_histogram_covers_resolved_incidents(self):
         manager = lived_in_manager()
         manager.finalize()
-        snapshot = IncidentExporter(manager).to_snapshot()
+        snapshot = scraped(manager).snapshot()
         ttr = snapshot["repro_incident_time_to_resolve_seconds"]
         assert ttr["count"] == 2
         assert snapshot["repro_incident_age_seconds"]["count"] == 0
 
     def test_class_breakdown_matches_the_manager(self):
         manager = lived_in_manager()
-        snapshot = IncidentExporter(manager).to_snapshot()
+        snapshot = scraped(manager).snapshot()
         assert (
             snapshot["repro_incidents_by_class"]
             == manager.counts_by_class()
         )
 
     def test_an_empty_manager_exports_zeroes(self):
-        snapshot = IncidentExporter(IncidentManager()).to_snapshot()
+        snapshot = scraped(IncidentManager()).snapshot()
         assert snapshot["repro_incidents_created_total"] == 0
         assert sum(snapshot["repro_incidents_total"].values()) == 0
         assert snapshot["repro_incident_age_seconds"]["count"] == 0
@@ -80,7 +87,7 @@ class TestSnapshot:
 
 class TestExposition:
     def test_render_text_is_prometheus_shaped(self):
-        text = IncidentExporter(lived_in_manager()).render_text()
+        text = scraped(lived_in_manager()).render_text()
         assert '# TYPE repro_incidents_total gauge' in text
         assert 'repro_incidents_total{status="open"}' in text
         assert 'repro_incidents_total{status="investigating"}' in text
@@ -96,10 +103,10 @@ class TestExposition:
 
     def test_every_scrape_rederives_from_current_state(self):
         manager = lived_in_manager()
-        exporter = IncidentExporter(manager)
-        before = exporter.render_text()
+        registry = scraped(manager)
+        before = registry.render_text()
         manager.finalize()
-        after = exporter.render_text()
+        after = registry.render_text()
         assert before != after
         assert 'repro_incidents_total{status="resolved"} 2' in after
 
@@ -109,7 +116,9 @@ class TestRegistryIntegration:
         registry = MetricsRegistry()
         events = registry.counter("repro_pipeline_events_total")
         events.inc(5)
-        registry.register_collector(IncidentExporter(lived_in_manager()))
+        registry.register_collector(
+            partial(incident_metrics, lived_in_manager())
+        )
         snapshot = registry.snapshot()
         assert snapshot["repro_incidents_created_total"] == 2
         text = registry.render_text()
@@ -118,7 +127,36 @@ class TestRegistryIntegration:
         assert "repro_pipeline_events_total 5" in text
         assert snapshot["repro_pipeline_events_total"] == 5
 
-    def test_collectors_must_quack(self):
-        registry = MetricsRegistry()
-        with pytest.raises(TypeError):
-            registry.register_collector(object())
+
+class TestScrapeThread:
+    def test_status_counts_survive_an_insert_mid_scrape(self):
+        # A scrape runs on the HTTP thread while the monitor thread
+        # inserts incidents; a record whose status read inserts one
+        # stands in for that interleaving, deterministically.
+        manager = IncidentManager()
+
+        class Inserting:
+            @property
+            def status(self):
+                manager._incidents[2] = SimpleNamespace(
+                    status=IncidentStatus.OPEN
+                )
+                return IncidentStatus.OPEN
+
+        manager._incidents[1] = Inserting()
+        counts = manager.counts_by_status()
+        assert counts[IncidentStatus.OPEN.value] == 1
+
+    def test_listing_survives_a_drop_mid_scrape(self):
+        # Key iteration that drops an incident stands in for the monitor
+        # thread evicting one between a listing's key copy and lookups.
+        manager = lived_in_manager()
+
+        class Dropping(dict):
+            def __iter__(self):
+                keys = list(super().__iter__())
+                self.pop(keys[0])
+                return iter(keys)
+
+        manager._incidents = Dropping(manager._incidents)
+        assert [r.incident_id for r in manager.all_incidents()] == [1, 2]

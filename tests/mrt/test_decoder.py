@@ -244,7 +244,8 @@ class TestTableSemantics:
         )
         with pytest.raises(BGPCodecError) as first:
             load_updates(
-                io.BytesIO(update_record_bytes([good, bad])), strict=True
+                io.BytesIO(update_record_bytes([good, bad])),
+                policy=IngestPolicy(strict=True),
             )
         # Non-strict over a repeat: both occurrences fail the same way.
         report = load_updates(

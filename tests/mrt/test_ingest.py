@@ -168,13 +168,17 @@ class TestWarnPath:
 class TestStrictAndBudget:
     def test_strict_raises_immediately(self):
         with pytest.raises((MRTError, ValueError)):
-            load_updates(io.BytesIO(mixed_archive()), strict=True)
-
-    def test_strict_via_policy(self):
-        with pytest.raises((MRTError, ValueError)):
             load_updates(
                 io.BytesIO(mixed_archive()),
                 policy=IngestPolicy(strict=True),
+            )
+
+    def test_strict_via_policy(self):
+        # Strict wins over an error budget that would tolerate it all.
+        with pytest.raises((MRTError, ValueError)):
+            load_updates(
+                io.BytesIO(mixed_archive()),
+                policy=IngestPolicy(strict=True, max_error_rate=1.0),
             )
 
     def test_budget_aborts_past_the_rate(self):
@@ -280,7 +284,10 @@ class TestRibIngest:
     def test_strict_rib_raises(self):
         data = self._rib_bytes()
         with pytest.raises(MRTError):
-            load_rib(io.BytesIO(data[: len(data) // 2]), strict=True)
+            load_rib(
+                io.BytesIO(data[: len(data) // 2]),
+                policy=IngestPolicy(strict=True),
+            )
 
 
 class TestReportUnit:

@@ -7,6 +7,7 @@ import pytest
 from repro.collector.events import EventKind
 from repro.collector.rex import RouteExplorer
 from repro.collector.stream import EventStream
+from repro.mrt.ingest import IngestPolicy
 from repro.mrt.loader import dump_rib, dump_updates, load_rib, load_updates
 from repro.mrt.records import (
     SUBTYPE_BGP4MP_MESSAGE_AS4,
@@ -135,7 +136,7 @@ class TestUpdatesRoundTrip:
         assert len(stream) == 0
         assert stream.ingest_report.records_skipped == 1
         with pytest.raises((MRTError, ValueError)):
-            load_updates(path, strict=True)
+            load_updates(path, policy=IngestPolicy(strict=True))
 
 
 class TestPropertyRoundTrip:

@@ -16,7 +16,10 @@ from repro.pipeline.metrics import (
     Histogram,
     MetricsRegistry,
 )
+from repro.pipeline.monitor import MonitorConfig, run_monitor
 from repro.serve import HttpServer, serve_metrics
+from tests.pipeline.conftest import small_source
+from tests.serve.test_app import build_app
 
 
 class TestCounter:
@@ -113,6 +116,39 @@ class TestRegistry:
         assert "# HELP repro_x_total things counted" in text
         assert "# TYPE repro_x_total counter" in text
         assert "repro_x_total 2" in text
+
+
+def assert_one_type_line_per_family(registry):
+    families = [
+        line.split()[2]
+        for line in registry.render_text().splitlines()
+        if line.startswith("# TYPE ")
+    ]
+    assert len(families) == len(set(families))
+    assert sorted(registry.snapshot()) == sorted(families)
+
+
+class TestFamilies:
+    def test_a_monitor_registry_with_incidents(self):
+        registry = MetricsRegistry()
+        result = run_monitor(
+            small_source(),
+            MonitorConfig(
+                window=120, slide=60, batch_size=64, resolve_after=300
+            ),
+            registry=registry,
+        )
+        assert result.incidents.all_incidents()
+        assert "repro_incidents_total" in registry.snapshot()
+        assert_one_type_line_per_family(registry)
+
+    def test_a_serve_app_registry(self):
+        shard_set, _, _, app = build_app()
+        for event in small_source().events():
+            shard_set.offer(event)
+        shard_set.finish()
+        assert "repro_serve_shards_alive" in app.registry.snapshot()
+        assert_one_type_line_per_family(app.registry)
 
 
 def mounted(registry):

@@ -100,12 +100,12 @@ class TestMemberBehavior:
     @pytest.mark.parametrize("name", DECODE_BREAKING)
     def test_strict_raises_on_decode_breaking_members(self, corpus, name):
         with pytest.raises((MRTError, ValueError)):
-            load_updates(corpus[name], strict=True)
+            load_updates(corpus[name], policy=IngestPolicy(strict=True))
 
     @pytest.mark.parametrize("name", FRAMING_BREAKING)
     def test_strict_raises_on_truncated_members(self, corpus, name):
         with pytest.raises(MRTError):
-            load_updates(corpus[name], strict=True)
+            load_updates(corpus[name], policy=IngestPolicy(strict=True))
 
     def test_dropped_member_reads_fewer_records(self, corpus):
         clean = load_updates(corpus["clean"]).ingest_report
