@@ -232,14 +232,8 @@ def test_object_sets_vs_interned(benchmark, berkeley_rex):
     keys edge stores by packed ids; the preserved pre-rewrite builder
     (`repro.tamp.reference`) works on raw token tuples and
     ``set[Prefix]`` stores. Same input, decoded-identical graphs — the
-    row quantifies what the representation alone buys. The backend
-    sub-ablation (set columns vs int bitmasks) shows why IdSet is the
-    default: builds are update-heavy (set.update mutates in place at C
-    speed) while masks only win on unions of already-built columns.
+    row quantifies what the representation alone buys.
     """
-    import random
-
-    from repro.interning import IdSet, MaskIdSet
     from repro.net.prefix import format_address
     from repro.tamp.picture import build_picture
     from repro.tamp.reference import reference_picture
@@ -264,38 +258,11 @@ def test_object_sets_vs_interned(benchmark, berkeley_rex):
     if n_routes > 50_000:
         assert interned_time < object_time
 
-    # Backend sub-ablation on synthetic columns shaped like a merge.
-    rng = random.Random(67)
-    columns = [
-        [rng.randrange(60_000) for _ in range(250)] for _ in range(400)
-    ]
-    t0 = time.perf_counter()
-    set_columns = [IdSet(ids) for ids in columns]
-    set_build = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    set_union = IdSet()
-    for column in set_columns:
-        set_union.update(column)
-    set_merge = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    mask_columns = [MaskIdSet(ids) for ids in columns]
-    mask_build = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    mask_union = MaskIdSet()
-    for column in mask_columns:
-        mask_union.union_update(column)
-    mask_merge = time.perf_counter() - t0
-    assert mask_union == set_union
-
     record_row(
         "ablations",
         f"interning: object-sets={object_time:.2f}s"
         f" interned={interned_time:.2f}s speedup={speedup:.1f}x"
-        f" ({n_routes} routes, decoded graphs identical);"
-        f" columns set build/merge={set_build * 1e3:.1f}/"
-        f"{set_merge * 1e3:.1f}ms"
-        f" mask build/merge={mask_build * 1e3:.1f}/"
-        f"{mask_merge * 1e3:.1f}ms",
+        f" ({n_routes} routes, decoded graphs identical)",
         data={
             "ablation": "interning",
             "routes": n_routes,

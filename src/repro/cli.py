@@ -519,20 +519,20 @@ def _load_stream(
     load was lossy — the operator should never act on a diagnosis of a
     partial feed without knowing it was partial.
     """
-    if path.suffix.lower() in (".mrt", ".dump", ".bgp4mp"):
-        from repro.mrt.ingest import IngestPolicy
-        from repro.mrt.loader import load_updates
+    from repro.mrt.ingest import IngestPolicy
+    from repro.pipeline.sources import load_event_file
 
-        policy = IngestPolicy(
+    stream = load_event_file(
+        path,
+        IngestPolicy(
             strict=bool(getattr(args, "strict_ingest", False)),
             max_error_rate=getattr(args, "max_error_rate", None),
-        )
-        stream = load_updates(path, policy=policy)
-        report = stream.ingest_report
-        if report is not None and report.suspicious:
-            print(report.summary(), file=sys.stderr)
-        return stream
-    return EventStream.load(path)
+        ),
+    )
+    report = stream.ingest_report
+    if report is not None and report.suspicious:
+        print(report.summary(), file=sys.stderr)
+    return stream
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
@@ -633,28 +633,15 @@ def _monitor_source(args: argparse.Namespace):
 
 
 def cmd_monitor(args: argparse.Namespace) -> int:
+    import asyncio
     import json
 
-    from repro.pipeline import MetricsRegistry, run_monitor
+    from repro.pipeline import MetricsRegistry, MonitorResult, monitor_loop
     from repro.pipeline.windows import WindowReport
 
     source = _monitor_source(args)
     config = _monitor_config(args)
     registry = MetricsRegistry()
-    server = None
-    if args.metrics_port is not None:
-        from functools import partial
-
-        from repro.serve import HttpServer, serve_metrics
-
-        server = HttpServer()
-        for path in ("/metrics", "/metrics.json"):
-            server.route(path, partial(serve_metrics, registry))
-        server.start_in_thread(port=args.metrics_port)
-        print(
-            f"metrics on http://127.0.0.1:{server.port}/metrics",
-            file=sys.stderr,
-        )
 
     def print_report(report: WindowReport) -> None:
         stems = report.ranked_stems()
@@ -672,18 +659,37 @@ def cmd_monitor(args: argparse.Namespace) -> int:
                 f" {stem['prefixes']} prefixes)"
             )
 
-    try:
-        result = run_monitor(
-            source,
-            config,
-            checkpoint_dir=args.checkpoint_dir,
-            resume=args.resume,
-            registry=registry,
-            on_report=print_report,
-        )
-    finally:
-        if server is not None:
-            server.stop_thread()
+    async def monitor() -> MonitorResult:
+        # The metrics server runs on the monitor's own loop: a scrape is
+        # answered between two batches, never beside one.
+        server = None
+        if args.metrics_port is not None:
+            from functools import partial
+
+            from repro.serve import HttpServer, serve_metrics
+
+            server = HttpServer()
+            for path in ("/metrics", "/metrics.json"):
+                server.route(path, partial(serve_metrics, registry))
+            await server.start(port=args.metrics_port)
+            print(
+                f"metrics on http://127.0.0.1:{server.port}/metrics",
+                file=sys.stderr,
+            )
+        try:
+            return await monitor_loop(
+                source,
+                config,
+                checkpoint_dir=args.checkpoint_dir,
+                resume=args.resume,
+                registry=registry,
+                on_report=print_report,
+            )
+        finally:
+            if server is not None:
+                await server.close()
+
+    result = asyncio.run(monitor())
     report = source.ingest_report
     if report is not None and report.suspicious:
         print(report.summary(), file=sys.stderr)

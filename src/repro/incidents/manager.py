@@ -330,8 +330,10 @@ class IncidentManager:
     # -- queries --------------------------------------------------------
 
     def _records_by_id(self) -> list[IncidentRecord]:
-        incidents = self._incidents.copy()  # C-level: safe beside a writer
-        return [incidents[incident_id] for incident_id in sorted(incidents)]
+        return [
+            self._incidents[incident_id]
+            for incident_id in sorted(self._incidents)
+        ]
 
     def all_incidents(self) -> list[IncidentRecord]:
         """Every retained incident, creation (id) order."""
@@ -349,9 +351,7 @@ class IncidentManager:
 
     def counts_by_status(self) -> dict[str, int]:
         counts = {status.value: 0 for status in IncidentStatus}
-        # One C-level copy first: a metrics scrape calls this from the
-        # HTTP thread while the monitor thread may add or drop incidents.
-        for record in self._incidents.copy().values():
+        for record in self._incidents.values():
             counts[record.status.value] += 1
         return counts
 

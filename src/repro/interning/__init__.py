@@ -16,10 +16,7 @@ the builder; every public query on :class:`repro.tamp.TampGraph`
 decodes ids back to real tokens/prefixes, and decoding happens on
 pruned (small) graphs, never per-route.
 
-The graph stores prefix membership as id-keyed refcount maps. The two
-id-set backends (:class:`IdSet`, :class:`MaskIdSet`) have no caller in
-the build any more: they stay for the set-columns-vs-bitmask ablation
-(``benchmarks/test_ablations.py``) and its property tests.
+The graph stores prefix membership as id-keyed refcount maps.
 
 Symbol tables are **per build** — created by a builder, carried by the
 graphs it produces, and garbage-collected with them. There is no
@@ -28,7 +25,6 @@ serve layer's monitor shards each grow their own table and the fan-in
 merges them by offset remap (:meth:`SymbolTable.remap_tokens`).
 """
 
-from repro.interning.idset import IdSet, MaskIdSet
 from repro.interning.symbols import (
     EDGE_MASK,
     EDGE_SHIFT,
@@ -46,8 +42,6 @@ __all__ = [
     "EDGE_SHIFT",
     "PREFIX_MASK",
     "PREFIX_SHIFT",
-    "IdSet",
-    "MaskIdSet",
     "SymbolTable",
     "pack_edge",
     "pack_prefix",

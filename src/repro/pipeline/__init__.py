@@ -19,8 +19,9 @@ long-running pipeline:
 * :mod:`repro.pipeline.metrics` — counters/gauges/histograms with a
   JSON snapshot and a plain-text exposition.
 * :mod:`repro.pipeline.monitor` — :class:`MonitorCore`, the one
-  pump/drain/checkpoint body tying it together, and ``run_monitor``,
-  the loop over it behind ``repro monitor``.
+  pump/drain/checkpoint body tying it together, and ``monitor_loop``,
+  the coroutine over it behind ``repro monitor`` (``run_monitor`` runs
+  it on a loop of its own).
 """
 
 from repro.pipeline.checkpoint import (
@@ -33,6 +34,7 @@ from repro.pipeline.monitor import (
     MonitorConfig,
     MonitorCore,
     MonitorResult,
+    monitor_loop,
     run_monitor,
 )
 from repro.pipeline.runtime import (
@@ -79,6 +81,7 @@ __all__ = [
     "WindowReport",
     "WindowedStemmer",
     "iter_batches",
+    "monitor_loop",
     "run_monitor",
     "shard_for_peer",
 ]

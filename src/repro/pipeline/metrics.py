@@ -15,10 +15,9 @@ Serving either over HTTP is the serve layer's job
 (:func:`repro.serve.app.serve_metrics`: ``/metrics`` for the text,
 ``/metrics.json`` for the snapshot, behind both ``repro serve`` and
 ``repro monitor --metrics-port``). This package does not import it.
-The registry's lock guards its own table, so a scrape from the
-server's thread is safe beside a monitor loop that is still creating
-metrics; collectors run outside that lock, so a collector that reads
-state another thread mutates must copy before it iterates.
+A scrape runs on the event loop that feeds the pipeline, between two
+batches, so the registry and its collectors read state nothing is
+mutating.
 
 The registry is deliberately *not* process-global (no module-level
 mutable state — the PIPE001 rule polices exactly that pattern in
@@ -29,7 +28,6 @@ slate.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Iterable, Sequence
 
 #: Default histogram buckets (seconds): tuned for window-lag style
@@ -209,7 +207,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: dict[str, Metric] = {}
         self._collectors: list[Collector] = []
-        self._lock = threading.Lock()
 
     def register_collector(self, collector: Collector) -> None:
         """Attach a collector called fresh at every scrape.
@@ -217,11 +214,9 @@ class MetricsRegistry:
         A collector computes its metrics from owned state at render
         time (e.g. incident ages from the current incident set) instead
         of pushing updates into the registry. Its metrics follow the
-        registered ones on both exposition surfaces. It runs outside
-        the registry lock, on whichever thread scrapes.
+        registered ones on both exposition surfaces.
         """
-        with self._lock:
-            self._collectors.append(collector)
+        self._collectors.append(collector)
 
     def counter(self, name: str, help: str = "") -> Counter:
         return self._get_or_create(Counter, name, help)
@@ -238,24 +233,21 @@ class MetricsRegistry:
         return self._get_or_create(Histogram, name, help, bounds)
 
     def _get_or_create(self, cls: type, name: str, help: str, *args):
-        with self._lock:
-            metric = self._metrics.get(name)
-            if metric is None:
-                metric = cls(name, help, *args)
-                self._metrics[name] = metric
-            elif not isinstance(metric, cls):
-                raise ValueError(
-                    f"metric {name!r} is a {metric.kind},"
-                    f" not a {cls.kind}"
-                )
-            return metric
+        metric = self._metrics.get(name)
+        if metric is None:
+            metric = cls(name, help, *args)
+            self._metrics[name] = metric
+        elif not isinstance(metric, cls):
+            raise ValueError(
+                f"metric {name!r} is a {metric.kind},"
+                f" not a {cls.kind}"
+            )
+        return metric
 
     def _collect(self) -> list[Metric]:
         """Registered metrics sorted by name, then each collector's."""
-        with self._lock:
-            metrics = [self._metrics[name] for name in sorted(self._metrics)]
-            collectors = list(self._collectors)
-        for collector in collectors:
+        metrics = [self._metrics[name] for name in sorted(self._metrics)]
+        for collector in self._collectors:
             metrics.extend(collector())
         return metrics
 

@@ -5,10 +5,15 @@ wires a :class:`~repro.pipeline.sources.Source` into the two-stage
 analysis pipeline (windowed Stemming, TAMP annotation), persists every
 emitted window report to the checkpoint store's incident log, grows
 the managed incidents from the reports, and checkpoints at quiescent
-points. Two drivers own the *loop*: :func:`run_monitor` below (pacing,
-metrics, crash injection, ``max_events``) and the serve layer's
-:class:`~repro.serve.sharding.ShardSet`, which pumps one core per
-shard between HTTP requests.
+points. Two drivers own the *loop*: :func:`monitor_loop` below
+(pacing, metrics, crash injection, ``max_events``) and the serve
+layer's :class:`~repro.serve.sharding.ShardSet`, which pumps one core
+per shard between HTTP requests. Both are coroutines on the process's
+one event loop: each batch starts with an ``asyncio.sleep`` for the
+pacer's delay (0 when unpaced), and that await is where HTTP requests
+on the same loop run, against the state at a batch boundary.
+:func:`run_monitor` is ``asyncio.run`` of :func:`monitor_loop`, for a
+caller with no loop of its own.
 
 Determinism boundary — what resume restores bit-identically:
 everything that reaches the incident log (window fingerprints, ranked
@@ -30,11 +35,11 @@ simulates a kill it can later resume from.
 
 from __future__ import annotations
 
-import time
+import asyncio
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from repro.incidents.lifecycle import IncidentRecord, IncidentStatus
 from repro.incidents.manager import IncidentManager, IncidentPolicy
@@ -101,6 +106,17 @@ class MonitorConfig:
     investigate_after: int = 2
     prefix_overlap: float = 0.5
     max_events: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.checkpoint_every < 1:
+            raise ValueError(
+                "--checkpoint-every must be at least 1,"
+                f" got {self.checkpoint_every}"
+            )
+        if self.max_events is not None and self.max_events < 1:
+            raise ValueError(
+                f"--max-events must be at least 1, got {self.max_events}"
+            )
 
     def incident_policy(self) -> IncidentPolicy:
         return IncidentPolicy(
@@ -405,6 +421,13 @@ def incident_metrics(manager: IncidentManager) -> list[Metric]:
 
 
 def run_monitor(
+    source: Source, config: MonitorConfig, **options: Any
+) -> MonitorResult:
+    """:func:`monitor_loop`, with the same keywords, on a new loop."""
+    return asyncio.run(monitor_loop(source, config, **options))
+
+
+async def monitor_loop(
     source: Source,
     config: MonitorConfig,
     *,
@@ -467,8 +490,8 @@ def run_monitor(
         "wall-clock delay between a window closing and its report",
     )
 
-    pacer = Pacer(config.pace)
-    clock = time.monotonic
+    clock = asyncio.get_running_loop().time
+    pacer = Pacer(config.pace, clock=clock)
     run_start = clock()
     last_checkpoint_clock = pumped_at = run_start
     run_reports: list[WindowReport] = []
@@ -504,7 +527,9 @@ def run_monitor(
     )
     try:
         for batch in batches:
-            pacer.wait_for(batch.events[-1].timestamp)
+            # Paces the replay and lets queued requests run between two
+            # batches.
+            await asyncio.sleep(pacer.delay(batch.events[-1].timestamp))
             pumped_at = clock()
             core.pump(batch)
             events_total.inc(len(batch))

@@ -38,7 +38,7 @@ from repro.simulator.synthetic import (
     sized_event_stream,
 )
 
-#: File suffixes routed through the MRT decoder (mirrors the CLI).
+#: File suffixes routed through the MRT decoder; anything else is JSONL.
 MRT_SUFFIXES = (".mrt", ".dump", ".bgp4mp")
 
 PROFILES = {
@@ -96,13 +96,26 @@ class StreamSource(Source):
         }
 
 
-class FileSource(Source):
-    """Replay an archive from disk: MRT by suffix, else JSONL.
+def load_event_file(
+    path: str | Path, policy: Optional[IngestPolicy] = None
+) -> EventStream:
+    """Events from an archive on disk: MRT by suffix, else JSONL.
 
-    The archive is decoded once on first use and replayed from
-    memory; MRT decode goes through :func:`repro.mrt.loader
-    .load_updates` so the usual ingest policy/quarantine machinery
-    applies and the report lands on :attr:`ingest_report`.
+    MRT decode goes through :func:`repro.mrt.loader.load_updates`, so
+    the usual ingest policy/quarantine machinery applies and the report
+    lands on the stream's ``ingest_report``.
+    """
+    path = Path(path)
+    if path.suffix.lower() in MRT_SUFFIXES:
+        return load_updates(path, policy=policy)
+    return EventStream.load(path)
+
+
+class FileSource(Source):
+    """Replay an archive from disk (:func:`load_event_file`).
+
+    The archive is decoded once on first use and replayed from memory;
+    an MRT decode's report lands on :attr:`ingest_report`.
     """
 
     def __init__(
@@ -117,13 +130,8 @@ class FileSource(Source):
 
     def _load(self) -> EventStream:
         if self._stream is None:
-            if self.path.suffix.lower() in MRT_SUFFIXES:
-                self._stream = load_updates(
-                    self.path, policy=self._policy
-                )
-                self.ingest_report = self._stream.ingest_report
-            else:
-                self._stream = EventStream.load(self.path)
+            self._stream = load_event_file(self.path, self._policy)
+            self.ingest_report = self._stream.ingest_report
         return self._stream
 
     def events(self, start_offset: int = 0) -> Iterator[BGPEvent]:
@@ -307,7 +315,10 @@ class Pacer:
     the schedule catches up (that growing gap is the monitor's
     ``window_lag`` signal).
 
-    *clock*/*sleep* are injectable so tests never touch real time.
+    The pacer never sleeps: both drivers await ``asyncio.sleep`` for
+    each :meth:`delay` it reports, with *clock* the event loop's, so
+    the wait is also when the loop answers HTTP requests. *clock* is
+    injectable so tests never touch real time.
     """
 
     def __init__(
@@ -315,16 +326,14 @@ class Pacer:
         pace: float,
         *,
         clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         self.pace = pace
         self._clock = clock
-        self._sleep = sleep
         self._anchor_ts: Optional[float] = None
         self._anchor_clock = 0.0
 
     def delay(self, timestamp: float) -> float:
-        """Seconds until *timestamp* is due (0 if late); never sleeps.
+        """Seconds until *timestamp* is due (0 if late).
 
         The first call anchors the schedule and returns 0.
         """
@@ -339,13 +348,6 @@ class Pacer:
             + (timestamp - self._anchor_ts) / self.pace
         )
         return max(0.0, due - self._clock())
-
-    def wait_for(self, timestamp: float) -> float:
-        """Sleep until *timestamp* is due; returns the delay slept."""
-        delay = self.delay(timestamp)
-        if delay > 0:
-            self._sleep(delay)
-        return delay
 
     def lag(self, timestamp: float) -> float:
         """Seconds (archive time) the replay is behind schedule."""

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import asyncio
 import logging
-import threading
-from concurrent.futures import Future
 from typing import Awaitable, Callable, Optional, Union
 
 #: Longest request head accepted, the stream reader's ``limit``.
@@ -30,8 +28,6 @@ _MAX_HEADER = 1 << 16
 #: Reply bytes a connection collects before it must send and drain:
 #: a client that pipelines and never reads meets back-pressure here.
 _MAX_PENDING = 1 << 20
-#: Seconds :meth:`HttpServer.stop_thread` waits for its thread.
-_STOP_WAIT = 2.0
 
 _log = logging.getLogger(__name__)
 
@@ -153,19 +149,17 @@ def _parse(head: str) -> Optional[Request]:
 class HttpServer:
     """Route table + connection loop over ``asyncio.start_server``.
 
-    An asyncio caller awaits :meth:`start` and :meth:`close` on its own
-    loop; a synchronous one (the monitor) uses :meth:`start_in_thread`
-    and :meth:`stop_thread`, and its handlers run on the server's thread.
+    The caller awaits :meth:`start` and :meth:`close` on the loop that
+    feeds the state its handlers read (``run_serve``'s shards, or the
+    monitor loop behind ``repro monitor --metrics-port``), so a handler
+    always runs between two batches, never beside one. :meth:`close`
+    stops accepting; connections still open end with the loop.
     """
 
     def __init__(self) -> None:
         self._routes: dict[str, Handler] = {}
         self._prefix_routes: list[tuple[str, Handler]] = []
         self._server: Optional[asyncio.Server] = None
-        self._writers: set[asyncio.StreamWriter] = set()
-        self._thread: Optional[
-            tuple[threading.Thread, asyncio.AbstractEventLoop]
-        ] = None
         self.port = 0
 
     def route(self, path: str, handler: Handler) -> None:
@@ -178,7 +172,7 @@ class HttpServer:
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> int:
         self._server = await asyncio.start_server(
-            self._accept, host, port, limit=_MAX_HEADER
+            self._serve_connection, host, port, limit=_MAX_HEADER
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self.port
@@ -188,73 +182,6 @@ class HttpServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-
-    def start_in_thread(
-        self, host: str = "127.0.0.1", port: int = 0
-    ) -> int:
-        """Serve from a daemon thread that owns its own event loop.
-
-        Returns the bound port once the socket is listening; a bind
-        failure is raised here, in the caller's thread.
-        """
-        loop = asyncio.new_event_loop()
-        bound: Future[int] = Future()
-
-        def serve() -> None:
-            try:
-                bound.set_result(
-                    loop.run_until_complete(self.start(host, port))
-                )
-            except BaseException as error:
-                bound.set_exception(error)
-            else:
-                loop.run_forever()
-                # stop_thread() asked. Stop accepting, hang up on the
-                # open connections (an idle keep-alive client would
-                # stay as long as it likes) and let every task end by
-                # itself before closing: a cancelled task, or an
-                # accept the server closes under, leaks its socket. An
-                # accept in flight ends in one more connection, for
-                # the next round.
-                assert self._server is not None
-                for listener in self._server.sockets:
-                    loop.remove_reader(listener.fileno())
-                while pending := asyncio.all_tasks(loop):
-                    for writer in self._writers:
-                        writer.close()
-                    loop.run_until_complete(asyncio.wait(pending))
-                loop.run_until_complete(self.close())
-            finally:
-                loop.close()
-
-        thread = threading.Thread(
-            target=serve, name="repro-http", daemon=True
-        )
-        thread.start()
-        bound.result()
-        self._thread = (thread, loop)
-        return self.port
-
-    def stop_thread(self) -> None:
-        """Stop the :meth:`start_in_thread` server; idempotent.
-
-        Waits a bounded time for the thread: it is a daemon, so a
-        caller on its way out is never held by a stuck handler.
-        """
-        running, self._thread = self._thread, None
-        if running is not None:
-            thread, loop = running
-            loop.call_soon_threadsafe(loop.stop)
-            thread.join(_STOP_WAIT)
-
-    def _accept(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        self._writers.add(writer)
-        task = asyncio.ensure_future(self._serve_connection(reader, writer))
-        task.add_done_callback(lambda _: self._writers.discard(writer))
 
     def _resolve(self, path: str) -> Optional[Handler]:
         handler = self._routes.get(path)

@@ -1,11 +1,10 @@
 """Incident metrics: scrape-time derivation and registry integration."""
 
 from functools import partial
-from types import SimpleNamespace
 
 import pytest
 
-from repro.incidents import IncidentManager, IncidentPolicy, IncidentStatus
+from repro.incidents import IncidentManager, IncidentPolicy
 from repro.pipeline import MetricsRegistry
 from repro.pipeline.monitor import incident_metrics
 from tests.incidents.conftest import make_component, make_report
@@ -126,37 +125,3 @@ class TestRegistryIntegration:
         # Registered metrics keep rendering alongside the collector.
         assert "repro_pipeline_events_total 5" in text
         assert snapshot["repro_pipeline_events_total"] == 5
-
-
-class TestScrapeThread:
-    def test_status_counts_survive_an_insert_mid_scrape(self):
-        # A scrape runs on the HTTP thread while the monitor thread
-        # inserts incidents; a record whose status read inserts one
-        # stands in for that interleaving, deterministically.
-        manager = IncidentManager()
-
-        class Inserting:
-            @property
-            def status(self):
-                manager._incidents[2] = SimpleNamespace(
-                    status=IncidentStatus.OPEN
-                )
-                return IncidentStatus.OPEN
-
-        manager._incidents[1] = Inserting()
-        counts = manager.counts_by_status()
-        assert counts[IncidentStatus.OPEN.value] == 1
-
-    def test_listing_survives_a_drop_mid_scrape(self):
-        # Key iteration that drops an incident stands in for the monitor
-        # thread evicting one between a listing's key copy and lookups.
-        manager = lived_in_manager()
-
-        class Dropping(dict):
-            def __iter__(self):
-                keys = list(super().__iter__())
-                self.pop(keys[0])
-                return iter(keys)
-
-        manager._incidents = Dropping(manager._incidents)
-        assert [r.incident_id for r in manager.all_incidents()] == [1, 2]

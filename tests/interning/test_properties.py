@@ -1,34 +1,22 @@
 """Property-based guarantees for the interning layer.
 
-Two families:
-
-* **IdSet/MaskIdSet vs set[Prefix]**: an id-level set driven through a
-  random op sequence must decode to exactly the prefix set a plain
-  ``set[Prefix]`` model produces under the same ops — the backends are
-  interchangeable and neither drops, duplicates nor invents members.
-* **SymbolTable round trip**: encode → decode is the identity for any
-  mix of tokens and prefixes; token ids are dense in first-appearance
-  order; prefix ids are value-derived (every table computes the same
-  id, injectively); and a shard-join token remap preserves what every
-  id decodes to.
+**SymbolTable round trip**: encode → decode is the identity for any mix
+of tokens and prefixes; token ids are dense in first-appearance order;
+prefix ids are value-derived (every table computes the same id,
+injectively); and a shard-join token remap preserves what every id
+decodes to.
 """
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.interning import (
-    IdSet,
-    MaskIdSet,
     SymbolTable,
     pack_prefix,
     unpack_edge,
     unpack_prefix,
 )
 from repro.net.prefix import Prefix
-
-# Bounded id universe keeps MaskIdSet masks small and collisions (the
-# interesting cases: re-add, discard-of-member) frequent.
-ids = st.integers(0, 127)
 
 
 def prefixes() -> st.SearchStrategy[Prefix]:
@@ -50,86 +38,6 @@ def tokens() -> st.SearchStrategy[tuple]:
         st.tuples(st.just("as"), st.integers(1, 0xFFFFFFFF)),
         st.tuples(st.just("root"), st.text(max_size=8)),
     )
-
-
-#: One random mutation: ("add", id), ("discard", id) or ("union", ids).
-operations = st.lists(
-    st.one_of(
-        st.tuples(st.just("add"), ids),
-        st.tuples(st.just("discard"), ids),
-        st.tuples(st.just("union"), st.lists(ids, max_size=8)),
-    ),
-    max_size=40,
-)
-
-
-@given(operations)
-def test_idset_backends_match_set_model(ops):
-    model: set = set()
-    plain = IdSet()
-    masked = MaskIdSet()
-    for op, arg in ops:
-        if op == "add":
-            model.add(arg)
-            plain.add(arg)
-            masked.add(arg)
-        elif op == "discard":
-            model.discard(arg)
-            plain.discard(arg)
-            masked.discard(arg)
-        else:
-            model.update(arg)
-            plain.update(arg)
-            masked.update(arg)
-        # Membership, count and iteration agree after every step.
-        assert set(plain) == model
-        assert set(masked) == model
-        assert plain.count() == masked.count() == len(model)
-        assert all(member in masked for member in model)
-    # The backends agree with each other and across the mask codec.
-    assert masked == plain
-    assert plain.mask() == masked.mask()
-    assert set(IdSet.from_mask(plain.mask())) == model
-    assert set(MaskIdSet.from_mask(masked.mask())) == model
-
-
-@given(operations, operations)
-def test_idset_union_of_built_sets(ops_a, ops_b):
-    def run(ops, target):
-        for op, arg in ops:
-            if op == "add":
-                target.add(arg)
-            elif op == "discard":
-                target.discard(arg)
-            else:
-                target.update(arg)
-        return target
-
-    model = run(ops_a, set()) | run(ops_b, set())
-    plain = run(ops_a, IdSet())
-    plain.update(run(ops_b, IdSet()))
-    masked = run(ops_a, MaskIdSet())
-    masked.union_update(run(ops_b, MaskIdSet()))
-    assert set(plain) == set(masked) == model
-
-
-@given(st.lists(prefixes(), max_size=30))
-def test_idset_decodes_to_prefix_set(prefix_list):
-    """Interned adds decode back to exactly the set[Prefix] model.
-
-    Only the hash-backed :class:`IdSet` sees real prefix ids: packed
-    ids are wide (length in the high bits), so the bitmask backend —
-    which allocates one bit per id *value* — is for dense synthetic id
-    universes only.
-    """
-    table = SymbolTable()
-    model: set = set()
-    plain = IdSet()
-    for prefix in prefix_list:
-        model.add(prefix)
-        plain.add(table.intern_prefix(prefix))
-    assert {table.prefix(pid) for pid in plain} == model
-    assert plain.count() == len(model)
 
 
 @given(st.lists(tokens(), max_size=30), st.lists(prefixes(), max_size=30))

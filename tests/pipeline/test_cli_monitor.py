@@ -1,8 +1,9 @@
 """CLI surface tests for ``repro monitor``."""
 
 import json
-import re
-import urllib.request
+import socket
+import threading
+import time
 
 import pytest
 
@@ -74,40 +75,85 @@ class TestMetrics:
         assert "repro_pipeline_window_lag_seconds" in snapshot
         assert "metrics snapshot written" in capsys.readouterr().out
 
-    def test_metrics_port_serves_during_the_run(self, capsys):
-        # Port 0 binds an ephemeral port, printed to stderr; scrape it
-        # from the report callback while the monitor is still alive.
-        scraped = []
+    def test_metrics_port_serves_during_the_run(self):
+        # A keep-alive client on a test thread scrapes while a paced run
+        # (about two seconds) is alive, then stays connected and idle:
+        # the run must still end, and hang up on it as it does.
+        port = free_port()
+        seen = {}
 
+        def scrape():
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                try:
+                    sock = socket.create_connection(("127.0.0.1", port))
+                    break
+                except OSError:
+                    time.sleep(0.02)
+            else:
+                return
+            with sock, sock.makefile("rb") as replies:
+                sock.settimeout(30)
+                sock.sendall(b"GET /metrics HTTP/1.1\r\n\r\n")
+                status = replies.readline()
+                length = 0
+                for line in iter(replies.readline, b"\r\n"):
+                    name, _, value = line.partition(b":")
+                    if name.lower() == b"content-length":
+                        length = int(value)
+                seen["status"] = status
+                seen["body"] = replies.read(length).decode()
+                seen["after"] = sock.recv(1)
+
+        scraper = threading.Thread(target=scrape)
+        scraper.start()
+        try:
+            assert main(
+                SYNTH + ["--pace", "300", "--metrics-port", str(port)]
+            ) == 0
+        finally:
+            scraper.join()
+        assert seen["status"].startswith(b"HTTP/1.1 200 ")
+        assert "repro_pipeline_events_total" in seen["body"]
+        assert seen["after"] == b""  # hung up on at the end of the run
+
+    def test_the_metrics_mount_starts_no_thread(self, monkeypatch):
         import repro.pipeline as pipeline_pkg
 
-        original = pipeline_pkg.run_monitor
+        before = set(threading.enumerate())
+        seen = []
+        original = pipeline_pkg.monitor_loop
 
-        def scraping_run(source, config, **kwargs):
-            inner = kwargs.get("on_report")
+        def spying_loop(source, config, **kwargs):
+            inner = kwargs["on_report"]
 
             def spy(report):
-                if not scraped:
-                    err = capsys.readouterr().err
-                    match = re.search(
-                        r"http://127\.0\.0\.1:(\d+)/metrics", err
-                    )
-                    assert match, err
-                    with urllib.request.urlopen(match.group(0)) as resp:
-                        scraped.append(resp.read().decode())
-                if inner is not None:
-                    inner(report)
+                seen.append(set(threading.enumerate()))
+                inner(report)
 
             kwargs["on_report"] = spy
             return original(source, config, **kwargs)
 
-        pipeline_pkg.run_monitor = scraping_run
-        try:
-            assert main(SYNTH + ["--metrics-port", "0"]) == 0
-        finally:
-            pipeline_pkg.run_monitor = original
-        assert scraped
-        assert "repro_pipeline_events_total" in scraped[0]
+        monkeypatch.setattr(pipeline_pkg, "monitor_loop", spying_loop)
+        assert main(SYNTH + ["--metrics-port", "0"]) == 0
+        assert seen
+        assert all(threads == before for threads in seen)
+
+    def test_a_taken_metrics_port_fails_the_run(self, capsys):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            assert main(SYNTH + ["--metrics-port", str(port)]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "window 0 [" not in captured.out
+
+
+def free_port():
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
 
 
 class TestValidation:
@@ -128,3 +174,13 @@ class TestValidation:
         ])
         assert code == 1
         assert "slide" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", [
+        ["--checkpoint-every", "0"], ["--checkpoint-every", "-5"],
+        ["--max-events", "0"], ["--max-events", "-1"],
+    ], ids=["checkpoint-every-0", "checkpoint-every-neg", "max-events-0",
+            "max-events-neg"])
+    @pytest.mark.parametrize("command", ["monitor", "serve"])
+    def test_non_positive_counts_are_errors(self, command, option, capsys):
+        assert main([command] + SYNTH[1:] + option) == 1
+        assert option[0] in capsys.readouterr().err

@@ -1,11 +1,9 @@
 """Tests for the monitor's metrics core and its HTTP surface."""
 
+import asyncio
 import json
 import socket
-import threading
 import time
-import urllib.error
-import urllib.request
 from functools import partial
 
 import pytest
@@ -19,6 +17,7 @@ from repro.pipeline.metrics import (
 from repro.pipeline.monitor import MonitorConfig, run_monitor
 from repro.serve import HttpServer, serve_metrics
 from tests.pipeline.conftest import small_source
+from tests.serve.conftest import http_get, read_reply
 from tests.serve.test_app import build_app
 
 
@@ -153,31 +152,17 @@ class TestFamilies:
 
 def mounted(registry):
     """The ``repro monitor --metrics-port`` mount: the serve layer's
-    server and metrics handler, running on the server's own thread."""
+    server and metrics handler, started on the caller's event loop."""
     server = HttpServer()
     for path in ("/metrics", "/metrics.json"):
         server.route(path, partial(serve_metrics, registry))
-    server.start_in_thread()
     return server
 
 
-def server_threads():
-    return [
-        thread
-        for thread in threading.enumerate()
-        if thread.name == "repro-http"
-    ]
-
-
-def read_response(sock_file):
-    """One ``Content-Length`` response off a keep-alive socket."""
-    status = int(sock_file.readline().split()[1])
-    length = 0
-    for line in iter(sock_file.readline, b"\r\n"):
-        name, _, value = line.partition(b":")
-        if name.lower() == b"content-length":
-            length = int(value)
-    return status, sock_file.read(length)
+async def scrape(server, path):
+    status, _, body = await http_get(server.port, path)
+    assert status == 200
+    return body.decode()
 
 
 class TestServer:
@@ -186,71 +171,109 @@ class TestServer:
         events = registry.counter("repro_pipeline_events_total")
         events.inc(7)
         server = mounted(registry)
-        try:
-            base = f"http://127.0.0.1:{server.port}"
-            with urllib.request.urlopen(f"{base}/metrics") as resp:
-                assert resp.read().decode() == registry.render_text()
-            with urllib.request.urlopen(f"{base}/metrics.json") as resp:
-                assert resp.read().decode() == json.dumps(
+
+        async def main():
+            port = await server.start()
+            assert port != 0 and port == server.port
+            try:
+                assert await scrape(server, "/metrics") == (
+                    registry.render_text()
+                )
+                assert await scrape(server, "/metrics.json") == json.dumps(
                     registry.snapshot(), sort_keys=True
                 )
-            # Incremented on this thread, scraped from the server's.
-            events.inc(5)
-            with urllib.request.urlopen(f"{base}/metrics") as resp:
+                # Incremented between two scrapes on the one loop.
+                events.inc(5)
                 assert "repro_pipeline_events_total 12" in (
-                    resp.read().decode()
+                    await scrape(server, "/metrics")
                 )
-        finally:
-            server.stop_thread()
+            finally:
+                await server.close()
+
+        asyncio.run(main())
 
     def test_unknown_paths_and_methods_are_refused(self):
         server = mounted(MetricsRegistry())
-        try:
-            base = f"http://127.0.0.1:{server.port}"
-            for path, data, code in (
-                ("/nope", None, 404),
-                ("/", None, 404),
-                ("/metrics", b"", 405),  # a body makes it a POST
-            ):
-                with pytest.raises(urllib.error.HTTPError) as refused:
-                    urllib.request.urlopen(base + path, data=data)
-                with refused.value as response:
-                    assert response.code == code
-        finally:
-            server.stop_thread()
+
+        async def main():
+            await server.start()
+            try:
+                for path in ("/nope", "/"):
+                    status, _, _ = await http_get(server.port, path)
+                    assert status == 404
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(
+                    b"POST /metrics HTTP/1.1\r\nContent-Length: 0\r\n\r\n"
+                )
+                reply = await read_reply(reader)
+                writer.close()
+                await writer.wait_closed()
+                assert reply.startswith(b"HTTP/1.1 405 ")
+            finally:
+                await server.close()
+
+        asyncio.run(main())
 
     def test_pipelined_scrapes_share_one_keep_alive_socket(self):
         registry = MetricsRegistry()
         registry.counter("repro_x_total").inc(3)
         server = mounted(registry)
-        try:
-            with socket.create_connection(
-                ("127.0.0.1", server.port), timeout=10
-            ) as sock:
-                sock.sendall(b"GET /metrics HTTP/1.1\r\n\r\n" * 2)
-                with sock.makefile("rb") as responses:
-                    answers = [read_response(responses) for _ in "12"]
-            body = registry.render_text().encode()
-            assert answers == [(200, body), (200, body)]
-        finally:
-            server.stop_thread()
+
+        async def main():
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(b"GET /metrics HTTP/1.1\r\n\r\n" * 2)
+                answers = [await read_reply(reader) for _ in "12"]
+                writer.close()
+                await writer.wait_closed()
+                return answers
+            finally:
+                await server.close()
+
+        body = registry.render_text().encode()
+        for answer in asyncio.run(main()):
+            assert answer.startswith(b"HTTP/1.1 200 ")
+            assert answer.endswith(b"\r\n\r\n" + body)
 
     def test_close_is_idempotent(self):
+        # An idle keep-alive client must not be able to hold the stop:
+        # the loop ends with it still connected, and the server's end
+        # of the connection is closed with the loop.
         server = mounted(MetricsRegistry())
-        # An idle keep-alive client must not be able to hold the stop.
-        with socket.create_connection(("127.0.0.1", server.port)):
-            server.stop_thread()
-            server.stop_thread()
-            # The stop waits only so long; a loaded host may need more.
-            deadline = time.monotonic() + 10
-            while server_threads() and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert server_threads() == []
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            await server.start()
+            client = socket.create_connection(("127.0.0.1", server.port))
+            client.setblocking(False)
+            await loop.sock_sendall(client, b"GET /nope HTTP/1.1\r\n\r\n")
+            reply = b""
+            while not reply.endswith(b"not found"):
+                reply += await loop.sock_recv(client, 4096)
+            await server.close()
+            await server.close()
+            return client
+
+        started = time.monotonic()
+        with asyncio.run(main()) as client:
+            assert time.monotonic() - started < 10
+            client.settimeout(10)
+            assert client.recv(1) == b""  # hung up on, not left open
 
     def test_a_taken_port_fails_in_the_callers_thread(self):
         server = mounted(MetricsRegistry())
-        try:
-            with pytest.raises(OSError):
-                HttpServer().start_in_thread(port=server.port)
-        finally:
-            server.stop_thread()
+
+        async def main():
+            await server.start()
+            try:
+                with pytest.raises(OSError):
+                    await mounted(MetricsRegistry()).start(port=server.port)
+            finally:
+                await server.close()
+
+        asyncio.run(main())

@@ -6,6 +6,7 @@ fingerprints, same ranked stems, same TAMP annotations — to an
 uninterrupted run over the same archive.
 """
 
+import asyncio
 import dataclasses
 from collections import Counter
 
@@ -17,6 +18,7 @@ from repro.pipeline import (
     MetricsRegistry,
     MonitorConfig,
     SyntheticSource,
+    monitor_loop,
     run_monitor,
 )
 from repro.pipeline.monitor import MonitorCore
@@ -517,6 +519,43 @@ class TestInstrumentation:
             small_source(), sliding_config, on_report=seen.append
         )
         assert seen == result.reports
+
+
+class TestOneLoop:
+    def test_a_task_on_the_loop_runs_between_two_batches(
+        self, sliding_config
+    ):
+        # monitor_loop yields to its loop once per batch: another task
+        # on that loop (a scrape) runs mid-run, and only ever sees
+        # whole batches counted.
+        registry = MetricsRegistry()
+        samples = []
+
+        async def sample(done):
+            while not done.is_set():
+                snapshot = registry.snapshot()
+                samples.append((
+                    snapshot.get("repro_pipeline_events_total", 0),
+                    snapshot.get("repro_pipeline_batches_total", 0),
+                ))
+                await asyncio.sleep(0)
+
+        async def main():
+            done = asyncio.Event()
+            sampler = asyncio.create_task(sample(done))
+            try:
+                return await monitor_loop(
+                    small_source(), sliding_config, registry=registry
+                )
+            finally:
+                done.set()
+                await sampler
+
+        result = asyncio.run(main())
+        mid_run = [s for s in samples if 0 < s[0] < result.events]
+        assert len(mid_run) > 1
+        for events, batches in mid_run:
+            assert events == batches * sliding_config.batch_size
 
 
 class TestStageStats:

@@ -212,54 +212,50 @@ class TestQuarantineSource:
 class FakeClock:
     def __init__(self):
         self.now = 100.0
-        self.slept = []
 
     def clock(self):
         return self.now
-
-    def sleep(self, seconds):
-        self.slept.append(seconds)
-        self.now += seconds
 
 
 class TestPacer:
     def test_disabled_pace_never_sleeps(self):
         fake = FakeClock()
-        pacer = Pacer(0, clock=fake.clock, sleep=fake.sleep)
-        assert pacer.wait_for(50.0) == 0.0
-        assert fake.slept == []
+        pacer = Pacer(0, clock=fake.clock)
+        assert pacer.delay(0.0) == 0.0
+        assert pacer.delay(50.0) == 0.0
 
     def test_first_timestamp_anchors_the_schedule(self):
         fake = FakeClock()
-        pacer = Pacer(1.0, clock=fake.clock, sleep=fake.sleep)
-        assert pacer.wait_for(1000.0) == 0.0  # anchor, no sleep
-        delay = pacer.wait_for(1003.0)
-        assert delay == pytest.approx(3.0)
-        assert fake.slept == [pytest.approx(3.0)]
+        pacer = Pacer(1.0, clock=fake.clock)
+        assert pacer.delay(1000.0) == 0.0  # anchor, no wait
+        assert pacer.delay(1003.0) == pytest.approx(3.0)
 
     def test_pace_compresses_archive_time(self):
         fake = FakeClock()
-        pacer = Pacer(60.0, clock=fake.clock, sleep=fake.sleep)
-        pacer.wait_for(0.0)
-        delay = pacer.wait_for(120.0)  # two archive minutes
+        pacer = Pacer(60.0, clock=fake.clock)
+        pacer.delay(0.0)
+        delay = pacer.delay(120.0)  # two archive minutes
         assert delay == pytest.approx(2.0)
 
     def test_running_behind_means_no_sleep_and_positive_lag(self):
         fake = FakeClock()
-        pacer = Pacer(1.0, clock=fake.clock, sleep=fake.sleep)
-        pacer.wait_for(0.0)
+        pacer = Pacer(1.0, clock=fake.clock)
+        pacer.delay(0.0)
         fake.now += 30.0  # processing took 30s of wall clock
-        assert pacer.wait_for(10.0) == 0.0
+        assert pacer.delay(10.0) == 0.0
         assert pacer.lag(10.0) == pytest.approx(20.0)
 
     def test_lag_is_zero_when_unpaced(self):
         assert Pacer(0).lag(10.0) == 0.0
 
     def test_delay_reports_the_wait_without_sleeping(self):
+        # The delay counts down as the clock moves and never goes
+        # negative; the caller does the waiting.
         fake = FakeClock()
-        pacer = Pacer(60.0, clock=fake.clock, sleep=fake.sleep)
+        pacer = Pacer(60.0, clock=fake.clock)
         assert pacer.delay(0.0) == 0.0  # anchor
         assert pacer.delay(120.0) == pytest.approx(2.0)
-        fake.now += 5.0
+        fake.now += 1.5
+        assert pacer.delay(120.0) == pytest.approx(0.5)
+        fake.now += 3.5
         assert pacer.delay(120.0) == 0.0  # late: due 3 s ago
-        assert fake.slept == []
