@@ -210,8 +210,16 @@ class BGPEvent:
     @classmethod
     def from_json(cls, line: str) -> "BGPEvent":
         record = json.loads(line)
+        timestamp = record["t"]
+        kind = type(timestamp)
+        if kind is not int and not (kind is float and isfinite(timestamp)):
+            # NaN compares false with every boundary and infinity closes
+            # a window at infinity: either corrupts detection silently.
+            raise ValueError(
+                f"event timestamp must be a finite number, got {timestamp!r}"
+            )
         return cls(
-            timestamp=record["t"],
+            timestamp=timestamp,
             kind=EventKind(record["k"]),
             peer=parse_address(record["peer"]),
             prefix=Prefix.parse(record["pfx"]),

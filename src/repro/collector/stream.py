@@ -193,10 +193,18 @@ class EventStream:
         """Read a JSONL stream written by :meth:`save`."""
         events = []
         with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
+            for number, line in enumerate(handle, 1):
                 line = line.strip()
-                if line:
+                if not line:
+                    continue
+                try:
                     events.append(BGPEvent.from_json(line))
+                except KeyError as exc:
+                    raise ValueError(
+                        f"{path}:{number}: event lacks field {exc}"
+                    ) from exc
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{path}:{number}: {exc}") from exc
         return cls(events)
 
     # ------------------------------------------------------------------

@@ -99,7 +99,7 @@ def classify_component(component: Component) -> str:
     total = len(component.events)
     if total == 0:
         return "correlation"
-    withdrawals = component.events.withdraw_count()
+    withdrawals = component.withdrawals
     prefixes = max(1, len(component.prefixes))
     if withdrawals * 5 >= total * 4:
         return "mass-withdrawal"
@@ -125,6 +125,16 @@ class IncidentManager:
     _incidents: dict[int, IncidentRecord] = field(default_factory=dict)
     #: Stem (or merged related stem) → owning incident id.
     _by_stem: dict[StemKey, int] = field(default_factory=dict)
+    #: The live (unresolved) incidents, and prefix string → the live
+    #: incident ids holding it: the only candidates a prefix-overlap
+    #: merge can pick, kept at enrich, resolve, unlink and import so a
+    #: fold never walks the retained (mostly resolved) incidents.
+    _live: dict[int, IncidentRecord] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+    _by_prefix: dict[str, set[int]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
     _next_id: int = 1
     #: Latest stream time seen (the incident metrics' "now").
     last_time: float = 0.0
@@ -167,15 +177,16 @@ class IncidentManager:
         """
         now = self.last_time if at is None else at
         changed = []
-        for record in self._records_by_id():
-            if not record.resolved:
-                transition(
-                    record,
-                    IncidentStatus.RESOLVED,
-                    now,
-                    "end of stream",
-                )
-                changed.append(record)
+        for incident_id in sorted(self._live):
+            record = self._live[incident_id]
+            transition(
+                record,
+                IncidentStatus.RESOLVED,
+                now,
+                "end of stream",
+            )
+            self._retire(record)
+            changed.append(record)
         self._stale.update(record.incident_id for record in changed)
         return changed
 
@@ -186,6 +197,7 @@ class IncidentManager:
     ) -> IncidentRecord:
         key = stem_key(component.location)
         incident_class = classify_component(component)
+        prefixes = frozenset(str(p) for p in component.prefixes)
         incident_id = self._by_stem.get(key)
         if incident_id is not None:
             record = self._incidents[incident_id]
@@ -197,16 +209,22 @@ class IncidentManager:
                         now,
                         f"recurred on {key[0]}--{key[1]}",
                     )
-                    return self._enrich(record, component, incident_class, now)
+                    return self._enrich(
+                        record, component, prefixes, incident_class, now
+                    )
                 self._unlink(record)
             else:
-                return self._enrich(record, component, incident_class, now)
-        merged = self._merge_by_prefixes(component, now)
+                return self._enrich(
+                    record, component, prefixes, incident_class, now
+                )
+        merged = self._merge_by_prefixes(prefixes, now)
         if merged is not None:
             if key not in merged.related_stems and key != merged.stem:
                 merged.related_stems = merged.related_stems + (key,)
             self._by_stem[key] = merged.incident_id
-            return self._enrich(merged, component, incident_class, now)
+            return self._enrich(
+                merged, component, prefixes, incident_class, now
+            )
         record = open_incident(
             self._next_id,
             key,
@@ -219,26 +237,32 @@ class IncidentManager:
         self._incidents[record.incident_id] = record
         self._by_stem[key] = record.incident_id
         return self._enrich(
-            record, component, incident_class, now, created=True
+            record, component, prefixes, incident_class, now, created=True
         )
 
     def _merge_by_prefixes(
-        self, component: Component, now: float
+        self, prefixes: frozenset[str], now: float
     ) -> Optional[IncidentRecord]:
-        """The overlapping-prefix-set merge rule, deterministic by id."""
-        candidate_prefixes = frozenset(
-            str(p) for p in component.prefixes
-        )
-        if not candidate_prefixes:
-            return None
+        """The overlapping-prefix-set merge rule, deterministic by id.
+
+        Only a live incident sharing a prefix can overlap at all, so
+        the prefix index names every candidate; they are scored in id
+        order and a later one must score strictly higher to win.
+        """
+        by_prefix = self._by_prefix
+        candidates: set[int] = set()
+        for prefix in prefixes:
+            holders = by_prefix.get(prefix)
+            if holders is not None:
+                candidates |= holders
         best: Optional[IncidentRecord] = None
         best_overlap = 0.0
-        for record in self._records_by_id():
-            if record.resolved:
-                continue
+        live = self._live
+        for incident_id in sorted(candidates):
+            record = live[incident_id]
             if now - record.last_seen > self.policy.correlation_window:
                 continue
-            overlap = _jaccard(candidate_prefixes, record.prefixes)
+            overlap = _jaccard(prefixes, record.prefixes)
             if overlap > best_overlap:
                 best_overlap = overlap
                 best = record
@@ -250,11 +274,14 @@ class IncidentManager:
         self,
         record: IncidentRecord,
         component: Component,
+        prefixes: frozenset[str],
         incident_class: str,
         now: float,
         *,
         created: bool = False,
     ) -> IncidentRecord:
+        """Fold *component* (whose prefix strings are *prefixes*) into
+        the live *record*."""
         if not created:
             if record.last_seen < now:
                 record.windows_observed += 1
@@ -266,9 +293,13 @@ class IncidentManager:
             record.event_count = component.event_count
         else:
             record.event_count = max(record.event_count, component.event_count)
-        record.prefixes = record.prefixes | frozenset(
-            str(p) for p in component.prefixes
-        )
+        incident_id = record.incident_id
+        if incident_id not in self._live:
+            # New or reopened: its whole prefix set is a candidate again.
+            self._live[incident_id] = record
+            self._index_prefixes(incident_id, record.prefixes)
+        self._index_prefixes(incident_id, prefixes - record.prefixes)
+        record.prefixes = record.prefixes | prefixes
         record.incident_class = incident_class
         record.severity = severity_score(
             record.best_rank, len(record.prefixes), record.windows_observed
@@ -295,9 +326,9 @@ class IncidentManager:
         self, touched_ids: set[int], now: float
     ) -> list[IncidentRecord]:
         changed = []
-        for record in self._records_by_id():
-            if record.incident_id in touched_ids or record.resolved:
-                continue
+        live = self._live
+        for incident_id in sorted(live.keys() - touched_ids):
+            record = live[incident_id]
             if now - record.last_seen >= self.policy.resolve_after:
                 transition(
                     record,
@@ -305,6 +336,7 @@ class IncidentManager:
                     now,
                     f"quiet for {now - record.last_seen:.0f}s",
                 )
+                self._retire(record)
                 changed.append(record)
         return changed
 
@@ -323,9 +355,36 @@ class IncidentManager:
     def _unlink(self, record: IncidentRecord) -> None:
         del self._incidents[record.incident_id]
         self._stale.add(record.incident_id)
+        self._retire(record)
         for key in (record.stem, *record.related_stems):
             if self._by_stem.get(key) == record.incident_id:
                 del self._by_stem[key]
+
+    # -- the live set and its prefix index ------------------------------
+
+    def _index_prefixes(
+        self, incident_id: int, prefixes: Iterable[str]
+    ) -> None:
+        by_prefix = self._by_prefix
+        for prefix in prefixes:
+            holders = by_prefix.get(prefix)
+            if holders is None:
+                by_prefix[prefix] = {incident_id}
+            else:
+                holders.add(incident_id)
+
+    def _retire(self, record: IncidentRecord) -> None:
+        """*record* is resolved or gone: no merge may pick it."""
+        incident_id = record.incident_id
+        if self._live.pop(incident_id, None) is None:
+            return
+        by_prefix = self._by_prefix
+        for prefix in record.prefixes:
+            holders = by_prefix[prefix]
+            if len(holders) == 1:
+                del by_prefix[prefix]
+            else:
+                holders.discard(incident_id)
 
     # -- queries --------------------------------------------------------
 
@@ -342,8 +401,7 @@ class IncidentManager:
     def active(self) -> list[IncidentRecord]:
         """Live incidents, most severe first (ties: oldest id first)."""
         return sorted(
-            (r for r in self._records_by_id() if not r.resolved),
-            key=lambda r: (-r.severity, r.incident_id),
+            self._live.values(), key=lambda r: (-r.severity, r.incident_id)
         )
 
     def get(self, incident_id: int) -> Optional[IncidentRecord]:
@@ -421,3 +479,6 @@ class IncidentManager:
             self._stale.add(record.incident_id)
             for key in (record.stem, *record.related_stems):
                 self._by_stem[key] = record.incident_id
+            if not record.resolved:
+                self._live[record.incident_id] = record
+                self._index_prefixes(record.incident_id, record.prefixes)

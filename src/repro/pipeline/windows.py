@@ -395,7 +395,7 @@ class TampAnnotator(Stage):
                 "routes": self.tamp.route_count(),
                 "nodes": self.tamp.graph.node_count(),
                 "edges": self.tamp.graph.edge_count(),
-                "prefixes": self.tamp.graph.total_prefixes(),
+                "prefixes": self.tamp.prefix_count(),
                 "pulse_adds": sum(adds.values()),
                 "pulse_removes": sum(removes.values()),
                 "pulse_version": self._boundary_pulse,

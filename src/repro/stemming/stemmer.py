@@ -13,10 +13,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import islice
-from operator import attrgetter
+from operator import attrgetter, countOf
 from typing import Collection, Iterable, Mapping, Optional
 
-from repro.collector.events import BGPEvent, Token
+from repro.collector.events import BGPEvent, EventKind, Token
 from repro.collector.stream import EventStream
 from repro.net.prefix import Prefix
 from repro.perf import gc_paused
@@ -49,6 +49,9 @@ class Component:
     prefixes: frozenset[Prefix]
     #: The events making up the component.
     events: EventStream
+    #: How many of :attr:`events` are withdrawals: summed from the
+    #: index's per-sequence tallies, never counted over the events.
+    withdrawals: int
 
     @property
     def event_count(self) -> int:
@@ -185,10 +188,12 @@ class Stemmer:
                 # simultaneous events come out as a scan would give them.
                 removals: list[tuple[IdSequence, int]] = []
                 events: list[BGPEvent] = []
+                withdrawals = 0
                 for ids in index.ending_in(affected_ids, alive):
                     bucket = alive.pop(ids)
                     removals.append((ids, len(bucket)))
                     events.extend(bucket)
+                    withdrawals += bucket.withdrawals
                 remaining -= len(events)
                 components.append(
                     Component(
@@ -201,6 +206,7 @@ class Stemmer:
                             for tid in affected_ids
                         ),
                         events=EventStream(events),
+                        withdrawals=withdrawals,
                     )
                 )
                 if len(components) == self.max_components:
@@ -323,6 +329,9 @@ class StemIndex:
                     del by_ids[ids]
                     gone.append(ids)
                 else:
+                    bucket.withdrawals -= countOf(
+                        map(_kind_of, islice(bucket, removed)), _WITHDRAW
+                    )
                     del bucket[:removed]
             self.counter.subtract_id_sequences(
                 removals.items(), self.pairs_of
@@ -416,6 +425,7 @@ class StemIndex:
         """
         intern = self.symbols.intern_token
         peers, heads, pfx_ids = self._peers, self._heads, self._pfx_ids
+        withdraw = _WITHDRAW
         arrivals: list[_Bucket] = []
         arrived = arrivals.append
         touched: list[tuple[IdSequence, dict]] = []
@@ -447,8 +457,11 @@ class StemIndex:
                 if not scratch:
                     touched.append(entry)
                 batch = scratch[pfx_id] = _Bucket((event,))
+                batch.withdrawals = 1 if event.kind is withdraw else 0
             else:
                 batch.append(event)
+                if event.kind is withdraw:
+                    batch.withdrawals += 1
             arrived(batch)
         by_ids = self.by_ids
         postings = self._slid_postings()
@@ -463,6 +476,7 @@ class StemIndex:
                         postings.post(ids)
                 else:
                     ids = bucket.key
+                    bucket.withdrawals += batch.withdrawals
                     bucket.extend(batch)
                 batch.key = ids
                 counts.append((ids, len(batch)))
@@ -473,14 +487,19 @@ class StemIndex:
 
 class _Bucket(list[BGPEvent]):
     """A ``by_ids`` value — the held events of one sequence, oldest
-    first — that knows the key it is filed under."""
+    first — that knows the key it is filed under and how many of its
+    events are withdrawals (kept at admission and eviction, so an
+    extraction sums buckets instead of counting events)."""
 
-    __slots__ = ("key",)
+    __slots__ = ("key", "withdrawals")
 
     key: IdSequence
+    withdrawals: int
 
 
 _key_of = attrgetter("key")
+_kind_of = attrgetter("kind")
+_WITHDRAW = EventKind.WITHDRAW
 
 
 class _Postings:

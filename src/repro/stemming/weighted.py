@@ -92,4 +92,5 @@ class TrafficWeightedStemmer:
             stem=(subsequence[-2], subsequence[-1]),
             prefixes=prefixes,
             events=component_events,
+            withdrawals=component_events.withdraw_count(),
         )

@@ -68,6 +68,11 @@ class IncrementalTamp:
         self.peer_namer = peer_namer
         self.include_prefix_leaves = include_prefix_leaves
         self._routes: dict[tuple[int, Prefix], PathAttributes] = {}
+        #: prefix id -> live routes for it. Every route threads its
+        #: prefix over at least its root edge, so the keys are exactly
+        #: the graph's prefixes: :meth:`prefix_count` reads what
+        #: ``graph.total_prefixes()`` would union every store to find.
+        self._prefix_routes: dict[int, int] = {}
         #: Per-edge add/remove pulse counts since the last consume,
         #: keyed by packed edge id; the animator reads these (decoded)
         #: to color edges per frame.
@@ -186,6 +191,10 @@ class IncrementalTamp:
 
     def route_count(self) -> int:
         return len(self._routes)
+
+    def prefix_count(self) -> int:
+        """``graph.total_prefixes()``, kept current by every apply."""
+        return len(self._prefix_routes)
 
     def current_attributes(
         self, peer: int, prefix: Prefix
@@ -387,15 +396,17 @@ class IncrementalTamp:
         old = self._routes.get(key)
         if old == attrs:
             return
+        pid = self.graph.symbols.intern_prefix(prefix)
         if old is not None:
-            self._remove_contribution(peer, prefix, old)
+            self._remove_contribution(peer, prefix, pid, old)
+        else:
+            counts = self._prefix_routes
+            counts[pid] = counts.get(pid, 0) + 1
         self._routes[key] = attrs
         if self._dirty is not None:
             self._dirty.add(key)
         self.pulse_total += self.graph.add_route_ids(
-            self._ids_for(peer, prefix, attrs),
-            self.graph.symbols.intern_prefix(prefix),
-            self._adds,
+            self._ids_for(peer, prefix, attrs), pid, self._adds
         )
 
     def _withdraw(self, peer: int, prefix: Prefix) -> None:
@@ -405,13 +416,18 @@ class IncrementalTamp:
             return
         if self._dirty is not None:
             self._dirty.add(key)
-        self._remove_contribution(peer, prefix, old)
+        pid = self.graph.symbols.prefix_id(prefix)
+        counts = self._prefix_routes
+        left = counts[pid] - 1
+        if left:
+            counts[pid] = left
+        else:
+            del counts[pid]
+        self._remove_contribution(peer, prefix, pid, old)
 
     def _remove_contribution(
-        self, peer: int, prefix: Prefix, attrs: PathAttributes
+        self, peer: int, prefix: Prefix, pid: int, attrs: PathAttributes
     ) -> None:
         self.pulse_total += self.graph.discard_route_ids(
-            self._ids_for(peer, prefix, attrs),
-            self.graph.symbols.prefix_id(prefix),
-            self._removes,
+            self._ids_for(peer, prefix, attrs), pid, self._removes
         )

@@ -128,6 +128,39 @@ class TestJsonRoundTrip:
 _reference_encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
+class TestTimestampValidation:
+    """``"t"`` must be a finite int or float: NaN never crosses a window
+    boundary and infinity closes one at infinity."""
+
+    @staticmethod
+    def line_with(t: object) -> str:
+        record = json.loads(event().to_json())
+        record["t"] = t
+        return json.dumps(record)
+
+    @pytest.mark.parametrize(
+        "t,shown",
+        [
+            (float("nan"), "nan"),
+            (float("inf"), "inf"),
+            (float("-inf"), "-inf"),
+            (True, "True"),
+            (False, "False"),
+            ("12", "'12'"),
+            (None, "None"),
+            ([1], "[1]"),
+        ],
+    )
+    def test_rejected_with_the_value_named(self, t, shown):
+        with pytest.raises(ValueError, match="finite number") as caught:
+            BGPEvent.from_json(self.line_with(t))
+        assert str(caught.value).endswith(f"got {shown}")
+
+    @pytest.mark.parametrize("t", [0, 7, 12.5, -3.0, 1e300])
+    def test_finite_numbers_accepted(self, t):
+        assert BGPEvent.from_json(self.line_with(t)).timestamp == t
+
+
 def reference_json(e: BGPEvent) -> str:
     """The record -> ``json`` encoding :meth:`BGPEvent.to_json` writes
     by hand: the reference it must equal byte for byte."""

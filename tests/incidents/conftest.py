@@ -45,6 +45,7 @@ def make_component(
         stem=stem,
         prefixes=frozenset(prefixes),
         events=EventStream(events),  # type: ignore[arg-type]
+        withdrawals=withdrawals,
     )
 
 

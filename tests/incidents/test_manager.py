@@ -152,6 +152,150 @@ class TestPrefixOverlapMerge:
         m.ingest(make_report(1, 180.0, [make_component(1, 65009, 65010, prefixes=())]))
         assert len(m.all_incidents()) == 2
 
+    @staticmethod
+    def pfx(*octets: int) -> tuple[str, ...]:
+        return tuple(f"10.0.{o}.0/24" for o in octets)
+
+    def test_the_best_jaccard_wins_among_candidates(self):
+        m = manager(prefix_overlap=0.1)
+        m.ingest(
+            make_report(
+                0, 120.0,
+                [
+                    make_component(1, 65001, 65002, prefixes=self.pfx(1, 2, 3, 4)),
+                    make_component(2, 65003, 65004, prefixes=self.pfx(5, 6)),
+                ],
+            )
+        )
+        # Jaccard 1/6 with #1 and 2/3 with #2: both clear 0.1, the
+        # higher one takes it although its id is not the lowest.
+        changed = m.ingest(
+            make_report(
+                1, 180.0,
+                [make_component(1, 65009, 65010, prefixes=self.pfx(1, 5, 6))],
+            )
+        )
+        assert [r.incident_id for r in changed] == [2]
+        assert len(m.all_incidents()) == 2
+        assert m.get(2).related_stems == (("65009", "65010"),)
+        assert m.get(1).related_stems == ()
+
+    def test_an_exact_tie_goes_to_the_lowest_id(self):
+        m = manager(prefix_overlap=0.3)
+        m.ingest(
+            make_report(
+                0, 120.0,
+                [
+                    make_component(1, 65001, 65002, prefixes=self.pfx(1, 2)),
+                    make_component(2, 65003, 65004, prefixes=self.pfx(3, 4)),
+                ],
+            )
+        )
+        # 1/3 with each.
+        m.ingest(
+            make_report(
+                1, 180.0,
+                [make_component(1, 65009, 65010, prefixes=self.pfx(4, 1))],
+            )
+        )
+        assert m.get(1).related_stems == (("65009", "65010"),)
+        assert m.get(2).related_stems == ()
+
+    def test_a_resolved_incident_is_never_a_candidate(self):
+        m = manager(resolve_after=60.0)
+        m.ingest(
+            make_report(
+                0, 120.0,
+                [make_component(1, 65001, 65002, prefixes=self.pfx(1, 2))],
+            )
+        )
+        m.ingest(
+            make_report(
+                1, 180.0,
+                [make_component(1, 65003, 65004, prefixes=self.pfx(9))],
+            )
+        )
+        assert m.get(1).status is IncidentStatus.RESOLVED
+        # The same prefix set on a third stem: a new incident, and #1
+        # stays resolved.
+        m.ingest(
+            make_report(
+                2, 200.0,
+                [make_component(1, 65009, 65010, prefixes=self.pfx(1, 2))],
+            )
+        )
+        assert [r.incident_id for r in m.all_incidents()] == [1, 2, 3]
+        assert m.get(1).status is IncidentStatus.RESOLVED
+        assert m.get(1).related_stems == ()
+
+    def test_a_reopened_incident_is_a_candidate_with_its_full_prefix_set(self):
+        m = manager(resolve_after=60.0, reopen_window=10_000.0)
+        m.ingest(
+            make_report(
+                0, 120.0,
+                [make_component(1, 65001, 65002, prefixes=self.pfx(1, 2, 3))],
+            )
+        )
+        m.ingest(
+            make_report(
+                1, 180.0,
+                [make_component(1, 65003, 65004, prefixes=self.pfx(9))],
+            )
+        )
+        assert m.get(1).status is IncidentStatus.RESOLVED
+        # Reopened by its stem with one new prefix ...
+        m.ingest(
+            make_report(
+                2, 200.0,
+                [make_component(1, 65001, 65002, prefixes=self.pfx(7))],
+            )
+        )
+        assert not m.get(1).resolved and m.get(1).reopen_count == 1
+        # ... it matches on the prefixes it held before it resolved:
+        # Jaccard 3/4 with {1, 2, 3, 7}.
+        m.ingest(
+            make_report(
+                3, 220.0,
+                [make_component(1, 65009, 65010, prefixes=self.pfx(1, 2, 3))],
+            )
+        )
+        assert len(m.all_incidents()) == 2
+        assert m.get(1).related_stems == (("65009", "65010"),)
+
+    def test_a_candidate_outside_the_correlation_window_is_skipped(self):
+        m = manager(
+            resolve_after=10_000.0,
+            correlation_window=100.0,
+            prefix_overlap=0.3,
+        )
+        m.ingest(
+            make_report(
+                0, 120.0,
+                [make_component(1, 65001, 65002, prefixes=self.pfx(1, 2, 3))],
+            )
+        )
+        m.ingest(
+            make_report(
+                1, 280.0,
+                [make_component(1, 65003, 65004, prefixes=self.pfx(4, 5))],
+            )
+        )
+        # Jaccard 3/5 with #1 (last seen 180s ago) and 2/5 with #2 (20s
+        # ago): #1 scores higher but is out of the window.
+        m.ingest(
+            make_report(
+                2, 300.0,
+                [
+                    make_component(
+                        1, 65009, 65010, prefixes=self.pfx(1, 2, 3, 4, 5)
+                    )
+                ],
+            )
+        )
+        assert len(m.all_incidents()) == 2
+        assert m.get(2).related_stems == (("65009", "65010"),)
+        assert m.get(1).related_stems == ()
+
 
 class TestSimultaneousIncidents:
     def test_distinct_stems_in_one_window_get_distinct_ids(self):

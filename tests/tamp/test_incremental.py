@@ -257,6 +257,63 @@ def apply_route_op(tamp: IncrementalTamp, op: tuple) -> bool:
     return op[0] != "export"
 
 
+#: ``route_ops`` over more paths and nested prefixes: replacements that
+#: share a root edge, and a prefix covering two others.
+count_ops = st.one_of(
+    route_ops,
+    st.tuples(
+        st.just("announce"),
+        st.sampled_from(GRID_PEERS),
+        st.sampled_from([*GRID_PREFIXES, Prefix(0x0A000000, 16)]),
+        st.sampled_from(["1 2", "1 3 4", "5", "1 2 6 7"]),
+    ),
+)
+
+
+class TestPrefixCount:
+    """``prefix_count()`` is kept as routes are installed and withdrawn;
+    it must equal what the graph's stores union to after every op."""
+
+    @staticmethod
+    def assert_level(tamp: IncrementalTamp) -> None:
+        graph = tamp.graph
+        assert tamp.prefix_count() == graph.total_prefixes()
+        assert tamp.prefix_count() == len(graph.all_prefixes())
+
+    @given(
+        st.lists(count_ops, max_size=40),
+        st.booleans(),
+        st.sampled_from(["site", None]),
+    )
+    def test_equals_the_graph_after_every_op(self, ops, leaves, site):
+        tamp = IncrementalTamp(site, include_prefix_leaves=leaves)
+        self.assert_level(tamp)
+        for op in ops:
+            if not apply_route_op(tamp, op):
+                # Restore a fresh maintainer from the export, go on
+                # with that one.
+                restored = IncrementalTamp(
+                    site, include_prefix_leaves=leaves
+                )
+                restored.import_route_events(tamp.export_route_events())
+                assert restored.prefix_count() == tamp.prefix_count()
+                tamp = restored
+            self.assert_level(tamp)
+
+    def test_counts_routes_not_announcements(self):
+        tamp = IncrementalTamp("site")
+        tamp.apply(announce(PEER_A, P, "1 2"))
+        tamp.apply(announce(PEER_A, P, "1 2"))  # identical re-announce
+        tamp.apply(announce(PEER_A, P, "1 3 4"))  # replacement
+        tamp.apply(announce(PEER_B, P, "1 2"))
+        assert tamp.prefix_count() == 1
+        tamp.apply(withdraw(PEER_A, P, "1 3 4"))
+        assert tamp.prefix_count() == 1
+        tamp.apply(withdraw(PEER_B, P, "1 2"))
+        tamp.apply(withdraw(PEER_B, P, "1 2"))  # nothing left to withdraw
+        assert tamp.prefix_count() == 0 == tamp.graph.total_prefixes()
+
+
 class TestPulseExport:
     @given(st.lists(route_ops, max_size=30))
     def test_equals_the_repr_sorted_form(self, ops):
