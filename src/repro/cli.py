@@ -48,27 +48,40 @@ detected by extension and loaded through :mod:`repro.mrt`).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import Optional
 
 from repro.analysis.report import diagnose
 from repro.collector.rates import bin_events
 from repro.collector.stream import EventStream
+from repro.pipeline.metrics import MetricsRegistry
+from repro.pipeline.monitor import MonitorConfig
 from repro.stemming.stemmer import Stemmer
-from repro.tamp.prune import prune_flat
+from repro.tamp.prune import DEFAULT_THRESHOLD, prune_flat
 from repro.tamp.render import render_ascii, render_svg
 
 DEMO_SCENARIOS = ("route-leak", "backdoor", "session-reset", "med-oscillation",
                   "customer-flap")
 
 
+class UsageError(Exception):
+    """A command line the handler cannot act on: exit 2, like argparse."""
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand: 0 ok, 1 runtime error, 2 usage error."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if getattr(args, "profile", None) is not None:
             return _run_profiled(args)
         return args.handler(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -109,7 +122,10 @@ def _add_stream_options(parser: argparse.ArgumentParser) -> None:
     Both subcommands drive the same pipeline over the same sources;
     keeping one flag set means a monitor invocation can be replayed
     under `serve` (and resumed from the same checkpoints) verbatim.
+    A flag that sets a :class:`MonitorConfig` field has the field's
+    name as its ``dest`` and the field's default as its default.
     """
+    config = MonitorConfig()
     parser.add_argument(
         "events", type=Path, nargs="?", default=None,
         help="event archive to replay (JSONL or MRT by extension);"
@@ -134,15 +150,15 @@ def _add_stream_options(parser: argparse.ArgumentParser) -> None:
              " ingest and replay the records that now decode",
     )
     parser.add_argument(
-        "--window", type=float, default=300.0, metavar="SECONDS",
-        help="analysis window length (default 300)",
+        "--window", type=float, default=config.window, metavar="SECONDS",
+        help="analysis window length (default %(default)g)",
     )
     parser.add_argument(
-        "--slide", type=float, default=None, metavar="SECONDS",
+        "--slide", type=float, default=config.slide, metavar="SECONDS",
         help="window slide; defaults to the window length (tumbling)",
     )
     parser.add_argument(
-        "--pace", type=float, default=0.0, metavar="FACTOR",
+        "--pace", type=float, default=config.pace, metavar="FACTOR",
         help="replay speed-up vs archive time: 1 = real time, 60 ="
              " a minute per second, 0 = as fast as possible (default)",
     )
@@ -151,46 +167,51 @@ def _add_stream_options(parser: argparse.ArgumentParser) -> None:
         help="write periodic checkpoints and the incident log here",
     )
     parser.add_argument(
-        "--checkpoint-every", type=int, default=1, metavar="WINDOWS",
-        help="windows between checkpoints (default 1)",
+        "--checkpoint-every", type=int, default=config.checkpoint_every,
+        metavar="WINDOWS",
+        help="windows between checkpoints (default %(default)g)",
     )
     parser.add_argument(
         "--resume", action="store_true",
         help="resume from the latest checkpoint in --checkpoint-dir",
     )
     parser.add_argument(
-        "--batch-size", type=int, default=256,
-        help="events per pipeline batch (default 256)",
+        "--batch-size", type=int, default=config.batch_size,
+        help="events per pipeline batch (default %(default)g)",
     )
     parser.add_argument(
-        "--max-events", type=int, default=None,
+        "--max-events", type=int, default=config.max_events,
         help="hard-stop after this many events without flushing or"
              " checkpointing (simulates a kill; resume later)",
     )
     parser.add_argument(
-        "--min-strength", type=int, default=2,
-        help="minimum correlation strength for a component (default 2)",
+        "--min-strength", type=int, default=config.min_strength,
+        help="minimum correlation strength for a component"
+             " (default %(default)g)",
     )
     parser.add_argument(
-        "--components", type=int, default=16,
-        help="maximum components per window (default 16)",
+        "--components", type=int, dest="max_components",
+        default=config.max_components, metavar="COMPONENTS",
+        help="maximum components per window (default %(default)g)",
     )
     parser.add_argument(
-        "--resolve-after", type=float, default=600.0, metavar="SECONDS",
-        help="stream-seconds of quiet before an incident resolves"
-             " (default 600)",
-    )
-    parser.add_argument(
-        "--correlation-window", type=float, default=600.0,
+        "--resolve-after", type=float, default=config.resolve_after,
         metavar="SECONDS",
-        help="max stream-time gap for merging a new stem into a live"
-             " incident by prefix overlap (default 600)",
+        help="stream-seconds of quiet before an incident resolves"
+             " (default %(default)g)",
     )
     parser.add_argument(
-        "--reopen-window", type=float, default=900.0, metavar="SECONDS",
+        "--correlation-window", type=float,
+        default=config.correlation_window, metavar="SECONDS",
+        help="max stream-time gap for merging a new stem into a live"
+             " incident by prefix overlap (default %(default)g)",
+    )
+    parser.add_argument(
+        "--reopen-window", type=float, default=config.reopen_window,
+        metavar="SECONDS",
         help="a stem recurring within this many seconds of resolution"
              " reopens its incident instead of opening a new one"
-             " (default 900)",
+             " (default %(default)g)",
     )
 
 
@@ -262,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     render.add_argument("events", type=Path)
     render.add_argument("-o", "--output", type=Path, default=None,
                         help="write SVG here (default: ASCII to stdout)")
-    render.add_argument("--threshold", type=float, default=0.05,
-                        help="prune threshold (default 0.05)")
+    render.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
+                        help="prune threshold (default %(default)g)")
     render.set_defaults(handler=cmd_render)
 
     rate = sub.add_parser(
@@ -327,8 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="HTTP port (default 8080; 0 picks a free port)",
     )
     serve.add_argument(
-        "--threshold", type=float, default=0.05, metavar="FRACTION",
-        help="picture prune threshold (default 0.05)",
+        "--threshold", type=float, default=DEFAULT_THRESHOLD,
+        metavar="FRACTION",
+        help="picture prune threshold (default %(default)g)",
     )
     serve.add_argument(
         "--linger", type=float, default=0.0, metavar="SECONDS",
@@ -634,9 +656,8 @@ def _monitor_source(args: argparse.Namespace):
 
 def cmd_monitor(args: argparse.Namespace) -> int:
     import asyncio
-    import json
 
-    from repro.pipeline import MetricsRegistry, MonitorResult, monitor_loop
+    from repro.pipeline import MonitorResult, monitor_loop
     from repro.pipeline.windows import WindowReport
 
     source = _monitor_source(args)
@@ -714,42 +735,33 @@ def cmd_monitor(args: argparse.Namespace) -> int:
             f"incident store: {args.checkpoint_dir}/incidents.sqlite"
             " (inspect with `repro incidents`)"
         )
-    if args.metrics_out is not None:
-        args.metrics_out.write_text(
-            json.dumps(registry.snapshot(), sort_keys=True, indent=1)
-            + "\n"
-        )
-        print(f"metrics snapshot written to {args.metrics_out}")
+    _write_metrics(args.metrics_out, registry)
     return 0
 
 
-def _monitor_config(args: argparse.Namespace):
-    from repro.pipeline import MonitorConfig
-
+def _monitor_config(args: argparse.Namespace) -> MonitorConfig:
+    """The config that the parsed ``monitor``/``serve`` flags set."""
+    names = {field.name for field in fields(MonitorConfig)}
     return MonitorConfig(
-        window=args.window,
-        slide=args.slide,
-        batch_size=args.batch_size,
-        min_strength=args.min_strength,
-        max_components=args.components,
-        pace=args.pace,
-        checkpoint_every=args.checkpoint_every,
-        resolve_after=args.resolve_after,
-        correlation_window=args.correlation_window,
-        reopen_window=args.reopen_window,
-        max_events=args.max_events,
+        **{name: value for name, value in vars(args).items() if name in names}
     )
+
+
+def _write_metrics(path: Optional[Path], registry: MetricsRegistry) -> None:
+    """The ``--metrics-out`` snapshot, if one was asked for."""
+    if path is None:
+        return
+    path.write_text(
+        json.dumps(registry.snapshot(), sort_keys=True, indent=1) + "\n"
+    )
+    print(f"metrics snapshot written to {path}")
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
-    import json
 
-    from repro.pipeline import MetricsRegistry
     from repro.serve import ServeApp, run_serve
 
-    if args.shards < 1:
-        raise ValueError("--shards must be at least 1")
     source = _monitor_source(args)
     config = _monitor_config(args)
     registry = MetricsRegistry()
@@ -782,26 +794,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
         f" {result.renders} render(s),"
         f" {result.published} transition event(s) published"
     )
-    if args.metrics_out is not None:
-        args.metrics_out.write_text(
-            json.dumps(registry.snapshot(), sort_keys=True, indent=1)
-            + "\n"
-        )
-        print(f"metrics snapshot written to {args.metrics_out}")
+    _write_metrics(args.metrics_out, registry)
     return 0
 
 
 def cmd_incidents(args: argparse.Namespace) -> int:
-    import json
-
     from repro.incidents import INCIDENT_DB, IncidentStore
 
     path = args.store
     if path.is_dir():
         path = path / INCIDENT_DB
     if not path.exists():
-        print(f"no incident store at {path}", file=sys.stderr)
-        return 2
+        raise UsageError(f"no incident store at {path}")
 
     with IncidentStore(path) as store:
         if args.action == "list":
@@ -825,22 +829,19 @@ def cmd_incidents(args: argparse.Namespace) -> int:
             return 0
         if args.action == "show":
             if args.id is None:
-                print("show requires --id", file=sys.stderr)
-                return 2
+                raise UsageError("show requires --id")
             record = store.row(args.id)
             if record is None:
-                print(f"no incident with id {args.id}", file=sys.stderr)
-                return 2
+                raise UsageError(f"no incident with id {args.id}")
             print(record.describe())
             print(json.dumps(record.to_dict(), indent=1, sort_keys=True))
             return 0
         if args.action == "export":
-            if args.output is not None:
+            if args.output is None:
+                store.write_jsonl(sys.stdout)
+            else:
                 count = store.export_jsonl(args.output)
                 print(f"{count} incident(s) exported to {args.output}")
-            else:
-                for record in store.rows():
-                    print(json.dumps(record.to_dict(), sort_keys=True))
             return 0
         # compact
         removed = store.compact(keep_resolved=args.keep_resolved)
@@ -875,22 +876,17 @@ def cmd_faults(args: argparse.Namespace) -> int:
             print(f"wrote {paths[name]}")
         return 0
     if args.input is None or args.output is None:
-        print(
-            "error: faults needs INPUT and -o OUTPUT (or --list-faults /"
-            " --make-corpus)",
-            file=sys.stderr,
+        raise UsageError(
+            "faults needs INPUT and -o OUTPUT (or --list-faults /"
+            " --make-corpus)"
         )
-        return 2
     if not args.fault:
-        print("error: at least one --fault is required", file=sys.stderr)
-        return 2
+        raise UsageError("at least one --fault is required")
     if args.seed is None:
-        print(
-            "error: --seed is required when corrupting (faults must be"
-            " replayable)",
-            file=sys.stderr,
+        raise UsageError(
+            "--seed is required when corrupting (faults must be"
+            " replayable)"
         )
-        return 2
     plan = [parse_fault_spec(spec) for spec in args.fault]
     stats = corrupt_file(args.input, args.output, plan, seed=args.seed)
     print(
@@ -914,11 +910,9 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
     for name in args.names:
         if name not in registry.SCENARIOS:
             known = ", ".join(registry.names())
-            print(
-                f"error: unknown scenario {name!r}; registered: {known}",
-                file=sys.stderr,
+            raise UsageError(
+                f"unknown scenario {name!r}; registered: {known}"
             )
-            return 2
 
     if args.action == "list":
         for scenario in registry.iter_scenarios():
@@ -985,10 +979,7 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
     if args.baseline is None:
         return 0
     if not args.baseline.exists():
-        print(
-            f"error: baseline {args.baseline} not found", file=sys.stderr
-        )
-        return 2
+        raise UsageError(f"baseline {args.baseline} not found")
     baseline = Scorecard.load(args.baseline)
     tolerance = (
         DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
@@ -1026,16 +1017,14 @@ def cmd_lint(args: argparse.Namespace) -> int:
     try:
         findings = analyze_paths(list(args.paths), rules)
     except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(exc) from exc
     renderers = {"json": render_json, "text": render_text}
     report = renderers[args.format](findings)
     if args.output is not None:
         try:
             args.output.write_text(report + "\n")
         except OSError as exc:
-            print(f"error: cannot write report: {exc}", file=sys.stderr)
-            return 2
+            raise UsageError(f"cannot write report: {exc}") from exc
         print(f"wrote {args.output} ({len(findings)} finding(s))")
     else:
         print(report)

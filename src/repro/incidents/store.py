@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import sqlite3
 from pathlib import Path
-from typing import Optional
+from typing import Optional, TextIO
 
 from repro.incidents.lifecycle import IncidentRecord
 from repro.incidents.manager import IncidentManager
@@ -219,13 +219,15 @@ class IncidentStore:
         return None if row is None else _row_record(row)
 
     def export_jsonl(self, path: Path | str) -> int:
+        """:meth:`write_jsonl` into the file at *path*."""
+        with open(path, "w", encoding="utf-8") as handle:
+            return self.write_jsonl(handle)
+
+    def write_jsonl(self, handle: TextIO) -> int:
         """Write the store as the legacy JSONL export format."""
         records = self.rows()
-        with open(path, "w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(
-                    json.dumps(record.to_dict(), sort_keys=True) + "\n"
-                )
+        for record in records:
+            handle.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
         return len(records)
 
     def close(self) -> None:

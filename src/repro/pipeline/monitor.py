@@ -71,6 +71,9 @@ from repro.testkit.crash import CrashPlan
 #: Called with each window report once it is in the incident log.
 ReportHook = Optional[Callable[[WindowReport], None]]
 
+#: Where the lifecycle fields below take their defaults from.
+_DEFAULT_POLICY = IncidentPolicy()
+
 
 @dataclass(frozen=True)
 class MonitorConfig:
@@ -92,7 +95,7 @@ class MonitorConfig:
     # configs stay the same. The pipeline holds no queue.
     max_queue: int = 64
     policy: str = "block"
-    min_strength: int = 2
+    min_strength: int = _DEFAULT_POLICY.min_strength
     max_components: int = 16
     # Accepted and unused: bench/monitor.py, frozen outside benchmark
     # PRs, reads it. Nothing in the monitor shards.
@@ -100,14 +103,18 @@ class MonitorConfig:
     pace: float = 0.0
     checkpoint_every: int = 1
     keep_checkpoints: int = 3
-    resolve_after: float = 600.0
-    correlation_window: float = 600.0
-    reopen_window: float = 900.0
-    investigate_after: int = 2
-    prefix_overlap: float = 0.5
+    resolve_after: float = _DEFAULT_POLICY.resolve_after
+    correlation_window: float = _DEFAULT_POLICY.correlation_window
+    reopen_window: float = _DEFAULT_POLICY.reopen_window
+    investigate_after: int = _DEFAULT_POLICY.investigate_after
+    prefix_overlap: float = _DEFAULT_POLICY.prefix_overlap
     max_events: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if self.batch_size < 1:
+            raise ValueError(
+                f"--batch-size must be at least 1, got {self.batch_size}"
+            )
         if self.checkpoint_every < 1:
             raise ValueError(
                 "--checkpoint-every must be at least 1,"
@@ -156,13 +163,15 @@ class MonitorCore:
     cached: instrumentation rebinds them per instance and may swap
     ``live_manager`` for a stand-in.
 
-    Construction leaves the directory consistent with the position the
-    core starts from. A resume restores the latest checkpoint; a fresh
-    start (or a resume that finds no checkpoint) starts at zero. Either
-    way the incident log is cut back to ``reports_emitted`` lines and
-    the sqlite store re-synced, and a start at zero also removes the
+    Construction leaves what an earlier run wrote alone. A resume
+    restores the latest checkpoint; a fresh start (or a resume that
+    finds no checkpoint) starts at zero. The first :meth:`pump` or
+    :meth:`finish` then brings the directory level with that position:
+    the incident log is cut back to ``reports_emitted`` lines and the
+    sqlite store re-synced, and a start at zero also removes the
     checkpoints it finds, so what a dead or earlier run wrote past that
-    position is gone before the replay re-emits it.
+    position is gone before the replay re-emits it. A run whose source
+    fails before yielding an event leaves the directory as it was.
     """
 
     def __init__(
@@ -211,18 +220,22 @@ class MonitorCore:
         self.finished = False
         if state is not None:
             self._restore(state)
-        elif self.store is not None:
+        self._fresh = state is None
+        self._reconciled = self.store is None
+        self._last_checkpoint_window = self.live_window.window_index
+
+    def _reconcile(self) -> None:
+        """Cut the directory back to the position the core starts from."""
+        assert self.store is not None and self.incident_store is not None
+        if self._fresh:
             # Starting at zero: an earlier run's checkpoints sort after
             # ours until we pass their offsets, so pruning would unlink
             # each new one and a resume would restore the old run.
             for path in self.store.checkpoints():
                 path.unlink()
-        if self.store is not None and self.incident_store is not None:
-            self.store.truncate_reports(self.reports_emitted)
-            self.incident_store.sync(
-                self.live_manager, self.reports_emitted
-            )
-        self._last_checkpoint_window = self.live_window.window_index
+        self.store.truncate_reports(self.reports_emitted)
+        self.incident_store.sync(self.live_manager, self.reports_emitted)
+        self._reconciled = True
 
     def _restore(self, state: CheckpointState) -> None:
         self.live_window.restore_state(WindowState.from_dict(state.window))
@@ -237,6 +250,8 @@ class MonitorCore:
 
     def pump(self, batch: Batch) -> None:
         """Push *batch* through the stages; outputs wait for a drain."""
+        if not self._reconciled:
+            self._reconcile()
         self.live_pipeline.feed(batch)
         self.offset = batch.end_offset
         self.events_done += len(batch)
@@ -304,6 +319,8 @@ class MonitorCore:
         """
         if self.finished:
             return []
+        if not self._reconciled:
+            self._reconcile()
         self.live_pipeline.flush()
         changed = self.drain(on_report)
         for record in self.live_manager.finalize():

@@ -1,6 +1,7 @@
 """Precision/recall scoring of Stemming against labeled scenarios.
 
-The scorer runs :class:`repro.pipeline.windows.WindowedStemmer` over a
+The scorer runs the shipped monitor loop
+(:func:`repro.pipeline.monitor.run_monitor`) over a
 :class:`LabeledIncident`'s stream and matches each window's ranked stem
 locations against the incident's ground-truth edges (DESIGN.md §11):
 
@@ -18,8 +19,8 @@ locations against the incident's ground-truth edges (DESIGN.md §11):
 Since the incident subsystem landed, the scorer also scores the
 *streaming* lifecycle (Moriano et al., arXiv:1905.05835, evaluate
 detection *delay* against labeled onsets, not just hit rates): the
-same window reports are folded through an
-:class:`~repro.incidents.manager.IncidentManager` and each scenario
+run's :class:`~repro.incidents.manager.IncidentManager` grew its
+incidents from the same window reports, and each scenario
 reports how many managed incidents matched the ground-truth stems
 (the merge rules should produce exactly one), the detection latency
 from labeled onset to the incident opening, and its time-to-resolve.
@@ -39,9 +40,9 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.incidents.lifecycle import IncidentRecord, stem_key
-from repro.incidents.manager import IncidentManager, IncidentPolicy
-from repro.pipeline.runtime import Batch
-from repro.pipeline.windows import WindowedStemmer, WindowReport
+from repro.incidents.manager import IncidentManager
+from repro.pipeline.monitor import MonitorConfig, run_monitor
+from repro.pipeline.sources import StreamSource
 from repro.scenarios.labels import LabeledIncident, StemEdge
 
 #: Absolute drop in a [0, 1] metric that fails the gate.
@@ -214,9 +215,7 @@ def _opt_float(value: object) -> Optional[float]:
     return None if value is None else float(value)
 
 
-def _zero_score(
-    incident: LabeledIncident, windows: int = 0
-) -> IncidentScore:
+def _zero_score(incident: LabeledIncident, windows: int) -> IncidentScore:
     return IncidentScore(
         scenario=incident.name,
         incident_class=incident.incident_class.value,
@@ -235,41 +234,16 @@ def _zero_score(
     )
 
 
-def lifecycle_policy(window: float, min_strength: int = 2) -> IncidentPolicy:
-    """The scorer's incident policy, scaled to the window geometry.
-
-    ``resolve_after`` of two windows lets an incident survive one quiet
-    window without closing; the effectively unbounded reopen window
-    means a true stem recurring late in the scenario reopens its
-    original incident instead of fragmenting into a second one — which
-    is what "exactly one merged incident per scenario" requires.
-    """
-    return IncidentPolicy(
-        resolve_after=2.0 * window,
-        correlation_window=2.0 * window,
-        reopen_window=1e12,
-        investigate_after=2,
-        prefix_overlap=0.5,
-        min_strength=min_strength,
-    )
-
-
-def _score_lifecycle(
-    reports: Sequence[WindowReport],
-    incident: LabeledIncident,
-    policy: IncidentPolicy,
+def _match_incidents(
+    manager: IncidentManager, incident: LabeledIncident
 ) -> tuple[int, Optional[float], Optional[float]]:
-    """Fold reports through the incident manager, match ground truth.
+    """Match the run's managed incidents against ground truth.
 
     Returns ``(matched incidents, detection latency, time to
     resolve)``: an incident matches when its stem — or any stem merged
     into it — equals a true stem; latency and time-to-resolve come
     from the earliest-opened match.
     """
-    manager = IncidentManager(policy=policy)
-    for report in reports:
-        manager.ingest(report)
-    manager.finalize()
     truth = {stem_key(edge) for edge in incident.true_stems}
 
     def matches(record: IncidentRecord) -> bool:
@@ -293,38 +267,41 @@ def score_incident(
     top_k: int = 3,
     min_strength: int = 2,
     max_components: int = 16,
-    stage: Optional[WindowedStemmer] = None,
 ) -> IncidentScore:
-    """Run the windowed detector over one labeled stream and score it.
+    """Run the monitor over one labeled stream and score it.
 
-    *stage* substitutes a pre-built (possibly deliberately degraded)
-    :class:`WindowedStemmer`; the perturbation tests use it to prove
-    the gate trips.
+    The lifecycle is scaled to *window* and pinned here, so a change of
+    the monitor's defaults does not move the scorecard.
+    ``resolve_after`` of two windows lets an incident survive one quiet
+    window without closing; the effectively unbounded reopen window
+    means a true stem recurring late in the scenario reopens its
+    original incident instead of fragmenting into a second one — which
+    is what "exactly one merged incident per scenario" requires.
     """
     if not incident.true_stems:
         raise ValueError(
             f"scenario {incident.name!r} has no true stems to score"
         )
-    if stage is None:
-        stage = WindowedStemmer(
-            window,
-            slide,
-            min_strength=min_strength,
-            max_components=max_components,
-        )
-    events = tuple(incident.stream)
-    if not events:
-        return _zero_score(incident)
-    outputs = list(stage.process(Batch(events, 0, len(events))) or [])
-    outputs.extend(stage.flush() or [])
-    reports = [item for item in outputs if isinstance(item, WindowReport)]
+    config = MonitorConfig(
+        window=window,
+        slide=slide,
+        min_strength=min_strength,
+        max_components=max_components,
+        resolve_after=2.0 * window,
+        correlation_window=2.0 * window,
+        reopen_window=1e12,
+        investigate_after=2,
+        prefix_overlap=0.5,
+    )
+    result = run_monitor(StreamSource(incident.stream), config)
+    reports = result.reports
     scored = [
         report
         for report in reports
         if incident.window.overlaps(report.start, report.end)
     ]
     if not scored:
-        return _zero_score(incident, windows=len(reports))
+        return _zero_score(incident, len(reports))
     per_window: list[RankedScore] = []
     best_rank: Optional[int] = None
     matched_prefixes: set = set()
@@ -348,14 +325,14 @@ def score_incident(
         if incident.affected_prefixes
         else 0.0
     )
-    matched_incidents, latency, time_to_resolve = _score_lifecycle(
-        reports, incident, lifecycle_policy(window, min_strength)
+    matched_incidents, latency, time_to_resolve = _match_incidents(
+        result.incidents, incident
     )
     return IncidentScore(
         scenario=incident.name,
         incident_class=incident.incident_class.value,
         seed=incident.seed,
-        events=len(events),
+        events=len(incident.stream),
         windows=len(reports),
         windows_scored=count,
         precision=sum(s.precision for s in per_window) / count,

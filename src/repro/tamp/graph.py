@@ -31,6 +31,11 @@ Implementation notes:
 from __future__ import annotations
 
 from collections import deque
+# Counter's C increment loop, usable on a plain dict; the public
+# Counter wrapper costs one object + two isinstance checks per update
+# call, which the merge loop pays millions of times. The stdlib defines
+# a pure-Python version before it tries the C one, so this never fails.
+from collections import _count_elements  # type: ignore[attr-defined]
 from itertools import chain as _iter_chain
 from typing import Iterable, Iterator, Optional
 
@@ -38,17 +43,6 @@ from repro.collector.events import Token
 from repro.interning import EDGE_MASK, EDGE_SHIFT, SymbolTable
 from repro.net.prefix import Prefix
 from repro.tamp.tree import Edge, chain_ids
-
-try:
-    # Counter's C increment loop, usable on a plain dict; the public
-    # Counter wrapper costs one object + two isinstance checks per
-    # update call, which the merge loop pays millions of times.
-    from collections import _count_elements  # type: ignore[attr-defined]
-except ImportError:  # pragma: no cover - CPython always has it
-    def _count_elements(mapping: dict, iterable: Iterable) -> None:
-        get = mapping.get
-        for element in iterable:
-            mapping[element] = get(element, 0) + 1
 
 
 class TampGraph:

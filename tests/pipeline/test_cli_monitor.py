@@ -1,15 +1,20 @@
 """CLI surface tests for ``repro monitor``."""
 
+import dataclasses
 import json
+import shutil
 import socket
 import threading
 import time
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _monitor_config, build_parser, main
 from repro.collector.stream import EventStream
-from repro.pipeline import CheckpointStore, SyntheticSource
+from repro.incidents.feed import load_incident_rows
+from repro.incidents.manager import IncidentPolicy
+from repro.pipeline import CheckpointStore, MonitorConfig, SyntheticSource
+from repro.serve.sharding import shard_dir
 from tests.stemming.test_stemmer import spike
 
 SYNTH = [
@@ -224,9 +229,101 @@ class TestValidation:
     @pytest.mark.parametrize("option", [
         ["--checkpoint-every", "0"], ["--checkpoint-every", "-5"],
         ["--max-events", "0"], ["--max-events", "-1"],
+        ["--batch-size", "0"],
     ], ids=["checkpoint-every-0", "checkpoint-every-neg", "max-events-0",
-            "max-events-neg"])
+            "max-events-neg", "batch-size-0"])
     @pytest.mark.parametrize("command", ["monitor", "serve"])
     def test_non_positive_counts_are_errors(self, command, option, capsys):
         assert main([command] + SYNTH[1:] + option) == 1
         assert option[0] in capsys.readouterr().err
+
+
+def left_behind(directory):
+    """The durable outputs of a run: checkpoints, log, sqlite rows."""
+    store = CheckpointStore(directory)
+    return (
+        {path.name: path.read_bytes() for path in store.checkpoints()},
+        store.incident_log.read_bytes(),
+        [record.to_dict() for record in load_incident_rows(directory)],
+    )
+
+
+class TestFailedStartKeepsTheDirectory:
+    """A start whose source fails before its first event, or whose
+    config is rejected, exits 1 and leaves an earlier run's checkpoints,
+    incident log and sqlite rows as they were."""
+
+    @pytest.fixture(scope="class")
+    def finished(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("finished") / "ck"
+        assert main(SYNTH + ["--checkpoint-dir", str(directory)]) == 0
+        checkpoints, log, rows = left_behind(directory)
+        assert len(checkpoints) > 1 and log and rows
+        return directory
+
+    @pytest.mark.parametrize("start", [
+        ["monitor", "no-such-file.jsonl"],
+        ["monitor", "--synthetic", "1"],
+        SYNTH + ["--batch-size", "0"],
+    ], ids=["missing-file", "one-event", "batch-size-0"])
+    def test_monitor(self, start, finished, tmp_path, capsys):
+        directory = tmp_path / "ck"
+        shutil.copytree(finished, directory)
+        before = left_behind(finished)
+        assert main(start + ["--checkpoint-dir", str(directory)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert left_behind(directory) == before
+
+    @pytest.mark.parametrize("start", [
+        ["serve", "no-such-file.jsonl"],
+        ["serve"] + SYNTH[1:] + ["--batch-size", "0"],
+    ], ids=["missing-file", "batch-size-0"])
+    def test_serve(self, start, finished, tmp_path, capsys):
+        root = tmp_path / "root"
+        shutil.copytree(finished, shard_dir(root, 0))
+        before = left_behind(finished)
+        code = main(
+            start + ["--checkpoint-dir", str(root), "--port", "0"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.count("error: ") == 1
+        assert left_behind(shard_dir(root, 0)) == before
+
+
+def stream_flags(command):
+    """``(flag, action)`` for each *command* flag that sets a
+    :class:`MonitorConfig` field."""
+    names = {field.name for field in dataclasses.fields(MonitorConfig)}
+    subcommands = build_parser()._subparsers._group_actions[0].choices
+    return [
+        (action.option_strings[0], action)
+        for action in subcommands[command]._actions
+        if action.dest in names
+    ]
+
+
+class TestOneDeclaration:
+    """Each monitor default is declared once: on :class:`MonitorConfig`
+    (the lifecycle ones on :class:`IncidentPolicy`)."""
+
+    @pytest.mark.parametrize("command", ["monitor", "serve"])
+    def test_parser_defaults_are_the_field_defaults(self, command):
+        defaults = MonitorConfig()
+        assert len(stream_flags(command)) == 11
+        for flag, action in stream_flags(command):
+            assert action.default == getattr(defaults, action.dest), flag
+
+    @pytest.mark.parametrize("command", ["monitor", "serve"])
+    def test_each_flag_sets_its_field(self, command):
+        parser = build_parser()
+        for flag, action in stream_flags(command):
+            value = action.type("5")
+            args = parser.parse_args([command, flag, "5"])
+            config = _monitor_config(args)
+            assert getattr(config, action.dest) == value, flag
+            assert dataclasses.replace(
+                config, **{action.dest: getattr(MonitorConfig(), action.dest)}
+            ) == MonitorConfig(), flag
+
+    def test_lifecycle_defaults_are_the_policy_defaults(self):
+        assert MonitorConfig().incident_policy() == IncidentPolicy()

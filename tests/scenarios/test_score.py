@@ -4,7 +4,6 @@ import dataclasses
 
 import pytest
 
-from repro.pipeline.windows import WindowedStemmer
 from repro.scenarios import catalog, registry
 from repro.scenarios.score import (
     DEFAULT_TOLERANCE,
@@ -103,12 +102,12 @@ class TestScoreIncident:
     def test_degraded_stage_scores_zero(self, burst, burst_entry):
         # A detector whose strength threshold filters everything out
         # must produce an honest zero, not an error.
-        broken = WindowedStemmer(
-            burst_entry.window,
-            burst_entry.slide,
+        score = score_incident(
+            burst,
+            window=burst_entry.window,
+            slide=burst_entry.slide,
             min_strength=10**9,
         )
-        score = score_incident(burst, window=burst_entry.window, stage=broken)
         assert not score.detected
         assert score.f1 == 0.0
         assert score.best_rank is None
