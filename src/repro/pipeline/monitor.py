@@ -6,9 +6,13 @@ analysis pipeline (windowed Stemming, TAMP annotation), persists every
 emitted window report to the checkpoint store's incident log, grows
 the managed incidents from the reports, and checkpoints at quiescent
 points. Two drivers own the *loop*: :func:`monitor_loop` below
-(pacing, metrics, crash injection, ``max_events``) and the serve
-layer's :class:`~repro.serve.sharding.ShardSet`, which pumps one core
-per shard between HTTP requests. Both are coroutines on the process's
+(pacing, metrics, crash injection, ``max_events``), which cuts each
+batch after every event that closes a window so a report leaves as
+soon as its closing event is in, and the serve layer's
+:class:`~repro.serve.sharding.ShardSet`, which pumps whole batches
+through one core per shard between HTTP requests (a shard's
+transitions reach readers only when its ``offer`` returns, so cutting
+there would gain nothing). Both are coroutines on the process's
 one event loop: each batch starts with an ``asyncio.sleep`` for the
 pacer's delay (0 when unpaced), and that await is where HTTP requests
 on the same loop run, against the state at a batch boundary.
@@ -26,11 +30,12 @@ and timestamps). What it deliberately does not restore: the metrics
 registry (a resumed process is a new process; its counters say so).
 
 Crash semantics, used by the chaos tests: a
-:class:`~repro.testkit.crash.CrashPlan` fires *after* a batch is
-pumped but *before* its outputs are persisted or checkpointed — the
-worst legal moment. ``max_events`` stops the run the same hard way
-(no flush, no final checkpoint), which is how the CI smoke job
-simulates a kill it can later resume from.
+:class:`~repro.testkit.crash.CrashPlan` fires *after* a part of a
+batch is pumped but *before* its outputs are persisted, and before the
+batch is checkpointed — the worst legal moment; the parts before it
+may have put reports in the incident log already. ``max_events``
+stops the run the same hard way (no flush, no final checkpoint), which
+is how the CI smoke job simulates a kill it can later resume from.
 """
 
 from __future__ import annotations
@@ -156,11 +161,13 @@ class MonitorCore:
 
     Collaborators are attributes. The ones that mutate on every pump
     carry a ``live_`` prefix, which is what lets lint rule SRV001 keep
-    serve handlers off them. A driver calls :meth:`pump`, :meth:`drain`
-    and :meth:`checkpoint_if_due` per batch (:meth:`feed` is the three
-    in a row), :meth:`finish` at end of stream and :meth:`close` on the
-    way out. Collaborator methods are looked up at each call, never
-    cached: instrumentation rebinds them per instance and may swap
+    serve handlers off them. A driver calls :meth:`pump` and
+    :meth:`drain` per batch, or per part of one (:func:`monitor_loop`
+    cuts at closing events), then :meth:`checkpoint_if_due` per batch
+    (:meth:`feed` is the three in a row over a whole batch),
+    :meth:`finish` at end of stream and :meth:`close` on the way out.
+    Collaborator methods are looked up at each call, never cached:
+    instrumentation rebinds them per instance and may swap
     ``live_manager`` for a stand-in.
 
     Construction leaves what an earlier run wrote alone. A resume
@@ -547,15 +554,18 @@ async def monitor_loop(
             # Paces the replay and lets queued requests run between two
             # batches.
             await asyncio.sleep(pacer.delay(batch.events[-1].timestamp))
-            pumped_at = clock()
-            core.pump(batch)
-            events_total.inc(len(batch))
+            # Cut after each closing event, so a report leaves before
+            # the rest of its batch is admitted.
+            for part in core.live_window.parts(batch):
+                pumped_at = clock()
+                core.pump(part)
+                events_total.inc(len(part))
+                if crash_plan is not None:
+                    # After the pump, before persisting outputs or
+                    # checkpointing: the least convenient legal instant.
+                    crash_plan.fire(core.events_done)
+                core.drain(handle_report)
             batches_total.inc()
-            if crash_plan is not None:
-                # After the pump, before persisting outputs or
-                # checkpointing: the least convenient legal instant.
-                crash_plan.fire(core.events_done)
-            core.drain(handle_report)
             if core.checkpoint_if_due():
                 note_checkpoint()
             refresh_gauges()

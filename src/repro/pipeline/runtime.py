@@ -78,29 +78,39 @@ class Stage:
 
 @dataclass
 class StageStats:
-    """Per-stage accounting, all monotonic within one run."""
+    """Per-stage accounting, all monotonic within one run.
+
+    Counted in events and reports, not calls or items: a
+    :class:`Batch` counts its events, any other item counts one.
+    """
 
     admitted: int = 0
     emitted: int = 0
     dropped: int = 0
-    peak_depth: int = 0
 
     def to_dict(self) -> dict[str, int]:
         return {
             "admitted": self.admitted,
             "emitted": self.emitted,
             "dropped": self.dropped,
-            "peak_depth": self.peak_depth,
         }
 
     @classmethod
     def from_dict(cls, data: dict[str, int]) -> "StageStats":
+        # A checkpoint written before the counts were in events carries
+        # a ``peak_depth`` too; its counters continue in the new units.
         return cls(
             admitted=int(data.get("admitted", 0)),
             emitted=int(data.get("emitted", 0)),
             dropped=int(data.get("dropped", 0)),
-            peak_depth=int(data.get("peak_depth", 0)),
         )
+
+
+def _weight(items: tuple[object, ...]) -> int:
+    """The events and reports *items* carry; see :class:`StageStats`."""
+    return sum(
+        len(item) if isinstance(item, Batch) else 1 for item in items
+    )
 
 
 class Pipeline:
@@ -113,8 +123,9 @@ class Pipeline:
     passed on, so each reaches the stages below in the order emitted.
 
     The per-stage :class:`StageStats` are persisted in checkpoints.
-    ``dropped`` is always 0 (the chain never drops) and ``peak_depth``
-    is the most items one call handed to the stage.
+    They count events and reports, so a stream fed in whole batches
+    and the same stream cut into parts count the same; ``dropped`` is
+    always 0 (the chain never drops).
     """
 
     def __init__(
@@ -167,9 +178,7 @@ class Pipeline:
                 self._stats[index] = StageStats.from_dict(stats[stage.name])
 
     def _deliver(self, index: int, items: tuple[object, ...]) -> None:
-        stats = self._stats[index]
-        stats.admitted += len(items)
-        stats.peak_depth = max(stats.peak_depth, len(items))
+        self._stats[index].admitted += _weight(items)
         stage = self.stages[index]
         for item in items:
             self._emit(index, stage.process(item))
@@ -180,7 +189,7 @@ class Pipeline:
         if produced is None:
             return
         items = tuple(produced)
-        self._stats[index].emitted += len(items)
+        self._stats[index].emitted += _weight(items)
         if index + 1 < len(self.stages):
             self._deliver(index + 1, items)
         else:

@@ -22,7 +22,11 @@ Ordering contract: the stage re-emits each event batch downstream
 *before* the report that closes at or after it, so a downstream
 :class:`TampAnnotator` has applied exactly the events preceding a
 window boundary when it annotates that window's report. That is what
-makes a report's TAMP summary reproducible on resume.
+makes a report's TAMP summary reproducible on resume. How a stream is
+cut into batches moves no output, so :meth:`WindowedStemmer.parts`
+can cut a batch after each event that closes a window: a driver that
+processes the parts in turn lets each report out before the events
+behind its closing event are admitted.
 
 Everything here is deterministic and clock-free — window positions
 derive from event timestamps only. Wall-clock concerns (pacing, lag
@@ -34,7 +38,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.collector.events import BGPEvent
 from repro.collector.stream import fingerprint_lines
@@ -211,6 +215,36 @@ class WindowedStemmer(Stage):
             # the index now, so the close that comes has less to add.
             self._sync_index()
         return out
+
+    def parts(self, batch: Batch) -> Iterator[Batch]:
+        """Cut *batch* after each event that closes a window.
+
+        Lazy: each part is cut at the boundary the stage holds when the
+        next part is asked for, so the caller must :meth:`process` a
+        part before taking the next — a close moves the boundary, and a
+        close that drains the buffer re-anchors the ladder on the
+        closing event. Processing the parts in turn admits exactly what
+        processing the whole batch would, and lets each report out
+        before the events behind its closing event are admitted.
+        """
+        events = batch.events
+        start, end = 0, len(events)
+        while start < end:
+            boundary = self._boundary
+            cut = start
+            if boundary is None:
+                # The first event anchors the ladder and closes nothing.
+                boundary = events[start].timestamp + self.window
+                cut += 1
+            while cut < end and events[cut].timestamp < boundary:
+                cut += 1
+            stop = min(cut + 1, end)
+            yield Batch(
+                events[start:stop],
+                batch.start_offset + start,
+                batch.start_offset + stop,
+            )
+            start = stop
 
     def flush(self) -> Optional[Iterable[object]]:
         """Close the final partial window at end-of-stream."""

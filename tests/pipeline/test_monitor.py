@@ -7,6 +7,7 @@ uninterrupted run over the same archive.
 """
 
 import asyncio
+import bisect
 import dataclasses
 from collections import Counter
 
@@ -23,7 +24,7 @@ from repro.pipeline import (
 )
 from repro.pipeline.monitor import MonitorCore
 from repro.pipeline.runtime import iter_batches
-from repro.stemming.stemmer import StemIndex
+from repro.stemming.stemmer import StemIndex, Stemmer
 from repro.testkit import CrashPlan, InjectedCrash
 from tests.pipeline.conftest import count_encodes, count_lines, small_source
 
@@ -558,10 +559,59 @@ class TestOneLoop:
             assert events == batches * sliding_config.batch_size
 
 
+class TestReportOrder:
+    """A report leaves when its closing event is in, not its batch."""
+
+    config = MonitorConfig(window=60.0, slide=15.0, batch_size=256)
+
+    def test_on_report_sees_the_batch_up_to_the_closing_event(self):
+        # A batch spans ~96 s of this stream: most reports close inside
+        # one, at its event k, and see exactly k + 1 of it admitted.
+        stamps = [event.timestamp for event in small_source().events()]
+        registry = MetricsRegistry()
+        events_total = registry.counter("repro_pipeline_events_total")
+        admitted = []
+        result = run_monitor(
+            small_source(),
+            self.config,
+            registry=registry,
+            on_report=lambda report: admitted.append(events_total.value),
+        )
+        inside = 0
+        for report, seen in zip(result.reports, admitted):
+            closing = bisect.bisect_left(stamps, report.end)
+            if closing == len(stamps):
+                continue  # the final partial window: no closing event
+            assert seen == closing + 1
+            inside += seen % self.config.batch_size != 0
+        assert inside > len(result.reports) // 2
+
+    def test_a_report_leaves_before_the_next_window_is_extracted(
+        self, monkeypatch
+    ):
+        log = []
+        extract = Stemmer.extract
+
+        def logged(stemmer, index):
+            log.append("extract")
+            return extract(stemmer, index)
+
+        monkeypatch.setattr(Stemmer, "extract", logged)
+        result = run_monitor(
+            small_source(),
+            self.config,
+            on_report=lambda report: log.append("report"),
+        )
+        # Six closes per batch here; each report is out before the
+        # next window is extracted.
+        assert len(result.reports) > 2 * 1600 // self.config.batch_size
+        assert log == ["extract", "report"] * len(result.reports)
+
+
 class TestStageStats:
     def test_checkpoint_stats_of_a_fixed_run(self, tmp_path):
-        # Pinned to the values the queued runtime wrote for this run:
-        # checkpoints keep the same bytes.
+        # Events and reports: the window stage admits 8,000 events and
+        # passes them on beside its 60 reports; TAMP keeps the reports.
         config = MonitorConfig(window=120.0, slide=60.0, batch_size=64)
         result = run_monitor(
             SyntheticSource(8000, 3600.0, seed=31),
@@ -569,14 +619,20 @@ class TestStageStats:
             checkpoint_dir=tmp_path,
         )
         expected = {
-            "window": {
-                "admitted": 125, "emitted": 244,
-                "dropped": 0, "peak_depth": 1,
-            },
-            "tamp": {
-                "admitted": 244, "emitted": 60,
-                "dropped": 0, "peak_depth": 3,
-            },
+            "window": {"admitted": 8000, "emitted": 8060, "dropped": 0},
+            "tamp": {"admitted": 8060, "emitted": 60, "dropped": 0},
         }
         assert result.stats == expected
         assert CheckpointStore(tmp_path).latest().stats == expected
+
+    def test_stats_do_not_depend_on_the_batch_size(self):
+        # A cut batch, a whole one and one event at a time count alike.
+        stats = [
+            run_monitor(
+                small_source(),
+                MonitorConfig(window=60.0, slide=15.0, batch_size=size),
+            ).stats
+            for size in (1, 7, 64, 256)
+        ]
+        assert stats[0]["window"]["admitted"] == 1600
+        assert all(each == stats[0] for each in stats)

@@ -159,16 +159,13 @@ class TestPumping:
 
 class TestStats:
     def test_admitted_emitted_and_peak_depth(self):
+        # An item that is not a Batch counts one.
         pipe = Pipeline([Doubler(), Collector()])
         for i in range(3):
             pipe.feed(i)
         assert pipe.stats() == {
-            "Doubler": {
-                "admitted": 3, "emitted": 6, "dropped": 0, "peak_depth": 1,
-            },
-            "Collector": {
-                "admitted": 6, "emitted": 0, "dropped": 0, "peak_depth": 2,
-            },
+            "Doubler": {"admitted": 3, "emitted": 6, "dropped": 0},
+            "Collector": {"admitted": 6, "emitted": 0, "dropped": 0},
         }
 
     def test_fan_out_chain_with_a_flushing_stage(self):
@@ -181,19 +178,23 @@ class TestStats:
         pipe.flush()
         assert len(pipe.take()) == 12
         assert pipe.stats() == {
-            "Doubler": {
-                "admitted": 3, "emitted": 6, "dropped": 0, "peak_depth": 1,
-            },
-            "Collector": {
-                "admitted": 6, "emitted": 6, "dropped": 0, "peak_depth": 2,
-            },
-            "split": {
-                "admitted": 6, "emitted": 12, "dropped": 0, "peak_depth": 6,
-            },
-            "Holdback": {
-                "admitted": 12, "emitted": 12, "dropped": 0,
-                "peak_depth": 2,
-            },
+            "Doubler": {"admitted": 3, "emitted": 6, "dropped": 0},
+            "Collector": {"admitted": 6, "emitted": 6, "dropped": 0},
+            "split": {"admitted": 6, "emitted": 12, "dropped": 0},
+            "Holdback": {"admitted": 12, "emitted": 12, "dropped": 0},
+        }
+
+    def test_a_batch_counts_its_events(self):
+        # Whole or cut into parts, one stream counts the same.
+        events = spike("10 20", 7)
+        whole = Pipeline([Doubler(), Collector()])
+        whole.feed(Batch(tuple(events), 0, len(events)))
+        cut = Pipeline([Doubler(), Collector()])
+        for batch in iter_batches(events, batch_size=3):
+            cut.feed(batch)
+        assert whole.stats() == cut.stats() == {
+            "Doubler": {"admitted": 7, "emitted": 14, "dropped": 0},
+            "Collector": {"admitted": 14, "emitted": 0, "dropped": 0},
         }
 
     def test_stats_round_trip_through_restore(self):
@@ -205,5 +206,17 @@ class TestStats:
         assert fresh.stats() == saved
 
     def test_stage_stats_dict_round_trip(self):
-        stats = StageStats(admitted=4, emitted=8, dropped=1, peak_depth=3)
+        stats = StageStats(admitted=4, emitted=8, dropped=1)
         assert StageStats.from_dict(stats.to_dict()) == stats
+
+    def test_counters_of_an_older_checkpoint_continue(self):
+        # A checkpoint written when the stats counted calls and items
+        # carries peak_depth; its counters go on in events and reports.
+        pipe = Pipeline([Doubler()])
+        pipe.restore_stats({"Doubler": {
+            "admitted": 5, "emitted": 10, "dropped": 0, "peak_depth": 3,
+        }})
+        pipe.feed(Batch(tuple(spike("10 20", 4)), 0, 4))
+        assert pipe.stats() == {
+            "Doubler": {"admitted": 9, "emitted": 18, "dropped": 0},
+        }

@@ -197,6 +197,62 @@ class TestOrderingContract:
         assert [e for b in batches for e in b.events] == events
 
 
+class TestParts:
+    def test_a_batch_is_cut_after_each_closing_event(self):
+        # Event 70 (t=5000) closes the windows ending at 400 and 450
+        # and drains the buffer; the ladder re-anchors on it, so the
+        # next cut is at t=5100, not at a boundary of the old ladder.
+        events, gap = evictions_then_a_gap()
+        stage = WindowedStemmer(100.0, 50.0)
+        ends, closed = [], []
+        for part in stage.parts(Batch(tuple(events), 0, len(events))):
+            out = stage.process(part)
+            ends.append(part.end_offset)
+            closed.append([
+                item.end for item in out if isinstance(item, WindowReport)
+            ])
+            if closed[-1]:
+                # The closing event is the part's last, passed on alone
+                # after the report.
+                assert out[-1] == Batch(part.events[-1:], ends[-1] - 1,
+                                        ends[-1])
+        assert ends == [41, 46, 51, 56, 61, 66, gap + 1, 81, 86, 91, 96,
+                        100]
+        at_gap = ends.index(gap + 1)
+        assert closed[at_gap] == [400.0, 450.0]
+        assert closed[at_gap + 1] == [5100.0]
+        assert closed[-1] == []
+
+    @pytest.mark.parametrize("batch_size", [1, 5, 16, 100])
+    def test_parts_in_turn_report_as_the_whole_batch_does(
+        self, batch_size
+    ):
+        events, _ = evictions_then_a_gap()
+        whole = run_stage(
+            WindowedStemmer(100.0, 30.0), events, batch_size=batch_size
+        )
+        stage = WindowedStemmer(100.0, 30.0)
+        cut = []
+        for batch in iter_batches(events, batch_size=batch_size):
+            offset = batch.start_offset
+            for part in stage.parts(batch):
+                assert part.start_offset == offset
+                offset = part.end_offset
+                cut.extend(stage.process(part) or [])
+            assert offset == batch.end_offset
+        cut.extend(stage.flush() or [])
+        reports = [item for item in cut if isinstance(item, WindowReport)]
+        assert [r.to_dict() for r in reports] == [
+            r.to_dict() for r in whole
+        ]
+
+    def test_a_batch_that_closes_nothing_is_one_part(self):
+        events = ramp(10)
+        stage = WindowedStemmer(1000.0)
+        batch = Batch(tuple(events), 0, 10)
+        assert list(stage.parts(batch)) == [batch]
+
+
 class TestCheckpointing:
     def test_state_round_trip_resumes_bit_identically(self):
         events = ramp(60, spacing=10.0) + spike(

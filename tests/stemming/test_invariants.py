@@ -1,5 +1,7 @@
 """Property-based invariants of the Stemming decomposition."""
 
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -127,3 +129,74 @@ class TestCounterInvariants:
             return
         _, best_count = top
         assert best_count == max(counter.counts().values())
+
+
+def ranking(result, with_stems=True):
+    """The ranked (stem, strength, prefix set) of a decomposition."""
+    return [
+        ((c.stem,) if with_stems else ()) + (c.strength, c.prefixes)
+        for c in result.components
+    ]
+
+
+class TestMetamorphicRelations:
+    """Relations between runs that the paper's definition implies.
+
+    They check Stemming against itself under a transformed input, an
+    oracle that does not need a second implementation.
+    """
+
+    @given(random_streams(), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_r1_arrival_order_and_times_do_not_rank(self, events, rng):
+        shuffled = list(events)
+        rng.shuffle(shuffled)
+        restamped = [
+            replace(event, timestamp=float(i))
+            for i, event in enumerate(shuffled)
+        ]
+        stemmer = Stemmer(min_strength=1)
+        assert ranking(stemmer.decompose(restamped)) == ranking(
+            stemmer.decompose(events)
+        )
+
+    @given(random_streams(), st.integers(100, 499), st.integers(1, 100))
+    @settings(max_examples=60, deadline=None)
+    def test_r2_an_order_preserving_relabel_keeps_the_ranking(
+        self, events, offset, scale
+    ):
+        # Ties rank on the rendered token, ``AS{value}`` compared as
+        # text, so the order to preserve is the text's: every AS stays
+        # three digits wide, where text order is number order. A
+        # relabel that changes the width (100 -> 988, 103 -> 1000)
+        # reverses a tie and moves prefixes between components.
+        def relabel(event):
+            path = ASPath([
+                offset + scale * (asn - 100)
+                for asn in event.as_path.sequence
+            ])
+            return replace(
+                event,
+                attributes=PathAttributes(
+                    nexthop=event.nexthop, as_path=path
+                ),
+            )
+
+        stemmer = Stemmer(min_strength=1)
+        relabelled = stemmer.decompose([relabel(e) for e in events])
+        assert ranking(relabelled, with_stems=False) == ranking(
+            stemmer.decompose(events), with_stems=False
+        )
+
+    @given(random_streams(), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_r3_every_event_twice_doubles_every_strength(
+        self, events, min_strength
+    ):
+        twice = [copy for event in events for copy in (event, event)]
+        once = Stemmer(min_strength=min_strength).decompose(events)
+        doubled = Stemmer(min_strength=2 * min_strength).decompose(twice)
+        assert ranking(doubled) == [
+            (stem, 2 * strength, prefixes)
+            for stem, strength, prefixes in ranking(once)
+        ]
