@@ -4,15 +4,16 @@ The stemming pipeline answers "what is correlated in this window?";
 this package answers the operator's question, "what is *happening*,
 since when, how bad, and is it over?" — an explicit lifecycle state
 machine (:mod:`repro.incidents.lifecycle`), a dedup/merge fold over
-window reports (:mod:`repro.incidents.manager`), a durable sqlite
-mirror (:mod:`repro.incidents.store`) and the transition feed
+window reports that returns the transitions each fold made
+(:mod:`repro.incidents.manager`), a durable sqlite mirror
+(:mod:`repro.incidents.store`) and its cold read
 (:mod:`repro.incidents.feed`). ``repro monitor`` drives it per window
 and exports its metrics
 (:func:`repro.pipeline.monitor.incident_metrics`); ``repro incidents``
 reads the store offline.
 """
 
-from repro.incidents.feed import TransitionWatcher, load_incident_rows
+from repro.incidents.feed import load_incident_rows
 from repro.incidents.lifecycle import (
     IncidentRecord,
     IncidentStatus,
@@ -40,7 +41,6 @@ __all__ = [
     "IncidentStoreError",
     "Transition",
     "TransitionError",
-    "TransitionWatcher",
     "load_incident_rows",
     "severity_band",
     "severity_score",

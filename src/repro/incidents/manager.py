@@ -27,6 +27,10 @@ seconds resolves; one observed in ``investigate_after`` windows
 escalates open → investigating. Everything — ids, timestamps, state —
 derives from report content only, so the same report sequence always
 rebuilds the same incidents (the crash/resume bit-identity contract).
+
+Each fold (``ingest``, ``finalize``) returns the transitions it made
+as feed entries (DESIGN.md §13) and counts resolves and reopens as it
+makes them: no reader re-derives them from the audit trails.
 """
 
 from __future__ import annotations
@@ -144,14 +148,22 @@ class IncidentManager:
         default_factory=dict, compare=False, repr=False
     )
     #: Ids whose row :meth:`export_rows` must build (or drop) next
-    #: time: the records ``ingest``/``finalize`` return as changed,
-    #: unlinked ones, and every imported one.
+    #: time: the records a fold changed, unlinked ones, and every
+    #: imported one.
     _stale: set[int] = field(default_factory=set, compare=False, repr=False)
+    #: Resolve and reopen moves, counted as they are made (after an
+    #: import, starting from the restored rows' moves).
+    resolved_total: int = 0
+    reopened_total: int = 0
+    #: Incident id -> its first move's index in the fold under way.
+    _moved: dict[int, int] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     # -- ingestion ------------------------------------------------------
 
-    def ingest(self, report: WindowReport) -> list[IncidentRecord]:
-        """Fold one window report in; returns records that changed."""
+    def ingest(self, report: WindowReport) -> list[dict[str, object]]:
+        """Fold one window report in; returns the transitions it made."""
         now = report.end
         self.last_time = max(self.last_time, now)
         self.reports_ingested += 1
@@ -165,30 +177,63 @@ class IncidentManager:
         changed = [touched[incident_id] for incident_id in sorted(touched)]
         changed.extend(self._age(set(touched), now))
         self._evict_resolved()
-        self._stale.update(record.incident_id for record in changed)
-        return changed
+        return self._transitions(changed)
 
-    def finalize(self, at: Optional[float] = None) -> list[IncidentRecord]:
+    def finalize(self, at: Optional[float] = None) -> list[dict[str, object]]:
         """Resolve every live incident at end-of-stream.
 
         Called by the monitor when the source is exhausted (never on a
         hard stop — a killed run must leave live incidents live so the
-        resume can keep growing them).
+        resume can keep growing them). Returns the resolve moves.
         """
         now = self.last_time if at is None else at
         changed = []
         for incident_id in sorted(self._live):
             record = self._live[incident_id]
-            transition(
-                record,
-                IncidentStatus.RESOLVED,
-                now,
-                "end of stream",
-            )
+            self._move(record, IncidentStatus.RESOLVED, now, "end of stream")
             self._retire(record)
             changed.append(record)
+        return self._transitions(changed)
+
+    def _move(
+        self,
+        record: IncidentRecord,
+        to_status: IncidentStatus,
+        now: float,
+        reason: str,
+    ) -> None:
+        """:func:`transition`, counted and noted for the fold's feed."""
+        self._moved.setdefault(record.incident_id, len(record.transitions))
+        if to_status is IncidentStatus.RESOLVED:
+            self.resolved_total += 1
+        elif record.resolved:
+            self.reopened_total += 1
+        transition(record, to_status, now, reason)
+
+    def _transitions(
+        self, changed: list[IncidentRecord]
+    ) -> list[dict[str, object]]:
+        """End a fold that changed *changed*; return its moves as feed
+        entries: by record in *changed* order, each record's by index,
+        with the record's fields as the fold left them."""
         self._stale.update(record.incident_id for record in changed)
-        return changed
+        moved, self._moved = self._moved, {}
+        entries: list[dict[str, object]] = []
+        for record in changed:
+            moves = record.transitions
+            start = moved.get(record.incident_id, len(moves))
+            for index in range(start, len(moves)):
+                entry = moves[index].to_dict()
+                entry.update(
+                    incident=record.incident_id,
+                    transition=index,
+                    status=record.status.value,
+                    stem_label=record.stem_label,
+                    severity=record.severity,
+                    severity_band=record.severity_band,
+                )
+                entries.append(entry)
+        return entries
 
     # -- merge/dedup core -----------------------------------------------
 
@@ -203,12 +248,8 @@ class IncidentManager:
             record = self._incidents[incident_id]
             if record.resolved:
                 if now - (record.resolved_at or now) <= self.policy.reopen_window:
-                    transition(
-                        record,
-                        IncidentStatus.OPEN,
-                        now,
-                        f"recurred on {key[0]}--{key[1]}",
-                    )
+                    reason = f"recurred on {key[0]}--{key[1]}"
+                    self._move(record, IncidentStatus.OPEN, now, reason)
                     return self._enrich(
                         record, component, prefixes, incident_class, now
                     )
@@ -235,6 +276,7 @@ class IncidentManager:
         )
         self._next_id += 1
         self._incidents[record.incident_id] = record
+        self._moved[record.incident_id] = 0
         self._by_stem[key] = record.incident_id
         return self._enrich(
             record, component, prefixes, incident_class, now, created=True
@@ -315,12 +357,8 @@ class IncidentManager:
                 record.status is IncidentStatus.OPEN
                 and record.windows_observed >= self.policy.investigate_after
             ):
-                transition(
-                    record,
-                    IncidentStatus.INVESTIGATING,
-                    now,
-                    f"persisted across {record.windows_observed} windows",
-                )
+                reason = f"persisted across {record.windows_observed} windows"
+                self._move(record, IncidentStatus.INVESTIGATING, now, reason)
 
     def _age(
         self, touched_ids: set[int], now: float
@@ -330,12 +368,8 @@ class IncidentManager:
         for incident_id in sorted(live.keys() - touched_ids):
             record = live[incident_id]
             if now - record.last_seen >= self.policy.resolve_after:
-                transition(
-                    record,
-                    IncidentStatus.RESOLVED,
-                    now,
-                    f"quiet for {now - record.last_seen:.0f}s",
-                )
+                reason = f"quiet for {now - record.last_seen:.0f}s"
+                self._move(record, IncidentStatus.RESOLVED, now, reason)
                 self._retire(record)
                 changed.append(record)
         return changed
@@ -482,3 +516,7 @@ class IncidentManager:
             if not record.resolved:
                 self._live[record.incident_id] = record
                 self._index_prefixes(record.incident_id, record.prefixes)
+            # Each reopen undid one resolve: the resolves are the
+            # reopens, plus one if the record is resolved now.
+            self.reopened_total += record.reopen_count
+            self.resolved_total += record.reopen_count + record.resolved

@@ -46,7 +46,6 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Optional
 
-from repro.incidents.lifecycle import IncidentRecord, IncidentStatus
 from repro.incidents.manager import IncidentManager, IncidentPolicy
 from repro.incidents.store import INCIDENT_DB, IncidentStore
 from repro.mrt.ingest import IngestReport
@@ -263,24 +262,24 @@ class MonitorCore:
         self.offset = batch.end_offset
         self.events_done += len(batch)
 
-    def drain(self, on_report: ReportHook = None) -> list[IncidentRecord]:
+    def drain(self, on_report: ReportHook = None) -> list[dict[str, object]]:
         """Persist the reports the last pump closed.
 
         Each report grows the incidents, lands in the incident log and
-        is then handed to *on_report*. Returns the incident records
-        that changed — the transition feed's input.
+        is then handed to *on_report*. Returns the transition-feed
+        entries the incident fold made, report by report.
         """
-        changed: list[IncidentRecord] = []
+        entries: list[dict[str, object]] = []
         for item in self.live_pipeline.take():
             assert isinstance(item, WindowReport)
             self.reports_emitted += 1
             self.latest_window_end = item.end
-            changed.extend(self.live_manager.ingest(item))
+            entries.extend(self.live_manager.ingest(item))
             if self.store is not None:
                 self.store.append_report(item.to_dict())
             if on_report is not None:
                 on_report(item)
-        return changed
+        return entries
 
     def checkpoint_if_due(self) -> bool:
         """Checkpoint once ``checkpoint_every`` windows have closed."""
@@ -311,14 +310,14 @@ class MonitorCore:
         self.checkpoints_written += 1
         self._last_checkpoint_window = self.live_window.window_index
 
-    def feed(self, batch: Batch) -> list[IncidentRecord]:
-        """Pump, drain and checkpoint if due; returns changed records."""
+    def feed(self, batch: Batch) -> list[dict[str, object]]:
+        """Pump, drain and checkpoint if due; returns the transitions."""
         self.pump(batch)
-        changed = self.drain()
+        entries = self.drain()
         self.checkpoint_if_due()
-        return changed
+        return entries
 
-    def finish(self, on_report: ReportHook = None) -> list[IncidentRecord]:
+    def finish(self, on_report: ReportHook = None) -> list[dict[str, object]]:
         """End of stream: flush, resolve what is live, checkpoint.
 
         Never called on a hard stop — a killed run leaves incidents
@@ -329,14 +328,12 @@ class MonitorCore:
         if not self._reconciled:
             self._reconcile()
         self.live_pipeline.flush()
-        changed = self.drain(on_report)
-        for record in self.live_manager.finalize():
-            if record not in changed:
-                changed.append(record)
+        entries = self.drain(on_report)
+        entries.extend(self.live_manager.finalize())
         if self.store is not None:
             self.checkpoint()
         self.finished = True
-        return changed
+        return entries
 
     def close(self) -> None:
         if self.incident_store is not None:
@@ -374,22 +371,22 @@ AGE_BUCKETS = (
 
 
 def incident_metrics(manager: IncidentManager) -> list[Metric]:
-    """The incident lifecycle metrics, derived fresh from *manager*.
+    """The incident lifecycle metrics, read fresh from *manager*.
 
     A registry collector (DESIGN.md §12): it owns no counters, so the
     exposition cannot drift from the incident table. Ages are measured
     in stream time (the manager's ``last_time``), never the wall clock.
-    Lifetime reopen/resolve counts are transitions over the retained
-    incidents.
+    The lifetime reopen/resolve counts are the manager's, kept at each
+    move, so they never fall when resolved incidents are dropped.
     """
     reopened = Counter(
-        "repro_incidents_reopened_total",
-        "Reopen transitions over retained incidents.",
+        "repro_incidents_reopened_total", "Reopen transitions made."
     )
+    reopened.inc(manager.reopened_total)
     resolved = Counter(
-        "repro_incidents_resolved_total",
-        "Resolve transitions over retained incidents.",
+        "repro_incidents_resolved_total", "Resolve transitions made."
     )
+    resolved.inc(manager.resolved_total)
     ages = Histogram(
         "repro_incident_age_seconds",
         "Age of live incidents in stream seconds.",
@@ -402,11 +399,6 @@ def incident_metrics(manager: IncidentManager) -> list[Metric]:
     )
     now = manager.last_time
     for record in manager.all_incidents():
-        for event in record.transitions:
-            if event.to_status == IncidentStatus.RESOLVED.value:
-                resolved.inc()
-            elif event.from_status == IncidentStatus.RESOLVED.value:
-                reopened.inc()
         if record.resolved:
             duration = record.time_to_resolve
             if duration is not None:

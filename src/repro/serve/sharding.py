@@ -27,6 +27,12 @@ Checkpoints are ``repro monitor``'s: a shard *is* the core that
 ``<root>/shard-<k>/``, so a shard killed hard — even one run by
 ``run_monitor`` in another process, as the chaos test does — resumes
 here bit-identically, and vice versa.
+
+Transitions leave the fold that makes them: a shard's manager returns
+each report's moves as feed entries and :class:`ShardSet` tags them
+with the shard. :meth:`ShardSet.resume` replays silently up to the
+offset the dead shard had published to, so each move is published
+once; a set started with ``resume=True`` publishes only its own moves.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.collector.events import BGPEvent
-from repro.incidents.feed import TransitionWatcher, load_incident_rows
+from repro.incidents.feed import load_incident_rows
 from repro.incidents.lifecycle import IncidentRecord
 from repro.pipeline.monitor import MonitorConfig, MonitorCore
 from repro.pipeline.runtime import Batch, iter_batches
@@ -51,6 +57,15 @@ ShardVersion = tuple[int, int]
 def shard_dir(root: Path | str, shard: int) -> Path:
     """The checkpoint directory for shard *shard* under *root*."""
     return Path(root) / f"shard-{shard}"
+
+
+def _tagged(
+    entries: list[dict[str, object]], shard: int
+) -> list[dict[str, object]]:
+    """*entries*, each tagged with the *shard* whose fold made it."""
+    for entry in entries:
+        entry["shard"] = shard
+    return entries
 
 
 class PipelineShard(MonitorCore):
@@ -109,7 +124,6 @@ class ShardSet:
         self.checkpoint_root = (
             None if checkpoint_root is None else Path(checkpoint_root)
         )
-        self.watcher = TransitionWatcher()
         self._sources: list[Source] = [
             parent
             if shards == 1
@@ -126,6 +140,9 @@ class ShardSet:
         #: Filtered events offered per shard, counted even while the
         #: shard is dead — the resume catch-up target.
         self._offered = [0] * shards
+        #: Per shard, the offset its transitions were published to
+        #: when it last died: a resume replays up to it silently.
+        self._published = [0] * shards
         self.events_offered = 0
         #: Kills per slot: what tells one death's rows from the next.
         self._deaths = [0] * shards
@@ -174,7 +191,7 @@ class ShardSet:
         batch = Batch(
             tuple(events), shard.offset, shard.offset + len(events)
         )
-        return self.watcher.observe(shard.feed(batch), shard=k)
+        return _tagged(shard.feed(batch), k)
 
     def flush(self) -> list[dict[str, object]]:
         """Feed every partial buffer through its shard."""
@@ -188,9 +205,7 @@ class ShardSet:
         entries = self.flush()
         for k, shard in enumerate(self._shards):
             if shard is not None:
-                entries.extend(
-                    self.watcher.observe(shard.finish(), shard=k)
-                )
+                entries.extend(_tagged(shard.finish(), k))
         return entries
 
     # -- Chaos ---------------------------------------------------------
@@ -208,6 +223,7 @@ class ShardSet:
         shard.close()
         self._shards[k] = None
         self._buffers[k] = []
+        self._published[k] = shard.offset
         self._deaths[k] += 1
         self._dead_records[k] = None
 
@@ -215,27 +231,29 @@ class ShardSet:
         """Restore shard *k* from its checkpoint and catch it up.
 
         Replays the shard's slice from its checkpointed offset to the
-        set's current stream position. The checkpoint may have been
-        written by this process (before :meth:`kill`) or by an
-        external ``run_monitor`` over the same
+        set's current stream position; returns the transitions made
+        past the offset the shard had published to when it died. The
+        checkpoint may have been written by this process (before
+        :meth:`kill`) or by an external ``run_monitor`` over the same
         :class:`~repro.pipeline.sources.ShardView` — both drive the
         same :class:`~repro.pipeline.monitor.MonitorCore`.
         """
         if self._shards[k] is not None:
             raise ValueError(f"shard {k} is alive")
         shard = self._open(k, resume=True)
-        entries: list[dict[str, object]] = []
-        behind = self._offered[k] - shard.offset
-        for batch in iter_batches(
-            islice(self._sources[k].events(shard.offset), max(behind, 0)),
-            batch_size=self.config.batch_size,
-            start_offset=shard.offset,
-        ):
-            entries.extend(
-                self.watcher.observe(shard.feed(batch), shard=k)
-            )
+        events = self._sources[k].events(shard.offset)
+        # The first pass re-makes what was published before the death;
+        # only the second pass's transitions are returned.
+        for stop in (self._published[k], self._offered[k]):
+            entries: list[dict[str, object]] = []
+            for batch in iter_batches(
+                islice(events, max(stop - shard.offset, 0)),
+                batch_size=self.config.batch_size,
+                start_offset=shard.offset,
+            ):
+                entries.extend(shard.feed(batch))
         self._shards[k] = shard
-        return entries
+        return _tagged(entries, k)
 
     # -- Snapshot surface (what handlers read) -------------------------
 

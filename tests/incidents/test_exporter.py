@@ -5,7 +5,12 @@ from functools import partial
 import pytest
 
 from repro.incidents import IncidentManager, IncidentPolicy
-from repro.pipeline import MetricsRegistry
+from repro.pipeline import (
+    MetricsRegistry,
+    MonitorConfig,
+    SyntheticSource,
+    run_monitor,
+)
 from repro.pipeline.monitor import incident_metrics
 from tests.incidents.conftest import make_component, make_report
 
@@ -82,6 +87,51 @@ class TestSnapshot:
         assert snapshot["repro_incidents_created_total"] == 0
         assert sum(snapshot["repro_incidents_total"].values()) == 0
         assert snapshot["repro_incident_age_seconds"]["count"] == 0
+
+
+LIFETIME = (
+    "repro_incidents_created_total",
+    "repro_incidents_resolved_total",
+    "repro_incidents_reopened_total",
+)
+
+
+class TestLifetimeCounters:
+    def test_counters_never_fall_over_a_run(self):
+        # A short reopen window: recurring stems unlink their resolved
+        # incidents and open new ones, taking the old moves out of the
+        # retained rows.
+        registry = MetricsRegistry()
+        scrapes = []
+        result = run_monitor(
+            SyntheticSource(3000, 1800.0, seed=5),
+            MonitorConfig(
+                window=120.0,
+                slide=60.0,
+                batch_size=64,
+                resolve_after=120.0,
+                reopen_window=120.0,
+            ),
+            registry=registry,
+            on_report=lambda report: scrapes.append(registry.snapshot()),
+        )
+        manager = result.incidents
+        assert manager.created_total > len(manager.all_incidents())
+        for name in LIFETIME:
+            values = [scrape[name] for scrape in scrapes]
+            assert values == sorted(values), name
+        assert scrapes[-1]["repro_incidents_reopened_total"] > 0
+
+    def test_a_restored_manager_counts_from_its_rows(self):
+        manager = lived_in_manager()
+        manager.finalize()
+        restored = IncidentManager(policy=manager.policy)
+        restored.import_state(manager.export_state())
+        before = scraped(manager).snapshot()
+        after = scraped(restored).snapshot()
+        assert [after[name] for name in LIFETIME] == [
+            before[name] for name in LIFETIME
+        ] == [2, 3, 1]
 
 
 class TestExposition:

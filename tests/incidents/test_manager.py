@@ -175,7 +175,9 @@ class TestPrefixOverlapMerge:
                 [make_component(1, 65009, 65010, prefixes=self.pfx(1, 5, 6))],
             )
         )
-        assert [r.incident_id for r in changed] == [2]
+        # The merge is #2's second window: its escalation is the fold's
+        # one transition.
+        assert [e["incident"] for e in changed] == [2]
         assert len(m.all_incidents()) == 2
         assert m.get(2).related_stems == (("65009", "65010"),)
         assert m.get(1).related_stems == ()
@@ -326,7 +328,10 @@ class TestSimultaneousIncidents:
                 ],
             )
         )
-        assert [r.incident_id for r in changed] == [1, 2]
+        assert [(e["incident"], e["to"]) for e in changed] == [
+            (1, "open"),
+            (2, "open"),
+        ]
 
     def test_each_evolves_independently(self):
         m = manager(resolve_after=300.0)
@@ -365,7 +370,11 @@ class TestEscalationAndAging:
         record = m.get(1)
         assert record is not None and record.resolved
         assert record.resolved_at == 480.0
-        assert record in changed
+        # Touched records' moves first, then the aged ones'.
+        assert [(e["incident"], e["to"]) for e in changed] == [
+            (2, "open"),
+            (1, "resolved"),
+        ]
 
     def test_finalize_resolves_every_live_incident(self):
         m = manager()

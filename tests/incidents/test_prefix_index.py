@@ -5,9 +5,10 @@ string to the live incidents holding it, so a prefix-overlap merge
 scores only the incidents that share a prefix, and aging and
 ``active()`` walk only the live ones. :class:`ScanningManager` is the fold as it was before the
 index — every retained incident sorted and scanned per unmatched
-component — and the two must build the same rows after every report,
-over the scenario timelines of ``test_row_caches``: reopens, prefix
-merges, evictions, a restore from a checkpoint and ``finalize``.
+component — and the two must build the same rows and return the same
+transitions after every report, over the scenario timelines of
+``test_row_caches``: reopens, prefix merges, evictions, a restore from
+a checkpoint and ``finalize``.
 """
 
 from typing import Optional
@@ -16,11 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.incidents import IncidentManager, IncidentPolicy
-from repro.incidents.lifecycle import (
-    IncidentRecord,
-    IncidentStatus,
-    transition,
-)
+from repro.incidents.lifecycle import IncidentRecord, IncidentStatus
 from repro.incidents.manager import _jaccard
 from tests.incidents.test_row_caches import (
     GEOMETRIES,
@@ -35,17 +32,16 @@ class ScanningManager(IncidentManager):
 
     __slots__ = ()
 
-    def finalize(self, at: Optional[float] = None) -> list[IncidentRecord]:
+    def finalize(self, at: Optional[float] = None) -> list[dict]:
         now = self.last_time if at is None else at
         changed = []
         for record in self._records_by_id():
             if not record.resolved:
-                transition(
+                self._move(
                     record, IncidentStatus.RESOLVED, now, "end of stream"
                 )
                 changed.append(record)
-        self._stale.update(record.incident_id for record in changed)
-        return changed
+        return self._transitions(changed)
 
     def _merge_by_prefixes(
         self, prefixes: frozenset[str], now: float
@@ -73,7 +69,7 @@ class ScanningManager(IncidentManager):
             if record.incident_id in touched_ids or record.resolved:
                 continue
             if now - record.last_seen >= self.policy.resolve_after:
-                transition(
+                self._move(
                     record,
                     IncidentStatus.RESOLVED,
                     now,
@@ -158,12 +154,12 @@ class TestIndexedFoldEqualsTheScan:
                 restored = IncidentManager(policy=policy)
                 restored.import_state(indexed.export_state())
                 indexed = restored
-            assert ids(indexed.ingest(report)) == ids(scanning.ingest(report))
+            assert indexed.ingest(report) == scanning.ingest(report)
             assert rows(indexed) == rows(scanning)
             assert ids(indexed.active()) == active_by_scan(scanning)
             assert_index_current(indexed)
         if finish:
-            assert ids(indexed.finalize()) == ids(scanning.finalize())
+            assert indexed.finalize() == scanning.finalize()
             assert rows(indexed) == rows(scanning)
             assert_index_current(indexed)
         assert indexed.export_rows() == scanning.export_rows()

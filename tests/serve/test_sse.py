@@ -1,4 +1,8 @@
-"""SSE feed: framing, ring replay, Last-Event-ID over a real socket."""
+"""SSE feed: framing, ring replay, Last-Event-ID over a real socket.
+
+What the frames carry, and that each move is published once, is
+``test_transitions``'s subject.
+"""
 
 import asyncio
 
@@ -51,36 +55,6 @@ class TestRing:
             assert feed.published == 2
 
         asyncio.run(main())
-
-
-class TestTransitionWatcher:
-    def test_pipeline_transitions_surface_exactly_once(self):
-        shard_set = ShardSet(small_source(), serve_config())
-        entries = []
-        for event in small_source().events():
-            entries.extend(shard_set.offer(event))
-        entries.extend(shard_set.finish())
-        assert entries
-        required = {
-            "incident",
-            "shard",
-            "transition",
-            "at",
-            "from",
-            "to",
-            "reason",
-            "status",
-            "severity",
-        }
-        for entry in entries:
-            assert required <= set(entry)
-        # Re-observing the same records emits nothing new.
-        shard = shard_set._shards[0]
-        again = shard_set.watcher.observe(
-            shard.live_manager.all_incidents(), shard=0
-        )
-        assert again == []
-        shard_set.close()
 
 
 class TestLastEventIdReplay:
