@@ -30,11 +30,13 @@ rebuilds the same incidents (the crash/resume bit-identity contract).
 
 Each fold (``ingest``, ``finalize``) returns the transitions it made
 as feed entries (DESIGN.md §13) and counts resolves and reopens as it
-makes them: no reader re-derives them from the audit trails.
+makes them, tallying each resolve's open-to-resolved seconds beside
+the count: no reader re-derives them from the audit trails.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Optional
 
@@ -53,6 +55,13 @@ from repro.stemming.stemmer import Component
 
 if TYPE_CHECKING:  # import would cycle through repro.pipeline.monitor
     from repro.pipeline.windows import WindowReport
+
+
+#: Bucket edges (stream seconds) of the incident age and
+#: time-to-resolve histograms: one monitor window through a working day.
+AGE_BUCKETS = (
+    30.0, 60.0, 120.0, 300.0, 600.0, 1800.0, 3600.0, 14400.0, 86400.0,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,6 +164,18 @@ class IncidentManager:
     #: import, starting from the restored rows' moves).
     resolved_total: int = 0
     reopened_total: int = 0
+    #: Each of those resolves' open-to-resolved seconds: a count per
+    #: :data:`AGE_BUCKETS` edge (the last past every edge), the sum and
+    #: the largest.
+    resolve_buckets: list[int] = field(
+        default_factory=lambda: [0] * (len(AGE_BUCKETS) + 1),
+        compare=False,
+        repr=False,
+    )
+    resolve_seconds: float = field(default=0.0, compare=False, repr=False)
+    resolve_seconds_max: float = field(
+        default=0.0, compare=False, repr=False
+    )
     #: Incident id -> its first move's index in the fold under way.
     _moved: dict[int, int] = field(
         default_factory=dict, compare=False, repr=False
@@ -206,9 +227,15 @@ class IncidentManager:
         self._moved.setdefault(record.incident_id, len(record.transitions))
         if to_status is IncidentStatus.RESOLVED:
             self.resolved_total += 1
+            self._tally_resolve(now - record.opened_at)
         elif record.resolved:
             self.reopened_total += 1
         transition(record, to_status, now, reason)
+
+    def _tally_resolve(self, seconds: float) -> None:
+        self.resolve_buckets[bisect_left(AGE_BUCKETS, seconds)] += 1
+        self.resolve_seconds += seconds
+        self.resolve_seconds_max = max(self.resolve_seconds_max, seconds)
 
     def _transitions(
         self, changed: list[IncidentRecord]
@@ -517,6 +544,10 @@ class IncidentManager:
                 self._live[record.incident_id] = record
                 self._index_prefixes(record.incident_id, record.prefixes)
             # Each reopen undid one resolve: the resolves are the
-            # reopens, plus one if the record is resolved now.
+            # reopens, plus one if the record is resolved now. The
+            # audit trail dates each of them.
             self.reopened_total += record.reopen_count
             self.resolved_total += record.reopen_count + record.resolved
+            for move in record.transitions:
+                if move.to_status == IncidentStatus.RESOLVED.value:
+                    self._tally_resolve(move.at - record.opened_at)

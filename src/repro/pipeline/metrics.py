@@ -11,6 +11,14 @@ core — counters, gauges and fixed-bucket histograms collected in a
 * :meth:`MetricsRegistry.render_text` — a Prometheus-style plain-text
   exposition.
 
+A scrape does its work where a value moved, not on every read: a
+registered family's HELP/TYPE head and a histogram's bucket label
+prefixes are built once, at registration, and each family's rendered
+lines are held beside the value they were rendered from (a counter's
+or gauge's ``value``, a histogram's ``count``). A scrape re-renders
+only the families whose value moved and joins held text for the
+rest; collectors' families are built fresh at every scrape.
+
 Serving either over HTTP is the serve layer's job
 (:func:`repro.serve.app.serve_metrics`: ``/metrics`` for the text,
 ``/metrics.json`` for the snapshot, behind both ``repro serve`` and
@@ -28,6 +36,8 @@ slate.
 
 from __future__ import annotations
 
+from bisect import insort
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 #: Default histogram buckets (seconds): tuned for window-lag style
@@ -107,6 +117,11 @@ class Histogram:
         self.name = name
         self.help = help
         self.bounds = tuple(float(b) for b in bounds)
+        #: Each finite bucket's exposition line up to its count.
+        self._bucket_prefixes = [
+            f'{name}_bucket{{le="{_format_number(bound)}"}} '
+            for bound in self.bounds
+        ]
         self.bucket_counts = [0] * (len(self.bounds) + 1)
         self.count = 0
         self.sum = 0.0
@@ -152,14 +167,12 @@ class Histogram:
         }
 
     def render(self) -> list[str]:
-        lines = []
-        cumulative = 0
-        for bound, count in zip(self.bounds, self.bucket_counts):
-            cumulative += count
-            lines.append(
-                f'{self.name}_bucket{{le="{_format_number(bound)}"}}'
-                f" {cumulative}"
+        lines = [
+            prefix + str(cumulative)
+            for prefix, cumulative in zip(
+                self._bucket_prefixes, accumulate(self.bucket_counts)
             )
+        ]
         lines.append(f'{self.name}_bucket{{le="+Inf"}} {self.count}')
         lines.append(f"{self.name}_sum {_format_number(self.sum)}")
         lines.append(f"{self.name}_count {self.count}")
@@ -194,6 +207,48 @@ Metric = Counter | Gauge | Histogram | LabelledGauge
 Collector = Callable[[], Iterable[Metric]]
 
 
+def _head(metric: Metric) -> str:
+    """A family's ``# HELP`` (if it has help) and ``# TYPE`` lines."""
+    type_line = f"# TYPE {metric.name} {metric.kind}"
+    if metric.help:
+        return f"# HELP {metric.name} {metric.help}\n{type_line}"
+    return type_line
+
+
+def _family_text(head: str, metric: Metric) -> str:
+    return "\n".join((head, *metric.render()))
+
+
+#: What a held family's text was rendered from before its first scrape.
+_NEVER = object()
+
+
+class _Family:
+    """A registered metric, its head, and its text held between moves.
+
+    A counter's or gauge's ``value`` moves with every ``inc``/``set``
+    that changes it, a histogram's ``count`` with every ``observe``:
+    while that value stands, the held text is what a render would
+    give.
+    """
+
+    __slots__ = ("metric", "head", "field", "rendered_from", "text")
+
+    def __init__(self, metric: Metric) -> None:
+        self.metric = metric
+        self.head = _head(metric)
+        self.field = "count" if isinstance(metric, Histogram) else "value"
+        self.rendered_from: object = _NEVER
+        self.text = ""
+
+    def render(self) -> str:
+        value = getattr(self.metric, self.field)
+        if value != self.rendered_from:
+            self.text = _family_text(self.head, self.metric)
+            self.rendered_from = value
+        return self.text
+
+
 class MetricsRegistry:
     """A named collection of metrics, one per monitor run.
 
@@ -205,7 +260,9 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self._metrics: dict[str, Metric] = {}
+        self._families: dict[str, _Family] = {}
+        #: The same families in name order, kept at registration.
+        self._sorted: list[_Family] = []
         self._collectors: list[Collector] = []
 
     def register_collector(self, collector: Collector) -> None:
@@ -233,42 +290,63 @@ class MetricsRegistry:
         return self._get_or_create(Histogram, name, help, bounds)
 
     def _get_or_create(self, cls: type, name: str, help: str, *args):
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = cls(name, help, *args)
-            self._metrics[name] = metric
-        elif not isinstance(metric, cls):
+        family = self._families.get(name)
+        if family is None:
+            family = _Family(cls(name, help, *args))
+            self._families[name] = family
+            insort(self._sorted, family, key=lambda held: held.metric.name)
+        elif not isinstance(family.metric, cls):
             raise ValueError(
-                f"metric {name!r} is a {metric.kind},"
+                f"metric {name!r} is a {family.metric.kind},"
                 f" not a {cls.kind}"
             )
-        return metric
+        return family.metric
 
-    def _collect(self) -> list[Metric]:
-        """Registered metrics sorted by name, then each collector's."""
-        metrics = [self._metrics[name] for name in sorted(self._metrics)]
-        for collector in self._collectors:
-            metrics.extend(collector())
-        return metrics
+    def _collected(self) -> list[Metric]:
+        """Every collector's metrics, built fresh."""
+        return [
+            metric
+            for collector in self._collectors
+            for metric in collector()
+        ]
 
     def snapshot(self) -> dict[str, object]:
-        """JSON-serializable view of every metric, keyed by name."""
-        return {metric.name: metric.to_value() for metric in self._collect()}
+        """JSON-serializable view of every metric, keyed by name.
+
+        Registered metrics in name order, then each collector's.
+        """
+        values = {
+            family.metric.name: family.metric.to_value()
+            for family in self._sorted
+        }
+        for metric in self._collected():
+            values[metric.name] = metric.to_value()
+        return values
 
     def render_text(self) -> str:
-        """Prometheus-style plain-text exposition."""
-        lines: list[str] = []
-        for metric in self._collect():
-            if metric.help:
-                lines.append(f"# HELP {metric.name} {metric.help}")
-            lines.append(f"# TYPE {metric.name} {metric.kind}")
-            lines.extend(metric.render())
-        return "\n".join(lines) + "\n"
+        """Prometheus-style plain-text exposition.
+
+        Registered families in name order, each re-rendered only if its
+        value moved since the last scrape, then each collector's.
+        """
+        parts = [family.render() for family in self._sorted]
+        parts.extend(
+            _family_text(_head(metric), metric)
+            for metric in self._collected()
+        )
+        return "\n".join(parts) + "\n"
 
 
 def _format_number(value: float) -> str:
-    """Render 3 as ``3`` and 0.25 as ``0.25`` (no trailing zeros)."""
-    if value == int(value):
-        return str(int(value))
+    """Render 3 as ``3`` and 0.25 as ``0.25`` (no trailing zeros), and
+    the non-finite values as the Prometheus text format spells them:
+    ``NaN``, ``+Inf``, ``-Inf``."""
+    try:
+        if value == int(value):
+            return str(int(value))
+    except (ValueError, OverflowError):  # int() of NaN, of ±Inf
+        if value != value:
+            return "NaN"
+        return "+Inf" if value > 0 else "-Inf"
     return repr(value)
 

@@ -46,7 +46,11 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Optional
 
-from repro.incidents.manager import IncidentManager, IncidentPolicy
+from repro.incidents.manager import (
+    AGE_BUCKETS,
+    IncidentManager,
+    IncidentPolicy,
+)
 from repro.incidents.store import INCIDENT_DB, IncidentStore
 from repro.mrt.ingest import IngestReport
 from repro.pipeline.checkpoint import (
@@ -363,21 +367,15 @@ class MonitorResult:
         return [report.to_dict() for report in self.reports]
 
 
-#: Bucket edges (stream seconds) for the age / time-to-resolve
-#: histograms: one monitor window through a working day.
-AGE_BUCKETS = (
-    30.0, 60.0, 120.0, 300.0, 600.0, 1800.0, 3600.0, 14400.0, 86400.0,
-)
-
-
 def incident_metrics(manager: IncidentManager) -> list[Metric]:
     """The incident lifecycle metrics, read fresh from *manager*.
 
     A registry collector (DESIGN.md §12): it owns no counters, so the
     exposition cannot drift from the incident table. Ages are measured
     in stream time (the manager's ``last_time``), never the wall clock.
-    The lifetime reopen/resolve counts are the manager's, kept at each
-    move, so they never fall when resolved incidents are dropped.
+    The lifetime reopen/resolve counts and the time-to-resolve tally
+    are the manager's, kept at each move, so they never fall when
+    resolved incidents reopen or are dropped.
     """
     reopened = Counter(
         "repro_incidents_reopened_total", "Reopen transitions made."
@@ -394,16 +392,16 @@ def incident_metrics(manager: IncidentManager) -> list[Metric]:
     )
     ttr = Histogram(
         "repro_incident_time_to_resolve_seconds",
-        "Open-to-resolved duration of retained resolved incidents.",
+        "Open-to-resolved duration of every resolve transition made.",
         AGE_BUCKETS,
     )
+    ttr.bucket_counts = list(manager.resolve_buckets)
+    ttr.count = sum(manager.resolve_buckets)
+    ttr.sum = manager.resolve_seconds
+    ttr.max = manager.resolve_seconds_max
     now = manager.last_time
     for record in manager.all_incidents():
-        if record.resolved:
-            duration = record.time_to_resolve
-            if duration is not None:
-                ttr.observe(duration)
-        else:
+        if not record.resolved:
             ages.observe(record.age(now))
     created = Counter(
         "repro_incidents_created_total", "Incidents ever opened."

@@ -20,6 +20,12 @@ Every handler reads exclusively through the snapshot surface —
 pipeline objects (rule SRV001: ``live_``-prefixed state is for the
 sharding/snapshot layer only).
 
+Every read route answers from held bytes between moves: the picture
+and incident listings under their snapshot keys, ``/status`` under a
+key of every value its body reads, ``/metrics`` family by family
+(:class:`~repro.pipeline.metrics.MetricsRegistry` re-renders only the
+families whose value moved).
+
 Per-route request counters and latency histograms live on a
 :class:`~repro.pipeline.metrics.MetricsRegistry`; serve-level live
 values (render and incident-build counts, feed position, shard
@@ -96,6 +102,9 @@ class ServeApp:
             registry if registry is not None else MetricsRegistry()
         )
         self.registry.register_collector(self.gauges)
+        #: ``/status``'s wire reply and the key it was encoded at.
+        self._status_key: Optional[tuple] = None
+        self._status_reply = b""
         self._counters = {
             name: self.registry.counter(
                 f"repro_serve_requests_total_{name}",
@@ -232,20 +241,34 @@ class ServeApp:
         return Response(200, b"ok")
 
     async def status(self, request: Request) -> HandlerResult:
+        """The held reply while nothing the body reads has moved."""
         snapshot = self.hub.current()
         incidents = self.hub.current_incidents()
-        body = {
-            "version": [list(part) for part in self.shards.version()],
-            "etag": None if snapshot is None else snapshot.etag,
-            "renders": self.hub.renders,
-            "incident_etag": None if incidents is None else incidents.etag,
-            "incident_builds": self.hub.incident_builds,
-            "sse_last_id": self.feed.last_id,
-            **self.shards.status(),
-        }
-        return Response(
-            200, json.dumps(body, sort_keys=True), "application/json"
+        etag = None if snapshot is None else snapshot.etag
+        incident_etag = None if incidents is None else incidents.etag
+        key = (
+            self.shards.status_version(),
+            etag,
+            self.hub.renders,
+            incident_etag,
+            self.hub.incident_builds,
+            self.feed.last_id,
         )
+        if key != self._status_key:
+            body = {
+                "version": [list(part) for part in self.shards.version()],
+                "etag": etag,
+                "renders": self.hub.renders,
+                "incident_etag": incident_etag,
+                "incident_builds": self.hub.incident_builds,
+                "sse_last_id": self.feed.last_id,
+                **self.shards.status(),
+            }
+            self._status_reply = Response(
+                200, json.dumps(body, sort_keys=True), "application/json"
+            ).encode()
+            self._status_key = key
+        return self._status_reply
 
     async def start(
         self, host: str = "127.0.0.1", port: int = 0

@@ -71,7 +71,10 @@ class TestSnapshot:
         manager.finalize()
         snapshot = scraped(manager).snapshot()
         ttr = snapshot["repro_incident_time_to_resolve_seconds"]
-        assert ttr["count"] == 2
+        # Every resolve move, the one a reopen undid included: 65003
+        # resolved at 480 (360 s open), then both resolved at 660.
+        assert ttr["count"] == manager.resolved_total == 3
+        assert ttr["sum"] == 360.0 + 540.0 + 540.0
         assert snapshot["repro_incident_age_seconds"]["count"] == 0
 
     def test_class_breakdown_matches_the_manager(self):
@@ -122,6 +125,42 @@ class TestLifetimeCounters:
             assert values == sorted(values), name
         assert scrapes[-1]["repro_incidents_reopened_total"] > 0
 
+    def test_time_to_resolve_never_falls_over_a_run(self):
+        # Reopens take a resolved incident's duration back out of the
+        # retained rows, and unlinks drop it: neither may take it out
+        # of the histogram.
+        registry = MetricsRegistry()
+        name = "repro_incident_time_to_resolve_seconds"
+        scrapes = []
+
+        def scrape(report):
+            lines = registry.render_text().splitlines()
+            scrapes.append(
+                tuple(
+                    float(line.split()[1])
+                    for line in lines
+                    if line.startswith((f"{name}_count ", f"{name}_sum "))
+                )
+            )
+
+        result = run_monitor(
+            SyntheticSource(3000, 1800.0, seed=5),
+            MonitorConfig(
+                window=120.0,
+                slide=60.0,
+                resolve_after=120.0,
+                reopen_window=120.0,
+            ),
+            registry=registry,
+            on_report=scrape,
+        )
+        scrape(None)  # after the end-of-stream resolves
+        assert result.incidents.reopened_total > 0
+        for column in (0, 1):  # _sum, then _count
+            values = [scrape[column] for scrape in scrapes]
+            assert values == sorted(values)
+        assert scrapes[-1][1] == result.incidents.resolved_total
+
     def test_a_restored_manager_counts_from_its_rows(self):
         manager = lived_in_manager()
         manager.finalize()
@@ -132,6 +171,9 @@ class TestLifetimeCounters:
         assert [after[name] for name in LIFETIME] == [
             before[name] for name in LIFETIME
         ] == [2, 3, 1]
+        ttr = "repro_incident_time_to_resolve_seconds"
+        assert after[ttr] == before[ttr]
+        assert after[ttr]["count"] == 3
 
 
 class TestExposition:

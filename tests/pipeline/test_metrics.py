@@ -7,15 +7,19 @@ import time
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.pipeline.metrics import (
     Counter,
     Gauge,
     Histogram,
+    LabelledGauge,
     MetricsRegistry,
 )
 from repro.pipeline.monitor import MonitorConfig, run_monitor
 from repro.serve import HttpServer, serve_metrics
+from tests.pipeline import reference_metrics
 from tests.pipeline.conftest import small_source
 from tests.serve.conftest import http_get, read_reply
 from tests.serve.test_app import build_app
@@ -115,6 +119,159 @@ class TestRegistry:
         assert "# HELP repro_x_total things counted" in text
         assert "# TYPE repro_x_total counter" in text
         assert "repro_x_total 2" in text
+
+
+    def test_non_finite_values_render_as_prometheus_spells_them(self):
+        registry = MetricsRegistry()
+        registry.gauge("g_nan").set(float("nan"))
+        registry.gauge("g_pos").set(float("inf"))
+        registry.gauge("g_neg").set(float("-inf"))
+        registry.histogram("h", bounds=(1.0,)).observe(float("inf"))
+        for _ in "12":  # held or not, the same text
+            lines = registry.render_text().splitlines()
+            for line in (
+                "g_nan NaN",
+                "g_pos +Inf",
+                "g_neg -Inf",
+                'h_bucket{le="1"} 0',
+                'h_bucket{le="+Inf"} 1',
+                "h_sum +Inf",
+                "h_count 1",
+            ):
+                assert line in lines
+
+
+def moved_steps():
+    """What can happen to a registry between (and around) scrapes."""
+    small_int = st.integers(0, 10**6)
+    amount = st.one_of(
+        small_int, st.floats(0.0, 1e6, allow_nan=False)
+    )
+    value = st.one_of(
+        st.integers(-(10**6), 10**6),
+        st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    )
+    return st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("register"),
+                st.sampled_from(["counter", "gauge", "histogram"]),
+                st.integers(0, 5),
+                st.booleans(),
+            ),
+            st.tuples(st.just("inc"), small_int, amount),
+            st.tuples(st.just("set"), small_int, value),
+            st.tuples(st.just("observe"), small_int, amount),
+            st.tuples(st.just("collected"), value),
+            st.tuples(st.just("collector")),
+            st.tuples(st.just("scrape")),
+        ),
+        max_size=60,
+    )
+
+
+class TestHeldFamilies:
+    """Held family text scrapes exactly as rendering every line did."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(moved_steps())
+    def test_every_scrape_equals_the_reference_renderer(self, steps):
+        registry = MetricsRegistry()
+        registered: dict[str, object] = {}
+        collectors = []
+        state = {"value": 0, "labels": {}, "observed": []}
+
+        def collector():
+            gauge = Gauge("zz_collected", "collected fresh")
+            gauge.set(state["value"])
+            histogram = Histogram("zz_collected_h", bounds=(1, 10))
+            for observed in state["observed"]:
+                histogram.observe(observed)
+            labelled = LabelledGauge(
+                "zz_collected_by", "", "key", dict(state["labels"])
+            )
+            return [gauge, histogram, labelled]
+
+        def of(kinds, index):
+            chosen = [m for m in registered.values() if m.kind in kinds]
+            return chosen[index % len(chosen)] if chosen else None
+
+        def check():
+            assert registry.render_text() == reference_metrics.render_text(
+                registered.values(), collectors
+            )
+
+        for step in steps:
+            match step:
+                case ("register", kind, index, helped):
+                    name = f"m{index}_{kind}"
+                    help = f"the {kind} {index}" if helped else ""
+                    if kind == "histogram":
+                        bounds = (0.5, 2.0, 100.0) if index % 2 else None
+                        metric = (
+                            registry.histogram(name, help, bounds)
+                            if bounds
+                            else registry.histogram(name, help)
+                        )
+                    else:
+                        metric = getattr(registry, kind)(name, help)
+                    registered.setdefault(name, metric)
+                    assert registered[name] is metric
+                case ("inc", index, amount):
+                    metric = of(("counter", "gauge"), index)
+                    if metric is not None:
+                        metric.inc(amount)
+                case ("set", index, value):
+                    metric = of(("gauge",), index)
+                    if metric is not None:
+                        metric.set(value)
+                case ("observe", index, amount):
+                    metric = of(("histogram",), index)
+                    if metric is not None:
+                        metric.observe(amount)
+                case ("collected", value):
+                    state["value"] = value
+                    state["labels"][f"k{len(state['labels']) % 3}"] = value
+                    state["observed"].append(abs(value))
+                case ("collector",):
+                    registry.register_collector(collector)
+                    collectors.append(collector)
+                case ("scrape",):
+                    check()
+        check()
+
+    def test_a_scrape_renders_only_the_families_that_moved(
+        self, monkeypatch
+    ):
+        registry = MetricsRegistry()
+        counter = registry.counter("a_total", "counted")
+        gauge = registry.gauge("b")
+        histogram = registry.histogram("c_seconds")
+        registry.render_text()
+        rendered = []
+        for cls in (Counter, Gauge, Histogram):
+            monkeypatch.setattr(
+                cls,
+                "render",
+                lambda self, render=cls.render: (
+                    rendered.append(self.name) or render(self)
+                ),
+            )
+        text = registry.render_text()
+        assert registry.render_text() == text
+        assert rendered == []
+        counter.inc()
+        assert registry.render_text() != text
+        assert rendered == ["a_total"]
+        rendered.clear()
+        gauge.set(3)
+        histogram.observe(0.2)
+        registry.render_text()
+        assert rendered == ["b", "c_seconds"]
+        rendered.clear()
+        gauge.set(3)  # set, but not moved
+        registry.render_text()
+        assert rendered == []
 
 
 def assert_one_type_line_per_family(registry):
