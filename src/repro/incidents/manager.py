@@ -50,6 +50,7 @@ from repro.incidents.lifecycle import (
     stem_key,
     transition,
 )
+from repro.jsontext import EncodedList, dumps
 from repro.stemming.encode import format_stem
 from repro.stemming.stemmer import Component
 
@@ -152,8 +153,9 @@ class IncidentManager:
     #: Latest stream time seen (the incident metrics' "now").
     last_time: float = 0.0
     reports_ingested: int = 0
-    #: Incident id -> its row as :meth:`export_rows` last built it.
-    _rows: dict[int, dict[str, object]] = field(
+    #: Incident id -> its row as :meth:`export_rows` last built it,
+    #: with the row's JSON text.
+    _rows: dict[int, tuple[dict[str, object], str]] = field(
         default_factory=dict, compare=False, repr=False
     )
     #: Ids whose row :meth:`export_rows` must build (or drop) next
@@ -494,13 +496,15 @@ class IncidentManager:
 
     # -- persistence (checkpoint form) ----------------------------------
 
-    def export_rows(self) -> list[dict[str, object]]:
-        """Every retained incident's ``to_dict()`` row, id order.
+    def export_rows(self) -> EncodedList:
+        """Every retained incident's ``to_dict()`` row, id order, each
+        with its JSON text.
 
         Only the rows of records that changed since the last call are
-        built again; every other row is the same object the last call
-        returned. That identity is what lets the checkpoint encoder and
-        the sqlite store skip unchanged incidents, so a row handed out
+        built (and encoded) again; every other row is the same object,
+        with the same text, the last call returned. That identity is
+        what lets the sqlite store skip unchanged incidents, and the
+        texts what lets a checkpoint join them, so a row handed out
         here must never be mutated (copy it to change it).
         """
         rows, incidents = self._rows, self._incidents
@@ -509,9 +513,13 @@ class IncidentManager:
             if record is None:
                 rows.pop(incident_id, None)
             else:
-                rows[incident_id] = record.to_dict()
+                row = record.to_dict()
+                rows[incident_id] = (row, dumps(row))
         self._stale.clear()
-        return [rows[incident_id] for incident_id in sorted(incidents)]
+        held = [rows[incident_id] for incident_id in sorted(incidents)]
+        return EncodedList(
+            [row for row, _ in held], [text for _, text in held]
+        )
 
     def export_state(self) -> dict[str, object]:
         """JSON-able full state; round-trips via :meth:`import_state`.

@@ -3,14 +3,21 @@
 A checkpoint is written every window, and most of what it holds — the
 route table, the incident rows — has not changed since the last one.
 An :class:`EncodedList` is how a producer hands such a list out
-together with the text ``json.dumps`` would write for each item, so the
+together with the text ``json.dumps`` would write for each item — the
+TAMP maintainer its route lines, the incident manager its rows — so the
 checkpoint encoder (:mod:`repro.pipeline.checkpoint`) joins the held
 texts instead of encoding the items again.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Iterable
+
+#: ``json.dumps(value, sort_keys=True)`` without building an encoder
+#: per call. No ``indent``: asking for one selects the pure-Python
+#: encoder, and a checkpoint is hundreds of kilobytes.
+dumps = json.JSONEncoder(sort_keys=True).encode
 
 
 class EncodedList(list):

@@ -26,9 +26,9 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, cast
+from typing import Optional
 
-from repro.jsontext import EncodedList
+from repro.jsontext import EncodedList, dumps
 
 #: Format version; bump on incompatible layout changes.
 #: v2 added the ``incidents`` manager snapshot.
@@ -40,12 +40,6 @@ INCIDENT_LOG = "incidents.jsonl"
 
 class CheckpointError(ValueError):
     """A checkpoint could not be read, or does not match the run."""
-
-
-#: ``json.dumps(value, sort_keys=True)`` without building an encoder
-#: per call. No ``indent``: asking for one selects the pure-Python
-#: encoder, and a checkpoint is hundreds of kilobytes.
-_dumps = json.JSONEncoder(sort_keys=True).encode
 
 
 def _splice(value: object) -> Optional[str]:
@@ -70,36 +64,9 @@ def _splice(value: object) -> Optional[str]:
     for key in sorted(members):
         text = members[key]
         if text is None:
-            text = _dumps(value[key])
-        parts.append(f"{_dumps(key)}: {text}")
+            text = dumps(value[key])
+        parts.append(f"{dumps(key)}: {text}")
     return "{" + ", ".join(parts) + "}"
-
-
-class RowTexts:
-    """The JSON text of each incident row one save wrote, by row id.
-
-    The manager rebuilds a row only when its incident changed
-    (:meth:`~repro.incidents.manager.IncidentManager.export_rows`), so
-    a row that comes back as the *same object* is unchanged and its
-    text is reused; any other row is encoded. Rows handed to a save are
-    never mutated afterwards — that is what makes identity enough.
-    """
-
-    def __init__(self) -> None:
-        self._held: dict[object, tuple[object, str]] = {}
-
-    def encode(self, rows: list[dict[str, object]]) -> EncodedList:
-        """*rows* with their texts; remembers them for the next call."""
-        held: dict[object, tuple[object, str]] = {}
-        texts = []
-        for row in rows:
-            entry = self._held.get(row["id"])
-            if entry is None or entry[0] is not row:
-                entry = (row, _dumps(row))
-            held[row["id"]] = entry
-            texts.append(entry[1])
-        self._held = held
-        return EncodedList(rows, texts)
 
 
 @dataclass
@@ -121,21 +88,14 @@ class CheckpointState:
     incidents: Optional[dict[str, object]] = None
     version: int = CHECKPOINT_VERSION
 
-    def to_json(self, rows: Optional[RowTexts] = None) -> str:
+    def to_json(self) -> str:
         """The checkpoint as ``json.dumps(payload, sort_keys=True)``.
 
         Byte for byte that text, written from held pieces where it can
         be: lists that arrive as :class:`~repro.jsontext.EncodedList`
-        (the route table) are joined from their texts, and with *rows*
-        (the saving store's :class:`RowTexts`) an incident row that is
-        the same object as one the previous save wrote keeps that text.
-        Without *rows* every row is encoded.
+        (the route table, the incident rows) are joined from the texts
+        their producer encoded.
         """
-        incidents = self.incidents
-        if incidents is not None:
-            texts = RowTexts() if rows is None else rows
-            held = cast("list[dict[str, object]]", incidents["incidents"])
-            incidents = {**incidents, "incidents": texts.encode(held)}
         payload = {
             "version": self.version,
             "source": self.source,
@@ -146,9 +106,9 @@ class CheckpointState:
             "tamp": self.tamp,
             "stats": self.stats,
             "ingest": self.ingest,
-            "incidents": incidents,
+            "incidents": self.incidents,
         }
-        return _splice(payload) or _dumps(payload)
+        return _splice(payload) or dumps(payload)
 
     @classmethod
     def from_json(cls, text: str) -> "CheckpointState":
@@ -209,8 +169,6 @@ class CheckpointStore:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.keep = keep
-        #: What the last :meth:`save` wrote for each incident row.
-        self._rows = RowTexts()
         # A kill between a save's write and its rename leaves the temp
         # file; no later save or prune would ever look at it again.
         for stale in self.directory.glob(f"{CHECKPOINT_PREFIX}*.json.tmp"):
@@ -223,7 +181,7 @@ class CheckpointStore:
         name = f"{CHECKPOINT_PREFIX}{state.offset:012d}.json"
         path = self.directory / name
         tmp = self.directory / (name + ".tmp")
-        tmp.write_text(state.to_json(self._rows), encoding="utf-8")
+        tmp.write_text(state.to_json(), encoding="utf-8")
         os.replace(tmp, path)
         self._prune()
         return path

@@ -55,6 +55,12 @@ class Source:
 
     def events(self, start_offset: int = 0) -> Iterator[BGPEvent]:
         """Yield events in stream order, skipping *start_offset*."""
+        stream = self._load()
+        for index in range(start_offset, len(stream)):
+            yield stream[index]
+
+    def _load(self) -> EventStream:
+        """The whole stream this source replays, loaded once."""
         raise NotImplementedError
 
     def describe(self) -> dict[str, object]:
@@ -76,9 +82,8 @@ class StreamSource(Source):
         #: (length, fingerprint) as of the last :meth:`describe`.
         self._fingerprint: Optional[tuple[int, str]] = None
 
-    def events(self, start_offset: int = 0) -> Iterator[BGPEvent]:
-        for index in range(start_offset, len(self._stream)):
-            yield self._stream[index]
+    def _load(self) -> EventStream:
+        return self._stream
 
     def describe(self) -> dict[str, object]:
         # Every checkpoint describes its source; hashing the stream
@@ -134,11 +139,6 @@ class FileSource(Source):
             self.ingest_report = self._stream.ingest_report
         return self._stream
 
-    def events(self, start_offset: int = 0) -> Iterator[BGPEvent]:
-        stream = self._load()
-        for index in range(start_offset, len(stream)):
-            yield stream[index]
-
     def describe(self) -> dict[str, object]:
         return {"type": "file", "path": str(self.path)}
 
@@ -193,11 +193,6 @@ class SyntheticSource(Source):
             )
         return self._stream
 
-    def events(self, start_offset: int = 0) -> Iterator[BGPEvent]:
-        stream = self._load()
-        for index in range(start_offset, len(stream)):
-            yield stream[index]
-
     def describe(self) -> dict[str, object]:
         return {
             "type": "synthetic",
@@ -244,11 +239,6 @@ class QuarantineSource(Source):
                 self.replayed_records += 1
             self._stream = rex.events
         return self._stream
-
-    def events(self, start_offset: int = 0) -> Iterator[BGPEvent]:
-        stream = self._load()
-        for index in range(start_offset, len(stream)):
-            yield stream[index]
 
     def describe(self) -> dict[str, object]:
         return {"type": "quarantine", "path": str(self.path)}

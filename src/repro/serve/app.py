@@ -20,9 +20,10 @@ Every handler reads exclusively through the snapshot surface —
 pipeline objects (rule SRV001: ``live_``-prefixed state is for the
 sharding/snapshot layer only).
 
-Every read route answers from held bytes between moves: the picture
-and incident listings under their snapshot keys, ``/status`` under a
-key of every value its body reads, ``/metrics`` family by family
+The picture and incident listings answer from held bytes under their
+snapshot keys, ``/status`` from the reply to the last body it built
+(a request builds the body and encodes it only when it differs),
+``/metrics`` family by family
 (:class:`~repro.pipeline.metrics.MetricsRegistry` re-renders only the
 families whose value moved).
 
@@ -102,8 +103,8 @@ class ServeApp:
             registry if registry is not None else MetricsRegistry()
         )
         self.registry.register_collector(self.gauges)
-        #: ``/status``'s wire reply and the key it was encoded at.
-        self._status_key: Optional[tuple] = None
+        #: ``/status``'s last body and its wire reply.
+        self._status_body: Optional[dict[str, object]] = None
         self._status_reply = b""
         self._counters = {
             name: self.registry.counter(
@@ -173,9 +174,7 @@ class ServeApp:
 
     async def picture(self, request: Request) -> HandlerResult:
         snapshot = await self.hub.snapshot()
-        if request.header("if-none-match") == snapshot.etag:
-            return snapshot.response_304
-        return snapshot.response_200
+        return snapshot.wire.answer(request.header("if-none-match"))
 
     async def incidents(self, request: Request) -> HandlerResult:
         status = request.query_params().get("status", "")
@@ -241,33 +240,23 @@ class ServeApp:
         return Response(200, b"ok")
 
     async def status(self, request: Request) -> HandlerResult:
-        """The held reply while nothing the body reads has moved."""
+        """The held reply while the body it encodes is unchanged."""
         snapshot = self.hub.current()
         incidents = self.hub.current_incidents()
-        etag = None if snapshot is None else snapshot.etag
-        incident_etag = None if incidents is None else incidents.etag
-        key = (
-            self.shards.status_version(),
-            etag,
-            self.hub.renders,
-            incident_etag,
-            self.hub.incident_builds,
-            self.feed.last_id,
-        )
-        if key != self._status_key:
-            body = {
-                "version": [list(part) for part in self.shards.version()],
-                "etag": etag,
-                "renders": self.hub.renders,
-                "incident_etag": incident_etag,
-                "incident_builds": self.hub.incident_builds,
-                "sse_last_id": self.feed.last_id,
-                **self.shards.status(),
-            }
+        body = {
+            "version": [list(part) for part in self.shards.version()],
+            "etag": None if snapshot is None else snapshot.etag,
+            "renders": self.hub.renders,
+            "incident_etag": None if incidents is None else incidents.etag,
+            "incident_builds": self.hub.incident_builds,
+            "sse_last_id": self.feed.last_id,
+            **self.shards.status(),
+        }
+        if body != self._status_body:
             self._status_reply = Response(
                 200, json.dumps(body, sort_keys=True), "application/json"
             ).encode()
-            self._status_key = key
+            self._status_body = body
         return self._status_reply
 
     async def start(
@@ -276,4 +265,6 @@ class ServeApp:
         return await self.server.start(host, port)
 
     async def close(self) -> None:
+        """End the SSE streams, then the server and its connections."""
+        self.feed.close()
         await self.server.close()

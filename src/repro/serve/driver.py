@@ -100,7 +100,6 @@ async def run_serve(
         if linger > 0:
             await asyncio.sleep(linger)
     finally:
-        feed.close()
         await app.close()
         shard_set.close()
     return ServeResult(

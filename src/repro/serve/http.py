@@ -153,13 +153,15 @@ class HttpServer:
     feeds the state its handlers read (``run_serve``'s shards, or the
     monitor loop behind ``repro monitor --metrics-port``), so a handler
     always runs between two batches, never beside one. :meth:`close`
-    stops accepting; connections still open end with the loop.
+    stops accepting and ends every connection still open.
     """
 
     def __init__(self) -> None:
         self._routes: dict[str, Handler] = {}
         self._prefix_routes: list[tuple[str, Handler]] = []
         self._server: Optional[asyncio.Server] = None
+        #: Each open connection's task and its transport.
+        self._connections: dict[asyncio.Task, asyncio.BaseTransport] = {}
         self.port = 0
 
     def route(self, path: str, handler: Handler) -> None:
@@ -178,10 +180,24 @@ class HttpServer:
         return self.port
 
     async def close(self) -> None:
+        """Stop accepting, then end every open connection and await it.
+
+        Each connection's transport is aborted, dropping what it has
+        not sent: whatever its task waits on — a request, a drain, the
+        close — returns, so the task ends by itself and nothing is left
+        for the loop's shutdown to cancel. A streaming pump must end
+        too: :class:`~repro.serve.app.ServeApp` closes its feed first.
+        """
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        connections = list(self._connections.items())
+        for _, transport in connections:
+            transport.abort()
+        await asyncio.gather(
+            *(task for task, _ in connections), return_exceptions=True
+        )
 
     def _resolve(self, path: str) -> Optional[Handler]:
         handler = self._routes.get(path)
@@ -232,6 +248,9 @@ class HttpServer:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
+        task = asyncio.current_task()
+        assert task is not None
+        self._connections[task] = writer.transport
         # Replies not yet written, in request order; every way out of
         # the loop writes them before anything else.
         pending: list[bytes] = []
@@ -281,3 +300,4 @@ class HttpServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
+            del self._connections[task]

@@ -17,9 +17,9 @@ of the shard's :class:`~repro.pipeline.monitor.MonitorCore`, and
 inside ``repro.serve`` only this module (and the snapshot layer) may
 touch those. HTTP handlers read through :class:`ShardSet`'s snapshot
 accessors — ``version()``, ``merged_graph()``, ``incident_version()``,
-``incident_rows()``, ``status()``, ``status_version()`` — which are
-safe at any await point because shard pipelines only advance inside
-explicit ``feed()`` calls on the same event loop.
+``incident_rows()``, ``status()`` — which are safe at any await point
+because shard pipelines only advance inside explicit ``feed()`` calls
+on the same event loop.
 
 Checkpoints are ``repro monitor``'s: a shard *is* the core that
 ``run_monitor`` drives (source = its
@@ -342,31 +342,6 @@ class ShardSet:
                 rows.append(row)
         rows.sort(key=lambda row: (row["shard"], row["id"]))
         return rows
-
-    def status_version(self) -> tuple:
-        """The :meth:`status` body's cache key: every value it reads.
-
-        A live shard contributes its events, offset, report count,
-        finished flag and :meth:`PipelineShard.version`; a dead slot
-        its death count. ``flush()`` and ``finish()`` move offsets
-        without moving ``events_offered``, so both are in the key.
-        """
-        return (
-            self.events_offered,
-            tuple(
-                ("dead", k, self._deaths[k])
-                if shard is None
-                else (
-                    k,
-                    shard.events_done,
-                    shard.offset,
-                    shard.reports_emitted,
-                    shard.finished,
-                    *shard.version(),
-                )
-                for k, shard in enumerate(self._shards)
-            ),
-        )
 
     def status(self) -> dict[str, object]:
         return {

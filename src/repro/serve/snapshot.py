@@ -86,27 +86,20 @@ class WireBody:
 
 @dataclass(frozen=True)
 class PictureSnapshot:
-    """One rendered picture, frozen with its wire-ready responses."""
+    """One rendered picture at one version, with its wire responses."""
 
     version: tuple
-    etag: str
-    svg: str
     body: bytes
-    response_200: bytes
-    response_304: bytes
+    wire: WireBody
+
+    @property
+    def etag(self) -> str:
+        return self.wire.etag
 
     @classmethod
     def build(cls, version: tuple, svg: str) -> "PictureSnapshot":
         body = svg.encode("utf-8")
-        wire = WireBody.build(body, "image/svg+xml")
-        return cls(
-            version=version,
-            etag=wire.etag,
-            svg=svg,
-            body=body,
-            response_200=wire.response_200,
-            response_304=wire.response_304,
-        )
+        return cls(version, body, WireBody.build(body, "image/svg+xml"))
 
 
 def _listing(rows: list[dict[str, object]]) -> WireBody:

@@ -1,15 +1,17 @@
 """The incident export and the sqlite sync reuse what did not change.
 
-``IncidentManager.export_rows`` rebuilds only the rows of records that
-changed, and ``IncidentStore.sync`` writes only the rows that are new
-objects. Both must stay equal to the from-scratch result: the export to
-``[r.to_dict() for r in all_incidents()]``, the diff-synced table to a
+``IncidentManager.export_rows`` rebuilds and encodes only the rows of
+records that changed, and ``IncidentStore.sync`` writes only the rows
+that are new objects. Both must stay equal to the from-scratch result:
+the export to ``[r.to_dict() for r in all_incidents()]`` and each of
+its texts to the row's ``json.dumps``, the diff-synced table to a
 fresh store's full sync — after every checkpoint, over report sequences
 cut from the scenario catalog's streams, through reopens, prefix
 merges, evictions, ``finalize``, a store reopened mid-run and a
 ``compact`` from this connection or another.
 """
 
+import json
 import sqlite3
 import tempfile
 from dataclasses import replace
@@ -19,6 +21,7 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.incidents.manager as manager_module
 from repro.incidents import IncidentManager, IncidentPolicy, IncidentStore
 from repro.pipeline.runtime import Batch
 from repro.pipeline.windows import WindowedStemmer, WindowReport
@@ -103,6 +106,12 @@ policies = st.builds(
 STORE_STEPS = ("keep", "keep", "reopen", "compact", "external-compact")
 
 
+def assert_texts_fresh(manager: IncidentManager) -> None:
+    """Each exported row's held text is what ``json.dumps`` writes."""
+    rows = manager.export_rows()
+    assert rows.texts == [json.dumps(row, sort_keys=True) for row in rows]
+
+
 class TestCachesEqualAFreshExport:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -176,10 +185,12 @@ class TestCachesEqualAFreshExport:
                 checkpoint(0)
                 for count, report in enumerate(reports, start=1):
                     manager.ingest(report)
+                    assert_texts_fresh(manager)
                     if count % checkpoint_every == 0:
                         checkpoint(count)
                 if finish:
                     manager.finalize()
+                    assert_texts_fresh(manager)
                     checkpoint(len(reports))
             finally:
                 store.close()
@@ -213,6 +224,30 @@ class TestReuse:
         assert manager.export_rows()[0] is first[0]
         manager.ingest(reports[3])
         assert manager.export_rows()[0] is not first[0]
+
+    def test_only_a_changed_row_is_encoded_again(self, monkeypatch):
+        encoded = []
+
+        def counting_dumps(row):
+            encoded.append(row["id"])
+            return json.dumps(row, sort_keys=True)
+
+        monkeypatch.setattr(manager_module, "dumps", counting_dumps)
+        manager = IncidentManager(policy=IncidentPolicy(resolve_after=300.0))
+        reports = evolving_reports()
+        manager.ingest(reports[0])
+        first = manager.export_rows()
+        assert encoded == [1]
+        assert manager.export_rows().texts[0] is first.texts[0]
+        manager.ingest(make_report(1, 180.0, []))
+        # Nothing was observed: the row keeps its text object.
+        assert manager.export_rows().texts[0] is first.texts[0]
+        assert encoded == [1]
+        manager.ingest(reports[3])
+        changed = manager.export_rows()
+        assert encoded == [1, 1]
+        assert changed.texts[0] is not first.texts[0]
+        assert changed.texts == [json.dumps(changed[0], sort_keys=True)]
 
     def test_prefix_merge_and_eviction(self):
         manager = IncidentManager(

@@ -13,7 +13,6 @@ from repro.pipeline.checkpoint import (
     CheckpointError,
     CheckpointState,
     CheckpointStore,
-    RowTexts,
 )
 
 
@@ -216,7 +215,7 @@ def encoded(items: list) -> EncodedList:
 
 class TestEncoder:
     """A save's text is ``json.dumps(payload, sort_keys=True)``, also
-    when the previous save's texts are reused."""
+    where it joins the texts its producers handed out."""
 
     @staticmethod
     def payload(state: CheckpointState) -> dict:
@@ -263,16 +262,16 @@ class TestEncoder:
         state.ingest = {str(k): v for k, v in int_keyed.items()}
         state.stats = {"window": {"admitted": 3}, "tamp": {}}
         incident_rows = list(first_rows)
-        state.incidents = {"incidents": incident_rows, "next_id": 7}
+        state.incidents = {"incidents": encoded(incident_rows), "next_id": 7}
         with tempfile.TemporaryDirectory() as tmp:
             store = CheckpointStore(tmp)
             path = store.save(state)
             expected = json.dumps(self.payload(state), sort_keys=True)
             assert path.read_text(encoding="utf-8") == expected
 
-            # The rows list is changed in place: a slot keeps its row,
-            # gets a new row with the same id (same values with True
-            # and 1, 0.0 and -0.0 swapped, or other values), or goes.
+            # The next rows: a slot keeps its row, gets a new row with
+            # the same id (same values with True and 1, 0.0 and -0.0
+            # swapped, or other values), or goes.
             for index, fate in reversed(list(enumerate(row_fates))):
                 if index >= len(incident_rows):
                     continue
@@ -303,18 +302,14 @@ class TestEncoder:
                 "pulses": {0: encoded(new_lines)},
             }
             state.ingest = int_keyed or None
+            state.incidents = {
+                "incidents": encoded(incident_rows),
+                "next_id": 7,
+            }
             path = store.save(state)
             expected = json.dumps(self.payload(state), sort_keys=True)
             assert path.read_text(encoding="utf-8") == expected
             assert state.to_json() == expected
-
-    def test_a_row_is_encoded_again_once_it_is_a_new_object(self):
-        texts = RowTexts()
-        row = {"id": 1, "v": 1}
-        assert texts.encode([row]).texts == ['{"id": 1, "v": 1}']
-        twin = {"id": 1, "v": True}
-        assert row == twin
-        assert texts.encode([twin]).texts == ['{"id": 1, "v": true}']
 
     def test_encoded_list_needs_one_text_per_item(self):
         with pytest.raises(ValueError, match="texts"):

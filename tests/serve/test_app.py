@@ -230,3 +230,44 @@ class TestRunServe:
             assert result.status["alive"] == [True, True]
 
         asyncio.run(main())
+
+    def test_a_stop_leaves_no_connection_for_the_loop_to_cancel(self):
+        """An ``/events`` client still connected when ``run_serve``
+        stops: the stop ends its connection, so the loop's shutdown
+        cancels no task and logs nothing."""
+        errors: list[dict] = []
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(
+                lambda _, context: errors.append(context)
+            )
+            started = asyncio.Event()
+            box: dict[str, int] = {}
+
+            def on_started(app: ServeApp) -> None:
+                box["port"] = app.server.port
+                started.set()
+
+            serve = asyncio.create_task(
+                run_serve(
+                    small_source(),
+                    serve_config(),
+                    shards=2,
+                    linger=0.5,
+                    on_started=on_started,
+                )
+            )
+            await started.wait()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", box["port"]
+            )
+            writer.write(b"GET /events HTTP/1.1\r\nHost: x\r\n\r\n")
+            await writer.drain()
+            await reader.readuntil(b"\r\n\r\n")
+            await serve
+            # The client never closes: its end goes with the loop.
+            writer.transport.abort()
+
+        asyncio.run(main())
+        assert errors == []

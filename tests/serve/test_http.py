@@ -65,11 +65,6 @@ def served_by(server: HttpServer, writer: asyncio.StreamWriter) -> bool:
     return writer.get_extra_info("sockname")[1] == server.port
 
 
-async def stop(server: HttpServer) -> None:
-    await server.close()
-    await asyncio.sleep(0.05)  # connection tasks see their clients go
-
-
 async def ok(_: Request) -> Response:
     return Response(200, b"ok")
 
@@ -123,7 +118,7 @@ class TestPipelinedBatch:
             assert batched[7].startswith(b"HTTP/1.1 404")
             assert len(server_writes) == 1
             assert server_writes[0] == sum(map(len, batched))
-            await stop(app.server)
+            await app.server.close()
 
         asyncio.run(main())
         shard_set.close()
@@ -185,7 +180,7 @@ class TestPipelinedBatch:
                 )
             finally:
                 deaf.close()
-            await stop(server)
+            await server.close()
 
         asyncio.run(main())
 
@@ -223,7 +218,7 @@ class TestHead:
                 wire,
             ]
             assert b"Content-Length: 2\r\n" in replies[0]
-            await stop(server)
+            await server.close()
 
         asyncio.run(main())
 
@@ -251,7 +246,7 @@ class TestHead:
             )
             assert not pumped
             await close(writer)
-            await stop(server)
+            await server.close()
 
         asyncio.run(main())
 
@@ -288,7 +283,7 @@ class TestHeaderCap:
             if expected.endswith(b"Bad Request"):
                 assert raw.endswith(b"header too large")
             await close(writer)
-            await stop(server)
+            await server.close()
 
         asyncio.run(main())
 
@@ -320,7 +315,7 @@ class TestWaysOut:
             writer.write(request("/healthz") * 2 + tail)
             raw = await asyncio.wait_for(reader.read(), timeout=10.0)
             await close(writer)
-            await stop(server)
+            await server.close()
             return raw
 
         return asyncio.run(main()), pumped

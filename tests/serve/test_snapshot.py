@@ -29,17 +29,20 @@ class TestWireSnapshots:
 
     def test_wire_responses_are_prebuilt(self):
         snap = PictureSnapshot.build((1,), "<svg/>")
-        assert snap.response_200.startswith(b"HTTP/1.1 200 OK\r\n")
-        assert snap.response_200.endswith(snap.body)
-        assert f"ETag: {snap.etag}".encode() in snap.response_200
+        wire = snap.wire
+        assert wire.response_200.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert wire.response_200.endswith(snap.body)
+        assert f"ETag: {snap.etag}".encode() in wire.response_200
         assert (
             f"Content-Length: {len(snap.body)}".encode()
-            in snap.response_200
+            in wire.response_200
         )
-        assert snap.response_304.startswith(
+        assert wire.response_304.startswith(
             b"HTTP/1.1 304 Not Modified\r\n"
         )
-        assert snap.etag.encode() in snap.response_304
+        assert snap.etag.encode() in wire.response_304
+        assert wire.answer(snap.etag) is wire.response_304
+        assert wire.answer('"other"') is wire.response_200
 
 
 class TestCacheKeying:

@@ -98,7 +98,6 @@ class TestLastEventIdReplay:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
-            feed.close()
             await app.close()
             shard_set.close()
 
@@ -130,7 +129,6 @@ class TestLastEventIdReplay:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
-            feed.close()
             await app.close()
             shard_set.close()
 
