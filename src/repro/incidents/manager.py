@@ -500,12 +500,14 @@ class IncidentManager:
         """Every retained incident's ``to_dict()`` row, id order, each
         with its JSON text.
 
-        Only the rows of records that changed since the last call are
-        built (and encoded) again; every other row is the same object,
-        with the same text, the last call returned. That identity is
-        what lets the sqlite store skip unchanged incidents, and the
-        texts what lets a checkpoint join them, so a row handed out
-        here must never be mutated (copy it to change it).
+        The one place a row is built and encoded. Only the rows of
+        records that changed since the last call are built (and
+        encoded) again; every other row is the same object, with the
+        same text, the last call returned. That identity is what lets
+        the sqlite store skip unchanged incidents, and the texts are
+        what a checkpoint joins, the store keeps and ``/incidents``
+        serves (:func:`tag_shard`), so a row handed out here must never
+        be mutated (copy it to change it).
         """
         rows, incidents = self._rows, self._incidents
         for incident_id in self._stale:
@@ -559,3 +561,21 @@ class IncidentManager:
             for move in record.transitions:
                 if move.to_status == IncidentStatus.RESOLVED.value:
                     self._tally_resolve(move.at - record.opened_at)
+
+
+#: The text before which :func:`tag_shard` splices the shard.
+_STATUS_KEY = ', "status": '
+
+
+def tag_shard(text: str, shard: int) -> str:
+    """*text*, an :meth:`IncidentManager.export_rows` text, tagged with
+    *shard*: ``dumps(dict(row, shard=shard))``, without encoding again.
+
+    ``sort_keys`` puts ``shard`` just before ``status``
+    (``severity_band`` < ``shard`` < ``status``). Every key before
+    ``status`` holds a number, a string or a list of strings (or of
+    string pairs), and inside an encoded string every ``"`` is escaped,
+    so the first ``, "status": `` in the text is the top-level key.
+    """
+    at = text.index(_STATUS_KEY)
+    return f'{text[:at]}, "shard": {shard}{text[at:]}'

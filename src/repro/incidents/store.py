@@ -26,6 +26,14 @@ after :meth:`IncidentStore.compact`, and any sync after ``PRAGMA
 data_version`` shows another connection wrote to the file (``repro
 incidents compact`` on a live store: the next checkpoint puts its rows
 back, since the manager still holds them).
+
+A row is stored as the text the manager encoded it as, beside the
+``status`` and ``resolved_at`` that :meth:`IncidentStore.compact` and
+:meth:`IncidentStore.counts_by_status` query: reading a row decodes
+that text and exporting one writes it, so the store encodes nothing.
+A file of another schema generation is refused, not migrated: the
+store is a follower its first sync rebuilds whole, so deleting the
+file is the recovery.
 """
 
 from __future__ import annotations
@@ -37,10 +45,11 @@ from typing import Optional, TextIO
 
 from repro.incidents.lifecycle import IncidentRecord
 from repro.incidents.manager import IncidentManager
+from repro.jsontext import EncodedList
 
 #: Bump on any change to the table shapes below; the store refuses to
 #: open a file from a different schema generation.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Canonical store filename inside a monitor checkpoint directory.
 INCIDENT_DB = "incidents.sqlite"
@@ -52,33 +61,16 @@ CREATE TABLE IF NOT EXISTS meta (
 );
 CREATE TABLE IF NOT EXISTS incidents (
     id INTEGER PRIMARY KEY,
-    stem_left TEXT NOT NULL,
-    stem_right TEXT NOT NULL,
-    stem_label TEXT NOT NULL,
     status TEXT NOT NULL,
-    incident_class TEXT NOT NULL,
-    first_seen REAL NOT NULL,
-    last_seen REAL NOT NULL,
-    opened_at REAL NOT NULL,
     resolved_at REAL,
-    detected_window INTEGER NOT NULL,
-    windows_observed INTEGER NOT NULL,
-    peak_strength INTEGER NOT NULL,
-    best_rank INTEGER NOT NULL,
-    event_count INTEGER NOT NULL,
-    severity REAL NOT NULL,
-    severity_band TEXT NOT NULL,
-    reopen_count INTEGER NOT NULL,
-    prefixes TEXT NOT NULL,
-    related_stems TEXT NOT NULL,
-    transitions TEXT NOT NULL
+    row TEXT NOT NULL
 );
 CREATE INDEX IF NOT EXISTS idx_incidents_status ON incidents (status);
 """
 
 
-class IncidentStoreError(RuntimeError):
-    """The store file is unusable (schema mismatch, corruption)."""
+class IncidentStoreError(ValueError):
+    """The store file is unusable (not a database, another schema)."""
 
 
 class IncidentStore:
@@ -87,10 +79,20 @@ class IncidentStore:
     def __init__(self, path: Path | str):
         self.path = Path(path)
         self._conn = sqlite3.connect(str(self.path))
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.executescript(_SCHEMA)
-        self._check_schema()
+        try:
+            version = self._open()
+        except sqlite3.DatabaseError as exc:
+            self._conn.close()
+            raise IncidentStoreError(
+                f"cannot open incident store {self.path}: {exc}"
+            ) from exc
+        if version != str(SCHEMA_VERSION):
+            self._conn.close()
+            raise IncidentStoreError(
+                f"incident store {self.path} has schema v{version},"
+                f" this build expects v{SCHEMA_VERSION}; delete it, and"
+                " the monitor's next checkpoint rebuilds it"
+            )
         #: Incident id -> the row the last sync left in the table; None
         #: when the table's contents are not known (see :meth:`sync`).
         self._written: Optional[dict[object, dict[str, object]]] = None
@@ -98,21 +100,22 @@ class IncidentStore:
         #: this connection's own commits never change it.
         self._version = 0
 
-    def _check_schema(self) -> None:
+    def _open(self) -> str:
+        """Set the file up; returns its schema generation."""
+        self._conn.execute("PRAGMA journal_mode=WAL")
+        self._conn.execute("PRAGMA synchronous=NORMAL")
+        self._conn.executescript(_SCHEMA)
         row = self._conn.execute(
             "SELECT value FROM meta WHERE key = 'schema_version'"
         ).fetchone()
-        if row is None:
-            with self._conn:
-                self._conn.execute(
-                    "INSERT INTO meta (key, value) VALUES (?, ?)",
-                    ("schema_version", str(SCHEMA_VERSION)),
-                )
-        elif int(row[0]) != SCHEMA_VERSION:
-            raise IncidentStoreError(
-                f"incident store {self.path} has schema v{row[0]},"
-                f" this build expects v{SCHEMA_VERSION}"
+        if row is not None:
+            return row[0]
+        with self._conn:
+            self._conn.execute(
+                "INSERT INTO meta (key, value) VALUES (?, ?)",
+                ("schema_version", str(SCHEMA_VERSION)),
             )
+        return str(SCHEMA_VERSION)
 
     # -- write path -----------------------------------------------------
 
@@ -143,11 +146,10 @@ class IncidentStore:
                 [(key,) for key in written if key not in current],
             )
             self._conn.executemany(
-                "INSERT OR REPLACE INTO incidents VALUES"
-                " (?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?)",
+                "INSERT OR REPLACE INTO incidents VALUES (?, ?, ?, ?)",
                 [
-                    _row_values(row)
-                    for row in rows
+                    (row["id"], row["status"], row["resolved_at"], text)
+                    for row, text in zip(rows, rows.texts)
                     if written.get(row["id"]) is not row
                 ],
             )
@@ -205,18 +207,25 @@ class IncidentStore:
             ).fetchall()
         )
 
+    def export_rows(self) -> EncodedList:
+        """The stored rows, id order, each with the text it was synced
+        as: what the manager's :meth:`~IncidentManager.export_rows`
+        handed out at the last sync."""
+        rows = self._conn.execute("SELECT row FROM incidents ORDER BY id")
+        texts = [text for (text,) in rows]
+        return EncodedList(map(json.loads, texts), texts)
+
     def rows(self) -> list[IncidentRecord]:
         """All stored incidents as records, id order."""
-        rows = self._conn.execute(
-            "SELECT * FROM incidents ORDER BY id"
-        ).fetchall()
-        return [_row_record(row) for row in rows]
+        return [IncidentRecord.from_dict(row) for row in self.export_rows()]
 
     def row(self, incident_id: int) -> Optional[IncidentRecord]:
-        row = self._conn.execute(
-            "SELECT * FROM incidents WHERE id = ?", (incident_id,)
+        found = self._conn.execute(
+            "SELECT row FROM incidents WHERE id = ?", (incident_id,)
         ).fetchone()
-        return None if row is None else _row_record(row)
+        if found is None:
+            return None
+        return IncidentRecord.from_dict(json.loads(found[0]))
 
     def export_jsonl(self, path: Path | str) -> int:
         """:meth:`write_jsonl` into the file at *path*."""
@@ -224,11 +233,11 @@ class IncidentStore:
             return self.write_jsonl(handle)
 
     def write_jsonl(self, handle: TextIO) -> int:
-        """Write the store as the legacy JSONL export format."""
-        records = self.rows()
-        for record in records:
-            handle.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
-        return len(records)
+        """Write the stored texts, one incident per line."""
+        texts = self.export_rows().texts
+        for text in texts:
+            handle.write(text + "\n")
+        return len(texts)
 
     def close(self) -> None:
         self._conn.close()
@@ -239,57 +248,3 @@ class IncidentStore:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-
-def _row_values(row: dict) -> tuple:
-    """An :meth:`IncidentRecord.to_dict` row as the table's columns."""
-    stem = row["stem"]
-    return (
-        row["id"],
-        stem[0],
-        stem[1],
-        row["stem_label"],
-        row["status"],
-        row["class"],
-        row["first_seen"],
-        row["last_seen"],
-        row["opened_at"],
-        row["resolved_at"],
-        row["detected_window"],
-        row["windows_observed"],
-        row["peak_strength"],
-        row["best_rank"],
-        row["event_count"],
-        row["severity"],
-        row["severity_band"],
-        row["reopen_count"],
-        json.dumps(row["prefixes"]),
-        json.dumps(row["related_stems"]),
-        json.dumps(row["transitions"]),
-    )
-
-
-def _row_record(row: tuple) -> IncidentRecord:
-    return IncidentRecord.from_dict(
-        {
-            "id": row[0],
-            "stem": [row[1], row[2]],
-            "stem_label": row[3],
-            "status": row[4],
-            "class": row[5],
-            "first_seen": row[6],
-            "last_seen": row[7],
-            "opened_at": row[8],
-            "resolved_at": row[9],
-            "detected_window": row[10],
-            "windows_observed": row[11],
-            "peak_strength": row[12],
-            "best_rank": row[13],
-            "event_count": row[14],
-            "severity": row[15],
-            "severity_band": row[16],
-            "reopen_count": row[17],
-            "prefixes": json.loads(row[18]),
-            "related_stems": json.loads(row[19]),
-            "transitions": json.loads(row[20]),
-        }
-    )

@@ -42,8 +42,9 @@ from pathlib import Path
 from typing import Optional
 
 from repro.collector.events import BGPEvent
-from repro.incidents.feed import load_incident_rows
-from repro.incidents.lifecycle import IncidentRecord
+from repro.incidents.feed import load_export_rows
+from repro.incidents.manager import tag_shard
+from repro.jsontext import EncodedList
 from repro.pipeline.monitor import MonitorConfig, MonitorCore
 from repro.pipeline.runtime import Batch, iter_batches
 from repro.pipeline.sources import ShardView, Source, shard_for_peer
@@ -85,12 +86,6 @@ class PipelineShard(MonitorCore):
     def graph(self) -> TampGraph:
         """The live TAMP graph; read-only between feeds."""
         return self.live_tamp.tamp.graph
-
-    def incident_rows(self) -> list[dict[str, object]]:
-        return [
-            record.to_dict()
-            for record in self.live_manager.all_incidents()
-        ]
 
 
 class ShardSet:
@@ -146,11 +141,9 @@ class ShardSet:
         self.events_offered = 0
         #: Kills per slot: what tells one death's rows from the next.
         self._deaths = [0] * shards
-        #: A dead slot's last-checkpoint incidents, read from sqlite
+        #: A dead slot's last-checkpoint incident rows, read from sqlite
         #: once per death (``None``: not read since the slot last died).
-        self._dead_records: list[Optional[list[IncidentRecord]]] = [
-            None
-        ] * shards
+        self._dead_rows: list[Optional[EncodedList]] = [None] * shards
 
     def _dir(self, shard: int) -> Optional[Path]:
         if self.checkpoint_root is None:
@@ -225,7 +218,7 @@ class ShardSet:
         self._buffers[k] = []
         self._published[k] = shard.offset
         self._deaths[k] += 1
-        self._dead_records[k] = None
+        self._dead_rows[k] = None
 
     def resume(self, k: int) -> list[dict[str, object]]:
         """Restore shard *k* from its checkpoint and catch it up.
@@ -310,38 +303,42 @@ class ShardSet:
             for k, shard in enumerate(self._shards)
         )
 
-    def _dead_incidents(self, k: int) -> list[IncidentRecord]:
-        records = self._dead_records[k]
-        if records is None:
+    def _dead_incidents(self, k: int) -> EncodedList:
+        rows = self._dead_rows[k]
+        if rows is None:
             directory = self._dir(k)
-            records = (
-                [] if directory is None else load_incident_rows(directory)
+            rows = (
+                EncodedList([], [])
+                if directory is None
+                else load_export_rows(directory)
             )
-            self._dead_records[k] = records
-        return records
+            self._dead_rows[k] = rows
+        return rows
 
-    def incident_rows(self) -> list[dict[str, object]]:
+    def incident_rows(self) -> EncodedList:
         """Merged incident rows, shard-tagged, dead shards included.
 
-        Live shards read from their managers; dead shards fall back to
-        the sqlite store their last checkpoint cycle synced — the
-        degraded-serve path. The one place rows are merged: requests
-        read the :class:`~repro.serve.snapshot.IncidentSnapshot` built
-        from this list once per :meth:`incident_version`.
+        Live shards hand out their managers' ``export_rows()``; dead
+        shards the rows the sqlite store their last checkpoint cycle
+        synced — the degraded-serve path. Either way a row's text is
+        the one its manager encoded, with the shard spliced in
+        (:func:`~repro.incidents.manager.tag_shard`): nothing is built
+        or encoded here. In ``(shard, id)`` order. The one place rows
+        are merged: requests read the
+        :class:`~repro.serve.snapshot.IncidentSnapshot` built from this
+        list once per :meth:`incident_version`.
         """
         rows: list[dict[str, object]] = []
+        texts: list[str] = []
         for k, shard in enumerate(self._shards):
-            if shard is not None:
-                shard_rows = shard.incident_rows()
-            else:
-                shard_rows = [
-                    record.to_dict() for record in self._dead_incidents(k)
-                ]
-            for row in shard_rows:
-                row["shard"] = k
-                rows.append(row)
-        rows.sort(key=lambda row: (row["shard"], row["id"]))
-        return rows
+            held = (
+                self._dead_incidents(k)
+                if shard is None
+                else shard.live_manager.export_rows()
+            )
+            rows.extend(dict(row, shard=k) for row in held)
+            texts.extend(tag_shard(text, k) for text in held.texts)
+        return EncodedList(rows, texts)
 
     def status(self) -> dict[str, object]:
         return {

@@ -31,7 +31,9 @@ The incident list gets the same discipline under its own key,
 report, finalizes, dies or resumes. The picture's key does not say so
 — finalizing moves no window index, and every death of a slot is the
 same ``("dead", k)`` — and would serve them stale.
-:class:`IncidentSnapshot` is the one place rows are encoded; its build
+No row is encoded here: :class:`IncidentSnapshot` joins the texts the
+incident managers encoded (:meth:`ShardSet.incident_rows`) into the
+listings and answers ``/incidents/<id>`` with one of them. Its build
 is synchronous (no await between reading the key and storing the
 result), so it needs no lock.
 """
@@ -40,11 +42,11 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
-import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.incidents.lifecycle import IncidentStatus
+from repro.jsontext import EncodedList
 from repro.serve.sharding import ShardSet
 from repro.tamp.prune import DEFAULT_THRESHOLD, prune_flat
 from repro.tamp.render import render_svg
@@ -102,8 +104,10 @@ class PictureSnapshot:
         return cls(version, body, WireBody.build(body, "image/svg+xml"))
 
 
-def _listing(rows: list[dict[str, object]]) -> WireBody:
-    body = json.dumps({"incidents": rows}, sort_keys=True)
+def _listing(texts: Iterable[str]) -> WireBody:
+    """The listing of the rows whose (shard-tagged) texts are *texts*:
+    what ``json.dumps({"incidents": rows}, sort_keys=True)`` writes."""
+    body = '{"incidents": [' + ", ".join(texts) + "]}"
     return WireBody.build(body.encode("utf-8"), "application/json")
 
 
@@ -116,23 +120,24 @@ _NO_INCIDENTS = _listing([])
 class IncidentSnapshot:
     """The merged incident rows at one ``incident_version()``.
 
-    Holds the rows, a ``(shard, id)`` index over them, and the encoded
-    listings: the unfiltered one built with the snapshot, one per
+    Holds the rows with their texts (:meth:`ShardSet.incident_rows`),
+    a ``(shard, id)`` index over the texts, and the listings joined
+    from them: the unfiltered one built with the snapshot, one per
     :class:`~repro.incidents.lifecycle.IncidentStatus` value built on
     first request.
     """
 
-    def __init__(self, key: tuple, rows: list[dict[str, object]]) -> None:
+    def __init__(self, key: tuple, rows: EncodedList) -> None:
         self.key = key
         self.rows = rows
-        self._index: dict[tuple[object, object], dict[str, object]] = {}
-        for row in rows:
-            self._index[row["shard"], row["id"]] = row
+        self._index: dict[tuple[object, object], str] = {}
+        for row, text in zip(rows, rows.texts):
+            self._index[row["shard"], row["id"]] = text
             # Rows are in (shard, id) order: without ?shard= an id
             # means the lowest shard that has it.
-            self._index.setdefault((None, row["id"]), row)
-        #: Encoded listings by ``?status=`` value; ``""`` is unfiltered.
-        self.listings = {"": _listing(rows)}
+            self._index.setdefault((None, row["id"]), text)
+        #: Listings by ``?status=`` value; ``""`` is unfiltered.
+        self.listings = {"": _listing(rows.texts)}
 
     @property
     def etag(self) -> str:
@@ -144,8 +149,11 @@ class IncidentSnapshot:
         if listing is None:
             if status not in _STATUSES:
                 return _NO_INCIDENTS
+            rows = self.rows
             listing = self.listings[status] = _listing(
-                [row for row in self.rows if row["status"] == status]
+                text
+                for row, text in zip(rows, rows.texts)
+                if row["status"] == status
             )
         return listing
 
@@ -153,8 +161,7 @@ class IncidentSnapshot:
         self, incident_id: int, shard: Optional[int] = None
     ) -> Optional[str]:
         """One incident's JSON body, or ``None`` if there is none."""
-        row = self._index.get((shard, incident_id))
-        return None if row is None else json.dumps(row, sort_keys=True)
+        return self._index.get((shard, incident_id))
 
 
 class SnapshotHub:
@@ -189,7 +196,7 @@ class SnapshotHub:
         """The incident rows for the set's current incident version.
 
         Cache hit: one small tuple built and compared. Miss: one
-        merge, one index, one encode, on the request that found it.
+        merge, one index, one join, on the request that found it.
         """
         key = self.shards.incident_version()
         current = self._incidents

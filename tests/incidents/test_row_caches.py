@@ -5,12 +5,14 @@ records that changed, and ``IncidentStore.sync`` writes only the rows
 that are new objects. Both must stay equal to the from-scratch result:
 the export to ``[r.to_dict() for r in all_incidents()]`` and each of
 its texts to the row's ``json.dumps``, the diff-synced table to a
-fresh store's full sync — after every checkpoint, over report sequences
+fresh store's full sync and each stored row to the manager's text —
+after every checkpoint, over report sequences
 cut from the scenario catalog's streams, through reopens, prefix
 merges, evictions, ``finalize``, a store reopened mid-run and a
 ``compact`` from this connection or another.
 """
 
+import io
 import json
 import sqlite3
 import tempfile
@@ -112,6 +114,25 @@ def assert_texts_fresh(manager: IncidentManager) -> None:
     assert rows.texts == [json.dumps(row, sort_keys=True) for row in rows]
 
 
+def assert_stored_texts(
+    store: IncidentStore, path: Path, manager: IncidentManager
+) -> None:
+    """Each stored ``row`` is the manager's text for its id, and the
+    export writes those texts."""
+    rows = manager.export_rows()
+    conn = sqlite3.connect(str(path))
+    try:
+        stored = conn.execute(
+            "SELECT id, row FROM incidents ORDER BY id"
+        ).fetchall()
+    finally:
+        conn.close()
+    assert stored == [(row["id"], text) for row, text in zip(rows, rows.texts)]
+    out = io.StringIO()
+    assert store.write_jsonl(out) == len(rows)
+    assert out.getvalue().splitlines() == rows.texts
+
+
 class TestCachesEqualAFreshExport:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -175,6 +196,7 @@ class TestCachesEqualAFreshExport:
                     record.to_dict() for record in manager.all_incidents()
                 ]
                 store.sync(manager, applied)
+                assert_stored_texts(store, path, manager)
                 fresh_path = directory / f"fresh-{checkpoints}.sqlite"
                 with IncidentStore(fresh_path) as fresh:
                     fresh.sync(manager, applied)
@@ -286,6 +308,7 @@ class TestReuse:
             assert store.compact() == 1
             store.sync(manager, 3)
             assert table(path) == expected
+            assert_stored_texts(store, path, manager)
 
     def test_another_connections_write_forces_a_full_replace(self, tmp_path):
         manager = IncidentManager(policy=IncidentPolicy(resolve_after=60.0))
@@ -301,3 +324,4 @@ class TestReuse:
             conn.close()
             store.sync(manager, 3)
             assert table(path) == expected
+            assert_stored_texts(store, path, manager)

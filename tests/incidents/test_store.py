@@ -171,6 +171,71 @@ class TestSchemaDiscipline:
             assert store.count() == 2
 
 
+def repro_cli(*argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "repro.cli", *argv],
+        env=subprocess_env(),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def set_schema_version(path: Path, version: str) -> None:
+    conn = sqlite3.connect(str(path))
+    with conn:
+        conn.execute(
+            "UPDATE meta SET value = ? WHERE key = 'schema_version'",
+            (version,),
+        )
+    conn.close()
+
+
+class TestUnusableStoreAtTheCli:
+    """A store the CLI cannot use is one ``error:`` line and exit 1."""
+
+    MONITOR = (
+        "monitor", "--synthetic", "800", "--synthetic-timerange", "600",
+        "--window", "120", "--slide", "60", "--batch-size", "64",
+    )
+
+    @staticmethod
+    def assert_refused(proc: subprocess.CompletedProcess) -> None:
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error:"), proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_list_on_another_schema_generation(self, tmp_path):
+        path = tmp_path / INCIDENT_DB
+        IncidentStore(path).close()
+        set_schema_version(path, "999")
+        proc = repro_cli("incidents", "list", str(path))
+        self.assert_refused(proc)
+        assert "schema v999" in proc.stderr
+        assert "delete it" in proc.stderr
+
+    def test_list_on_a_file_that_is_not_a_database(self, tmp_path):
+        path = tmp_path / INCIDENT_DB
+        path.write_text("not a database\n" * 100, encoding="utf-8")
+        proc = repro_cli("incidents", "list", str(path))
+        self.assert_refused(proc)
+        assert str(path) in proc.stderr
+
+    def test_resume_over_another_schema_generation(self, tmp_path):
+        directory = tmp_path / "ckpt"
+        first = repro_cli(
+            *self.MONITOR, "--max-events", "400",
+            "--checkpoint-dir", str(directory),
+        )
+        assert first.returncode == 0, first.stderr
+        set_schema_version(directory / INCIDENT_DB, "999")
+        proc = repro_cli(
+            *self.MONITOR, "--checkpoint-dir", str(directory), "--resume"
+        )
+        self.assert_refused(proc)
+        assert "schema v999" in proc.stderr
+
+
 class TestChaosRecovery:
     def test_killed_mid_transaction_rolls_back_to_last_sync(self, tmp_path):
         """A writer dying inside an open transaction loses only that txn."""

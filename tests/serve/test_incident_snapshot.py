@@ -13,7 +13,7 @@ from typing import Optional
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.incidents.feed import load_incident_rows
+from repro.incidents.feed import load_export_rows, load_incident_rows
 from repro.incidents.lifecycle import IncidentStatus
 from repro.pipeline.sources import shard_for_peer
 from repro.serve import (
@@ -239,9 +239,9 @@ class TestWhyNotThePictureKey:
 
         def counting(directory):
             reads.append(directory)
-            return load_incident_rows(directory)
+            return load_export_rows(directory)
 
-        monkeypatch.setattr(sharding, "load_incident_rows", counting)
+        monkeypatch.setattr(sharding, "load_export_rows", counting)
         served = Served(str(tmp_path))
         shard_set = served.shard_set
         served.offer(len(EVENTS) // 2, only_shard=1)
