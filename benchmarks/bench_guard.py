@@ -16,10 +16,13 @@ entry is the freshest run.
 
 Rows whose baseline is below the noise floor are skipped: a 0.02 s row
 can double on scheduler jitter alone, and the guard exists to catch
-real slowdowns in the build path, not timer noise. The baseline is a
-measurement on specific hardware — refresh it (rerun the smoke scale
-and copy the file into ``baselines/``) when the CI runner class
-changes, rather than widening the tolerance.
+real slowdowns in the build path, not timer noise. A baseline row
+above the floor with no fresh row fails the guard like a slowdown: a
+row the benchmarks stopped writing, or now write under another
+identity, would otherwise drop out of the comparison unnoticed. The
+baseline is a measurement on specific hardware — refresh it (rerun
+the smoke scale and copy the file into ``baselines/``) when the CI
+runner class changes, rather than widening the tolerance.
 
 Deliberately stdlib-only so it runs before/without the package install.
 """
@@ -43,11 +46,6 @@ MEASUREMENT_KEYS = frozenset(
         "naive_seconds",
         "object_seconds",
         "per_event_seconds",
-        "requests_per_s",
-        "events_per_s",
-        "requests_served",
-        "renders",
-        "bit_identical",
     }
 )
 
@@ -117,6 +115,24 @@ def compare(
     return regressions, checked
 
 
+def unwritten(
+    fresh_entries: list,
+    baseline_entries: list,
+    noise_floor: float = DEFAULT_NOISE_FLOOR,
+    scale: Optional[float] = None,
+) -> list:
+    """The row texts of baseline rows above *noise_floor* that no
+    fresh entry matches."""
+    fresh = latest_by_identity(fresh_entries, scale)
+    baseline = latest_by_identity(baseline_entries, scale)
+    return [
+        entry.get("row", str(identity))
+        for identity, entry in sorted(baseline.items())
+        if identity not in fresh
+        and float(entry["measured_seconds"]) >= noise_floor
+    ]
+
+
 def load_entries(path: Path) -> list:
     entries = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(entries, list):
@@ -178,6 +194,14 @@ def main(argv: Optional[list] = None) -> int:
             f"  fresh={report['fresh_seconds']:.3f}s"
             f"  {report['row']}"
         )
+    missing = unwritten(
+        fresh_entries,
+        baseline_entries,
+        noise_floor=args.noise_floor,
+        scale=args.scale,
+    )
+    for row in missing:
+        print(f"{'MISSING':>9}  no fresh row  {row}")
     if regressions:
         print(
             f"bench-guard: {len(regressions)} of {len(checked)} rows"
@@ -185,6 +209,13 @@ def main(argv: Optional[list] = None) -> int:
             f" {args.tolerance:.0%}",
             file=sys.stderr,
         )
+    if missing:
+        print(
+            f"bench-guard: {len(missing)} baseline rows have no fresh"
+            f" row in {args.fresh}",
+            file=sys.stderr,
+        )
+    if regressions or missing:
         return 1
     print(f"bench-guard: {len(checked)} rows within tolerance")
     return 0

@@ -1,9 +1,11 @@
 """Shared benchmark infrastructure.
 
-Every benchmark regenerates a specific table row or figure from the
-paper. Results are appended to ``bench_results/`` as human-readable rows
-next to the published numbers, so EXPERIMENTS.md can be cross-checked
-against a run.
+Every benchmark here regenerates a table row, figure or ablation of
+the paper's evaluation, or the monitor's checkpoint tax. The streaming
+monitor's throughput and the serve path are ``bench/``'s workloads,
+not cases here. Results are appended to ``bench_results/`` as
+human-readable rows next to the published numbers, so EXPERIMENTS.md
+can be cross-checked against a run.
 
 Scale: ``REPRO_BENCH_SCALE`` (default 1.0 = published sizes) multiplies
 route and event counts. The calibrated full-scale suite runs in minutes
@@ -46,8 +48,9 @@ def record_row(table: str, row: str, data: Optional[dict] = None) -> None:
 
     When *data* is given, the row is also appended — as a machine-readable
     entry tagged with the run's scale — to
-    ``bench_results/BENCH_<table>.json``, the artifact CI uploads so runs
-    can be compared without parsing the text rows.
+    ``bench_results/BENCH_<table>.json``. CI empties those files before
+    its smoke run, so the artifact it uploads, and what
+    ``bench_guard`` compares with the baselines, are that run's rows.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{table}.txt"

@@ -3,18 +3,19 @@
 ``repro serve`` (DESIGN.md §13) layers an asyncio HTTP service over
 N sharded monitor pipelines:
 
-* :mod:`repro.serve.sharding` — per-peer shard pipelines and the
-  fan-in :class:`ShardSet` whose merged picture is bit-identical to
-  an unsharded run (the SRV001-sanctioned live-state layer).
+* :mod:`repro.serve.sharding` — :class:`ShardSet`, the fan-in over
+  one monitor core per peer slice, whose merged picture is
+  bit-identical to an unsharded run (the SRV001-sanctioned live-state
+  layer).
 * :mod:`repro.serve.snapshot` — render-once/serve-many picture cache
-  keyed on pulse-counter versions, with single-flight rendering and
-  precomputed wire responses; the incident list beside it, built once
-  per incident change.
+  keyed on pulse-counter versions, rendered once per version and
+  answered from precomputed wire responses; the incident list beside
+  it, built once per incident change.
 * :mod:`repro.serve.events` — the SSE transition feed with
   ``Last-Event-ID`` replay.
 * :mod:`repro.serve.http` — the dependency-free asyncio HTTP/1.1
-  server the ≥10k req/s benchmark drives: one send per pipelined
-  batch, capped pending replies.
+  server (``bench``'s ``serve_reads`` and ``serve_live`` workloads
+  drive it): one send per pipelined batch, capped pending replies.
 * :mod:`repro.serve.app` — the route table; every handler reads
   through the snapshot surface only.
 * :mod:`repro.serve.driver` — :func:`run_serve`, the cooperative
@@ -32,7 +33,7 @@ from repro.serve.http import (
     Response,
     StreamingResponse,
 )
-from repro.serve.sharding import PipelineShard, ShardSet, shard_dir
+from repro.serve.sharding import ShardSet, shard_dir
 from repro.serve.snapshot import (
     IncidentSnapshot,
     PictureSnapshot,
@@ -45,7 +46,6 @@ __all__ = [
     "HttpServer",
     "IncidentSnapshot",
     "PictureSnapshot",
-    "PipelineShard",
     "Request",
     "Response",
     "ServeApp",

@@ -13,13 +13,14 @@ byte-identical to it.
 
 This module is the **sanctioned side of the SRV001 boundary**: every
 piece of live pipeline state sits under a ``live_``-prefixed attribute
-of the shard's :class:`~repro.pipeline.monitor.MonitorCore`, and
-inside ``repro.serve`` only this module (and the snapshot layer) may
-touch those. HTTP handlers read through :class:`ShardSet`'s snapshot
-accessors — ``version()``, ``merged_graph()``, ``incident_version()``,
-``incident_rows()``, ``status()`` — which are safe at any await point
-because shard pipelines only advance inside explicit ``feed()`` calls
-on the same event loop.
+of a shard's :class:`~repro.pipeline.monitor.MonitorCore`, and inside
+``repro.serve`` only this module (and the snapshot layer) may touch
+those; :class:`ShardSet` reads a shard's window position and TAMP
+graph there itself. HTTP handlers read through :class:`ShardSet`'s
+snapshot accessors — ``version()``, ``merged_graph()``,
+``incident_version()``, ``incident_rows()``, ``status()`` — which are
+safe at any await point because shard pipelines only advance inside
+explicit ``feed()`` calls on the same event loop.
 
 Checkpoints are ``repro monitor``'s: a shard *is* the core that
 ``run_monitor`` drives (source = its
@@ -50,11 +51,6 @@ from repro.pipeline.runtime import Batch, iter_batches
 from repro.pipeline.sources import ShardView, Source, shard_for_peer
 from repro.tamp.graph import TampGraph
 
-#: A shard's cache-relevant position: (window index, pulse count at
-#: the last window boundary). Monotonic in both components.
-ShardVersion = tuple[int, int]
-
-
 def shard_dir(root: Path | str, shard: int) -> Path:
     """The checkpoint directory for shard *shard* under *root*."""
     return Path(root) / f"shard-{shard}"
@@ -67,25 +63,6 @@ def _tagged(
     for entry in entries:
         entry["shard"] = shard
     return entries
-
-
-class PipelineShard(MonitorCore):
-    """One shard's monitor core plus the read accessors serving needs.
-
-    The serve driver pumps it batch-by-batch (:meth:`MonitorCore.feed`)
-    so event processing interleaves with request handling on one
-    asyncio loop; the accessors are safe between feeds.
-    """
-
-    def version(self) -> ShardVersion:
-        return (
-            self.live_window.window_index,
-            self.live_tamp.boundary_pulse,
-        )
-
-    def graph(self) -> TampGraph:
-        """The live TAMP graph; read-only between feeds."""
-        return self.live_tamp.tamp.graph
 
 
 class ShardSet:
@@ -125,7 +102,7 @@ class ShardSet:
             else ShardView(parent, k, shards)
             for k in range(shards)
         ]
-        self._shards: list[Optional[PipelineShard]] = [
+        self._shards: list[Optional[MonitorCore]] = [
             None if k in start_dead else self._open(k, resume)
             for k in range(shards)
         ]
@@ -150,8 +127,8 @@ class ShardSet:
             return None
         return shard_dir(self.checkpoint_root, shard)
 
-    def _open(self, k: int, resume: bool) -> PipelineShard:
-        return PipelineShard(
+    def _open(self, k: int, resume: bool) -> MonitorCore:
+        return MonitorCore(
             self._sources[k],
             self.config,
             checkpoint_dir=self._dir(k),
@@ -254,17 +231,23 @@ class ShardSet:
         return tuple(shard is not None for shard in self._shards)
 
     def version(self) -> tuple:
-        """The set-wide cache key: per-shard version plus liveness.
+        """The set-wide cache key: per-shard position plus liveness.
 
-        Changes exactly when any shard's window advances, a shard
-        dies, or a shard comes back — the moments the picture (or its
+        A live shard contributes ``(k, window index, pulse count at
+        the last window boundary)``, both monotonic. The key changes
+        exactly when any shard's window advances, a shard dies, or a
+        shard comes back — the moments the picture (or its
         degradation) can change. A dead shard contributes a sentinel
         so a degraded picture never shares an ETag with a full one.
         """
         return tuple(
             ("dead", k)
             if shard is None
-            else (k,) + shard.version()
+            else (
+                k,
+                shard.live_window.window_index,
+                shard.live_tamp.boundary_pulse,
+            )
             for k, shard in enumerate(self._shards)
         )
 
@@ -273,7 +256,7 @@ class ShardSet:
         merged = TampGraph()
         for shard in self._shards:
             if shard is not None:
-                merged.merge_graph(shard.graph())
+                merged.merge_graph(shard.live_tamp.tamp.graph)
         return merged
 
     def latest_window_end(self) -> float:
@@ -351,8 +334,8 @@ class ShardSet:
                 else {
                     "events": shard.events_done,
                     "offset": shard.offset,
-                    "windows": shard.version()[0],
-                    "boundary_pulse": shard.version()[1],
+                    "windows": shard.live_window.window_index,
+                    "boundary_pulse": shard.live_tamp.boundary_pulse,
                     "reports": shard.reports_emitted,
                 }
                 for shard in self._shards

@@ -9,11 +9,12 @@ keyed on the vector is valid for *every* request until the next window
 boundary (or a shard death/resume): the renderer runs at most once
 per window advance, everything else is a dict compare.
 
-Single-flight: concurrent first requests after an invalidation all
-await one :class:`asyncio.Lock`; the winner renders, the rest
-re-check the cache under the lock and reuse the fresh snapshot.
-:attr:`SnapshotHub.renders` counts actual renders — the test for
-"one render per pulse under pileup" reads it directly.
+One render per version needs no lock: :meth:`SnapshotHub.snapshot`
+awaits nothing, so it runs from reading the key to storing the render
+on the step that starts it. Requests that pile up after an
+invalidation run one after another; the first renders and the rest
+find its snapshot. :attr:`SnapshotHub.renders` counts actual renders
+— the test for "one render per pulse under pileup" reads it directly.
 
 ETags are strong and *content-derived* (sha256 of the SVG bytes): two
 versions that happen to render identical bytes legitimately share an
@@ -34,13 +35,11 @@ same ``("dead", k)`` — and would serve them stale.
 No row is encoded here: :class:`IncidentSnapshot` joins the texts the
 incident managers encoded (:meth:`ShardSet.incident_rows`) into the
 listings and answers ``/incidents/<id>`` with one of them. Its build
-is synchronous (no await between reading the key and storing the
-result), so it needs no lock.
+is synchronous like the picture's, so it needs no lock either.
 """
 
 from __future__ import annotations
 
-import asyncio
 import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -165,8 +164,8 @@ class IncidentSnapshot:
 
 
 class SnapshotHub:
-    """Version-keyed picture cache with single-flight rendering, and
-    the incident snapshot beside it."""
+    """Version-keyed picture cache, and the incident snapshot beside
+    it."""
 
     def __init__(
         self,
@@ -182,7 +181,6 @@ class SnapshotHub:
         self.incident_builds = 0
         self._current: Optional[PictureSnapshot] = None
         self._incidents: Optional[IncidentSnapshot] = None
-        self._lock = asyncio.Lock()
 
     def current(self) -> Optional[PictureSnapshot]:
         """The cached snapshot, fresh or not (no render)."""
@@ -209,30 +207,22 @@ class SnapshotHub:
     async def snapshot(self) -> PictureSnapshot:
         """The picture for the shard set's current version.
 
-        Cache hit: two attribute reads and a tuple compare. Miss: one
-        render, shared by every request that piled up on the miss.
+        Cache hit: one small tuple built and compared. Miss: one
+        render, on the request that found it; it awaits nothing, so
+        every request that piled up on the miss finds the render.
+        Async because its callers await it.
         """
         version = self.shards.version()
         current = self._current
-        if current is not None and current.version == version:
-            return current
-        async with self._lock:
-            # Double-check: the render that beat us to the lock may
-            # already cover the version we need — and the version may
-            # have advanced again while we waited.
-            version = self.shards.version()
-            current = self._current
-            if current is not None and current.version == version:
-                return current
-            snapshot = self.render(version)
-            self._current = snapshot
-            return snapshot
+        if current is None or current.version != version:
+            current = self._current = self.render(version)
+        return current
 
     def render(self, version: Optional[tuple] = None) -> PictureSnapshot:
         """Synchronous render for *version* (current if omitted).
 
         Exposed for non-async callers (tests, the driver's final
-        refresh); :meth:`snapshot` is the single-flight entry point.
+        refresh); :meth:`snapshot` is the cached entry point.
         """
         if version is None:
             version = self.shards.version()

@@ -1,4 +1,5 @@
-"""The CI bench-regression guard must flag real slowdowns and only those.
+"""The CI bench-regression guard must flag real slowdowns and only those,
+and a guarded row that a run did not write.
 
 The guard compares appended ``BENCH_*.json`` row entries (freshest run
 last) against a committed baseline, matched by row identity, filtered
@@ -99,6 +100,25 @@ class TestCli:
         baseline = self.write(tmp_path / "base.json", [entry(75_000, 1.0)])
         assert main([str(tmp_path / "nope.json"), baseline]) == 2
         assert "bench-guard error" in capsys.readouterr().err
+
+    def test_unwritten_baseline_row_fails(self, tmp_path, capsys):
+        # The fresh run wrote one of the two guarded rows: the other
+        # must fail the guard, named, not drop out of the comparison.
+        baseline = self.write(
+            tmp_path / "base.json",
+            [entry(75_000, 1.0), entry(7_500, 0.5), entry(100, 0.01)],
+        )
+        fresh = self.write(tmp_path / "fresh.json", [entry(75_000, 1.0)])
+        assert main([fresh, baseline]) == 1
+        out = capsys.readouterr().out
+        assert "MISSING" in out and "routes=7500 " in out
+        # A baseline row under the noise floor is not guarded, so its
+        # absence is not a failure either.
+        assert "routes=100 " not in out
+        fresh = self.write(
+            tmp_path / "fresh.json", [entry(75_000, 1.0), entry(7_500, 0.5)]
+        )
+        assert main([fresh, baseline]) == 0
 
     def test_custom_tolerance(self, tmp_path):
         baseline = self.write(tmp_path / "base.json", [entry(75_000, 1.0)])

@@ -2,8 +2,8 @@
 
 Monitor runs here are deliberately small (a few hundred routes, a few
 thousand events) — the determinism properties under test do not depend
-on scale, and the sustained-throughput story lives in
-``benchmarks/test_pipeline.py``.
+on scale, and the monitor's throughput and report latency are
+measured by ``bench/``'s ``monitor_*`` workloads.
 """
 
 import pytest

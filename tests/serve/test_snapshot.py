@@ -93,6 +93,27 @@ class TestCacheKeying:
         asyncio.run(main())
         shard_set.close()
 
+    def test_snapshot_finishes_on_its_first_step(self):
+        """Why a pileup needs no lock: ``snapshot()`` never suspends,
+        on a miss or on a hit, so no request can run inside another's
+        render."""
+        shard_set = fed_set()
+        hub = SnapshotHub(shard_set)
+
+        def first_step(coro):
+            try:
+                coro.send(None)
+            except StopIteration as done:
+                return done.value
+            coro.close()
+            raise AssertionError("snapshot() suspended")
+
+        miss = first_step(hub.snapshot())
+        assert hub.renders == 1
+        assert first_step(hub.snapshot()) is miss
+        assert hub.renders == 1
+        shard_set.close()
+
     def test_dead_shard_gets_its_own_version(self):
         """A degraded picture never shares a cache key with a full one."""
         shard_set = fed_set()
