@@ -3,7 +3,7 @@
 ``TampGraph.total_prefixes()`` memoizes the distinct-prefix count
 because pruning divides by it once per edge. The memo is only correct
 while edge membership is stable, so every method that mutates the
-edge/adjacency state must call the invalidation hook
+edge, adjacency or leaf-fringe state must call the invalidation hook
 (``self._invalidate_cache()``). Forgetting it does not crash — it
 serves a stale 100% mark, which skews every pruning fraction and
 therefore which edges appear in the rendered picture. The granularity
@@ -27,8 +27,10 @@ from repro.devtools.registry import Checker, ModuleContext, register
 #: Classes the rule applies to, by name.
 _GRAPH_CLASSES = frozenset({"TampGraph"})
 
-#: Instance attributes whose mutation can change prefix membership.
-_STATE_ATTRS = frozenset({"_edges", "_children", "_parents"})
+#: Instance attributes whose mutation can change prefix membership:
+#: the edge stores and adjacency, and the leaf fringe that
+#: ``total_prefixes()`` unions with the edges.
+_STATE_ATTRS = frozenset({"_edges", "_children", "_parents", "_fringe"})
 
 #: The invalidation hook, and the cache attribute a direct reset of
 #: which also counts (the hook's own body).

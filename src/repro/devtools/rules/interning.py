@@ -10,10 +10,10 @@ edge-store key — type-checks, passes every equivalence test, and
 silently reverts the Table I(b) performance win, which is why it gets a
 static gate (INT001) instead of a code-review note.
 
-The stemming counter and the animator run interned too: sequences are
-id tuples, pair stores are keyed by packed pair ints, frame diffs are
-keyed by packed edge ids, and tokens reappear only at the decode
-boundary (``counts()``/``top()``, frame ``LazyEdgeMap`` access, SVG
+Stemming and the animator run interned too: sequences are id tuples,
+pair stores are keyed by packed pair ints, frame diffs are keyed by
+packed edge ids, and tokens reappear only at the decode boundary (a
+component's subsequence and prefixes, frame ``LazyEdgeMap`` access, SVG
 emission). The equivalent regression there is *decoding inside the hot
 loop* — a ``symbols.token(...)``/``decode_pair(...)`` call, or a
 ``route_path_tokens`` re-render that the apply memo exists to avoid —
@@ -59,17 +59,17 @@ _ID_PACKAGES = ("repro.stemming", "repro.tamp")
 #: chain re-render inside them is a regression.
 ID_HOT_FUNCTIONS = frozenset(
     {
-        # repro.stemming.counter — packed-pair bulk counting and the
-        # tie walk over winning pairs
-        "add_ids",
-        "add_id_counts",
-        "subtract_id_sequences",
+        # repro.stemming.counter — packed-pair bulk counting
         "count_pairs",
         "distinct_pairs",
+        # repro.stemming.stemmer — the index's pair-table add/subtract,
+        # the tie walk over winning pairs, interned grouping, the
+        # extraction's working counts and the posting lists it asks
+        "add",
+        "remove",
         "rank_top",
         "_candidate_windows",
-        # repro.stemming.stemmer — interned grouping, the extraction's
-        # working counts and the posting lists it asks
+        "_run_windows",
         "_admit",
         "_working_counts",
         "_subtract_pairs",

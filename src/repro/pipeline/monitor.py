@@ -53,6 +53,7 @@ from repro.incidents.manager import (
 )
 from repro.incidents.store import INCIDENT_DB, IncidentStore
 from repro.mrt.ingest import IngestReport
+from repro.perf import gc_paused
 from repro.pipeline.checkpoint import (
     CheckpointError,
     CheckpointState,
@@ -548,13 +549,19 @@ async def monitor_loop(
             # the rest of its batch is admitted.
             for part in core.live_window.parts(batch):
                 pumped_at = clock()
-                core.pump(part)
-                events_total.inc(len(part))
-                if crash_plan is not None:
-                    # After the pump, before persisting outputs or
-                    # checkpointing: the least convenient legal instant.
-                    crash_plan.fire(core.events_done)
-                core.drain(handle_report)
+                # The cyclic collector waits until the part's report
+                # has left: a full collection walks the whole live
+                # state (tens of ms) and finds no cycles in it, so
+                # where one happened to fire decided how late a
+                # report came.
+                with gc_paused():
+                    core.pump(part)
+                    events_total.inc(len(part))
+                    if crash_plan is not None:
+                        # After the pump, before persisting outputs or
+                        # checkpointing: the least convenient legal instant.
+                        crash_plan.fire(core.events_done)
+                    core.drain(handle_report)
             batches_total.inc()
             if core.checkpoint_if_due():
                 note_checkpoint()
@@ -567,7 +574,8 @@ async def monitor_loop(
                 break
         else:
             pumped_at = clock()
-            core.finish(handle_report)
+            with gc_paused():
+                core.finish(handle_report)
             if core.store is not None:
                 note_checkpoint()
             refresh_gauges()

@@ -385,7 +385,7 @@ class WindowedStemmer(Stage):
         if self._parked:
             index.remove(self._parked)
             self._parked = 0
-        unseen = len(buffer) - index.counter.event_count
+        unseen = len(buffer) - index.event_count
         if unseen:
             tail = list(islice(reversed(buffer), unseen))
             tail.reverse()

@@ -87,6 +87,17 @@ async def serve_metrics(
     )
 
 
+def _canonical(text: str) -> Optional[int]:
+    """*text* as a non-negative integer, if it is that integer's one
+    decimal spelling: no sign, padding, zero fill or digit separator,
+    so one incident has one URL."""
+    try:
+        value = int(text)
+    except ValueError:
+        return None
+    return value if value >= 0 and str(value) == text else None
+
+
 class ServeApp:
     """Wires the snapshot surfaces into an :class:`HttpServer`."""
 
@@ -182,17 +193,14 @@ class ServeApp:
         return listing.answer(request.header("if-none-match"))
 
     async def incident(self, request: Request) -> HandlerResult:
-        tail = request.path.rsplit("/", 1)[-1]
-        try:
-            incident_id = int(tail)
-        except ValueError:
+        incident_id = _canonical(request.path.rsplit("/", 1)[-1])
+        if incident_id is None:
             return Response(404, b"no such incident")
         params = request.query_params()
         shard: Optional[int] = None
         if "shard" in params:
-            try:
-                shard = int(params["shard"])
-            except ValueError:
+            shard = _canonical(params["shard"])
+            if shard is None:
                 return Response(404, b"bad shard")
         body = self.hub.incidents().row_json(incident_id, shard)
         if body is None:

@@ -14,16 +14,12 @@ session resets and week-scale single-prefix oscillations — the latter
 invisible to every rate-threshold detector.
 """
 
-from repro.stemming.counter import (
-    NaiveSubsequenceCounter,
-    SubsequenceCounter,
-)
+from repro.stemming.counter import NaiveSubsequenceCounter
 from repro.stemming.stemmer import Component, Stemmer, StemmingResult
 from repro.stemming.weighted import TrafficWeightedStemmer
 from repro.stemming.encode import format_stem, format_token
 
 __all__ = [
-    "SubsequenceCounter",
     "NaiveSubsequenceCounter",
     "Stemmer",
     "Component",

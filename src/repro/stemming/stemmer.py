@@ -1,11 +1,17 @@
 """The Stemming decomposition.
 
-Applies the subsequence counter recursively: find the strongest
-subsequence s′, read its last adjacent pair as the stem (problem
-location), collect the affected prefix set P (prefixes of events
-containing s′) and the component E (every event touching P), remove E,
-repeat. The result is a ranked list of :class:`Component`s — the "few
-incidents" hidden in the million events.
+Find the strongest subsequence s′, read its last adjacent pair as the
+stem (problem location), collect the affected prefix set P (prefixes of
+events containing s′) and the component E (every event touching P),
+remove E, repeat. The result is a ranked list of :class:`Component`s —
+the "few incidents" hidden in the million events.
+
+One table feeds all of it: :class:`StemIndex` files each event under
+its unique interned sequence and counts, beside that, the events
+holding each adjacent pair. The maximum count is always a pair's, and
+:meth:`StemIndex.rank_top` — the one tie rule — finds the longer
+subsequences tying it inside runs of winning pairs, so no subsequence
+longer than two is ever counted ahead of time.
 """
 
 from __future__ import annotations
@@ -14,17 +20,19 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import islice
 from operator import attrgetter, countOf
-from typing import Collection, Iterable, Mapping, Optional
+from typing import Callable, Collection, Iterable, Mapping, Optional
 
 from repro.collector.events import BGPEvent, EventKind, Token
 from repro.collector.stream import EventStream
+from repro.interning import SymbolTable
 from repro.net.prefix import Prefix
 from repro.perf import gc_paused
 from repro.stemming.counter import (
+    PAIR_MASK,
     PAIR_SHIFT,
     IdSequence,
     PairsOf,
-    SubsequenceCounter,
+    _tiebreak,
     count_pairs,
     distinct_pairs,
 )
@@ -111,8 +119,9 @@ class Stemmer:
     *min_strength* stops recursion once the strongest remaining
     correlation falls to background level (default 2: a subsequence seen
     once explains nothing). *max_components* bounds output for
-    pathological streams. *max_subsequence_length* is forwarded to the
-    counter (None = unbounded; see the ablation for the trade-off).
+    pathological streams. *max_subsequence_length* bounds the
+    subsequences the tie walk ranks (None = unbounded; see the ablation
+    for the trade-off).
     """
 
     min_strength: int = 2
@@ -154,8 +163,7 @@ class Stemmer:
         removal compare ints, and tokens reappear only inside the
         :class:`Component` results.
         """
-        counter = index.counter
-        total = remaining = counter.event_count
+        total = remaining = index.event_count
         components: list[Component] = []
         max_length = self.max_subsequence_length
         if max_length is not None and max_length < 2:
@@ -165,7 +173,7 @@ class Stemmer:
         with gc_paused():
             alive = index.by_ids.copy()
             pair_counts, by_count = _working_counts(
-                counter.pair_counts, floor
+                index.pair_counts, floor
             )
 
             def multiplicity(ids: IdSequence) -> int:
@@ -174,7 +182,7 @@ class Stemmer:
             while by_count and len(components) < self.max_components:
                 strength = max(by_count)
                 winning = by_count[strength]
-                top_ids = counter.rank_top(
+                top_ids = index.rank_top(
                     winning,
                     strength,
                     lambda: index.holding_any(winning, alive),
@@ -248,8 +256,8 @@ class Stemmer:
 
 class StemIndex:
     """The loaded first level: a unique-sequence index (id sequence ->
-    events, in admission order) and its subsequence counts, kept current
-    under :meth:`add` and :meth:`remove`.
+    events, in admission order) and its adjacent-pair counts, kept
+    current under :meth:`add` and :meth:`remove`.
 
     An event's prefix is its last token, so events sharing a sequence
     share a prefix, and per-sequence grouping loses nothing. The
@@ -283,13 +291,18 @@ class StemIndex:
     """
 
     __slots__ = (
-        "symbols", "counter", "by_ids", "_log", "_peers", "_heads",
-        "_pfx_ids", "_postings",
+        "max_length", "symbols", "pair_counts", "by_ids", "_log",
+        "_peers", "_heads", "_pfx_ids", "_postings",
     )
 
     def __init__(self, max_length: Optional[int] = None) -> None:
-        self.counter = SubsequenceCounter(max_length)
-        self.symbols = self.counter.symbols
+        """*max_length* bounds the subsequences the tie walk ranks
+        (None = unbounded)."""
+        self.max_length = max_length
+        self.symbols = SymbolTable()
+        #: Packed adjacent pair -> held events containing it: the live
+        #: table, so an extraction copies it before subtracting.
+        self.pair_counts: Counter[int] = Counter()
         self.by_ids: dict[IdSequence, _Bucket] = {}
         #: The admission log: each held event's ``by_ids`` key, oldest
         #: first.
@@ -304,6 +317,11 @@ class StemIndex:
         self._postings: Optional[_Postings] = None
 
     @property
+    def event_count(self) -> int:
+        """Held events: one admission-log entry each."""
+        return len(self._log)
+
+    @property
     def interned(self) -> int:
         """Tokens plus memoized bundles: :meth:`remove` frees neither."""
         return self.symbols.token_count + sum(map(len, self._peers.values()))
@@ -311,12 +329,17 @@ class StemIndex:
     def add(self, events: Iterable[BGPEvent]) -> None:
         """Index and count *events*, which arrive after all held ones."""
         with gc_paused():
-            self.counter.add_id_counts(self._admit(events), self.pairs_of)
+            count_pairs(self._admit(events), self.pair_counts, self.pairs_of)
 
     def remove(self, count: int) -> None:
         """Drop the *count* oldest held events, as an eviction pops:
-        the front of the admission log, counted per sequence."""
+        the front of the admission log, counted per sequence. Asking
+        for more than are held is refused before anything moves."""
         log = self._log
+        if count > len(log):
+            raise ValueError(
+                f"cannot remove {count} of {len(log)} held events"
+            )
         removals = Counter(islice(log, count))
         del log[:count]
         by_ids = self.by_ids
@@ -333,12 +356,144 @@ class StemIndex:
                         map(_kind_of, islice(bucket, removed)), _WITHDRAW
                     )
                     del bucket[:removed]
-            self.counter.subtract_id_sequences(
-                removals.items(), self.pairs_of
-            )
+            if len(removals) > len(by_ids):
+                # The removals outnumber the survivors: recounting those
+                # is cheaper than walking the majority's pairs.
+                self.pair_counts = count_pairs(
+                    ((ids, len(bucket)) for ids, bucket in by_ids.items()),
+                    Counter(),
+                    self.pairs_of,
+                )
+            else:
+                # One C-counted delta for the whole removal and one
+                # short sweep over its distinct pairs.
+                pair_counts = self.pair_counts
+                delta = count_pairs(removals.items(), Counter(), self.pairs_of)
+                pair_counts.subtract(delta)
+                for pair in delta:
+                    if pair_counts[pair] <= 0:
+                        pair_counts.pop(pair)  # C-level, unlike Counter's del
             if postings is not None:
                 for ids in gone:
                     postings.unpost(ids)
+
+    # -- The tie walk ----------------------------------------------------
+
+    def rank_top(
+        self,
+        winning: Collection[int],
+        best_count: int,
+        holders: Callable[[], Iterable[IdSequence]],
+        count_of: Callable[[IdSequence], int],
+    ) -> IdSequence:
+        """The strongest subsequence, given the packed pairs *winning*
+        at the maximum count *best_count*.
+
+        Ranking prefers longer on count ties, and a longer subsequence
+        reaches the maximum only if every one of its adjacent pairs
+        does, so it holds two consecutive winning pairs (a, b), (b, c):
+        its *middle* id b ends one winning pair and starts another (a
+        self-pair (a, a) is both). With no middle id no longer chain
+        can exist — a lone winning pair of two distinct tokens, the
+        common case, wins outright — and the winning pairs, each
+        counted *best_count* already, are the finalists. Otherwise the
+        longer finalists hide inside runs of consecutive winning pairs:
+        *holders()* names the counted sequences to walk — at least
+        every one containing a winning pair — and *count_of* their
+        multiplicities; the windows of length ≥ 3 are counted exactly
+        (:meth:`_candidate_windows`) and ranked (count, length, decoded
+        rendering), with the winning pairs as the finalists again if
+        none reaches *best_count*.
+        """
+        middles = {pair >> PAIR_SHIFT for pair in winning}.intersection(
+            pair & PAIR_MASK for pair in winning
+        )
+        finalists: list[IdSequence] = []
+        if middles:
+            candidates = self._candidate_windows(
+                winning, middles, holders(), count_of
+            )
+            finalists = [
+                window
+                for window, count in candidates.items()
+                if count == best_count
+            ]
+        if finalists:
+            best_length = max(map(len, finalists))
+            finalists = [w for w in finalists if len(w) == best_length]
+        else:
+            finalists = [
+                (pair >> PAIR_SHIFT, pair & PAIR_MASK) for pair in winning
+            ]
+            if len(finalists) == 1:
+                return finalists[0]
+        return min(finalists, key=self._tiebreak_ids)
+
+    def _candidate_windows(
+        self,
+        winning: Collection[int],
+        middles: set[int],
+        holders: Iterable[IdSequence],
+        count_of: Callable[[IdSequence], int],
+    ) -> Counter[IdSequence]:
+        """Exact counts for every window of length ≥ 3 made solely of
+        winning pairs.
+
+        Any subsequence tying the maximum count lies inside a maximal
+        run of consecutive winning pairs in every sequence containing
+        it, so enumerating run windows (deduplicated per sequence, so an
+        event counts once) over *holders* and summing their
+        multiplicities yields the candidates' true counts. Such a window
+        holds one of the *middles* (see :meth:`rank_top`), so a holder
+        holding none is skipped by one C-level ``isdisjoint`` — most
+        holders of a tie hold a single tied pair, and no middle. Windows
+        that fall short of the maximum are filtered by the caller.
+        """
+        candidates: Counter[IdSequence] = Counter()
+        for ids in holders:
+            n = len(ids)
+            if n < 3 or middles.isdisjoint(ids):
+                continue
+            windows: Optional[set[IdSequence]] = None
+            run_start = -1
+            for i in range(n - 1):
+                if ((ids[i] << PAIR_SHIFT) | ids[i + 1]) in winning:
+                    if run_start < 0:
+                        run_start = i
+                    continue
+                if run_start >= 0:
+                    windows = self._run_windows(ids, run_start, i + 1, windows)
+                    run_start = -1
+            if run_start >= 0:
+                windows = self._run_windows(ids, run_start, n, windows)
+            if windows:
+                multiplicity = count_of(ids)
+                for window in windows:
+                    candidates[window] += multiplicity
+        return candidates
+
+    def _run_windows(
+        self,
+        ids: IdSequence,
+        start: int,
+        end: int,
+        acc: Optional[set[IdSequence]],
+    ) -> Optional[set[IdSequence]]:
+        """Collect the length ≥ 3 windows of ``ids[start:end]``."""
+        max_length = self.max_length
+        for left in range(start, end - 2):
+            limit = end if max_length is None else min(end, left + max_length)
+            for right in range(left + 3, limit + 1):
+                if acc is None:
+                    acc = set()
+                acc.add(ids[left:right])
+        return acc
+
+    def _tiebreak_ids(self, ids: IdSequence) -> tuple[str, ...]:
+        """Decoded rendering, so ranking matches the object-level
+        counter bit for bit (the finalist pool is always small)."""
+        token = self.symbols.token
+        return _tiebreak(tuple(token(tid) for tid in ids))
 
     # -- What an extraction asks (lookups if slid, scans if not) --------
 

@@ -6,6 +6,7 @@ class TampGraph:
         self._edges = {}
         self._children = {}
         self._parents = {}
+        self._fringe = {}
         self._total = None
 
     def _invalidate_cache(self):
@@ -16,6 +17,9 @@ class TampGraph:
 
     def drop_edge(self, edge):
         self._edges.pop(edge, None)
+
+    def drop_leaf(self, tail):
+        del self._fringe[tail]
 
     def weight(self, edge):
         return len(self._edges.get(edge, ()))

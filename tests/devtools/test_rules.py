@@ -187,10 +187,11 @@ class TestMut001:
 class TestCache001:
     def test_bad_flags_hookless_mutators(self):
         findings = analyze_fixture("cache001_bad.py")
-        assert rule_ids(findings) == ["CACHE001"] * 2
+        assert rule_ids(findings) == ["CACHE001"] * 3
         messages = " ".join(f.message for f in findings)
         assert "add_edge" in messages
         assert "drop_edge" in messages
+        assert "drop_leaf() mutates self._fringe" in messages
 
     def test_ok_is_clean(self):
         assert analyze_fixture("cache001_ok.py") == []

@@ -9,6 +9,7 @@ uninterrupted run over the same archive.
 import asyncio
 import bisect
 import dataclasses
+import gc
 from collections import Counter
 
 import pytest
@@ -606,6 +607,20 @@ class TestReportOrder:
         # next window is extracted.
         assert len(result.reports) > 2 * 1600 // self.config.batch_size
         assert log == ["extract", "report"] * len(result.reports)
+
+
+    def test_the_collector_waits_until_a_report_has_left(self):
+        # Every report, the final partial one too, is built and handed
+        # on with the cyclic collector paused; the run restores it.
+        assert gc.isenabled()
+        enabled = []
+        result = run_monitor(
+            small_source(),
+            self.config,
+            on_report=lambda report: enabled.append(gc.isenabled()),
+        )
+        assert enabled == [False] * len(result.reports)
+        assert gc.isenabled()
 
 
 class TestStageStats:

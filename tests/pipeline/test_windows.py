@@ -425,7 +425,7 @@ class TestSlidingFirstLevel:
                 # Nothing closed: the batch is already in the index,
                 # and nothing it should have given up is.
                 assert stage._parked == 0
-                assert stage._index.counter.event_count == stage.buffered
+                assert stage._index.event_count == stage.buffered
             # The checkpointable state is a function of the stream
             # alone, not of what the sliding index went through.
             state = stage.export_state()
@@ -485,7 +485,7 @@ class TestSlidingFirstLevel:
                     reports.append(item)
             # A closing call leaves its evictions and the events past
             # the boundary for the next call; any other is level.
-            held = stage._index.counter.event_count
+            held = stage._index.event_count
             assert held - stage._parked <= stage.buffered
             if batch.start_offset not in closed_by.values():
                 assert (held, stage._parked) == (stage.buffered, 0)
@@ -515,7 +515,7 @@ class TestSlidingFirstLevel:
             # Still holding what the close evicted, not yet holding
             # the two events past its boundary.
             assert stage._parked == 10
-            assert stage._index.counter.event_count == len(early) - 2
+            assert stage._index.event_count == len(early) - 2
         out.extend(
             stage.process(Batch(tuple(events[first:]), first, len(events)))
         )
@@ -525,7 +525,7 @@ class TestSlidingFirstLevel:
         assert stage.buffered == len(late)
         assert stage._parked == 0
         if gap_in_the_parking_batch:
-            assert stage._index.counter.event_count == len(late)
+            assert stage._index.event_count == len(late)
         else:
             assert stage._index is None
         out.extend(stage.flush())

@@ -205,3 +205,41 @@ class TestBuildCounts:
             assert counts.take() == (0, 0, 1)
         finally:
             shard_set.close()
+
+
+def status_of(app: ServeApp, path: str, query: str = "") -> int:
+    reply = asyncio.run(app.incident(Request("GET", path, query, {})))
+    if isinstance(reply, Response):
+        return reply.status
+    return int(reply.split(b" ", 2)[1])
+
+
+class TestCanonicalIds:
+    def test_only_the_canonical_spelling_names_an_incident(self, tmp_path):
+        """One incident, one URL: an id or shard that ``int()`` would
+        read but that is not the number's own decimal spelling is no
+        incident's, so caches and logs never see aliases."""
+        app = build(tmp_path)
+        try:
+            for event in even_odd_events():
+                app.shards.offer(event)
+            app.shards.flush()
+            row = reference_rows(app.shards, tmp_path)[0]
+            incident, shard = str(row["id"]), str(row["shard"])
+            path = f"/incidents/{incident}"
+            assert status_of(app, path) == 200
+            assert status_of(app, path, f"shard={shard}") == 200
+            for alias in (
+                f"+{incident}",
+                f"0{incident}",
+                f" {incident}",
+                f"{incident} ",
+                f"{incident[:1]}_{incident[1:]}" if len(incident) > 1
+                else f"0_{incident}",
+                "".join(chr(0x0660 + int(d)) for d in incident),
+            ):
+                assert status_of(app, f"/incidents/{alias}") == 404, alias
+            for alias in (f"+{shard}", f"0{shard}", f" {shard}", "-0"):
+                assert status_of(app, path, f"shard={alias}") == 404, alias
+        finally:
+            app.shards.close()

@@ -1,4 +1,5 @@
-"""Unit and property tests for subsequence counting."""
+"""Unit and property tests for subsequence counting: the naive
+reference, and the index's pair table and tie walk checked against it."""
 
 from collections import Counter
 
@@ -7,20 +8,54 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.stemming.counter import (
+    PAIR_MASK,
     PAIR_SHIFT,
     NaiveSubsequenceCounter,
-    SubsequenceCounter,
     _subsequences,
+    count_pairs,
 )
+from repro.stemming.stemmer import StemIndex, Stemmer
 from tests.collector.test_stream import event
-
-
-def seq(*tokens):
-    """Shorthand: build a token sequence from (ns, value) pairs."""
-    return tuple(tokens)
+from tests.stemming.test_invariants import random_streams
+from tests.stemming.test_stemmer import mk_event
 
 
 A, B, C, D = ("as", 1), ("as", 2), ("as", 3), ("as", 4)
+
+
+def decoded_pairs(index):
+    """The index's pair table on tokens."""
+    token = index.symbols.token
+    return {
+        (token(pair >> PAIR_SHIFT), token(pair & PAIR_MASK)): count
+        for pair, count in index.pair_counts.items()
+    }
+
+
+def naive_pairs(events, bound=None):
+    """The length-2 slice of the naive counts over *events*."""
+    naive = NaiveSubsequenceCounter(bound)
+    naive.add_all(events)
+    return {s: count for s, count in naive.counts().items() if len(s) == 2}
+
+
+def naive_top(events, bound=None):
+    naive = NaiveSubsequenceCounter(bound)
+    naive.add_all(events)
+    return naive.top()
+
+
+def strongest(events, bound=None):
+    """(subsequence, strength) of the first component with no strength
+    floor: the index's tie walk over the whole table."""
+    top = Stemmer(
+        min_strength=1, max_subsequence_length=bound
+    ).strongest_component(events)
+    return None if top is None else (top.subsequence, top.strength)
+
+
+def withdrawal(peer, nexthop, path, prefix, t=0.0):
+    return mk_event(t, peer, nexthop, path, f"10.0.{prefix}.0/24")
 
 
 class TestSubsequenceEnumeration:
@@ -44,102 +79,92 @@ class TestSubsequenceEnumeration:
 
 class TestCounting:
     def test_counts_across_sequences(self):
-        counter = SubsequenceCounter()
-        counter.add_sequence((A, B, C))
-        counter.add_sequence((A, B, D))
-        counts = counter.counts()
-        assert counts[(A, B)] == 2
-        assert counts[(B, C)] == 1
-        assert counts[(A, B, C)] == 1
+        events = [
+            withdrawal("1.1.1.1", "2.2.2.2", "1 2 3", 1),
+            withdrawal("1.1.1.1", "2.2.2.2", "1 2 4", 2),
+        ]
+        pairs = decoded_pairs(Stemmer().load(events))
+        assert pairs[(A, B)] == 2
+        assert pairs[(B, C)] == 1
+        assert pairs == naive_pairs(events)
+        naive = NaiveSubsequenceCounter()
+        naive.add_all(events)
+        assert naive.counts()[(A, B, C)] == 1
 
     def test_duplicate_sequences_multiply(self):
-        counter = SubsequenceCounter()
-        for _ in range(5):
-            counter.add_sequence((A, B))
-        assert counter.counts()[(A, B)] == 5
-        assert counter.event_count == 5
-        assert counter.unique_sequence_count == 1
+        events = [withdrawal("1.1.1.1", "2.2.2.2", "1 2", 1)] * 5
+        index = Stemmer().load(events)
+        assert decoded_pairs(index)[(A, B)] == 5
+        assert index.event_count == 5
+        assert len(index.by_ids) == 1
 
     def test_top_prefers_count(self):
-        counter = SubsequenceCounter()
-        counter.add_sequence((A, B, C))
-        counter.add_sequence((A, B, D))
-        top, count = counter.top()
-        assert top == (A, B)
-        assert count == 2
+        events = [
+            withdrawal("1.1.1.1", "2.2.2.1", "1 2 3", 1),
+            withdrawal("1.1.1.2", "2.2.2.2", "1 2 4", 2),
+        ]
+        assert strongest(events) == ((A, B), 2) == naive_top(events)
 
     def test_top_prefers_length_on_ties(self):
-        counter = SubsequenceCounter()
-        counter.add_sequence((A, B, C))
-        counter.add_sequence((A, B, C))
-        top, count = counter.top()
-        assert top == (A, B, C)  # count 2 ties (A,B); longer wins
-        assert count == 2
+        events = [
+            withdrawal("1.1.1.1", "2.2.2.1", "1 2 3", 1),
+            withdrawal("1.1.1.2", "2.2.2.2", "1 2 3", 1),
+        ]
+        prefix = events[0].sequence[-1]
+        # Count 2 ties (A, B), (B, C) and (C, prefix); longest wins.
+        assert strongest(events) == ((A, B, C, prefix), 2)
+        assert strongest(events) == naive_top(events)
 
     def test_top_empty(self):
-        assert SubsequenceCounter().top() is None
+        assert strongest([]) is None
+        assert naive_top([]) is None
+        assert not Stemmer().load([]).pair_counts
 
     def test_add_events(self):
-        counter = SubsequenceCounter()
-        counter.add_all([event(1.0, path="100 200"), event(2.0, path="100 200")])
-        assert counter.event_count == 2
+        events = [event(1.0, path="100 200"), event(2.0, path="100 200")]
+        assert Stemmer().load(events).event_count == 2
+        naive = NaiveSubsequenceCounter()
+        naive.add_all(events)
+        assert naive.event_count == 2
 
     def test_count_monotone_under_extension(self):
-        counter = SubsequenceCounter()
-        counter.add_sequence((A, B, C))
-        counter.add_sequence((A, B, C, D))
-        counter.add_sequence((B, C))
-        counts = counter.counts()
+        naive = NaiveSubsequenceCounter()
+        naive.add_sequence((A, B, C))
+        naive.add_sequence((A, B, C, D))
+        naive.add_sequence((B, C))
+        counts = naive.counts()
         assert counts[(B, C)] >= counts[(A, B, C)] >= counts[(A, B, C, D)]
 
 
 class TestNaiveEquivalence:
-    @given(
-        st.lists(
-            st.lists(st.integers(1, 5), min_size=2, max_size=6),
-            min_size=1,
-            max_size=20,
-        )
+    @given(random_streams())
+    def test_same_counts_as_naive(self, events):
+        assert decoded_pairs(Stemmer().load(events)) == naive_pairs(events)
+        assert strongest(events) == naive_top(events)
+
+    @given(random_streams(), st.integers(2, 4))
+    def test_same_counts_with_length_bound(self, events, bound):
+        index = Stemmer(max_subsequence_length=bound).load(events)
+        assert decoded_pairs(index) == naive_pairs(events, bound)
+        assert strongest(events, bound) == naive_top(events, bound)
+
+
+def walks(raw_sequences, bound):
+    """:meth:`StemIndex.rank_top` over raw id sequences — its holder
+    filter on, and off: every window made solely of winning pairs, in
+    every sequence, counted once per event and ranked (count, length,
+    rendering) — each decoded, with the top count."""
+    index = StemIndex(bound)
+    intern = index.symbols.intern_token
+    held = Counter(
+        tuple(intern(("as", v)) for v in raw) for raw in raw_sequences
     )
-    def test_same_counts_as_naive(self, raw_sequences):
-        fast = SubsequenceCounter()
-        naive = NaiveSubsequenceCounter()
-        for raw in raw_sequences:
-            tokens = tuple(("as", v) for v in raw)
-            fast.add_sequence(tokens)
-            naive.add_sequence(tokens)
-        assert fast.counts() == naive.counts()
-        assert fast.top() == naive.top()
-
-    @given(
-        st.lists(
-            st.lists(st.integers(1, 4), min_size=2, max_size=7),
-            min_size=1,
-            max_size=15,
-        ),
-        st.integers(2, 4),
-    )
-    def test_same_counts_with_length_bound(self, raw_sequences, bound):
-        fast = SubsequenceCounter(max_length=bound)
-        naive = NaiveSubsequenceCounter(max_length=bound)
-        for raw in raw_sequences:
-            tokens = tuple(("as", v) for v in raw)
-            fast.add_sequence(tokens)
-            naive.add_sequence(tokens)
-        assert fast.counts() == naive.counts()
-
-
-def unfiltered_top(counter: SubsequenceCounter):
-    """:meth:`SubsequenceCounter.rank_top` without its holder filter:
-    every window made solely of winning pairs, in every sequence,
-    counted once per event and ranked (count, length, rendering)."""
-    best = max(counter.pair_counts.values())
-    winning = {
-        pair for pair, count in counter.pair_counts.items() if count == best
-    }
-    bound = counter.max_length
+    table = count_pairs(held.items(), Counter())
+    best = max(table.values())
+    winning = {pair for pair, count in table.items() if count == best}
+    walked = index.rank_top(winning, best, lambda: held, held.__getitem__)
     candidates: Counter = Counter()
-    for ids, multiplicity in counter._sequence_counts.items():
+    for ids, multiplicity in held.items():
         windows = {
             window
             for window in _subsequences(ids, bound)
@@ -152,19 +177,24 @@ def unfiltered_top(counter: SubsequenceCounter):
             candidates[window] += multiplicity
     finalists = [w for w, count in candidates.items() if count == best]
     longest = max(map(len, finalists))
-    winner = min(
+    unfiltered = min(
         (w for w in finalists if len(w) == longest),
-        key=counter._tiebreak_ids,
+        key=index._tiebreak_ids,
     )
-    token = counter.symbols.token
-    return tuple(map(token, winner)), best
+    token = index.symbols.token
+    return (
+        (tuple(map(token, walked)), best),
+        (tuple(map(token, unfiltered)), best),
+    )
 
 
 class TestTieFilter:
     """The tie walk skips holders that cannot extend a tie past a pair:
     those holding no id that ends one winning pair and starts another.
     A self-pair (a, a) does both, which a filter on distinct tied pairs
-    forgets."""
+    forgets. Event sequences never hold a self-pair (an AS path is
+    collapsed, and the other tokens differ in kind), so the walk is
+    driven here on raw id sequences too."""
 
     @given(
         st.lists(
@@ -179,37 +209,36 @@ class TestTieFilter:
     def test_equals_the_unfiltered_walk_and_the_naive_top(
         self, raw_sequences, bound
     ):
-        fast = SubsequenceCounter(max_length=bound)
         naive = NaiveSubsequenceCounter(max_length=bound)
         for raw in raw_sequences:
-            tokens = tuple(("as", v) for v in raw)
-            fast.add_sequence(tokens)
-            naive.add_sequence(tokens)
-        assert fast.top() == unfiltered_top(fast) == naive.top()
+            naive.add_sequence(tuple(("as", v) for v in raw))
+        walked, unfiltered = walks(raw_sequences, bound)
+        assert walked == unfiltered == naive.top()
 
 
 class TestMultiplicity:
     def test_grouped_add_equals_repeated_adds(self):
-        grouped = SubsequenceCounter()
-        grouped.add_sequence((A, B, C), multiplicity=5)
-        looped = SubsequenceCounter()
-        for _ in range(5):
-            looped.add_sequence((A, B, C))
-        assert grouped.counts() == looped.counts()
-        assert grouped.top() == looped.top()
-        assert grouped.event_count == 5
+        events = [withdrawal("1.1.1.1", "2.2.2.2", "1 2 3", 1)] * 5
+        grouped = Stemmer().load(events)
+        looped = Stemmer().load([])
+        for one in events:
+            looped.add([one])
+        assert grouped.pair_counts == looped.pair_counts
+        assert grouped.by_ids == looped.by_ids
+        assert grouped.event_count == looped.event_count == 5
 
     def test_invalid_multiplicity(self):
-        counter = SubsequenceCounter()
+        naive = NaiveSubsequenceCounter()
         with pytest.raises(ValueError):
-            counter.add_sequence((A, B), multiplicity=0)
+            naive.add_sequence((A, B), multiplicity=0)
 
     def test_multiplicity_after_expansion(self):
-        counter = SubsequenceCounter()
-        counter.add_sequence((A, B), multiplicity=2)
-        assert counter.counts()[(A, B)] == 2  # materialize the expansion
-        counter.add_sequence((A, B), multiplicity=3)
-        assert counter.counts()[(A, B)] == 5
-        counter.subtract_sequence((A, B), 4)
-        assert counter.counts()[(A, B)] == 1
-        assert counter.top() == ((A, B), 1)
+        one = withdrawal("1.1.1.1", "2.2.2.2", "1 2", 1)
+        index = Stemmer().load([one] * 2)
+        assert decoded_pairs(index)[(A, B)] == 2
+        index.add([one] * 3)
+        assert decoded_pairs(index)[(A, B)] == 5
+        index.remove(4)
+        assert decoded_pairs(index)[(A, B)] == 1
+        top = Stemmer(min_strength=1).extract(index).strongest
+        assert (top.subsequence, top.strength) == (one.sequence, 1)

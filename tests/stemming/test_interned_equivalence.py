@@ -1,13 +1,15 @@
-"""Property suite pinning the interned counter to the naive reference.
+"""Property suite pinning the interned index to the naive reference.
 
-The columnar :class:`~repro.stemming.counter.SubsequenceCounter` (packed
-pair keys, bulk pair streaming — DESIGN.md §10) must
-be observationally identical to :class:`NaiveSubsequenceCounter`, which
-recounts every contiguous subsequence from scratch. Hypothesis drives
-both through the same scripts — bulk adds with multiplicities above and
-below the streaming repeat limit, an optional mid-script read of the
-oracles, and partial ``subtract_sequences`` — and asserts the
-decoded ``counts()`` and ``top()`` ranking never diverge.
+:class:`~repro.stemming.stemmer.StemIndex` keeps packed pair keys and
+streams them in bulk (DESIGN.md §10); what it holds must be
+observationally identical to :class:`NaiveSubsequenceCounter`, which
+recounts every contiguous subsequence of every event from scratch.
+Hypothesis drives the index through scripts of event groups — group
+sizes above and below the streaming repeat limit, added in one load or
+in batches, with evictions of the oldest events in between — and
+asserts that its decoded pair table, its sequence table, its event
+total and the strongest component never diverge from the reference over
+the events it holds.
 """
 
 from collections import Counter
@@ -18,275 +20,221 @@ from hypothesis import strategies as st
 
 from repro.stemming.counter import (
     _STREAM_REPEAT_LIMIT,
-    PAIR_SHIFT,
     NaiveSubsequenceCounter,
-    SubsequenceCounter,
+    count_pairs,
+)
+from repro.stemming.stemmer import Stemmer
+from tests.stemming.test_counter import decoded_pairs, naive_pairs
+from tests.stemming.test_stemmer import mk_event
+
+#: One event group: (peer, nexthop, AS path, prefix) and its size.
+groups = st.lists(
+    st.tuples(
+        st.integers(1, 2),
+        st.integers(1, 2),
+        st.lists(st.integers(1, 5), min_size=1, max_size=4),
+        st.integers(0, 3),
+        st.integers(1, 2 * _STREAM_REPEAT_LIMIT),
+    ),
+    min_size=1,
+    max_size=12,
 )
 
 
-def toks(raw):
-    return tuple(("as", v) for v in raw)
-
-
-raw_sequences = st.lists(
-    st.integers(1, 5), min_size=2, max_size=6
-).map(tuple)
-
-
-@st.composite
-def counter_scripts(draw):
-    """(adds, subtractions, materialize_before_subtract).
-
-    Multiplicities straddle ``_STREAM_REPEAT_LIMIT`` so both the
-    repeat-extend and the per-pair arithmetic branches of the bulk pair
-    streaming run; subtractions never exceed what was added (the
-    counter's documented precondition).
-    """
-    adds = draw(
-        st.lists(
-            st.tuples(
-                raw_sequences,
-                st.integers(1, 2 * _STREAM_REPEAT_LIMIT),
-            ),
-            min_size=1,
-            max_size=12,
+def events_of(script, start=0.0):
+    """Each group's events, one after the other: a group is one route
+    withdrawn size times, so it is one sequence counted size times."""
+    events = []
+    for peer, nexthop, path, prefix, size in script:
+        route = (
+            f"1.1.1.{peer}",
+            f"2.2.2.{nexthop}",
+            " ".join(map(str, path)),
+            f"10.0.{prefix}.0/24",
         )
-    )
-    totals: dict = {}
-    for raw, mult in adds:
-        totals[raw] = totals.get(raw, 0) + mult
-    subtractions = []
-    for raw, total in sorted(totals.items()):
-        k = draw(st.integers(0, total))
-        if k:
-            subtractions.append((raw, k))
-    materialize = draw(st.booleans())
-    return adds, subtractions, materialize
+        for _ in range(size):
+            events.append(mk_event(start + len(events), *route))
+    return events
 
 
-class TestCountsAndRanking:
-    @given(counter_scripts())
-    @settings(max_examples=60)
-    def test_counts_match_naive(self, script):
-        adds, _, _ = script
-        fast = SubsequenceCounter()
-        naive = NaiveSubsequenceCounter()
-        for raw, mult in adds:
-            fast.add_sequence(toks(raw), mult)
-            naive.add_sequence(toks(raw), mult)
-        assert fast.counts() == naive.counts()
-        assert fast.event_count == naive.event_count
-
-    @given(counter_scripts())
-    @settings(max_examples=60)
-    def test_top_ranking_matches_naive(self, script):
-        adds, _, _ = script
-        fast = SubsequenceCounter()
-        naive = NaiveSubsequenceCounter()
-        for raw, mult in adds:
-            fast.add_sequence(toks(raw), mult)
-            naive.add_sequence(toks(raw), mult)
-        assert fast.top() == naive.top()
-
-    @given(counter_scripts())
-    @settings(max_examples=60)
-    def test_bulk_id_adds_match_naive(self, script):
-        """``add_id_counts`` (the stemmer's bulk entry) = token adds."""
-        adds, _, _ = script
-        fast = SubsequenceCounter()
-        naive = NaiveSubsequenceCounter()
-        fast.add_id_counts(
-            (fast.intern_sequence(toks(raw)), mult) for raw, mult in adds
-        )
-        for raw, mult in adds:
-            naive.add_sequence(toks(raw), mult)
-        assert fast.counts() == naive.counts()
-        assert fast.top() == naive.top()
-
-
-def naive_residual(adds, subtractions):
-    """A naive counter over the post-subtraction multiset.
-
-    The naive reference has no per-sequence bookkeeping to subtract, so
-    the model for ``subtract_sequences`` is *recounting with the
-    subtracted copies never added* — exactly the semantics the
-    incremental subtract must preserve.
-    """
-    remaining: dict = {}
-    for raw, mult in adds:
-        remaining[raw] = remaining.get(raw, 0) + mult
-    for raw, k in subtractions:
-        remaining[raw] -= k
+def naive_of(events):
     naive = NaiveSubsequenceCounter()
-    for raw, mult in remaining.items():
-        if mult:
-            naive.add_sequence(toks(raw), mult)
+    naive.add_all(events)
     return naive
 
 
-class TestSubtraction:
-    @given(counter_scripts())
-    @settings(max_examples=60)
-    def test_subtract_matches_naive(self, script):
-        adds, subtractions, materialize = script
-        fast = SubsequenceCounter()
-        for raw, mult in adds:
-            fast.add_sequence(toks(raw), mult)
-        if materialize:
-            # counts() is computed per call: reading it first must
-            # leave nothing for the subtraction to fall out of step with.
-            fast.counts()
-        fast.subtract_sequences(
-            [(toks(raw), k) for raw, k in subtractions]
-        )
-        naive = naive_residual(adds, subtractions)
-        assert fast.counts() == naive.counts()
-        assert fast.top() == naive.top()
-        assert fast.event_count == naive.event_count
+def assert_matches_naive(index, events):
+    """The index holds exactly *events*, as the reference counts them."""
+    naive = naive_of(events)
+    assert decoded_pairs(index) == naive_pairs(events)
+    assert index.event_count == naive.event_count == len(events)
+    top = Stemmer(min_strength=1, max_components=1).extract(index).strongest
+    assert (None if top is None else (top.subsequence, top.strength)) == (
+        naive.top()
+    )
 
-    @given(counter_scripts())
-    @settings(max_examples=40)
-    def test_id_level_subtract_matches_naive(self, script):
-        """``subtract_id_sequences`` (the stemmer's path) = token path."""
-        adds, subtractions, materialize = script
-        fast = SubsequenceCounter()
-        for raw, mult in adds:
-            fast.add_sequence(toks(raw), mult)
-        if materialize:
-            fast.top()  # likewise the pair-table oracle
-        fast.subtract_id_sequences(
-            [(fast.intern_sequence(toks(raw)), k) for raw, k in subtractions]
+
+class TestCountsAndRanking:
+    @given(groups)
+    @settings(max_examples=60, deadline=None)
+    def test_counts_match_naive(self, script):
+        events = events_of(script)
+        index = Stemmer().load(events)
+        assert decoded_pairs(index) == naive_pairs(events)
+        assert index.event_count == naive_of(events).event_count
+
+    @given(groups)
+    @settings(max_examples=60, deadline=None)
+    def test_top_ranking_matches_naive(self, script):
+        events = events_of(script)
+        top = Stemmer(min_strength=1).strongest_component(events)
+        assert (top.subsequence, top.strength) == naive_of(events).top()
+
+    @given(groups, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bulk_id_adds_match_naive(self, script, data):
+        """``StemIndex.add`` in batches (the window stage's entry) = one
+        load of everything."""
+        events = events_of(script)
+        cuts = sorted(
+            data.draw(
+                st.lists(st.integers(0, len(events)), max_size=3)
+            )
         )
-        naive = naive_residual(adds, subtractions)
-        assert fast.counts() == naive.counts()
-        assert fast.top() == naive.top()
+        index = Stemmer().load(events[: cuts[0]] if cuts else events)
+        for start, stop in zip(cuts, cuts[1:] + [len(events)]):
+            index.add(events[start:stop])
+        assert_matches_naive(index, events)
+
+
+class TestSubtraction:
+    @given(groups, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_subtract_matches_naive(self, script, data):
+        """One eviction of the oldest events = a load of the rest."""
+        events = events_of(script)
+        index = Stemmer().load(events)
+        if data.draw(st.booleans()):
+            # An extraction reads the tables: it must leave nothing for
+            # the removal to fall out of step with.
+            Stemmer(min_strength=1).extract(index)
+        evicted = data.draw(st.integers(0, len(events)))
+        index.remove(evicted)
+        assert_matches_naive(index, events[evicted:])
+
+    @given(groups, groups, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_id_level_subtract_matches_naive(self, early, late, data):
+        """Evictions interleaved with admissions, as a window slides —
+        the delta subtract and the majority recount alike."""
+        events = events_of(early)
+        events += events_of(late, start=len(events))
+        held = data.draw(st.integers(1, len(events)))
+        index = Stemmer().load(events[:held])
+        gone = 0
+        while held < len(events):
+            evict = data.draw(st.integers(0, held - gone))
+            index.remove(evict)
+            gone += evict
+            step = data.draw(st.integers(1, len(events) - held))
+            index.add(events[held : held + step])
+            held += step
+            assert_matches_naive(index, events[gone:held])
 
 
 class TestDecodeBoundary:
-    @given(st.lists(raw_sequences, min_size=1, max_size=10))
-    @settings(max_examples=40)
-    def test_top_ids_decode_to_top(self, raws):
-        counter = SubsequenceCounter()
-        for raw in raws:
-            counter.add_sequence(toks(raw))
-        top = counter.top()
-        top_ids = counter.top_ids()
-        assert (top is None) == (top_ids is None)
-        if top is not None:
-            ids, count = top_ids
-            token = counter.symbols.token
-            assert (tuple(token(tid) for tid in ids), count) == top
-
-    @given(st.lists(raw_sequences, min_size=1, max_size=10))
-    @settings(max_examples=40)
-    def test_id_counts_decode_to_counts(self, raws):
-        counter = SubsequenceCounter()
-        for raw in raws:
-            counter.add_sequence(toks(raw))
-        token = counter.symbols.token
-        decoded = {
-            tuple(token(tid) for tid in ids): count
-            for ids, count in counter.id_counts().items()
+    @given(groups)
+    @settings(max_examples=40, deadline=None)
+    def test_top_ids_decode_to_top(self, script):
+        """The tie walk's id winner decodes to the first component."""
+        events = events_of(script)
+        index = Stemmer().load(events)
+        best = max(index.pair_counts.values())
+        winning = {
+            pair for pair, count in index.pair_counts.items() if count == best
         }
-        assert decoded == counter.counts()
+        by_ids = index.by_ids
+        ids = index.rank_top(
+            winning, best, lambda: by_ids, lambda ids: len(by_ids[ids])
+        )
+        top = Stemmer(min_strength=1).strongest_component(events)
+        token = index.symbols.token
+        assert (tuple(map(token, ids)), best) == (
+            top.subsequence,
+            top.strength,
+        )
+
+    @given(groups)
+    @settings(max_examples=40, deadline=None)
+    def test_id_counts_decode_to_counts(self, script):
+        """The sequence table decodes to the events' own sequences, each
+        bucket holding exactly that sequence's events."""
+        events = events_of(script)
+        index = Stemmer().load(events)
+        token = index.symbols.token
+        for ids, bucket in index.by_ids.items():
+            decoded = tuple(map(token, ids))
+            assert all(event.sequence == decoded for event in bucket)
+        assert {
+            tuple(map(token, ids)): len(bucket)
+            for ids, bucket in index.by_ids.items()
+        } == Counter(event.sequence for event in events)
 
 
-#: One step of an event-count script: a single add, a bulk add, or a
-#: subtraction that may ask for more than was counted.
+#: One step of an event-count script: an admission of some groups, or
+#: an eviction that may ask for more than is held.
 count_steps = st.lists(
     st.one_of(
-        st.tuples(st.just("add"), raw_sequences, st.integers(1, 12)),
-        st.tuples(
-            st.just("bulk"),
-            st.lists(
-                st.tuples(raw_sequences, st.integers(1, 12)), max_size=5
-            ),
-        ),
-        st.tuples(st.just("subtract"), raw_sequences, st.integers(1, 20)),
-    ),
-    max_size=25,
-)
-
-
-class TestEventCount:
-    @given(count_steps, st.booleans())
-    @settings(max_examples=80)
-    def test_running_total_equals_the_sum_of_sequence_counts(
-        self, steps, materialize
-    ):
-        """``event_count`` is kept, not summed per call: after every
-        step it is what summing the table would give, and a refused
-        over-subtraction moves neither."""
-        counter = SubsequenceCounter()
-        if materialize:
-            counter.counts()
-        for step in steps:
-            if step[0] == "add":
-                counter.add_ids(
-                    counter.intern_sequence(toks(step[1])), step[2]
-                )
-            elif step[0] == "bulk":
-                counter.add_id_counts(
-                    [
-                        (counter.intern_sequence(toks(raw)), mult)
-                        for raw, mult in step[1]
-                    ]
-                )
-            else:
-                ids = counter.intern_sequence(toks(step[1]))
-                before = counter.event_count
-                if step[2] > counter._sequence_counts.get(ids, 0):
-                    with pytest.raises(ValueError):
-                        counter.subtract_id_sequences([(ids, step[2])])
-                    assert counter.event_count == before
-                else:
-                    counter.subtract_id_sequences([(ids, step[2])])
-                    assert counter.event_count == before - step[2]
-            assert counter.event_count == sum(
-                counter._sequence_counts.values()
-            )
-
-
-#: Interleaved bulk steps: True adds its items, False subtracts them
-#: (clamped to what is held, so whole sequences leave too).
-bulk_steps = st.lists(
-    st.tuples(
-        st.booleans(),
-        st.lists(
-            st.tuples(
-                raw_sequences, st.integers(1, 2 * _STREAM_REPEAT_LIMIT)
-            ),
-            min_size=1,
-            max_size=6,
-        ),
+        st.tuples(st.just("add"), groups),
+        st.tuples(st.just("remove"), st.integers(0, 40)),
     ),
     max_size=12,
 )
 
 
-class TestPairTable:
-    @given(bulk_steps)
-    @settings(max_examples=80)
-    def test_pair_counts_are_the_length_two_slice_of_id_counts(self, steps):
-        """The pair table is maintained and ``id_counts()`` is computed
-        from the sequence table: after every ``add_id_counts`` /
-        ``subtract_id_sequences`` — delta or majority recount — the one
-        is the other's pairs."""
-        counter = SubsequenceCounter()
-        held: Counter = Counter()
-        for adding, items in steps:
-            batch: Counter = Counter()
-            for raw, mult in items:
-                batch[counter.intern_sequence(toks(raw))] += mult
-            if adding:
-                counter.add_id_counts(batch.items())
-                held += batch
+class TestEventCount:
+    @given(count_steps)
+    @settings(max_examples=80, deadline=None)
+    def test_running_total_equals_the_sum_of_sequence_counts(self, steps):
+        """``event_count`` is the log's length: after every step it is
+        the sum of the sequence table, and a refused over-removal moves
+        nothing."""
+        index = Stemmer().load([])
+        clock = 0.0
+        for kind, arg in steps:
+            if kind == "add":
+                batch = events_of(arg, start=clock)
+                clock += len(batch)
+                index.add(batch)
+            elif arg > index.event_count:
+                before = (index.event_count, index.pair_counts.copy())
+                with pytest.raises(ValueError, match="cannot remove"):
+                    index.remove(arg)
+                assert (index.event_count, index.pair_counts) == before
             else:
-                batch &= held
-                counter.subtract_id_sequences(batch.items())
-                held -= batch
-            assert counter.pair_counts == {
-                (ids[0] << PAIR_SHIFT) | ids[1]: count
-                for ids, count in counter.id_counts().items()
-                if len(ids) == 2
-            }
+                before = index.event_count
+                index.remove(arg)
+                assert index.event_count == before - arg
+            assert index.event_count == sum(map(len, index.by_ids.values()))
+
+
+class TestPairTable:
+    @given(count_steps)
+    @settings(max_examples=80, deadline=None)
+    def test_pair_counts_are_the_length_two_slice_of_id_counts(self, steps):
+        """The pair table is maintained and the sequence table is filed:
+        after every add / remove — delta or majority recount — the one
+        is the other's pairs."""
+        index = Stemmer().load([])
+        clock = 0.0
+        for kind, arg in steps:
+            if kind == "add":
+                batch = events_of(arg, start=clock)
+                clock += len(batch)
+                index.add(batch)
+            else:
+                index.remove(min(arg, index.event_count))
+            assert index.pair_counts == count_pairs(
+                ((ids, len(bucket)) for ids, bucket in index.by_ids.items()),
+                Counter(),
+            )

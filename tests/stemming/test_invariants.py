@@ -9,7 +9,11 @@ from repro.collector.events import BGPEvent, EventKind
 from repro.net.aspath import ASPath
 from repro.net.attributes import PathAttributes
 from repro.net.prefix import Prefix
-from repro.stemming.counter import SubsequenceCounter
+from repro.stemming.counter import (
+    PAIR_MASK,
+    PAIR_SHIFT,
+    NaiveSubsequenceCounter,
+)
 from repro.stemming.stemmer import Stemmer, _contains
 
 
@@ -110,25 +114,37 @@ class TestCounterInvariants:
     @given(random_streams())
     @settings(max_examples=40, deadline=None)
     def test_monotonicity_under_extension(self, events):
-        """count(s) ≥ count(s + t) for every counted extension."""
-        counter = SubsequenceCounter()
-        counter.add_all(events)
-        counts = counter.counts()
+        """count(s) ≥ count(s + t) for every counted extension, so the
+        index's pair table bounds every longer subsequence: what lets it
+        keep pairs alone."""
+        naive = NaiveSubsequenceCounter()
+        naive.add_all(events)
+        counts = naive.counts()
+        index = Stemmer().load(events)
+        token = index.symbols.token
+        pairs = {
+            (token(pair >> PAIR_SHIFT), token(pair & PAIR_MASK)): count
+            for pair, count in index.pair_counts.items()
+        }
         for subsequence, count in counts.items():
             if len(subsequence) > 2:
                 assert counts[subsequence[:-1]] >= count
                 assert counts[subsequence[1:]] >= count
+            assert all(
+                pairs[pair] >= count
+                for pair in zip(subsequence, subsequence[1:])
+            )
 
     @given(random_streams())
     @settings(max_examples=40, deadline=None)
     def test_top_is_maximal(self, events):
-        counter = SubsequenceCounter()
-        counter.add_all(events)
-        top = counter.top()
+        top = Stemmer(min_strength=1).strongest_component(events)
         if top is None:
+            assert not events
             return
-        _, best_count = top
-        assert best_count == max(counter.counts().values())
+        naive = NaiveSubsequenceCounter()
+        naive.add_all(events)
+        assert top.strength == max(naive.counts().values())
 
 
 def ranking(result, with_stems=True):

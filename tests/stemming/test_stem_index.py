@@ -193,10 +193,10 @@ class TestTieResolution:
         events = TIE_STREAMS["many-pairs-at-the-top"]
         index = slid(Stemmer(), events)
         by_ids = {ids: list(bucket) for ids, bucket in index.by_ids.items()}
-        pair_counts = index.counter.pair_counts.copy()
+        pair_counts = index.pair_counts.copy()
         first = Stemmer().extract(index)
         assert index.by_ids == by_ids
-        assert index.counter.pair_counts == pair_counts
+        assert index.pair_counts == pair_counts
         assert_postings_current(index)
         assert as_reference(Stemmer().extract(index)) == as_reference(first)
 
@@ -207,7 +207,7 @@ class TestTieResolution:
         # table alone: extraction would drive a pair below zero.
         ids = next(iter(index.by_ids))
         for pair in index.pairs_of(ids):
-            index.counter.pair_counts[pair] = 1
+            index.pair_counts[pair] = 1
         with pytest.raises(ValueError, match="cannot subtract"):
             Stemmer(min_strength=1).extract(index)
 
@@ -219,7 +219,7 @@ class TestTieResolution:
         # pairs they share.
         ids = next(iter(index.by_ids))
         for pair in index.pairs_of(ids):
-            index.counter.pair_counts[pair] = 2
+            index.pair_counts[pair] = 2
         with pytest.raises(ValueError, match="cannot subtract 3 of a pair"):
             Stemmer(min_strength=2).extract(index)
 
@@ -375,7 +375,7 @@ class SlidingIndex(RuleBasedStateMachine):
         # Ids are assigned in arrival order, which a slid index and a
         # fresh load do not share: compare on decoded tokens.
         fresh = self.stemmer.load(self.held)
-        assert self.index.counter.event_count == len(self.held)
+        assert self.index.event_count == len(self.held)
         assert _decoded(self.index) == _decoded(fresh)
 
     @invariant()
@@ -399,7 +399,7 @@ def _decoded(index):
         },
         {
             (token(pair >> PAIR_SHIFT), token(pair & PAIR_MASK)): count
-            for pair, count in index.counter.pair_counts.items()
+            for pair, count in index.pair_counts.items()
         },
     )
 
