@@ -9,14 +9,11 @@ import time
 import pytest
 
 from benchmarks.conftest import record_row, scaled, stream_for
-from repro.stemming.counter import (
-    PAIR_MASK,
-    PAIR_SHIFT,
-    NaiveSubsequenceCounter,
-)
+from repro.stemming.counter import PAIR_MASK, PAIR_SHIFT
 from repro.stemming.stemmer import Stemmer
 from repro.tamp.animate import animate_stream
 from repro.tamp.prune import prune_flat, prune_hierarchical
+from tests.stemming.reference import NaiveSubsequenceCounter
 
 
 @pytest.fixture(scope="module")
@@ -27,23 +24,31 @@ def spike_stream(berkeley_rex):
 def test_stemming_counter_strategies(benchmark, spike_stream):
     """Ablation 1: the deduplicating index vs naive O(N·L²) counting.
 
-    BGP streams repeat sequences massively; ``Stemmer.load`` — which
-    files each event under its unique sequence and counts only adjacent
-    pairs — should win by roughly the stream's duplication factor while
-    holding the naive pair counts and ranking the same top.
+    ``Stemmer.load`` files each event under its unique sequence and
+    counts only adjacent pairs, so it wins even on a stream with little
+    duplication: the naive counter expands every event into its O(L²)
+    subsequences. It must be no slower while holding the naive pair
+    counts and ranking the same top. Both sides are timed as the best
+    of three runs, so a small-scale run is not one noisy sample.
     """
     events = list(spike_stream)
 
     def run_fast():
         return Stemmer().load(events)
 
-    index = benchmark.pedantic(run_fast, rounds=1, iterations=1)
-    fast_time = benchmark.stats.stats.mean
+    def run_naive():
+        naive = NaiveSubsequenceCounter()
+        naive.add_all(events)
+        return naive
 
-    t0 = time.perf_counter()
-    naive = NaiveSubsequenceCounter()
-    naive.add_all(events)
-    naive_time = time.perf_counter() - t0
+    index = benchmark.pedantic(run_fast, rounds=3, iterations=1)
+    fast_time = benchmark.stats.stats.min
+
+    naive_time = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        naive = run_naive()
+        naive_time = min(naive_time, time.perf_counter() - t0)
 
     token = index.symbols.token
     assert {
@@ -65,9 +70,7 @@ def test_stemming_counter_strategies(benchmark, spike_stream):
             "naive_seconds": naive_time,
         },
     )
-    # With realistic duplication the dedup index must not lose.
-    if duplication > 5:
-        assert fast_time <= naive_time
+    assert fast_time <= naive_time
 
 
 def test_stemming_subsequence_length_bound(benchmark, spike_stream):
@@ -235,13 +238,13 @@ def test_object_sets_vs_interned(benchmark, berkeley_rex):
 
     The DESIGN.md §10 rewrite interns tokens/prefixes to dense ints and
     keys edge stores by packed ids; the preserved pre-rewrite builder
-    (`repro.tamp.reference`) works on raw token tuples and
+    (`tests/tamp/reference.py`) works on raw token tuples and
     ``set[Prefix]`` stores. Same input, decoded-identical graphs — the
     row quantifies what the representation alone buys.
     """
     from repro.net.prefix import format_address
     from repro.tamp.picture import build_picture
-    from repro.tamp.reference import reference_picture
+    from tests.tamp.reference import reference_picture
 
     groups = [
         (format_address(peer), list(berkeley_rex.rib(peer).routes()))

@@ -16,15 +16,17 @@ packed edge ids, and tokens reappear only at the decode boundary (a
 component's subsequence and prefixes, frame ``LazyEdgeMap`` access, SVG
 emission). The equivalent regression there is *decoding inside the hot
 loop* — a ``symbols.token(...)``/``decode_pair(...)`` call, or a
-``route_path_tokens`` re-render that the apply memo exists to avoid —
-which is what INT002 gates.
+``route_path_tokens`` re-render (the token-level chain the object
+oracle under ``tests/tamp/reference.py`` walks) that the apply memo
+exists to avoid — which is what INT002 gates.
 
 Both rules are deliberately narrow: they watch only the named hot
 functions inside their packages, so decode-boundary queries (which
 legitimately speak tokens and ``set[Prefix]``) and every other package
-stay out of scope. :mod:`repro.tamp.reference` — the preserved
-pre-rewrite builder the equivalence suite checks against — violates
-INT001 by design and carries per-line justifications.
+stay out of scope. The preserved pre-rewrite builder the equivalence
+suite checks against violates INT001 by design; it lives under
+``tests/``, outside the packages these rules watch, so ``src`` carries
+no INT001 suppression.
 """
 
 from __future__ import annotations
@@ -38,18 +40,10 @@ from repro.devtools.registry import Checker, ModuleContext, register
 #: Only modules in these packages are checked.
 _PACKAGES = ("repro.tamp",)
 
-#: The build/merge hot path, by function name. Everything else in the
-#: package (queries, rendering, layout) is decode-boundary code.
-HOT_FUNCTIONS = frozenset(
-    {
-        "from_routes",
-        "add_route_group",
-        "merge_tree",
-        "merge_view",
-        "merge_id_view",
-        "_bulk_add",
-    }
-)
+#: The build/merge hot path, by function name: the one batch merge
+#: every picture build runs. Everything else in the package (queries,
+#: rendering, layout) is decode-boundary code.
+HOT_FUNCTIONS = frozenset({"merge_id_view"})
 
 #: INT002 scope: the interned stemming/animation hot paths.
 _ID_PACKAGES = ("repro.stemming", "repro.tamp")

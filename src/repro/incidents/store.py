@@ -171,6 +171,10 @@ class IncidentStore:
         A store a monitor still syncs gets the rows back at its next
         checkpoint: the manager keeps every incident it holds.
         """
+        if keep_resolved < 0:
+            raise ValueError(
+                f"--keep-resolved must be at least 0, got {keep_resolved}"
+            )
         self._written = None
         resolved = self._conn.execute(
             "SELECT id FROM incidents WHERE status = 'resolved'"

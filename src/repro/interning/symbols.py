@@ -10,8 +10,8 @@ A :class:`SymbolTable` owns two id spaces:
 Prefixes get their own space because they are what edge *weights* count:
 a ``dict[prefix_id, refcount]`` per edge, and int-set unions over those
 keys, replace the per-edge ``set[Prefix]`` object churn. A prefix
-that also appears as a leaf *node* additionally has a token id for its
-``("pfx", prefix)`` token, memoized by :meth:`pfx_token_id`.
+leaf *node* needs no token id either: a TAMP graph keeps its leaves in
+a fringe keyed by the tail's token id and the prefix id.
 
 Prefix ids being pure functions of the prefix is what makes the serve
 fan-in cheap: every monitor shard computes *identical* prefix ids with
@@ -94,7 +94,7 @@ class SymbolTable:
     :class:`Prefix` objects at the decode boundary.
     """
 
-    __slots__ = ("_token_ids", "_tokens", "_prefix_memo", "_pfx_tids")
+    __slots__ = ("_token_ids", "_tokens", "_prefix_memo")
 
     def __init__(self) -> None:
         self._token_ids: dict[Token, int] = {}
@@ -102,10 +102,6 @@ class SymbolTable:
         #: prefix id -> decoded Prefix, filled lazily at the decode
         #: boundary.
         self._prefix_memo: dict[int, Prefix] = {}
-        #: prefix id -> token id of its ("pfx", prefix) leaf token,
-        #: interned lazily (most prefixes never become nodes when
-        #: include_prefix_leaves is off).
-        self._pfx_tids: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Encoding
@@ -127,35 +123,9 @@ class SymbolTable:
             prefix.network >> (32 - prefix.length)
         )
 
-    def pfx_token_id(self, pid: int) -> int:
-        """Token id of the ``("pfx", prefix)`` leaf node for prefix *pid*."""
-        tid = self._pfx_tids.get(pid)
-        if tid is None:
-            tid = self.intern_token(("pfx", self.prefix(pid)))
-            self._pfx_tids[pid] = tid
-        return tid
-
-    @property
-    def pfx_token_id_map(self) -> dict[int, int]:
-        """The live prefix-id → leaf-token-id memo behind
-        :meth:`pfx_token_id`.
-
-        Exposed for hot loops that want the common (already-memoized)
-        case as a bound ``dict.get`` instead of a method call per
-        prefix, falling back to :meth:`pfx_token_id` on a miss. Callers
-        must treat the mapping as read-only.
-        """
-        return self._pfx_tids
-
     def token_id(self, token: Token) -> Optional[int]:
         """The id for *token* if already interned, else None."""
         return self._token_ids.get(token)
-
-    def prefix_id(self, prefix: Prefix) -> int:
-        """Alias of :meth:`intern_prefix`: value-derived, never None."""
-        return (prefix.length << PREFIX_SHIFT) | (
-            prefix.network >> (32 - prefix.length)
-        )
 
     # ------------------------------------------------------------------
     # Decoding (the boundary)

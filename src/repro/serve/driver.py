@@ -27,7 +27,7 @@ from repro.serve.app import ServeApp
 from repro.serve.events import TransitionFeed
 from repro.serve.sharding import ShardSet
 from repro.serve.snapshot import SnapshotHub
-from repro.tamp.prune import DEFAULT_THRESHOLD
+from repro.tamp.prune import DEFAULT_THRESHOLD, check_threshold
 
 
 @dataclass
@@ -57,6 +57,9 @@ async def run_serve(
     on_started: Optional[Callable[[ServeApp], None]] = None,
 ) -> ServeResult:
     """Serve *source* through *shards* pipelines until it ends."""
+    # Checked before a shard opens: a bad threshold would otherwise
+    # fail every picture request, and only surface at end of stream.
+    check_threshold(threshold)
     shard_set = ShardSet(
         source,
         config,

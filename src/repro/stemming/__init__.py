@@ -14,13 +14,11 @@ session resets and week-scale single-prefix oscillations — the latter
 invisible to every rate-threshold detector.
 """
 
-from repro.stemming.counter import NaiveSubsequenceCounter
 from repro.stemming.stemmer import Component, Stemmer, StemmingResult
 from repro.stemming.weighted import TrafficWeightedStemmer
 from repro.stemming.encode import format_stem, format_token
 
 __all__ = [
-    "NaiveSubsequenceCounter",
     "Stemmer",
     "Component",
     "StemmingResult",

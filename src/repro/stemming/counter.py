@@ -1,5 +1,4 @@
-"""Contiguous-subsequence counting: the pair-table primitives and the
-naive reference.
+"""Contiguous-subsequence counting: the pair-table primitives.
 
 The statistical heart of Stemming: for every contiguous subsequence *s*
 (length ≥ 2 — a problem location is a pair, so shorter carries no signal)
@@ -21,10 +20,12 @@ without expanding the sequences into their subsequences.
 
 This module holds what that needs and does not own: the packed pair
 key (``(a << 32) | b`` over :class:`~repro.interning.SymbolTable` ids,
-DESIGN.md §10), :func:`distinct_pairs` and the bulk :func:`count_pairs`.
-It also holds :class:`NaiveSubsequenceCounter`, the textbook O(N·L²)
-version over tokens: the definition the index is tested against and the
-baseline of the ablation benchmark (``benchmarks/test_ablations.py``).
+DESIGN.md §10), :func:`distinct_pairs` and the bulk :func:`count_pairs`,
+plus the two token-level helpers the weighted stemmer and the index's
+tie walk share: :func:`_subsequences` and :func:`_tiebreak`. The
+textbook O(N·L²) counter over tokens — the definition the index is
+tested against and the baseline of the ablation benchmark — lives
+under ``tests/stemming/reference.py``: no command reaches it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Collection, Iterable, Optional
 
-from repro.collector.events import BGPEvent, Token
+from repro.collector.events import Token
 
 Sequence_ = tuple[Token, ...]
 #: An interned sequence: dense token ids in sequence order.
@@ -86,77 +87,6 @@ def count_pairs(
                 into[pair] += multiplicity
     into.update(stream)
     return into
-
-
-class NaiveSubsequenceCounter:
-    """The O(N·L²) reference: no sequence deduplication, no interning,
-    no pair table — every contiguous subsequence of every event, counted
-    from scratch.
-
-    The definition :class:`~repro.stemming.stemmer.StemIndex`'s pair
-    table and tie walk are checked against, and the baseline the
-    ablation times ``Stemmer.load`` against.
-    """
-
-    def __init__(self, max_length: Optional[int] = None) -> None:
-        """*max_length* bounds counted subsequence length (None = full)."""
-        self.max_length = max_length
-        self._raw: Counter[Sequence_] = Counter()
-        self._events = 0
-
-    def add(self, event: BGPEvent) -> None:
-        self.add_sequence(event.sequence)
-
-    def add_all(self, events: Iterable[BGPEvent]) -> None:
-        for event in events:
-            self.add(event)
-
-    def add_sequence(self, sequence: Sequence_, multiplicity: int = 1) -> None:
-        """Count *multiplicity* events sharing one token sequence."""
-        if multiplicity < 1:
-            raise ValueError(
-                f"multiplicity must be >= 1, got {multiplicity}"
-            )
-        for subsequence in set(_subsequences(sequence, self.max_length)):
-            self._raw[subsequence] += multiplicity
-        self._events += multiplicity
-
-    @property
-    def event_count(self) -> int:
-        return self._events
-
-    def counts(self) -> Counter[Sequence_]:
-        """Subsequence → number of events containing it (length ≥ 2).
-
-        A subsequence occurring twice inside one event (possible when a
-        path revisits a token pattern, e.g. "1 2 1 2") still counts that
-        event once: strength means "how many events share this
-        structure", not "how many occurrences exist".
-        """
-        return self._raw
-
-    def top(self) -> Optional[tuple[Sequence_, int]]:
-        """The strongest subsequence: highest count, longest on ties,
-        then the lexicographically smallest rendering."""
-        return _scan_top(self._raw)
-
-
-def _scan_top(
-    counts: Counter[Sequence_],
-) -> Optional[tuple[Sequence_, int]]:
-    """Full-scan top(): the reference the pair-table tie walk must match."""
-    if not counts:
-        return None
-    best_rank = max(
-        (count, len(sequence)) for sequence, count in counts.items()
-    )
-    finalists = [
-        sequence
-        for sequence, count in counts.items()
-        if (count, len(sequence)) == best_rank
-    ]
-    winner = min(finalists, key=_tiebreak)
-    return winner, best_rank[0]
 
 
 def _subsequences(sequence, max_length: Optional[int]):

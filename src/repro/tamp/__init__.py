@@ -15,7 +15,6 @@ flapping too fast to animate, with a gray shadow marking each shrunken
 edge's historical maximum.
 """
 
-from repro.tamp.tree import route_path_tokens
 from repro.tamp.graph import TampGraph
 from repro.tamp.picture import (
     build_picture,
@@ -36,7 +35,6 @@ from repro.tamp.svg_animation import render_svg_animation
 
 __all__ = [
     "TampGraph",
-    "route_path_tokens",
     "build_picture",
     "picture_from_events",
     "picture_from_rex",

@@ -220,7 +220,6 @@ def animate_stream(
     play_duration: float = PLAY_DURATION_SECONDS,
     fps: int = FRAMES_PER_SECOND,
     track_edges: Iterable[Edge] = (),
-    include_prefix_leaves: bool = False,
     tamp: "IncrementalTamp | None" = None,
 ) -> TampAnimation:
     """Build the animation for *events* on top of *baseline* routes.
@@ -238,11 +237,7 @@ def animate_stream(
     if play_duration <= 0 or fps <= 0:
         raise ValueError("play duration and fps must be positive")
     if tamp is None:
-        tamp = IncrementalTamp(
-            site_name=site_name,
-            peer_namer=peer_namer,
-            include_prefix_leaves=include_prefix_leaves,
-        )
+        tamp = IncrementalTamp(site_name=site_name, peer_namer=peer_namer)
         tamp.load_routes(baseline)
     frame_count = int(round(play_duration * fps))
     start = events.start_time if len(events) else 0.0

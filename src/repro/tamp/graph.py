@@ -42,7 +42,7 @@ from typing import Iterable, Iterator, Optional
 from repro.collector.events import Token
 from repro.interning import EDGE_MASK, EDGE_SHIFT, SymbolTable
 from repro.net.prefix import Prefix
-from repro.tamp.tree import Edge, chain_ids
+from repro.tamp.tree import ChainCache, Edge, chain_ids
 
 
 class TampGraph:
@@ -75,15 +75,17 @@ class TampGraph:
         self._edges: dict[int, dict[int, int]] = {}
         self._children: dict[int, set[int]] = {}
         self._parents: dict[int, set[int]] = {}
-        #: The prefix-leaf fringe: tail token id -> {prefix id: refcount}.
-        #: The leaf invariant — the edge into a ``("pfx", p)`` node
-        #: carries exactly ``{p}`` — means the widest part of a
-        #: realistic graph collapses to one store per tail instead of one
-        #: edge entry (plus adjacency) per (tail, prefix) pair, and a
-        #: route group's whole fringe lands in one C counting call. The
-        #: batch merge paths fill this; queries synthesize the implied
-        #: leaf edges at the decode boundary, interning the ``("pfx",
-        #: p)`` token only if a caller actually asks to see the leaf.
+        #: The prefix-leaf fringe: tail token id -> {prefix id: refcount},
+        #: the one place a prefix leaf is stored (no interior edge ever
+        #: ends in a ``("pfx", p)`` token). The leaf invariant — the
+        #: edge into a ``("pfx", p)`` node carries exactly ``{p}`` —
+        #: means the widest part of a realistic graph collapses to one
+        #: store per tail instead of one edge entry (plus adjacency) per
+        #: (tail, prefix) pair, and a route group's whole fringe lands in
+        #: one C counting call. Batch merges, prune survivors and
+        #: :meth:`add_prefix` fill it; queries synthesize the implied
+        #: leaf edges at the decode boundary, and a ``("pfx", p)`` token
+        #: is never interned.
         self._fringe: dict[int, dict[int, int]] = {}
         #: True = the adjacency maps are stale and must be rebuilt from
         #: the edge keys before use (see :meth:`_adj`). Bulk merges only
@@ -151,74 +153,34 @@ class TampGraph:
     # Merging
     # ------------------------------------------------------------------
 
-    def merge_view(
+    def merge_id_view(
         self,
         router_groups: Iterable,
         include_prefix_leaves: bool = True,
-        chain_cache: Optional[dict] = None,
     ) -> None:
         """Fold a whole site view into the refcount stores in one pass.
 
         *router_groups* yields (router name, groups) per router, where
         groups is a mapping — or an iterable of pairs — from attribute
-        bundle to the prefixes announced with it (the shape
-        :meth:`AdjRibIn.grouped_entries
-        <repro.bgp.rib.AdjRibIn.grouped_entries>` maintains).
-
-        Equivalent to building each router's tree and merging it by
-        prefix-set union (the object-level oracle,
-        :func:`repro.tamp.reference.reference_picture`), without
-        materializing any per-router tree. The equivalence rests on RIB
-        uniqueness — a route table holds at most one route per (router,
-        prefix), so every (edge, prefix) pair occurs at most once per
-        router and per-group increments equal per-tree set merges.
-        Callers passing a table with duplicate prefixes per router would
-        double-count; every route source in this project (RIBs, replayed
-        event tables) satisfies the invariant.
-
-        *chain_cache* memoizes interned chains per attribute bundle
-        (see :func:`repro.tamp.tree.chain_ids`); pass one shared dict
-        across the routers of a build.
-
-        A thin encoding shim over :meth:`merge_id_view`: prefixes are
-        packed to value-derived ids (:func:`repro.interning.pack_prefix`
-        inlined — two attribute loads and two shifts each, no table
-        probe through ``Prefix.__hash__``) group by group, lazily, so
-        the id-level pass downstream never sees a Prefix object.
-        """
-
-        def encode(groups):
-            if hasattr(groups, "items"):
-                groups = groups.items()
-            for attributes, prefixes in groups:
-                yield attributes, [
-                    (p.length << 32) | (p.network >> (32 - p.length))
-                    for p in prefixes
-                ]
-
-        self.merge_id_view(
-            ((name, encode(groups)) for name, groups in router_groups),
-            include_prefix_leaves,
-            chain_cache,
-        )
-
-    def merge_id_view(
-        self,
-        router_groups: Iterable,
-        include_prefix_leaves: bool = True,
-        chain_cache: Optional[dict] = None,
-    ) -> None:
-        """Fold a whole pre-encoded site view into the refcount stores.
-
-        Like :meth:`merge_view`, but each router's groups yield
-        (attribute bundle, prefix-id collection) — e.g. the id columns
+        bundle to the packed ids (:func:`repro.interning.pack_prefix`)
+        of the prefixes announced with it: e.g. the id columns
         :meth:`AdjRibIn.grouped_pid_entries
         <repro.bgp.rib.AdjRibIn.grouped_pid_entries>` maintains per
         UPDATE, which is how the batch picture avoids re-encoding
         millions of prefixes it already holds encoded. The collections
         are only iterated (never mutated, never kept past the call), so
-        live dict views are fine. Same RIB-uniqueness precondition as
-        :meth:`merge_view`.
+        live dict views are fine.
+
+        Equivalent to building each router's tree and merging it by
+        prefix-set union (the object-level oracle under
+        ``tests/tamp/reference.py``), without materializing any
+        per-router tree. The equivalence rests on RIB uniqueness — a
+        route table holds at most one route per (router, prefix), so
+        every (edge, prefix) pair occurs at most once per router and
+        per-group increments equal per-tree set merges. Callers passing
+        a table with duplicate prefixes per router would double-count;
+        every route source in this project (RIBs, replayed event tables)
+        satisfies the invariant.
 
         The pass is bucketed by *distinct chain*, not by group: real
         views share attribute bundles massively across routers (~9k
@@ -241,8 +203,7 @@ class TampGraph:
         self._invalidate_cache()
         self._adj_dirty = True
         symbols = self._symbols
-        if chain_cache is None:
-            chain_cache = {}
+        chains: ChainCache = {}
         edges = self._edges
         fringe = self._fringe
         concat = _iter_chain.from_iterable
@@ -255,9 +216,8 @@ class TampGraph:
         seen: Optional[set] = None
         if not edges and not fringe:
             seen = set()
-        # attribute bundle -> [chain, pids, pids, ...]. One probe per
-        # group; chain_cache persists across calls (chains survive for
-        # the next view), while the buckets live only for this pass.
+        # attribute bundle -> [chain, pids, pids, ...]: one probe per
+        # group, and one chain_ids call per distinct bundle.
         by_chain: dict = {}
         bucket_get = by_chain.get
         for router_name, groups in router_groups:
@@ -270,9 +230,7 @@ class TampGraph:
             for attributes, pids in groups:
                 bucket = bucket_get(attributes)
                 if bucket is None:
-                    chain = chain_cache.get(attributes)
-                    if chain is None:
-                        chain = chain_ids(symbols, chain_cache, attributes)
+                    chain = chain_ids(symbols, chains, attributes)
                     by_chain[attributes] = bucket = [chain, pids]
                 else:
                     chain = bucket[0]
@@ -370,12 +328,18 @@ class TampGraph:
     # ------------------------------------------------------------------
 
     def intern_pair(self, parent: Token, child: Token) -> int:
-        """Intern an edge's tokens; return the packed edge id.
+        """Intern an interior edge's tokens; return the packed edge id.
 
         The id-level mutators below take these — the incremental
         maintainer memoizes a route's edge ids so each event apply is
         one call of pure int traffic (see :mod:`repro.tamp.incremental`).
+        A prefix leaf is no interior edge — it lives in the fringe — so
+        a ``("pfx", ·)`` child is refused.
         """
+        if child[0] == "pfx":
+            raise ValueError(
+                f"a prefix leaf is not an interior edge: {child!r}"
+            )
         symbols = self._symbols
         return (
             symbols.intern_token(parent) << EDGE_SHIFT
@@ -390,8 +354,21 @@ class TampGraph:
 
         Returns True when the prefix newly appeared on the edge (weight
         grew), False for a pure refcount bump — the distinction the
-        animator colors edges by.
+        animator colors edges by. A ``("pfx", p)`` child is the prefix
+        leaf: it lands in the fringe, and only *p* itself may ride it.
         """
+        if child[0] == "pfx":
+            if child[1] != prefix:
+                raise ValueError(
+                    f"prefix {prefix} cannot ride the leaf {child!r}"
+                )
+            self._invalidate_cache()
+            tail = self._symbols.intern_token(parent)
+            store = self._fringe.setdefault(tail, {})
+            pid = self._symbols.intern_prefix(prefix)
+            count = store.get(pid, 0)
+            store[pid] = count + 1
+            return count == 0
         return self.add_route_ids(
             (self.intern_pair(parent, child),),
             self._symbols.intern_prefix(prefix),
@@ -462,28 +439,22 @@ class TampGraph:
         return dropped
 
     def remove_edge(self, parent: Token, child: Token) -> None:
+        self._invalidate_cache()
         symbols = self._symbols
         parent_id = symbols.token_id(parent)
-        child_id = symbols.token_id(child)
-        if parent_id is not None and child[0] == "pfx":
-            eid = (
-                None
-                if child_id is None
-                else (parent_id << EDGE_SHIFT) | child_id
-            )
-            if eid is None or eid not in self._edges:
-                pid = symbols.prefix_id(child[1])  # type: ignore[arg-type]
-                store = self._fringe.get(parent_id)
-                if store is not None:
-                    store.pop(pid, None)
-                    if not store:
-                        del self._fringe[parent_id]
-                self._invalidate_cache()
-                return
-        if parent_id is None or child_id is None:
-            self._invalidate_cache()
+        if parent_id is None:
             return
-        self.remove_edge_ids((parent_id << EDGE_SHIFT) | child_id)
+        if child[0] == "pfx":
+            store = self._fringe.get(parent_id)
+            if store is not None:
+                pid = symbols.intern_prefix(child[1])  # type: ignore[arg-type]
+                store.pop(pid, None)
+                if not store:
+                    del self._fringe[parent_id]
+            return
+        child_id = symbols.token_id(child)
+        if child_id is not None:
+            self.remove_edge_ids((parent_id << EDGE_SHIFT) | child_id)
 
     def remove_edge_ids(self, edge_id: int) -> None:
         """Id-level :meth:`remove_edge`."""
@@ -521,6 +492,13 @@ class TampGraph:
             child = edge_id & EDGE_MASK
             self._children.setdefault(parent, set()).add(child)
             self._parents.setdefault(child, set()).add(parent)
+        self._invalidate_cache()
+
+    def adopt_fringe_ids(self, tail: int, store: dict[int, int]) -> None:
+        """Install *tail*'s prefix leaves with a copy of an existing
+        fringe store: the leaf counterpart of :meth:`adopt_edge_ids`,
+        under the same shared-symbol-table condition."""
+        self._fringe[tail] = dict(store)
         self._invalidate_cache()
 
     # ------------------------------------------------------------------
@@ -563,25 +541,14 @@ class TampGraph:
                 yield (tail_token, ("pfx", prefix(pid))), {prefix(pid): count}
 
     def raw_id_edges(self) -> Iterator[tuple[int, dict[int, int]]]:
-        """Iterate (edge id, refcount map) without token decoding.
+        """Iterate the interior (edge id, refcount map) pairs without
+        token decoding.
 
-        Interior mappings are live internal state — callers must not
-        mutate them; fringe leaves are synthesized one-entry maps (and
-        intern their ``("pfx", p)`` token on the way out). Whole-graph
-        scans that can treat the leaf fringe wholesale — pruning, frame
-        diffing — should use :attr:`_edges` plus :meth:`fringe_stores`
-        instead of paying the per-leaf synthesis.
+        The mappings are live internal state — callers must not mutate
+        them. Prefix leaves have no edge id: read them with
+        :meth:`fringe_stores`.
         """
-        yield from self._edges.items()
-        pfx_token_id = self._symbols.pfx_token_id
-        pfx_tid = self._symbols.pfx_token_id_map.get
-        for tail, store in self._fringe.items():
-            base = tail << EDGE_SHIFT
-            for pid, count in store.items():
-                child = pfx_tid(pid)
-                if child is None:
-                    child = pfx_token_id(pid)
-                yield base | child, {pid: count}
+        return iter(self._edges.items())
 
     def fringe_stores(self) -> Iterator[tuple[int, dict[int, int]]]:
         """Iterate (tail token id, {prefix id: refcount}) fringe stores.
@@ -590,7 +557,7 @@ class TampGraph:
         leaf invariant). The mappings are live internal state — callers
         must not mutate them.
         """
-        yield from self._fringe.items()
+        return iter(self._fringe.items())
 
     def edge_list(self) -> list[Edge]:
         decode = self._symbols.decode_edge
@@ -602,29 +569,30 @@ class TampGraph:
             found.extend((tail_token, ("pfx", prefix(pid))) for pid in store)
         return found
 
-    def has_edge(self, parent: Token, child: Token) -> bool:
+    def _store(self, parent: Token, child: Token) -> Optional[dict]:
+        """The edge's refcount map, or None: a prefix leaf's one-entry
+        view of its fringe store, or the interior store."""
         symbols = self._symbols
         parent_id = symbols.token_id(parent)
         if parent_id is None:
-            return False
-        child_id = symbols.token_id(child)
-        if child_id is not None and (
-            (parent_id << EDGE_SHIFT) | child_id
-        ) in self._edges:
-            return True
+            return None
         if child[0] == "pfx":
-            store = self._fringe.get(parent_id)
-            if store is not None:
-                pid = symbols.prefix_id(child[1])  # type: ignore[arg-type]
-                return pid in store
-        return False
+            pid = symbols.intern_prefix(child[1])  # type: ignore[arg-type]
+            count = self._fringe.get(parent_id, {}).get(pid)
+            return None if count is None else {pid: count}
+        child_id = symbols.token_id(child)
+        if child_id is None:
+            return None
+        return self._edges.get((parent_id << EDGE_SHIFT) | child_id)
+
+    def has_edge(self, parent: Token, child: Token) -> bool:
+        return self._store(parent, child) is not None
 
     def weight_id(self, edge_id: int) -> int:
         """Id-level :meth:`weight` for interior edges (no token decode).
 
-        Leaf-fringe edges are not addressable by packed id from here;
-        the incremental maintainer — the only id-level caller — interns
-        its prefix leaves as ordinary edges, so the interior store is
+        A prefix leaf has no edge id; the incremental maintainer — the
+        only id-level caller — keeps no leaves, so the interior store is
         complete for it.
         """
         store = self._edges.get(edge_id)
@@ -632,32 +600,14 @@ class TampGraph:
 
     def weight(self, parent: Token, child: Token) -> int:
         """Unique prefixes on the edge — the paper's edge weight."""
-        symbols = self._symbols
-        parent_id = symbols.token_id(parent)
-        if parent_id is None:
-            return 0
-        child_id = symbols.token_id(child)
-        if child_id is not None:
-            store = self._edges.get((parent_id << EDGE_SHIFT) | child_id)
-            if store is not None:
-                return len(store)
-        if child[0] == "pfx" and self.has_edge(parent, child):
-            return 1
-        return 0
+        store = self._store(parent, child)
+        return 0 if store is None else len(store)
 
     def edge_prefixes(self, parent: Token, child: Token) -> frozenset[Prefix]:
-        symbols = self._symbols
-        parent_id = symbols.token_id(parent)
-        if parent_id is None:
+        store = self._store(parent, child)
+        if store is None:
             return frozenset()
-        child_id = symbols.token_id(child)
-        if child_id is not None:
-            store = self._edges.get((parent_id << EDGE_SHIFT) | child_id)
-            if store is not None:
-                return frozenset(map(symbols.prefix, store))
-        if child[0] == "pfx" and self.has_edge(parent, child):
-            return frozenset({child[1]})  # type: ignore[arg-type]
-        return frozenset()
+        return frozenset(map(self._symbols.prefix, store))
 
     def children(self, node: Token) -> set[Token]:
         node_id = self._symbols.token_id(node)
@@ -673,22 +623,20 @@ class TampGraph:
         return found
 
     def parents(self, node: Token) -> set[Token]:
-        node_id = self._symbols.token_id(node)
-        token = self._symbols.token
-        found: set[Token] = set()
-        if node_id is not None:
-            _, parent_map = self._adj()
-            found = {
-                token(parent) for parent in parent_map.get(node_id, ())
-            }
-        if node[0] == "pfx" and self._fringe:
-            pid = self._symbols.prefix_id(node[1])  # type: ignore[arg-type]
-            found.update(
+        symbols = self._symbols
+        token = symbols.token
+        if node[0] == "pfx":
+            pid = symbols.intern_prefix(node[1])  # type: ignore[arg-type]
+            return {
                 token(tail)
                 for tail, store in self._fringe.items()
                 if pid in store
-            )
-        return found
+            }
+        node_id = symbols.token_id(node)
+        if node_id is None:
+            return set()
+        _, parent_map = self._adj()
+        return {token(parent) for parent in parent_map.get(node_id, ())}
 
     def nodes(self) -> set[Token]:
         ids: set[int] = set()
@@ -715,20 +663,14 @@ class TampGraph:
         ids = set(children)
         ids.update(parents)
         ids.update(self._fringe)
-        count = len(ids)
-        token_id = self._symbols.token_id
-        if self._fringe:
-            # A fringe leaf is a node of its own unless its token is
-            # also an endpoint of an interior edge.
-            leaves: set[int] = set()
-            for store in self._fringe.values():
-                leaves.update(store)
-            prefix = self._symbols.prefix
-            for pid in leaves:
-                if token_id(("pfx", prefix(pid))) not in ids:
-                    count += 1
-        if self.site_root is not None and token_id(self.site_root) not in ids:
-            count += 1
+        # A leaf is one node however many tails reach it.
+        leaves: set[int] = set()
+        leaves.update(*self._fringe.values())
+        count = len(ids) + len(leaves)
+        site_root = self.site_root
+        if site_root is not None:
+            if self._symbols.token_id(site_root) not in ids:
+                count += 1
         return count
 
     def roots(self) -> list[Token]:
@@ -747,9 +689,13 @@ class TampGraph:
             ):
                 return [site_root]
         # Every root has an outgoing edge (nodes only exist on edges),
-        # so scanning the parent side of the adjacency is exhaustive.
+        # so the interior parents and the fringe tails are exhaustive.
         return sorted(
-            (token(n) for n in child_map if not parent_map.get(n)),
+            (
+                token(n)
+                for n in child_map.keys() | self._fringe.keys()
+                if not parent_map.get(n)
+            ),
             key=str,
         )
 
@@ -787,19 +733,16 @@ class TampGraph:
     def depths(self) -> dict[Token, int]:
         """BFS depth of every node from the root set (for pruning/layout)."""
         token = self._symbols.token
+        prefix = self._symbols.prefix
         by_id = self._id_depths()
         found = {token(node): depth for node, depth in by_id.items()}
-        if self._fringe:
-            prefix = self._symbols.prefix
-            for tail, store in self._fringe.items():
-                tail_depth = by_id.get(tail)
-                if tail_depth is None:
-                    continue
-                below = tail_depth + 1
+        # A leaf is one node, just below the shallowest tail reaching it.
+        for tail, store in self._fringe.items():
+            if tail in by_id:
+                below = by_id[tail] + 1
                 for pid in store:
                     leaf: Token = ("pfx", prefix(pid))
-                    if leaf not in found or found[leaf] > below:
-                        found[leaf] = below
+                    found[leaf] = min(found.get(leaf, below), below)
         return found
 
     def _id_depths(self) -> dict[int, int]:

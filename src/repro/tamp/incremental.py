@@ -62,11 +62,9 @@ class IncrementalTamp:
         self,
         site_name: str = "site",
         peer_namer: PeerNamer = default_peer_namer,
-        include_prefix_leaves: bool = False,
     ) -> None:
         self.graph = TampGraph(site_name)
         self.peer_namer = peer_namer
-        self.include_prefix_leaves = include_prefix_leaves
         self._routes: dict[tuple[int, Prefix], PathAttributes] = {}
         #: prefix id -> live routes for it. Every route threads its
         #: prefix over at least its root edge, so the keys are exactly
@@ -85,14 +83,14 @@ class IncrementalTamp:
         #: next changes. Checkpoint restore sets it explicitly so the
         #: counter is bit-identical across crash/resume.
         self.pulse_total = 0
-        #: peer -> chain key -> the packed edge ids the route threads,
-        #: in chain order (site link, root edge, interior, prefix leaf).
-        #: A flapping route announces and withdraws the same chain
+        #: peer -> attribute bundle -> the packed edge ids the route
+        #: threads, in chain order (site link, root edge, interior). A
+        #: flapping route announces and withdraws the same chain
         #: thousands of times; memoizing turns each apply into two dict
-        #: lookups. Without prefix leaves (the animation default) the
-        #: chain depends only on (peer, attrs), so the inner key is the
-        #: attribute bundle alone — its hash is cached on the instance.
-        self._edge_ids: dict[int, dict] = {}
+        #: lookups. The graph keeps no prefix leaves, so the chain
+        #: depends only on (peer, attrs), and the bundle's hash is
+        #: cached on the instance.
+        self._edge_ids: dict[int, dict[PathAttributes, tuple[int, ...]]] = {}
         #: The batch builder's chain memo (:func:`chain_ids`), shared by
         #: every peer, and per peer the edges ahead of the chain: the
         #: site link (if any) and the root edge's packed high half.
@@ -181,9 +179,9 @@ class IncrementalTamp:
 
         Served from the same (peer, attrs) memo the applies use, so
         sampling a tracked edge after an apply costs two dict probes —
-        never a :func:`~repro.tamp.tree.route_path_tokens` re-render.
+        never a re-render of the route's token chain.
         """
-        return self._ids_for(event.peer, event.prefix, event.attributes)
+        return self._ids_for(event.peer, event.attributes)
 
     # ------------------------------------------------------------------
     # Queries
@@ -285,14 +283,10 @@ class IncrementalTamp:
 
         A checkpoint can land mid-pulse-period (between two window
         reports); without these the first post-resume report would
-        undercount edge activity. Only valid without prefix leaves,
-        where edge tokens are (str, str|int) pairs and survive a JSON
+        undercount edge activity. The graph keeps no prefix leaves, so
+        every edge token is a (str, str|int) pair and survives a JSON
         round trip unchanged.
         """
-        if self.include_prefix_leaves:
-            raise ValueError(
-                "pulse export requires include_prefix_leaves=False"
-            )
         decode = self.graph.decode_pair
         keys = self._pulse_keys
 
@@ -333,25 +327,19 @@ class IncrementalTamp:
     # Internals
     # ------------------------------------------------------------------
 
-    def _ids_for(
-        self, peer: int, prefix: Prefix, attrs: PathAttributes
-    ) -> tuple[int, ...]:
+    def _ids_for(self, peer: int, attrs: PathAttributes) -> tuple[int, ...]:
         by_peer = self._edge_ids.get(peer)
         if by_peer is not None:
-            edge_ids = by_peer.get(
-                (prefix, attrs) if self.include_prefix_leaves else attrs
-            )
+            edge_ids = by_peer.get(attrs)
             if edge_ids is not None:
                 return edge_ids
-        return self._memoize(peer, prefix, attrs)
+        return self._memoize(peer, attrs)
 
-    def _memoize(
-        self, peer: int, prefix: Prefix, attrs: PathAttributes
-    ) -> tuple[int, ...]:
+    def _memoize(self, peer: int, attrs: PathAttributes) -> tuple[int, ...]:
         """Intern and memoize the edge ids of the route's chain.
 
         Tokens intern in chain order — site root, router, the
-        :func:`chain_ids` chain, prefix leaf — and the edges follow it.
+        :func:`chain_ids` chain — and the edges follow it.
         Every memo here is derived from the symbol table, which is never
         cleared, so a chain memoized again has the same ids: dropping
         the memos (past twice the live routes) changes no pulse and no
@@ -375,17 +363,12 @@ class IncrementalTamp:
                 () if site is None else ((site << EDGE_SHIFT) | router,),
                 router << EDGE_SHIFT,
             )
-        head, interior, tail = chain_ids(symbols, self._chains, attrs)
+        head, interior, _ = chain_ids(symbols, self._chains, attrs)
         edge_ids = (*root[0], root[1] | head, *interior)
-        key: object = attrs
-        if self.include_prefix_leaves:
-            leaf = symbols.intern_token(("pfx", prefix))
-            edge_ids += ((tail << EDGE_SHIFT) | leaf,)
-            key = (prefix, attrs)
         by_peer = self._edge_ids.get(peer)
         if by_peer is None:
             by_peer = self._edge_ids[peer] = {}
-        by_peer[key] = edge_ids
+        by_peer[attrs] = edge_ids
         self._memoized += 1
         return edge_ids
 
@@ -398,7 +381,7 @@ class IncrementalTamp:
             return
         pid = self.graph.symbols.intern_prefix(prefix)
         if old is not None:
-            self._remove_contribution(peer, prefix, pid, old)
+            self._remove_contribution(peer, pid, old)
         else:
             counts = self._prefix_routes
             counts[pid] = counts.get(pid, 0) + 1
@@ -406,7 +389,7 @@ class IncrementalTamp:
         if self._dirty is not None:
             self._dirty.add(key)
         self.pulse_total += self.graph.add_route_ids(
-            self._ids_for(peer, prefix, attrs), pid, self._adds
+            self._ids_for(peer, attrs), pid, self._adds
         )
 
     def _withdraw(self, peer: int, prefix: Prefix) -> None:
@@ -416,18 +399,18 @@ class IncrementalTamp:
             return
         if self._dirty is not None:
             self._dirty.add(key)
-        pid = self.graph.symbols.prefix_id(prefix)
+        pid = self.graph.symbols.intern_prefix(prefix)
         counts = self._prefix_routes
         left = counts[pid] - 1
         if left:
             counts[pid] = left
         else:
             del counts[pid]
-        self._remove_contribution(peer, prefix, pid, old)
+        self._remove_contribution(peer, pid, old)
 
     def _remove_contribution(
-        self, peer: int, prefix: Prefix, pid: int, attrs: PathAttributes
+        self, peer: int, pid: int, attrs: PathAttributes
     ) -> None:
         self.pulse_total += self.graph.discard_route_ids(
-            self._ids_for(peer, prefix, attrs), pid, self._removes
+            self._ids_for(peer, attrs), pid, self._removes
         )

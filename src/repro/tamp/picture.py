@@ -6,7 +6,7 @@ view into one :class:`~repro.tamp.graph.TampGraph` in a single
 :meth:`~repro.tamp.graph.TampGraph.merge_id_view` pass. Every chain is
 interned against the *graph's* symbol table, so the fold is pure
 id-level counting with no translation; the decoded result is asserted
-equal to the object-level builder in :mod:`repro.tamp.reference` by
+equal to the object-level builder under ``tests/tamp/reference.py`` by
 ``tests/tamp/test_interned_equivalence.py``.
 """
 
@@ -32,31 +32,34 @@ def build_picture(
 ) -> TampGraph:
     """Merge per-router route groups into one (unpruned) TAMP graph."""
     graph = TampGraph(site_name)
-    # One merge_view call over the whole view: the chain buckets span
+    # One merge_id_view call over the whole view: the chain buckets span
     # routers (attribute bundles are shared massively), so the interior
     # stores take a handful of long C counting calls instead of one
     # probe per (router, group, edge).
     with gc_paused():
-        graph.merge_view(
-            ((name, _group_by_attrs(routes)) for name, routes in route_groups),
+        graph.merge_id_view(
+            (
+                (name, _group_pids((r.prefix, r.attributes) for r in routes))
+                for name, routes in route_groups
+            ),
             include_prefix_leaves,
         )
     return graph
 
 
-def _group_by_attrs(routes: Iterable[Route]):
-    """One router's routes bucketed by attribute bundle, as group pairs."""
-    by_attrs: dict[PathAttributes, list[Prefix]] = {}
-    for route in routes:
-        by_attrs.setdefault(route.attributes, []).append(route.prefix)
-    return by_attrs.items()
+def _group_pids(pairs: Iterable[tuple[Prefix, PathAttributes]]):
+    """(prefix, attrs) pairs bucketed by attribute bundle, as (bundle,
+    prefix ids) group pairs.
 
-
-def _group_entries(pairs: Iterable[tuple[Prefix, PathAttributes]]):
-    """(prefix, attrs) pairs bucketed by attribute bundle, as group pairs."""
-    by_attrs: dict[PathAttributes, list[Prefix]] = {}
+    The ids are :func:`repro.interning.pack_prefix`'s, inlined — two
+    attribute loads and two shifts each, no call per prefix.
+    """
+    by_attrs: dict[PathAttributes, list[int]] = {}
     for prefix, attributes in pairs:
-        by_attrs.setdefault(attributes, []).append(prefix)
+        length = prefix.length
+        by_attrs.setdefault(attributes, []).append(
+            (length << 32) | (prefix.network >> (32 - length))
+        )
     return by_attrs.items()
 
 
@@ -114,9 +117,9 @@ def picture_from_events(
         by_peer.setdefault(peer, []).append((prefix, attrs))
     graph = TampGraph(site_name)
     with gc_paused():
-        graph.merge_view(
+        graph.merge_id_view(
             (
-                (peer_namer(peer), _group_entries(pairs))
+                (peer_namer(peer), _group_pids(pairs))
                 for peer, pairs in by_peer.items()
             ),
             include_prefix_leaves,

@@ -20,10 +20,10 @@ well over 99% of edges are dropped, so the scan never decodes a token —
 only the survivors, adopted into the pruned graph via the shared symbol
 table, ever reach the decode boundary. The fringe carries the leaf
 invariant (every leaf edge weighs exactly 1), so the millions of prefix
-leaves face one keep/drop decision per tail instead of one per edge;
-their ``("pfx", p)`` tokens are only interned when they survive, which
-at realistic thresholds is never. The flat prune skips the depth BFS
-entirely (its predicate ignores depth).
+leaves face one keep/drop decision per tail instead of one per edge,
+and a surviving tail's store is copied whole into the pruned graph's
+fringe. The flat prune skips the depth BFS entirely (its predicate
+ignores depth).
 """
 
 from __future__ import annotations
@@ -49,8 +49,7 @@ def prune_flat(
     copying everything and deleting would do millions of times the work
     of collecting the few heavy edges.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold {threshold} outside [0, 1]")
+    check_threshold(threshold)
     total = graph.total_prefixes()
     if total == 0:
         return graph.copy()
@@ -66,14 +65,16 @@ def prune_flat(
         if len(store) >= cutoff:
             adopt(eid, store)
     if cutoff <= 1:  # fringe edges all weigh exactly 1
-        symbols = graph.symbols
-        pfx_token_id = symbols.pfx_token_id
         for tail, fstore in graph.fringe_stores():
-            base = tail << EDGE_SHIFT
-            for pid, count in fstore.items():
-                adopt(base | pfx_token_id(pid), {pid: count})
+            pruned.adopt_fringe_ids(tail, fstore)
     _sweep_unreachable(pruned, graph.roots())
     return pruned
+
+
+def check_threshold(threshold: float) -> None:
+    """Refuse a prune threshold outside [0, 1] (a share of prefixes)."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold {threshold} outside [0, 1]")
 
 
 def _weight_cutoff(threshold: float, total: int) -> int:
@@ -103,18 +104,10 @@ def _survivors(graph: TampGraph, keep: _Keep) -> TampGraph:
         if keep(parent, depth_of(parent), len(store)):
             pruned.adopt_edge_ids(eid, store)
     # The leaf fringe: every leaf edge weighs exactly 1, so one
-    # keep(tail, depth, 1) call decides a tail's whole fringe. Survivors
-    # (tiny graphs / permissive thresholds only) materialize as real
-    # edges — pruned graphs never carry a fringe, so the reachability
-    # sweep's token-level edge removal works uniformly on them.
-    symbols = graph.symbols
+    # keep(tail, depth, 1) call decides a tail's whole fringe.
     for tail, fstore in graph.fringe_stores():
-        if not keep(tail, depth_of(tail), 1):
-            continue
-        base = tail << EDGE_SHIFT
-        pfx_token_id = symbols.pfx_token_id
-        for pid, count in fstore.items():
-            pruned.adopt_edge_ids(base | pfx_token_id(pid), {pid: count})
+        if keep(tail, depth_of(tail), 1):
+            pruned.adopt_fringe_ids(tail, fstore)
     return pruned
 
 
@@ -132,8 +125,7 @@ def prune_hierarchical(
     Deeper edges face ``threshold × growth^(depth - keep_depth)``, so a
     growth factor above 1 prunes ever harder toward the Internet's edge.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold {threshold} outside [0, 1]")
+    check_threshold(threshold)
     if keep_depth < 0:
         raise ValueError(f"keep_depth {keep_depth} must be non-negative")
     if growth <= 0:

@@ -7,7 +7,7 @@ class TampTree:
     def __init__(self):
         self._edges = {}
 
-    def add_route_group(self, prefixes, chain):
+    def merge_id_view(self, prefixes, chain):
         column: set[Prefix] = set(prefixes)
         for parent, child in zip(chain, chain[1:]):
             edge = (parent, child)
@@ -26,7 +26,7 @@ class TampGraph:
     def _invalidate_cache(self):
         self._total = None
 
-    def merge_tree(self, tree):
+    def merge_id_view(self, tree):
         self._invalidate_cache()
         for parent, child, prefixes in tree:
             self._edges[(parent, child)] = set(prefixes)

@@ -10,7 +10,7 @@ class TampTree:
     def __init__(self):
         self._edges = {}
 
-    def add_route_group(self, pids, chain_ids):
+    def merge_id_view(self, pids, chain_ids):
         for parent, child in zip(chain_ids, chain_ids[1:]):
             eid = (parent << EDGE_SHIFT) | child
             column = self._edges.get(eid)
@@ -35,7 +35,7 @@ class TampGraph:
     def _invalidate_cache(self):
         self._total = None
 
-    def merge_tree(self, tree):
+    def merge_id_view(self, tree):
         self._invalidate_cache()
         for eid, column in tree.raw_columns():
             store = self._edges.get(eid)

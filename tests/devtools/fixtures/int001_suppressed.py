@@ -7,7 +7,7 @@ class TampTree:
     def __init__(self):
         self._edges = {}
 
-    def add_route_group(self, prefixes, chain):
+    def merge_id_view(self, prefixes, chain):
         # repro: allow[INT001] fixture: reference builder keeps the
         # object-set column on purpose.
         column: set[Prefix] = set(prefixes)
@@ -30,7 +30,7 @@ class TampGraph:
     def _invalidate_cache(self):
         self._total = None
 
-    def merge_tree(self, tree):
+    def merge_id_view(self, tree):
         self._invalidate_cache()
         for parent, child, prefixes in tree:
             # repro: allow[INT001] fixture: reference merge stays on

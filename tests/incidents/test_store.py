@@ -24,6 +24,7 @@ from repro.incidents import (
     IncidentStore,
     IncidentStoreError,
 )
+from repro.cli import main
 from tests.incidents.conftest import make_component, make_report
 
 SRC_DIR = Path(repro.__file__).resolve().parents[1]
@@ -131,6 +132,28 @@ class TestCompaction:
     def test_compact_on_an_empty_store_is_a_no_op(self, tmp_path):
         with IncidentStore(tmp_path / INCIDENT_DB) as store:
             assert store.compact() == 0
+
+    def test_compact_refuses_a_negative_count(self, tmp_path):
+        """A negative count would slice from the end of the newest-first
+        list and delete the oldest resolved incidents."""
+        with IncidentStore(tmp_path / INCIDENT_DB) as store:
+            store.sync(evolved_manager(), reports_applied=3)
+            before = store.rows()
+            with pytest.raises(ValueError, match="--keep-resolved"):
+                store.compact(keep_resolved=-1)
+            assert store.rows() == before
+
+    def test_cli_compact_refuses_a_negative_count(self, tmp_path, capsys):
+        with IncidentStore(tmp_path / INCIDENT_DB) as store:
+            store.sync(evolved_manager(), reports_applied=3)
+            before = store.rows()
+        code = main(
+            ["incidents", "compact", str(tmp_path), "--keep-resolved", "-1"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --keep-resolved")
+        with IncidentStore(tmp_path / INCIDENT_DB) as store:
+            assert store.rows() == before
 
 
 class TestExport:

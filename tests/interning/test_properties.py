@@ -53,7 +53,6 @@ def test_symbol_table_round_trip(token_list, prefix_list):
     for prefix, pid in zip(prefix_list, pids):
         assert table.prefix(pid) == prefix
         assert table.intern_prefix(prefix) == pid
-        assert table.prefix_id(prefix) == pid
         # Value-derived: the module-level codec agrees with the table
         # and inverts exactly.
         assert pack_prefix(prefix) == pid

@@ -4,8 +4,8 @@ a full scan of the subsequence counts, before and after eviction."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stemming.counter import NaiveSubsequenceCounter, _scan_top
 from repro.stemming.stemmer import Stemmer
+from tests.stemming.reference import NaiveSubsequenceCounter, _scan_top
 from tests.stemming.test_stemmer import mk_event
 
 ROUTES = [

@@ -277,7 +277,13 @@ class TestFailedStartKeepsTheDirectory:
     @pytest.mark.parametrize("start", [
         ["serve", "no-such-file.jsonl"],
         ["serve"] + SYNTH[1:] + ["--batch-size", "0"],
-    ], ids=["missing-file", "batch-size-0"])
+        # A longer stream than the finished run's, so a start that
+        # went ahead would leave other checkpoints behind.
+        [
+            "serve", "--synthetic", "3000", "--synthetic-timerange", "1800",
+            "--window", "120", "--slide", "60", "--threshold", "1.5",
+        ],
+    ], ids=["missing-file", "batch-size-0", "threshold-1.5"])
     def test_serve(self, start, finished, tmp_path, capsys):
         root = tmp_path / "root"
         shutil.copytree(finished, shard_dir(root, 0))

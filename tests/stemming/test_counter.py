@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from repro.stemming.counter import (
     PAIR_MASK,
     PAIR_SHIFT,
-    NaiveSubsequenceCounter,
     _subsequences,
     count_pairs,
 )
 from repro.stemming.stemmer import StemIndex, Stemmer
 from tests.collector.test_stream import event
+from tests.stemming.reference import NaiveSubsequenceCounter
 from tests.stemming.test_invariants import random_streams
 from tests.stemming.test_stemmer import mk_event
 

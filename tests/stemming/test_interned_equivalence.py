@@ -18,12 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stemming.counter import (
-    _STREAM_REPEAT_LIMIT,
-    NaiveSubsequenceCounter,
-    count_pairs,
-)
+from repro.stemming.counter import _STREAM_REPEAT_LIMIT, count_pairs
 from repro.stemming.stemmer import Stemmer
+from tests.stemming.reference import NaiveSubsequenceCounter
 from tests.stemming.test_counter import decoded_pairs, naive_pairs
 from tests.stemming.test_stemmer import mk_event
 

@@ -9,12 +9,9 @@ from repro.collector.events import BGPEvent, EventKind
 from repro.net.aspath import ASPath
 from repro.net.attributes import PathAttributes
 from repro.net.prefix import Prefix
-from repro.stemming.counter import (
-    PAIR_MASK,
-    PAIR_SHIFT,
-    NaiveSubsequenceCounter,
-)
+from repro.stemming.counter import PAIR_MASK, PAIR_SHIFT
 from repro.stemming.stemmer import Stemmer, _contains
+from tests.stemming.reference import NaiveSubsequenceCounter
 
 
 @st.composite

@@ -19,12 +19,9 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.stemming.counter import (
-    PAIR_MASK,
-    PAIR_SHIFT,
-    NaiveSubsequenceCounter,
-)
+from repro.stemming.counter import PAIR_MASK, PAIR_SHIFT
 from repro.stemming.stemmer import Stemmer, _contains, _Postings
+from tests.stemming.reference import NaiveSubsequenceCounter
 from tests.stemming.test_stemmer import mk_event
 
 

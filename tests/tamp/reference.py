@@ -2,8 +2,9 @@
 
 This module preserves the original builder — tuple-token dict keys,
 per-edge ``set[Prefix]``/``Counter[Prefix]`` stores — exactly as it
-shipped before the interning rewrite (DESIGN.md §10). It exists so the
-fast path can be *checked*, not trusted:
+shipped before the interning rewrite (DESIGN.md §10), together with the
+token chain one route threads (:func:`route_path_tokens`). It exists so
+the fast path can be *checked*, not trusted:
 
 * ``tests/tamp/test_interned_equivalence.py`` asserts the interned
   builder produces an identical graph (edge set, weights, prune
@@ -11,8 +12,8 @@ fast path can be *checked*, not trusted:
 * ``benchmarks/test_ablations.py`` pits the two against each other to
   quantify the win ("object sets vs interned bitsets").
 
-It is deliberately the *slow* formulation — every INT001 finding below
-is the point of the module, hence the suppressions.
+It is deliberately the *slow* formulation, and no command reaches it,
+so it lives beside the tests rather than in the package.
 """
 
 from __future__ import annotations
@@ -24,7 +25,27 @@ from repro.bgp.rib import Route
 from repro.collector.events import Token
 from repro.net.attributes import PathAttributes
 from repro.net.prefix import Prefix
-from repro.tamp.tree import Edge, route_path_tokens
+from repro.tamp.tree import Edge
+
+
+def route_path_tokens(
+    router: Token,
+    prefix: Prefix,
+    attributes: PathAttributes,
+    include_prefix_leaf: bool = True,
+) -> list[Token]:
+    """The node chain a route contributes: router, nexthop, ASes[, prefix].
+
+    Duplicate consecutive ASes (prepending) collapse to one node — a
+    prepended path traverses the same AS once. The collapsed AS tokens
+    are cached on the path instance (see ``ASPath.collapsed_tokens``).
+    The interned form is :func:`repro.tamp.tree.chain_ids`.
+    """
+    chain: list[Token] = [router, ("nh", attributes.nexthop)]
+    chain.extend(attributes.as_path.collapsed_tokens())
+    if include_prefix_leaf:
+        chain.append(("pfx", prefix))
+    return chain
 
 
 class ReferenceTampTree:
@@ -66,8 +87,6 @@ class ReferenceTampTree:
             self.root, prefixes[0], attributes, include_prefix_leaf=False
         )
         for parent, child in zip(chain, chain[1:]):
-            # repro: allow[INT001] reference implementation — the
-            # un-interned store is what this module exists to preserve.
             edge = (parent, child)
             existing = self._edges.get(edge)
             if existing is None:
@@ -79,8 +98,6 @@ class ReferenceTampTree:
             leaf_parent = chain[-1]
             children = self._children.setdefault(leaf_parent, set())
             for prefix in prefixes:
-                # repro: allow[INT001] reference implementation (see
-                # module docstring).
                 edge = (leaf_parent, ("pfx", prefix))
                 leaf_set = self._edges.get(edge)
                 if leaf_set is None:
@@ -141,8 +158,6 @@ class ReferenceTampGraph:
     def merge_tree(self, tree: ReferenceTampTree) -> None:
         site_root = self.site_root
         tree_root = tree.root
-        # repro: allow[INT001] reference implementation — object prefix
-        # sets are the baseline the interned builder is checked against.
         root_prefixes: set[Prefix] = set()
         for (parent, child), prefixes in tree.edges():
             self._bulk_add(parent, child, prefixes)
@@ -155,8 +170,6 @@ class ReferenceTampGraph:
         if not prefixes:
             return
         self._invalidate_cache()
-        # repro: allow[INT001] reference implementation (see module
-        # docstring).
         edge = (parent, child)
         existing = self._edges.get(edge)
         if existing is None:
@@ -165,6 +178,31 @@ class ReferenceTampGraph:
             self._children.setdefault(parent, set()).add(child)
             self._parents.setdefault(child, set()).add(parent)
         existing.update(prefixes)
+
+    def add_prefix(self, parent: Token, child: Token, prefix: Prefix) -> None:
+        self._add_counts(parent, child, {prefix: 1})
+
+    def merge_graph(self, other: "ReferenceTampGraph") -> None:
+        """Sum *other*'s refcounts into this graph (a shard join)."""
+        for (parent, child), counts in other.raw_edges():
+            self._add_counts(parent, child, counts)
+        if self.site_root is None:
+            self.site_root = other.site_root
+
+    def _add_counts(
+        self, parent: Token, child: Token, counts: dict[Prefix, int]
+    ) -> None:
+        """Add refcounts to an edge; unlike :meth:`_bulk_add`, the store
+        may be a plain dict (an adopted or copied edge)."""
+        self._invalidate_cache()
+        edge = (parent, child)
+        existing = self._edges.get(edge)
+        if existing is None:
+            existing = self._edges[edge] = {}
+            self._children.setdefault(parent, set()).add(child)
+            self._parents.setdefault(child, set()).add(parent)
+        for prefix, count in counts.items():
+            existing[prefix] = existing.get(prefix, 0) + count
 
     def adopt_edge(
         self, parent: Token, child: Token, prefixes: dict[Prefix, int]
@@ -298,6 +336,34 @@ def reference_prune_flat(
     pruned.site_root = graph.site_root
     for (parent, child), prefixes in graph.raw_edges():
         if len(prefixes) / total >= threshold:
+            pruned.adopt_edge(parent, child, prefixes)
+    _sweep_unreachable(pruned, graph.roots())
+    return pruned
+
+
+def reference_prune_hierarchical(
+    graph: ReferenceTampGraph,
+    threshold: float = 0.05,
+    keep_depth: int = 3,
+    growth: float = 1.0,
+) -> ReferenceTampGraph:
+    """The depth-aware prune over the object-set graph: an edge whose
+    parent lies above *keep_depth* (or is unreachable) stays, a deeper
+    one faces ``threshold × growth^(depth - keep_depth)``."""
+    total = graph.total_prefixes()
+    if total == 0:
+        return graph.copy()
+    depths = graph.depths()
+    pruned = ReferenceTampGraph()
+    pruned.site_root = graph.site_root
+    for (parent, child), prefixes in graph.raw_edges():
+        depth = depths.get(parent)
+        if (
+            depth is None
+            or depth < keep_depth
+            or len(prefixes) / total
+            >= min(1.0, threshold * growth ** (depth - keep_depth))
+        ):
             pruned.adopt_edge(parent, child, prefixes)
     _sweep_unreachable(pruned, graph.roots())
     return pruned

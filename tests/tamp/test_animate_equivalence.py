@@ -21,7 +21,7 @@ from repro.collector.stream import EventStream
 from repro.net.prefix import Prefix
 from repro.tamp.animate import EdgeState, animate_stream
 from repro.tamp.incremental import default_peer_namer
-from repro.tamp.tree import route_path_tokens
+from tests.tamp.reference import route_path_tokens
 from tests.tamp.test_incremental import NH, PEER_A, PEER_B, attrs
 
 PREFIXES = [Prefix.parse(f"10.{i}.0.0/16") for i in range(3)]

@@ -282,19 +282,16 @@ class TestPrefixCount:
 
     @given(
         st.lists(count_ops, max_size=40),
-        st.booleans(),
         st.sampled_from(["site", None]),
     )
-    def test_equals_the_graph_after_every_op(self, ops, leaves, site):
-        tamp = IncrementalTamp(site, include_prefix_leaves=leaves)
+    def test_equals_the_graph_after_every_op(self, ops, site):
+        tamp = IncrementalTamp(site)
         self.assert_level(tamp)
         for op in ops:
             if not apply_route_op(tamp, op):
                 # Restore a fresh maintainer from the export, go on
                 # with that one.
-                restored = IncrementalTamp(
-                    site, include_prefix_leaves=leaves
-                )
+                restored = IncrementalTamp(site)
                 restored.import_route_events(tamp.export_route_events())
                 assert restored.prefix_count() == tamp.prefix_count()
                 tamp = restored
@@ -349,11 +346,10 @@ class TestIdLevelCounts:
 
     @given(
         st.lists(route_ops, max_size=40),
-        st.booleans(),
         st.sampled_from(["site", None]),
     )
-    def test_counts_equal_the_decoded_sets(self, ops, leaves, site):
-        tamp = IncrementalTamp(site, include_prefix_leaves=leaves)
+    def test_counts_equal_the_decoded_sets(self, ops, site):
+        tamp = IncrementalTamp(site)
         graph = tamp.graph
         for op in [*ops, ("export",)]:
             apply_route_op(tamp, op)
@@ -385,7 +381,8 @@ class TestIdLevelCounts:
         )
         assert graph.node_count() == len(graph.nodes())
         assert graph.total_prefixes() == len(graph.all_prefixes())
-        # Mixed: the same leaves again as ordinary interned edges.
+        # Mixed: the same leaves again under another tail; add_prefix
+        # puts them in the fringe too.
         for (peer, prefix), route_attrs in held.items():
             graph.add_prefix(("as", 99), ("pfx", prefix), prefix)
             assert graph.node_count() == len(graph.nodes())

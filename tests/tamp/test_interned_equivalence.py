@@ -3,7 +3,7 @@
 The rewrite (DESIGN.md §10) swapped per-edge ``set[Prefix]`` stores for
 interned id stores and added a fused fast path — all pure
 implementation: these tests pin the decoded results to the preserved
-pre-rewrite builder (:mod:`repro.tamp.reference`) at every observable
+pre-rewrite builder (:mod:`tests.tamp.reference`) at every observable
 level:
 
 * the edge set and per-edge prefix sets (the weights),
@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from repro.bgp.rib import Route
 from repro.collector.events import BGPEvent, EventKind
 from repro.collector.rex import RouteExplorer
+from repro.interning import pack_prefix
 from repro.net.aspath import ASPath
 from repro.net.attributes import PathAttributes
 from repro.net.prefix import Prefix, format_address, parse_address
@@ -42,7 +43,7 @@ from repro.tamp.picture import (
 )
 from repro.tamp.prune import prune_flat
 from repro.tamp.render import render_svg
-from repro.tamp.reference import (
+from tests.tamp.reference import (
     ReferenceTampGraph,
     ReferenceTampTree,
     reference_picture,
@@ -83,11 +84,14 @@ def route_groups(profile_name, seed=2002):
 
 
 def merge_one_router(graph, name, routes):
-    """One router's routes through ``merge_view``, grouped by bundle."""
+    """One router's routes through ``merge_id_view``, grouped by
+    bundle."""
     by_attrs = {}
     for route in routes:
-        by_attrs.setdefault(route.attributes, []).append(route.prefix)
-    graph.merge_view([(name, by_attrs)])
+        by_attrs.setdefault(route.attributes, []).append(
+            pack_prefix(route.prefix)
+        )
+    graph.merge_id_view([(name, by_attrs)])
 
 
 def decoded(graph):
@@ -149,7 +153,7 @@ class TestInternedMatchesReference:
         assert interned.total_prefixes() == reference.total_prefixes()
 
     def test_merge_tree_matches_fused_path(self):
-        """Router-at-a-time merge_view (fused) == the oracle's
+        """Router-at-a-time merge_id_view (fused) == the oracle's
         from_routes + merge_tree."""
         groups = route_groups("berkeley")
         fused = TampGraph("site")

@@ -10,7 +10,7 @@ from repro.net.attributes import PathAttributes
 from repro.net.prefix import Prefix, parse_address
 from repro.tamp.graph import TampGraph
 from repro.tamp.picture import build_picture
-from repro.tamp.tree import route_path_tokens
+from tests.tamp.reference import route_path_tokens
 
 NH = parse_address("10.0.0.1")
 
@@ -29,9 +29,12 @@ def pid(graph: TampGraph, prefix: Prefix) -> int:
 
 def thread(graph: TampGraph, prefix: Prefix, path: str, add: bool) -> None:
     """Add or remove one route's chain, as the incremental maintainer
-    does: id-level refcount changes on every edge of the chain, in one
+    does: id-level refcount changes on every edge of the chain (which
+    ends at the last AS: the maintainer keeps no prefix leaves), in one
     call."""
-    chain = route_path_tokens(("router", "r"), prefix, attrs(path))
+    chain = route_path_tokens(
+        ("router", "r"), prefix, attrs(path), include_prefix_leaf=False
+    )
     mutate = graph.add_route_ids if add else graph.discard_route_ids
     edge_ids = [
         graph.intern_pair(parent, child)
